@@ -6,14 +6,15 @@ verify when the expected value of resolving uncertainty covers their cost;
 the platform nudges its amplification weights and moderation intensity by
 projected gradient ascent on profit net of a trust penalty.
 
-All decision rules are pure functions.  Population containers are plain
-lists of frozen agents; the simulation loop owns all mutation.
+All decision rules are pure functions.  Populations are held as arrays
+from the moment they are drawn (`ProducerPool`, `ConsumerPool`); the
+simulation loop owns all mutation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -21,35 +22,6 @@ import numpy as np
 from .errors import TaxOnHighQuality
 
 ContentType = Literal["H", "L"]
-
-
-@dataclass(frozen=True)
-class ProducerAgent:
-    """A producer with type-specific productivities and a rationality parameter."""
-
-    id: int
-    prod_h: float
-    prod_l: float
-    rationality: float
-
-    def __post_init__(self) -> None:
-        if not (self.prod_h > 0 and self.prod_l > 0):
-            raise ValueError("productivities must be positive")
-        if self.rationality < 0:
-            raise ValueError("rationality must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ConsumerAgent:
-    """A consumer with a verification cost in [0, k_max] and a risk-aversion draw."""
-
-    id: int
-    verify_cost: float
-    risk_aversion: float
-
-    def __post_init__(self) -> None:
-        if self.verify_cost < 0:
-            raise ValueError("verify_cost must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -190,6 +162,78 @@ def platform_update(
     )
 
 
+@dataclass
+class ProducerPool:
+    """Producer population as arrays, with pre-baked aggregation weights.
+
+    ``prod_h`` / ``prod_l`` hold each producer's type-specific productivity;
+    ``rationality`` is the population's logit sharpness.  The aggregation
+    weights are the productivities relative to their population means.
+    """
+
+    prod_h: np.ndarray
+    prod_l: np.ndarray
+    rationality: float
+    weight_h: np.ndarray = field(init=False)
+    weight_l: np.ndarray = field(init=False)
+    n: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.prod_h = np.asarray(self.prod_h, dtype=float)
+        self.prod_l = np.asarray(self.prod_l, dtype=float)
+        if not (np.all(self.prod_h > 0) and np.all(self.prod_l > 0)):
+            raise ValueError("productivities must be positive")
+        if self.rationality < 0:
+            raise ValueError("rationality must be nonnegative")
+        self.weight_h = self.prod_h / self.prod_h.mean()
+        self.weight_l = self.prod_l / self.prod_l.mean()
+        self.n = int(self.prod_h.size)
+
+
+class ConsumerPool:
+    """Consumer population as a sorted verification-cost vector.
+
+    The population CDF of verification costs is the piecewise-linear
+    interpolation through the step-ECDF knots (value -> fraction with cost
+    <= value).  Interpolating keeps the mapping continuous -- a raw step
+    ECDF generically has no exact fixed point -- while agreeing with the
+    step ECDF exactly at every observed cost.
+    """
+
+    def __init__(self, costs: Sequence[float] | np.ndarray):
+        ks = np.sort(np.asarray(costs, dtype=float))
+        if ks.size == 0:
+            raise ValueError("consumer population is empty")
+        if ks[0] < 0:
+            raise ValueError("verification costs must be nonnegative")
+        self.costs = ks
+        self.n = ks.size
+        uniq, counts = np.unique(ks, return_counts=True)
+        self._knots_x = uniq
+        self._knots_y = np.cumsum(counts) / self.n
+        self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
+
+    def cdf(self, k: float) -> float:
+        """Fraction of consumers whose cost is covered by threshold k."""
+        x, y = self._knots_x, self._knots_y
+        if k < x[0]:
+            # Ramp from zero at cost 0 up to the first knot.
+            if k <= 0.0:
+                return 0.0
+            return float(y[0] * k / x[0])
+        if k >= x[-1]:
+            return 1.0
+        j = int(np.searchsorted(x, k, side="right"))
+        x0, x1 = x[j - 1], x[j]
+        y0, y1 = y[j - 1], y[j]
+        return float(y0 + (y1 - y0) * (k - x0) / (x1 - x0))
+
+    def spend(self, k: float) -> float:
+        """Total verification outlay of everyone with cost <= k."""
+        j = int(np.searchsorted(self.costs, k, side="right"))
+        return float(self._cumcost[j])
+
+
 def draw_producers(
     n: int,
     rng: np.random.Generator,
@@ -198,7 +242,7 @@ def draw_producers(
     mean_prod_l: float,
     log_sd: float,
     rationality: float,
-) -> list[ProducerAgent]:
+) -> ProducerPool:
     """Draw a producer population with lognormal productivities.
 
     Draws are lognormal(0, log_sd) rescaled by exp(-log_sd^2/2) so the
@@ -207,29 +251,9 @@ def draw_producers(
     correction = math.exp(-0.5 * log_sd**2)
     a_h = rng.lognormal(0.0, log_sd, size=n) * mean_prod_h * correction
     a_l = rng.lognormal(0.0, log_sd, size=n) * mean_prod_l * correction
-    return [
-        ProducerAgent(id=i, prod_h=float(a_h[i]), prod_l=float(a_l[i]), rationality=rationality)
-        for i in range(n)
-    ]
+    return ProducerPool(prod_h=a_h, prod_l=a_l, rationality=rationality)
 
 
-def draw_consumers(
-    n: int,
-    rng: np.random.Generator,
-    *,
-    k_max: float,
-    risk_a: float = 2.0,
-    risk_b: float = 3.0,
-) -> list[ConsumerAgent]:
-    """Draw consumers with uniform verification costs on [0, k_max] and Beta(2,3) risk aversion."""
-    costs = rng.uniform(0.0, k_max, size=n)
-    risk = rng.beta(risk_a, risk_b, size=n)
-    return [
-        ConsumerAgent(id=i, verify_cost=float(costs[i]), risk_aversion=float(risk[i]))
-        for i in range(n)
-    ]
-
-
-def verification_costs(consumers: Sequence[ConsumerAgent]) -> np.ndarray:
-    """Sorted verification-cost vector of a consumer population."""
-    return np.sort(np.array([c.verify_cost for c in consumers], dtype=float))
+def draw_consumers(n: int, rng: np.random.Generator, *, k_max: float) -> ConsumerPool:
+    """Draw consumers with uniform verification costs on [0, k_max]."""
+    return ConsumerPool(rng.uniform(0.0, k_max, size=n))

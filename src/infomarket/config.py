@@ -50,8 +50,6 @@ class AgentParams:
     mean_prod_l: float = 1.2
     prod_log_sd: float = 0.5
     k_max: float = 4.0
-    risk_a: float = 2.0
-    risk_b: float = 3.0
     du_h: float = 0.5
     du_l: float = 2.0
 
@@ -86,13 +84,25 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class TrustParamsCfg:
+class TrustParams:
+    """Euler-discretized trust dynamics: decay, pollution hit, and repair inflow."""
+
     decay: float = 0.05
     pollution_hit: float = 0.02
     repair_gain: float = 3.0
     repair_flow: float = 0.01
     t_max: float = 1.0
     initial: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0 < self.decay < 1:
+            raise ConfigError("trust.decay must lie in (0, 1)")
+        if self.pollution_hit <= 0:
+            raise ConfigError("trust.pollution_hit must be positive")
+        if self.repair_gain < 0 or self.repair_flow < 0:
+            raise ConfigError("trust repair terms must be nonnegative")
+        if self.t_max <= 0:
+            raise ConfigError("trust.t_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ _SECTIONS = {
     "agents": AgentParams,
     "platform": PlatformParams,
     "market": MarketParams,
-    "trust": TrustParamsCfg,
+    "trust": TrustParams,
     "welfare": WelfareParams,
     "ipi": IpiParams,
     "proxy": ProxyParams,
@@ -182,7 +192,7 @@ class SimParams:
     agents: AgentParams = field(default_factory=AgentParams)
     platform: PlatformParams = field(default_factory=PlatformParams)
     market: MarketParams = field(default_factory=MarketParams)
-    trust: TrustParamsCfg = field(default_factory=TrustParamsCfg)
+    trust: TrustParams = field(default_factory=TrustParams)
     welfare: WelfareParams = field(default_factory=WelfareParams)
     ipi: IpiParams = field(default_factory=IpiParams)
     proxy: ProxyParams = field(default_factory=ProxyParams)
@@ -277,8 +287,3 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         overrides[key.strip()] = value.strip()
     return overrides
-
-
-def validate_overrides(params: SimParams, overrides: dict[str, Any]) -> None:
-    """Raise ConfigError on any unknown key or unparsable value."""
-    params.with_overrides(overrides)

@@ -43,22 +43,17 @@ from .ipi import (
     synthesize_log,
 )
 from .market import (
-    ConsumerPool,
     MarketState,
     Populations,
-    ProducerPool,
     TickInputs,
+    _base_costs,
     _platform_from_params,
+    clear_market,
     market_step,
-    pollution_density,
-    solve_verification_fixed_point,
     supply_response,
     welfare_anchors,
-    welfare_value,
-    platform_profit_value,
-    _base_costs,
 )
-from .policy import PolicyConfig, adaptive_tax, scenario_config
+from .policy import SCENARIOS, PolicyConfig, adaptive_tax, robust_select, scenario_config
 
 EXPERIMENTS = (
     "baseline",
@@ -211,24 +206,19 @@ class Simulation:
         self.policy = policy or PolicyConfig()
         self.master_seed = master_seed
         prod_ss, cons_ss = np.random.SeedSequence(master_seed).spawn(2)
-        producers = draw_producers(
-            params.agents.n_producers,
-            np.random.default_rng(prod_ss),
-            mean_prod_h=params.agents.mean_prod_h,
-            mean_prod_l=params.agents.mean_prod_l,
-            log_sd=params.agents.prod_log_sd,
-            rationality=params.agents.rationality,
-        )
-        consumers = draw_consumers(
-            params.agents.n_consumers,
-            np.random.default_rng(cons_ss),
-            k_max=params.agents.k_max,
-            risk_a=params.agents.risk_a,
-            risk_b=params.agents.risk_b,
-        )
+        ag = params.agents
         self.populations = Populations(
-            producers=ProducerPool.from_agents(producers),
-            consumers=ConsumerPool.from_agents(consumers),
+            producers=draw_producers(
+                ag.n_producers,
+                np.random.default_rng(prod_ss),
+                mean_prod_h=ag.mean_prod_h,
+                mean_prod_l=ag.mean_prod_l,
+                log_sd=ag.prod_log_sd,
+                rationality=ag.rationality,
+            ),
+            consumers=draw_consumers(
+                ag.n_consumers, np.random.default_rng(cons_ss), k_max=ag.k_max
+            ),
         )
         self.log_rng = np.random.default_rng(
             np.random.SeedSequence([master_seed, 7, stream_tag])
@@ -405,8 +395,8 @@ class WeightContext:
             return p.welfare.lambda_trust * delta_t, eps
         inputs = sim._last_inputs
         if dim == 0:
-            base = self._evaluate(state.q_h, state.q_l, inputs.gen_boost, inputs)
-            bumped = self._evaluate(state.q_h, state.q_l * (1.0 + eps), inputs.gen_boost, inputs)
+            base = self._evaluate(state.q_h, state.q_l, inputs)
+            bumped = self._evaluate(state.q_h, state.q_l * (1.0 + eps), inputs)
             return bumped[0] - base[0], bumped[1] - base[1]
         base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
         new_i4 = dim_tech_risk(
@@ -417,38 +407,14 @@ class WeightContext:
         bumped = self._supply_welfare(inputs, boost)
         return bumped - base, new_i4 - base_i4
 
-    def _evaluate(
-        self, q_h: float, q_l: float, gen_boost: float, inputs: TickInputs
-    ) -> tuple[float, float]:
+    def _evaluate(self, q_h: float, q_l: float, inputs: TickInputs) -> tuple[float, float]:
         """(welfare, pollution) for given outputs, re-solving verification."""
         sim = self.sim
-        p = sim.params
-        platform = sim.platform
-        rho = pollution_density(q_h, q_l, platform)
-        verify_rate, precision = solve_verification_fixed_point(
-            rho, sim.populations.consumers, inputs.provenance_boost, params=p
+        cleared = clear_market(
+            q_h, q_l, sim.platform, sim.populations, inputs.provenance_boost, sim.params
         )
-        from .agents import consumer_posterior, verification_threshold
-
-        post = consumer_posterior(1.0 - rho, "H", precision)
-        spend = sim.populations.consumers.spend(
-            verification_threshold(post, p.agents.du_h, p.agents.du_l)
-        )
-        plat_profit = platform_profit_value(q_h, q_l, platform, p.platform.moderation_cost,
-                                            p.platform.engagement_bias)
-        w = welfare_value(
-            q_h=q_h,
-            q_l=q_l,
-            verify_rate=verify_rate,
-            precision=precision,
-            trust=sim.state.trust,
-            platform=platform,
-            producer_profit=sim._last_result.producer_profit,
-            platform_profit=plat_profit,
-            verification_spend=spend,
-            params=p,
-        )
-        return w, rho
+        w = cleared.welfare(sim.state.trust, sim._last_result.producer_profit, sim.params)
+        return w, cleared.pollution
 
     def _supply_welfare(self, inputs: TickInputs, gen_boost: float) -> float:
         """Welfare after a full supply re-solve with a perturbed cost channel."""
@@ -464,7 +430,7 @@ class WeightContext:
             tax=inputs.tax,
             extra_q_l=inputs.extra_q_l,
         )
-        w, _rho = self._evaluate(supply.q_h, supply.q_l, gen_boost, inputs)
+        w, _rho = self._evaluate(supply.q_h, supply.q_l, inputs)
         return w + supply.producer_profit - sim._last_result.producer_profit
 
 
@@ -1077,8 +1043,6 @@ def run_sweep(
 
 def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
     """Run the six intervention scenarios on a shared seed and compare."""
-    from .policy import SCENARIOS
-
     params = cfg.params()
     rows = []
     for i, scenario in enumerate(SCENARIOS):
@@ -1168,8 +1132,6 @@ def run_robust_select(
     policies: Sequence[PolicyConfig] | None = None,
     worlds: Sequence[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
-    from .policy import robust_select
-
     params = cfg.params()
     chosen_policies = (
         list(policies)

@@ -22,7 +22,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .agents import PlatformState
+from .config import SimParams
 from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
+from .market import harmful_exposure, pollution_density
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +64,6 @@ class IpiReading:
 
 def dim_pollution(q_h: float, q_l: float, platform: PlatformState) -> float:
     """Effective pollution density; delegates to the market-clearing formula."""
-    from .market import pollution_density
-
     return pollution_density(q_h, q_l, platform)
 
 
@@ -227,7 +227,7 @@ def synthesize_log(
     *,
     cap_gen: float = 1.0,
     cap_det: float = 1.0,
-    params=None,
+    params: SimParams | None = None,
 ) -> SyntheticEventLog:
     """Fabricate one tick's event log from the market state.
 
@@ -237,9 +237,6 @@ def synthesize_log(
     capability stocks.  Multiplicative U(1-noise, 1+noise) noise is applied
     per field; noise 0 consumes no randomness, so noise-free logs are exact.
     """
-    from .config import SimParams
-    from .market import harmful_exposure
-
     p = params or SimParams()
     px = p.proxy
     if not 0 <= noise_level <= 1:

@@ -8,6 +8,9 @@ with the signal precision it induces, trust moves one Euler step, welfare is
 assembled, and the platform takes one projected gradient step from central
 finite differences of its one-tick-ahead profit and trust responses.
 
+The tick, the static anchors and the endogenous-weight re-evaluation all
+clear outputs through `clear_market`.
+
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
 probability, so a run is deterministic given the population draw and the
@@ -16,26 +19,23 @@ series is smooth enough for finite-difference platform gradients.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import econ
 from .agents import (
-    ConsumerAgent,
+    ConsumerPool,
     PlatformState,
-    ProducerAgent,
+    ProducerPool,
     consumer_posterior,
     platform_update,
     verification_threshold,
 )
-from .config import SimParams
+from .config import SimParams, TrustParams
 from .errors import NoConvergence
-
-logger = logging.getLogger(__name__)
+from .policy import fiduciary_objective
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,6 @@ class MarketState:
             raise ValueError(f"precision out of [0.5, 1]: {self.precision}")
         if self.trust < 0:
             raise ValueError("trust must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrustParams:
-    """Euler-discretized trust dynamics: decay, pollution hit, and repair inflow."""
-
-    decay: float = 0.05
-    pollution_hit: float = 0.02
-    repair_gain: float = 3.0
-    repair_flow: float = 0.01
-    t_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must lie in (0, 1)")
-        if self.pollution_hit <= 0:
-            raise ValueError("pollution_hit must be positive")
-        if self.repair_gain < 0 or self.repair_flow < 0:
-            raise ValueError("repair terms must be nonnegative")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
 
 
 def pollution_density(q_h: float, q_l: float, platform: PlatformState) -> float:
@@ -118,60 +97,12 @@ def signal_precision(
     return min(max(raw, 0.5), 1.0)
 
 
-class ConsumerPool:
-    """Vectorized view of a consumer population for the fixed-point solver.
-
-    The population CDF of verification costs is the piecewise-linear
-    interpolation through the step-ECDF knots (value -> fraction with cost
-    <= value).  Interpolating keeps the mapping continuous -- a raw step
-    ECDF generically has no exact fixed point -- while agreeing with the
-    step ECDF exactly at every observed cost.
-    """
-
-    def __init__(self, costs: Sequence[float] | np.ndarray):
-        ks = np.sort(np.asarray(costs, dtype=float))
-        if ks.size == 0:
-            raise ValueError("consumer population is empty")
-        if ks[0] < 0:
-            raise ValueError("verification costs must be nonnegative")
-        self.costs = ks
-        self.n = ks.size
-        uniq, counts = np.unique(ks, return_counts=True)
-        self._knots_x = uniq
-        self._knots_y = np.cumsum(counts) / self.n
-        self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
-
-    @classmethod
-    def from_agents(cls, consumers: Sequence[ConsumerAgent]) -> "ConsumerPool":
-        return cls([c.verify_cost for c in consumers])
-
-    def cdf(self, k: float) -> float:
-        """Fraction of consumers whose cost is covered by threshold k."""
-        x, y = self._knots_x, self._knots_y
-        if k < x[0]:
-            # Ramp from zero at cost 0 up to the first knot.
-            if k <= 0.0:
-                return 0.0
-            return float(y[0] * k / x[0])
-        if k >= x[-1]:
-            return 1.0
-        j = int(np.searchsorted(x, k, side="right"))
-        x0, x1 = x[j - 1], x[j]
-        y0, y1 = y[j - 1], y[j]
-        return float(y0 + (y1 - y0) * (k - x0) / (x1 - x0))
-
-    def spend(self, k: float) -> float:
-        """Total verification outlay of everyone with cost <= k."""
-        j = int(np.searchsorted(self.costs, k, side="right"))
-        return float(self._cumcost[j])
-
-
 def solve_verification_fixed_point(
     pollution: float,
-    consumers: ConsumerPool | Sequence[ConsumerAgent],
+    consumers: ConsumerPool,
     provenance_boost: float = 0.0,
     *,
-    params: SimParams | None = None,
+    params: SimParams,
     du_h: float | None = None,
     du_l: float | None = None,
 ) -> tuple[float, float]:
@@ -187,14 +118,12 @@ def solve_verification_fixed_point(
 
     Returns (verify_rate, precision at the fixed point).
     """
-    p = params or SimParams()
-    mk = p.market
-    du_h = p.agents.du_h if du_h is None else du_h
-    du_l = p.agents.du_l if du_l is None else du_l
-    pool = consumers if isinstance(consumers, ConsumerPool) else ConsumerPool.from_agents(consumers)
+    mk = params.market
+    du_h = params.agents.du_h if du_h is None else du_h
+    du_l = params.agents.du_l if du_l is None else du_l
 
-    def mapping(v: float) -> float:
-        pi = signal_precision(
+    def precision(v: float) -> float:
+        return signal_precision(
             pollution,
             v,
             provenance_boost,
@@ -202,27 +131,22 @@ def solve_verification_fixed_point(
             kappa_pollution=mk.kappa_pollution,
             kappa_verify=mk.kappa_verify,
         )
-        post = consumer_posterior(1.0 - pollution, "H", pi)
-        return pool.cdf(verification_threshold(post, du_h, du_l))
+
+    def mapping(v: float) -> float:
+        post = consumer_posterior(1.0 - pollution, "H", precision(v))
+        return consumers.cdf(verification_threshold(post, du_h, du_l))
 
     v = mk.fp_start
     lo, hi = 0.0, 1.0  # bracket for the sign change of T(V) - V
-    budget = mk.fp_max_iter
-    for _ in range(budget):
+    for _ in range(mk.fp_max_iter):
         t = mapping(v)
         resid = t - v
         if abs(resid) < mk.fp_tol:
-            pi = signal_precision(
-                pollution, v, provenance_boost,
-                pi_base=mk.pi_base, kappa_pollution=mk.kappa_pollution,
-                kappa_verify=mk.kappa_verify,
-            )
-            return v, pi
+            return v, precision(v)
         if resid > 0:
             lo = max(lo, v)
         else:
             hi = min(hi, v)
-        budget -= 1
         v_next = (1.0 - mk.fp_damping) * v + mk.fp_damping * t
         # Every evaluated point becomes a bracket endpoint, so demanding a
         # strictly interior candidate also breaks period-2 cycles of the
@@ -253,6 +177,12 @@ def trust_update(trust: float, i1: float, flow: float, params: TrustParams) -> f
         + params.repair_gain * params.repair_flow
         - params.decay * trust
     )
+    return min(max(t, 0.0), params.t_max)
+
+
+def steady_state_trust(i1: float, flow: float, params: TrustParams) -> float:
+    """Trust level at which the Euler step is stationary, clamped into bounds."""
+    t = (params.repair_gain * params.repair_flow - params.pollution_hit * i1 * flow) / params.decay
     return min(max(t, 0.0), params.t_max)
 
 
@@ -305,34 +235,6 @@ def welfare_value(
     )
 
 
-@dataclass
-class ProducerPool:
-    """Vectorized producer population with pre-baked aggregation weights."""
-
-    prod_h: np.ndarray
-    prod_l: np.ndarray
-    rationality: float
-    weight_h: np.ndarray
-    weight_l: np.ndarray
-
-    @classmethod
-    def from_agents(cls, producers: Sequence[ProducerAgent]) -> "ProducerPool":
-        a_h = np.array([p.prod_h for p in producers], dtype=float)
-        a_l = np.array([p.prod_l for p in producers], dtype=float)
-        beta = producers[0].rationality if producers else 1.0
-        return cls(
-            prod_h=a_h,
-            prod_l=a_l,
-            rationality=beta,
-            weight_h=a_h / a_h.mean(),
-            weight_l=a_l / a_l.mean(),
-        )
-
-    @property
-    def n(self) -> int:
-        return int(self.prod_h.size)
-
-
 @dataclass(frozen=True)
 class Populations:
     producers: ProducerPool
@@ -348,7 +250,6 @@ class SupplyResult:
     q_h: float
     q_l: float
     producer_profit: float
-    prob_h: np.ndarray
 
 
 def supply_response(
@@ -383,7 +284,7 @@ def supply_response(
         np.dot(prob_h, pool.weight_h * pi_h)
         + np.dot(1.0 - prob_h, pool.weight_l * (pi_l + tax))
     )
-    return SupplyResult(q_h=q_h, q_l=q_l, producer_profit=profit, prob_h=prob_h)
+    return SupplyResult(q_h=q_h, q_l=q_l, producer_profit=profit)
 
 
 def platform_profit_value(
@@ -408,6 +309,82 @@ def platform_profit_value(
     )
 
 
+@dataclass(frozen=True)
+class Clearing:
+    """The market's response to given outputs under a posted posture.
+
+    ``flow`` is amplified exposure per agent, the flow that erodes trust.
+    Welfare follows once a trust level and producer surplus are supplied.
+    """
+
+    q_h: float
+    q_l: float
+    posture: PlatformState
+    pollution: float
+    verify_rate: float
+    precision: float
+    verification_spend: float
+    flow: float
+    platform_profit: float
+
+    def welfare(self, trust: float, producer_profit: float, params: SimParams) -> float:
+        return welfare_value(
+            q_h=self.q_h,
+            q_l=self.q_l,
+            verify_rate=self.verify_rate,
+            precision=self.precision,
+            trust=trust,
+            platform=self.posture,
+            producer_profit=producer_profit,
+            platform_profit=self.platform_profit,
+            verification_spend=self.verification_spend,
+            params=params,
+        )
+
+
+def _exposure(
+    q_h: float, q_l: float, posture: PlatformState, populations: Populations, params: SimParams
+) -> tuple[float, float, float]:
+    """(pollution, amplified exposure per agent, platform profit) of outputs under a posture."""
+    amplified = posture.gamma_h * q_h + posture.gamma_l * (1.0 - posture.moderation) * q_l
+    profit = platform_profit_value(
+        q_h, q_l, posture, params.platform.moderation_cost, params.platform.engagement_bias
+    )
+    return pollution_density(q_h, q_l, posture), amplified / populations.total, profit
+
+
+def clear_market(
+    q_h: float,
+    q_l: float,
+    posture: PlatformState,
+    populations: Populations,
+    provenance_boost: float,
+    params: SimParams,
+) -> Clearing:
+    """Clear given outputs under a posted posture.
+
+    Pollution, the verification fixed point, the outlay of everyone whose
+    cost the resulting threshold covers, exposure flow, and platform profit.
+    """
+    rho, flow, plat_profit = _exposure(q_h, q_l, posture, populations, params)
+    verify_rate, precision = solve_verification_fixed_point(
+        rho, populations.consumers, provenance_boost, params=params
+    )
+    post = consumer_posterior(1.0 - rho, "H", precision)
+    k_star = verification_threshold(post, params.agents.du_h, params.agents.du_l)
+    return Clearing(
+        q_h=q_h,
+        q_l=q_l,
+        posture=posture,
+        pollution=rho,
+        verify_rate=verify_rate,
+        precision=precision,
+        verification_spend=populations.consumers.spend(k_star),
+        flow=flow,
+        platform_profit=plat_profit,
+    )
+
+
 @dataclass
 class TickInputs:
     """Per-tick exogenous conditions assembled by the orchestration layer."""
@@ -426,9 +403,6 @@ class TickResult:
     state: MarketState
     platform: PlatformState
     producer_profit: float
-    platform_profit: float
-    verification_spend: float
-    flow: float
 
 
 def _base_costs(params: SimParams, ai_rental: float) -> tuple[float, float]:
@@ -455,13 +429,6 @@ def market_step(
     Deterministic: no randomness is consumed here.
     """
     cost_h_base, cost_l_base = _base_costs(params, inputs.ai_rental)
-    trust_cfg = TrustParams(
-        decay=params.trust.decay,
-        pollution_hit=params.trust.pollution_hit,
-        repair_gain=params.trust.repair_gain,
-        repair_flow=params.trust.repair_flow,
-        t_max=params.trust.t_max,
-    )
 
     # (1) producer choices and aggregate supply
     supply = supply_response(
@@ -474,42 +441,18 @@ def market_step(
         extra_q_l=inputs.extra_q_l,
     )
 
-    # (2) effective pollution under the posture producers responded to
-    rho = pollution_density(supply.q_h, supply.q_l, platform)
-
-    # (3) verification fixed point
-    verify_rate, precision = solve_verification_fixed_point(
-        rho, populations.consumers, inputs.provenance_boost, params=params
+    # (2-3) pollution under the posture producers responded to, and the
+    # verification fixed point
+    cleared = clear_market(
+        supply.q_h, supply.q_l, platform, populations, inputs.provenance_boost, params
     )
-    post = consumer_posterior(1.0 - rho, "H", precision)
-    k_star = verification_threshold(post, params.agents.du_h, params.agents.du_l)
-    spend = populations.consumers.spend(k_star)
 
     # (4) trust step (exogenous shocks land before the Euler update)
-    trust_in = min(max(state.trust + inputs.trust_delta, 0.0), trust_cfg.t_max)
-    amplified = platform.gamma_h * supply.q_h + platform.gamma_l * (
-        1.0 - platform.moderation
-    ) * supply.q_l
-    flow = amplified / populations.total
-    trust = trust_update(trust_in, rho, flow, trust_cfg)
+    trust_in = min(max(state.trust + inputs.trust_delta, 0.0), params.trust.t_max)
+    trust = trust_update(trust_in, cleared.pollution, cleared.flow, params.trust)
 
     # (5) welfare
-    plat_profit = platform_profit_value(
-        supply.q_h, supply.q_l, platform, params.platform.moderation_cost,
-        params.platform.engagement_bias,
-    )
-    w = welfare_value(
-        q_h=supply.q_h,
-        q_l=supply.q_l,
-        verify_rate=verify_rate,
-        precision=precision,
-        trust=trust,
-        platform=platform,
-        producer_profit=supply.producer_profit,
-        platform_profit=plat_profit,
-        verification_spend=spend,
-        params=params,
-    )
+    w = cleared.welfare(trust, supply.producer_profit, params)
 
     # (6) platform gradient step from one-tick-ahead finite differences
     new_platform = _platform_gradient_step(
@@ -520,29 +463,20 @@ def market_step(
         cost_h_base=cost_h_base,
         cost_l_base=cost_l_base,
         trust_now=trust,
-        verify_rate=verify_rate,
-        precision=precision,
-        trust_cfg=trust_cfg,
+        cleared=cleared,
     )
 
     next_state = MarketState(
         tick=state.tick + 1,
         q_h=supply.q_h,
         q_l=supply.q_l,
-        pollution=rho,
-        verify_rate=verify_rate,
-        precision=precision,
+        pollution=cleared.pollution,
+        verify_rate=cleared.verify_rate,
+        precision=cleared.precision,
         trust=trust,
         welfare=w,
     )
-    return TickResult(
-        state=next_state,
-        platform=new_platform,
-        producer_profit=supply.producer_profit,
-        platform_profit=plat_profit,
-        verification_spend=spend,
-        flow=flow,
-    )
+    return TickResult(state=next_state, platform=new_platform, producer_profit=supply.producer_profit)
 
 
 def _lookahead(
@@ -554,16 +488,14 @@ def _lookahead(
     cost_h_base: float,
     cost_l_base: float,
     trust_now: float,
-    verify_rate: float,
-    precision: float,
-    trust_cfg: TrustParams,
+    cleared: Clearing,
 ) -> tuple[float, float]:
     """(objective, trust) one tick ahead if the platform posts `posture`.
 
     The profit side is per-producer normalized so learning rates are
     population-size invariant; under a fiduciary duty the objective blends
     in the consumer value/harm fragment.  The verification response is
-    treated as given within the lookahead.
+    held at this tick's clearing within the lookahead.
     """
     supply = supply_response(
         populations.producers,
@@ -574,24 +506,15 @@ def _lookahead(
         tax=inputs.tax,
         extra_q_l=inputs.extra_q_l,
     )
-    profit = platform_profit_value(
-        supply.q_h, supply.q_l, posture, params.platform.moderation_cost,
-        params.platform.engagement_bias,
-    )
+    rho, flow, profit = _exposure(supply.q_h, supply.q_l, posture, populations, params)
     objective = profit
     if inputs.fiduciary > 0.0:
-        from .policy import fiduciary_objective
-
         wcfg = params.welfare
-        x = harmful_exposure(supply.q_l, posture, verify_rate, precision)
+        x = harmful_exposure(supply.q_l, posture, cleared.verify_rate, cleared.precision)
         value = wcfg.value_h * posture.gamma_h * supply.q_h
         harm = wcfg.harm_lin * x + wcfg.harm_quad * x * x
         objective = fiduciary_objective(profit, value, harm, inputs.fiduciary)
-    rho = pollution_density(supply.q_h, supply.q_l, posture)
-    amplified = posture.gamma_h * supply.q_h + posture.gamma_l * (
-        1.0 - posture.moderation
-    ) * supply.q_l
-    trust_next = trust_update(trust_now, rho, amplified / populations.total, trust_cfg)
+    trust_next = trust_update(trust_now, rho, flow, params.trust)
     return objective / populations.producers.n, trust_next
 
 
@@ -626,21 +549,12 @@ def _platform_gradient_step(
     return platform_update(platform, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh)
 
 
-def steady_state_trust(i1: float, flow: float, params: TrustParams) -> float:
-    """Trust level at which the Euler step is stationary, clamped into bounds."""
-    t = (params.repair_gain * params.repair_flow - params.pollution_hit * i1 * flow) / params.decay
-    return min(max(t, 0.0), params.t_max)
-
-
 def static_equilibrium_welfare(
     populations: Populations,
     platform: PlatformState,
     params: SimParams,
     *,
     tax: float = 0.0,
-    provenance_boost: float = 0.0,
-    gen_boost: float = 1.0,
-    ai_rental: float | None = None,
 ) -> float:
     """Long-run welfare of a pinned platform posture.
 
@@ -648,52 +562,18 @@ def static_equilibrium_welfare(
     at its steady state.  Used for the planner-optimum and worst-corner
     anchors of the deadweight dimension.
     """
-    cost_h_base, cost_l_base = _base_costs(
-        params, params.econ.ai_rental if ai_rental is None else ai_rental
-    )
+    cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
     supply = supply_response(
         populations.producers,
         platform,
         cost_h_base=cost_h_base,
         cost_l_base=cost_l_base,
-        gen_boost=gen_boost,
+        gen_boost=1.0,
         tax=tax,
     )
-    rho = pollution_density(supply.q_h, supply.q_l, platform)
-    verify_rate, precision = solve_verification_fixed_point(
-        rho, populations.consumers, provenance_boost, params=params
-    )
-    post = consumer_posterior(1.0 - rho, "H", precision)
-    spend = populations.consumers.spend(
-        verification_threshold(post, params.agents.du_h, params.agents.du_l)
-    )
-    amplified = platform.gamma_h * supply.q_h + platform.gamma_l * (
-        1.0 - platform.moderation
-    ) * supply.q_l
-    trust_cfg = TrustParams(
-        decay=params.trust.decay,
-        pollution_hit=params.trust.pollution_hit,
-        repair_gain=params.trust.repair_gain,
-        repair_flow=params.trust.repair_flow,
-        t_max=params.trust.t_max,
-    )
-    trust = steady_state_trust(rho, amplified / populations.total, trust_cfg)
-    plat_profit = platform_profit_value(
-        supply.q_h, supply.q_l, platform, params.platform.moderation_cost,
-        params.platform.engagement_bias,
-    )
-    return welfare_value(
-        q_h=supply.q_h,
-        q_l=supply.q_l,
-        verify_rate=verify_rate,
-        precision=precision,
-        trust=trust,
-        platform=platform,
-        producer_profit=supply.producer_profit,
-        platform_profit=plat_profit,
-        verification_spend=spend,
-        params=params,
-    )
+    cleared = clear_market(supply.q_h, supply.q_l, platform, populations, 0.0, params)
+    trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
+    return cleared.welfare(trust, supply.producer_profit, params)
 
 
 def welfare_anchors(populations: Populations, params: SimParams) -> tuple[float, float]:
@@ -735,22 +615,3 @@ def _platform_from_params(params: SimParams) -> PlatformState:
         gamma_max=p.gamma_max,
     )
 
-
-def comparative_statics(
-    grid: Sequence[tuple[float, float]],
-    base_params: SimParams | None = None,
-    *,
-    master_seed: int = 42,
-    ticks: int = 120,
-    jobs: int = 1,
-) -> "object":
-    """Sweep (ai_rental, sigma_l) cells and tabulate end-of-run outcomes.
-
-    Delegates to the experiment harness, which owns run orchestration and
-    the index computation; imported lazily to keep module layering acyclic.
-    """
-    from .harness import sweep_cells
-
-    return sweep_cells(
-        grid, base_params or SimParams(), master_seed=master_seed, ticks=ticks, jobs=jobs
-    )

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infomarket.agents import (
-    ConsumerAgent,
+    ConsumerPool,
     PlatformState,
-    ProducerAgent,
+    ProducerPool,
     consumer_posterior,
     draw_consumers,
     draw_producers,
@@ -175,38 +175,43 @@ class TestPopulationDraws:
             n, np.random.default_rng(42),
             mean_prod_h=1.0, mean_prod_l=1.2, log_sd=0.5, rationality=1.0,
         )
-        a_h = np.array([p.prod_h for p in producers])
-        a_l = np.array([p.prod_l for p in producers])
         sd = math.sqrt(math.exp(0.25) - 1.0)  # scaled lognormal coefficient of variation
-        for sample, target in ((a_h, 1.0), (a_l, 1.2)):
+        for sample, target in ((producers.prod_h, 1.0), (producers.prod_l, 1.2)):
             se = target * sd / math.sqrt(n)
             assert abs(sample.mean() - target) < 3 * se
 
     def test_consumer_draw_bounds(self):
         consumers = draw_consumers(500, np.random.default_rng(3), k_max=4.0)
-        costs = np.array([c.verify_cost for c in consumers])
-        risk = np.array([c.risk_aversion for c in consumers])
-        assert costs.min() >= 0 and costs.max() <= 4.0
-        assert risk.min() > 0 and risk.max() < 1
+        assert consumers.n == 500
+        assert consumers.costs.min() >= 0 and consumers.costs.max() <= 4.0
 
     def test_fixed_seed_reproducible(self):
         a = draw_producers(50, np.random.default_rng(9), mean_prod_h=1.0,
                            mean_prod_l=1.2, log_sd=0.5, rationality=1.0)
         b = draw_producers(50, np.random.default_rng(9), mean_prod_h=1.0,
                            mean_prod_l=1.2, log_sd=0.5, rationality=1.0)
-        assert a == b
+        for field in ("prod_h", "prod_l", "weight_h", "weight_l"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.rationality == b.rationality
 
 
 class TestAgentValidation:
     def test_producer_bounds(self):
         with pytest.raises(ValueError):
-            ProducerAgent(id=0, prod_h=0.0, prod_l=1.0, rationality=1.0)
+            ProducerPool(prod_h=[1.0, 0.0], prod_l=[1.0, 1.0], rationality=1.0)
         with pytest.raises(ValueError):
-            ProducerAgent(id=0, prod_h=1.0, prod_l=1.0, rationality=-0.1)
+            ProducerPool(prod_h=[1.0, 1.0], prod_l=[1.0, -2.0], rationality=1.0)
+        with pytest.raises(ValueError):
+            ProducerPool(prod_h=[1.0], prod_l=[1.0], rationality=-0.1)
+        with pytest.raises(ValueError):
+            draw_producers(5, np.random.default_rng(0), mean_prod_h=1.0,
+                           mean_prod_l=1.2, log_sd=0.5, rationality=-0.1)
 
     def test_consumer_bounds(self):
         with pytest.raises(ValueError):
-            ConsumerAgent(id=0, verify_cost=-0.5, risk_aversion=0.5)
+            ConsumerPool([1.0, -0.5, 2.0])
+        with pytest.raises(ValueError):
+            draw_consumers(10, np.random.default_rng(3), k_max=-1.0)
 
     def test_platform_bounds(self):
         with pytest.raises(ValueError):

@@ -319,6 +319,22 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("trust.decay", "0"),
+        ("trust.t_max", "0"),
+        ("trust.pollution_hit", "0"),
+        ("trust.repair_flow", "-0.01"),
+    ])
+    def test_trust_bounds_exit_config_code(self, tmp_path, key, value):
+        path = tmp_path / "trust.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        code = main([
+            "baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
+            "--agents.n_producers", "30", "--agents.n_consumers", "60", f"--{key}", value,
+        ])
+        assert code == 2
+
     def test_convergence_failure_exits_code_three(self, tmp_path):
         code = main([
             "baseline", "--ticks", "3", "--out", str(tmp_path / "x"),

@@ -15,9 +15,9 @@ from infomarket.harness import (
     run_cross_platform,
     run_event_detection,
     run_weight_sensitivity,
+    sweep_cells,
 )
 from infomarket.ipi import endogenous_weights
-from infomarket.market import comparative_statics
 from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
@@ -91,7 +91,7 @@ class TestEndogenousWeights:
 
 class TestComparativeStatics:
     def test_single_cell_grid(self):
-        report = comparative_statics(
+        report = sweep_cells(
             [(1.0, 1.5)],
             SimParams().with_overrides({
                 "agents.n_producers": 30, "agents.n_consumers": 60,

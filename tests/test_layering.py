@@ -1,0 +1,68 @@
+"""Module layering: intra-package imports point only to earlier layers."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "infomarket"
+
+# Each module may import, at module level, only from modules before it.  The
+# package root (``from . import __version__``) sits below every layer.
+LAYERS = (
+    "__init__", "errors", "config", "econ", "agents", "policy", "market", "ipi",
+    "harness", "cli",
+)
+
+# The one deferred import: robust selection runs its cells through the harness,
+# and `robust_select` keeps its home and signature in `policy`.
+DEFERRED = {("policy", "robust_select", "harness")}
+
+
+def _intra_imports(node: ast.AST) -> list[str]:
+    """Package modules named by one import statement (relative or absolute)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] != "infomarket":
+                return []
+            parts = parts[1:]
+        elif node.level == 1:
+            parts = node.module.split(".") if node.module else []
+        else:
+            return []
+        if parts:
+            return [parts[0]]
+        return [a.name if (PACKAGE / f"{a.name}.py").exists() else "__init__"
+                for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] if "." in a.name else "__init__"
+                for a in node.names if a.name.split(".")[0] == "infomarket"]
+    return []
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+
+
+def test_module_level_imports_point_down():
+    trees = _trees()
+    assert set(trees) == set(LAYERS)
+    upward = [
+        (module, target)
+        for module, tree in trees.items()
+        for node in tree.body
+        for target in _intra_imports(node)
+        if LAYERS.index(target) >= LAYERS.index(module)
+    ]
+    assert upward == []
+
+
+def test_only_deferred_import_is_robust_select():
+    found = {
+        (module, func.name, target)
+        for module, tree in _trees().items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        for target in _intra_imports(node)
+    }
+    assert found == DEFERRED
