@@ -228,10 +228,20 @@ class ConsumerPool:
         y0, y1 = y[j - 1], y[j]
         return float(y0 + (y1 - y0) * (k - x0) / (x1 - x0))
 
-    def spend(self, k: float) -> float:
-        """Total verification outlay of everyone with cost <= k."""
-        j = int(np.searchsorted(self.costs, k, side="right"))
-        return float(self._cumcost[j])
+    def cdf_many(self, k: np.ndarray) -> np.ndarray:
+        """`cdf` elementwise over an array of thresholds, with the same arithmetic."""
+        x, y = self._knots_x, self._knots_y
+        j = np.clip(np.searchsorted(x, k, side="right"), 1, x.size - 1)
+        x0, x1 = x[j - 1], x[j]
+        y0, y1 = y[j - 1], y[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ramp = np.where(k <= 0.0, 0.0, y[0] * k / x[0])
+            inner = np.where(k >= x[-1], 1.0, y0 + (y1 - y0) * (k - x0) / (x1 - x0))
+        return np.where(k < x[0], ramp, inner)
+
+    def spend(self, k: float | np.ndarray) -> float | np.ndarray:
+        """Total verification outlay of everyone with cost <= k (elementwise over an array)."""
+        return self._cumcost[np.searchsorted(self.costs, k, side="right")]
 
 
 def draw_producers(

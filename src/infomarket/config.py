@@ -36,6 +36,10 @@ class EconParams:
     # Reference rental rate; generation capability compounds only below it.
     ai_rental_baseline: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not self.ai_rental > 0:
+            raise ConfigError("econ.ai_rental must be positive")
+
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -52,6 +56,10 @@ class AgentParams:
     k_max: float = 4.0
     du_h: float = 0.5
     du_l: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.n_producers < 1 or self.n_consumers < 1:
+            raise ConfigError("agents.n_producers and agents.n_consumers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,10 @@ class PlatformParams:
     # clickbait engages better per amplified unit.  Producers' margins are
     # unaffected (they sell amplification, not engagement).
     engagement_bias: float = 1.3
+
+    def __post_init__(self) -> None:
+        if not 0 < self.revenue_share < 1:
+            raise ConfigError("platform.revenue_share must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,9 @@ class TrustParams:
             raise ConfigError("trust repair terms must be nonnegative")
         if self.t_max <= 0:
             raise ConfigError("trust.t_max must be positive")
+        # Above t_max is allowed: the first tick clamps it.
+        if self.initial < 0:
+            raise ConfigError("trust.initial must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,11 @@ class IpiParams:
     anchor_gamma_points: int = 5
     anchor_tax_points: int = 5
     anchor_tax_max: float = 2.0
+
+    def __post_init__(self) -> None:
+        # The planner optimum is a maximum over the lattice's lanes; it needs one.
+        if min(self.anchor_m_points, self.anchor_gamma_points, self.anchor_tax_points) < 1:
+            raise ConfigError("ipi.anchor_*_points must be at least 1")
 
 
 @dataclass(frozen=True)

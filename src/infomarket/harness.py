@@ -45,6 +45,7 @@ from .ipi import (
 from .market import (
     MarketState,
     Populations,
+    Postures,
     TickInputs,
     _base_costs,
     _platform_from_params,
@@ -423,15 +424,15 @@ class WeightContext:
         cost_h_base, cost_l_base = _base_costs(p, inputs.ai_rental)
         supply = supply_response(
             sim.populations.producers,
-            sim.platform,
+            Postures.of([sim.platform]),
             cost_h_base=cost_h_base,
             cost_l_base=cost_l_base,
             gen_boost=gen_boost,
             tax=inputs.tax,
             extra_q_l=inputs.extra_q_l,
         )
-        w, _rho = self._evaluate(supply.q_h, supply.q_l, inputs)
-        return w + supply.producer_profit - sim._last_result.producer_profit
+        w, _rho = self._evaluate(float(supply.q_h[0]), float(supply.q_l[0]), inputs)
+        return w + float(supply.producer_profit[0]) - sim._last_result.producer_profit
 
 
 # -- statistics ---------------------------------------------------------------

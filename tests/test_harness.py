@@ -246,6 +246,15 @@ class TestParallelCells:
         parallel = sweep_cells(grid, base, master_seed=42, ticks=15, jobs=2)
         assert serial == parallel
 
+    def test_unconverged_cell_reports_a_failure(self):
+        strict = SimParams().with_overrides(
+            {**SMALL, "market.fp_tol": 0.0, "market.fp_max_iter": 50}
+        )
+        report = sweep_cells([(1.0, 1.5)], strict, master_seed=42, ticks=2)
+        assert report.rows == []
+        (failure,) = report.failures
+        assert "NoConvergence" in failure and "after 50 iterations" in failure
+
 
 class TestWeightSensitivity:
     def test_identical_sets_give_identical_correlations(self):
@@ -284,6 +293,18 @@ class TestSupplyFloor:
         baseline = Simulation(SimParams().with_overrides(SMALL), PolicyConfig(), 42)
         baseline_rows = [baseline.advance() for _ in range(50)]
         assert q_l[-1] < baseline_rows[-1].q_l
+
+
+def assert_config_exit_code(tmp_path, key, value):
+    """Both `validate-config` and a run reject the value with exit code 2."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    code = main([
+        "baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
+        "--agents.n_producers", "30", "--agents.n_consumers", "60", f"--{key}", value,
+    ])
+    assert code == 2
 
 
 class TestCli:
@@ -326,14 +347,20 @@ class TestCli:
         ("trust.repair_flow", "-0.01"),
     ])
     def test_trust_bounds_exit_config_code(self, tmp_path, key, value):
-        path = tmp_path / "trust.cfg"
-        path.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["validate-config", "--config", str(path)]) == 2
-        code = main([
-            "baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
-            "--agents.n_producers", "30", "--agents.n_consumers", "60", f"--{key}", value,
-        ])
-        assert code == 2
+        assert_config_exit_code(tmp_path, key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ipi.anchor_m_points", "0"),
+        ("ipi.anchor_gamma_points", "-1"),
+        ("ipi.anchor_tax_points", "0"),
+        ("agents.n_producers", "0"),
+        ("agents.n_consumers", "0"),
+        ("platform.revenue_share", "1.5"),
+        ("econ.ai_rental", "-1"),
+        ("trust.initial", "-1"),
+    ])
+    def test_section_bounds_exit_config_code(self, tmp_path, key, value):
+        assert_config_exit_code(tmp_path, key, value)
 
     def test_convergence_failure_exits_code_three(self, tmp_path):
         code = main([

@@ -1,22 +1,34 @@
 """Market-clearing tests: pollution, the verification fixed point, trust, welfare."""
 
+import math
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from infomarket import market
 from infomarket.agents import PlatformState, consumer_posterior, verification_threshold
 from infomarket.config import SimParams
 from infomarket.errors import NoConvergence
+from infomarket.harness import Simulation
 from infomarket.market import (
     ConsumerPool,
     MarketState,
+    Postures,
     TrustParams,
+    _base_costs,
+    _platform_from_params,
+    clear_market,
     harmful_exposure,
     pollution_density,
     signal_precision,
     solve_verification_fixed_point,
     static_equilibrium_welfare,
+    steady_state_trust,
+    supply_response,
     trust_update,
     welfare_anchors,
     welfare_value,
@@ -236,7 +248,125 @@ class TestAnchors:
         assert w_so > w_min
 
     def test_static_corner_is_reproducible(self, populations, params):
-        platform = make_platform(gamma_l=2.0, gamma_h=1.0, moderation=0.0)
-        a = static_equilibrium_welfare(populations, platform, params)
-        b = static_equilibrium_welfare(populations, platform, params)
+        corner = Postures.of([make_platform(gamma_l=2.0, gamma_h=1.0, moderation=0.0)])
+        a = static_equilibrium_welfare(populations, corner, params)
+        b = static_equilibrium_welfare(populations, corner, params)
+        assert a.shape == (1,)
         assert a == b
+
+
+def scalar_welfare(populations, posture, params, tax):
+    """Long-run welfare of one pinned posture through the single-posture chain."""
+    cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
+    supply = supply_response(
+        populations.producers, Postures.of([posture]),
+        cost_h_base=cost_h_base, cost_l_base=cost_l_base, gen_boost=1.0, tax=tax,
+    )
+    q_h, q_l, profit = (float(a[0]) for a in (supply.q_h, supply.q_l, supply.producer_profit))
+    cleared = clear_market(q_h, q_l, posture, populations, 0.0, params)
+    trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
+    return float(cleared.welfare(trust, profit, params))
+
+
+def scalar_anchor_loop(populations, params):
+    """The per-posture anchor search that the batched `welfare_anchors` replaced."""
+    ip = params.ipi
+    base = _platform_from_params(params)
+    w_min = scalar_welfare(
+        populations, replace(base, moderation=0.0, gamma_l=base.gamma_max), params, 0.0
+    )
+    best = -math.inf
+    for m in np.linspace(0.0, 1.0, ip.anchor_m_points):
+        for gh in np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points):
+            for gl in np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points):
+                posture = replace(base, moderation=float(m), gamma_h=float(gh), gamma_l=float(gl))
+                for tax in np.linspace(0.0, ip.anchor_tax_max, ip.anchor_tax_points):
+                    w = scalar_welfare(populations, posture, params, float(tax))
+                    if w > best:
+                        best = w
+    return best, w_min
+
+
+GAMMA_MAX = SimParams().platform.gamma_max
+TAX_MAX = SimParams().ipi.anchor_tax_max
+LANE = st.tuples(  # (gamma_h, gamma_l, moderation, tax)
+    st.floats(0.0, GAMMA_MAX), st.floats(0.0, GAMMA_MAX), st.floats(0.0, 1.0), st.floats(0.0, TAX_MAX)
+)
+
+
+class TestBatchedClearing:
+    """Batched clearing equals the single-posture chain exactly, lane by lane."""
+
+    @given(lanes=st.lists(LANE, min_size=1, max_size=6))
+    @example(lanes=[(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 0.0)])
+    @example(lanes=[(1.0, 1.5, m, 0.5) for m in (0.0, 0.5, 1.0)])  # lanes sharing supply
+    # A moderation whose libm square is not m * m, where that reaches welfare.
+    @example(lanes=[(0.17828410908208792, 1.9738710253246363, 0.8260631250344754, 0.19073918649769706)])
+    @settings(max_examples=150, deadline=None)
+    def test_every_lane_equals_the_scalar_chain(self, populations, params, lanes):
+        platforms = [make_platform(gamma_h=gh, gamma_l=gl, moderation=m) for gh, gl, m, _ in lanes]
+        tax = np.array([lane[3] for lane in lanes])
+        batched = static_equilibrium_welfare(populations, Postures.of(platforms), params, tax=tax)
+        expected = [scalar_welfare(populations, p, params, t) for p, t in zip(platforms, tax.tolist())]
+        assert batched.tolist() == expected
+
+    @given(lanes=st.lists(LANE, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_supply_rows_equal_one_dimensional_dots(self, populations, params, lanes):
+        pool = populations.producers
+        platforms = [make_platform(gamma_h=gh, gamma_l=gl, moderation=m) for gh, gl, m, _ in lanes]
+        tax = [lane[3] for lane in lanes]
+        cost_h, cost_l = _base_costs(params, 0.8)
+        supply = supply_response(pool, Postures.of(platforms), cost_h_base=cost_h,
+                                 cost_l_base=cost_l, gen_boost=1.3, tax=np.array(tax), extra_q_l=2.5)
+        for i, (p, t) in enumerate(zip(platforms, tax)):
+            # The one-posture supply with 1-D `np.dot` reductions, as before batching.
+            margin = (1.0 - p.revenue_share) * p.ad_rate
+            pi_h = margin * p.gamma_h - cost_h / pool.prod_h
+            pi_l = margin * p.gamma_l - cost_l / (pool.prod_l * 1.3) - t
+            prob_h = 1.0 / (1.0 + np.exp(-np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)))
+            q_h = float(np.dot(prob_h, pool.weight_h))
+            q_l = float(np.dot(1.0 - prob_h, pool.weight_l)) + 2.5
+            profit = float(np.dot(prob_h, pool.weight_h * pi_h)
+                           + np.dot(1.0 - prob_h, pool.weight_l * (pi_l + t)))
+            assert (supply.q_h[i], supply.q_l[i], supply.producer_profit[i]) == (q_h, q_l, profit)
+
+    @pytest.mark.parametrize("seed", [42, 1, 7, 1790146652])
+    def test_anchors_equal_the_per_posture_loop(self, seed):
+        for r, sigma_l in ((1.0, 1.5), (0.6, 1.2), (1.4, 1.8), (0.2, 1.05)):
+            params = SimParams().with_overrides({"econ.ai_rental": r, "econ.sigma_l": sigma_l})
+            sim = Simulation(params, None, seed)
+            assert (sim.w_so, sim.w_min) == scalar_anchor_loop(sim.populations, params)
+
+    def test_unmet_tolerance_raises_like_the_loop(self, populations):
+        strict = SimParams().with_overrides({"market.fp_tol": 0.0, "market.fp_max_iter": 50})
+        with pytest.raises(NoConvergence) as loop:
+            scalar_anchor_loop(populations, strict)
+        with pytest.raises(NoConvergence, match=r"after 50 iterations \(pollution=") as batched:
+            welfare_anchors(populations, strict)
+        assert str(batched.value) == str(loop.value)
+
+    def test_lane_input_checks(self, populations, params):
+        lanes = Postures.of([make_platform(), make_platform()])
+        with pytest.raises(ValueError, match="outputs must be nonnegative"):
+            market._clear_lanes(np.ones(2), np.array([1.0, -1.0]), lanes, populations, params)
+        nan_signal = params.with_overrides({"market.pi_base": float("nan")})
+        with pytest.raises(ValueError, match="precision must lie"):
+            solve_verification_fixed_point(0.5, populations.consumers, params=nan_signal)
+        with pytest.raises(ValueError, match="precision must lie"):
+            welfare_anchors(populations, nan_signal)
+
+    def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
+        calls = Counter()
+        for name in ("supply_response", "static_equilibrium_welfare"):
+            def counted(*args, _name=name, _fn=getattr(market, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(market, name, counted)
+        params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
+        sim = Simulation(params, None, 42)
+        assert calls["static_equilibrium_welfare"] == 1
+        calls.clear()
+        for _ in range(5):
+            sim.advance()
+        assert calls["supply_response"] == 5
