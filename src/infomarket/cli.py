@@ -27,25 +27,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 
-DEFAULT_TICKS = {
-    "baseline": 150,
-    "shocks": 150,
-    "weight_sensitivity": 100,
-    "noise_robustness": 150,
-    "event_detection": 150,
-    "cross_platform": 120,
-    "sweep": 120,
-    "policy_comparison": 150,
-    "robust_select": 100,
-}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42, help="master random seed")
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--ticks", type=int, default=None, help="simulation horizon")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for cell grids")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for multi-world experiments"
+    )
     for key in sorted(SimParams().flatten()):
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V", help=argparse.SUPPRESS)
 
@@ -99,7 +89,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     seed = int(run_overrides.get("run.master_seed", args.seed))
     ticks = args.ticks
     if ticks is None:
-        ticks = int(run_overrides.get("run.max_ticks", DEFAULT_TICKS[args.experiment]))
+        _procedure, default_ticks = EXPERIMENTS[args.experiment]
+        ticks = int(run_overrides.get("run.max_ticks", default_ticks))
     out = args.out if args.out is not None else Path("out") / args.experiment
     cfg = ExperimentConfig(
         experiment=args.experiment,

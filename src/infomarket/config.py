@@ -18,9 +18,25 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConfigError
+
+
+def _bound(section: Any, prefix: str, names: str, ok: Callable[[Any], bool], rule: str) -> None:
+    """Raise ConfigError for the first of the space-separated fields that breaks the rule."""
+    for name in names.split():
+        value = getattr(section, name)
+        if not ok(value):
+            raise ConfigError(f"{prefix}.{name} must {rule}, got {value!r}")
+
+
+def _positive(v: float) -> bool:
+    return v > 0
+
+
+def _nonnegative(v: float) -> bool:
+    return v >= 0
 
 
 @dataclass(frozen=True)
@@ -37,8 +53,8 @@ class EconParams:
     ai_rental_baseline: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.ai_rental > 0:
-            raise ConfigError("econ.ai_rental must be positive")
+        _bound(self, "econ", "ai_rental wage tfp_h tfp_l sigma_h sigma_l", _positive, "be positive")
+        _bound(self, "econ", "delta_h delta_l", lambda v: 0 < v < 1, "lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -58,8 +74,10 @@ class AgentParams:
     du_l: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_producers < 1 or self.n_consumers < 1:
-            raise ConfigError("agents.n_producers and agents.n_consumers must be at least 1")
+        _bound(self, "agents", "n_producers n_consumers", lambda v: v >= 1, "be at least 1")
+        _bound(self, "agents", "mean_prod_h mean_prod_l", _positive, "be positive")
+        _bound(self, "agents", "rationality prod_log_sd k_max du_h du_l", _nonnegative,
+               "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,12 @@ class PlatformParams:
     engagement_bias: float = 1.3
 
     def __post_init__(self) -> None:
-        if not 0 < self.revenue_share < 1:
-            raise ConfigError("platform.revenue_share must lie in (0, 1)")
+        _bound(self, "platform", "revenue_share", lambda v: 0 < v < 1, "lie in (0, 1)")
+        _bound(self, "platform", "gamma_init", lambda v: 0 <= v <= self.gamma_max,
+               f"lie in [0, platform.gamma_max = {self.gamma_max!r}]")
+        _bound(self, "platform", "moderation_init", lambda v: 0 <= v <= 1, "lie in [0, 1]")
+        _bound(self, "platform", "ad_rate", _positive, "be positive")
+        _bound(self, "platform", "lr_gamma lr_mod trust_price", _nonnegative, "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -188,6 +210,12 @@ class ShockParams:
     capability_jump: float = 2.0
     fake_news_burst: float = 0.5
     trust_shock: float = 0.35
+
+    def __post_init__(self) -> None:
+        _bound(self, "shocks", "cost_drop capability_jump fake_news_burst trust_shock",
+               _nonnegative, "be nonnegative")
+        # A cost drop scales the AI rental rate by (1 - magnitude), which must stay positive.
+        _bound(self, "shocks", "cost_drop", lambda v: v < 1, "be below 1")
 
 
 _SECTIONS = {

@@ -1,12 +1,13 @@
-"""Experiment orchestration: the simulation loop, the eight experiment
-procedures, persistence, and summary statistics.
+"""Experiment orchestration: the simulation loop, the world runner, the nine
+experiment procedures, persistence, and summary statistics.
 
 Every experiment is deterministic in (configuration, master seed): random
 streams are derived from the master seed by a fixed splitting rule
 (SeedSequence children: producer draws, consumer draws, then per-purpose
-streams keyed by small integer tags), parallel cells return their results
-to the parent which writes all files sequentially in cell order, and floats
-are serialized with a fixed format.  Output layout per experiment::
+streams keyed by small integer tags), a multi-world experiment is a list of
+(parameters, policy) worlds whose records come back to the parent in world
+order, however many processes ran them, and the parent writes every file,
+with floats in a fixed format.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -24,7 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,18 +55,13 @@ from .market import (
     supply_response,
     welfare_anchors,
 )
-from .policy import SCENARIOS, PolicyConfig, adaptive_tax, robust_select, scenario_config
-
-EXPERIMENTS = (
-    "baseline",
-    "shocks",
-    "weight_sensitivity",
-    "noise_robustness",
-    "event_detection",
-    "cross_platform",
-    "sweep",
-    "policy_comparison",
-    "robust_select",
+from .policy import (
+    SCENARIOS,
+    PolicyConfig,
+    RobustSelection,
+    adaptive_tax,
+    max_min_select,
+    scenario_config,
 )
 
 CSV_COLUMNS = (
@@ -96,7 +92,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
@@ -185,23 +181,20 @@ class ShockEvent:
             raise ConfigError(f"unknown shock kind {self.kind!r}")
         if self.magnitude < 0:
             raise ConfigError("shock magnitude must be nonnegative")
+        # The rental rate over the window is ai_rental * (1 - magnitude).
+        if self.kind == "cost_drop" and self.magnitude >= 1:
+            raise ConfigError(f"a cost drop must be below 1, got {self.magnitude!r}")
 
 
 class Simulation:
     """Owns one run: populations, platform, capability stocks, and policy state.
 
     Strictly sequential and deterministic; independent runs get their own
-    instances.  `stream_tag` keys the log-synthesis stream so parallel cells
-    consume disjoint randomness while sharing the same population draw.
+    instances.
     """
 
     def __init__(
-        self,
-        params: SimParams,
-        policy: PolicyConfig | None = None,
-        master_seed: int = 42,
-        *,
-        stream_tag: int = 0,
+        self, params: SimParams, policy: PolicyConfig | None = None, master_seed: int = 42
     ):
         self.params = params
         self.policy = policy or PolicyConfig()
@@ -220,9 +213,6 @@ class Simulation:
             consumers=draw_consumers(
                 ag.n_consumers, np.random.default_rng(cons_ss), k_max=ag.k_max
             ),
-        )
-        self.log_rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed, 7, stream_tag])
         )
         self.platform = _platform_from_params(params)
         self.state = MarketState(
@@ -525,6 +515,17 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
+def _finite_or_none(value: Any) -> Any:
+    """`value` with every non-finite float (an undefined statistic) replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def _write_outputs(
     cfg: ExperimentConfig,
     params: SimParams,
@@ -560,13 +561,14 @@ def _write_outputs(
     for name, (header, rows) in (tables or {}).items():
         _write_table(out / "results" / f"{name}.csv", header, rows)
     (out / "summary.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=str) + "\n",
+        json.dumps(_finite_or_none(report), indent=2, sort_keys=True, allow_nan=False,
+                   default=str) + "\n",
         encoding="utf-8",
     )
     (out / "summary.txt").write_text("\n".join(text_lines) + "\n", encoding="utf-8")
 
 
-# -- experiments --------------------------------------------------------------
+# -- worlds -------------------------------------------------------------------
 
 
 def _policy_from_params(params: SimParams) -> PolicyConfig:
@@ -578,6 +580,50 @@ def _policy_from_params(params: SimParams) -> PolicyConfig:
         adaptive_eta=pp.adaptive_eta if pp.adaptive_enabled else None,
         ipi_target=pp.adaptive_target if pp.adaptive_enabled else None,
     )
+
+
+World = tuple[SimParams, PolicyConfig]
+
+
+def _run_world(task: tuple[SimParams, PolicyConfig, int, int]) -> RunRecord | str:
+    params, policy, master_seed, ticks = task
+    try:
+        return Simulation(params, policy, master_seed).run(ticks)
+    except NoConvergence as exc:
+        return f"NoConvergence: {exc}"
+
+
+def run_worlds(
+    worlds: Sequence[World], ticks: int, *, master_seed: int = 42, jobs: int = 1
+) -> Iterator[RunRecord | str]:
+    """Run every (params, policy) world to the horizon; yield outcomes in world order.
+
+    Each world gets the same master seed, so the same population draw.  With
+    ``jobs > 1`` the worlds run in one process pool; the outcomes come back in
+    world order either way.  A world that fails to converge gives its
+    ``NoConvergence`` message instead of a record.  Outcomes are yielded one
+    at a time, so a caller that reduces each record holds one record, not all.
+    """
+    tasks = [(params, policy, master_seed, ticks) for params, policy in worlds]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_run_world, tasks)
+    else:
+        yield from map(_run_world, tasks)
+
+
+def _records(cfg: ExperimentConfig, worlds: Sequence[World]) -> list[RunRecord]:
+    """Run the worlds at cfg's horizon, seed and jobs; every world must converge."""
+    outcomes = list(
+        run_worlds(worlds, cfg.max_ticks, master_seed=cfg.master_seed, jobs=cfg.jobs)
+    )
+    failures = [f"world {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, str)]
+    if failures:
+        raise NoConvergence("; ".join(failures))
+    return outcomes
+
+
+# -- experiments --------------------------------------------------------------
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
@@ -714,19 +760,12 @@ def run_weight_sensitivity(
     """Correlation of index and welfare under alternative weightings."""
     params = cfg.params()
     sets = list(weight_sets) if weight_sets is not None else list(DEFAULT_WEIGHT_SETS)
+    keys = ("ipi.w_pollution", "ipi.w_deadweight", "ipi.w_trust", "ipi.w_tech")
+    world_params = [params.with_overrides(dict(zip(keys, weights))) for weights in sets]
+    records = _records(cfg, [(p_i, _policy_from_params(p_i)) for p_i in world_params])
     rows = []
     sign_flips = []
-    for i, weights in enumerate(sets):
-        p_i = params.with_overrides(
-            {
-                "ipi.w_pollution": weights[0],
-                "ipi.w_deadweight": weights[1],
-                "ipi.w_trust": weights[2],
-                "ipi.w_tech": weights[3],
-            }
-        )
-        sim = Simulation(p_i, _policy_from_params(p_i), cfg.master_seed, stream_tag=i)
-        record = sim.run(cfg.max_ticks)
+    for i, (weights, record) in enumerate(zip(sets, records)):
         corr = safe_corr(record.column("ipi"), record.column("welfare"))
         if corr is not None and corr > 0:
             sign_flips.append(i)
@@ -875,16 +914,12 @@ def run_cross_platform(
     """Compare final outcomes across platform environments."""
     params = cfg.params()
     chosen = list(presets) if presets is not None else list(DEFAULT_PLATFORM_PRESETS)
+    world_params = [params.with_overrides(overrides) for _, overrides in chosen]
+    records = _records(cfg, [(p_i, _policy_from_params(p_i)) for p_i in world_params])
     rows = []
-    for i, (name, overrides) in enumerate(chosen):
-        p_i = params.with_overrides(overrides)
-        sim = Simulation(p_i, _policy_from_params(p_i), cfg.master_seed, stream_tag=i)
-        record = sim.run(cfg.max_ticks)
-        stats = summary_stats(record)
-        rows.append(
-            (name, stats.final_means["ipi"], stats.final_means["welfare"],
-             stats.final_means["pollution"], stats.final_means["trust"])
-        )
+    for (name, _), record in zip(chosen, records):
+        means = summary_stats(record).final_means
+        rows.append((name, means["ipi"], means["welfare"], means["pollution"], means["trust"]))
     ipis = [r[1] for r in rows]
     report = {
         "experiment": "cross_platform",
@@ -911,31 +946,6 @@ def run_cross_platform(
     return report
 
 
-# -- parallel cell machinery ---------------------------------------------------
-
-
-def _run_cell(args: tuple) -> tuple[int, dict[str, float] | str]:
-    """Worker: run one parameterized cell and return its final-window means."""
-    (index, overrides, policy, master_seed, ticks) = args
-    try:
-        params = SimParams().with_overrides(overrides)
-        sim = Simulation(params, policy, master_seed, stream_tag=index)
-        record = sim.run(ticks)
-        stats = summary_stats(record)
-        return index, stats.final_means
-    except NoConvergence as exc:
-        return index, f"NoConvergence: {exc}"
-
-
-def _map_cells(cells: list[tuple], jobs: int) -> list[tuple[int, dict[str, float] | str]]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells))
-    else:
-        results = [_run_cell(c) for c in cells]
-    return sorted(results, key=lambda pair: pair[0])
-
-
 DEFAULT_SWEEP_R = (0.6, 0.8, 1.0, 1.2, 1.4)
 DEFAULT_SWEEP_SIGMA_L = (1.2, 1.4, 1.6, 1.8)
 
@@ -948,11 +958,6 @@ class SweepReport:
     failures: list[str]
 
 
-def _non_default_overrides(params: SimParams) -> dict[str, Any]:
-    defaults = SimParams().flatten()
-    return {k: v for k, v in params.flatten().items() if v != defaults[k]}
-
-
 def sweep_cells(
     grid: Sequence[tuple[float, float]],
     base_params: SimParams,
@@ -962,30 +967,21 @@ def sweep_cells(
     jobs: int = 1,
 ) -> SweepReport:
     """Run every (rental rate, sigma_L) cell and correlate outcomes with r."""
-    base = _non_default_overrides(base_params)
     policy = _policy_from_params(base_params)
-    cells = []
-    for i, (r, sigma_l) in enumerate(grid):
-        overrides = dict(base)
-        overrides["econ.ai_rental"] = r
-        overrides["econ.sigma_l"] = sigma_l
-        cells.append((i, overrides, policy, master_seed, ticks))
-    results = _map_cells(cells, jobs)
+    worlds = [
+        (base_params.with_overrides({"econ.ai_rental": r, "econ.sigma_l": sigma_l}), policy)
+        for r, sigma_l in grid
+    ]
+    outcomes = run_worlds(worlds, ticks, master_seed=master_seed, jobs=jobs)
     rows = []
     failures = []
-    for (index, outcome), (r, sigma_l) in zip(results, grid):
+    for index, (outcome, (r, sigma_l)) in enumerate(zip(outcomes, grid)):
         if isinstance(outcome, str):
             failures.append(f"cell {index} (r={r}, sigma_l={sigma_l}): {outcome}")
             continue
-        rows.append(
-            {
-                "r": r,
-                "sigma_l": sigma_l,
-                "welfare": outcome["welfare"],
-                "pollution": outcome["pollution"],
-                "ipi": outcome["ipi"],
-            }
-        )
+        means = summary_stats(outcome).final_means
+        rows.append({"r": r, "sigma_l": sigma_l,
+                     **{k: means[k] for k in ("welfare", "pollution", "ipi")}})
     rs = np.array([row["r"] for row in rows])
     return SweepReport(
         rows=rows,
@@ -1045,23 +1041,15 @@ def run_sweep(
 def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
     """Run the six intervention scenarios on a shared seed and compare."""
     params = cfg.params()
+    specs = [scenario_config(scenario) for scenario in SCENARIOS]
+    records = _records(
+        cfg, [(params.with_overrides(spec.overrides), spec.policy) for spec in specs]
+    )
     rows = []
-    for i, scenario in enumerate(SCENARIOS):
-        spec = scenario_config(scenario)
-        p_i = params.with_overrides(spec.overrides)
-        sim = Simulation(p_i, spec.policy, cfg.master_seed, stream_tag=i)
-        record = sim.run(cfg.max_ticks)
-        stats = summary_stats(record)
-        rows.append(
-            {
-                "scenario": scenario,
-                "note": spec.note,
-                "welfare": stats.final_means["welfare"],
-                "pollution": stats.final_means["pollution"],
-                "ipi": stats.final_means["ipi"],
-                "trust": stats.final_means["trust"],
-            }
-        )
+    for scenario, spec, record in zip(SCENARIOS, specs, records):
+        means = summary_stats(record).final_means
+        rows.append({"scenario": scenario, "note": spec.note,
+                     **{k: means[k] for k in ("welfare", "pollution", "ipi", "trust")}})
     base = rows[0]
     for row in rows:
         row["welfare_delta"] = row["welfare"] - base["welfare"]
@@ -1088,7 +1076,7 @@ def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
     return report
 
 
-def robust_cells(
+def robust_select(
     policies: Sequence[PolicyConfig],
     worlds: Sequence[dict[str, Any]],
     horizon: int,
@@ -1096,30 +1084,33 @@ def robust_cells(
     base_params: SimParams | None = None,
     master_seed: int = 42,
     jobs: int = 1,
-) -> tuple[list[list[float]], list[list[float]], list[tuple[int, int]]]:
-    """Final-window welfare and index for every (policy, world) cell."""
-    base_flat = _non_default_overrides(base_params or SimParams())
-    cells = []
-    index = 0
-    for pi in range(len(policies)):
-        for wi in range(len(worlds)):
-            overrides = dict(base_flat)
-            overrides.update(worlds[wi])
-            cells.append((index, overrides, policies[pi], master_seed, horizon))
-            index += 1
-    results = _map_cells(cells, jobs)
+) -> RobustSelection:
+    """Run every (policy, world) cell for the horizon and pick by max-min.
+
+    The cells run policy-major through `run_worlds`; `policy.max_min_select`
+    applies the rule to their final-window welfare and index.
+    """
+    if not policies or not worlds:
+        raise ValueError("policies and worlds must be nonempty")
+    base = base_params or SimParams()
+    params = [base.with_overrides(world) for world in worlds]
+    outcomes = run_worlds(
+        [(p, policy) for policy in policies for p in params],
+        horizon, master_seed=master_seed, jobs=jobs,
+    )
     n_w = len(worlds)
     welfare = [[math.nan] * n_w for _ in policies]
     ipi = [[math.nan] * n_w for _ in policies]
     failures = []
-    for idx, outcome in results:
+    for idx, outcome in enumerate(outcomes):
         pi, wi = divmod(idx, n_w)
         if isinstance(outcome, str):
             failures.append((pi, wi))
         else:
-            welfare[pi][wi] = outcome["welfare"]
-            ipi[pi][wi] = outcome["ipi"]
-    return welfare, ipi, failures
+            means = summary_stats(outcome).final_means
+            welfare[pi][wi] = means["welfare"]
+            ipi[pi][wi] = means["ipi"]
+    return max_min_select(policies, welfare, ipi, failures)
 
 
 DEFAULT_ROBUST_WORLDS: tuple[dict[str, Any], ...] = (
@@ -1178,20 +1169,24 @@ def run_robust_select(
     return report
 
 
+# Experiment id -> (procedure, default horizon in ticks).
+EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig], Any], int]] = {
+    "baseline": (run, 150),
+    "shocks": (run_shocks, 150),
+    "weight_sensitivity": (run_weight_sensitivity, 100),
+    "noise_robustness": (run_noise, 150),
+    "event_detection": (run_event_detection, 150),
+    "cross_platform": (run_cross_platform, 120),
+    "sweep": (run_sweep, 120),
+    "policy_comparison": (run_policy_comparison, 150),
+    "robust_select": (run_robust_select, 100),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> Any:
-    """Dispatch one experiment by id."""
-    dispatch = {
-        "baseline": run,
-        "shocks": run_shocks,
-        "weight_sensitivity": run_weight_sensitivity,
-        "noise_robustness": run_noise,
-        "event_detection": run_event_detection,
-        "cross_platform": run_cross_platform,
-        "sweep": run_sweep,
-        "policy_comparison": run_policy_comparison,
-        "robust_select": run_robust_select,
-    }
-    return dispatch[cfg.experiment](cfg)
+    """Run one experiment by id."""
+    procedure, _ticks = EXPERIMENTS[cfg.experiment]
+    return procedure(cfg)
 
 
 def load_overrides(config_path: str | Path | None, cli_pairs: dict[str, str]) -> dict[str, Any]:

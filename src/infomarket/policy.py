@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, NoConvergence
 
 SCENARIOS = ("baseline", "pigouvian", "subsidy", "joint", "tech", "efficiency")
 
@@ -167,29 +167,20 @@ class RobustSelection:
     failures: tuple[tuple[int, int], ...]  # (policy, world) cells that failed
 
 
-def robust_select(
+def max_min_select(
     policies: Sequence[PolicyConfig],
-    worlds: Sequence[dict[str, Any]],
-    horizon: int,
-    *,
-    base_params=None,
-    master_seed: int = 42,
-    jobs: int = 1,
+    welfare: Sequence[Sequence[float]],
+    ipi: Sequence[Sequence[float]],
+    failures: Sequence[tuple[int, int]],
 ) -> RobustSelection:
     """Pick the policy whose worst-case welfare across worlds is largest.
 
-    Every (policy, world) cell is run deterministically for the given
-    horizon; a policy with any failed cell is disqualified (its worst case
-    is failure).  Ties break toward the lower mean final-window index across
-    worlds, then toward list order.  Delegates cell execution to the harness.
+    ``welfare[p][w]`` and ``ipi[p][w]`` are policy p's final-window welfare
+    and index in world w; ``failures`` lists the (policy, world) cells that
+    did not converge.  A policy with any failed cell is disqualified (its
+    worst case is failure).  Ties break toward the lower mean final-window
+    index across worlds, then toward list order.
     """
-    from .harness import robust_cells
-
-    if not policies or not worlds:
-        raise ValueError("policies and worlds must be nonempty")
-    welfare, ipi, failures = robust_cells(
-        policies, worlds, horizon, base_params=base_params, master_seed=master_seed, jobs=jobs
-    )
     failed_policies = {p for p, _ in failures}
     best_idx: int | None = None
     best_key: tuple[float, float] | None = None
@@ -201,7 +192,8 @@ def robust_select(
             best_key = key
             best_idx = i
     if best_idx is None:
-        raise RuntimeError("every candidate policy failed in at least one world")
+        cells = ", ".join(f"(policy {p}, world {w})" for p, w in failures)
+        raise NoConvergence(f"every candidate policy failed in at least one world: {cells}")
     return RobustSelection(
         selected=policies[best_idx],
         selected_index=best_idx,

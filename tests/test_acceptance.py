@@ -31,6 +31,7 @@ from infomarket.econ import (
 from infomarket.harness import (
     ExperimentConfig,
     Simulation,
+    robust_select,
     run,
     run_noise,
     run_policy_comparison,
@@ -57,7 +58,7 @@ from infomarket.market import (
     TrustParams,
     welfare_value,
 )
-from infomarket.policy import PolicyConfig, adaptive_tax, fiduciary_objective, robust_select
+from infomarket.policy import PolicyConfig, adaptive_tax, fiduciary_objective
 
 pytestmark = pytest.mark.acceptance
 

@@ -11,6 +11,7 @@ from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
 from infomarket.errors import ConfigError
 from infomarket.harness import (
+    EXPERIMENTS,
     ExperimentConfig,
     RunRecord,
     ShockEvent,
@@ -19,6 +20,7 @@ from infomarket.harness import (
     build_overlays,
     load_overrides,
     run,
+    run_experiment,
     run_weight_sensitivity,
     safe_corr,
     summary_stats,
@@ -133,6 +135,12 @@ class TestOverlays:
         assert ov.cap_gen_mult == 1.0
         assert ov.extra_q_l == 0.0
         assert ov.trust_delta == 0.0
+
+    def test_total_cost_drop_rejected(self):
+        # The window's rental rate, ai_rental * (1 - magnitude), must stay positive.
+        with pytest.raises(ConfigError):
+            ShockEvent(tick=5, kind="cost_drop", magnitude=1.0)
+        ShockEvent(tick=5, kind="fake_news_burst", magnitude=1.0)
 
 
 class TestSummaryStats:
@@ -255,6 +263,23 @@ class TestParallelCells:
         (failure,) = report.failures
         assert "NoConvergence" in failure and "after 50 iterations" in failure
 
+    @pytest.mark.parametrize("experiment", [
+        "weight_sensitivity", "cross_platform", "sweep", "policy_comparison", "robust_select",
+    ])
+    def test_jobs_do_not_change_written_files(self, tmp_path, experiment):
+        small = {**SMALL, "agents.n_producers": 40, "agents.n_consumers": 80}
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(small_cfg(tmp_path=out, experiment=experiment, max_ticks=10,
+                                     jobs=jobs, overrides=small))
+            outputs.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "config.txt"
+            })
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestWeightSensitivity:
     def test_identical_sets_give_identical_correlations(self):
@@ -358,9 +383,70 @@ class TestCli:
         ("platform.revenue_share", "1.5"),
         ("econ.ai_rental", "-1"),
         ("trust.initial", "-1"),
+        ("platform.gamma_init", "3"),
+        ("platform.gamma_init", "-0.5"),
+        ("platform.moderation_init", "2"),
+        ("platform.ad_rate", "0"),
+        ("platform.trust_price", "-1"),
+        ("platform.lr_gamma", "-1"),
+        ("platform.lr_mod", "-1"),
+        ("agents.k_max", "-1"),
+        ("agents.du_h", "-1"),
+        ("agents.du_l", "-1"),
+        ("agents.rationality", "-1"),
+        ("agents.mean_prod_h", "0"),
+        ("agents.mean_prod_l", "-1"),
+        ("agents.prod_log_sd", "-1"),
+        ("econ.wage", "0"),
+        ("econ.tfp_h", "0"),
+        ("econ.tfp_l", "0"),
+        ("econ.sigma_h", "0"),
+        ("econ.sigma_l", "-1"),
+        ("econ.delta_h", "1"),
+        ("econ.delta_l", "0"),
+        ("shocks.cost_drop", "1"),
+        ("shocks.trust_shock", "-0.1"),
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
+
+    def test_gamma_init_bound_follows_gamma_max(self):
+        with pytest.raises(ConfigError):
+            SimParams().with_overrides({"platform.gamma_max": 0.5})  # gamma_init is 1.0
+        SimParams().with_overrides({"platform.gamma_max": 0.5, "platform.gamma_init": 0.5})
+
+    def test_total_cost_drop_exits_config_code(self, tmp_path):
+        code = main(["shocks", "--out", str(tmp_path / "x"), "--shocks.cost_drop", "1"])
+        assert code == 2
+
+    @pytest.mark.parametrize("ticks", [0, 1, 2])
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_short_horizons_keep_the_exit_code_contract(self, tmp_path, experiment, ticks):
+        out = tmp_path / "x"
+        code = main([
+            experiment.replace("_", "-"), "--ticks", str(ticks), "--out", str(out),
+            "--agents.n_producers", "30", "--agents.n_consumers", "60",
+            "--ipi.anchor_m_points", "3", "--ipi.anchor_gamma_points", "3",
+            "--ipi.anchor_tax_points", "2",
+        ])
+        # The default shock ticks (40...) and a burst at tick ticks // 2 = 0 lie
+        # outside such horizons: a config error, never a crash.
+        outside = experiment == "shocks" or (experiment == "event_detection" and ticks == 0)
+        assert code == (2 if outside else 0)
+        if code == 0:
+            # Undefined statistics are written as null, never as NaN.
+            def reject(token):
+                raise AssertionError(f"summary.json holds {token}")
+
+            json.loads((out / "summary.json").read_text(), parse_constant=reject)
+
+    def test_robust_select_with_every_policy_failing_exits_code_three(self, tmp_path):
+        code = main([
+            "robust-select", "--ticks", "5", "--out", str(tmp_path / "x"),
+            "--agents.n_producers", "30", "--agents.n_consumers", "60",
+            "--market.fp_tol", "0", "--market.fp_max_iter", "5",
+        ])
+        assert code == 3
 
     def test_convergence_failure_exits_code_three(self, tmp_path):
         code = main([

@@ -12,10 +12,6 @@ LAYERS = (
     "harness", "cli",
 )
 
-# The one deferred import: robust selection runs its cells through the harness,
-# and `robust_select` keeps its home and signature in `policy`.
-DEFERRED = {("policy", "robust_select", "harness")}
-
 
 def _intra_imports(node: ast.AST) -> list[str]:
     """Package modules named by one import statement (relative or absolute)."""
@@ -56,7 +52,8 @@ def test_module_level_imports_point_down():
     assert upward == []
 
 
-def test_only_deferred_import_is_robust_select():
+def test_no_function_level_intra_package_import():
+    # A deferred import is how a cycle hides; the layering leaves none to hide.
     found = {
         (module, func.name, target)
         for module, tree in _trees().items()
@@ -65,4 +62,4 @@ def test_only_deferred_import_is_robust_select():
         for node in ast.walk(func)
         for target in _intra_imports(node)
     }
-    assert found == DEFERRED
+    assert found == set()

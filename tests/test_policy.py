@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infomarket.config import SimParams
-from infomarket.errors import ConfigError
+from infomarket.errors import ConfigError, NoConvergence
+from infomarket.harness import robust_select
 from infomarket.policy import (
     SCENARIOS,
     PolicyConfig,
     adaptive_tax,
     fiduciary_objective,
     first_best_policy,
+    max_min_select,
     pigouvian_tax,
-    robust_select,
     scenario_config,
 )
 
@@ -179,3 +180,32 @@ class TestRobustSelect:
             robust_select([], [{}], 10)
         with pytest.raises(ValueError):
             robust_select([PolicyConfig()], [], 10)
+
+
+class TestMaxMinSelect:
+    POLICIES = [PolicyConfig(scenario="a"), PolicyConfig(scenario="b"),
+                PolicyConfig(scenario="c")]
+
+    def test_best_worst_case_wins(self):
+        welfare = [[5.0, 1.0], [3.0, 2.0], [9.0, 0.5]]
+        ipi = [[0.5, 0.5]] * 3
+        selection = max_min_select(self.POLICIES, welfare, ipi, [])
+        assert selection.selected_index == 1
+        assert selection.welfare_matrix == ((5.0, 1.0), (3.0, 2.0), (9.0, 0.5))
+
+    def test_tie_breaks_on_lower_mean_index_then_order(self):
+        welfare = [[2.0, 2.0], [2.0, 3.0], [2.0, 4.0]]
+        assert max_min_select(self.POLICIES, welfare, [[0.6, 0.6], [0.4, 0.4], [0.4, 0.4]],
+                              []).selected_index == 1
+
+    def test_failed_cell_disqualifies_its_policy(self):
+        welfare = [[9.0, 9.0], [1.0, 1.0], [0.0, 0.0]]
+        ipi = [[0.5, 0.5]] * 3
+        selection = max_min_select(self.POLICIES, welfare, ipi, [(0, 1)])
+        assert selection.selected_index == 1
+        assert selection.failures == ((0, 1),)
+
+    def test_every_policy_failing_is_a_convergence_failure(self):
+        failures = [(0, 0), (1, 1), (2, 0)]
+        with pytest.raises(NoConvergence, match=r"\(policy 1, world 1\)"):
+            max_min_select(self.POLICIES, [[0.0, 0.0]] * 3, [[0.5, 0.5]] * 3, failures)
