@@ -101,30 +101,30 @@ def unit_profit(
     return (1.0 - platform.revenue_share) * platform.ad_rate * gamma - cost - wedge
 
 
-def consumer_posterior(prior_h: float, signal: ContentType, precision: float) -> float:
-    """Posterior probability of high quality after one noisy signal.
+def consumer_posterior(prior_h, signal: ContentType, precision):
+    """Posterior probability of high quality after one noisy signal (elementwise).
 
-    The channel is symmetric: the stated precision is the probability the
-    signal matches the true type in either direction.
+    ``prior_h`` lies in [0, 1] and ``precision`` in [0.5, 1].  The channel
+    is symmetric: the stated precision is the probability the signal
+    matches the true type in either direction.  Where the posterior is
+    undefined (a certain prior contradicted by a perfect signal) the prior
+    is returned.  Scalars in give a scalar out.
     """
-    if not 0 <= prior_h <= 1:
-        raise ValueError("prior_h must lie in [0, 1]")
-    if not 0.5 <= precision <= 1:
-        raise ValueError("precision must lie in [0.5, 1]")
-    like_h = precision if signal == "H" else 1.0 - precision
-    like_l = 1.0 - precision if signal == "H" else precision
-    num = prior_h * like_h
-    den = num + (1.0 - prior_h) * like_l
-    if den == 0.0:
-        return prior_h
-    return num / den
+    prior_h = np.asarray(prior_h, dtype=float)
+    precision = np.asarray(precision, dtype=float)
+    if signal == "L":  # the complement of low quality's posterior after its own signal
+        return 1.0 - consumer_posterior(1.0 - prior_h, "H", precision)
+    num = prior_h * precision
+    den = num + (1.0 - prior_h) * (1.0 - precision)
+    # den is 0 only where prior_h, and so num, is 0: the posterior is then 0 / 1.
+    return (num / (den + (den == 0.0)))[()]
 
 
-def verification_threshold(posterior_h: float, du_h: float, du_l: float) -> float:
-    """Cost cutoff below which verification pays: k* = p*dU_H + (1-p)*dU_L."""
+def verification_threshold(posterior_h, du_h: float, du_l: float):
+    """Cost cutoff below which verification pays: k* = p*dU_H + (1-p)*dU_L (elementwise)."""
     if du_h < 0 or du_l < 0:
         raise ValueError("utility gaps must be nonnegative")
-    return posterior_h * du_h + (1.0 - posterior_h) * du_l
+    return posterior_h * (du_h - du_l) + du_l
 
 
 def platform_update(
@@ -194,10 +194,12 @@ class ConsumerPool:
     """Consumer population as a sorted verification-cost vector.
 
     The population CDF of verification costs is the piecewise-linear
-    interpolation through the step-ECDF knots (value -> fraction with cost
-    <= value).  Interpolating keeps the mapping continuous -- a raw step
-    ECDF generically has no exact fixed point -- while agreeing with the
-    step ECDF exactly at every observed cost.
+    interpolation through the step-ECDF points (value -> fraction with cost
+    <= value) at 0 and at every observed cost, constant at 1 past the
+    largest.  Interpolating keeps the mapping continuous -- a raw step ECDF
+    generically has no exact fixed point -- while agreeing with the step
+    ECDF exactly at every observed cost.  ``knot_k`` / ``knot_v`` hold the
+    knots' costs and CDF values, starting at cost 0.
     """
 
     def __init__(self, costs: Sequence[float] | np.ndarray):
@@ -208,36 +210,28 @@ class ConsumerPool:
             raise ValueError("verification costs must be nonnegative")
         self.costs = ks
         self.n = ks.size
-        uniq, counts = np.unique(ks, return_counts=True)
-        self._knots_x = uniq
-        self._knots_y = np.cumsum(counts) / self.n
+        knots, counts = np.unique(np.concatenate([[0.0], ks]), return_counts=True)
+        counts[0] -= 1  # the knot at 0 is not a consumer
+        self.knot_k = knots
+        self.knot_v = np.cumsum(counts) / self.n
+        # The rise from each knot to the next; flat (by a unit cost) past the last.
+        self._dk = np.diff(knots, append=knots[-1] + 1.0)
+        self._slope = np.diff(self.knot_v, append=1.0) / self._dk
         self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
 
-    def cdf(self, k: float) -> float:
-        """Fraction of consumers whose cost is covered by threshold k."""
-        x, y = self._knots_x, self._knots_y
-        if k < x[0]:
-            # Ramp from zero at cost 0 up to the first knot.
-            if k <= 0.0:
-                return 0.0
-            return float(y[0] * k / x[0])
-        if k >= x[-1]:
-            return 1.0
-        j = int(np.searchsorted(x, k, side="right"))
-        x0, x1 = x[j - 1], x[j]
-        y0, y1 = y[j - 1], y[j]
-        return float(y0 + (y1 - y0) * (k - x0) / (x1 - x0))
+    def cdf(self, k):
+        """Fraction of consumers whose cost is covered by threshold k (elementwise).
 
-    def cdf_many(self, k: np.ndarray) -> np.ndarray:
-        """`cdf` elementwise over an array of thresholds, with the same arithmetic."""
-        x, y = self._knots_x, self._knots_y
-        j = np.clip(np.searchsorted(x, k, side="right"), 1, x.size - 1)
-        x0, x1 = x[j - 1], x[j]
-        y0, y1 = y[j - 1], y[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ramp = np.where(k <= 0.0, 0.0, y[0] * k / x[0])
-            inner = np.where(k >= x[-1], 1.0, y0 + (y1 - y0) * (k - x0) / (x1 - x0))
-        return np.where(k < x[0], ramp, inner)
+        Thresholds are nonnegative; a negative k is read as 0.
+        """
+        k = np.maximum(np.asarray(k, dtype=float), 0.0)
+        i = np.searchsorted(self.knot_k, k, side="right") - 1
+        return (self.knot_v[i] + self._slope[i] * (k - self.knot_k[i]))[()]
+
+    def segments(self, i: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(cost, CDF value) at knot i, the cost span to the next knot and the
+        CDF's slope over it, for each i."""
+        return self.knot_k[i], self.knot_v[i], self._dk[i], self._slope[i]
 
     def spend(self, k: float | np.ndarray) -> float | np.ndarray:
         """Total verification outlay of everyone with cost <= k (elementwise over an array)."""

@@ -16,6 +16,7 @@ the run fingerprint from it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -37,6 +38,10 @@ def _positive(v: float) -> bool:
 
 def _nonnegative(v: float) -> bool:
     return v >= 0
+
+
+# Fixed index weights must be nonnegative and sum to 1 within this tolerance.
+WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,15 @@ class PlatformParams:
 class MarketParams:
     pi_base: float = 0.85
     kappa_pollution: float = 0.3
+    # Nonnegative: verification sharpens the signal, which makes the fixed
+    # point unique when du_h <= du_l.
     kappa_verify: float = 0.1
+    # The verification fixed point must meet |T(V) - V| < fp_tol.
     fp_tol: float = 1e-8
-    fp_damping: float = 0.5
-    fp_max_iter: int = 10_000
-    fp_start: float = 0.5
+
+    def __post_init__(self) -> None:
+        _bound(self, "market", "kappa_pollution kappa_verify fp_tol", _nonnegative,
+               "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -129,17 +138,10 @@ class TrustParams:
     initial: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.decay < 1:
-            raise ConfigError("trust.decay must lie in (0, 1)")
-        if self.pollution_hit <= 0:
-            raise ConfigError("trust.pollution_hit must be positive")
-        if self.repair_gain < 0 or self.repair_flow < 0:
-            raise ConfigError("trust repair terms must be nonnegative")
-        if self.t_max <= 0:
-            raise ConfigError("trust.t_max must be positive")
+        _bound(self, "trust", "decay", lambda v: 0 < v < 1, "lie in (0, 1)")
+        _bound(self, "trust", "pollution_hit t_max", _positive, "be positive")
         # Above t_max is allowed: the first tick clamps it.
-        if self.initial < 0:
-            raise ConfigError("trust.initial must be nonnegative")
+        _bound(self, "trust", "repair_gain repair_flow initial", _nonnegative, "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,12 @@ class IpiParams:
         # The planner optimum is a maximum over the lattice's lanes; it needs one.
         if min(self.anchor_m_points, self.anchor_gamma_points, self.anchor_tax_points) < 1:
             raise ConfigError("ipi.anchor_*_points must be at least 1")
+        _bound(self, "ipi", "w_pollution w_deadweight w_trust w_tech", _nonnegative,
+               "be nonnegative")
+        weights = (self.w_pollution, self.w_deadweight, self.w_trust, self.w_tech)
+        if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:
+            raise ConfigError(f"ipi.w_* must sum to 1, got {sum(weights)!r}")
+        _bound(self, "ipi", "sigma_tech", _positive, "be positive")
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,13 @@ class PolicyParams:
     adaptive_enabled: bool = False
     adaptive_eta: float = 0.05
     adaptive_target: float = 0.5
+
+    def __post_init__(self) -> None:
+        _bound(self, "policy", "tax_init provenance_boost", _nonnegative, "be nonnegative")
+        _bound(self, "policy", "fiduciary", lambda v: 0 <= v <= 1, "lie in [0, 1]")
+        if self.adaptive_enabled:
+            _bound(self, "policy", "adaptive_eta", _positive, "be positive")
+            _bound(self, "policy", "adaptive_target", lambda v: 0 < v < 1, "lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -267,7 +282,11 @@ class SimParams:
                 (fld,) = [f for f in fields(cls) if f.name == name]
             except ValueError:
                 raise ConfigError(f"unknown config key: {key!r}") from None
-            staged.setdefault(section, {})[name] = _coerce(value, getattr(self, section), fld.name)
+            coerced = _coerce(value, getattr(self, section), fld.name)
+            # No parameter is meaningful at NaN or infinity, bounded or not.
+            if isinstance(coerced, float) and not math.isfinite(coerced):
+                raise ConfigError(f"{key} must be finite, got {coerced!r}")
+            staged.setdefault(section, {})[name] = coerced
         updated = {
             section: replace(getattr(self, section), **kwargs)
             for section, kwargs in staged.items()

@@ -386,43 +386,48 @@ class WeightContext:
             return p.welfare.lambda_trust * delta_t, eps
         inputs = sim._last_inputs
         if dim == 0:
-            base = self._evaluate(state.q_h, state.q_l, inputs)
-            bumped = self._evaluate(state.q_h, state.q_l * (1.0 + eps), inputs)
-            return bumped[0] - base[0], bumped[1] - base[1]
+            (w, bumped_w), (rho, bumped_rho) = self._evaluate(
+                np.array([state.q_h, state.q_h]),
+                np.array([state.q_l, state.q_l * (1.0 + eps)]),
+                inputs,
+            )
+            return bumped_w - w, bumped_rho - rho
         base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
         new_i4 = dim_tech_risk(
             sim.cap_gen * (1.0 + eps), sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech
         )
         boost = (sim.cap_gen * (1.0 + eps)) ** p.ipi.kappa_gen
-        base = self._supply_welfare(inputs, inputs.gen_boost)
-        bumped = self._supply_welfare(inputs, boost)
+        base, bumped = self._supply_welfare(inputs, (inputs.gen_boost, boost))
         return bumped - base, new_i4 - base_i4
 
-    def _evaluate(self, q_h: float, q_l: float, inputs: TickInputs) -> tuple[float, float]:
-        """(welfare, pollution) for given outputs, re-solving verification."""
+    def _evaluate(
+        self, q_h: np.ndarray, q_l: np.ndarray, inputs: TickInputs
+    ) -> tuple[list[float], list[float]]:
+        """(welfare, pollution) for each lane of outputs, re-solving verification."""
         sim = self.sim
         cleared = clear_market(
-            q_h, q_l, sim.platform, sim.populations, inputs.provenance_boost, sim.params
+            q_h, q_l, Postures.of([sim.platform] * q_h.size), sim.populations, sim.params,
+            inputs.provenance_boost,
         )
         w = cleared.welfare(sim.state.trust, sim._last_result.producer_profit, sim.params)
-        return w, cleared.pollution
+        return w.tolist(), cleared.pollution.tolist()
 
-    def _supply_welfare(self, inputs: TickInputs, gen_boost: float) -> float:
-        """Welfare after a full supply re-solve with a perturbed cost channel."""
+    def _supply_welfare(self, inputs: TickInputs, gen_boosts: Sequence[float]) -> list[float]:
+        """Welfare after a full supply re-solve under each perturbed cost channel."""
         sim = self.sim
-        p = sim.params
-        cost_h_base, cost_l_base = _base_costs(p, inputs.ai_rental)
+        cost_h_base, cost_l_base = _base_costs(sim.params, inputs.ai_rental)
         supply = supply_response(
             sim.populations.producers,
-            Postures.of([sim.platform]),
+            Postures.of([sim.platform] * len(gen_boosts)),
             cost_h_base=cost_h_base,
             cost_l_base=cost_l_base,
-            gen_boost=gen_boost,
+            gen_boost=np.array(gen_boosts),
             tax=inputs.tax,
             extra_q_l=inputs.extra_q_l,
         )
-        w, _rho = self._evaluate(float(supply.q_h[0]), float(supply.q_l[0]), inputs)
-        return w + float(supply.producer_profit[0]) - sim._last_result.producer_profit
+        w, _rho = self._evaluate(supply.q_h, supply.q_l, inputs)
+        profit = supply.producer_profit.tolist()
+        return [wi + pi - sim._last_result.producer_profit for wi, pi in zip(w, profit)]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -828,9 +833,10 @@ def run_noise(
             )
             noise_free = proxy_series(0.0, rng)
             noisy = proxy_series(level, rng)
-            errors.append(float(np.mean(np.abs(noisy - noise_free))))
-            vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else 0.0)
-        rows.append((level, float(np.mean(errors)), float(np.mean(vols))))
+            if len(noisy):  # an empty series has no error or volatility
+                errors.append(float(np.mean(np.abs(noisy - noise_free))))
+                vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else 0.0)
+        rows.append((level, _mean_or_nan(errors), _mean_or_nan(vols)))
     report = {
         "experiment": "noise_robustness",
         "levels": levels,
@@ -845,6 +851,11 @@ def run_noise(
         tables={"noise_robustness": (("level", "ipi_error", "volatility"), rows)},
     )
     return report
+
+
+def _mean_or_nan(values: list[float]) -> float:
+    """Mean of the values; NaN (written as null) when there are none."""
+    return float(np.mean(values)) if values else math.nan
 
 
 def run_event_detection(

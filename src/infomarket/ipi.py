@@ -22,15 +22,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .agents import PlatformState
-from .config import SimParams
+from .config import WEIGHT_TOL, SimParams
 from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
 from .market import harmful_exposure, pollution_density
 
 logger = logging.getLogger(__name__)
 
 FIXED_WEIGHTS = (0.35, 0.25, 0.25, 0.15)
-
-WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,15 @@ with the signal precision it induces, trust moves one Euler step, welfare is
 assembled, and the platform takes one projected gradient step from central
 finite differences of its one-tick-ahead profit and trust responses.
 
-Postures clear in batches where many are cleared at once.  `supply_response`
-takes a batch of postures (`Postures`, one lane per row): a tick makes one
-seven-row call, the posted posture plus the six finite-difference probes.
-The welfare anchors clear the whole lattice and the worst corner as lanes
-of one `static_equilibrium_welfare` call, whose verification fixed point
-is a lane-masked copy of the scalar iteration.  The tick and the
-endogenous-weight re-evaluation clear a single posture through
-`clear_market` and keep the scalar `solve_verification_fixed_point`: at one
-lane the masked solve costs more than ten times the scalar one.  Every lane
-does the scalar chain's arithmetic in the same order, so a batched result
-equals the single-posture one bit for bit.
+Postures clear as lanes of a batch (`Postures`, one lane per row).
+`supply_response` takes a batch: a tick makes one seven-row call, the
+posted posture plus the six finite-difference probes.  `clear_market`
+clears a batch of lanes: the tick clears its posted posture as one lane,
+the welfare anchors clear the whole lattice and the worst corner as lanes
+of one `static_equilibrium_welfare` call, and the endogenous-weight
+re-evaluation clears a base and a perturbed lane.  The verification fixed point is solved
+exactly per lane (`solve_verification_fixed_point`), so a lane's result
+does not depend on the batch it is cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -29,7 +27,7 @@ series is smooth enough for finite-difference platform gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -90,84 +88,172 @@ def pollution_density(q_h: float, q_l: float, platform: PlatformState) -> float:
 
 
 def signal_precision(
-    pollution: float,
-    verify_rate: float,
+    pollution,
+    verify_rate,
     provenance_boost: float,
     *,
     pi_base: float = 0.85,
     kappa_pollution: float = 0.3,
     kappa_verify: float = 0.1,
-) -> float:
-    """Affine signal precision, clamped to [0.5, 1].
+):
+    """Affine signal precision, clamped to [0.5, 1] (elementwise).
 
     Pollution dilutes the public signal, aggregate verification and
     provenance standards sharpen it.
     """
-    raw = pi_base - kappa_pollution * pollution + kappa_verify * verify_rate + provenance_boost
-    return min(max(raw, 0.5), 1.0)
+    raw = pi_base - pollution * kappa_pollution + verify_rate * kappa_verify + provenance_boost
+    return np.minimum(np.maximum(raw, 0.5), 1.0)[()]
+
+
+def _precision(pollution, verify_rate, provenance_boost: float, params: SimParams):
+    mk = params.market
+    return signal_precision(pollution, verify_rate, provenance_boost, pi_base=mk.pi_base,
+                            kappa_pollution=mk.kappa_pollution, kappa_verify=mk.kappa_verify)
+
+
+def _threshold(pollution, precision, params: SimParams):
+    """Verification cost cutoff after a favorable signal (prior 1 - pollution)."""
+    post = consumer_posterior(1.0 - pollution, "H", precision)
+    return verification_threshold(post, params.agents.du_h, params.agents.du_l)
+
+
+# Lanes per block of the knot scan: memory stays O(block x knots).
+_LANE_BLOCK = 64
+_CLAMPS = np.array([0.5, 1.0])  # precision's bounds
+
+
+@dataclass(frozen=True)
+class FixedPoint:
+    """Rate, precision and cost threshold at the fixed point; unpacks as (rate, precision)."""
+
+    verify_rate: float | np.ndarray
+    precision: float | np.ndarray
+    threshold: float | np.ndarray
+
+    def __iter__(self):
+        return iter((self.verify_rate, self.precision))
 
 
 def solve_verification_fixed_point(
-    pollution: float,
+    pollution,
     consumers: ConsumerPool,
     provenance_boost: float = 0.0,
     *,
     params: SimParams,
-    du_h: float | None = None,
-    du_l: float | None = None,
-) -> tuple[float, float]:
-    """Find the verification rate consistent with the precision it induces.
+) -> FixedPoint:
+    """Find the verification rate consistent with the precision it induces, exactly.
 
-    The mapping is T(V) = F(k*(pi(pollution, V))): precision follows from
-    pollution and the candidate rate, the posterior after a favorable signal
-    (prior 1 - pollution) sets the verification threshold, and the consumer
-    cost CDF turns the threshold back into a rate.  Damped iteration
-    V <- (1-a)V + a T(V) from V0 with a bisection polish inside the bracket
-    the iterates establish; raises NoConvergence when the residual tolerance
-    is unmet after the iteration cap.
+    The mapping is T(V) = F(k*(pi(pollution, V))): precision is affine in
+    the rate and clamped to [0.5, 1], the posterior after a favorable signal
+    (prior 1 - pollution) is Moebius in precision and sets the threshold
+    k*, and the consumer-cost CDF F, linear between its knots, turns k*
+    back into a rate.  Per lane of ``pollution``:
 
-    Returns (verify_rate, precision at the fixed point).
+    1. Scan the CDF knots (k_i, V_i), in blocks of lanes, for the first one
+       with k*(pi(V_i)) < k_i; the fixed point's segment ends there (none:
+       everyone verifies, V = 1).
+    2. On the segment, rate and raw precision are linear in the cost k.
+       Where precision is clamped the threshold is a constant; between the
+       clamps (k - k*) times the posterior's denominator is a quadratic in
+       k, solved in closed form.  The sign of k - k* at the clamp edges
+       picks the piece.
+    3. Check the residual |T(V) - V| once against ``market.fp_tol``; raise
+       NoConvergence naming the first lane that misses it.
+
+    When du_h <= du_l (the default) T falls in V and the fixed point is
+    unique.  When du_h > du_l T rises in V and may have several; the solve
+    returns the least, unless T(V) - V dips below zero and back between two
+    neighbouring knots, which the scan cannot see.  Near a certain-low
+    prior (pollution within about 1e-8 of 1) a signal that can reach
+    precision 1 makes T jump between neighbouring floats, and no float
+    meets the tolerance.
+
+    Lanes are solved independently: a lane's result does not depend on its
+    batch.  Scalars in give scalars out.
     """
     mk = params.market
-    du_h = params.agents.du_h if du_h is None else du_h
-    du_l = params.agents.du_l if du_l is None else du_l
+    rho = np.asarray(pollution, dtype=float)
+    lanes = rho.reshape(-1)
+    if not ((lanes >= 0.0) & (lanes <= 1.0)).all():
+        raise ValueError("pollution must lie in [0, 1]")
+    knot_k, knot_v = consumers.knot_k, consumers.knot_v
 
-    def precision(v: float) -> float:
-        return signal_precision(
-            pollution,
-            v,
-            provenance_boost,
-            pi_base=mk.pi_base,
-            kappa_pollution=mk.kappa_pollution,
-            kappa_verify=mk.kappa_verify,
+    # (1) per block of lanes: the thresholds at every knot's rate and at the
+    # two precision clamps; the segment ends at the first knot whose
+    # threshold lies below its cost (never knot 0, so 0 marks "none")
+    end = np.empty(lanes.size, dtype=np.intp)
+    k_clamp = np.empty((lanes.size, 2))
+    for start in range(0, lanes.size, _LANE_BLOCK):
+        block = slice(start, start + _LANE_BLOCK)
+        r = lanes[block, None]
+        pi = np.empty((r.size, knot_v.size + 2))
+        pi[:, :-2] = _precision(r, knot_v, provenance_boost, params)
+        pi[:, -2:] = _CLAMPS
+        k_star = _threshold(r, pi, params)
+        end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
+        k_clamp[block] = k_star[:, -2:]
+    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
+
+    # (3) the residual check
+    precision = _precision(lanes, v, provenance_boost, params)
+    k_star = _threshold(lanes, precision, params)
+    resid = np.abs(consumers.cdf(k_star) - v)
+    if not (resid < mk.fp_tol).all():
+        i = int(np.argmax(~(resid < mk.fp_tol)))
+        raise NoConvergence(
+            f"verification fixed point: residual {resid[i]:.3e} not below "
+            f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})"
         )
+    shape = rho.shape
+    return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
 
-    def mapping(v: float) -> float:
-        post = consumer_posterior(1.0 - pollution, "H", precision(v))
-        return consumers.cdf(verification_threshold(post, du_h, du_l))
 
-    v = mk.fp_start
-    lo, hi = 0.0, 1.0  # bracket for the sign change of T(V) - V
-    for _ in range(mk.fp_max_iter):
-        t = mapping(v)
-        resid = t - v
-        if abs(resid) < mk.fp_tol:
-            return v, precision(v)
-        if resid > 0:
-            lo = max(lo, v)
-        else:
-            hi = min(hi, v)
-        v_next = (1.0 - mk.fp_damping) * v + mk.fp_damping * t
-        # Every evaluated point becomes a bracket endpoint, so demanding a
-        # strictly interior candidate also breaks period-2 cycles of the
-        # damped map (possible where the interpolated CDF is steep).
-        if not lo < v_next < hi:
-            v_next = 0.5 * (lo + hi)
-        v = v_next
-    raise NoConvergence(
-        f"verification fixed point: residual {abs(mapping(v) - v):.3e} after "
-        f"{mk.fp_max_iter} iterations (pollution={pollution:.4f})"
+def _segment_root(
+    rho: np.ndarray,
+    end: np.ndarray,
+    k_clamp: np.ndarray,
+    consumers: ConsumerPool,
+    provenance_boost: float,
+    params: SimParams,
+) -> np.ndarray:
+    """Step 2 of the solve: each lane's root on the CDF segment ending at knot `end`.
+
+    At cost k = k0 + x (x in [0, dk]) the rate is v0 + s x and raw precision
+    pi0 + sigma x, which reaches the clamps at x_lo and x_hi.  Beyond them
+    the threshold is k_clamp, the root x_flat; between them the root is
+    the quadratic's a x^2 + b x + c.
+    """
+    mk, ag = params.market, params.agents
+    # Lanes with no segment (end 0) read the flat one past the last knot: V = 1.
+    k0, v0, dk, s = consumers.segments(end - 1)
+    # Raw precision at v0, in `signal_precision`'s arithmetic as the scan had it.
+    pi0 = mk.pi_base - rho * mk.kappa_pollution + v0 * mk.kappa_verify + provenance_boost
+    sigma = s * mk.kappa_verify
+    prior = 1.0 - rho
+    skew = prior - rho  # the posterior's denominator is rho + skew * precision
+    d0 = rho + skew * pi0
+    u = k0 - ag.du_l
+    du_prior = prior * (ag.du_h - ag.du_l)
+    # A flat precision (sigma 0) divides by zero and a subnormal one
+    # overflows; fmax/fmin send the results to an edge of the segment.  A
+    # root lost to overflow shows in the residual check.
+    with np.errstate(all="ignore"):
+        a = skew * sigma
+        b = sigma * (u * skew - du_prior) + d0
+        c = u * d0 - du_prior * pi0
+        # The upward crossing (-b + root) / 2a, as q / a or c / q to avoid cancellation.
+        q = (b + np.copysign(np.sqrt(np.maximum(b * b - a * 4.0 * c, 0.0)), b)) * -0.5
+        x_lo, x_hi = np.fmin(np.fmax((_CLAMPS - pi0[:, None]) / sigma[:, None], 0.0), dk[:, None]).T
+        x_mid = np.where(b < 0.0, q / a, c / q)
+    x_flat_lo, x_flat_hi = (k_clamp - k0[:, None]).T
+    # The lower clamp's root if k - k* turns nonnegative on it (at x = 0 the
+    # threshold there is k_lo, so x_flat_lo >= 0), else the upper clamp's if
+    # k - k* is still negative where it starts, else the quadratic's.
+    x = np.where(
+        (x_hi < dk) & (x_flat_hi > x_hi), np.fmin(x_flat_hi, dk), np.fmin(np.fmax(x_mid, x_lo), x_hi)
     )
+    x = np.where((x_lo > 0.0) & (x_flat_lo <= x_lo), x_flat_lo, x)
+    return v0 + s * x
 
 
 def trust_update(trust: float, i1: float, flow: float, params: TrustParams) -> float:
@@ -287,13 +373,11 @@ class Postures:
             ad_rate=platforms[0].ad_rate,
         )
 
-    def take(self, rows: np.ndarray) -> Postures:
+    def take(self, rows: np.ndarray | slice) -> Postures:
         """The lanes at the given row indices."""
-        return replace(
-            self,
-            gamma_h=self.gamma_h[rows],
-            gamma_l=self.gamma_l[rows],
-            moderation=self.moderation[rows],
+        return Postures(
+            self.gamma_h[rows], self.gamma_l[rows], self.moderation[rows], self.revenue_share,
+            self.ad_rate,
         )
 
 
@@ -312,7 +396,7 @@ def supply_response(
     *,
     cost_h_base: float,
     cost_l_base: float,
-    gen_boost: float,
+    gen_boost: float | np.ndarray,
     tax: float | np.ndarray,
     extra_q_l: float = 0.0,
 ) -> SupplyResult:
@@ -323,7 +407,7 @@ def supply_response(
     templates by the gen_boost factor.  Choice probabilities are the stable
     logit over per-unit profits; contributions are productivity-scaled unit
     masses.  Producer surplus is reported pre-tax (the levy is a transfer).
-    ``tax`` is one levy for every row or one per row.
+    ``tax`` and ``gen_boost`` are one value for every row or one per row.
 
     Rows reduce with `np.vecdot`, which equals a 1-D `np.dot` of each row
     bit for bit, so a row's result does not depend on the batch it is in;
@@ -334,7 +418,7 @@ def supply_response(
     margin_l = (share * postures.gamma_l)[:, None]
     tax = np.asarray(tax, dtype=float)[..., None]
     cost_h = cost_h_base / pool.prod_h
-    cost_l = cost_l_base / (pool.prod_l * gen_boost)
+    cost_l = cost_l_base / (pool.prod_l * np.asarray(gen_boost, dtype=float)[..., None])
     pi_h = margin_h - cost_h
     pi_l = margin_l - cost_l - tax
     gap = np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)
@@ -346,53 +430,30 @@ def supply_response(
     return SupplyResult(q_h=q_h, q_l=q_l, producer_profit=profit)
 
 
-def platform_profit_value(
-    q_h: float,
-    q_l: float,
-    platform: PlatformState,
-    moderation_cost: float,
-    engagement_bias: float = 1.0,
-) -> float:
-    """Ad revenue share on amplified exposure net of the convex moderation cost.
-
-    ``engagement_bias`` scales how an amplified low-quality unit monetizes
-    relative to a high-quality one (engagement-driven ad loads); producer
-    payouts are unaffected.
-    """
-    monetized = platform.gamma_h * q_h + engagement_bias * platform.gamma_l * (
-        1.0 - platform.moderation
-    ) * q_l
-    return (
-        platform.revenue_share * platform.ad_rate * monetized
-        - moderation_cost * platform.moderation**2 * q_l
-    )
-
-
 @dataclass(frozen=True)
 class Clearing:
-    """The market's response to given outputs under a posted posture.
+    """The market's response to given outputs under posted postures, per lane.
 
     ``flow`` is amplified exposure per agent, the flow that erodes trust.
     Welfare follows once a trust level and producer surplus are supplied.
-    The fields are floats for one posture and arrays for a batch of lanes.
     """
 
-    q_h: float | np.ndarray
-    q_l: float | np.ndarray
-    posture: PlatformState | Postures
-    pollution: float | np.ndarray
-    verify_rate: float | np.ndarray
-    precision: float | np.ndarray
-    verification_spend: float | np.ndarray
-    flow: float | np.ndarray
-    platform_profit: float | np.ndarray
+    q_h: np.ndarray
+    q_l: np.ndarray
+    posture: Postures
+    pollution: np.ndarray
+    verify_rate: np.ndarray
+    precision: np.ndarray
+    verification_spend: np.ndarray
+    flow: np.ndarray
+    platform_profit: np.ndarray
 
     def welfare(
         self,
         trust: float | np.ndarray,
         producer_profit: float | np.ndarray,
         params: SimParams,
-    ) -> float | np.ndarray:
+    ) -> np.ndarray:
         return welfare_value(
             q_h=self.q_h,
             q_l=self.q_l,
@@ -408,150 +469,59 @@ class Clearing:
 
 
 def _exposure(
-    q_h: float, q_l: float, posture: PlatformState, populations: Populations, params: SimParams
-) -> tuple[float, float, float]:
-    """(pollution, amplified exposure per agent, platform profit) of outputs under a posture."""
-    amplified = posture.gamma_h * q_h + posture.gamma_l * (1.0 - posture.moderation) * q_l
-    profit = platform_profit_value(
-        q_h, q_l, posture, params.platform.moderation_cost, params.platform.engagement_bias
+    q_h: np.ndarray, q_l: np.ndarray, postures: Postures, populations: Populations, params: SimParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pollution, amplified exposure per agent, platform profit) of outputs, per lane.
+
+    Pollution is the share of amplified, unmoderated low-quality content in
+    total amplified exposure (0 for an empty market, as `pollution_density`).
+    Platform profit is the ad revenue share on amplified exposure, low
+    quality monetizing at ``engagement_bias`` times a high-quality unit, net
+    of the convex moderation cost.
+    """
+    pf = params.platform
+    high = postures.gamma_h * q_h
+    low = postures.gamma_l * (1.0 - postures.moderation) * q_l
+    amplified = high + low
+    # An empty market (amplified 0, so low 0) has pollution 0 / 1.
+    rho = low / (amplified + (amplified == 0.0))
+    profit = (high + low * pf.engagement_bias) * (postures.revenue_share * postures.ad_rate) - (
+        postures.moderation**2 * pf.moderation_cost * q_l
     )
-    return pollution_density(q_h, q_l, posture), amplified / populations.total, profit
+    return rho, amplified / populations.total, profit
 
 
 def clear_market(
-    q_h: float,
-    q_l: float,
-    posture: PlatformState,
-    populations: Populations,
-    provenance_boost: float,
-    params: SimParams,
-) -> Clearing:
-    """Clear given outputs under a posted posture.
-
-    Pollution, the verification fixed point, the outlay of everyone whose
-    cost the resulting threshold covers, exposure flow, and platform profit.
-    """
-    rho, flow, plat_profit = _exposure(q_h, q_l, posture, populations, params)
-    verify_rate, precision = solve_verification_fixed_point(
-        rho, populations.consumers, provenance_boost, params=params
-    )
-    post = consumer_posterior(1.0 - rho, "H", precision)
-    k_star = verification_threshold(post, params.agents.du_h, params.agents.du_l)
-    return Clearing(
-        q_h=q_h,
-        q_l=q_l,
-        posture=posture,
-        pollution=rho,
-        verify_rate=verify_rate,
-        precision=precision,
-        verification_spend=float(populations.consumers.spend(k_star)),
-        flow=flow,
-        platform_profit=plat_profit,
-    )
-
-
-def _clear_lanes(
     q_h: np.ndarray,
     q_l: np.ndarray,
     postures: Postures,
     populations: Populations,
     params: SimParams,
+    provenance_boost: float = 0.0,
 ) -> Clearing:
-    """`clear_market` elementwise over lanes, with no provenance standard.
+    """Clear given outputs under posted postures, one lane per posture.
 
-    The same arithmetic in the same order as the single-posture chain, the
-    same input checks (raised if any lane fails them), and the lane-masked
-    verification fixed point.
+    Pollution, the verification fixed point, the outlay of everyone whose
+    cost the resulting threshold covers, exposure flow, and platform
+    profit.  Each lane is cleared independently of the others.
     """
-    if np.any(q_h < 0) or np.any(q_l < 0):
+    # The min is NaN if any output is, which fails the comparison.
+    if not np.minimum(q_h, q_l).min() >= 0:
         raise ValueError("outputs must be nonnegative")
-    pf = params.platform
-    high = postures.gamma_h * q_h
-    unmoderated = 1.0 - postures.moderation
-    low = postures.gamma_l * unmoderated * q_l
-    amplified = high + low
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(amplified == 0.0, 0.0, low / amplified)
-    monetized = high + pf.engagement_bias * postures.gamma_l * unmoderated * q_l
-    # Python's float power, as `platform_profit_value` squares a scalar:
-    # libm pow(m, 2) and m * m differ in the last bit for about 0.1 % of m.
-    mod_sq = np.array([m**2 for m in postures.moderation.tolist()])
-    plat_profit = (
-        postures.revenue_share * postures.ad_rate * monetized - pf.moderation_cost * mod_sq * q_l
+    rho, flow, plat_profit = _exposure(q_h, q_l, postures, populations, params)
+    fixed = solve_verification_fixed_point(
+        rho, populations.consumers, provenance_boost, params=params
     )
-    verify_rate, precision = _solve_verification_lanes(rho, populations.consumers, params)
-    post = _posterior_h(1.0 - rho, precision)
-    k_star = verification_threshold(post, params.agents.du_h, params.agents.du_l)
     return Clearing(
         q_h=q_h,
         q_l=q_l,
         posture=postures,
         pollution=rho,
-        verify_rate=verify_rate,
-        precision=precision,
-        verification_spend=populations.consumers.spend(k_star),
-        flow=amplified / populations.total,
+        verify_rate=fixed.verify_rate,
+        precision=fixed.precision,
+        verification_spend=populations.consumers.spend(fixed.threshold),
+        flow=flow,
         platform_profit=plat_profit,
-    )
-
-
-def _posterior_h(prior: np.ndarray, precision: np.ndarray) -> np.ndarray:
-    """`consumer_posterior(prior, "H", precision)` elementwise, with its input checks."""
-    if not np.all((0 <= prior) & (prior <= 1)):
-        raise ValueError("prior_h must lie in [0, 1]")
-    if not np.all((0.5 <= precision) & (precision <= 1)):
-        raise ValueError("precision must lie in [0.5, 1]")
-    num = prior * precision
-    den = num + (1.0 - prior) * (1.0 - precision)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0.0, prior, num / den)
-
-
-def _solve_verification_lanes(
-    pollution: np.ndarray, consumers: ConsumerPool, params: SimParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """`solve_verification_fixed_point` for every lane's pollution at once.
-
-    Each lane runs the scalar solver's damped, bracketed iteration with the
-    same arithmetic in the same order, and leaves the batch once it meets
-    the tolerance.  Raises NoConvergence, naming the first lane short of the
-    tolerance, when any lane is still short at the iteration cap.  The
-    anchors pin no provenance standard, so its term is left out: adding 0.0
-    changes only a -0.0, which the 0.5 floor clamps anyway.
-    """
-    mk = params.market
-    du_h, du_l = params.agents.du_h, params.agents.du_l
-
-    def precision(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _clamp(mk.pi_base - mk.kappa_pollution * rho + mk.kappa_verify * v, 0.5, 1.0)
-
-    def mapping(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-        post = _posterior_h(1.0 - rho, precision(rho, v))
-        return consumers.cdf_many(verification_threshold(post, du_h, du_l))
-
-    lane = np.arange(pollution.size)
-    rho = pollution
-    v = np.full(rho.shape, mk.fp_start)
-    lo, hi = np.zeros(rho.shape), np.ones(rho.shape)
-    solved = np.empty(rho.shape)
-    for _ in range(mk.fp_max_iter):
-        t = mapping(rho, v)
-        resid = t - v
-        met = np.abs(resid) < mk.fp_tol
-        solved[lane[met]] = v[met]
-        if met.all():
-            return solved, precision(pollution, solved)
-        go = ~met
-        lane, rho, v, t, resid, lo, hi = (a[go] for a in (lane, rho, v, t, resid, lo, hi))
-        rising = resid > 0
-        lo = np.where(rising & (v > lo), v, lo)
-        hi = np.where(~rising & (v < hi), v, hi)
-        v_next = (1.0 - mk.fp_damping) * v + mk.fp_damping * t
-        v = np.where((lo < v_next) & (v_next < hi), v_next, 0.5 * (lo + hi))
-    resid = abs(mapping(rho[:1], v[:1]) - v[:1])[0]
-    raise NoConvergence(
-        f"verification fixed point: residual {resid:.3e} after "
-        f"{mk.fp_max_iter} iterations (pollution={rho[0]:.4f})"
     )
 
 
@@ -602,39 +572,47 @@ def market_step(
 
     # (1) producer choices and aggregate supply, for the posted posture and,
     # in the same call, for the probes of the gradient step
-    probes = _probes(platform, params.platform.fd_step)
+    postures = _probes(platform, params.platform.fd_step)
     supply = supply_response(
         populations.producers,
-        Postures.of([platform, *probes]),
+        postures,
         cost_h_base=cost_h_base,
         cost_l_base=cost_l_base,
         gen_boost=inputs.gen_boost,
         tax=inputs.tax,
         extra_q_l=inputs.extra_q_l,
     )
-    q_h, q_l = supply.q_h.tolist(), supply.q_l.tolist()
     producer_profit = float(supply.producer_profit[0])
 
     # (2-3) pollution under the posture producers responded to, and the
     # verification fixed point
+    posted = slice(0, 1)
     cleared = clear_market(
-        q_h[0], q_l[0], platform, populations, inputs.provenance_boost, params
+        supply.q_h[posted], supply.q_l[posted], postures.take(posted), populations, params,
+        inputs.provenance_boost,
     )
+    rho = float(cleared.pollution[0])
 
     # (4) trust step (exogenous shocks land before the Euler update)
     trust_in = min(max(state.trust + inputs.trust_delta, 0.0), params.trust.t_max)
-    trust = trust_update(trust_in, cleared.pollution, cleared.flow, params.trust)
+    trust = trust_update(trust_in, rho, float(cleared.flow[0]), params.trust)
 
-    # (5) welfare
-    w = cleared.welfare(trust, producer_profit, params)
+    # (5) welfare, on floats: one-lane arrays would cost more than the arithmetic
+    q_h, q_l = float(supply.q_h[0]), float(supply.q_l[0])
+    verify_rate, precision = float(cleared.verify_rate[0]), float(cleared.precision[0])
+    w = welfare_value(q_h=q_h, q_l=q_l, verify_rate=verify_rate, precision=precision, trust=trust,
+                      platform=platform, producer_profit=producer_profit,
+                      platform_profit=float(cleared.platform_profit[0]),
+                      verification_spend=float(cleared.verification_spend[0]), params=params)
 
     # (6) platform gradient step from one-tick-ahead finite differences
+    probes = slice(1, None)
     new_platform = _platform_gradient_step(
         populations,
         platform,
-        probes,
-        q_h[1:],
-        q_l[1:],
+        postures.take(probes),
+        supply.q_h[probes],
+        supply.q_l[probes],
         inputs,
         params,
         trust_now=trust,
@@ -643,11 +621,11 @@ def market_step(
 
     next_state = MarketState(
         tick=state.tick + 1,
-        q_h=q_h[0],
-        q_l=q_l[0],
-        pollution=cleared.pollution,
-        verify_rate=cleared.verify_rate,
-        precision=cleared.precision,
+        q_h=q_h,
+        q_l=q_l,
+        pollution=rho,
+        verify_rate=verify_rate,
+        precision=precision,
         trust=trust,
         welfare=w,
     )
@@ -658,54 +636,60 @@ def market_step(
 _LEVERS = ("gamma_l", "gamma_h", "moderation")
 
 
-def _probes(platform: PlatformState, h: float) -> list[PlatformState]:
-    """Central-difference postures: each lever one step up, then one down, within its bounds."""
-    probes = []
-    for field in _LEVERS:
-        base = getattr(platform, field)
-        hi = 1.0 if field == "moderation" else platform.gamma_max
-        probes.append(replace(platform, **{field: min(base + h, hi)}))
-        probes.append(replace(platform, **{field: max(base - h, 0.0)}))
-    return probes
+def _probes(platform: PlatformState, h: float) -> Postures:
+    """The posted posture, then the central-difference probes, as lanes.
+
+    Each lever in `_LEVERS` order moves one step up, then one down, within
+    its bounds.
+    """
+    gl, gh, m, top = platform.gamma_l, platform.gamma_h, platform.moderation, platform.gamma_max
+    return Postures(
+        gamma_h=np.array([gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh]),
+        gamma_l=np.array([gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl]),
+        moderation=np.array([m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0)]),
+        revenue_share=platform.revenue_share,
+        ad_rate=platform.ad_rate,
+    )
 
 
 def _lookahead(
     populations: Populations,
-    posture: PlatformState,
-    q_h: float,
-    q_l: float,
+    postures: Postures,
+    q_h: np.ndarray,
+    q_l: np.ndarray,
     inputs: TickInputs,
     params: SimParams,
     *,
     trust_now: float,
     cleared: Clearing,
-) -> tuple[float, float]:
-    """(objective, trust) one tick ahead if the platform posts `posture`.
+) -> tuple[list[float], list[float]]:
+    """(objectives, trust levels) one tick ahead if the platform posts each posture.
 
-    ``q_h``/``q_l`` are supply's response to `posture`.  The profit side is
-    per-producer normalized so learning rates are population-size
+    ``q_h``/``q_l`` are supply's response to each posture.  The profit side
+    is per-producer normalized so learning rates are population-size
     invariant; under a fiduciary duty the objective blends in the consumer
     value/harm fragment.  The verification response is held at this tick's
     clearing within the lookahead.
     """
-    rho, flow, profit = _exposure(q_h, q_l, posture, populations, params)
-    objective = profit
+    rho, flow, objective = _exposure(q_h, q_l, postures, populations, params)
     if inputs.fiduciary > 0.0:
         wcfg = params.welfare
-        x = harmful_exposure(q_l, posture, cleared.verify_rate, cleared.precision)
-        value = wcfg.value_h * posture.gamma_h * q_h
+        x = harmful_exposure(q_l, postures, cleared.verify_rate, cleared.precision)
+        value = wcfg.value_h * postures.gamma_h * q_h
         harm = wcfg.harm_lin * x + wcfg.harm_quad * x * x
-        objective = fiduciary_objective(profit, value, harm, inputs.fiduciary)
-    trust_next = trust_update(trust_now, rho, flow, params.trust)
-    return objective / populations.producers.n, trust_next
+        objective = fiduciary_objective(objective, value, harm, inputs.fiduciary)
+    trust_next = [
+        trust_update(trust_now, i1, f, params.trust) for i1, f in zip(rho.tolist(), flow.tolist())
+    ]
+    return (objective / populations.producers.n).tolist(), trust_next
 
 
 def _platform_gradient_step(
     populations: Populations,
     platform: PlatformState,
-    probes: list[PlatformState],
-    q_h: list[float],
-    q_l: list[float],
+    probes: Postures,
+    q_h: np.ndarray,
+    q_l: np.ndarray,
     inputs: TickInputs,
     params: SimParams,
     **kw,
@@ -714,18 +698,18 @@ def _platform_gradient_step(
 
     ``q_h``/``q_l`` hold supply's response to each probe, in probe order.
     """
+    f, t = _lookahead(populations, probes, q_h, q_l, inputs, params, **kw)
     grads = []
     for i, field in enumerate(_LEVERS):
         up, dn = 2 * i, 2 * i + 1
-        lever_up, lever_dn = getattr(probes[up], field), getattr(probes[dn], field)
+        lever = getattr(probes, field)
+        lever_up, lever_dn = float(lever[up]), float(lever[dn])
         if lever_up == lever_dn:
             grads.append((0.0, 0.0))
             continue
         span = lever_up - lever_dn
-        f_up, t_up = _lookahead(populations, probes[up], q_h[up], q_l[up], inputs, params, **kw)
-        f_dn, t_dn = _lookahead(populations, probes[dn], q_h[dn], q_l[dn], inputs, params, **kw)
         # Trust gradient enters the update rule as erosion per unit increase.
-        grads.append(((f_up - f_dn) / span, -(t_up - t_dn) / span))
+        grads.append(((f[up] - f[dn]) / span, -(t[up] - t[dn]) / span))
     (gp_gl, gt_gl), (gp_gh, gt_gh), (gp_m, gt_m) = grads
     return platform_update(platform, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh)
 
@@ -740,11 +724,10 @@ def static_equilibrium_welfare(
     """Long-run welfare of a batch of pinned postures, one value per lane.
 
     Supply responds, verification settles at its fixed point, and trust sits
-    at its steady state.  Every lane equals the single-posture chain
-    (`supply_response` on one row, `clear_market`, `steady_state_trust`,
-    `Clearing.welfare`) bit for bit.  Supply does not read moderation, so it
-    is solved once per distinct (gamma_h, gamma_l, tax) and shared by the
-    lanes that differ only in moderation.  Used for the planner-optimum and
+    at its steady state.  Every lane equals the same chain run on that lane
+    alone bit for bit.  Supply does not read moderation, so it is solved
+    once per distinct (gamma_h, gamma_l, tax) and shared by the lanes that
+    differ only in moderation.  Used for the planner-optimum and
     worst-corner anchors of the deadweight dimension.
     """
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
@@ -759,7 +742,7 @@ def static_equilibrium_welfare(
         gen_boost=1.0,
         tax=tax[first],
     )
-    cleared = _clear_lanes(supply.q_h[row], supply.q_l[row], postures, populations, params)
+    cleared = clear_market(supply.q_h[row], supply.q_l[row], postures, populations, params)
     trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
     return cleared.welfare(trust, supply.producer_profit[row], params)
 

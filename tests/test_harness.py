@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
@@ -255,13 +259,11 @@ class TestParallelCells:
         assert serial == parallel
 
     def test_unconverged_cell_reports_a_failure(self):
-        strict = SimParams().with_overrides(
-            {**SMALL, "market.fp_tol": 0.0, "market.fp_max_iter": 50}
-        )
+        strict = SimParams().with_overrides({**SMALL, "market.fp_tol": 0.0})
         report = sweep_cells([(1.0, 1.5)], strict, master_seed=42, ticks=2)
         assert report.rows == []
         (failure,) = report.failures
-        assert "NoConvergence" in failure and "after 50 iterations" in failure
+        assert "NoConvergence" in failure and "not below market.fp_tol" in failure
 
     @pytest.mark.parametrize("experiment", [
         "weight_sensitivity", "cross_platform", "sweep", "policy_comparison", "robust_select",
@@ -406,6 +408,18 @@ class TestCli:
         ("econ.delta_l", "0"),
         ("shocks.cost_drop", "1"),
         ("shocks.trust_shock", "-0.1"),
+        ("ipi.sigma_tech", "0"),
+        ("ipi.w_pollution", "-1"),
+        ("ipi.w_tech", "0.2"),
+        ("policy.tax_init", "-1"),
+        ("policy.fiduciary", "2"),
+        ("policy.provenance_boost", "-0.1"),
+        ("market.pi_base", "nan"),
+        ("market.kappa_verify", "-1"),
+        ("market.kappa_pollution", "-1"),
+        ("market.fp_tol", "-1"),
+        ("welfare.harm_lin", "nan"),
+        ("platform.fd_step", "inf"),
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
@@ -444,7 +458,7 @@ class TestCli:
         code = main([
             "robust-select", "--ticks", "5", "--out", str(tmp_path / "x"),
             "--agents.n_producers", "30", "--agents.n_consumers", "60",
-            "--market.fp_tol", "0", "--market.fp_max_iter", "5",
+            "--market.fp_tol", "0",
         ])
         assert code == 3
 
@@ -452,7 +466,7 @@ class TestCli:
         code = main([
             "baseline", "--ticks", "3", "--out", str(tmp_path / "x"),
             "--agents.n_producers", "30", "--agents.n_consumers", "60",
-            "--market.fp_tol", "0", "--market.fp_max_iter", "5",
+            "--market.fp_tol", "0",
         ])
         assert code == 3
 
@@ -466,3 +480,56 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
+
+
+POSITIVE = ("1.0", "0.5", "0", "-1", "nan", "inf")
+NONNEGATIVE = ("0", "0.5", "-0.1", "nan", "inf")
+OPEN_UNIT = ("0.5", "0", "1", "1.5", "nan")
+WEIGHT = ("0.35", "0.25", "0", "1", "-1", "nan")
+# Bounded keys and values on both sides of their bounds.
+CONFIG_SPACE = {
+    **{f"econ.{k}": POSITIVE for k in ("sigma_h", "sigma_l", "tfp_h", "tfp_l", "ai_rental", "wage")},
+    **{f"econ.{k}": OPEN_UNIT for k in ("delta_h", "delta_l")},
+    **{f"agents.{k}": NONNEGATIVE for k in ("rationality", "prod_log_sd", "k_max", "du_h", "du_l")},
+    **{f"agents.{k}": POSITIVE for k in ("mean_prod_h", "mean_prod_l")},
+    "platform.revenue_share": OPEN_UNIT,
+    "platform.gamma_init": ("0", "1", "2", "3", "-0.5", "nan"),
+    "platform.moderation_init": ("0", "0.5", "1", "2", "nan"),
+    "platform.ad_rate": POSITIVE,
+    **{f"platform.{k}": NONNEGATIVE for k in ("lr_gamma", "lr_mod", "trust_price")},
+    "market.pi_base": ("0.85", "0.3", "1.2", "nan", "inf"),
+    **{f"market.{k}": NONNEGATIVE for k in ("kappa_pollution", "kappa_verify")},
+    "market.fp_tol": ("1e-8", "0", "-1", "nan", "1"),
+    "trust.decay": OPEN_UNIT,
+    **{f"trust.{k}": POSITIVE for k in ("pollution_hit", "t_max")},
+    **{f"trust.{k}": NONNEGATIVE for k in ("repair_gain", "repair_flow")},
+    "trust.initial": ("0", "0.5", "2", "-1", "nan"),
+    **{f"ipi.{k}": WEIGHT for k in ("w_pollution", "w_deadweight", "w_trust", "w_tech")},
+    "ipi.sigma_tech": POSITIVE,
+    "policy.tax_init": NONNEGATIVE,
+    "policy.fiduciary": ("0", "0.3", "1", "2", "-1", "nan"),
+    "policy.provenance_boost": ("0", "0.05", "0.2", "-0.1", "nan"),
+    # Unbounded keys must still be finite.
+    **{key: ("0.1", "nan", "inf") for key in (
+        "welfare.harm_quad", "platform.fd_step", "platform.engagement_bias", "ipi.mu_tech",
+    )},
+}
+
+
+class TestConfigSpace:
+    @given(config=st.lists(st.sampled_from(sorted(CONFIG_SPACE)), min_size=1, max_size=3,
+                           unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                               {key: st.sampled_from(CONFIG_SPACE[key]) for key in keys})))
+    @settings(max_examples=40, deadline=None)
+    def test_no_config_exits_one(self, config):
+        """Accepted configs run or fail to converge; rejected ones exit 2 from both commands."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+            validated = main(["validate-config", "--config", str(path)])
+            ran = main([
+                "baseline", "--ticks", "3", "--out", str(Path(tmp) / "x"), "--config", str(path),
+                *(f"--{k}={v}" for k, v in SMALL.items()),
+            ])
+        assert validated in (0, 2)
+        assert ran == 2 if validated == 2 else ran in (0, 3)

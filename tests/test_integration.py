@@ -22,9 +22,10 @@ from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
 
-# Frozen on the first verified build (seed 42, 150 ticks, default config).
-GOLDEN_FINAL_WELFARE = 510.63605839164165
-GOLDEN_FINAL_IPI = 0.4648691369911787
+# The golden record's last row (seed 42, 150 ticks, default config), frozen
+# again with the record when the verification fixed point became exact.
+GOLDEN_FINAL_WELFARE = 510.63605601419954
+GOLDEN_FINAL_IPI = 0.4648691393756753
 
 
 @pytest.fixture(scope="module")

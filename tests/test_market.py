@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from infomarket import market
 from infomarket.agents import PlatformState, consumer_posterior, verification_threshold
 from infomarket.config import SimParams
-from infomarket.errors import NoConvergence
+from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import Simulation
 from infomarket.market import (
     ConsumerPool,
@@ -105,6 +105,13 @@ class TestConsumerPool:
         pool = ConsumerPool([1.0, 3.0])
         assert pool.cdf(2.0) == pytest.approx(0.75)  # linear between (1, .5) and (3, 1)
 
+    def test_cdf_over_an_array_equals_each_value(self):
+        pool = ConsumerPool([0.0, 0.0, 1.0, 2.0, 2.0])
+        k = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 9.0])
+        assert pool.cdf(k).tolist() == [pool.cdf(x) for x in k.tolist()]
+        assert pool.cdf(0.0) == 0.4  # the zero-cost consumers
+        assert ConsumerPool([0.0, 0.0]).cdf(0.0) == 1.0
+
     def test_spend_accumulates_covered_costs(self):
         pool = ConsumerPool([0.5, 1.0, 2.0])
         assert pool.spend(1.0) == pytest.approx(1.5)
@@ -124,8 +131,8 @@ class TestVerificationFixedPoint:
 
     def test_no_benefit_means_zero_cost_verifiers_only(self, params):
         pool = ConsumerPool([0.0, 0.0, 1.0, 2.0])
-        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params,
-                                              du_h=0.0, du_l=0.0)
+        no_benefit = params.with_overrides({"agents.du_h": 0.0, "agents.du_l": 0.0})
+        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=no_benefit)
         assert v == pytest.approx(0.5)  # the two zero-cost consumers
 
     def test_residual_meets_tolerance(self, params, populations):
@@ -162,9 +169,117 @@ class TestVerificationFixedPoint:
             assert 0.0 <= v <= 1.0
 
     def test_exhausted_budget_raises(self, populations):
-        strict = SimParams().with_overrides({"market.fp_tol": 0.0, "market.fp_max_iter": 50})
-        with pytest.raises(NoConvergence):
+        # No residual is below a zero tolerance.
+        strict = SimParams().with_overrides({"market.fp_tol": 0.0})
+        with pytest.raises(NoConvergence, match=r"residual \S+ not below market.fp_tol = "
+                                                r"0\.000e\+00 \(pollution=0\.6000\)"):
             solve_verification_fixed_point(0.6, populations.consumers, 0.0, params=strict)
+
+    @given(
+        rho=st.floats(0.0, 1.0),
+        provenance=st.floats(0.0, 0.2),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        k_max=st.floats(0.1, 6.0),
+        du_l=st.floats(0.0, 3.0),
+        du_share=st.floats(0.0, 1.0),
+    )
+    @example(rho=1.0, provenance=0.2, n=1, seed=0, k_max=1.0, du_l=2.0, du_share=0.25)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_and_on_the_oracle_when_the_threshold_falls(
+        self, rho, provenance, n, seed, k_max, du_l, du_share
+    ):
+        # du_h <= du_l: T falls in V, so T(V) - V crosses zero once.
+        params = SimParams().with_overrides({"agents.du_h": du_l * du_share, "agents.du_l": du_l})
+        pool = ConsumerPool(np.random.default_rng(seed).uniform(0.0, k_max, n))
+        v, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
+        gap = mapping(rho, provenance, pool, params)
+        assert abs(gap(v) - v) <= 1e-12
+        assert_on_grid_crossing(v, gap)
+
+    @given(
+        rho=st.floats(0.0, 1.0),
+        provenance=st.floats(0.0, 0.2),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        pi_base=st.floats(0.3, 1.2),
+        kappa_verify=st.floats(0.0, 2.0),
+    )
+    @example(rho=0.5, provenance=0.0, n=50, seed=3, pi_base=0.85, kappa_verify=0.0)  # flat
+    @example(rho=0.99999, provenance=0.0, n=1, seed=0, pi_base=1.0, kappa_verify=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_clamped_precision_solves_to_the_nearest_floats(
+        self, rho, provenance, n, seed, pi_base, kappa_verify
+    ):
+        # Precision clamps at 0.5 or 1 for some rates.  Where the posterior
+        # is steep (a prior near 0 with precision near 1) no float need meet
+        # 1e-12, so the bound is the best residual among the nearby floats.
+        params = SimParams().with_overrides({
+            "market.pi_base": pi_base, "market.kappa_verify": kappa_verify, "market.fp_tol": 1.0,
+        })
+        pool = ConsumerPool(np.random.default_rng(seed).uniform(0.0, 4.0, n))
+        v, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
+        gap = mapping(rho, provenance, pool, params)
+        near = v + np.arange(-64, 65) * np.spacing(v)
+        assert abs(gap(v) - v) <= max(1e-12, 128 * np.abs(gap(near) - near).min())
+        assert_on_grid_crossing(v, gap)
+
+    def test_no_float_meets_the_tolerance_near_a_jump(self):
+        # Prior 1e-16 with a signal that reaches precision 1: the posterior,
+        # and with it T, jumps from 1 to 0 between neighbouring floats near
+        # V = 0.3, so no float is a fixed point to within any tolerance.
+        params = SimParams().with_overrides({
+            "agents.du_h": 0.0, "agents.du_l": 1.0, "market.pi_base": 1.0,
+            "market.kappa_verify": 1.0,
+        })
+        pool = ConsumerPool([0.6])
+        rho = 1.0 - 2.0**-53
+        gap = mapping(rho, 0.0, pool, params)
+        near = 0.3 + np.arange(-20, 21) * np.spacing(0.3)
+        assert np.abs(gap(near) - near).min() > 0.1
+        with pytest.raises(NoConvergence):
+            solve_verification_fixed_point(rho, pool, params=params)
+
+    def test_least_fixed_point_when_the_threshold_rises(self):
+        # du_h > du_l makes T rise in V.  A fifth of the consumers verify at
+        # any signal, one more at cost 3.7 and the rest at 3.9: T crosses V
+        # near 0.21, again near 0.23, and everyone verifies at V = 1.
+        params = SimParams().with_overrides({
+            "agents.du_h": 4.0, "agents.du_l": 0.0, "market.kappa_verify": 1.0,
+        })
+        pool = ConsumerPool([0.5] * 20 + [3.7] + [3.9] * 79)
+        gap = mapping(0.5, 0.0, pool, params)
+        grid = np.linspace(0.0, 1.0, 100_001)
+        sign = np.sign(gap(grid) - grid)
+        assert np.count_nonzero(np.diff(sign[sign != 0])) >= 2
+        assert gap(1.0) == 1.0
+        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params)
+        first = np.flatnonzero(gap(grid) - grid < 0.0)[0]
+        assert grid[first - 1] <= v <= grid[first]
+        assert abs(gap(v) - v) <= 1e-12
+
+
+def assert_on_grid_crossing(v, gap):
+    """v lies where T(V) - V first turns negative on a dense grid (V = 1 if it never does)."""
+    grid = np.linspace(0.0, 1.0, 20_001)
+    below = np.flatnonzero(gap(grid) - grid < 0.0)
+    if below.size == 0:
+        assert v == 1.0
+    else:
+        assert grid[below[0] - 1] - 1e-12 <= v <= grid[below[0]] + 1e-12
+
+
+def mapping(rho, provenance, pool, params):
+    """T(V) of the verification fixed point, elementwise over V."""
+    mk, ag = params.market, params.agents
+
+    def t(v):
+        pi = signal_precision(rho, v, provenance, pi_base=mk.pi_base,
+                              kappa_pollution=mk.kappa_pollution, kappa_verify=mk.kappa_verify)
+        post = consumer_posterior(1.0 - rho, "H", pi)
+        return pool.cdf(verification_threshold(post, ag.du_h, ag.du_l))
+
+    return t
 
 
 class TestTrustUpdate:
@@ -262,10 +377,9 @@ def scalar_welfare(populations, posture, params, tax):
         populations.producers, Postures.of([posture]),
         cost_h_base=cost_h_base, cost_l_base=cost_l_base, gen_boost=1.0, tax=tax,
     )
-    q_h, q_l, profit = (float(a[0]) for a in (supply.q_h, supply.q_l, supply.producer_profit))
-    cleared = clear_market(q_h, q_l, posture, populations, 0.0, params)
+    cleared = clear_market(supply.q_h, supply.q_l, Postures.of([posture]), populations, params)
     trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
-    return float(cleared.welfare(trust, profit, params))
+    return float(cleared.welfare(trust, supply.producer_profit, params)[0])
 
 
 def scalar_anchor_loop(populations, params):
@@ -295,20 +409,35 @@ LANE = st.tuples(  # (gamma_h, gamma_l, moderation, tax)
 
 
 class TestBatchedClearing:
-    """Batched clearing equals the single-posture chain exactly, lane by lane."""
+    """A lane cleared alone equals the same lane inside a batch, bit for bit."""
 
-    @given(lanes=st.lists(LANE, min_size=1, max_size=6))
-    @example(lanes=[(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 0.0)])
-    @example(lanes=[(1.0, 1.5, m, 0.5) for m in (0.0, 0.5, 1.0)])  # lanes sharing supply
-    # A moderation whose libm square is not m * m, where that reaches welfare.
-    @example(lanes=[(0.17828410908208792, 1.9738710253246363, 0.8260631250344754, 0.19073918649769706)])
+    @given(lanes=st.lists(LANE, min_size=1, max_size=6), provenance=st.floats(0.0, 0.2))
+    @example(lanes=[(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 0.0)],
+             provenance=0.0)
+    @example(lanes=[(1.0, 1.5, m, 0.5) for m in (0.0, 0.5, 1.0)], provenance=0.0)  # shared supply
     @settings(max_examples=150, deadline=None)
-    def test_every_lane_equals_the_scalar_chain(self, populations, params, lanes):
+    def test_every_lane_equals_the_scalar_chain(self, populations, params, lanes, provenance):
         platforms = [make_platform(gamma_h=gh, gamma_l=gl, moderation=m) for gh, gl, m, _ in lanes]
         tax = np.array([lane[3] for lane in lanes])
         batched = static_equilibrium_welfare(populations, Postures.of(platforms), params, tax=tax)
         expected = [scalar_welfare(populations, p, params, t) for p, t in zip(platforms, tax.tolist())]
         assert batched.tolist() == expected
+        q_h, q_l = np.linspace(1.0, 40.0, len(lanes)), np.linspace(60.0, 2.0, len(lanes))
+        together = clear_market(q_h, q_l, Postures.of(platforms), populations, params, provenance)
+        for i, p in enumerate(platforms):
+            alone = clear_market(q_h[i:i + 1], q_l[i:i + 1], Postures.of([p]), populations,
+                                 params, provenance)
+            for name in ("pollution", "verify_rate", "precision", "verification_spend"):
+                assert getattr(alone, name)[0] == getattr(together, name)[i]
+
+    def test_the_anchor_lanes_solve_alone_as_in_the_batch(self, populations, params):
+        rho = np.linspace(0.0, 1.0, 1126)
+        together = solve_verification_fixed_point(rho, populations.consumers, params=params)
+        for i in range(rho.size):
+            alone = solve_verification_fixed_point(rho[i:i + 1], populations.consumers,
+                                                   params=params)
+            assert (alone.verify_rate[0], alone.precision[0]) == (
+                together.verify_rate[i], together.precision[i])
 
     @given(lanes=st.lists(LANE, min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -339,22 +468,24 @@ class TestBatchedClearing:
             assert (sim.w_so, sim.w_min) == scalar_anchor_loop(sim.populations, params)
 
     def test_unmet_tolerance_raises_like_the_loop(self, populations):
-        strict = SimParams().with_overrides({"market.fp_tol": 0.0, "market.fp_max_iter": 50})
+        strict = SimParams().with_overrides({"market.fp_tol": 0.0})
         with pytest.raises(NoConvergence) as loop:
             scalar_anchor_loop(populations, strict)
-        with pytest.raises(NoConvergence, match=r"after 50 iterations \(pollution=") as batched:
+        with pytest.raises(NoConvergence, match=r"not below market.fp_tol = 0\.000e\+00 "
+                                                r"\(pollution=") as batched:
             welfare_anchors(populations, strict)
         assert str(batched.value) == str(loop.value)
 
     def test_lane_input_checks(self, populations, params):
         lanes = Postures.of([make_platform(), make_platform()])
-        with pytest.raises(ValueError, match="outputs must be nonnegative"):
-            market._clear_lanes(np.ones(2), np.array([1.0, -1.0]), lanes, populations, params)
-        nan_signal = params.with_overrides({"market.pi_base": float("nan")})
-        with pytest.raises(ValueError, match="precision must lie"):
-            solve_verification_fixed_point(0.5, populations.consumers, params=nan_signal)
-        with pytest.raises(ValueError, match="precision must lie"):
-            welfare_anchors(populations, nan_signal)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="outputs must be nonnegative"):
+                clear_market(np.ones(2), np.array([1.0, bad]), lanes, populations, params)
+        with pytest.raises(ValueError, match="pollution must lie"):
+            solve_verification_fixed_point(np.array([0.5, 1.5]), populations.consumers,
+                                           params=params)
+        with pytest.raises(ConfigError, match="market.pi_base must be finite"):
+            params.with_overrides({"market.pi_base": float("nan")})
 
     def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
         calls = Counter()
