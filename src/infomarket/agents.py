@@ -1,10 +1,11 @@
-"""Behavioral rules for producers, consumers, and the platform.
+"""Behavioral rules for consumers and the platform, and the agent populations.
 
-Producers pick a content type through a logit choice over expected unit
-profits; consumers update beliefs from a noisy binary quality signal and
-verify when the expected value of resolving uncertainty covers their cost;
-the platform nudges its amplification weights and moderation intensity by
-projected gradient ascent on profit net of a trust penalty.
+Consumers update beliefs from a noisy binary quality signal and verify
+when the expected value of resolving uncertainty covers their cost; the
+platform nudges its amplification weights and moderation intensity by
+projected gradient ascent on profit net of a trust penalty.  Producers'
+logit choice over unit profits runs over whole pools in
+`market.supply_response`.
 
 All decision rules are pure functions.  Populations are held as arrays
 from the moment they are drawn (`ProducerPool`, `ConsumerPool`); the
@@ -15,13 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import TaxOnHighQuality
-
-ContentType = Literal["H", "L"]
 
 
 @dataclass(frozen=True)
@@ -63,57 +60,17 @@ class PlatformState:
             raise ValueError("trust_price must be nonnegative")
 
 
-def producer_choice_prob(profit_h: float, profit_l: float, rationality: float) -> float:
-    """Logit probability of choosing high-quality production.
+def consumer_posterior(prior_h, precision):
+    """Posterior probability of high quality after a favorable signal (elementwise).
 
-    exp(beta*pi_H) / (exp(beta*pi_H) + exp(beta*pi_L)), evaluated after
-    subtracting the larger scaled payoff so neither exponential overflows.
-    beta = 0 collapses to a fair coin; beta -> inf approaches the indicator
-    of the larger profit.
-    """
-    a = rationality * profit_h
-    b = rationality * profit_l
-    m = max(a, b)
-    ea = math.exp(a - m)
-    eb = math.exp(b - m)
-    return ea / (ea + eb)
-
-
-def unit_profit(
-    content_type: ContentType,
-    platform: PlatformState,
-    cost: float,
-    tax: float = 0.0,
-) -> float:
-    """Profit per unit of content: (1 - theta) * rho * gamma_j - cost - tax.
-
-    The levy applies to low-quality output only; taxing high-quality output
-    is rejected rather than silently ignored.
-    """
-    if content_type == "H":
-        if tax > 0:
-            raise TaxOnHighQuality("per-unit levy applies to low-quality output only")
-        gamma = platform.gamma_h
-        wedge = 0.0
-    else:
-        gamma = platform.gamma_l
-        wedge = tax
-    return (1.0 - platform.revenue_share) * platform.ad_rate * gamma - cost - wedge
-
-
-def consumer_posterior(prior_h, signal: ContentType, precision):
-    """Posterior probability of high quality after one noisy signal (elementwise).
-
-    ``prior_h`` lies in [0, 1] and ``precision`` in [0.5, 1].  The channel
-    is symmetric: the stated precision is the probability the signal
-    matches the true type in either direction.  Where the posterior is
-    undefined (a certain prior contradicted by a perfect signal) the prior
-    is returned.  Scalars in give a scalar out.
+    ``prior_h`` lies in [0, 1] and ``precision`` in [0.5, 1], the
+    probability that the signal reads high when the content is high
+    quality and low when it is low.  Where the posterior is undefined (a
+    certain-low prior contradicted by a perfect signal) it is 0.  Scalars
+    in give a scalar out.
     """
     prior_h = np.asarray(prior_h, dtype=float)
     precision = np.asarray(precision, dtype=float)
-    if signal == "L":  # the complement of low quality's posterior after its own signal
-        return 1.0 - consumer_posterior(1.0 - prior_h, "H", precision)
     num = prior_h * precision
     den = num + (1.0 - prior_h) * (1.0 - precision)
     # den is 0 only where prior_h, and so num, is 0: the posterior is then 0 / 1.

@@ -177,10 +177,17 @@ class IpiParams:
             raise ConfigError("ipi.anchor_*_points must be at least 1")
         _bound(self, "ipi", "w_pollution w_deadweight w_trust w_tech", _nonnegative,
                "be nonnegative")
-        weights = (self.w_pollution, self.w_deadweight, self.w_trust, self.w_tech)
-        if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:
-            raise ConfigError(f"ipi.w_* must sum to 1, got {sum(weights)!r}")
+        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:
+            raise ConfigError(f"ipi.w_* must sum to 1, got {sum(self.weights)!r}")
         _bound(self, "ipi", "sigma_tech", _positive, "be positive")
+        # A stock that grows by a factor of 1 + rate must stay positive.
+        _bound(self, "ipi", "cap_gen_growth cap_det_growth", lambda v: v > -1,
+               "be above -1")
+
+    @property
+    def weights(self) -> tuple[float, float, float, float]:
+        """The fixed index weights, in dimension order."""
+        return (self.w_pollution, self.w_deadweight, self.w_trust, self.w_tech)
 
 
 @dataclass(frozen=True)
@@ -198,6 +205,22 @@ class ProxyParams:
     churn_gap_coef: float = 1.0
     detector_acc_base: float = 0.95
     detector_exponent: float = 0.25
+
+    def __post_init__(self) -> None:
+        _bound(self, "proxy", "items_per_type", lambda v: v >= 1, "be at least 1")
+        _bound(self, "proxy", "impression_scale churn_base_floor", _positive, "be positive")
+        _bound(self, "proxy", "harm_rate_clickbait harm_rate_misinformation harm_rate_fraud "
+               "sev_clickbait sev_misinformation sev_fraud churn_trust_slope churn_gap_coef",
+               _nonnegative, "be nonnegative")
+        _bound(self, "proxy", "detector_acc_base", lambda v: 0 < v <= 1, "lie in (0, 1]")
+        # Churn peaks at full trust depletion, and noise of level at most 1
+        # can double it; every churn rate must stay a probability.
+        peak = (self.churn_base_floor + self.churn_trust_slope) * (1.0 + 0.5 * self.churn_gap_coef)
+        if not peak <= 0.5:
+            raise ConfigError(
+                "proxy: (churn_base_floor + churn_trust_slope) * (1 + churn_gap_coef / 2) "
+                f"must be at most 0.5, got {peak!r}"
+            )
 
 
 @dataclass(frozen=True)

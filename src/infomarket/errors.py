@@ -9,10 +9,6 @@ class AssumptionViolated(ValueError):
     """A technology pair violates the substitutability ordering sigma_L > 1 > sigma_H."""
 
 
-class TaxOnHighQuality(ValueError):
-    """A per-unit levy was applied to high-quality output."""
-
-
 class NoConvergence(RuntimeError):
     """The verification fixed point failed to reach tolerance within the iteration cap."""
 

@@ -234,7 +234,7 @@ class Simulation:
     def _weights(self, reading_dims: tuple[float, float, float, float]) -> tuple[float, ...]:
         ip = self.params.ipi
         if not ip.endogenous_weights:
-            return (ip.w_pollution, ip.w_deadweight, ip.w_trust, ip.w_tech)
+            return ip.weights
         ctx = WeightContext(self)
         weights, _fallback = endogenous_weights(ctx, ip.weight_perturbation)
         return weights
@@ -764,6 +764,11 @@ def run_weight_sensitivity(
 ) -> dict[str, Any]:
     """Correlation of index and welfare under alternative weightings."""
     params = cfg.params()
+    if params.ipi.endogenous_weights:
+        raise ConfigError(
+            "weight-sensitivity compares fixed weight sets, and ipi.endogenous_weights "
+            "true would replace every one of them; run it with fixed weights"
+        )
     sets = list(weight_sets) if weight_sets is not None else list(DEFAULT_WEIGHT_SETS)
     keys = ("ipi.w_pollution", "ipi.w_deadweight", "ipi.w_trust", "ipi.w_tech")
     world_params = [params.with_overrides(dict(zip(keys, weights))) for weights in sets]
@@ -805,8 +810,7 @@ def run_noise(
     """
     params = cfg.params()
     levels = list(noise_levels) if noise_levels is not None else [0.0, 0.05, 0.1, 0.2]
-    weights = (params.ipi.w_pollution, params.ipi.w_deadweight,
-               params.ipi.w_trust, params.ipi.w_tech)
+    weights = params.ipi.weights
     sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
     states = []
     for _ in range(cfg.max_ticks):

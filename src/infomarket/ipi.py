@@ -22,13 +22,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .agents import PlatformState
-from .config import WEIGHT_TOL, SimParams
+from .config import WEIGHT_TOL, IpiParams, SimParams
 from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from .market import harmful_exposure, pollution_density
+from .market import harmful_exposure
 
 logger = logging.getLogger(__name__)
 
-FIXED_WEIGHTS = (0.35, 0.25, 0.25, 0.15)
+FIXED_WEIGHTS = IpiParams().weights
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class IpiReading:
     @classmethod
     def build(cls, dims: Sequence[float], weights: Sequence[float]) -> "IpiReading":
         return cls(*dims, *weights, composite(dims, weights))
-
-
-def dim_pollution(q_h: float, q_l: float, platform: PlatformState) -> float:
-    """Effective pollution density; delegates to the market-clearing formula."""
-    return pollution_density(q_h, q_l, platform)
 
 
 def dim_deadweight(w: float, w_so: float, w_min: float) -> float:

@@ -41,7 +41,7 @@ from .agents import (
     platform_update,
     verification_threshold,
 )
-from .config import SimParams, TrustParams
+from .config import MarketParams, SimParams, TrustParams, WelfareParams
 from .errors import NoConvergence
 from .policy import fiduciary_objective
 
@@ -72,48 +72,29 @@ class MarketState:
             raise ValueError("trust must be nonnegative")
 
 
-def pollution_density(q_h: float, q_l: float, platform: PlatformState) -> float:
-    """Share of amplified, unmoderated low-quality content in total amplified exposure.
-
-    Returns 0 when both outputs are zero (documented convention for the
-    empty market).
-    """
-    if q_h < 0 or q_l < 0:
-        raise ValueError("outputs must be nonnegative")
-    low = platform.gamma_l * (1.0 - platform.moderation) * q_l
-    total = platform.gamma_h * q_h + low
-    if total == 0.0:
-        return 0.0
-    return low / total
+def _raw_precision(pollution, verify_rate, provenance_boost, params: MarketParams):
+    """Signal precision before its clamp: affine in pollution, rate and provenance."""
+    return (
+        params.pi_base
+        - pollution * params.kappa_pollution
+        + verify_rate * params.kappa_verify
+        + provenance_boost
+    )
 
 
-def signal_precision(
-    pollution,
-    verify_rate,
-    provenance_boost: float,
-    *,
-    pi_base: float = 0.85,
-    kappa_pollution: float = 0.3,
-    kappa_verify: float = 0.1,
-):
+def signal_precision(pollution, verify_rate, provenance_boost: float, params: MarketParams):
     """Affine signal precision, clamped to [0.5, 1] (elementwise).
 
     Pollution dilutes the public signal, aggregate verification and
     provenance standards sharpen it.
     """
-    raw = pi_base - pollution * kappa_pollution + verify_rate * kappa_verify + provenance_boost
+    raw = _raw_precision(pollution, verify_rate, provenance_boost, params)
     return np.minimum(np.maximum(raw, 0.5), 1.0)[()]
-
-
-def _precision(pollution, verify_rate, provenance_boost: float, params: SimParams):
-    mk = params.market
-    return signal_precision(pollution, verify_rate, provenance_boost, pi_base=mk.pi_base,
-                            kappa_pollution=mk.kappa_pollution, kappa_verify=mk.kappa_verify)
 
 
 def _threshold(pollution, precision, params: SimParams):
     """Verification cost cutoff after a favorable signal (prior 1 - pollution)."""
-    post = consumer_posterior(1.0 - pollution, "H", precision)
+    post = consumer_posterior(1.0 - pollution, precision)
     return verification_threshold(post, params.agents.du_h, params.agents.du_l)
 
 
@@ -187,7 +168,7 @@ def solve_verification_fixed_point(
         block = slice(start, start + _LANE_BLOCK)
         r = lanes[block, None]
         pi = np.empty((r.size, knot_v.size + 2))
-        pi[:, :-2] = _precision(r, knot_v, provenance_boost, params)
+        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, mk)
         pi[:, -2:] = _CLAMPS
         k_star = _threshold(r, pi, params)
         end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
@@ -195,7 +176,7 @@ def solve_verification_fixed_point(
     v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
 
     # (3) the residual check
-    precision = _precision(lanes, v, provenance_boost, params)
+    precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = _threshold(lanes, precision, params)
     resid = np.abs(consumers.cdf(k_star) - v)
     if not (resid < mk.fp_tol).all():
@@ -226,8 +207,8 @@ def _segment_root(
     mk, ag = params.market, params.agents
     # Lanes with no segment (end 0) read the flat one past the last knot: V = 1.
     k0, v0, dk, s = consumers.segments(end - 1)
-    # Raw precision at v0, in `signal_precision`'s arithmetic as the scan had it.
-    pi0 = mk.pi_base - rho * mk.kappa_pollution + v0 * mk.kappa_verify + provenance_boost
+    # Raw precision at v0, bit for bit as the scan had it.
+    pi0 = _raw_precision(rho, v0, provenance_boost, mk)
     sigma = s * mk.kappa_verify
     prior = 1.0 - rho
     skew = prior - rho  # the posterior's denominator is rho + skew * precision
@@ -302,6 +283,12 @@ def harmful_exposure(
     )
 
 
+def value_and_harm(q_h, q_l, verify_rate, precision, platform, params: WelfareParams):
+    """(consumed high-quality value, convex harm from effective low-quality exposure)."""
+    x = harmful_exposure(q_l, platform, verify_rate, precision)
+    return params.value_h * platform.gamma_h * q_h, params.harm_lin * x + params.harm_quad * x * x
+
+
 def welfare_value(
     *,
     q_h: float,
@@ -323,17 +310,14 @@ def welfare_value(
     and the trust stock at its shadow value.  Exactly linear in value_h and
     lambda_trust by construction.
     """
-    w = params.welfare
-    x = harmful_exposure(q_l, platform, verify_rate, precision)
-    harm = w.harm_lin * x + w.harm_quad * x * x
-    value = w.value_h * platform.gamma_h * q_h
+    value, harm = value_and_harm(q_h, q_l, verify_rate, precision, platform, params.welfare)
     return (
         value
         - harm
         + producer_profit
         + platform_profit
         - verification_spend
-        + w.lambda_trust * trust
+        + params.welfare.lambda_trust * trust
     )
 
 
@@ -353,7 +337,7 @@ class Postures:
 
     The levers vary by lane; revenue share and ad rate are shared.  A batch
     stands in for a `PlatformState` in the lane arithmetic of the clearing
-    chain (`harmful_exposure`, `welfare_value`).
+    chain (`harmful_exposure`, `value_and_harm`).
     """
 
     gamma_h: np.ndarray
@@ -468,13 +452,13 @@ class Clearing:
         )
 
 
-def _exposure(
+def exposure(
     q_h: np.ndarray, q_l: np.ndarray, postures: Postures, populations: Populations, params: SimParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pollution, amplified exposure per agent, platform profit) of outputs, per lane.
 
     Pollution is the share of amplified, unmoderated low-quality content in
-    total amplified exposure (0 for an empty market, as `pollution_density`).
+    total amplified exposure, 0 for an empty market.
     Platform profit is the ad revenue share on amplified exposure, low
     quality monetizing at ``engagement_bias`` times a high-quality unit, net
     of the convex moderation cost.
@@ -508,7 +492,7 @@ def clear_market(
     # The min is NaN if any output is, which fails the comparison.
     if not np.minimum(q_h, q_l).min() >= 0:
         raise ValueError("outputs must be nonnegative")
-    rho, flow, plat_profit = _exposure(q_h, q_l, postures, populations, params)
+    rho, flow, plat_profit = exposure(q_h, q_l, postures, populations, params)
     fixed = solve_verification_fixed_point(
         rho, populations.consumers, provenance_boost, params=params
     )
@@ -671,12 +655,11 @@ def _lookahead(
     value/harm fragment.  The verification response is held at this tick's
     clearing within the lookahead.
     """
-    rho, flow, objective = _exposure(q_h, q_l, postures, populations, params)
+    rho, flow, objective = exposure(q_h, q_l, postures, populations, params)
     if inputs.fiduciary > 0.0:
-        wcfg = params.welfare
-        x = harmful_exposure(q_l, postures, cleared.verify_rate, cleared.precision)
-        value = wcfg.value_h * postures.gamma_h * q_h
-        harm = wcfg.harm_lin * x + wcfg.harm_quad * x * x
+        value, harm = value_and_harm(
+            q_h, q_l, cleared.verify_rate, cleared.precision, postures, params.welfare
+        )
         objective = fiduciary_objective(objective, value, harm, inputs.fiduciary)
     trust_next = [
         trust_update(trust_now, i1, f, params.trust) for i1, f in zip(rho.tolist(), flow.tolist())

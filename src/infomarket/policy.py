@@ -1,12 +1,12 @@
-"""Policy instruments: the corrective levy, fiduciary blending, provenance,
+"""Policy instruments: the per-unit levy, fiduciary blending, provenance,
 the adaptive tax controller, robust max-min selection, and scenario presets.
 
-Three instruments target the three failures: a per-unit levy on low-quality
-output prices in its marginal social damage, provenance standards raise
-public signal precision, and a fiduciary duty blends social value into the
-platform's objective.  The adaptive rule retunes the levy each tick from
-the index reading; robust selection picks the policy with the best worst
-case across candidate worlds.
+Three instruments target the three failures: a per-unit levy makes
+low-quality output dearer, provenance standards raise public signal
+precision, and a fiduciary duty blends social value into the platform's
+objective.  The levy is set by the policy or retuned each tick from the
+index reading by the adaptive rule; robust selection picks the policy with
+the best worst case across candidate worlds.
 """
 
 from __future__ import annotations
@@ -45,26 +45,6 @@ class PolicyConfig:
     @property
     def adaptive(self) -> bool:
         return self.adaptive_eta is not None and self.ipi_target is not None
-
-
-def pigouvian_tax(
-    marginal_harm: float,
-    moderation: float,
-    trust_price: float,
-    trust_sensitivity: float,
-) -> float:
-    """Per-unit levy equal to marginal social damage.
-
-    tau = d'(Q_L) * (1 - m) + lambda * |dT/dQ_L|; the trust sensitivity is
-    nonpositive (pollution erodes trust) and enters in magnitude.
-    """
-    if marginal_harm < 0:
-        raise ValueError("marginal_harm must be nonnegative")
-    if not 0 <= moderation <= 1:
-        raise ValueError("moderation must lie in [0, 1]")
-    if trust_sensitivity > 0:
-        raise ValueError("trust_sensitivity must be nonpositive")
-    return marginal_harm * (1.0 - moderation) + trust_price * abs(trust_sensitivity)
 
 
 def fiduciary_objective(
@@ -112,8 +92,7 @@ def scenario_config(scenario: str) -> ScenarioSpec:
     The six comparison scenarios implement the levy as a revenue-share
     increase (theta override), a verification subsidy (lower k_max), their
     union, a detection-capability growth boost, and a high-quality
-    efficiency boost; override magnitudes are artifact defaults.  The extra
-    "first_best" preset assembles the full instrument triple.
+    efficiency boost; override magnitudes are artifact defaults.
     """
     presets: dict[str, ScenarioSpec] = {
         "baseline": ScenarioSpec(PolicyConfig(scenario="baseline"), {}, "no intervention"),
@@ -142,18 +121,11 @@ def scenario_config(scenario: str) -> ScenarioSpec:
             {"agents.mean_prod_h": 2.6},
             "high-quality productivity boost (mean 2.0 -> 2.6)",
         ),
-        "first_best": ScenarioSpec(
-            PolicyConfig(scenario="first_best", tax_l=1.0, fiduciary=1.0, provenance_boost=0.05),
-            {},
-            "levy at planner-estimated marginal damage + provenance + full fiduciary duty",
-        ),
     }
     try:
         return presets[scenario]
     except KeyError:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; expected one of {SCENARIOS + ('first_best',)}"
-        ) from None
+        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}") from None
 
 
 @dataclass(frozen=True)
@@ -202,14 +174,3 @@ def max_min_select(
         failures=tuple(failures),
     )
 
-
-def first_best_policy(marginal_harm: float, moderation: float, trust_price: float,
-                      trust_sensitivity: float, provenance_boost: float = 0.05) -> PolicyConfig:
-    """Assemble the instrument triple at planner-estimated magnitudes."""
-    tax = pigouvian_tax(marginal_harm, moderation, trust_price, trust_sensitivity)
-    return PolicyConfig(
-        tax_l=tax,
-        fiduciary=1.0,
-        provenance_boost=provenance_boost,
-        scenario="first_best",
-    )

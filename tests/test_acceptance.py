@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from infomarket.agents import (
+    ConsumerPool,
     PlatformState,
+    ProducerPool,
     consumer_posterior,
-    producer_choice_prob,
-    unit_profit,
     verification_threshold,
 )
 from infomarket.config import SimParams
@@ -51,9 +51,12 @@ from infomarket.ipi import (
     proxy_exposure,
 )
 from infomarket.market import (
-    pollution_density,
+    Populations,
+    Postures,
+    exposure,
     signal_precision,
     solve_verification_fixed_point,
+    supply_response,
     trust_update,
     TrustParams,
     welfare_value,
@@ -150,8 +153,8 @@ def test_criterion_3_fixed_point(populations, params):
     pool = populations.consumers
 
     def residual(rho: float, v: float) -> float:
-        pi = signal_precision(rho, v, 0.0)
-        post = consumer_posterior(1.0 - rho, "H", pi)
+        pi = signal_precision(rho, v, 0.0, params.market)
+        post = consumer_posterior(1.0 - rho, pi)
         return pool.cdf(verification_threshold(post, 0.5, 2.0)) - v
 
     v_star, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
@@ -315,33 +318,51 @@ def test_criterion_11_ipi_algebra_and_trivial_examples():
                          2.0 * unit_cost(tech_l, FactorPrices(1.0, 8.0)), 1e-10))
     checks.append(approx(cost_share_ai(sym, FactorPrices(1.0, 1.0)), 0.5))
 
-    # agents trivials
-    checks.append(approx(producer_choice_prob(3.0, 3.0, 2.0), 0.5))
-    checks.append(approx(producer_choice_prob(5.0, -5.0, 0.0), 0.5))
+    # agents trivials, the logit and margins through one producer of unit
+    # productivity under one posture, whose unit margin is (1 - 0.25) * 4 * gamma
     platform = PlatformState(gamma_h=1.0, gamma_l=1.0, moderation=0.0,
                              revenue_share=0.25, ad_rate=4.0, lr_gamma=0.0,
                              lr_mod=0.0, trust_price=0.0)
-    checks.append(approx(unit_profit("H", platform, cost=3.0), 0.0))
-    checks.append(approx(
-        unit_profit("L", platform, cost=1.0) - unit_profit("L", platform, cost=1.0, tax=0.5),
-        0.5))
-    checks.append(approx(consumer_posterior(0.37, "H", 0.5), 0.37))
-    checks.append(approx(consumer_posterior(0.5, "H", 0.8), 0.8))
+    posture = Postures.of([platform])
+
+    def supply(cost_h, cost_l, tax=0.0, rationality=1.0):
+        pool = ProducerPool(prod_h=[1.0], prod_l=[1.0], rationality=rationality)
+        return supply_response(pool, posture, cost_h_base=cost_h, cost_l_base=cost_l,
+                               gen_boost=1.0, tax=tax)
+
+    # equal profits (3 - 0 each) split evenly; rationality 0 is a fair coin
+    checks.append(approx(supply(0.0, 0.0, rationality=2.0).q_h[0], 0.5))
+    checks.append(approx(supply(0.0, 8.0, rationality=0.0).q_h[0], 0.5))
+    # break-even at cost 3: a margin gap of 1e3 at rationality 1e3 makes
+    # the choice certain, so producer surplus is the high-quality margin
+    checks.append(approx(supply(3.0, 1e3, rationality=1e3).producer_profit[0], 0.0))
+    # a levy of 0.5 lowers the low-quality margin by 0.5: it ties with 3 - 1.5
+    checks.append(approx(supply(1.5, 1.0, tax=0.5).q_h[0], 0.5))
+    checks.append(approx(consumer_posterior(0.37, 0.5), 0.37))
+    checks.append(approx(consumer_posterior(0.5, 0.8), 0.8))
     checks.append(approx(verification_threshold(0.7, 1.1, 1.1), 1.1))
     checks.append(approx(verification_threshold(1.0, 0.5, 2.0), 0.5))
 
     # market trivials
-    checks.append(pollution_density(5.0, 0.0, platform) == 0.0)
+    params = SimParams()
+    populations = Populations(ProducerPool([1.0], [1.0], 1.0), ConsumerPool([1.0]))
+
+    def pollution(q_h, q_l, platform):
+        rho, _, _ = exposure(np.array([q_h]), np.array([q_l]), Postures.of([platform]),
+                             populations, params)
+        return rho[0]
+
+    checks.append(pollution(5.0, 0.0, platform) == 0.0)
     m_full = replace(platform, moderation=1.0)
-    checks.append(pollution_density(1.0, 9.0, m_full) == 0.0)
-    checks.append(approx(pollution_density(2.0, 2.0, platform), 0.5))
-    checks.append(approx(signal_precision(0.0, 0.0, 0.0), 0.85))
-    checks.append(signal_precision(1.0, 0.0, 0.0, kappa_pollution=9.0) == 0.5)
+    checks.append(pollution(1.0, 9.0, m_full) == 0.0)
+    checks.append(approx(pollution(2.0, 2.0, platform), 0.5))
+    checks.append(approx(signal_precision(0.0, 0.0, 0.0, params.market), 0.85))
+    steep = replace(params.market, kappa_pollution=9.0)
+    checks.append(signal_precision(1.0, 0.0, 0.0, steep) == 0.5)
     cfg = TrustParams(decay=0.05, pollution_hit=0.2, repair_gain=1.0,
                       repair_flow=0.0, t_max=1.0)
     checks.append(approx(trust_update(0.8, 0.0, 0.0, cfg), 0.76))
     checks.append(trust_update(0.0, 1.0, 5.0, cfg) == 0.0)
-    params = SimParams()
     checks.append(
         welfare_value(q_h=0.0, q_l=0.0, verify_rate=0.0, precision=0.85, trust=0.0,
                       platform=platform, producer_profit=0.0, platform_profit=0.0,

@@ -15,11 +15,10 @@ from infomarket.agents import (
     draw_consumers,
     draw_producers,
     platform_update,
-    producer_choice_prob,
-    unit_profit,
     verification_threshold,
 )
-from infomarket.errors import TaxOnHighQuality
+from infomarket.config import SimParams
+from infomarket.market import Postures, _base_costs, supply_response
 
 E_OVER_1PE = 0.73105857863000487925  # e/(1+e), 50-digit evaluation
 UNIT_COST_L = 2.803374574213722369  # sigma=1.5, delta=0.65, A=1, r=1, w=8
@@ -30,80 +29,104 @@ PLATFORM = PlatformState(
 )
 
 
+def one_producer(gamma_h=1.0, gamma_l=1.0, cost_h=0.0, cost_l=0.0, tax=0.0, rationality=1.0):
+    """`supply_response` of one producer of unit productivity under one posture
+    (revenue share 0.25, ad rate 4): its q_h is the producer's probability of
+    choosing high quality, its producer profit the expected pre-tax margin."""
+    posture = Postures(np.array([gamma_h]), np.array([gamma_l]), np.array([0.0]), 0.25, 4.0)
+    pool = ProducerPool(prod_h=[1.0], prod_l=[1.0], rationality=rationality)
+    return supply_response(pool, posture, cost_h_base=cost_h, cost_l_base=cost_l, gen_boost=1.0,
+                           tax=tax)
+
+
+def choice_prob(profit_h: float, profit_l: float, rationality: float) -> float:
+    """The logit choice at the given unit profits: with zero amplification the
+    margins are 0, so cost bases of -profit give unit profits of profit exactly."""
+    supply = one_producer(0.0, 0.0, cost_h=-profit_h, cost_l=-profit_l, rationality=rationality)
+    return float(supply.q_h[0])
+
+
+def margin(**kw) -> float:
+    """Expected pre-tax unit profit of the one producer (see `one_producer`)."""
+    return float(one_producer(**kw).producer_profit[0])
+
+
 class TestChoiceProb:
     def test_equal_payoffs(self):
-        assert producer_choice_prob(2.0, 2.0, 1.7) == pytest.approx(0.5)
+        assert choice_prob(2.0, 2.0, 1.7) == pytest.approx(0.5)
 
     def test_zero_rationality(self):
-        assert producer_choice_prob(100.0, -50.0, 0.0) == pytest.approx(0.5)
+        assert choice_prob(100.0, -50.0, 0.0) == pytest.approx(0.5)
 
     def test_unit_gap_oracle(self):
-        assert producer_choice_prob(1.0, 0.0, 1.0) == pytest.approx(E_OVER_1PE, rel=1e-12)
+        assert choice_prob(1.0, 0.0, 1.0) == pytest.approx(E_OVER_1PE, rel=1e-12)
 
     def test_extreme_inputs_stay_finite(self):
-        assert producer_choice_prob(1e6, -1e6, 10.0) == pytest.approx(1.0)
-        assert producer_choice_prob(-1e6, 1e6, 10.0) == pytest.approx(0.0)
+        assert choice_prob(1e6, -1e6, 10.0) == pytest.approx(1.0)
+        assert choice_prob(-1e6, 1e6, 10.0) == pytest.approx(0.0)
 
     @given(
         a=st.floats(-50, 50), b=st.floats(-50, 50), beta=st.floats(0, 20)
     )
     @settings(max_examples=300, deadline=None)
     def test_complement_sums_to_one(self, a, b, beta):
-        total = producer_choice_prob(a, b, beta) + producer_choice_prob(b, a, beta)
+        total = choice_prob(a, b, beta) + choice_prob(b, a, beta)
         assert abs(total - 1.0) <= 1e-12
 
     def test_sharp_rationality_approaches_indicator(self):
-        assert producer_choice_prob(1.0, 0.0, 1e3) > 1 - 1e-9
-        assert producer_choice_prob(0.0, 1.0, 1e3) < 1e-9
+        assert choice_prob(1.0, 0.0, 1e3) > 1 - 1e-9
+        assert choice_prob(0.0, 1.0, 1e3) < 1e-9
 
     def test_monotone_in_profits(self):
-        probs = [producer_choice_prob(x, 0.0, 1.0) for x in (-1.0, 0.0, 1.0, 2.0)]
+        probs = [choice_prob(x, 0.0, 1.0) for x in (-1.0, 0.0, 1.0, 2.0)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
-        probs_l = [producer_choice_prob(0.0, x, 1.0) for x in (-1.0, 0.0, 1.0)]
+        probs_l = [choice_prob(0.0, x, 1.0) for x in (-1.0, 0.0, 1.0)]
         assert all(a > b for a, b in zip(probs_l, probs_l[1:]))
 
 
 class TestUnitProfit:
+    # At rationality 1e3 a margin gap of 1 or more clips the logit at 700, so
+    # the producer picks the better type with probability exactly 1.
+
     def test_exact_break_even(self):
-        platform = PlatformState(
-            gamma_h=1.0, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-            ad_rate=4.0, lr_gamma=0.0, lr_mod=0.0, trust_price=0.0,
-        )
-        assert unit_profit("H", platform, cost=3.0) == pytest.approx(0.0)
+        # (1 - 0.25) * 4 * 1 - 3 = 0 on high quality
+        assert margin(cost_h=3.0, cost_l=1e3, rationality=1e3) == 0.0
 
     def test_composed_with_ces_cost(self):
         # (1 - 0.25) * 4 * 1 - c_L at the table parameters
-        got = unit_profit("L", PLATFORM, cost=UNIT_COST_L)
+        _, cost_l = _base_costs(SimParams(), 1.0)
+        assert cost_l == pytest.approx(UNIT_COST_L, rel=1e-12)
+        got = margin(cost_h=1e3, cost_l=cost_l, rationality=1e3)
         assert got == pytest.approx(3.0 - UNIT_COST_L, rel=1e-12)
         assert got == pytest.approx(0.196625425786278, rel=1e-12)
 
     def test_tax_wedge_is_linear(self):
-        base = unit_profit("L", PLATFORM, cost=1.0, tax=0.0)
-        taxed = unit_profit("L", PLATFORM, cost=1.0, tax=0.5)
-        assert base - taxed == pytest.approx(0.5, rel=1e-12)
-
-    def test_tax_on_high_quality_rejected(self):
-        with pytest.raises(TaxOnHighQuality):
-            unit_profit("H", PLATFORM, cost=1.0, tax=0.1)
+        # Producers choose on the margin net of the levy: a levy of 0.5 moves
+        # them as a cost 0.5 higher does, and a 1.5 high-quality margin ties
+        # with the taxed low-quality one.
+        taxed = one_producer(cost_h=1.5, cost_l=1.0, tax=0.5)
+        assert taxed.q_h[0] == one_producer(cost_h=1.5, cost_l=1.5).q_h[0] == 0.5
+        # Producer surplus is pre-tax: the levy is a transfer.
+        kw = dict(cost_h=1e3, cost_l=1.0, rationality=1e3)
+        assert margin(tax=0.5, **kw) == margin(**kw) == 2.0
 
 
 class TestPosterior:
     def test_uninformative_signal_returns_prior(self):
         for prior in (0.0, 0.3, 0.9, 1.0):
-            assert consumer_posterior(prior, "H", 0.5) == pytest.approx(prior)
-            assert consumer_posterior(prior, "L", 0.5) == pytest.approx(prior)
+            assert consumer_posterior(prior, 0.5) == pytest.approx(prior)
 
     def test_flat_prior_good_signal(self):
-        assert consumer_posterior(0.5, "H", 0.8) == pytest.approx(0.8)
+        assert consumer_posterior(0.5, 0.8) == pytest.approx(0.8)
 
     def test_hand_bayes_oracle(self):
-        # 0.6 * 0.1 / (0.6 * 0.1 + 0.4 * 0.9) = 1/7
-        assert consumer_posterior(0.6, "L", 0.9) == pytest.approx(1.0 / 7.0, rel=1e-12)
+        # 0.4 * 0.9 / (0.4 * 0.9 + 0.6 * 0.1) = 6/7
+        assert consumer_posterior(0.4, 0.9) == pytest.approx(6.0 / 7.0, rel=1e-12)
 
     def test_monotone_in_prior_and_precision(self):
-        posts = [consumer_posterior(p, "H", 0.8) for p in (0.1, 0.4, 0.7)]
+        posts = [consumer_posterior(p, 0.8) for p in (0.1, 0.4, 0.7)]
         assert posts == sorted(posts)
-        by_prec = [consumer_posterior(0.4, "H", pi) for pi in (0.5, 0.7, 0.95)]
+        by_prec = [consumer_posterior(0.4, pi) for pi in (0.5, 0.7, 0.95)]
         assert by_prec == sorted(by_prec)
 
 

@@ -420,9 +420,30 @@ class TestCli:
         ("market.fp_tol", "-1"),
         ("welfare.harm_lin", "nan"),
         ("platform.fd_step", "inf"),
+        ("ipi.cap_det_growth", "-1"),
+        ("ipi.cap_det_growth", "-2"),
+        ("ipi.cap_gen_growth", "-2"),
+        ("proxy.items_per_type", "0"),
+        ("proxy.items_per_type", "-1"),
+        ("proxy.detector_acc_base", "0"),
+        ("proxy.detector_acc_base", "1.5"),
+        ("proxy.churn_base_floor", "-1"),
+        ("proxy.churn_base_floor", "0"),  # at full trust the churn baseline is the floor
+        ("proxy.churn_trust_slope", "-1"),
+        ("proxy.harm_rate_fraud", "-1"),
+        ("proxy.churn_gap_coef", "100"),
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
+
+    def test_weight_sensitivity_rejects_endogenous_weights(self, tmp_path, capsys):
+        # Endogenous weights would replace all six weight sets alike.
+        code = main([
+            "weight-sensitivity", "--ticks", "3", "--out", str(tmp_path / "x"),
+            "--ipi.endogenous_weights", "true",
+        ])
+        assert code == 2
+        assert "ipi.endogenous_weights" in capsys.readouterr().err
 
     def test_gamma_init_bound_follows_gamma_max(self):
         with pytest.raises(ConfigError):

@@ -18,6 +18,7 @@ from infomarket.harness import (
     sweep_cells,
 )
 from infomarket.ipi import endogenous_weights
+from infomarket.market import Postures, exposure
 from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
@@ -174,20 +175,12 @@ class TestNoiseProtocol:
 
 
 class TestRecordInvariants:
-    def test_pollution_consistent_with_row_posture(self, baseline_150):
-        from infomarket.agents import PlatformState
-
-        for row in baseline_150.rows:
-            posture = PlatformState(
-                gamma_h=row.gamma_h, gamma_l=row.gamma_l, moderation=row.m,
-                revenue_share=0.25, ad_rate=4.0, lr_gamma=0.0, lr_mod=0.0,
-                trust_price=0.0,
-            )
-            from infomarket.market import pollution_density
-
-            assert row.pollution == pytest.approx(
-                pollution_density(row.q_h, row.q_l, posture), rel=1e-12
-            )
+    def test_pollution_consistent_with_row_posture(self, baseline_150, populations, params):
+        col = baseline_150.column
+        postures = Postures(col("gamma_h"), col("gamma_l"), col("m"), 0.25, 4.0)
+        rho, _, _ = exposure(col("q_h"), col("q_l"), postures, populations, params)
+        for row, expected in zip(baseline_150.rows, rho.tolist()):
+            assert row.pollution == pytest.approx(expected, rel=1e-12)
 
     def test_tick_column_monotone(self, baseline_150):
         ticks = [r.tick for r in baseline_150.rows]

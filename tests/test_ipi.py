@@ -17,7 +17,6 @@ from infomarket.ipi import (
     SyntheticEventLog,
     composite,
     dim_deadweight,
-    dim_pollution,
     dim_tech_risk,
     dim_trust_decay,
     endogenous_weights,
@@ -28,7 +27,7 @@ from infomarket.ipi import (
     proxy_harm,
     synthesize_log,
 )
-from infomarket.market import MarketState, pollution_density
+from infomarket.market import MarketState, Postures, exposure
 
 mp.mp.dps = 50
 
@@ -43,10 +42,6 @@ def make_platform(**kwargs) -> PlatformState:
 
 
 class TestDimensions:
-    def test_pollution_delegates_to_market(self):
-        platform = make_platform(gamma_l=1.7, moderation=0.2)
-        assert dim_pollution(3.0, 9.0, platform) == pollution_density(3.0, 9.0, platform)
-
     def test_deadweight_endpoints_and_midpoint(self):
         assert dim_deadweight(100.0, 100.0, 20.0) == pytest.approx(0.0)
         assert dim_deadweight(20.0, 100.0, 20.0) == pytest.approx(1.0)
@@ -214,16 +209,18 @@ class TestProxies:
 
 
 class TestSynthesizeLog:
-    def _state(self, q_h=10.0, q_l=30.0, pollution=None, trust=0.4):
+    def _state(self, populations, params, q_h=10.0, q_l=30.0, trust=0.4):
         platform = make_platform()
-        rho = pollution_density(q_h, q_l, platform) if pollution is None else pollution
+        (rho,), _, _ = exposure(
+            np.array([q_h]), np.array([q_l]), Postures.of([platform]), populations, params
+        )
         return MarketState(
             tick=5, q_h=q_h, q_l=q_l, pollution=rho, verify_rate=0.3,
             precision=0.75, trust=trust, welfare=100.0,
         ), platform
 
-    def test_zero_noise_is_deterministic_without_consuming_randomness(self, params):
-        state, platform = self._state()
+    def test_zero_noise_is_deterministic_without_consuming_randomness(self, params, populations):
+        state, platform = self._state(populations, params)
         rng1 = np.random.default_rng(5)
         rng2 = np.random.default_rng(5)
         a = synthesize_log(state, platform, rng1, 0.0, params=params)
@@ -232,23 +229,23 @@ class TestSynthesizeLog:
         # noise 0 draws nothing, so the stream is untouched
         assert rng1.uniform() == np.random.default_rng(5).uniform()
 
-    def test_same_seed_same_noisy_log(self, params):
-        state, platform = self._state()
+    def test_same_seed_same_noisy_log(self, params, populations):
+        state, platform = self._state(populations, params)
         a = synthesize_log(state, platform, np.random.default_rng(9), 0.2, params=params)
         b = synthesize_log(state, platform, np.random.default_rng(9), 0.2, params=params)
         assert a == b
 
-    def test_exposure_proxy_coheres_with_pollution_dimension(self, params):
-        state, platform = self._state(q_h=7.0, q_l=13.0)
+    def test_exposure_proxy_coheres_with_pollution_dimension(self, params, populations):
+        state, platform = self._state(populations, params, q_h=7.0, q_l=13.0)
         log = synthesize_log(state, platform, np.random.default_rng(0), 0.0, params=params)
         assert abs(proxy_exposure(log) - state.pollution) < 1e-9
 
-    def test_zero_pollution_means_zero_exposure(self, params):
-        state, platform = self._state(q_h=10.0, q_l=0.0)
+    def test_zero_pollution_means_zero_exposure(self, params, populations):
+        state, platform = self._state(populations, params, q_h=10.0, q_l=0.0)
         log = synthesize_log(state, platform, np.random.default_rng(0), 0.0, params=params)
         assert proxy_exposure(log) == 0.0
 
-    def test_proxy_composite_in_unit_interval(self, params):
-        state, platform = self._state()
+    def test_proxy_composite_in_unit_interval(self, params, populations):
+        state, platform = self._state(populations, params)
         log = synthesize_log(state, platform, np.random.default_rng(3), 0.2, params=params)
         assert 0.0 <= proxy_composite(log) <= 1.0

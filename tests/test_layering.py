@@ -63,3 +63,45 @@ def test_no_function_level_intra_package_import():
         for target in _intra_imports(node)
     }
     assert found == set()
+
+
+# Public names that no code in `src/` calls, kept on purpose.
+UNREFERENCED_OK = {
+    # Reference kernel of acceptance criteria 1 and 11: the closed-form factor ratio.
+    ("econ", "factor_ratio"),
+    # Reference kernel of acceptance criterion 1: the finite-difference elasticity.
+    ("econ", "log_cost_elasticity_fd"),
+    # Reference kernel of acceptance criterion 1: the cost-share ordering over a price grid.
+    ("econ", "cost_asymmetry_report"),
+}
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every name and attribute the node's subtree reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_public_definition_is_used_in_src():
+    # A formula only tests call is a copy the simulator does not run.
+    trees = _trees()
+    unused = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            elsewhere = set().union(*(
+                _referenced_names(other)
+                for owner, other_tree in trees.items()
+                for other in other_tree.body
+                if not (owner == module and other is node)
+            ))
+            if node.name not in elsewhere:
+                unused.add((module, node.name))
+    assert unused - UNREFERENCED_OK == set()
+    assert UNREFERENCED_OK <= unused  # an allowlisted name that gained a caller leaves the list

@@ -22,8 +22,8 @@ from infomarket.market import (
     _base_costs,
     _platform_from_params,
     clear_market,
+    exposure,
     harmful_exposure,
-    pollution_density,
     signal_precision,
     solve_verification_fixed_point,
     static_equilibrium_welfare,
@@ -44,27 +44,35 @@ def make_platform(**kwargs) -> PlatformState:
     return PlatformState(**defaults)
 
 
+def pollution(q_h, q_l, platform, populations, params) -> float:
+    """Pollution of one lane, as the clearing computes it."""
+    rho, _, _ = exposure(
+        np.array([q_h]), np.array([q_l]), Postures.of([platform]), populations, params
+    )
+    return float(rho[0])
+
+
 class TestPollutionDensity:
-    def test_no_low_quality_means_clean(self):
-        assert pollution_density(5.0, 0.0, make_platform()) == 0.0
+    def test_no_low_quality_means_clean(self, populations, params):
+        assert pollution(5.0, 0.0, make_platform(), populations, params) == 0.0
 
-    def test_full_moderation_means_clean(self):
-        assert pollution_density(1.0, 50.0, make_platform(moderation=1.0)) == 0.0
+    def test_full_moderation_means_clean(self, populations, params):
+        assert pollution(1.0, 50.0, make_platform(moderation=1.0), populations, params) == 0.0
 
-    def test_symmetric_case(self):
-        assert pollution_density(3.0, 3.0, make_platform()) == pytest.approx(0.5)
+    def test_symmetric_case(self, populations, params):
+        assert pollution(3.0, 3.0, make_platform(), populations, params) == pytest.approx(0.5)
 
-    def test_empty_market_convention(self):
-        assert pollution_density(0.0, 0.0, make_platform()) == 0.0
+    def test_empty_market_convention(self, populations, params):
+        assert pollution(0.0, 0.0, make_platform(), populations, params) == 0.0
 
     @given(
         q_h=st.floats(0, 1e4), q_l=st.floats(0, 1e4),
         gamma_h=st.floats(0, 2), gamma_l=st.floats(0, 2), m=st.floats(0, 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bounds_and_zero_iff(self, q_h, q_l, gamma_h, gamma_l, m):
+    def test_bounds_and_zero_iff(self, populations, params, q_h, q_l, gamma_h, gamma_l, m):
         platform = make_platform(gamma_h=gamma_h, gamma_l=gamma_l, moderation=m)
-        rho = pollution_density(q_h, q_l, platform)
+        rho = pollution(q_h, q_l, platform, populations, params)
         assert 0.0 <= rho <= 1.0
         effective_low = gamma_l * (1 - m) * q_l
         if effective_low == 0.0:
@@ -74,22 +82,26 @@ class TestPollutionDensity:
 
 
 class TestSignalPrecision:
+    MARKET = SimParams().market
+
     def test_clean_baseline(self):
-        assert signal_precision(0.0, 0.0, 0.0) == pytest.approx(0.85)
+        assert signal_precision(0.0, 0.0, 0.0, self.MARKET) == pytest.approx(0.85)
 
     def test_floor_clamp(self):
-        assert signal_precision(1.0, 0.0, 0.0, kappa_pollution=5.0) == 0.5
+        steep = replace(self.MARKET, kappa_pollution=5.0)
+        assert signal_precision(1.0, 0.0, 0.0, steep) == 0.5
 
     def test_ceiling_clamp(self):
-        assert signal_precision(0.0, 1.0, 0.5) == 1.0
+        assert signal_precision(0.0, 1.0, 0.5, self.MARKET) == 1.0
 
     def test_default_affine_form(self):
         # 0.85 - 0.3 * 0.5 + 0.1 * 0.4 = 0.74
-        assert signal_precision(0.5, 0.4, 0.0) == pytest.approx(0.74, rel=1e-12)
+        assert signal_precision(0.5, 0.4, 0.0, self.MARKET) == pytest.approx(0.74, rel=1e-12)
 
     def test_interior_monotonicity(self):
-        assert signal_precision(0.6, 0.2, 0.0) < signal_precision(0.4, 0.2, 0.0)
-        assert signal_precision(0.4, 0.4, 0.0) > signal_precision(0.4, 0.1, 0.0)
+        mk = self.MARKET
+        assert signal_precision(0.6, 0.2, 0.0, mk) < signal_precision(0.4, 0.2, 0.0, mk)
+        assert signal_precision(0.4, 0.4, 0.0, mk) > signal_precision(0.4, 0.1, 0.0, mk)
 
 
 class TestConsumerPool:
@@ -138,8 +150,8 @@ class TestVerificationFixedPoint:
     def test_residual_meets_tolerance(self, params, populations):
         pool = populations.consumers
         v, precision = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
-        pi = signal_precision(0.6, v, 0.0)
-        post = consumer_posterior(1.0 - 0.6, "H", pi)
+        pi = signal_precision(0.6, v, 0.0, params.market)
+        post = consumer_posterior(1.0 - 0.6, pi)
         mapped = pool.cdf(verification_threshold(post, 0.5, 2.0))
         assert abs(mapped - v) < 1e-8
         assert precision == pytest.approx(pi)
@@ -148,8 +160,8 @@ class TestVerificationFixedPoint:
         pool = populations.consumers
 
         def mapping(v: float) -> float:
-            pi = signal_precision(0.6, v, 0.0)
-            post = consumer_posterior(0.4, "H", pi)
+            pi = signal_precision(0.6, v, 0.0, params.market)
+            post = consumer_posterior(0.4, pi)
             return pool.cdf(verification_threshold(post, 0.5, 2.0))
 
         grid = np.linspace(0.0, 1.0, 100_001)
@@ -271,12 +283,11 @@ def assert_on_grid_crossing(v, gap):
 
 def mapping(rho, provenance, pool, params):
     """T(V) of the verification fixed point, elementwise over V."""
-    mk, ag = params.market, params.agents
+    ag = params.agents
 
     def t(v):
-        pi = signal_precision(rho, v, provenance, pi_base=mk.pi_base,
-                              kappa_pollution=mk.kappa_pollution, kappa_verify=mk.kappa_verify)
-        post = consumer_posterior(1.0 - rho, "H", pi)
+        pi = signal_precision(rho, v, provenance, params.market)
+        post = consumer_posterior(1.0 - rho, pi)
         return pool.cdf(verification_threshold(post, ag.du_h, ag.du_l))
 
     return t

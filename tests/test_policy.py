@@ -12,30 +12,9 @@ from infomarket.policy import (
     PolicyConfig,
     adaptive_tax,
     fiduciary_objective,
-    first_best_policy,
     max_min_select,
-    pigouvian_tax,
     scenario_config,
 )
-
-
-class TestPigouvianTax:
-    def test_no_externality_no_tax(self):
-        assert pigouvian_tax(0.0, 0.5, 0.0, -0.1) == 0.0
-
-    def test_full_moderation_absorbs_direct_harm(self):
-        assert pigouvian_tax(0.8, 1.0, 0.0, -0.1) == 0.0
-
-    def test_direct_evaluation(self):
-        # 0.8 * (1 - 0.2) + 10 * |−0.01| = 0.74
-        assert pigouvian_tax(0.8, 0.2, 10.0, -0.01) == pytest.approx(0.74, rel=1e-12)
-
-    def test_positive_trust_sensitivity_rejected(self):
-        with pytest.raises(ValueError):
-            pigouvian_tax(0.8, 0.2, 10.0, 0.01)
-
-    def test_nonnegative(self):
-        assert pigouvian_tax(0.0, 0.0, 5.0, 0.0) == 0.0
 
 
 class TestFiduciaryObjective:
@@ -102,20 +81,14 @@ class TestScenarioConfig:
         for key, value in {**pig, **sub}.items():
             assert joint[key] == value
 
-    def test_all_six_plus_first_best_resolve(self):
-        for scenario in SCENARIOS + ("first_best",):
+    def test_all_six_resolve(self):
+        for scenario in SCENARIOS:
             spec = scenario_config(scenario)
             assert spec.policy.scenario == scenario
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
             scenario_config("laissez_faire")
-
-    def test_first_best_assembly(self):
-        policy = first_best_policy(0.8, 0.2, 10.0, -0.01)
-        assert policy.tax_l == pytest.approx(0.74)
-        assert policy.fiduciary == 1.0
-        assert policy.provenance_boost > 0
 
 
 class TestPolicyConfigValidation:
