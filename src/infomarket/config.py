@@ -108,7 +108,10 @@ class PlatformParams:
                f"lie in [0, platform.gamma_max = {self.gamma_max!r}]")
         _bound(self, "platform", "moderation_init", lambda v: 0 <= v <= 1, "lie in [0, 1]")
         _bound(self, "platform", "ad_rate", _positive, "be positive")
-        _bound(self, "platform", "lr_gamma lr_mod trust_price", _nonnegative, "be nonnegative")
+        _bound(self, "platform", "lr_gamma lr_mod trust_price moderation_cost engagement_bias",
+               _nonnegative, "be nonnegative")
+        # At 0 every finite-difference probe is the posted posture, and the platform freezes.
+        _bound(self, "platform", "fd_step", _positive, "be positive")
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,10 @@ class IpiParams:
                "be nonnegative")
         if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:
             raise ConfigError(f"ipi.w_* must sum to 1, got {sum(self.weights)!r}")
-        _bound(self, "ipi", "sigma_tech", _positive, "be positive")
+        # At 0 every welfare response is flat, and the weights fall back to the fixed ones.
+        _bound(self, "ipi", "sigma_tech weight_perturbation", _positive, "be positive")
+        # A negative top levy would make the anchor lattice search subsidies.
+        _bound(self, "ipi", "anchor_tax_max", _nonnegative, "be nonnegative")
         # A stock that grows by a factor of 1 + rate must stay positive.
         _bound(self, "ipi", "cap_gen_growth cap_det_growth", lambda v: v > -1,
                "be above -1")

@@ -804,42 +804,33 @@ def run_noise(
 ) -> dict[str, Any]:
     """Proxy-index measurement error and volatility under multiplicative noise.
 
-    Dynamics are independent of measurement noise, so each trial seed runs
-    the market once and synthesizes logs per noise level; the error is the
-    mean absolute gap to the same trial's noise-free proxy index.
+    Dynamics are independent of measurement noise, so the market runs once.
+    Noise 0 draws nothing, so one noise-free proxy index serves every trial;
+    each (level, trial) synthesizes one noisy log of the whole series, and
+    the error is the mean absolute gap to the noise-free index.
     """
     params = cfg.params()
     levels = list(noise_levels) if noise_levels is not None else [0.0, 0.05, 0.1, 0.2]
     weights = params.ipi.weights
     sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
-    states = []
+    series = []
     for _ in range(cfg.max_ticks):
         sim.advance()
-        states.append((sim.state, sim.platform, sim.cap_gen, sim.cap_det))
-
-    def proxy_series(noise: float, rng: np.random.Generator) -> np.ndarray:
-        vals = []
-        for state, platform, cap_gen, cap_det in states:
-            log = synthesize_log(
-                state, platform, rng, noise,
-                cap_gen=cap_gen, cap_det=cap_det, params=params,
-            )
-            vals.append(proxy_composite(log, weights))
-        return np.array(vals)
+        series.append((sim.state, sim.platform, sim.cap_gen, sim.cap_det))
+    noise_free = proxy_composite(synthesize_log(series, params), weights) if series else None
 
     rows = []
     for li, level in enumerate(levels):
         errors = []
         vols = []
-        for trial in range(trials):
+        # An empty series has no error or volatility.
+        for trial in range(trials if series else 0):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.master_seed, 11, li, trial])
             )
-            noise_free = proxy_series(0.0, rng)
-            noisy = proxy_series(level, rng)
-            if len(noisy):  # an empty series has no error or volatility
-                errors.append(float(np.mean(np.abs(noisy - noise_free))))
-                vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else 0.0)
+            noisy = proxy_composite(synthesize_log(series, params, level, rng), weights)
+            errors.append(float(np.mean(np.abs(noisy - noise_free))))
+            vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else 0.0)
         rows.append((level, _mean_or_nan(errors), _mean_or_nan(vols)))
     report = {
         "experiment": "noise_robustness",

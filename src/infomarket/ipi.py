@@ -10,6 +10,8 @@ opt-in mode.
 Each dimension has an observable proxy computable from a platform event
 log; `synthesize_log` bridges the simulator to that estimator surface so
 the measurement layer can be stress-tested under noise without real data.
+A log covers a whole series with one row per tick, and each proxy returns
+one value per tick.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .agents import PlatformState
 from .config import WEIGHT_TOL, IpiParams, SimParams
 from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from .market import harmful_exposure
+from .market import MarketState, Postures, _clamp, amplified, harmful_exposure
 
 logger = logging.getLogger(__name__)
 
@@ -79,9 +81,7 @@ def dim_trust_decay(trust: float, t_max: float) -> float:
     return (t_max - trust) / t_max
 
 
-def dim_tech_risk(
-    cap_gen: float, cap_det: float, mu_tech: float = 0.0, sigma_tech: float = 1.0
-) -> float:
+def dim_tech_risk(cap_gen: float, cap_det: float, mu_tech: float, sigma_tech: float) -> float:
     """Saturating transform of the generation-vs-detection capability log-ratio."""
     if cap_gen <= 0 or cap_det <= 0:
         raise ValueError("capability stocks must be positive")
@@ -91,13 +91,13 @@ def dim_tech_risk(
     return 0.5 * (1.0 + math.tanh(z))
 
 
-def composite(dims: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted combination of the four dimensions."""
+def composite(dims: Sequence, weights: Sequence[float]) -> float | np.ndarray:
+    """Weighted combination of the four dimensions, each a float or an array of them."""
     if len(dims) != 4 or len(weights) != 4:
         raise ValueError("expected four dimensions and four weights")
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > WEIGHT_TOL:
         raise WeightSumViolation(f"weights must be nonnegative and sum to 1: {tuple(weights)}")
-    return float(sum(w * d for w, d in zip(weights, dims)))
+    return sum(w * d for w, d in zip(weights, dims))
 
 
 class DimensionContext(Protocol):
@@ -112,7 +112,7 @@ class DimensionContext(Protocol):
 
 
 def endogenous_weights(
-    context: DimensionContext, perturbation: float = 0.01
+    context: DimensionContext, perturbation: float
 ) -> tuple[tuple[float, float, float, float], bool]:
     """Welfare-sensitivity weights: |dW/dI_j| normalized to sum one.
 
@@ -134,162 +134,132 @@ def endogenous_weights(
 # -- proxy estimator surface -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChurnCohorts:
-    churn_high: float
-    churn_low: float
-    churn_base: float
+@dataclass(frozen=True, eq=False)
+class SyntheticEventLog:
+    """A platform event log over a series, one row per tick.
 
-    def __post_init__(self) -> None:
-        for name in ("churn_high", "churn_low", "churn_base"):
-            rate = getattr(self, name)
-            if not 0 <= rate <= 1:
-                raise ValueError(f"{name} out of [0, 1]: {rate}")
+    Impression counts per item (high-quality items first, then as many
+    low-quality ones), clickbait, misinformation and fraud feedback counts
+    with their severities, the churn rates of the high-exposure,
+    low-exposure and baseline cohorts, and detector accuracy on new
+    generators against the benchmark accuracy.
+    """
 
-
-@dataclass(frozen=True)
-class DetectorReport:
-    acc_new: float
+    impressions: np.ndarray
+    feedback: np.ndarray
+    severities: tuple[float, float, float]
+    churn: np.ndarray
+    acc_new: np.ndarray
     acc_base: float
 
     def __post_init__(self) -> None:
+        if (self.impressions < 0).any():
+            raise ValueError("impression counts must be nonnegative")
+        if (self.feedback < 0).any():
+            raise ValueError("feedback counts must be nonnegative")
+        if not ((0 <= self.churn) & (self.churn <= 1)).all():
+            raise ValueError("churn rates must lie in [0, 1]")
         if not 0 < self.acc_base <= 1:
             raise ValueError("acc_base must lie in (0, 1]")
-        if not 0 <= self.acc_new <= 1:
+        if not ((0 <= self.acc_new) & (self.acc_new <= 1)).all():
             raise ValueError("acc_new must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SyntheticEventLog:
-    """A platform event log: impressions, harm feedback, churn cohorts, detector scores."""
+def _per_impression(log: SyntheticEventLog, counts: np.ndarray) -> np.ndarray:
+    """Per tick, the counts over all impressions; 0 on a tick without impressions.
 
-    impressions: tuple[tuple[int, bool, float], ...]  # (item id, is low quality, count)
-    feedback: tuple[tuple[str, float, float], ...]  # (harm type, severity, count)
-    cohorts: ChurnCohorts
-    detector: DetectorReport
-
-    def __post_init__(self) -> None:
-        if any(count < 0 for _, _, count in self.impressions):
-            raise ValueError("impression counts must be nonnegative")
-        if any(count < 0 for _, _, count in self.feedback):
-            raise ValueError("feedback counts must be nonnegative")
+    Both sums add item by item, as Python's sum does.
+    """
+    none = np.zeros(len(log.impressions))
+    total = sum(log.impressions.T, none)
+    empty = total == 0.0
+    return np.where(empty, 0.0, sum(counts.T, none) / (total + empty))
 
 
-def proxy_exposure(log: SyntheticEventLog) -> float:
-    """Share of impressions from low-quality items; 0 on an empty log."""
-    total = sum(count for _, _, count in log.impressions)
-    if total == 0:
-        logger.debug("empty impression log; exposure proxy defaults to 0")
-        return 0.0
-    low = sum(count for _, is_low, count in log.impressions if is_low)
-    return low / total
+def proxy_exposure(log: SyntheticEventLog) -> np.ndarray:
+    """Share of impressions from low-quality items per tick; 0 on a tick without any."""
+    return _per_impression(log, log.impressions[:, log.impressions.shape[1] // 2:])
 
 
-def proxy_harm(log: SyntheticEventLog) -> float:
-    """Severity-weighted harm feedback per impression."""
-    total = sum(count for _, _, count in log.impressions)
-    if total == 0:
-        return 0.0
-    return sum(sev * count for _, sev, count in log.feedback) / total
+def proxy_harm(log: SyntheticEventLog) -> np.ndarray:
+    """Severity-weighted harm feedback per impression, per tick."""
+    return _per_impression(log, log.feedback * np.array(log.severities))
 
 
-def proxy_churn_gap(cohorts: ChurnCohorts) -> float:
-    """Churn-rate gap between exposure cohorts, normalized by the baseline rate."""
-    if cohorts.churn_base == 0:
+def proxy_churn_gap(log: SyntheticEventLog) -> np.ndarray:
+    """Churn-rate gap between exposure cohorts per tick, normalized by the baseline rate."""
+    high, low, base = log.churn.T
+    if (base == 0).any():
         raise ZeroBaseline("churn baseline is zero")
-    return (cohorts.churn_high - cohorts.churn_low) / cohorts.churn_base
+    return (high - low) / base
 
 
-def proxy_detection_gap(detector: DetectorReport) -> float:
-    """Detector accuracy shortfall on new generators vs the benchmark baseline.
+def proxy_detection_gap(log: SyntheticEventLog) -> np.ndarray:
+    """Detector accuracy shortfall on new generators vs the benchmark baseline, per tick.
 
     Negative values mean detection is ahead of generation; they are
     informative and returned unclamped.
     """
-    gap = 1.0 - detector.acc_new / detector.acc_base
-    if gap < 0:
-        logger.debug("detector ahead of generators (gap %.4f)", gap)
+    gap = 1.0 - log.acc_new / log.acc_base
+    if (gap < 0).any():
+        logger.debug("detector ahead of generators (min gap %.4f)", gap.min())
     return gap
 
 
 def synthesize_log(
-    state,
-    platform: PlatformState,
-    rng: np.random.Generator,
-    noise_level: float,
-    *,
-    cap_gen: float = 1.0,
-    cap_det: float = 1.0,
-    params: SimParams | None = None,
+    series: Sequence[tuple[MarketState, PlatformState, float, float]],
+    params: SimParams,
+    noise_level: float = 0.0,
+    rng: np.random.Generator | None = None,
 ) -> SyntheticEventLog:
-    """Fabricate one tick's event log from the market state.
+    """Fabricate the event log of a series of ticks, each (state, posture, cap_gen, cap_det).
 
     Impressions are proportional to amplified exposure per type, harm
     feedback to effective low-quality exposure, churn cohorts follow the
     trust level split by exposure, and detector accuracy follows the
-    capability stocks.  Multiplicative U(1-noise, 1+noise) noise is applied
-    per field; noise 0 consumes no randomness, so noise-free logs are exact.
+    capability stocks.  Multiplicative U(1-noise, 1+noise) noise is drawn
+    for every field in one call, tick by tick in field order.  Noise 0
+    draws nothing (``rng`` may then be None), so noise-free logs are exact.
     """
-    p = params or SimParams()
-    px = p.proxy
+    px = params.proxy
     if not 0 <= noise_level <= 1:
         raise ValueError("noise_level must lie in [0, 1]")
-
-    def noisy(x: float) -> float:
-        if noise_level == 0.0:
-            return x
-        return x * float(rng.uniform(1.0 - noise_level, 1.0 + noise_level))
-
-    amp_h = platform.gamma_h * state.q_h * px.impression_scale
-    amp_l = (
-        platform.gamma_l * (1.0 - platform.moderation) * state.q_l * px.impression_scale
-    )
-    impressions = []
-    item_id = 0
-    for total, is_low in ((amp_h, False), (amp_l, True)):
-        share = total / px.items_per_type
-        for _ in range(px.items_per_type):
-            impressions.append((item_id, is_low, noisy(share)))
-            item_id += 1
-
-    exposure = harmful_exposure(state.q_l, platform, state.verify_rate, state.precision)
-    exposure *= px.impression_scale
-    feedback = tuple(
-        (kind, sev, noisy(rate * exposure))
-        for kind, sev, rate in (
-            ("clickbait", px.sev_clickbait, px.harm_rate_clickbait),
-            ("misinformation", px.sev_misinformation, px.harm_rate_misinformation),
-            ("fraud", px.sev_fraud, px.harm_rate_fraud),
-        )
-    )
-
-    t_max = p.trust.t_max
-    depletion = (t_max - state.trust) / t_max
+    states, platforms, cap_gen, cap_det = zip(*series)
+    postures = Postures.of(platforms)
+    q_h, q_l, verify_rate, precision, trust = np.array(
+        [(s.q_h, s.q_l, s.verify_rate, s.precision, s.trust) for s in states]
+    ).T
+    high, low = amplified(q_h, q_l, postures)
+    harm = harmful_exposure(q_l, postures, verify_rate, precision) * px.impression_scale
+    t_max = params.trust.t_max
+    depletion = (t_max - trust) / t_max
     churn_base = px.churn_base_floor + px.churn_trust_slope * depletion
     half_gap = 0.5 * px.churn_gap_coef * depletion * churn_base
-    cohorts = ChurnCohorts(
-        churn_high=noisy(churn_base + half_gap),
-        churn_low=noisy(max(churn_base - half_gap, 0.0)),
-        churn_base=noisy(churn_base),
+    # Python's ** per tick: numpy's power differs from it in the last bit.
+    ratio = np.array([min((d / g) ** px.detector_exponent, 1.0) for g, d in zip(cap_gen, cap_det)])
+    k = px.items_per_type
+    rates = (px.harm_rate_clickbait, px.harm_rate_misinformation, px.harm_rate_fraud)
+    rows = np.column_stack(
+        [high * px.impression_scale / k] * k
+        + [low * px.impression_scale / k] * k
+        + [rate * harm for rate in rates]
+        + [churn_base + half_gap, np.maximum(churn_base - half_gap, 0.0), churn_base]
+        + [px.detector_acc_base * ratio]
     )
-
-    acc_new = px.detector_acc_base * min((cap_det / cap_gen) ** px.detector_exponent, 1.0)
-    detector = DetectorReport(
-        acc_new=min(max(noisy(acc_new), 0.0), 1.0),
+    if noise_level != 0.0:
+        rows = rows * rng.uniform(1.0 - noise_level, 1.0 + noise_level, size=rows.shape)
+    impressions, feedback, churn, acc_new = np.split(rows, [2 * k, 2 * k + 3, 2 * k + 6], axis=1)
+    return SyntheticEventLog(
+        impressions=impressions,
+        feedback=feedback,
+        severities=(px.sev_clickbait, px.sev_misinformation, px.sev_fraud),
+        churn=churn,
+        acc_new=_clamp(acc_new[:, 0], 0.0, 1.0),
         acc_base=px.detector_acc_base,
     )
-    return SyntheticEventLog(
-        impressions=tuple(impressions), feedback=feedback, cohorts=cohorts, detector=detector
-    )
 
 
-def proxy_composite(log: SyntheticEventLog, weights: Sequence[float] = FIXED_WEIGHTS) -> float:
-    """Compose the four proxies into an index, clamping each into [0, 1] first."""
-    dims = [
-        proxy_exposure(log),
-        proxy_harm(log),
-        proxy_churn_gap(log.cohorts),
-        proxy_detection_gap(log.detector),
-    ]
-    clamped = [min(max(d, 0.0), 1.0) for d in dims]
-    return composite(clamped, weights)
+def proxy_composite(log: SyntheticEventLog, weights: Sequence[float] = FIXED_WEIGHTS) -> np.ndarray:
+    """Compose the four proxies into an index per tick, clamping each into [0, 1] first."""
+    dims = [proxy_exposure(log), proxy_harm(log), proxy_churn_gap(log), proxy_detection_gap(log)]
+    return composite([_clamp(d, 0.0, 1.0) for d in dims], weights)

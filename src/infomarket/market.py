@@ -269,18 +269,18 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < x, hi, x)
 
 
+def amplified(q_h, q_l, platform):
+    """(high-quality, unmoderated low-quality) amplified exposure under a posture or `Postures`."""
+    return platform.gamma_h * q_h, platform.gamma_l * (1.0 - platform.moderation) * q_l
+
+
 def harmful_exposure(
     q_l: float, platform: PlatformState, verify_rate: float, precision: float
 ) -> float:
     """Amplified low-quality exposure that actually lands: unmoderated,
     unverified, and signal-misled."""
-    return (
-        platform.gamma_l
-        * (1.0 - platform.moderation)
-        * q_l
-        * (1.0 - verify_rate)
-        * (1.0 - precision)
-    )
+    _, low = amplified(0.0, q_l, platform)  # the high-quality side plays no part
+    return low * (1.0 - verify_rate) * (1.0 - precision)
 
 
 def value_and_harm(q_h, q_l, verify_rate, precision, platform, params: WelfareParams):
@@ -337,7 +337,7 @@ class Postures:
 
     The levers vary by lane; revenue share and ad rate are shared.  A batch
     stands in for a `PlatformState` in the lane arithmetic of the clearing
-    chain (`harmful_exposure`, `value_and_harm`).
+    chain (`amplified`, `harmful_exposure`, `value_and_harm`).
     """
 
     gamma_h: np.ndarray
@@ -464,15 +464,14 @@ def exposure(
     of the convex moderation cost.
     """
     pf = params.platform
-    high = postures.gamma_h * q_h
-    low = postures.gamma_l * (1.0 - postures.moderation) * q_l
-    amplified = high + low
-    # An empty market (amplified 0, so low 0) has pollution 0 / 1.
-    rho = low / (amplified + (amplified == 0.0))
+    high, low = amplified(q_h, q_l, postures)
+    total = high + low
+    # An empty market (total 0, so low 0) has pollution 0 / 1.
+    rho = low / (total + (total == 0.0))
     profit = (high + low * pf.engagement_bias) * (postures.revenue_share * postures.ad_rate) - (
         postures.moderation**2 * pf.moderation_cost * q_l
     )
-    return rho, amplified / populations.total, profit
+    return rho, total / populations.total, profit
 
 
 def clear_market(

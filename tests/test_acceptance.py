@@ -40,8 +40,7 @@ from infomarket.harness import (
 )
 from infomarket.ipi import (
     FIXED_WEIGHTS,
-    ChurnCohorts,
-    DetectorReport,
+    SyntheticEventLog,
     composite,
     dim_deadweight,
     dim_tech_risk,
@@ -375,15 +374,15 @@ def test_criterion_11_ipi_algebra_and_trivial_examples():
     checks.append(approx(dim_deadweight(50.0, 100.0, 0.0), 0.5))
     checks.append(dim_trust_decay(1.0, 1.0) == 0.0)
     checks.append(dim_trust_decay(0.0, 1.0) == 1.0)
-    checks.append(approx(dim_tech_risk(2.0, 2.0), 0.5))
-    checks.append(dim_tech_risk(1e12, 1.0) > 0.999)
+    checks.append(approx(dim_tech_risk(2.0, 2.0, 0.0, 1.0), 0.5))
+    checks.append(dim_tech_risk(1e12, 1.0, 0.0, 1.0) > 0.999)
 
     # proxy trivials
-    checks.append(proxy_exposure_log(is_low=True) == 1.0)
-    checks.append(proxy_exposure_log(is_low=False) == 0.0)
-    checks.append(approx(proxy_churn_gap(ChurnCohorts(0.12, 0.08, 0.10)), 0.4, 1e-9))
-    checks.append(proxy_detection_gap(DetectorReport(0.9, 0.9)) == 0.0)
-    checks.append(approx(proxy_detection_gap(DetectorReport(0.45, 0.9)), 0.5))
+    checks.append(proxy_exposure(one_tick_log(impressions=(0.0, 42.0)))[0] == 1.0)
+    checks.append(proxy_exposure(one_tick_log(impressions=(42.0, 0.0)))[0] == 0.0)
+    checks.append(approx(proxy_churn_gap(one_tick_log(churn=(0.12, 0.08, 0.10)))[0], 0.4, 1e-9))
+    checks.append(proxy_detection_gap(one_tick_log(acc_new=0.9))[0] == 0.0)
+    checks.append(approx(proxy_detection_gap(one_tick_log(acc_new=0.45))[0], 0.5))
 
     # policy trivials
     checks.append(fiduciary_objective(10.0, 6.0, 2.0, 0.0) == 10.0)
@@ -395,16 +394,16 @@ def test_criterion_11_ipi_algebra_and_trivial_examples():
     report(11, all(checks), f"{len(checks)} algebra and boundary checks", elapsed)
 
 
-def proxy_exposure_log(is_low: bool) -> float:
-    from infomarket.ipi import SyntheticEventLog
-
-    log = SyntheticEventLog(
-        impressions=((0, is_low, 42.0),),
-        feedback=(),
-        cohorts=ChurnCohorts(0.1, 0.1, 0.1),
-        detector=DetectorReport(0.9, 0.9),
+def one_tick_log(impressions=(42.0, 0.0), churn=(0.1, 0.1, 0.1), acc_new=0.9):
+    """A one-tick event log: one high- and one low-quality item, no feedback, acc_base 0.9."""
+    return SyntheticEventLog(
+        impressions=np.array([impressions]),
+        feedback=np.zeros((1, 3)),
+        severities=(1.0, 3.0, 10.0),
+        churn=np.array([churn]),
+        acc_new=np.array([acc_new]),
+        acc_base=0.9,
     )
-    return proxy_exposure(log)
 
 
 def test_criterion_12_robust_selection():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infomarket import harness
 from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
 from infomarket.errors import ConfigError
@@ -25,6 +26,7 @@ from infomarket.harness import (
     load_overrides,
     run,
     run_experiment,
+    run_noise,
     run_weight_sensitivity,
     safe_corr,
     summary_stats,
@@ -297,6 +299,21 @@ class TestWeightSensitivity:
         assert len(report["correlations"]) == 1
 
 
+class TestNoise:
+    def test_one_log_per_level_and_trial_plus_one_noise_free(self, tmp_path, monkeypatch):
+        calls = {"synthesize_log": 0, "proxy_composite": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        cfg = small_cfg(tmp_path, max_ticks=5, experiment="noise_robustness")
+        report = run_noise(cfg, noise_levels=[0.0, 0.1, 0.2], trials=4)
+        assert calls == {"synthesize_log": 3 * 4 + 1, "proxy_composite": 3 * 4 + 1}
+        assert report["errors"][0] == 0.0
+
+
 class TestSupplyFloor:
     def test_zero_amplification_with_levy_pins_low_quality_at_floor(self):
         # Frozen platform, no amplification for low quality, plus a levy:
@@ -420,6 +437,12 @@ class TestCli:
         ("market.fp_tol", "-1"),
         ("welfare.harm_lin", "nan"),
         ("platform.fd_step", "inf"),
+        ("platform.fd_step", "0"),
+        ("platform.fd_step", "-0.001"),
+        ("platform.moderation_cost", "-1"),
+        ("platform.engagement_bias", "-1"),
+        ("ipi.weight_perturbation", "0"),
+        ("ipi.anchor_tax_max", "-1"),
         ("ipi.cap_det_growth", "-1"),
         ("ipi.cap_det_growth", "-2"),
         ("ipi.cap_gen_growth", "-2"),
@@ -517,7 +540,10 @@ CONFIG_SPACE = {
     "platform.gamma_init": ("0", "1", "2", "3", "-0.5", "nan"),
     "platform.moderation_init": ("0", "0.5", "1", "2", "nan"),
     "platform.ad_rate": POSITIVE,
-    **{f"platform.{k}": NONNEGATIVE for k in ("lr_gamma", "lr_mod", "trust_price")},
+    **{f"platform.{k}": NONNEGATIVE for k in (
+        "lr_gamma", "lr_mod", "trust_price", "moderation_cost", "engagement_bias",
+    )},
+    "platform.fd_step": ("1e-3", "0.1", "0", "-1e-3", "nan", "inf"),
     "market.pi_base": ("0.85", "0.3", "1.2", "nan", "inf"),
     **{f"market.{k}": NONNEGATIVE for k in ("kappa_pollution", "kappa_verify")},
     "market.fp_tol": ("1e-8", "0", "-1", "nan", "1"),
@@ -526,13 +552,22 @@ CONFIG_SPACE = {
     **{f"trust.{k}": NONNEGATIVE for k in ("repair_gain", "repair_flow")},
     "trust.initial": ("0", "0.5", "2", "-1", "nan"),
     **{f"ipi.{k}": WEIGHT for k in ("w_pollution", "w_deadweight", "w_trust", "w_tech")},
-    "ipi.sigma_tech": POSITIVE,
+    **{f"ipi.{k}": POSITIVE for k in ("sigma_tech", "weight_perturbation")},
+    "ipi.anchor_tax_max": NONNEGATIVE,
+    "ipi.endogenous_weights": ("true", "false"),
+    "proxy.items_per_type": ("1", "5", "0", "-1", "nan"),
+    **{f"proxy.{k}": POSITIVE for k in ("impression_scale", "churn_base_floor")},
+    **{f"proxy.{k}": NONNEGATIVE for k in (
+        "harm_rate_clickbait", "harm_rate_misinformation", "harm_rate_fraud", "sev_clickbait",
+        "sev_misinformation", "sev_fraud", "churn_trust_slope", "churn_gap_coef",
+    )},
+    "proxy.detector_acc_base": ("0.95", "1", "0", "1.5", "nan"),
     "policy.tax_init": NONNEGATIVE,
     "policy.fiduciary": ("0", "0.3", "1", "2", "-1", "nan"),
     "policy.provenance_boost": ("0", "0.05", "0.2", "-0.1", "nan"),
     # Unbounded keys must still be finite.
     **{key: ("0.1", "nan", "inf") for key in (
-        "welfare.harm_quad", "platform.fd_step", "platform.engagement_bias", "ipi.mu_tech",
+        "welfare.harm_quad", "ipi.mu_tech", "proxy.detector_exponent",
     )},
 }
 
@@ -543,14 +578,18 @@ class TestConfigSpace:
                                {key: st.sampled_from(CONFIG_SPACE[key]) for key in keys})))
     @settings(max_examples=40, deadline=None)
     def test_no_config_exits_one(self, config):
-        """Accepted configs run or fail to converge; rejected ones exit 2 from both commands."""
+        """Accepted configs run or fail to converge; rejected ones exit 2 from every command."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "space.cfg"
             path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
             validated = main(["validate-config", "--config", str(path)])
-            ran = main([
-                "baseline", "--ticks", "3", "--out", str(Path(tmp) / "x"), "--config", str(path),
-                *(f"--{k}={v}" for k, v in SMALL.items()),
-            ])
+            ran = [
+                main([
+                    experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
+                    "--config", str(path), *(f"--{k}={v}" for k, v in SMALL.items()),
+                ])
+                for experiment in ("baseline", "noise-robustness")
+            ]
         assert validated in (0, 2)
-        assert ran == 2 if validated == 2 else ran in (0, 3)
+        for code in ran:
+            assert code == 2 if validated == 2 else code in (0, 3)

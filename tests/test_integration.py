@@ -66,7 +66,7 @@ class TestEndogenousWeights:
             total = sum(
                 w * d
                 for w, d in zip(
-                    endogenous_weights(WeightContext(sim))[0],
+                    endogenous_weights(WeightContext(sim), params.ipi.weight_perturbation)[0],
                     (row.i1, row.i2, row.i3, row.i4),
                 )
             )

@@ -1,6 +1,8 @@
 """Index tests: dimension formulas, composite algebra, weights, and proxies."""
 
 
+from dataclasses import dataclass
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infomarket.agents import PlatformState
+from infomarket.config import SimParams
 from infomarket.errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
+from infomarket.harness import Simulation
 from infomarket.ipi import (
     FIXED_WEIGHTS,
-    ChurnCohorts,
-    DetectorReport,
     IpiReading,
     SyntheticEventLog,
     composite,
@@ -27,7 +29,8 @@ from infomarket.ipi import (
     proxy_harm,
     synthesize_log,
 )
-from infomarket.market import MarketState, Postures, exposure
+from infomarket.market import MarketState, Postures, exposure, harmful_exposure
+from infomarket.policy import PolicyConfig
 
 mp.mp.dps = 50
 
@@ -61,11 +64,11 @@ class TestDimensions:
         assert dim_trust_decay(0.295, 1.0) == pytest.approx(0.705)
 
     def test_tech_risk_balance_point(self):
-        assert dim_tech_risk(3.0, 3.0) == pytest.approx(0.5)
+        assert dim_tech_risk(3.0, 3.0, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_tech_risk_saturation(self):
-        assert dim_tech_risk(1e12, 1.0) > 0.999999
-        assert dim_tech_risk(1.0, 1e12) < 1e-6
+        assert dim_tech_risk(1e12, 1.0, 0.0, 1.0) > 0.999999
+        assert dim_tech_risk(1.0, 1e12, 0.0, 1.0) < 1e-6
 
     def test_tech_risk_oracle_ratio_two(self):
         # (1 + tanh(ln 2)) / 2 = (1 + 3/5) / 2 = 0.8 exactly
@@ -133,119 +136,284 @@ class _StubContext:
 class TestEndogenousWeights:
     def test_equal_sensitivities_give_equal_weights(self):
         ctx = _StubContext([(-2.0, 0.5)] * 4)
-        weights, fallback = endogenous_weights(ctx)
+        weights, fallback = endogenous_weights(ctx, 0.01)
         assert not fallback
         assert weights == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_flat_welfare_falls_back_to_fixed(self):
         ctx = _StubContext([(-2.0, 0.5), (0.0, 0.5), (-2.0, 0.5), (-2.0, 0.5)])
-        weights, fallback = endogenous_weights(ctx)
+        weights, fallback = endogenous_weights(ctx, 0.01)
         assert fallback
         assert weights == FIXED_WEIGHTS
 
     def test_sensitivity_proportions(self):
         ctx = _StubContext([(-3.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
-        weights, _ = endogenous_weights(ctx)
+        weights, _ = endogenous_weights(ctx, 0.01)
         assert weights[0] == pytest.approx(0.5)
         assert weights[1] == pytest.approx(1.0 / 6.0)
         assert sum(weights) == pytest.approx(1.0)
 
 
-def _log(impressions, feedback=(), cohorts=None, detector=None):
+def _log(high=(), low=(), feedback=(0.0, 0.0, 0.0), severities=(1.0, 3.0, 10.0),
+         churn=(0.1, 0.1, 0.1), acc_new=0.9, acc_base=0.9):
+    """A one-tick log: per-item impressions of each type, then one value per field."""
+    high = list(high) + [0.0] * (len(low) - len(high))
+    low = list(low) + [0.0] * (len(high) - len(low))
     return SyntheticEventLog(
-        impressions=tuple(impressions),
-        feedback=tuple(feedback),
-        cohorts=cohorts or ChurnCohorts(0.1, 0.1, 0.1),
-        detector=detector or DetectorReport(acc_new=0.9, acc_base=0.9),
+        impressions=np.array([high + low], dtype=float).reshape(1, -1),
+        feedback=np.array([feedback], dtype=float),
+        severities=severities,
+        churn=np.array([churn], dtype=float),
+        acc_new=np.array([acc_new], dtype=float),
+        acc_base=acc_base,
     )
 
 
 class TestProxies:
     def test_exposure_all_low_quality(self):
-        log = _log([(0, True, 50.0), (1, True, 25.0)])
+        log = _log(low=[50.0, 25.0])
         assert proxy_exposure(log) == 1.0
 
     def test_exposure_none_low_quality(self):
-        log = _log([(0, False, 50.0)])
+        log = _log(high=[50.0])
         assert proxy_exposure(log) == 0.0
 
     def test_exposure_direct_ratio(self):
-        log = _log([(0, True, 30.0), (1, False, 70.0)])
+        log = _log(high=[70.0], low=[30.0])
         assert proxy_exposure(log) == pytest.approx(0.3)
 
     def test_exposure_empty_log_convention(self):
-        assert proxy_exposure(_log([])) == 0.0
+        assert proxy_exposure(_log()) == 0.0
 
     def test_harm_no_feedback(self):
-        assert proxy_harm(_log([(0, False, 100.0)])) == 0.0
+        assert proxy_harm(_log(high=[100.0])) == 0.0
 
     def test_harm_single_event(self):
-        log = _log([(0, False, 100.0)], feedback=[("misinformation", 2.0, 1.0)])
+        log = _log(high=[100.0], feedback=(0.0, 1.0, 0.0), severities=(1.0, 2.0, 10.0))
         assert proxy_harm(log) == pytest.approx(0.02)
 
     def test_harm_mixed_ledger(self):
-        log = _log(
-            [(0, False, 150.0), (1, True, 50.0)],
-            feedback=[("clickbait", 1.0, 8.0), ("misinformation", 3.0, 2.0),
-                      ("fraud", 10.0, 0.5)],
-        )
+        log = _log(high=[150.0], low=[50.0], feedback=(8.0, 2.0, 0.5), severities=(1.0, 3.0, 10.0))
         # (8 + 6 + 5) / 200
         assert proxy_harm(log) == pytest.approx(0.095)
 
     def test_churn_gap(self):
-        assert proxy_churn_gap(ChurnCohorts(0.12, 0.08, 0.10)) == pytest.approx(0.4)
-        assert proxy_churn_gap(ChurnCohorts(0.1, 0.1, 0.2)) == 0.0
+        assert proxy_churn_gap(_log(churn=(0.12, 0.08, 0.10))) == pytest.approx(0.4)
+        assert proxy_churn_gap(_log(churn=(0.1, 0.1, 0.2))) == 0.0
 
     def test_churn_zero_baseline_guard(self):
         with pytest.raises(ZeroBaseline):
-            proxy_churn_gap(ChurnCohorts(0.1, 0.05, 0.0))
+            proxy_churn_gap(_log(churn=(0.1, 0.05, 0.0)))
 
     def test_detection_gap(self):
-        assert proxy_detection_gap(DetectorReport(0.9, 0.9)) == 0.0
-        assert proxy_detection_gap(DetectorReport(0.45, 0.9)) == pytest.approx(0.5)
+        assert proxy_detection_gap(_log(acc_new=0.9, acc_base=0.9)) == 0.0
+        assert proxy_detection_gap(_log(acc_new=0.45, acc_base=0.9)) == pytest.approx(0.5)
 
     def test_detection_gap_negative_reported_as_is(self):
-        assert proxy_detection_gap(DetectorReport(0.99, 0.9)) == pytest.approx(-0.1)
+        assert proxy_detection_gap(_log(acc_new=0.99, acc_base=0.9)) == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("impression", dict(high=[-1.0])),
+        ("feedback", dict(feedback=(0.0, -1.0, 0.0))),
+        ("churn", dict(churn=(0.1, 1.5, 0.1))),
+        ("acc_base", dict(acc_base=0.0)),
+        ("acc_new", dict(acc_new=1.5)),
+    ])
+    def test_log_checks(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            _log(**kwargs)
+
+
+def _fields(log):
+    return (log.impressions, log.feedback, np.array(log.severities), log.churn, log.acc_new,
+            np.array(log.acc_base))
+
+
+def assert_logs_equal(a, b):
+    for x, y in zip(_fields(a), _fields(b)):
+        assert x.shape == y.shape and (x == y).all()
 
 
 class TestSynthesizeLog:
-    def _state(self, populations, params, q_h=10.0, q_l=30.0, trust=0.4):
+    def _series(self, populations, params, q_h=10.0, q_l=30.0, trust=0.4):
         platform = make_platform()
         (rho,), _, _ = exposure(
             np.array([q_h]), np.array([q_l]), Postures.of([platform]), populations, params
         )
-        return MarketState(
+        state = MarketState(
             tick=5, q_h=q_h, q_l=q_l, pollution=rho, verify_rate=0.3,
             precision=0.75, trust=trust, welfare=100.0,
-        ), platform
+        )
+        return [(state, platform, 1.0, 1.0)]
 
     def test_zero_noise_is_deterministic_without_consuming_randomness(self, params, populations):
-        state, platform = self._state(populations, params)
+        series = self._series(populations, params)
         rng1 = np.random.default_rng(5)
         rng2 = np.random.default_rng(5)
-        a = synthesize_log(state, platform, rng1, 0.0, params=params)
-        b = synthesize_log(state, platform, rng2, 0.0, params=params)
-        assert a == b
+        a = synthesize_log(series, params, 0.0, rng1)
+        b = synthesize_log(series, params, 0.0, rng2)
+        assert_logs_equal(a, b)
         # noise 0 draws nothing, so the stream is untouched
         assert rng1.uniform() == np.random.default_rng(5).uniform()
 
     def test_same_seed_same_noisy_log(self, params, populations):
-        state, platform = self._state(populations, params)
-        a = synthesize_log(state, platform, np.random.default_rng(9), 0.2, params=params)
-        b = synthesize_log(state, platform, np.random.default_rng(9), 0.2, params=params)
-        assert a == b
+        series = self._series(populations, params)
+        a = synthesize_log(series, params, 0.2, np.random.default_rng(9))
+        b = synthesize_log(series, params, 0.2, np.random.default_rng(9))
+        assert_logs_equal(a, b)
 
     def test_exposure_proxy_coheres_with_pollution_dimension(self, params, populations):
-        state, platform = self._state(populations, params, q_h=7.0, q_l=13.0)
-        log = synthesize_log(state, platform, np.random.default_rng(0), 0.0, params=params)
-        assert abs(proxy_exposure(log) - state.pollution) < 1e-9
+        series = self._series(populations, params, q_h=7.0, q_l=13.0)
+        log = synthesize_log(series, params, 0.0, np.random.default_rng(0))
+        assert abs(proxy_exposure(log)[0] - series[0][0].pollution) < 1e-9
 
     def test_zero_pollution_means_zero_exposure(self, params, populations):
-        state, platform = self._state(populations, params, q_h=10.0, q_l=0.0)
-        log = synthesize_log(state, platform, np.random.default_rng(0), 0.0, params=params)
+        series = self._series(populations, params, q_h=10.0, q_l=0.0)
+        log = synthesize_log(series, params, 0.0, np.random.default_rng(0))
         assert proxy_exposure(log) == 0.0
 
     def test_proxy_composite_in_unit_interval(self, params, populations):
-        state, platform = self._state(populations, params)
-        log = synthesize_log(state, platform, np.random.default_rng(3), 0.2, params=params)
+        series = self._series(populations, params)
+        log = synthesize_log(series, params, 0.2, np.random.default_rng(3))
         assert 0.0 <= proxy_composite(log) <= 1.0
+
+
+# -- per-tick reference ------------------------------------------------------
+# One tick per call, with Python floats and Python's sum; the series path
+# must equal it bit for bit.
+
+
+@dataclass(frozen=True)
+class ChurnCohorts:
+    churn_high: float
+    churn_low: float
+    churn_base: float
+
+    def __post_init__(self) -> None:
+        for name in ("churn_high", "churn_low", "churn_base"):
+            rate = getattr(self, name)
+            if not 0 <= rate <= 1:
+                raise ValueError(f"{name} out of [0, 1]: {rate}")
+
+
+@dataclass(frozen=True)
+class DetectorReport:
+    acc_new: float
+    acc_base: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.acc_base <= 1:
+            raise ValueError("acc_base must lie in (0, 1]")
+        if not 0 <= self.acc_new <= 1:
+            raise ValueError("acc_new must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class TickEventLog:
+    impressions: tuple[tuple[int, bool, float], ...]  # (item id, is low quality, count)
+    feedback: tuple[tuple[str, float, float], ...]  # (harm type, severity, count)
+    cohorts: ChurnCohorts
+    detector: DetectorReport
+
+    def __post_init__(self) -> None:
+        if any(count < 0 for _, _, count in self.impressions):
+            raise ValueError("impression counts must be nonnegative")
+        if any(count < 0 for _, _, count in self.feedback):
+            raise ValueError("feedback counts must be nonnegative")
+
+
+def tick_synthesize_log(state, platform, rng, noise_level, *, cap_gen, cap_det, params):
+    px = params.proxy
+
+    def noisy(x):
+        if noise_level == 0.0:
+            return x
+        return x * float(rng.uniform(1.0 - noise_level, 1.0 + noise_level))
+
+    amp_h = platform.gamma_h * state.q_h * px.impression_scale
+    amp_l = platform.gamma_l * (1.0 - platform.moderation) * state.q_l * px.impression_scale
+    impressions = []
+    item_id = 0
+    for total, is_low in ((amp_h, False), (amp_l, True)):
+        share = total / px.items_per_type
+        for _ in range(px.items_per_type):
+            impressions.append((item_id, is_low, noisy(share)))
+            item_id += 1
+    exposure_ = harmful_exposure(state.q_l, platform, state.verify_rate, state.precision)
+    exposure_ *= px.impression_scale
+    feedback = tuple(
+        (kind, sev, noisy(rate * exposure_))
+        for kind, sev, rate in (
+            ("clickbait", px.sev_clickbait, px.harm_rate_clickbait),
+            ("misinformation", px.sev_misinformation, px.harm_rate_misinformation),
+            ("fraud", px.sev_fraud, px.harm_rate_fraud),
+        )
+    )
+    t_max = params.trust.t_max
+    depletion = (t_max - state.trust) / t_max
+    churn_base = px.churn_base_floor + px.churn_trust_slope * depletion
+    half_gap = 0.5 * px.churn_gap_coef * depletion * churn_base
+    cohorts = ChurnCohorts(
+        churn_high=noisy(churn_base + half_gap),
+        churn_low=noisy(max(churn_base - half_gap, 0.0)),
+        churn_base=noisy(churn_base),
+    )
+    acc_new = px.detector_acc_base * min((cap_det / cap_gen) ** px.detector_exponent, 1.0)
+    detector = DetectorReport(
+        acc_new=min(max(noisy(acc_new), 0.0), 1.0), acc_base=px.detector_acc_base
+    )
+    return TickEventLog(tuple(impressions), feedback, cohorts, detector)
+
+
+def tick_proxy_composite(log, weights):
+    total = sum(count for _, _, count in log.impressions)
+    low = sum(count for _, is_low, count in log.impressions if is_low)
+    harm = sum(sev * count for _, sev, count in log.feedback)
+    c = log.cohorts
+    dims = [
+        0.0 if total == 0 else low / total,
+        0.0 if total == 0 else harm / total,
+        (c.churn_high - c.churn_low) / c.churn_base,
+        1.0 - log.detector.acc_new / log.detector.acc_base,
+    ]
+    return composite([min(max(d, 0.0), 1.0) for d in dims], weights)
+
+
+def tick_rows(log):
+    """The per-tick log in the series log's column layout."""
+    return (
+        [count for _, _, count in log.impressions],
+        [count for _, _, count in log.feedback],
+        [log.cohorts.churn_high, log.cohorts.churn_low, log.cohorts.churn_base],
+        log.detector.acc_new,
+    )
+
+
+@pytest.mark.parametrize("seed, overrides", [
+    (42, {}),
+    (7, {"econ.ai_rental": 0.6}),  # cheap AI: generation outgrows detection
+    (3, {"proxy.items_per_type": 3}),
+    (1790146652, {"econ.ai_rental": 0.6, "proxy.items_per_type": 3}),
+])
+def test_series_log_equals_per_tick_reference(seed, overrides):
+    params = SimParams().with_overrides(overrides)
+    sim = Simulation(params, PolicyConfig(), seed)
+    series = []
+    for _ in range(40):
+        sim.advance()
+        series.append((sim.state, sim.platform, sim.cap_gen, sim.cap_det))
+    weights = (0.1, 0.2, 0.3, 0.4)
+    for noise in (0.0, 0.05, 0.1, 0.2, 1.0):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        log = synthesize_log(series, params, noise, rng)
+        got = proxy_composite(log, weights)
+        for t, (state, platform, cap_gen, cap_det) in enumerate(series):
+            ref = tick_synthesize_log(state, platform, ref_rng, noise, cap_gen=cap_gen,
+                                      cap_det=cap_det, params=params)
+            impressions, feedback, churn, acc_new = tick_rows(ref)
+            assert log.impressions[t].tolist() == impressions
+            assert log.feedback[t].tolist() == feedback
+            assert log.churn[t].tolist() == churn
+            assert log.acc_new[t] == acc_new
+            assert got[t] == tick_proxy_composite(ref, weights)
+        assert rng.uniform() == ref_rng.uniform()
