@@ -215,9 +215,10 @@ class ProxyParams:
     def __post_init__(self) -> None:
         _bound(self, "proxy", "items_per_type", lambda v: v >= 1, "be at least 1")
         _bound(self, "proxy", "impression_scale churn_base_floor", _positive, "be positive")
+        # A negative detector exponent would make detection fall as it gains on generation.
         _bound(self, "proxy", "harm_rate_clickbait harm_rate_misinformation harm_rate_fraud "
-               "sev_clickbait sev_misinformation sev_fraud churn_trust_slope churn_gap_coef",
-               _nonnegative, "be nonnegative")
+               "sev_clickbait sev_misinformation sev_fraud churn_trust_slope churn_gap_coef "
+               "detector_exponent", _nonnegative, "be nonnegative")
         _bound(self, "proxy", "detector_acc_base", lambda v: 0 < v <= 1, "lie in (0, 1]")
         # Churn peaks at full trust depletion, and noise of level at most 1
         # can double it; every churn rate must stay a probability.

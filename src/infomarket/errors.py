@@ -10,7 +10,16 @@ class AssumptionViolated(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The verification fixed point failed to reach tolerance within the iteration cap."""
+    """The verification fixed point missed its tolerance.
+
+    ``lanes`` maps each lane of the solve that missed it to the message that
+    lane gives when solved alone; the exception's own message is the first
+    lane's.
+    """
+
+    def __init__(self, message: str, lanes: dict[int, str] | None = None):
+        super().__init__(message)
+        self.lanes = lanes or {}
 
 
 class DegenerateAnchors(ValueError):

@@ -7,7 +7,10 @@ streams are derived from the master seed by a fixed splitting rule
 streams keyed by small integer tags), a multi-world experiment is a list of
 (parameters, policy) worlds whose records come back to the parent in world
 order, however many processes ran them, and the parent writes every file,
-with floats in a fixed format.  Output layout per experiment::
+with floats in a fixed format.  Worlds that share their populations and
+every parameter the market clearing reads advance in lockstep, one
+`market_step` per tick for the whole batch (`run_worlds`); a world's
+record does not depend on its batch.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -25,7 +28,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .market import (
     Populations,
     Postures,
     TickInputs,
+    TickResult,
     _base_costs,
     _platform_from_params,
     clear_market,
@@ -105,7 +109,8 @@ class ExperimentConfig:
         return SimParams().with_overrides(self.overrides)
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen row costs four times as much to build, once per world and tick.
+@dataclass(slots=True)
 class TickRow:
     tick: int
     q_h: float
@@ -229,6 +234,7 @@ class Simulation:
         self.cap_det = 1.0
         self.tax = self.policy.tax_l
         self.prev_ipi: float | None = None
+        self._costs = _base_costs(params, params.econ.ai_rental)
         self.w_so, self.w_min = welfare_anchors(self.populations, params)
 
     def _weights(self, reading_dims: tuple[float, float, float, float]) -> tuple[float, ...]:
@@ -241,8 +247,15 @@ class Simulation:
 
     def advance(self, overlay: "TickOverlay | None" = None) -> TickRow:
         """Run one full tick cycle and return its record row."""
-        p = self.params
         ov = overlay or TickOverlay()
+        inputs = self._begin_tick(ov)
+        (result,) = market_step([self.state], self.populations, [self.platform], [inputs], self.params)
+        return self._end_tick(inputs, result, ov)
+
+    def _begin_tick(self, ov: "TickOverlay") -> TickInputs:
+        """This world's part of a tick before the market clears: capability
+        stocks, the adaptive levy and the market inputs."""
+        p = self.params
         r_eff = ov.ai_rental if ov.ai_rental is not None else p.econ.ai_rental
 
         # Capability stocks move first; cheap AI compounds generation.
@@ -258,8 +271,13 @@ class Simulation:
                 self.tax, self.prev_ipi, self.policy.ipi_target, self.policy.adaptive_eta
             )
 
-        inputs = TickInputs(
-            ai_rental=r_eff,
+        # The cost bases change only in a cost-drop window.
+        cost_h_base, cost_l_base = (
+            self._costs if r_eff == p.econ.ai_rental else _base_costs(p, r_eff)
+        )
+        return TickInputs(
+            cost_h_base=cost_h_base,
+            cost_l_base=cost_l_base,
             gen_boost=self.cap_gen**p.ipi.kappa_gen,
             tax=self.tax,
             provenance_boost=self.policy.provenance_boost,
@@ -267,8 +285,12 @@ class Simulation:
             extra_q_l=ov.extra_q_l,
             trust_delta=ov.trust_delta,
         )
+
+    def _end_tick(self, inputs: TickInputs, result: TickResult, ov: "TickOverlay") -> TickRow:
+        """This world's part of a tick after the market clears: adopt the
+        result, read the index, and return the record row."""
+        p = self.params
         posture = self.platform  # what producers and amplification saw this tick
-        result = market_step(self.state, self.populations, self.platform, inputs, p)
         self.state = result.state
         self.platform = result.platform
         self._last_inputs = inputs
@@ -304,8 +326,10 @@ class Simulation:
         )
 
     def run(self, ticks: int, shocks: Sequence[ShockEvent] = ()) -> RunRecord:
-        overlays = build_overlays(ticks, shocks, self.params)
-        rows = [self.advance(overlays[t]) for t in range(ticks)]
+        return self._record([self.advance(ov) for ov in build_overlays(ticks, shocks, self.params)])
+
+    def _record(self, rows: list[TickRow]) -> RunRecord:
+        """The run record of this world's rows."""
         meta = {
             "experiment": "run",
             "seed": str(self.master_seed),
@@ -415,12 +439,11 @@ class WeightContext:
     def _supply_welfare(self, inputs: TickInputs, gen_boosts: Sequence[float]) -> list[float]:
         """Welfare after a full supply re-solve under each perturbed cost channel."""
         sim = self.sim
-        cost_h_base, cost_l_base = _base_costs(sim.params, inputs.ai_rental)
         supply = supply_response(
             sim.populations.producers,
             Postures.of([sim.platform] * len(gen_boosts)),
-            cost_h_base=cost_h_base,
-            cost_l_base=cost_l_base,
+            cost_h_base=inputs.cost_h_base,
+            cost_l_base=inputs.cost_l_base,
             gen_boost=np.array(gen_boosts),
             tax=inputs.tax,
             extra_q_l=inputs.extra_q_l,
@@ -590,38 +613,101 @@ def _policy_from_params(params: SimParams) -> PolicyConfig:
 World = tuple[SimParams, PolicyConfig]
 
 
-def _run_world(task: tuple[SimParams, PolicyConfig, int, int]) -> RunRecord | str:
-    params, policy, master_seed, ticks = task
-    try:
-        return Simulation(params, policy, master_seed).run(ticks)
-    except NoConvergence as exc:
-        return f"NoConvergence: {exc}"
+def _batch_key(world: World) -> str:
+    """What `market_step` reads of a world besides its per-lane inputs.
+
+    Worlds with equal keys share a batch.  The key is a repr, not an ==
+    comparison, because 0.0 and -0.0 are equal but need not give the same
+    bits.
+    """
+    params, policy = world
+    return repr((params.agents, params.market, params.trust, params.welfare, params.platform,
+                 policy.provenance_boost, policy.fiduciary))
+
+
+def _run_batch(task: tuple[list[World], int, int]) -> list[RunRecord | str]:
+    """Run worlds of one batch key to the horizon in lockstep: one `market_step`
+    per tick clears every world still running.
+
+    A world that fails to converge is retired with the ``NoConvergence``
+    message it gives when run alone, and the rest run on.
+    """
+    worlds, master_seed, ticks = task
+    outcomes: list[RunRecord | str | None] = [None] * len(worlds)
+    live: dict[int, Simulation] = {}
+    for i, (params, policy) in enumerate(worlds):
+        try:
+            live[i] = Simulation(params, policy, master_seed)
+        except NoConvergence as exc:
+            outcomes[i] = f"NoConvergence: {exc}"
+    rows: dict[int, list[TickRow]] = {i: [] for i in live}
+    overlay = TickOverlay()
+    for _ in range(ticks):
+        inputs = {i: sim._begin_tick(overlay) for i, sim in live.items()}
+        results: dict[int, TickResult] = {}
+        while live and not results:
+            order = list(live)
+            first = live[order[0]]
+            try:
+                results = dict(zip(order, market_step(
+                    [live[i].state for i in order], first.populations,
+                    [live[i].platform for i in order], [inputs[i] for i in order], first.params,
+                )))
+            except NoConvergence as exc:
+                if not exc.lanes:
+                    raise
+                # The other lanes cleared; the step runs again without the failed ones.
+                for lane, message in exc.lanes.items():
+                    outcomes[order[lane]] = f"NoConvergence: {message}"
+                    del live[order[lane]]
+        for i, result in results.items():
+            try:
+                rows[i].append(live[i]._end_tick(inputs[i], result, overlay))
+            except NoConvergence as exc:
+                outcomes[i] = f"NoConvergence: {exc}"
+                del live[i]
+    for i, sim in live.items():
+        outcomes[i] = sim._record(rows[i])
+    return outcomes
 
 
 def run_worlds(
     worlds: Sequence[World], ticks: int, *, master_seed: int = 42, jobs: int = 1
-) -> Iterator[RunRecord | str]:
-    """Run every (params, policy) world to the horizon; yield outcomes in world order.
+) -> list[RunRecord | str]:
+    """Run every (params, policy) world to the horizon; return outcomes in world order.
 
-    Each world gets the same master seed, so the same population draw.  With
-    ``jobs > 1`` the worlds run in one process pool; the outcomes come back in
-    world order either way.  A world that fails to converge gives its
-    ``NoConvergence`` message instead of a record.  Outcomes are yielded one
-    at a time, so a caller that reduces each record holds one record, not all.
+    Each world gets the same master seed, so the same population draw.
+    Worlds equal in every section `market_step` reads (agents, market,
+    trust, welfare, platform) and in their policy's provenance boost and
+    fiduciary weight share a batch, which advances in lockstep
+    (`_run_batch`); worlds that differ in econ, ipi, proxy or the levy do
+    not split one.  With ``jobs > 1`` each batch is split into up to
+    ``jobs`` contiguous chunks, and the chunks run in one process pool.  A
+    world's record is the same in any batch and at any ``jobs``.  A world
+    that fails to converge gives its ``NoConvergence`` message instead of a
+    record.
     """
-    tasks = [(params, policy, master_seed, ticks) for params, policy in worlds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_run_world, tasks)
+    batches: dict[str, list[int]] = {}
+    for i, world in enumerate(worlds):
+        batches.setdefault(_batch_key(world), []).append(i)
+    chunks = [
+        chunk.tolist()
+        for members in batches.values()
+        for chunk in np.array_split(np.array(members), min(jobs, len(members)))
+    ]
+    tasks = [([worlds[i] for i in chunk], master_seed, ticks) for chunk in chunks]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_run_batch, tasks))
     else:
-        yield from map(_run_world, tasks)
+        results = [_run_batch(task) for task in tasks]
+    outcomes = {i: o for chunk, result in zip(chunks, results) for i, o in zip(chunk, result)}
+    return [outcomes[i] for i in range(len(worlds))]
 
 
 def _records(cfg: ExperimentConfig, worlds: Sequence[World]) -> list[RunRecord]:
     """Run the worlds at cfg's horizon, seed and jobs; every world must converge."""
-    outcomes = list(
-        run_worlds(worlds, cfg.max_ticks, master_seed=cfg.master_seed, jobs=cfg.jobs)
-    )
+    outcomes = run_worlds(worlds, cfg.max_ticks, master_seed=cfg.master_seed, jobs=cfg.jobs)
     failures = [f"world {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, str)]
     if failures:
         raise NoConvergence("; ".join(failures))

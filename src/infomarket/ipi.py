@@ -236,7 +236,12 @@ def synthesize_log(
     churn_base = px.churn_base_floor + px.churn_trust_slope * depletion
     half_gap = 0.5 * px.churn_gap_coef * depletion * churn_base
     # Python's ** per tick: numpy's power differs from it in the last bit.
-    ratio = np.array([min((d / g) ** px.detector_exponent, 1.0) for g, d in zip(cap_gen, cap_det)])
+    # Detection at or ahead of generation caps the ratio at 1 without the
+    # power, which a large exponent would overflow.
+    ratio = np.array([
+        1.0 if d >= g else min((d / g) ** px.detector_exponent, 1.0)
+        for g, d in zip(cap_gen, cap_det)
+    ])
     k = px.items_per_type
     rates = (px.harm_rate_clickbait, px.harm_rate_misinformation, px.harm_rate_fraud)
     rows = np.column_stack(

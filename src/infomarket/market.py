@@ -9,14 +9,16 @@ assembled, and the platform takes one projected gradient step from central
 finite differences of its one-tick-ahead profit and trust responses.
 
 Postures clear as lanes of a batch (`Postures`, one lane per row).
-`supply_response` takes a batch: a tick makes one seven-row call, the
-posted posture plus the six finite-difference probes.  `clear_market`
-clears a batch of lanes: the tick clears its posted posture as one lane,
-the welfare anchors clear the whole lattice and the worst corner as lanes
-of one `static_equilibrium_welfare` call, and the endogenous-weight
-re-evaluation clears a base and a perturbed lane.  The verification fixed point is solved
-exactly per lane (`solve_verification_fixed_point`), so a lane's result
-does not depend on the batch it is cleared in.
+`market_step` advances a batch of worlds that share their populations.
+`supply_response` takes a batch: a tick makes one call with seven lanes
+per world, the posted posture plus the six finite-difference probes.  `clear_market` clears a batch of lanes: the
+tick clears each world's posted posture as one lane, the welfare anchors
+clear the whole lattice and the worst corner as lanes of one
+`static_equilibrium_welfare` call, and the endogenous-weight re-evaluation
+clears a base and a perturbed lane.  The verification fixed point is
+solved exactly per lane (`solve_verification_fixed_point`), and every
+stage is elementwise over lanes, so a lane's result does not depend on the
+batch it is cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -138,8 +140,9 @@ def solve_verification_fixed_point(
        clamps (k - k*) times the posterior's denominator is a quadratic in
        k, solved in closed form.  The sign of k - k* at the clamp edges
        picks the piece.
-    3. Check the residual |T(V) - V| once against ``market.fp_tol``; raise
-       NoConvergence naming the first lane that misses it.
+    3. Check the residual |T(V) - V| of every lane against ``market.fp_tol``;
+       raise NoConvergence naming the first lane that misses it, with every
+       such lane's own message in its ``lanes``.
 
     When du_h <= du_l (the default) T falls in V and the fixed point is
     unique.  When du_h > du_l T rises in V and may have several; the solve
@@ -179,12 +182,14 @@ def solve_verification_fixed_point(
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = _threshold(lanes, precision, params)
     resid = np.abs(consumers.cdf(k_star) - v)
-    if not (resid < mk.fp_tol).all():
-        i = int(np.argmax(~(resid < mk.fp_tol)))
-        raise NoConvergence(
-            f"verification fixed point: residual {resid[i]:.3e} not below "
+    met = resid < mk.fp_tol
+    if not met.all():
+        messages = {
+            i: f"verification fixed point: residual {resid[i]:.3e} not below "
             f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})"
-        )
+            for i in np.flatnonzero(~met).tolist()
+        }
+        raise NoConvergence(next(iter(messages.values())), messages)
     shape = rho.shape
     return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
 
@@ -237,16 +242,19 @@ def _segment_root(
     return v0 + s * x
 
 
-def trust_update(trust: float, i1: float, flow: float, params: TrustParams) -> float:
-    """One Euler step of the trust stock, clamped into [0, t_max].
+def trust_update(trust, i1, flow, params: TrustParams):
+    """One Euler step of the trust stock, clamped into [0, t_max] (elementwise).
 
     T' = T - hit * I1 * flow + repair_gain * repair_flow - decay * T.
     """
-    if not 0 <= trust <= params.t_max:
+    trust, i1, flow = np.asarray(trust), np.asarray(i1), np.asarray(flow)
+    # Element by element, as for a scalar (NaN fails a range but not a sign):
+    # for the few lanes of a tick, cheaper than array reductions.
+    if not all(0 <= x <= params.t_max for x in trust.ravel().tolist()):
         raise ValueError(f"trust out of [0, {params.t_max}]: {trust}")
-    if not 0 <= i1 <= 1:
+    if not all(0 <= x <= 1 for x in i1.ravel().tolist()):
         raise ValueError("i1 must lie in [0, 1]")
-    if flow < 0:
+    if any(x < 0 for x in flow.ravel().tolist()):
         raise ValueError("flow must be nonnegative")
     t = (
         trust
@@ -254,7 +262,7 @@ def trust_update(trust: float, i1: float, flow: float, params: TrustParams) -> f
         + params.repair_gain * params.repair_flow
         - params.decay * trust
     )
-    return min(max(t, 0.0), params.t_max)
+    return _clamp(t, 0.0, params.t_max)[()]
 
 
 def steady_state_trust(i1: np.ndarray, flow: np.ndarray, params: TrustParams) -> np.ndarray:
@@ -333,9 +341,11 @@ class Populations:
 
 @dataclass(frozen=True)
 class Postures:
-    """A batch of posted platform postures, one lane per row.
+    """A batch of posted platform postures, one lane per element.
 
-    The levers vary by lane; revenue share and ad rate are shared.  A batch
+    The levers vary by lane (arrays of one shape: one lane per row, or in
+    the tick, a row of lanes per world); revenue share and ad rate are
+    shared.  A batch
     stands in for a `PlatformState` in the lane arithmetic of the clearing
     chain (`amplified`, `harmful_exposure`, `value_and_harm`).
     """
@@ -357,17 +367,17 @@ class Postures:
             ad_rate=platforms[0].ad_rate,
         )
 
-    def take(self, rows: np.ndarray | slice) -> Postures:
-        """The lanes at the given row indices."""
+    def take(self, index) -> Postures:
+        """The lanes at the given index (rows, or columns of rows)."""
         return Postures(
-            self.gamma_h[rows], self.gamma_l[rows], self.moderation[rows], self.revenue_share,
+            self.gamma_h[index], self.gamma_l[index], self.moderation[index], self.revenue_share,
             self.ad_rate,
         )
 
 
 @dataclass(frozen=True)
 class SupplyResult:
-    """Per-row supply of a batch of postures, arrays of shape (B,)."""
+    """Per-lane supply of a batch of postures, arrays of the postures' shape."""
 
     q_h: np.ndarray
     q_l: np.ndarray
@@ -378,11 +388,11 @@ def supply_response(
     pool: ProducerPool,
     postures: Postures,
     *,
-    cost_h_base: float,
-    cost_l_base: float,
+    cost_h_base: float | np.ndarray,
+    cost_l_base: float | np.ndarray,
     gen_boost: float | np.ndarray,
     tax: float | np.ndarray,
-    extra_q_l: float = 0.0,
+    extra_q_l: float | np.ndarray = 0.0,
 ) -> SupplyResult:
     """Expected supply and producer surplus for each of a batch of posted postures.
 
@@ -391,18 +401,23 @@ def supply_response(
     templates by the gen_boost factor.  Choice probabilities are the stable
     logit over per-unit profits; contributions are productivity-scaled unit
     masses.  Producer surplus is reported pre-tax (the levy is a transfer).
-    ``tax`` and ``gen_boost`` are one value for every row or one per row.
+    The results have the shape of the posture levers.  The cost bases,
+    ``gen_boost``, ``tax`` and ``extra_q_l`` broadcast against it: one value
+    for every lane, one per lane, or (in the tick) one per world as a
+    column.
 
-    Rows reduce with `np.vecdot`, which equals a 1-D `np.dot` of each row
-    bit for bit, so a row's result does not depend on the batch it is in;
+    Lanes reduce with `np.vecdot`, which equals a 1-D `np.dot` of each lane
+    bit for bit, so a lane's result does not depend on the batch it is in;
     `@`, `einsum` and `.sum(axis=-1)` differ from it in the last bit.
     """
     share = (1.0 - postures.revenue_share) * postures.ad_rate
-    margin_h = (share * postures.gamma_h)[:, None]
-    margin_l = (share * postures.gamma_l)[:, None]
+    margin_h = (share * postures.gamma_h)[..., None]
+    margin_l = (share * postures.gamma_l)[..., None]
     tax = np.asarray(tax, dtype=float)[..., None]
-    cost_h = cost_h_base / pool.prod_h
-    cost_l = cost_l_base / (pool.prod_l * np.asarray(gen_boost, dtype=float)[..., None])
+    cost_h = np.asarray(cost_h_base, dtype=float)[..., None] / pool.prod_h
+    cost_l = np.asarray(cost_l_base, dtype=float)[..., None] / (
+        pool.prod_l * np.asarray(gen_boost, dtype=float)[..., None]
+    )
     pi_h = margin_h - cost_h
     pi_l = margin_l - cost_l - tax
     gap = np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)
@@ -481,17 +496,19 @@ def clear_market(
     populations: Populations,
     params: SimParams,
     provenance_boost: float = 0.0,
+    exposed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Clearing:
     """Clear given outputs under posted postures, one lane per posture.
 
     Pollution, the verification fixed point, the outlay of everyone whose
     cost the resulting threshold covers, exposure flow, and platform
     profit.  Each lane is cleared independently of the others.
+    ``exposed`` is the lanes' `exposure`, for a caller that already has it.
     """
     # The min is NaN if any output is, which fails the comparison.
     if not np.minimum(q_h, q_l).min() >= 0:
         raise ValueError("outputs must be nonnegative")
-    rho, flow, plat_profit = exposure(q_h, q_l, postures, populations, params)
+    rho, flow, plat_profit = exposed or exposure(q_h, q_l, postures, populations, params)
     fixed = solve_verification_fixed_point(
         rho, populations.consumers, provenance_boost, params=params
     )
@@ -510,9 +527,14 @@ def clear_market(
 
 @dataclass
 class TickInputs:
-    """Per-tick exogenous conditions assembled by the orchestration layer."""
+    """One world's exogenous conditions for a tick, assembled by the orchestration layer.
 
-    ai_rental: float
+    ``cost_h_base``/``cost_l_base`` are the type-level unit costs at the
+    tick's rental rate (`_base_costs`).
+    """
+
+    cost_h_base: float
+    cost_l_base: float
     gen_boost: float
     tax: float
     provenance_boost: float
@@ -536,164 +558,178 @@ def _base_costs(params: SimParams, ai_rental: float) -> tuple[float, float]:
     return econ.unit_cost(tech_h, prices), econ.unit_cost(tech_l, prices)
 
 
+# The levers of the platform's gradient step, in the order it probes them.
+_LEVERS = ("gamma_l", "gamma_h", "moderation")
+
+
 def market_step(
-    state: MarketState,
+    states: Sequence[MarketState],
     populations: Populations,
-    platform: PlatformState,
-    inputs: TickInputs,
+    platforms: Sequence[PlatformState],
+    inputs: Sequence[TickInputs],
     params: SimParams,
-) -> TickResult:
-    """Advance the market one tick (stages 1-6 of the tick cycle).
+) -> list[TickResult]:
+    """Advance a batch of worlds one tick (stages 1-6 of the tick cycle), one lane per world.
 
     Stage order: producer supply from the posted platform posture;
     pollution; the verification fixed point; the trust step; welfare; and
     the platform's projected gradient update.  The adaptive-policy stage is
     applied by the orchestration loop once the tick's index reading exists.
     Deterministic: no randomness is consumed here.
+
+    The worlds share the populations, the parameter sections read here
+    (agents, market, trust, welfare, platform) and their inputs' provenance
+    boost and fiduciary weight; the other inputs are per world.  Every stage
+    is elementwise over the worlds, so a world's result does not depend on
+    its batch.  NoConvergence names, in its ``lanes``, every world whose
+    fixed point misses ``market.fp_tol``.
     """
-    cost_h_base, cost_l_base = _base_costs(params, inputs.ai_rental)
+    boost, fiduciary = inputs[0].provenance_boost, inputs[0].fiduciary
+    if any(i.provenance_boost != boost or i.fiduciary != fiduciary for i in inputs):
+        raise ValueError("the worlds of one market_step must share provenance_boost and fiduciary")
 
-    # (1) producer choices and aggregate supply, for the posted posture and,
-    # in the same call, for the probes of the gradient step
-    postures = _probes(platform, params.platform.fd_step)
+    # (1) producer choices and aggregate supply, for each world's posted
+    # posture (column 0) and, in the same call, for the probes of its
+    # gradient step: seven lanes per world
+    postures = _probes(platforms, params.platform.fd_step)
+    cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
+        (i.cost_h_base, i.cost_l_base, i.gen_boost, i.tax, i.extra_q_l) for i in inputs
+    ]))
     supply = supply_response(
-        populations.producers,
-        postures,
-        cost_h_base=cost_h_base,
-        cost_l_base=cost_l_base,
-        gen_boost=inputs.gen_boost,
-        tax=inputs.tax,
-        extra_q_l=inputs.extra_q_l,
+        populations.producers, postures, cost_h_base=cost_h, cost_l_base=cost_l,
+        gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
-    producer_profit = float(supply.producer_profit[0])
+    posted, probes = np.s_[:, 0], np.s_[:, 1:]
+    q_h, q_l, profit = supply.q_h[posted], supply.q_l[posted], supply.producer_profit[posted]
 
-    # (2-3) pollution under the posture producers responded to, and the
-    # verification fixed point
-    posted = slice(0, 1)
-    cleared = clear_market(
-        supply.q_h[posted], supply.q_l[posted], postures.take(posted), populations, params,
-        inputs.provenance_boost,
-    )
-    rho = float(cleared.pollution[0])
+    # (2-3) exposure under every lane's posture in one call; pollution under
+    # the posture producers responded to, and the verification fixed point
+    exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
+    cleared = clear_market(q_h, q_l, postures.take(posted), populations, params, boost,
+                           exposed=tuple(x[posted] for x in exposed))
 
     # (4) trust step (exogenous shocks land before the Euler update)
-    trust_in = min(max(state.trust + inputs.trust_delta, 0.0), params.trust.t_max)
-    trust = trust_update(trust_in, rho, float(cleared.flow[0]), params.trust)
+    t_max = params.trust.t_max
+    trust_in = [min(max(s.trust + i.trust_delta, 0.0), t_max) for s, i in zip(states, inputs)]
+    trust = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
 
-    # (5) welfare, on floats: one-lane arrays would cost more than the arithmetic
-    q_h, q_l = float(supply.q_h[0]), float(supply.q_l[0])
-    verify_rate, precision = float(cleared.verify_rate[0]), float(cleared.precision[0])
-    w = welfare_value(q_h=q_h, q_l=q_l, verify_rate=verify_rate, precision=precision, trust=trust,
-                      platform=platform, producer_profit=producer_profit,
-                      platform_profit=float(cleared.platform_profit[0]),
-                      verification_spend=float(cleared.verification_spend[0]), params=params)
+    # (5) welfare
+    welfare = cleared.welfare(trust, profit, params)
 
-    # (6) platform gradient step from one-tick-ahead finite differences
-    probes = slice(1, None)
-    new_platform = _platform_gradient_step(
-        populations,
-        platform,
-        postures.take(probes),
-        supply.q_h[probes],
-        supply.q_l[probes],
-        inputs,
-        params,
-        trust_now=trust,
-        cleared=cleared,
+    # (6) platform gradient steps from one-tick-ahead finite differences
+    probe_postures = postures.take(probes)
+    objectives, trust_next = _lookahead(
+        probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
+        fiduciary, params, trust_now=trust, cleared=cleared, producers=populations.producers.n,
     )
+    new_platforms = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next)
 
-    next_state = MarketState(
-        tick=state.tick + 1,
-        q_h=q_h,
-        q_l=q_l,
-        pollution=rho,
-        verify_rate=verify_rate,
-        precision=precision,
-        trust=trust,
-        welfare=w,
+    columns = zip(
+        states, new_platforms, q_h.tolist(), q_l.tolist(), cleared.pollution.tolist(),
+        cleared.verify_rate.tolist(), cleared.precision.tolist(), trust.tolist(),
+        welfare.tolist(), profit.tolist(),
     )
-    return TickResult(state=next_state, platform=new_platform, producer_profit=producer_profit)
+    return [
+        TickResult(
+            state=MarketState(tick=state.tick + 1, q_h=qh, q_l=ql, pollution=rho,
+                              verify_rate=v, precision=pi, trust=t, welfare=w),
+            platform=platform,
+            producer_profit=pp,
+        )
+        for state, platform, qh, ql, rho, v, pi, t, w, pp in columns
+    ]
 
 
-# The levers of the platform's gradient step, in the order it probes them.
-_LEVERS = ("gamma_l", "gamma_h", "moderation")
+def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
+    """One float if every world has the same value, else a column of them: a
+    float broadcasts at less cost per call.
+
+    Equal values give equal results: the only equal floats whose bits
+    differ are 0.0 and -0.0, and a zero levy or burst adds or subtracts to
+    the same result either way (the cost bases and boosts are positive).
+    """
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values, dtype=float)[:, None]
 
 
-def _probes(platform: PlatformState, h: float) -> Postures:
-    """The posted posture, then the central-difference probes, as lanes.
+def _probes(platforms: Sequence[PlatformState], h: float) -> Postures:
+    """Each world's posted posture, then its central-difference probes: one
+    row of seven lanes per world.
 
     Each lever in `_LEVERS` order moves one step up, then one down, within
     its bounds.
     """
-    gl, gh, m, top = platform.gamma_l, platform.gamma_h, platform.moderation, platform.gamma_max
+    gamma_h, gamma_l, moderation = [], [], []
+    for p in platforms:
+        gl, gh, m, top = p.gamma_l, p.gamma_h, p.moderation, p.gamma_max
+        gamma_h.append((gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh))
+        gamma_l.append((gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl))
+        moderation.append((m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0)))
     return Postures(
-        gamma_h=np.array([gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh]),
-        gamma_l=np.array([gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl]),
-        moderation=np.array([m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0)]),
-        revenue_share=platform.revenue_share,
-        ad_rate=platform.ad_rate,
+        np.array(gamma_h), np.array(gamma_l), np.array(moderation),
+        platforms[0].revenue_share, platforms[0].ad_rate,
     )
 
 
 def _lookahead(
-    populations: Populations,
     postures: Postures,
     q_h: np.ndarray,
     q_l: np.ndarray,
-    inputs: TickInputs,
+    exposed: Sequence[np.ndarray],
+    fiduciary: float,
     params: SimParams,
     *,
-    trust_now: float,
+    trust_now: np.ndarray,
     cleared: Clearing,
-) -> tuple[list[float], list[float]]:
-    """(objectives, trust levels) one tick ahead if the platform posts each posture.
+    producers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(objectives, trust levels) one tick ahead if each world's platform
+    posts each of its probes, as (world, probe).
 
-    ``q_h``/``q_l`` are supply's response to each posture.  The profit side
-    is per-producer normalized so learning rates are population-size
+    ``postures`` holds one row of probes per world, ``q_h``/``q_l``
+    supply's response to each and ``exposed`` their `exposure`.  The profit
+    side is per-producer normalized so learning rates are population-size
     invariant; under a fiduciary duty the objective blends in the consumer
     value/harm fragment.  The verification response is held at this tick's
     clearing within the lookahead.
     """
-    rho, flow, objective = exposure(q_h, q_l, postures, populations, params)
-    if inputs.fiduciary > 0.0:
+    rho, flow, objective = exposed
+    if fiduciary > 0.0:
         value, harm = value_and_harm(
-            q_h, q_l, cleared.verify_rate, cleared.precision, postures, params.welfare
+            q_h, q_l, cleared.verify_rate[:, None], cleared.precision[:, None], postures,
+            params.welfare,
         )
-        objective = fiduciary_objective(objective, value, harm, inputs.fiduciary)
-    trust_next = [
-        trust_update(trust_now, i1, f, params.trust) for i1, f in zip(rho.tolist(), flow.tolist())
-    ]
-    return (objective / populations.producers.n).tolist(), trust_next
+        objective = fiduciary_objective(objective, value, harm, fiduciary)
+    trust_next = trust_update(trust_now[:, None], rho, flow, params.trust)
+    return objective / producers, trust_next
 
 
-def _platform_gradient_step(
-    populations: Populations,
-    platform: PlatformState,
-    probes: Postures,
-    q_h: np.ndarray,
-    q_l: np.ndarray,
-    inputs: TickInputs,
-    params: SimParams,
-    **kw,
-) -> PlatformState:
-    """One `platform_update` from central differences over the probes.
+def _platform_gradient_steps(
+    platforms: Sequence[PlatformState], probes: Postures, objectives: np.ndarray,
+    trust_next: np.ndarray,
+) -> list[PlatformState]:
+    """One `platform_update` per world from central differences over its probes.
 
-    ``q_h``/``q_l`` hold supply's response to each probe, in probe order.
+    ``probes`` holds one row of probes per world in `_probes` order, and
+    ``objectives``/``trust_next`` are `_lookahead`'s for them.
     """
-    f, t = _lookahead(populations, probes, q_h, q_l, inputs, params, **kw)
-    grads = []
-    for i, field in enumerate(_LEVERS):
-        up, dn = 2 * i, 2 * i + 1
-        lever = getattr(probes, field)
-        lever_up, lever_dn = float(lever[up]), float(lever[dn])
-        if lever_up == lever_dn:
-            grads.append((0.0, 0.0))
-            continue
-        span = lever_up - lever_dn
-        # Trust gradient enters the update rule as erosion per unit increase.
-        grads.append(((f[up] - f[dn]) / span, -(t[up] - t[dn]) / span))
-    (gp_gl, gt_gl), (gp_gh, gt_gh), (gp_m, gt_m) = grads
-    return platform_update(platform, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh)
+    f, t = objectives.tolist(), trust_next.tolist()
+    levers = [getattr(probes, field).tolist() for field in _LEVERS]
+    stepped = []
+    for w, platform in enumerate(platforms):
+        grads = []
+        for i, lever in enumerate(levers):
+            up, dn = 2 * i, 2 * i + 1
+            span = lever[w][up] - lever[w][dn]
+            if span == 0.0:  # no room either way
+                grads.append((0.0, 0.0))
+                continue
+            # Trust gradient enters the update rule as erosion per unit increase.
+            grads.append(((f[w][up] - f[w][dn]) / span, -(t[w][up] - t[w][dn]) / span))
+        (gp_gl, gt_gl), (gp_gh, gt_gh), (gp_m, gt_m) = grads
+        stepped.append(platform_update(platform, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh))
+    return stepped
 
 
 def static_equilibrium_welfare(

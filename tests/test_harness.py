@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from infomarket import harness
 from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
-from infomarket.errors import ConfigError
+from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import (
+    DEFAULT_ROBUST_WORLDS,
+    DEFAULT_SWEEP_R,
+    DEFAULT_SWEEP_SIGMA_L,
     EXPERIMENTS,
     ExperimentConfig,
     RunRecord,
@@ -28,6 +31,7 @@ from infomarket.harness import (
     run_experiment,
     run_noise,
     run_weight_sensitivity,
+    run_worlds,
     safe_corr,
     summary_stats,
     sweep_cells,
@@ -285,6 +289,105 @@ class TestParallelCells:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+def sweep_worlds(**overrides):
+    """The default sweep grid's worlds, as `sweep_cells` builds them."""
+    return [
+        (SimParams().with_overrides({**SMALL, **overrides, "econ.ai_rental": r,
+                                     "econ.sigma_l": sigma_l}), PolicyConfig())
+        for r in DEFAULT_SWEEP_R for sigma_l in DEFAULT_SWEEP_SIGMA_L
+    ]
+
+
+def robust_worlds():
+    """`robust-select`'s default policy x world cells, policy-major: no levy,
+    a fixed levy and the adaptive levy."""
+    pp = SimParams().policy
+    policies = [
+        PolicyConfig(scenario="baseline"),
+        PolicyConfig(scenario="levy", tax_l=0.5),
+        PolicyConfig(scenario="adaptive", adaptive_eta=pp.adaptive_eta,
+                     ipi_target=pp.adaptive_target),
+    ]
+    params = [SimParams().with_overrides({**SMALL, **w}) for w in DEFAULT_ROBUST_WORLDS]
+    return [(p, policy) for policy in policies for p in params]
+
+
+def alone(worlds, ticks):
+    """Each world run by itself: its CSV text, or its failure message."""
+    out = []
+    for params, policy in worlds:
+        try:
+            out.append(Simulation(params, policy, 42).run(ticks).to_csv_text())
+        except NoConvergence as exc:
+            out.append(f"NoConvergence: {exc}")
+    return out
+
+
+def builds(params, policy):
+    """Whether the world's welfare anchors converge."""
+    try:
+        Simulation(params, policy, 42)
+    except NoConvergence:
+        return False
+    return True
+
+
+def batched(worlds, ticks, size, jobs):
+    """The worlds through `run_worlds`, `size` at a time."""
+    return [
+        outcome if isinstance(outcome, str) else outcome.to_csv_text()
+        for start in range(0, len(worlds), size)
+        for outcome in run_worlds(worlds[start:start + size], ticks, master_seed=42, jobs=jobs)
+    ]
+
+
+BATCH_TICKS = 12
+
+
+@pytest.fixture(scope="module")
+def world_lists():
+    lists = {"sweep": sweep_worlds(), "robust_select": robust_worlds()}
+    return {name: (worlds, alone(worlds, BATCH_TICKS)) for name, worlds in lists.items()}
+
+
+class TestLockstepBatches:
+    """A world's record is the same byte for byte alone and in a batch of any size."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 3, None])
+    @pytest.mark.parametrize("name", ["sweep", "robust_select"])
+    def test_batch_equals_alone(self, world_lists, name, size, jobs):
+        worlds, expected = world_lists[name]
+        # The whole list is one batch: the worlds differ only in econ or the levy.
+        assert len({harness._batch_key(world) for world in worlds}) == 1
+        assert batched(worlds, BATCH_TICKS, size or len(worlds), jobs) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("fp_tol", [0.0, 1e-16])
+    def test_failing_worlds_retire_with_their_own_message(self, fp_tol, jobs):
+        # fp_tol 0 fails every world as it builds; at 1e-16, 3 worlds fail to
+        # build, 15 fail at ticks 3 to 23, and 2 run through.
+        worlds = sweep_worlds(**{"market.fp_tol": fp_tol})
+        ticks = 30
+        expected = alone(worlds, ticks)
+        failed = sum(o.startswith("NoConvergence") for o in expected)
+        built = sum(builds(params, policy) for params, policy in worlds)
+        assert (built, failed) == ((0, 20) if fp_tol == 0.0 else (17, 18))
+        assert batched(worlds, ticks, len(worlds), jobs) == expected
+
+    def test_worlds_that_differ_in_what_the_market_reads_do_not_share_a_batch(self):
+        base = SimParams().with_overrides(SMALL)
+        keys = {harness._batch_key(world) for world in [
+            (base, PolicyConfig()),
+            (base, PolicyConfig(fiduciary=0.3)),
+            (base, PolicyConfig(provenance_boost=0.05)),
+            (base.with_overrides({"platform.trust_price": 400.0}), PolicyConfig()),
+            (base.with_overrides({"agents.k_max": 3.0}), PolicyConfig()),
+            (base.with_overrides({"welfare.harm_quad": -0.0}), PolicyConfig()),
+        ]}
+        assert len(keys) == 6
+
+
 class TestWeightSensitivity:
     def test_identical_sets_give_identical_correlations(self):
         cfg = small_cfg(max_ticks=30, experiment="weight_sensitivity")
@@ -455,6 +558,7 @@ class TestCli:
         ("proxy.churn_trust_slope", "-1"),
         ("proxy.harm_rate_fraud", "-1"),
         ("proxy.churn_gap_coef", "100"),
+        ("proxy.detector_exponent", "-0.1"),
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
@@ -497,6 +601,14 @@ class TestCli:
                 raise AssertionError(f"summary.json holds {token}")
 
             json.loads((out / "summary.json").read_text(), parse_constant=reject)
+
+    def test_large_detector_exponent_runs(self, tmp_path):
+        # Detection ahead of generation caps the detector ratio at 1 before any power.
+        code = main([
+            "noise-robustness", "--ticks", "3", "--out", str(tmp_path / "x"),
+            "--proxy.detector_exponent", "1e6",
+        ])
+        assert code == 0
 
     def test_robust_select_with_every_policy_failing_exits_code_three(self, tmp_path):
         code = main([
@@ -560,15 +672,14 @@ CONFIG_SPACE = {
     **{f"proxy.{k}": NONNEGATIVE for k in (
         "harm_rate_clickbait", "harm_rate_misinformation", "harm_rate_fraud", "sev_clickbait",
         "sev_misinformation", "sev_fraud", "churn_trust_slope", "churn_gap_coef",
+        "detector_exponent",
     )},
     "proxy.detector_acc_base": ("0.95", "1", "0", "1.5", "nan"),
     "policy.tax_init": NONNEGATIVE,
     "policy.fiduciary": ("0", "0.3", "1", "2", "-1", "nan"),
     "policy.provenance_boost": ("0", "0.05", "0.2", "-0.1", "nan"),
     # Unbounded keys must still be finite.
-    **{key: ("0.1", "nan", "inf") for key in (
-        "welfare.harm_quad", "ipi.mu_tech", "proxy.detector_exponent",
-    )},
+    **{key: ("0.1", "nan", "inf") for key in ("welfare.harm_quad", "ipi.mu_tech")},
 }
 
 
@@ -588,7 +699,8 @@ class TestConfigSpace:
                     experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
                     "--config", str(path), *(f"--{k}={v}" for k, v in SMALL.items()),
                 ])
-                for experiment in ("baseline", "noise-robustness")
+                # robust-select runs its six worlds as one lockstep batch
+                for experiment in ("baseline", "noise-robustness", "robust-select")
             ]
         assert validated in (0, 2)
         for code in ran:
