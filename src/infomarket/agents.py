@@ -2,10 +2,11 @@
 
 Consumers update beliefs from a noisy binary quality signal and verify
 when the expected value of resolving uncertainty covers their cost; the
-platform nudges its amplification weights and moderation intensity by
-projected gradient ascent on profit net of a trust penalty.  Producers'
-logit choice over unit profits runs over whole pools in
-`market.supply_response`.
+platform nudges its three levers (`Postures`: two amplification weights
+and the moderation intensity) by projected gradient ascent on profit net
+of a trust penalty, with every other platform quantity read from
+`PlatformParams`.  Producers' logit choice over unit profits runs over
+whole pools in `market.supply_response`.
 
 All decision rules are pure functions.  Populations are held as arrays
 from the moment they are drawn (`ProducerPool`, `ConsumerPool`); the
@@ -15,49 +16,42 @@ simulation loop owns all mutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .config import PlatformParams
+
 
 @dataclass(frozen=True)
-class PlatformState:
-    """Platform levers and learning parameters.
+class Postures:
+    """The platform's three levers: amplification weights and moderation.
 
-    ``gamma_h`` / ``gamma_l`` are amplification weights in [0, gamma_max],
-    ``moderation`` removes that fraction of amplified low-quality exposure,
-    ``revenue_share`` is the platform's cut of ad revenue, ``ad_rate`` the
-    revenue per amplified unit.  ``lr_gamma`` / ``lr_mod`` are the gradient
-    step sizes and ``trust_price`` the shadow price attached to trust
-    erosion in the update rule.
+    ``gamma_h`` / ``gamma_l`` amplify high- and low-quality content within
+    [0, platform.gamma_max]; ``moderation`` removes that fraction of
+    amplified low-quality exposure.  One world's posture holds floats; a
+    batch of lanes holds arrays of one shape (one lane per row, or in the
+    tick, a row of lanes per world).  Every other platform quantity is a
+    fixed parameter of `PlatformParams`.
     """
 
-    gamma_h: float
-    gamma_l: float
-    moderation: float
-    revenue_share: float
-    ad_rate: float
-    lr_gamma: float
-    lr_mod: float
-    trust_price: float
-    gamma_max: float = 2.0
+    gamma_h: float | np.ndarray
+    gamma_l: float | np.ndarray
+    moderation: float | np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.gamma_h <= self.gamma_max:
-            raise ValueError(f"gamma_h out of [0, {self.gamma_max}]: {self.gamma_h}")
-        if not 0 <= self.gamma_l <= self.gamma_max:
-            raise ValueError(f"gamma_l out of [0, {self.gamma_max}]: {self.gamma_l}")
-        if not 0 <= self.moderation <= 1:
-            raise ValueError(f"moderation out of [0, 1]: {self.moderation}")
-        if not 0 < self.revenue_share < 1:
-            raise ValueError(f"revenue_share out of (0, 1): {self.revenue_share}")
-        if not self.ad_rate > 0:
-            raise ValueError("ad_rate must be positive")
-        if self.lr_gamma < 0 or self.lr_mod < 0:
-            raise ValueError("learning rates must be nonnegative")
-        if self.trust_price < 0:
-            raise ValueError("trust_price must be nonnegative")
+    @classmethod
+    def of(cls, postures: Sequence[Postures]) -> Postures:
+        """Stack one-world postures into a batch, one lane each."""
+        return cls(
+            gamma_h=np.array([p.gamma_h for p in postures]),
+            gamma_l=np.array([p.gamma_l for p in postures]),
+            moderation=np.array([p.moderation for p in postures]),
+        )
+
+    def take(self, index) -> Postures:
+        """The lanes at the given index (rows, or columns of rows)."""
+        return Postures(self.gamma_h[index], self.gamma_l[index], self.moderation[index])
 
 
 def consumer_posterior(prior_h, precision):
@@ -85,15 +79,16 @@ def verification_threshold(posterior_h, du_h: float, du_l: float):
 
 
 def platform_update(
-    state: PlatformState,
+    posture: Postures,
+    params: PlatformParams,
     grad_profit_gamma: float,
     grad_trust_gamma: float,
     grad_profit_mod: float,
     grad_trust_mod: float,
     grad_profit_gamma_h: float = 0.0,
     grad_trust_gamma_h: float = 0.0,
-) -> PlatformState:
-    """One projected gradient-ascent step on the platform levers.
+) -> Postures:
+    """One projected gradient-ascent step on one world's levers.
 
     gamma_L <- clamp(gamma_L + eta*(dPi/dgamma_L - lambda*dErosion/dgamma_L)),
     and symmetrically for gamma_H with its own gradients; moderation moves by
@@ -102,19 +97,18 @@ def platform_update(
     lever destroys trust), so the lambda term brakes pollution-amplifying
     moves and rewards trust-protecting ones.
     """
-    gl = state.gamma_l + state.lr_gamma * (
-        grad_profit_gamma - state.trust_price * grad_trust_gamma
+    gl = posture.gamma_l + params.lr_gamma * (
+        grad_profit_gamma - params.trust_price * grad_trust_gamma
     )
-    gh = state.gamma_h + state.lr_gamma * (
-        grad_profit_gamma_h - state.trust_price * grad_trust_gamma_h
+    gh = posture.gamma_h + params.lr_gamma * (
+        grad_profit_gamma_h - params.trust_price * grad_trust_gamma_h
     )
-    m = state.moderation + state.lr_mod * (
-        grad_profit_mod - state.trust_price * grad_trust_mod
+    m = posture.moderation + params.lr_mod * (
+        grad_profit_mod - params.trust_price * grad_trust_mod
     )
-    return replace(
-        state,
-        gamma_l=min(max(gl, 0.0), state.gamma_max),
-        gamma_h=min(max(gh, 0.0), state.gamma_max),
+    return Postures(
+        gamma_h=min(max(gh, 0.0), params.gamma_max),
+        gamma_l=min(max(gl, 0.0), params.gamma_max),
         moderation=min(max(m, 0.0), 1.0),
     )
 

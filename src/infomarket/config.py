@@ -104,6 +104,8 @@ class PlatformParams:
 
     def __post_init__(self) -> None:
         _bound(self, "platform", "revenue_share", lambda v: 0 < v < 1, "lie in (0, 1)")
+        # At 0 nothing is amplified, and the anchor lattice collapses onto its worst corner.
+        _bound(self, "platform", "gamma_max", _positive, "be positive")
         _bound(self, "platform", "gamma_init", lambda v: 0 <= v <= self.gamma_max,
                f"lie in [0, platform.gamma_max = {self.gamma_max!r}]")
         _bound(self, "platform", "moderation_init", lambda v: 0 <= v <= 1, "lie in [0, 1]")
@@ -121,7 +123,9 @@ class MarketParams:
     # Nonnegative: verification sharpens the signal, which makes the fixed
     # point unique when du_h <= du_l.
     kappa_verify: float = 0.1
-    # The verification fixed point must meet |T(V) - V| < fp_tol.
+    # The verification fixed point must meet |T(V) - V| < fp_tol.  The exact
+    # solve's own rounding leaves residuals up to about 1.1e-16, so below
+    # about 1e-15 rounding decides pass or fail; 0 always fails (exit 3).
     fp_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -259,6 +263,8 @@ class ShockParams:
     def __post_init__(self) -> None:
         _bound(self, "shocks", "cost_drop capability_jump fake_news_burst trust_shock",
                _nonnegative, "be nonnegative")
+        # A negative window would revert a capability jump before it enters.
+        _bound(self, "shocks", "duration", _nonnegative, "be nonnegative")
         # A cost drop scales the AI rental rate by (1 - magnitude), which must stay positive.
         _bound(self, "shocks", "cost_drop", lambda v: v < 1, "be below 1")
 

@@ -33,12 +33,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .agents import draw_consumers, draw_producers
+from .agents import Postures, draw_consumers, draw_producers
 from .config import SimParams, parse_config_file
 from .errors import ConfigError, NoConvergence
 from .ipi import (
     FIXED_WEIGHTS,
-    IpiReading,
+    composite,
     dim_deadweight,
     dim_tech_risk,
     dim_trust_decay,
@@ -49,11 +49,9 @@ from .ipi import (
 from .market import (
     MarketState,
     Populations,
-    Postures,
     TickInputs,
     TickResult,
     _base_costs,
-    _platform_from_params,
     clear_market,
     market_step,
     supply_response,
@@ -195,14 +193,14 @@ class Simulation:
     """Owns one run: populations, platform, capability stocks, and policy state.
 
     Strictly sequential and deterministic; independent runs get their own
-    instances.
+    instances.  Without a ``policy`` the run takes it from ``params.policy``.
     """
 
     def __init__(
         self, params: SimParams, policy: PolicyConfig | None = None, master_seed: int = 42
     ):
         self.params = params
-        self.policy = policy or PolicyConfig()
+        self.policy = policy if policy is not None else _policy_from_params(params)
         self.master_seed = master_seed
         prod_ss, cons_ss = np.random.SeedSequence(master_seed).spawn(2)
         ag = params.agents
@@ -219,7 +217,8 @@ class Simulation:
                 ag.n_consumers, np.random.default_rng(cons_ss), k_max=ag.k_max
             ),
         )
-        self.platform = _platform_from_params(params)
+        pf = params.platform
+        self.platform = Postures(pf.gamma_init, pf.gamma_init, pf.moderation_init)
         self.state = MarketState(
             tick=0,
             q_h=0.0,
@@ -237,7 +236,7 @@ class Simulation:
         self._costs = _base_costs(params, params.econ.ai_rental)
         self.w_so, self.w_min = welfare_anchors(self.populations, params)
 
-    def _weights(self, reading_dims: tuple[float, float, float, float]) -> tuple[float, ...]:
+    def _weights(self) -> tuple[float, ...]:
         ip = self.params.ipi
         if not ip.endogenous_weights:
             return ip.weights
@@ -249,7 +248,10 @@ class Simulation:
         """Run one full tick cycle and return its record row."""
         ov = overlay or TickOverlay()
         inputs = self._begin_tick(ov)
-        (result,) = market_step([self.state], self.populations, [self.platform], [inputs], self.params)
+        (result,) = market_step(
+            [self.state], self.populations, [self.platform], [inputs], self.params,
+            provenance_boost=self.policy.provenance_boost, fiduciary=self.policy.fiduciary,
+        )
         return self._end_tick(inputs, result, ov)
 
     def _begin_tick(self, ov: "TickOverlay") -> TickInputs:
@@ -280,8 +282,6 @@ class Simulation:
             cost_l_base=cost_l_base,
             gen_boost=self.cap_gen**p.ipi.kappa_gen,
             tax=self.tax,
-            provenance_boost=self.policy.provenance_boost,
-            fiduciary=self.policy.fiduciary,
             extra_q_l=ov.extra_q_l,
             trust_delta=ov.trust_delta,
         )
@@ -302,8 +302,12 @@ class Simulation:
             dim_trust_decay(self.state.trust, p.trust.t_max),
             dim_tech_risk(self.cap_gen, self.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech),
         )
-        reading = IpiReading.build(dims, self._weights(dims))
-        self.prev_ipi = reading.composite
+        ipi = composite(dims, self._weights())
+        # A NaN welfare fails here rather than write a NaN row.
+        if not all(0 <= d <= 1 for d in dims):
+            raise ValueError(f"dimensions must lie in [0, 1]: {dims}")
+        self.prev_ipi = ipi
+        i1, i2, i3, i4 = dims
         return TickRow(
             tick=self.state.tick,
             q_h=self.state.q_h,
@@ -313,11 +317,11 @@ class Simulation:
             precision=self.state.precision,
             trust=self.state.trust,
             welfare=self.state.welfare,
-            i1=reading.i1,
-            i2=reading.i2,
-            i3=reading.i3,
-            i4=reading.i4,
-            ipi=reading.composite,
+            i1=i1,
+            i2=i2,
+            i3=i3,
+            i4=i4,
+            ipi=ipi,
             tau=inputs.tax,
             gamma_h=posture.gamma_h,
             gamma_l=posture.gamma_l,
@@ -411,9 +415,7 @@ class WeightContext:
         inputs = sim._last_inputs
         if dim == 0:
             (w, bumped_w), (rho, bumped_rho) = self._evaluate(
-                np.array([state.q_h, state.q_h]),
-                np.array([state.q_l, state.q_l * (1.0 + eps)]),
-                inputs,
+                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)])
             )
             return bumped_w - w, bumped_rho - rho
         base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
@@ -424,14 +426,12 @@ class WeightContext:
         base, bumped = self._supply_welfare(inputs, (inputs.gen_boost, boost))
         return bumped - base, new_i4 - base_i4
 
-    def _evaluate(
-        self, q_h: np.ndarray, q_l: np.ndarray, inputs: TickInputs
-    ) -> tuple[list[float], list[float]]:
+    def _evaluate(self, q_h: np.ndarray, q_l: np.ndarray) -> tuple[list[float], list[float]]:
         """(welfare, pollution) for each lane of outputs, re-solving verification."""
         sim = self.sim
         cleared = clear_market(
             q_h, q_l, Postures.of([sim.platform] * q_h.size), sim.populations, sim.params,
-            inputs.provenance_boost,
+            sim.policy.provenance_boost,
         )
         w = cleared.welfare(sim.state.trust, sim._last_result.producer_profit, sim.params)
         return w.tolist(), cleared.pollution.tolist()
@@ -442,13 +442,14 @@ class WeightContext:
         supply = supply_response(
             sim.populations.producers,
             Postures.of([sim.platform] * len(gen_boosts)),
+            sim.params.platform,
             cost_h_base=inputs.cost_h_base,
             cost_l_base=inputs.cost_l_base,
             gen_boost=np.array(gen_boosts),
             tax=inputs.tax,
             extra_q_l=inputs.extra_q_l,
         )
-        w, _rho = self._evaluate(supply.q_h, supply.q_l, inputs)
+        w, _rho = self._evaluate(supply.q_h, supply.q_l)
         profit = supply.producer_profit.tolist()
         return [wi + pi - sim._last_result.producer_profit for wi, pi in zip(w, profit)]
 
@@ -652,6 +653,8 @@ def _run_batch(task: tuple[list[World], int, int]) -> list[RunRecord | str]:
                 results = dict(zip(order, market_step(
                     [live[i].state for i in order], first.populations,
                     [live[i].platform for i in order], [inputs[i] for i in order], first.params,
+                    provenance_boost=first.policy.provenance_boost,
+                    fiduciary=first.policy.fiduciary,
                 )))
             except NoConvergence as exc:
                 if not exc.lanes:
@@ -720,7 +723,7 @@ def _records(cfg: ExperimentConfig, worlds: Sequence[World]) -> list[RunRecord]:
 def run(cfg: ExperimentConfig) -> RunRecord:
     """The baseline procedure: initialize, run the horizon, persist."""
     params = cfg.params()
-    sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
+    sim = Simulation(params, master_seed=cfg.master_seed)
     record = sim.run(cfg.max_ticks)
     record.metadata["experiment"] = cfg.experiment
     stats = summary_stats(record)
@@ -803,7 +806,7 @@ def run_shocks(
 ) -> tuple[RunRecord, list[ShockResponse]]:
     params = cfg.params()
     shocks = list(shocks) if shocks is not None else default_shocks(params)
-    sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
+    sim = Simulation(params, master_seed=cfg.master_seed)
     record = sim.run(cfg.max_ticks, shocks)
     record.metadata["experiment"] = cfg.experiment
     responses = shock_stats(record, shocks)
@@ -898,7 +901,7 @@ def run_noise(
     params = cfg.params()
     levels = list(noise_levels) if noise_levels is not None else [0.0, 0.05, 0.1, 0.2]
     weights = params.ipi.weights
-    sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
+    sim = Simulation(params, master_seed=cfg.master_seed)
     series = []
     for _ in range(cfg.max_ticks):
         sim.advance()
@@ -947,7 +950,7 @@ def run_event_detection(
     tick = burst_tick if burst_tick is not None else cfg.max_ticks // 2
     mag = magnitude if magnitude is not None else params.shocks.fake_news_burst
     shock = ShockEvent(tick=tick, kind="fake_news_burst", magnitude=mag)
-    sim = Simulation(params, _policy_from_params(params), cfg.master_seed)
+    sim = Simulation(params, master_seed=cfg.master_seed)
     record = sim.run(cfg.max_ticks, [shock])
     record.metadata["experiment"] = cfg.experiment
     (response,) = shock_stats(record, [shock])

@@ -23,43 +23,14 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .agents import PlatformState
+from .agents import Postures
 from .config import WEIGHT_TOL, IpiParams, SimParams
 from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from .market import MarketState, Postures, _clamp, amplified, harmful_exposure
+from .market import MarketState, _clamp, amplified, harmful_exposure
 
 logger = logging.getLogger(__name__)
 
 FIXED_WEIGHTS = IpiParams().weights
-
-
-@dataclass(frozen=True)
-class IpiReading:
-    """Four dimension values, their weights, and the composite at one tick."""
-
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    w1: float
-    w2: float
-    w3: float
-    w4: float
-    composite: float
-
-    def __post_init__(self) -> None:
-        weights = (self.w1, self.w2, self.w3, self.w4)
-        dims = (self.i1, self.i2, self.i3, self.i4)
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > WEIGHT_TOL:
-            raise WeightSumViolation(f"weights must be nonnegative and sum to 1: {weights}")
-        if any(not 0 <= d <= 1 for d in dims):
-            raise ValueError(f"dimensions must lie in [0, 1]: {dims}")
-        if abs(self.composite - sum(w * d for w, d in zip(weights, dims))) > WEIGHT_TOL:
-            raise ValueError("composite inconsistent with weighted dimensions")
-
-    @classmethod
-    def build(cls, dims: Sequence[float], weights: Sequence[float]) -> "IpiReading":
-        return cls(*dims, *weights, composite(dims, weights))
 
 
 def dim_deadweight(w: float, w_so: float, w_min: float) -> float:
@@ -207,7 +178,7 @@ def proxy_detection_gap(log: SyntheticEventLog) -> np.ndarray:
 
 
 def synthesize_log(
-    series: Sequence[tuple[MarketState, PlatformState, float, float]],
+    series: Sequence[tuple[MarketState, Postures, float, float]],
     params: SimParams,
     noise_level: float = 0.0,
     rng: np.random.Generator | None = None,

@@ -8,17 +8,20 @@ with the signal precision it induces, trust moves one Euler step, welfare is
 assembled, and the platform takes one projected gradient step from central
 finite differences of its one-tick-ahead profit and trust responses.
 
-Postures clear as lanes of a batch (`Postures`, one lane per row).
-`market_step` advances a batch of worlds that share their populations.
-`supply_response` takes a batch: a tick makes one call with seven lanes
-per world, the posted posture plus the six finite-difference probes.  `clear_market` clears a batch of lanes: the
-tick clears each world's posted posture as one lane, the welfare anchors
-clear the whole lattice and the worst corner as lanes of one
-`static_equilibrium_welfare` call, and the endogenous-weight re-evaluation
-clears a base and a perturbed lane.  The verification fixed point is
-solved exactly per lane (`solve_verification_fixed_point`), and every
-stage is elementwise over lanes, so a lane's result does not depend on the
-batch it is cleared in.
+A posture is the platform's three levers (`agents.Postures`); every other
+platform quantity (revenue share, ad rate, learning rates, bounds) is read
+from ``params.platform``.  Postures clear as lanes of a batch, one lane
+per element of the levers.  `market_step` advances a batch of worlds that
+share their populations and parameters.  `supply_response` takes a batch:
+a tick makes one call with seven lanes per world, the posted posture plus
+the six finite-difference probes.  `clear_market` clears a batch of
+lanes: the tick clears each world's posted posture as one lane, the
+welfare anchors clear the whole lattice and the worst corner as lanes of
+one `static_equilibrium_welfare` call, and the endogenous-weight
+re-evaluation clears a base and a perturbed lane.  The verification fixed
+point is solved exactly per lane (`solve_verification_fixed_point`), and
+every stage is elementwise over lanes, so a lane's result does not depend
+on the batch it is cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -37,13 +40,13 @@ import numpy as np
 from . import econ
 from .agents import (
     ConsumerPool,
-    PlatformState,
+    Postures,
     ProducerPool,
     consumer_posterior,
     platform_update,
     verification_threshold,
 )
-from .config import MarketParams, SimParams, TrustParams, WelfareParams
+from .config import MarketParams, PlatformParams, SimParams, TrustParams, WelfareParams
 from .errors import NoConvergence
 from .policy import fiduciary_objective
 
@@ -277,13 +280,13 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < x, hi, x)
 
 
-def amplified(q_h, q_l, platform):
-    """(high-quality, unmoderated low-quality) amplified exposure under a posture or `Postures`."""
+def amplified(q_h, q_l, platform: Postures):
+    """(high-quality, unmoderated low-quality) amplified exposure under the levers."""
     return platform.gamma_h * q_h, platform.gamma_l * (1.0 - platform.moderation) * q_l
 
 
 def harmful_exposure(
-    q_l: float, platform: PlatformState, verify_rate: float, precision: float
+    q_l: float, platform: Postures, verify_rate: float, precision: float
 ) -> float:
     """Amplified low-quality exposure that actually lands: unmoderated,
     unverified, and signal-misled."""
@@ -304,7 +307,7 @@ def welfare_value(
     verify_rate: float,
     precision: float,
     trust: float,
-    platform: PlatformState,
+    platform: Postures,
     producer_profit: float,
     platform_profit: float,
     verification_spend: float,
@@ -340,42 +343,6 @@ class Populations:
 
 
 @dataclass(frozen=True)
-class Postures:
-    """A batch of posted platform postures, one lane per element.
-
-    The levers vary by lane (arrays of one shape: one lane per row, or in
-    the tick, a row of lanes per world); revenue share and ad rate are
-    shared.  A batch
-    stands in for a `PlatformState` in the lane arithmetic of the clearing
-    chain (`amplified`, `harmful_exposure`, `value_and_harm`).
-    """
-
-    gamma_h: np.ndarray
-    gamma_l: np.ndarray
-    moderation: np.ndarray
-    revenue_share: float
-    ad_rate: float
-
-    @classmethod
-    def of(cls, platforms: Sequence[PlatformState]) -> Postures:
-        """Stack postures that share the first one's revenue share and ad rate."""
-        return cls(
-            gamma_h=np.array([p.gamma_h for p in platforms]),
-            gamma_l=np.array([p.gamma_l for p in platforms]),
-            moderation=np.array([p.moderation for p in platforms]),
-            revenue_share=platforms[0].revenue_share,
-            ad_rate=platforms[0].ad_rate,
-        )
-
-    def take(self, index) -> Postures:
-        """The lanes at the given index (rows, or columns of rows)."""
-        return Postures(
-            self.gamma_h[index], self.gamma_l[index], self.moderation[index], self.revenue_share,
-            self.ad_rate,
-        )
-
-
-@dataclass(frozen=True)
 class SupplyResult:
     """Per-lane supply of a batch of postures, arrays of the postures' shape."""
 
@@ -387,6 +354,7 @@ class SupplyResult:
 def supply_response(
     pool: ProducerPool,
     postures: Postures,
+    platform: PlatformParams,
     *,
     cost_h_base: float | np.ndarray,
     cost_l_base: float | np.ndarray,
@@ -400,17 +368,18 @@ def supply_response(
     individual productivity; generation capability cheapens low-quality
     templates by the gen_boost factor.  Choice probabilities are the stable
     logit over per-unit profits; contributions are productivity-scaled unit
-    masses.  Producer surplus is reported pre-tax (the levy is a transfer).
-    The results have the shape of the posture levers.  The cost bases,
-    ``gen_boost``, ``tax`` and ``extra_q_l`` broadcast against it: one value
-    for every lane, one per lane, or (in the tick) one per world as a
-    column.
+    masses; the margins are the amplified ad revenue net of the platform's
+    share (``platform.revenue_share`` and ``platform.ad_rate``).  Producer
+    surplus is reported pre-tax (the levy is a transfer).  The results have
+    the shape of the posture levers.  The cost bases, ``gen_boost``, ``tax``
+    and ``extra_q_l`` broadcast against it: one value for every lane, one
+    per lane, or (in the tick) one per world as a column.
 
     Lanes reduce with `np.vecdot`, which equals a 1-D `np.dot` of each lane
     bit for bit, so a lane's result does not depend on the batch it is in;
     `@`, `einsum` and `.sum(axis=-1)` differ from it in the last bit.
     """
-    share = (1.0 - postures.revenue_share) * postures.ad_rate
+    share = (1.0 - platform.revenue_share) * platform.ad_rate
     margin_h = (share * postures.gamma_h)[..., None]
     margin_l = (share * postures.gamma_l)[..., None]
     tax = np.asarray(tax, dtype=float)[..., None]
@@ -483,7 +452,7 @@ def exposure(
     total = high + low
     # An empty market (total 0, so low 0) has pollution 0 / 1.
     rho = low / (total + (total == 0.0))
-    profit = (high + low * pf.engagement_bias) * (postures.revenue_share * postures.ad_rate) - (
+    profit = (high + low * pf.engagement_bias) * (pf.revenue_share * pf.ad_rate) - (
         postures.moderation**2 * pf.moderation_cost * q_l
     )
     return rho, total / populations.total, profit
@@ -537,8 +506,6 @@ class TickInputs:
     cost_l_base: float
     gen_boost: float
     tax: float
-    provenance_boost: float
-    fiduciary: float
     extra_q_l: float = 0.0
     trust_delta: float = 0.0
 
@@ -546,7 +513,7 @@ class TickInputs:
 @dataclass(frozen=True)
 class TickResult:
     state: MarketState
-    platform: PlatformState
+    platform: Postures
     producer_profit: float
 
 
@@ -565,9 +532,12 @@ _LEVERS = ("gamma_l", "gamma_h", "moderation")
 def market_step(
     states: Sequence[MarketState],
     populations: Populations,
-    platforms: Sequence[PlatformState],
+    platforms: Sequence[Postures],
     inputs: Sequence[TickInputs],
     params: SimParams,
+    *,
+    provenance_boost: float,
+    fiduciary: float,
 ) -> list[TickResult]:
     """Advance a batch of worlds one tick (stages 1-6 of the tick cycle), one lane per world.
 
@@ -578,25 +548,22 @@ def market_step(
     Deterministic: no randomness is consumed here.
 
     The worlds share the populations, the parameter sections read here
-    (agents, market, trust, welfare, platform) and their inputs' provenance
-    boost and fiduciary weight; the other inputs are per world.  Every stage
-    is elementwise over the worlds, so a world's result does not depend on
-    its batch.  NoConvergence names, in its ``lanes``, every world whose
-    fixed point misses ``market.fp_tol``.
+    (agents, market, trust, welfare, platform) and the policy's provenance
+    boost and fiduciary weight, passed once; each world has its own
+    posture, state and inputs.  Every stage is elementwise over the worlds,
+    so a world's result does not depend on its batch.  NoConvergence names,
+    in its ``lanes``, every world whose fixed point misses ``market.fp_tol``.
     """
-    boost, fiduciary = inputs[0].provenance_boost, inputs[0].fiduciary
-    if any(i.provenance_boost != boost or i.fiduciary != fiduciary for i in inputs):
-        raise ValueError("the worlds of one market_step must share provenance_boost and fiduciary")
-
+    pf = params.platform
     # (1) producer choices and aggregate supply, for each world's posted
     # posture (column 0) and, in the same call, for the probes of its
     # gradient step: seven lanes per world
-    postures = _probes(platforms, params.platform.fd_step)
+    postures = _probes(platforms, pf)
     cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
         (i.cost_h_base, i.cost_l_base, i.gen_boost, i.tax, i.extra_q_l) for i in inputs
     ]))
     supply = supply_response(
-        populations.producers, postures, cost_h_base=cost_h, cost_l_base=cost_l,
+        populations.producers, postures, pf, cost_h_base=cost_h, cost_l_base=cost_l,
         gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
     posted, probes = np.s_[:, 0], np.s_[:, 1:]
@@ -605,8 +572,8 @@ def market_step(
     # (2-3) exposure under every lane's posture in one call; pollution under
     # the posture producers responded to, and the verification fixed point
     exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
-    cleared = clear_market(q_h, q_l, postures.take(posted), populations, params, boost,
-                           exposed=tuple(x[posted] for x in exposed))
+    cleared = clear_market(q_h, q_l, postures.take(posted), populations, params,
+                           provenance_boost, exposed=tuple(x[posted] for x in exposed))
 
     # (4) trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
@@ -622,7 +589,9 @@ def market_step(
         probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
         fiduciary, params, trust_now=trust, cleared=cleared, producers=populations.producers.n,
     )
-    new_platforms = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next)
+    new_platforms = _platform_gradient_steps(
+        platforms, probe_postures, objectives, trust_next, pf
+    )
 
     columns = zip(
         states, new_platforms, q_h.tolist(), q_l.tolist(), cleared.pollution.tolist(),
@@ -653,23 +622,21 @@ def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _probes(platforms: Sequence[PlatformState], h: float) -> Postures:
+def _probes(platforms: Sequence[Postures], pf: PlatformParams) -> Postures:
     """Each world's posted posture, then its central-difference probes: one
     row of seven lanes per world.
 
-    Each lever in `_LEVERS` order moves one step up, then one down, within
-    its bounds.
+    Each lever in `_LEVERS` order moves one step of ``fd_step`` up, then one
+    down, within its bounds.
     """
+    h, top = pf.fd_step, pf.gamma_max
     gamma_h, gamma_l, moderation = [], [], []
     for p in platforms:
-        gl, gh, m, top = p.gamma_l, p.gamma_h, p.moderation, p.gamma_max
+        gl, gh, m = p.gamma_l, p.gamma_h, p.moderation
         gamma_h.append((gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh))
         gamma_l.append((gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl))
         moderation.append((m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0)))
-    return Postures(
-        np.array(gamma_h), np.array(gamma_l), np.array(moderation),
-        platforms[0].revenue_share, platforms[0].ad_rate,
-    )
+    return Postures(np.array(gamma_h), np.array(gamma_l), np.array(moderation))
 
 
 def _lookahead(
@@ -706,9 +673,9 @@ def _lookahead(
 
 
 def _platform_gradient_steps(
-    platforms: Sequence[PlatformState], probes: Postures, objectives: np.ndarray,
-    trust_next: np.ndarray,
-) -> list[PlatformState]:
+    platforms: Sequence[Postures], probes: Postures, objectives: np.ndarray,
+    trust_next: np.ndarray, pf: PlatformParams,
+) -> list[Postures]:
     """One `platform_update` per world from central differences over its probes.
 
     ``probes`` holds one row of probes per world in `_probes` order, and
@@ -728,7 +695,7 @@ def _platform_gradient_steps(
             # Trust gradient enters the update rule as erosion per unit increase.
             grads.append(((f[w][up] - f[w][dn]) / span, -(t[w][up] - t[w][dn]) / span))
         (gp_gl, gt_gl), (gp_gh, gt_gh), (gp_m, gt_m) = grads
-        stepped.append(platform_update(platform, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh))
+        stepped.append(platform_update(platform, pf, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh))
     return stepped
 
 
@@ -755,6 +722,7 @@ def static_equilibrium_welfare(
     supply = supply_response(
         populations.producers,
         postures.take(first),
+        params.platform,
         cost_h_base=cost_h_base,
         cost_l_base=cost_l_base,
         gen_boost=1.0,
@@ -774,41 +742,21 @@ def welfare_anchors(populations: Populations, params: SimParams) -> tuple[float,
     lattice clear as the lanes of one batch.  Lattice resolution is
     config-exposed.
     """
-    ip = params.ipi
-    base = _platform_from_params(params)
+    ip, pf = params.ipi, params.platform
     axes = (
         np.linspace(0.0, 1.0, ip.anchor_m_points),
-        np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points),
-        np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points),
+        np.linspace(0.0, pf.gamma_max, ip.anchor_gamma_points),
+        np.linspace(0.0, pf.gamma_max, ip.anchor_gamma_points),
         np.linspace(0.0, ip.anchor_tax_max, ip.anchor_tax_points),
     )
-    # Lane 0 is the corner; the lattice follows with moderation outermost
-    # and tax innermost.
-    corner = (0.0, base.gamma_h, base.gamma_max, 0.0)
+    # Lane 0 is the corner (gamma_H at its initial value); the lattice
+    # follows with moderation outermost and tax innermost.
+    corner = (0.0, pf.gamma_init, pf.gamma_max, 0.0)
     m, gh, gl, tax = (
         np.concatenate([[c], a.ravel()])
         for c, a in zip(corner, np.meshgrid(*axes, indexing="ij"))
     )
-    lanes = Postures(
-        gamma_h=gh, gamma_l=gl, moderation=m, revenue_share=base.revenue_share, ad_rate=base.ad_rate
-    )
-    w = static_equilibrium_welfare(populations, lanes, params, tax=tax)
+    w = static_equilibrium_welfare(populations, Postures(gh, gl, m), params, tax=tax)
     # The first lane strictly above every earlier one wins; a NaN lane never does.
     lattice = np.where(np.isnan(w[1:]), -math.inf, w[1:])
     return float(lattice[np.argmax(lattice)]), float(w[0])
-
-
-def _platform_from_params(params: SimParams) -> PlatformState:
-    p = params.platform
-    return PlatformState(
-        gamma_h=p.gamma_init,
-        gamma_l=p.gamma_init,
-        moderation=p.moderation_init,
-        revenue_share=p.revenue_share,
-        ad_rate=p.ad_rate,
-        lr_gamma=p.lr_gamma,
-        lr_mod=p.lr_mod,
-        trust_price=p.trust_price,
-        gamma_max=p.gamma_max,
-    )
-

@@ -13,12 +13,12 @@ import pytest
 
 from infomarket.agents import (
     ConsumerPool,
-    PlatformState,
+    Postures,
     ProducerPool,
     consumer_posterior,
     verification_threshold,
 )
-from infomarket.config import SimParams
+from infomarket.config import PlatformParams, SimParams
 from infomarket.econ import (
     CesTechnology,
     FactorPrices,
@@ -51,7 +51,6 @@ from infomarket.ipi import (
 )
 from infomarket.market import (
     Populations,
-    Postures,
     exposure,
     signal_precision,
     solve_verification_fixed_point,
@@ -319,14 +318,13 @@ def test_criterion_11_ipi_algebra_and_trivial_examples():
 
     # agents trivials, the logit and margins through one producer of unit
     # productivity under one posture, whose unit margin is (1 - 0.25) * 4 * gamma
-    platform = PlatformState(gamma_h=1.0, gamma_l=1.0, moderation=0.0,
-                             revenue_share=0.25, ad_rate=4.0, lr_gamma=0.0,
-                             lr_mod=0.0, trust_price=0.0)
+    platform = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
     posture = Postures.of([platform])
+    margins = PlatformParams(revenue_share=0.25, ad_rate=4.0)
 
     def supply(cost_h, cost_l, tax=0.0, rationality=1.0):
         pool = ProducerPool(prod_h=[1.0], prod_l=[1.0], rationality=rationality)
-        return supply_response(pool, posture, cost_h_base=cost_h, cost_l_base=cost_l,
+        return supply_response(pool, posture, margins, cost_h_base=cost_h, cost_l_base=cost_l,
                                gen_boost=1.0, tax=tax)
 
     # equal profits (3 - 0 each) split evenly; rationality 0 is a fair coin

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from infomarket.agents import (
     ConsumerPool,
-    PlatformState,
+    Postures,
     ProducerPool,
     consumer_posterior,
     draw_consumers,
@@ -17,26 +17,25 @@ from infomarket.agents import (
     platform_update,
     verification_threshold,
 )
-from infomarket.config import SimParams
-from infomarket.market import Postures, _base_costs, supply_response
+from infomarket.config import PlatformParams, SimParams
+from infomarket.market import _base_costs, supply_response
 
 E_OVER_1PE = 0.73105857863000487925  # e/(1+e), 50-digit evaluation
 UNIT_COST_L = 2.803374574213722369  # sigma=1.5, delta=0.65, A=1, r=1, w=8
 
-PLATFORM = PlatformState(
-    gamma_h=1.0, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-    ad_rate=4.0, lr_gamma=0.05, lr_mod=0.05, trust_price=50.0,
-)
+PLATFORM = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
+PARAMS = PlatformParams(revenue_share=0.25, ad_rate=4.0, lr_gamma=0.05, lr_mod=0.05,
+                        trust_price=50.0)
 
 
 def one_producer(gamma_h=1.0, gamma_l=1.0, cost_h=0.0, cost_l=0.0, tax=0.0, rationality=1.0):
     """`supply_response` of one producer of unit productivity under one posture
     (revenue share 0.25, ad rate 4): its q_h is the producer's probability of
     choosing high quality, its producer profit the expected pre-tax margin."""
-    posture = Postures(np.array([gamma_h]), np.array([gamma_l]), np.array([0.0]), 0.25, 4.0)
+    posture = Postures(np.array([gamma_h]), np.array([gamma_l]), np.array([0.0]))
     pool = ProducerPool(prod_h=[1.0], prod_l=[1.0], rationality=rationality)
-    return supply_response(pool, posture, cost_h_base=cost_h, cost_l_base=cost_l, gen_boost=1.0,
-                           tax=tax)
+    return supply_response(pool, posture, PARAMS, cost_h_base=cost_h, cost_l_base=cost_l,
+                           gen_boost=1.0, tax=tax)
 
 
 def choice_prob(profit_h: float, profit_l: float, rationality: float) -> float:
@@ -149,31 +148,25 @@ class TestVerificationThreshold:
 
 class TestPlatformUpdate:
     def test_stationary_point(self):
-        assert platform_update(PLATFORM, 0.0, 0.0, 0.0, 0.0) == PLATFORM
+        assert platform_update(PLATFORM, PARAMS, 0.0, 0.0, 0.0, 0.0) == PLATFORM
 
     def test_frozen_learner(self):
-        frozen = PlatformState(
-            gamma_h=1.0, gamma_l=1.0, moderation=0.3, revenue_share=0.25,
-            ad_rate=4.0, lr_gamma=0.0, lr_mod=0.0, trust_price=50.0,
-        )
-        assert platform_update(frozen, 5.0, -2.0, 3.0, 1.0) == frozen
+        frozen = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.3)
+        still = PlatformParams(lr_gamma=0.0, lr_mod=0.0, trust_price=50.0)
+        assert platform_update(frozen, still, 5.0, -2.0, 3.0, 1.0) == frozen
 
     def test_single_euler_step(self):
-        state = PlatformState(
-            gamma_h=1.0, gamma_l=0.5, moderation=0.0, revenue_share=0.25,
-            ad_rate=4.0, lr_gamma=0.1, lr_mod=0.05, trust_price=0.0,
-        )
-        updated = platform_update(state, 1.0, 0.0, 0.0, 0.0)
+        state = Postures(gamma_h=1.0, gamma_l=0.5, moderation=0.0)
+        params = PlatformParams(lr_gamma=0.1, lr_mod=0.05, trust_price=0.0)
+        updated = platform_update(state, params, 1.0, 0.0, 0.0, 0.0)
         assert updated.gamma_l == pytest.approx(0.6, rel=1e-12)
         assert updated.gamma_h == pytest.approx(1.0)
         assert updated.moderation == pytest.approx(0.0)
 
     def test_trust_erosion_brakes(self):
-        state = PlatformState(
-            gamma_h=1.0, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-            ad_rate=4.0, lr_gamma=0.1, lr_mod=0.1, trust_price=10.0,
-        )
-        updated = platform_update(state, 1.0, 0.5, 0.0, 0.0)
+        state = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
+        params = PlatformParams(lr_gamma=0.1, lr_mod=0.1, trust_price=10.0)
+        updated = platform_update(state, params, 1.0, 0.5, 0.0, 0.0)
         # profit pull +1 against erosion 10 * 0.5 nets to a downward step
         assert updated.gamma_l == pytest.approx(1.0 + 0.1 * (1.0 - 5.0))
         assert updated.gamma_l == 0.6
@@ -185,9 +178,9 @@ class TestPlatformUpdate:
     )
     @settings(max_examples=300, deadline=None)
     def test_projection_keeps_invariants(self, gpl, gtl, gpm, gtm, gph, gth):
-        updated = platform_update(PLATFORM, gpl, gtl, gpm, gtm, gph, gth)
-        assert 0 <= updated.gamma_l <= PLATFORM.gamma_max
-        assert 0 <= updated.gamma_h <= PLATFORM.gamma_max
+        updated = platform_update(PLATFORM, PARAMS, gpl, gtl, gpm, gtm, gph, gth)
+        assert 0 <= updated.gamma_l <= PARAMS.gamma_max
+        assert 0 <= updated.gamma_h <= PARAMS.gamma_max
         assert 0 <= updated.moderation <= 1
 
 
@@ -235,11 +228,3 @@ class TestAgentValidation:
             ConsumerPool([1.0, -0.5, 2.0])
         with pytest.raises(ValueError):
             draw_consumers(10, np.random.default_rng(3), k_max=-1.0)
-
-    def test_platform_bounds(self):
-        with pytest.raises(ValueError):
-            PlatformState(gamma_h=2.5, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-                          ad_rate=4.0, lr_gamma=0.0, lr_mod=0.0, trust_price=0.0)
-        with pytest.raises(ValueError):
-            PlatformState(gamma_h=1.0, gamma_l=1.0, moderation=1.2, revenue_share=0.25,
-                          ad_rate=4.0, lr_gamma=0.0, lr_mod=0.0, trust_price=0.0)

@@ -132,6 +132,17 @@ class TestOverlays:
         assert overlays[5].cap_gen_mult == pytest.approx(3.0)
         assert overlays[10].cap_gen_mult == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("tick", [2, 15])
+    @pytest.mark.parametrize("duration", [0, 1, 5, 30])
+    def test_capability_jump_reverts_at_tick_plus_duration_or_never(self, tick, duration):
+        params = SimParams().with_overrides({"shocks.duration": duration})
+        jump = ShockEvent(tick=tick, kind="capability_jump", magnitude=2.0)
+        expected = [1.0] * 20
+        expected[tick] *= 3.0
+        if tick + duration < 20:
+            expected[tick + duration] /= 3.0
+        assert [ov.cap_gen_mult for ov in build_overlays(20, [jump], params)] == expected
+
     def test_zero_magnitude_is_noop(self):
         params = SimParams()
         overlays = build_overlays(
@@ -232,6 +243,15 @@ class TestConfigPlumbing:
                        (line.split(" = ") for line in text.strip().splitlines())}}
         rebuilt = SimParams().with_overrides(reparsed)
         assert rebuilt == params
+
+    def test_simulation_takes_its_policy_from_params(self):
+        params = SimParams().with_overrides(
+            {**SMALL, "policy.tax_init": 0.5, "policy.fiduciary": 0.3}
+        )
+        implied = Simulation(params, None, 42).run(5)
+        explicit = Simulation(params, PolicyConfig(tax_l=0.5, fiduciary=0.3), 42).run(5)
+        assert implied.rows[0].tau == 0.5
+        assert implied.to_csv_text() == explicit.to_csv_text()
 
 
 class TestOutputs:
@@ -507,6 +527,8 @@ class TestCli:
         ("trust.initial", "-1"),
         ("platform.gamma_init", "3"),
         ("platform.gamma_init", "-0.5"),
+        ("platform.gamma_max", "0"),
+        ("platform.gamma_max", "-1"),
         ("platform.moderation_init", "2"),
         ("platform.ad_rate", "0"),
         ("platform.trust_price", "-1"),
@@ -528,6 +550,7 @@ class TestCli:
         ("econ.delta_l", "0"),
         ("shocks.cost_drop", "1"),
         ("shocks.trust_shock", "-0.1"),
+        ("shocks.duration", "-5"),
         ("ipi.sigma_tech", "0"),
         ("ipi.w_pollution", "-1"),
         ("ipi.w_tech", "0.2"),
@@ -576,6 +599,10 @@ class TestCli:
         with pytest.raises(ConfigError):
             SimParams().with_overrides({"platform.gamma_max": 0.5})  # gamma_init is 1.0
         SimParams().with_overrides({"platform.gamma_max": 0.5, "platform.gamma_init": 0.5})
+        # With no amplification at all the anchor lattice collapses onto its worst corner.
+        with pytest.raises(ConfigError, match="platform.gamma_max must be positive"):
+            SimParams().with_overrides({"platform.gamma_max": 0.0, "platform.gamma_init": 0.0})
+        SimParams().with_overrides({"platform.gamma_max": 1e-300, "platform.gamma_init": 0.0})
 
     def test_total_cost_drop_exits_config_code(self, tmp_path):
         code = main(["shocks", "--out", str(tmp_path / "x"), "--shocks.cost_drop", "1"])
@@ -650,6 +677,8 @@ CONFIG_SPACE = {
     **{f"agents.{k}": POSITIVE for k in ("mean_prod_h", "mean_prod_l")},
     "platform.revenue_share": OPEN_UNIT,
     "platform.gamma_init": ("0", "1", "2", "3", "-0.5", "nan"),
+    # Positive, and at least gamma_init (1 unless drawn).
+    "platform.gamma_max": ("2", "1", "0.5", "1e-9", "0", "-1", "nan"),
     "platform.moderation_init": ("0", "0.5", "1", "2", "nan"),
     "platform.ad_rate": POSITIVE,
     **{f"platform.{k}": NONNEGATIVE for k in (
@@ -666,6 +695,7 @@ CONFIG_SPACE = {
     **{f"ipi.{k}": WEIGHT for k in ("w_pollution", "w_deadweight", "w_trust", "w_tech")},
     **{f"ipi.{k}": POSITIVE for k in ("sigma_tech", "weight_perturbation")},
     "ipi.anchor_tax_max": NONNEGATIVE,
+    **{f"ipi.{k}": ("0.02", "-0.5", "-1", "nan") for k in ("cap_gen_growth", "cap_det_growth")},
     "ipi.endogenous_weights": ("true", "false"),
     "proxy.items_per_type": ("1", "5", "0", "-1", "nan"),
     **{f"proxy.{k}": POSITIVE for k in ("impression_scale", "churn_base_floor")},
@@ -679,7 +709,10 @@ CONFIG_SPACE = {
     "policy.fiduciary": ("0", "0.3", "1", "2", "-1", "nan"),
     "policy.provenance_boost": ("0", "0.05", "0.2", "-0.1", "nan"),
     # Unbounded keys must still be finite.
-    **{key: ("0.1", "nan", "inf") for key in ("welfare.harm_quad", "ipi.mu_tech")},
+    **{key: ("0.1", "nan", "inf") for key in (
+        "welfare.value_h", "welfare.harm_lin", "welfare.harm_quad", "welfare.lambda_trust",
+        "ipi.mu_tech", "ipi.kappa_gen",
+    )},
 }
 
 

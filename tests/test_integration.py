@@ -177,7 +177,7 @@ class TestNoiseProtocol:
 class TestRecordInvariants:
     def test_pollution_consistent_with_row_posture(self, baseline_150, populations, params):
         col = baseline_150.column
-        postures = Postures(col("gamma_h"), col("gamma_l"), col("m"), 0.25, 4.0)
+        postures = Postures(col("gamma_h"), col("gamma_l"), col("m"))
         rho, _, _ = exposure(col("q_h"), col("q_l"), postures, populations, params)
         for row, expected in zip(baseline_150.rows, rho.tolist()):
             assert row.pollution == pytest.approx(expected, rel=1e-12)

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infomarket.agents import PlatformState
+from infomarket.agents import Postures
 from infomarket.config import SimParams
 from infomarket.errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
 from infomarket.harness import Simulation
 from infomarket.ipi import (
     FIXED_WEIGHTS,
-    IpiReading,
     SyntheticEventLog,
     composite,
     dim_deadweight,
@@ -29,19 +28,10 @@ from infomarket.ipi import (
     proxy_harm,
     synthesize_log,
 )
-from infomarket.market import MarketState, Postures, exposure, harmful_exposure
+from infomarket.market import MarketState, exposure, harmful_exposure
 from infomarket.policy import PolicyConfig
 
 mp.mp.dps = 50
-
-
-def make_platform(**kwargs) -> PlatformState:
-    defaults = dict(
-        gamma_h=1.0, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-        ad_rate=4.0, lr_gamma=0.05, lr_mod=0.05, trust_price=50.0,
-    )
-    defaults.update(kwargs)
-    return PlatformState(**defaults)
 
 
 class TestDimensions:
@@ -115,14 +105,6 @@ class TestComposite:
         for j in range(4):
             bumped = tuple(d + 0.1 if i == j else d for i, d in enumerate(dims))
             assert composite(bumped, FIXED_WEIGHTS) >= base
-
-    def test_reading_invariants(self):
-        reading = IpiReading.build((0.6, 0.5, 0.7, 0.4), FIXED_WEIGHTS)
-        assert reading.composite == pytest.approx(0.57, abs=1e-12)
-        with pytest.raises(ValueError):
-            IpiReading(0.6, 0.5, 0.7, 0.4, *FIXED_WEIGHTS, composite=0.9)
-        with pytest.raises(WeightSumViolation):
-            IpiReading.build((0.5, 0.5, 0.5, 0.5), (0.4, 0.4, 0.4, 0.4))
 
 
 class _StubContext:
@@ -236,7 +218,7 @@ def assert_logs_equal(a, b):
 
 class TestSynthesizeLog:
     def _series(self, populations, params, q_h=10.0, q_l=30.0, trust=0.4):
-        platform = make_platform()
+        platform = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
         (rho,), _, _ = exposure(
             np.array([q_h]), np.array([q_l]), Postures.of([platform]), populations, params
         )

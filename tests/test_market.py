@@ -10,17 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket import market
-from infomarket.agents import PlatformState, consumer_posterior, verification_threshold
+from infomarket.agents import Postures, consumer_posterior, verification_threshold
 from infomarket.config import SimParams
 from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import Simulation
 from infomarket.market import (
     ConsumerPool,
     MarketState,
-    Postures,
     TrustParams,
     _base_costs,
-    _platform_from_params,
     clear_market,
     exposure,
     harmful_exposure,
@@ -35,13 +33,8 @@ from infomarket.market import (
 )
 
 
-def make_platform(**kwargs) -> PlatformState:
-    defaults = dict(
-        gamma_h=1.0, gamma_l=1.0, moderation=0.0, revenue_share=0.25,
-        ad_rate=4.0, lr_gamma=0.05, lr_mod=0.05, trust_price=50.0,
-    )
-    defaults.update(kwargs)
-    return PlatformState(**defaults)
+def make_platform(gamma_h=1.0, gamma_l=1.0, moderation=0.0) -> Postures:
+    return Postures(gamma_h, gamma_l, moderation)
 
 
 def pollution(q_h, q_l, platform, populations, params) -> float:
@@ -385,7 +378,7 @@ def scalar_welfare(populations, posture, params, tax):
     """Long-run welfare of one pinned posture through the single-posture chain."""
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
     supply = supply_response(
-        populations.producers, Postures.of([posture]),
+        populations.producers, Postures.of([posture]), params.platform,
         cost_h_base=cost_h_base, cost_l_base=cost_l_base, gen_boost=1.0, tax=tax,
     )
     cleared = clear_market(supply.q_h, supply.q_l, Postures.of([posture]), populations, params)
@@ -395,16 +388,14 @@ def scalar_welfare(populations, posture, params, tax):
 
 def scalar_anchor_loop(populations, params):
     """The per-posture anchor search that the batched `welfare_anchors` replaced."""
-    ip = params.ipi
-    base = _platform_from_params(params)
-    w_min = scalar_welfare(
-        populations, replace(base, moderation=0.0, gamma_l=base.gamma_max), params, 0.0
-    )
+    ip, pf = params.ipi, params.platform
+    corner = Postures(gamma_h=pf.gamma_init, gamma_l=pf.gamma_max, moderation=0.0)
+    w_min = scalar_welfare(populations, corner, params, 0.0)
     best = -math.inf
     for m in np.linspace(0.0, 1.0, ip.anchor_m_points):
-        for gh in np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points):
-            for gl in np.linspace(0.0, base.gamma_max, ip.anchor_gamma_points):
-                posture = replace(base, moderation=float(m), gamma_h=float(gh), gamma_l=float(gl))
+        for gh in np.linspace(0.0, pf.gamma_max, ip.anchor_gamma_points):
+            for gl in np.linspace(0.0, pf.gamma_max, ip.anchor_gamma_points):
+                posture = Postures(gamma_h=float(gh), gamma_l=float(gl), moderation=float(m))
                 for tax in np.linspace(0.0, ip.anchor_tax_max, ip.anchor_tax_points):
                     w = scalar_welfare(populations, posture, params, float(tax))
                     if w > best:
@@ -457,11 +448,11 @@ class TestBatchedClearing:
         platforms = [make_platform(gamma_h=gh, gamma_l=gl, moderation=m) for gh, gl, m, _ in lanes]
         tax = [lane[3] for lane in lanes]
         cost_h, cost_l = _base_costs(params, 0.8)
-        supply = supply_response(pool, Postures.of(platforms), cost_h_base=cost_h,
+        supply = supply_response(pool, Postures.of(platforms), params.platform, cost_h_base=cost_h,
                                  cost_l_base=cost_l, gen_boost=1.3, tax=np.array(tax), extra_q_l=2.5)
         for i, (p, t) in enumerate(zip(platforms, tax)):
             # The one-posture supply with 1-D `np.dot` reductions, as before batching.
-            margin = (1.0 - p.revenue_share) * p.ad_rate
+            margin = (1.0 - params.platform.revenue_share) * params.platform.ad_rate
             pi_h = margin * p.gamma_h - cost_h / pool.prod_h
             pi_l = margin * p.gamma_l - cost_l / (pool.prod_l * 1.3) - t
             prob_h = 1.0 / (1.0 + np.exp(-np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)))
