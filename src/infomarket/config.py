@@ -182,6 +182,8 @@ class IpiParams:
         # The planner optimum is a maximum over the lattice's lanes; it needs one.
         if min(self.anchor_m_points, self.anchor_gamma_points, self.anchor_tax_points) < 1:
             raise ConfigError("ipi.anchor_*_points must be at least 1")
+        # One point is gamma 0 alone: no lattice posture amplifies anything.
+        _bound(self, "ipi", "anchor_gamma_points", lambda v: v >= 2, "be at least 2")
         _bound(self, "ipi", "w_pollution w_deadweight w_trust w_tech", _nonnegative,
                "be nonnegative")
         if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .agents import Postures
 from .config import WEIGHT_TOL, IpiParams, SimParams
-from .errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
+from .errors import ConfigError, DegenerateAnchors, WeightSumViolation, ZeroBaseline
 from .market import MarketState, _clamp, amplified, harmful_exposure
 
 logger = logging.getLogger(__name__)
@@ -201,7 +201,6 @@ def synthesize_log(
         [(s.q_h, s.q_l, s.verify_rate, s.precision, s.trust) for s in states]
     ).T
     high, low = amplified(q_h, q_l, postures)
-    harm = harmful_exposure(q_l, postures, verify_rate, precision) * px.impression_scale
     t_max = params.trust.t_max
     depletion = (t_max - trust) / t_max
     churn_base = px.churn_base_floor + px.churn_trust_slope * depletion
@@ -215,15 +214,23 @@ def synthesize_log(
     ])
     k = px.items_per_type
     rates = (px.harm_rate_clickbait, px.harm_rate_misinformation, px.harm_rate_fraud)
-    rows = np.column_stack(
-        [high * px.impression_scale / k] * k
-        + [low * px.impression_scale / k] * k
-        + [rate * harm for rate in rates]
-        + [churn_base + half_gap, np.maximum(churn_base - half_gap, 0.0), churn_base]
-        + [px.detector_acc_base * ratio]
-    )
-    if noise_level != 0.0:
-        rows = rows * rng.uniform(1.0 - noise_level, 1.0 + noise_level, size=rows.shape)
+    # A finite scale can overflow the counts, and the proxies would divide inf by inf.
+    with np.errstate(over="ignore"):
+        harm = harmful_exposure(q_l, postures, verify_rate, precision) * px.impression_scale
+        rows = np.column_stack(
+            [high * px.impression_scale / k] * k
+            + [low * px.impression_scale / k] * k
+            + [rate * harm for rate in rates]
+            + [churn_base + half_gap, np.maximum(churn_base - half_gap, 0.0), churn_base]
+            + [px.detector_acc_base * ratio]
+        )
+        if noise_level != 0.0:
+            rows = rows * rng.uniform(1.0 - noise_level, 1.0 + noise_level, size=rows.shape)
+    if not np.isfinite(rows).all():
+        raise ConfigError(
+            f"proxy.impression_scale = {px.impression_scale!r} overflows the event log: "
+            "the proxy section's counts must stay finite"
+        )
     impressions, feedback, churn, acc_new = np.split(rows, [2 * k, 2 * k + 3, 2 * k + 6], axis=1)
     return SyntheticEventLog(
         impressions=impressions,

@@ -16,12 +16,13 @@ share their populations and parameters.  `supply_response` takes a batch:
 a tick makes one call with seven lanes per world, the posted posture plus
 the six finite-difference probes.  `clear_market` clears a batch of
 lanes: the tick clears each world's posted posture as one lane, the
-welfare anchors clear the whole lattice and the worst corner as lanes of
-one `static_equilibrium_welfare` call, and the endogenous-weight
-re-evaluation clears a base and a perturbed lane.  The verification fixed
-point is solved exactly per lane (`solve_verification_fixed_point`), and
-every stage is elementwise over lanes, so a lane's result does not depend
-on the batch it is cleared in.
+endogenous-weight re-evaluation clears a base and a perturbed lane, and
+the welfare anchors put the whole lattice and the worst corner through
+one `static_equilibrium_welfare` call, which solves supply once per
+distinct (gamma_h, gamma_l, tax) and clears one lane per distinct
+pollution.  The verification fixed point is solved exactly per lane
+(`solve_verification_fixed_point`), and every stage is elementwise over
+lanes, so a lane's result does not depend on the batch it is cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -47,7 +48,7 @@ from .agents import (
     verification_threshold,
 )
 from .config import MarketParams, PlatformParams, SimParams, TrustParams, WelfareParams
-from .errors import NoConvergence
+from .errors import ConfigError, NoConvergence
 from .policy import fiduciary_objective
 
 
@@ -699,6 +700,28 @@ def _platform_gradient_steps(
     return stepped
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, row) of a 2-D float array: each distinct row's first lane, in
+    order of appearance, and each lane's index into ``first``.
+
+    Rows compare by their float64 bits, so 0.0 and -0.0 never merge, and
+    lanes that share a row share every result computed from it alone.
+    """
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
+    order = np.lexsort(bits.T)  # stable: a run of equal rows starts at its first lane
+    ranked = bits[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    heads = order[starts]  # each run's first lane
+    is_head = np.zeros(order.size, dtype=bool)
+    is_head[heads] = True
+    # Number the runs by their first lanes' order of appearance.
+    number = (np.cumsum(is_head) - 1)[heads]
+    row = np.empty_like(order)
+    row[order] = number[np.cumsum(starts) - 1]
+    return np.flatnonzero(is_head), row
+
+
 def static_equilibrium_welfare(
     populations: Populations,
     postures: Postures,
@@ -710,15 +733,16 @@ def static_equilibrium_welfare(
 
     Supply responds, verification settles at its fixed point, and trust sits
     at its steady state.  Every lane equals the same chain run on that lane
-    alone bit for bit.  Supply does not read moderation, so it is solved
-    once per distinct (gamma_h, gamma_l, tax) and shared by the lanes that
-    differ only in moderation.  Used for the planner-optimum and
-    worst-corner anchors of the deadweight dimension.
+    alone bit for bit, so lanes with equal inputs share one solve.  Supply
+    does not read moderation: it is solved once per distinct (gamma_h,
+    gamma_l, tax).  The fixed point reads only pollution: `clear_market`
+    clears the first lane of each distinct pollution, and the lanes that
+    share it take its verification rate, precision and spend.  Used for the
+    planner-optimum and worst-corner anchors of the deadweight dimension.
     """
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
     tax = np.broadcast_to(np.asarray(tax, dtype=float), postures.gamma_h.shape)
-    keys = np.column_stack([postures.gamma_h, postures.gamma_l, tax])
-    _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, row = _distinct_rows(np.column_stack([postures.gamma_h, postures.gamma_l, tax]))
     supply = supply_response(
         populations.producers,
         postures.take(first),
@@ -728,9 +752,18 @@ def static_equilibrium_welfare(
         gen_boost=1.0,
         tax=tax[first],
     )
-    cleared = clear_market(supply.q_h[row], supply.q_l[row], postures, populations, params)
-    trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
-    return cleared.welfare(trust, supply.producer_profit[row], params)
+    q_h, q_l = supply.q_h[row], supply.q_l[row]
+    exposed = exposure(q_h, q_l, postures, populations, params)
+    lead, same = _distinct_rows(exposed[0][:, None])
+    solved = clear_market(q_h[lead], q_l[lead], postures.take(lead), populations, params,
+                          exposed=tuple(x[lead] for x in exposed))
+    rho, flow, platform_profit = exposed
+    return welfare_value(
+        q_h=q_h, q_l=q_l, verify_rate=solved.verify_rate[same], precision=solved.precision[same],
+        trust=steady_state_trust(rho, flow, params.trust), platform=postures,
+        producer_profit=supply.producer_profit[row], platform_profit=platform_profit,
+        verification_spend=solved.verification_spend[same], params=params,
+    )
 
 
 def welfare_anchors(populations: Populations, params: SimParams) -> tuple[float, float]:
@@ -740,7 +773,10 @@ def welfare_anchors(populations: Populations, params: SimParams) -> tuple[float,
     static equilibrium welfare under the same agent responses; W_min is the
     no-moderation, max-amplification, no-tax corner.  The corner and the
     lattice clear as the lanes of one batch.  Lattice resolution is
-    config-exposed.
+    config-exposed.  Raises ConfigError if either anchor is not finite
+    (finite inputs, such as the welfare coefficients or the ad rate, can
+    still overflow welfare) or if W_so does not exceed W_min, which the
+    deadweight dimension divides by.
     """
     ip, pf = params.ipi, params.platform
     axes = (
@@ -756,7 +792,21 @@ def welfare_anchors(populations: Populations, params: SimParams) -> tuple[float,
         np.concatenate([[c], a.ravel()])
         for c, a in zip(corner, np.meshgrid(*axes, indexing="ij"))
     )
-    w = static_equilibrium_welfare(populations, Postures(gh, gl, m), params, tax=tax)
+    # Overflow shows as a non-finite anchor, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = static_equilibrium_welfare(populations, Postures(gh, gl, m), params, tax=tax)
     # The first lane strictly above every earlier one wins; a NaN lane never does.
     lattice = np.where(np.isnan(w[1:]), -math.inf, w[1:])
-    return float(lattice[np.argmax(lattice)]), float(w[0])
+    w_so, w_min = float(lattice[np.argmax(lattice)]), float(w[0])
+    if not (math.isfinite(w_so) and math.isfinite(w_min)):
+        raise ConfigError(
+            f"welfare anchors must be finite, got w_so={w_so}, w_min={w_min}: the welfare "
+            "section's coefficients, or the quantities they weigh, overflow"
+        )
+    # E.g. a negative harm coefficient can make the corner the lattice's best posture.
+    if not w_so > w_min:
+        raise ConfigError(
+            f"welfare anchors collapse: w_so={w_so} <= w_min={w_min}: no posture of the "
+            "ipi.anchor_* lattice beats the worst corner"
+        )
+    return w_so, w_min

@@ -519,6 +519,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("ipi.anchor_m_points", "0"),
         ("ipi.anchor_gamma_points", "-1"),
+        ("ipi.anchor_gamma_points", "1"),
         ("ipi.anchor_tax_points", "0"),
         ("agents.n_producers", "0"),
         ("agents.n_consumers", "0"),
@@ -585,6 +586,26 @@ class TestCli:
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("baseline", {"welfare.value_h": "1e308"}, "welfare section"),  # both anchors inf
+        ("noise-robustness", {"proxy.impression_scale": "1e308"}, "proxy.impression_scale"),
+        # Low-quality exposure as a good: the worst corner is the lattice's best posture.
+        ("baseline", {"platform.gamma_init": "0", "welfare.harm_lin": "-100"}, "ipi.anchor_*"),
+    ])
+    def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
+                                                            config, named):
+        # The config is valid; the run finds what it breaks before dividing
+        # by it, with no RuntimeWarning on the way.
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) == 0
+        capsys.readouterr()
+        code = main([command, "--ticks", "3", "--out", str(tmp_path / "x"), "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_weight_sensitivity_rejects_endogenous_weights(self, tmp_path, capsys):
         # Endogenous weights would replace all six weight sets alike.
@@ -695,6 +716,7 @@ CONFIG_SPACE = {
     **{f"ipi.{k}": WEIGHT for k in ("w_pollution", "w_deadweight", "w_trust", "w_tech")},
     **{f"ipi.{k}": POSITIVE for k in ("sigma_tech", "weight_perturbation")},
     "ipi.anchor_tax_max": NONNEGATIVE,
+    **{f"ipi.anchor_{k}_points": ("1", "2", "9", "0", "-1") for k in ("m", "gamma", "tax")},
     **{f"ipi.{k}": ("0.02", "-0.5", "-1", "nan") for k in ("cap_gen_growth", "cap_det_growth")},
     "ipi.endogenous_weights": ("true", "false"),
     "proxy.items_per_type": ("1", "5", "0", "-1", "nan"),
@@ -730,7 +752,9 @@ class TestConfigSpace:
             ran = [
                 main([
                     experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
-                    "--config", str(path), *(f"--{k}={v}" for k, v in SMALL.items()),
+                    "--config", str(path),
+                    # a drawn key keeps its drawn value (flags override the file)
+                    *(f"--{k}={v}" for k, v in SMALL.items() if k not in config),
                 ])
                 # robust-select runs its six worlds as one lockstep batch
                 for experiment in ("baseline", "noise-robustness", "robust-select")

@@ -469,6 +469,34 @@ class TestBatchedClearing:
             sim = Simulation(params, None, seed)
             assert (sim.w_so, sim.w_min) == scalar_anchor_loop(sim.populations, params)
 
+    @given(
+        points=st.tuples(st.integers(1, 4), st.integers(2, 4), st.integers(1, 4)),
+        tax_max=st.floats(0.0, 4.0),
+        size=st.sampled_from([(10, 20), (30, 60)]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_anchors_equal_the_loop_over_lattice_shapes(self, points, tax_max, size, seed):
+        # Moderation and tax axes of one point collapse, and a tax_max of 0
+        # stacks the tax axis on one value, so lanes collide in supply and in
+        # pollution.
+        m, gamma, taxes = points
+        params = SimParams().with_overrides({
+            "ipi.anchor_m_points": m, "ipi.anchor_gamma_points": gamma,
+            "ipi.anchor_tax_points": taxes, "ipi.anchor_tax_max": tax_max,
+            "agents.n_producers": size[0], "agents.n_consumers": size[1],
+        })
+        sim = Simulation(params, None, seed)
+        assert (sim.w_so, sim.w_min) == scalar_anchor_loop(sim.populations, params)
+
+    def test_distinct_rows_compare_bits_in_order_of_appearance(self):
+        nan = float("nan")
+        rows = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [-0.0, 1.0], [0.0, 1.0],
+                         [nan, 1.0], [nan, 1.0], [5.0, 5.0]])
+        first, row = market._distinct_rows(rows)
+        assert first.tolist() == [0, 1, 3, 5, 7]
+        assert row.tolist() == [0, 1, 0, 2, 1, 3, 3, 4]
+
     def test_unmet_tolerance_raises_like_the_loop(self, populations):
         strict = SimParams().with_overrides({"market.fp_tol": 0.0})
         with pytest.raises(NoConvergence) as loop:
@@ -490,15 +518,36 @@ class TestBatchedClearing:
             params.with_overrides({"market.pi_base": float("nan")})
 
     def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
-        calls = Counter()
-        for name in ("supply_response", "static_equilibrium_welfare"):
+        calls, seen = Counter(), {}
+        names = ("supply_response", "static_equilibrium_welfare", "solve_verification_fixed_point")
+        for name in names:
             def counted(*args, _name=name, _fn=getattr(market, name), **kwargs):
                 calls[_name] += 1
+                seen.setdefault(_name, (args, kwargs))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(market, name, counted)
         params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
         sim = Simulation(params, None, 42)
-        assert calls["static_equilibrium_welfare"] == 1
+        assert calls == dict.fromkeys(names, 1)
+        # Supply sees each distinct (gamma_h, gamma_l, tax) of the lattice once
+        # (the corner is a lattice key), and the fixed point each bit-distinct
+        # pollution, in order of appearance.
+        (_, lanes, _), anchor = seen["static_equilibrium_welfare"]
+        tax = anchor["tax"]
+        keys = list(dict.fromkeys(zip(lanes.gamma_h.tolist(), lanes.gamma_l.tolist(),
+                                      tax.tolist())))
+        (_, postures, *_), supplied = seen["supply_response"]
+        assert (tax.size, len(keys)) == (1126, 125)
+        assert list(zip(postures.gamma_h.tolist(), postures.gamma_l.tolist(),
+                        supplied["tax"].tolist())) == keys
+        cost_h, cost_l = _base_costs(params, params.econ.ai_rental)
+        supply = supply_response(sim.populations.producers, lanes, params.platform,
+                                 cost_h_base=cost_h, cost_l_base=cost_l, gen_boost=1.0, tax=tax)
+        rho, _, _ = exposure(supply.q_h, supply.q_l, lanes, sim.populations, params)
+        distinct = list(dict.fromkeys(rho.view(np.uint64).tolist()))
+        (solved, *_), _ = seen["solve_verification_fixed_point"]
+        assert solved.view(np.uint64).tolist() == distinct
+        assert len(distinct) < rho.size // 2
         calls.clear()
         for _ in range(5):
             sim.advance()
