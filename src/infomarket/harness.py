@@ -43,6 +43,7 @@ from .ipi import (
     dim_tech_risk,
     dim_trust_decay,
     endogenous_weights,
+    is_flat,
     proxy_composite,
     synthesize_log,
 )
@@ -236,12 +237,13 @@ class Simulation:
         self._costs = _base_costs(params, params.econ.ai_rental)
         self.w_so, self.w_min = welfare_anchors(self.populations, params)
 
-    def _weights(self) -> tuple[float, ...]:
+    def _weights(self, inputs: TickInputs, result: TickResult) -> tuple[float, ...]:
         ip = self.params.ipi
         if not ip.endogenous_weights:
             return ip.weights
-        ctx = WeightContext(self)
-        weights, _fallback = endogenous_weights(ctx, ip.weight_perturbation)
+        weights, _fallback = endogenous_weights(
+            weight_responses(self, inputs, result, ip.weight_perturbation)
+        )
         return weights
 
     def advance(self, overlay: "TickOverlay | None" = None) -> TickRow:
@@ -280,7 +282,7 @@ class Simulation:
         return TickInputs(
             cost_h_base=cost_h_base,
             cost_l_base=cost_l_base,
-            gen_boost=self.cap_gen**p.ipi.kappa_gen,
+            gen_boost=_gen_boost(self.cap_gen, p, self.state.tick + 1),
             tax=self.tax,
             extra_q_l=ov.extra_q_l,
             trust_delta=ov.trust_delta,
@@ -293,8 +295,6 @@ class Simulation:
         posture = self.platform  # what producers and amplification saw this tick
         self.state = result.state
         self.platform = result.platform
-        self._last_inputs = inputs
-        self._last_result = result
 
         dims = (
             self.state.pollution,
@@ -302,7 +302,7 @@ class Simulation:
             dim_trust_decay(self.state.trust, p.trust.t_max),
             dim_tech_risk(self.cap_gen, self.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech),
         )
-        ipi = composite(dims, self._weights())
+        ipi = composite(dims, self._weights(inputs, result))
         # A NaN welfare fails here rather than write a NaN row.
         if not all(0 <= d <= 1 for d in dims):
             raise ValueError(f"dimensions must lie in [0, 1]: {dims}")
@@ -390,77 +390,80 @@ def build_overlays(
     return overlays
 
 
-class WeightContext:
-    """Welfare re-evaluation surface backing endogenous index weights.
+def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
+    """The factor ``cap_gen ** kappa_gen`` by which generation capability
+    cheapens low-quality templates; an overflow is a configuration error."""
+    try:
+        return cap_gen**params.ipi.kappa_gen
+    except OverflowError:
+        raise ConfigError(
+            f"ipi.kappa_gen = {params.ipi.kappa_gen!r} overflows the generation boost "
+            f"cap_gen ** kappa_gen at tick {tick} (cap_gen = {cap_gen!r})"
+        ) from None
 
-    Perturbs, one driver at a time: the low-quality supply scale (pollution
-    dimension), the welfare identity (deadweight, analytic), the trust stock
-    (linear by construction), and the generation capability (through the
-    low-quality cost channel).
+
+def weight_responses(
+    sim: Simulation, inputs: TickInputs, result: TickResult, eps: float
+) -> list[tuple[float, float]]:
+    """Each index dimension's (delta_welfare, delta_dimension) under a relative
+    step ``eps`` in its driver, from the tick ``sim`` just adopted.
+
+    The deadweight (i2) and trust (i3) responses are analytic.  The
+    pollution driver (i1) is the low-quality output scale; the technology
+    driver (i4) is the generation capability, through the low-quality cost
+    channel and a supply re-solve.  One `supply_response` over two lanes
+    (the tick's ``gen_boost`` and the stepped one) and one `clear_market`
+    over four (the tick's outputs, the scaled ones, then the two supplies)
+    serve both, under the posture after the tick's gradient step.  A flat
+    analytic response makes the weights fall back whatever the others are,
+    so nothing is cleared and i1 and i4 read (0.0, 0.0).
     """
-
-    def __init__(self, sim: Simulation):
-        self.sim = sim
-
-    def dimension_response(self, dim: int, eps: float) -> tuple[float, float]:
-        sim = self.sim
-        p = sim.params
-        state = sim.state
-        if dim == 1:
-            span = sim.w_so - sim.w_min
-            return -span * eps, eps
-        if dim == 2:
-            delta_t = -eps * p.trust.t_max
-            return p.welfare.lambda_trust * delta_t, eps
-        inputs = sim._last_inputs
-        if dim == 0:
-            (w, bumped_w), (rho, bumped_rho) = self._evaluate(
-                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)])
-            )
-            return bumped_w - w, bumped_rho - rho
-        base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
-        new_i4 = dim_tech_risk(
-            sim.cap_gen * (1.0 + eps), sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech
-        )
-        boost = (sim.cap_gen * (1.0 + eps)) ** p.ipi.kappa_gen
-        base, bumped = self._supply_welfare(inputs, (inputs.gen_boost, boost))
-        return bumped - base, new_i4 - base_i4
-
-    def _evaluate(self, q_h: np.ndarray, q_l: np.ndarray) -> tuple[list[float], list[float]]:
-        """(welfare, pollution) for each lane of outputs, re-solving verification."""
-        sim = self.sim
-        cleared = clear_market(
-            q_h, q_l, Postures.of([sim.platform] * q_h.size), sim.populations, sim.params,
-            sim.policy.provenance_boost,
-        )
-        w = cleared.welfare(sim.state.trust, sim._last_result.producer_profit, sim.params)
-        return w.tolist(), cleared.pollution.tolist()
-
-    def _supply_welfare(self, inputs: TickInputs, gen_boosts: Sequence[float]) -> list[float]:
-        """Welfare after a full supply re-solve under each perturbed cost channel."""
-        sim = self.sim
-        supply = supply_response(
-            sim.populations.producers,
-            Postures.of([sim.platform] * len(gen_boosts)),
-            sim.params.platform,
-            cost_h_base=inputs.cost_h_base,
-            cost_l_base=inputs.cost_l_base,
-            gen_boost=np.array(gen_boosts),
-            tax=inputs.tax,
-            extra_q_l=inputs.extra_q_l,
-        )
-        w, _rho = self._evaluate(supply.q_h, supply.q_l)
-        profit = supply.producer_profit.tolist()
-        return [wi + pi - sim._last_result.producer_profit for wi, pi in zip(w, profit)]
+    p = sim.params
+    deadweight = (-(sim.w_so - sim.w_min) * eps, eps)
+    trust = (p.welfare.lambda_trust * (-eps * p.trust.t_max), eps)
+    if is_flat(*deadweight) or is_flat(*trust):
+        return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
+    state, profit = result.state, result.producer_profit
+    stepped_gen = sim.cap_gen * (1.0 + eps)
+    supply = supply_response(
+        sim.populations.producers, Postures.of([result.platform] * 2), p.platform,
+        cost_h_base=inputs.cost_h_base, cost_l_base=inputs.cost_l_base,
+        gen_boost=np.array([inputs.gen_boost, _gen_boost(stepped_gen, p, state.tick)]),
+        tax=inputs.tax, extra_q_l=inputs.extra_q_l,
+    )
+    cleared = clear_market(
+        np.array([state.q_h, state.q_h, *supply.q_h]),
+        np.array([state.q_l, state.q_l * (1.0 + eps), *supply.q_l]),
+        Postures.of([result.platform] * 4), sim.populations, p, sim.policy.provenance_boost,
+    )
+    w = cleared.welfare(state.trust, profit, p).tolist()
+    rho = cleared.pollution.tolist()
+    base, stepped = (wi + pi - profit for wi, pi in zip(w[2:], supply.producer_profit.tolist()))
+    ip = p.ipi
+    i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, ip.mu_tech, ip.sigma_tech)
+    stepped_i4 = dim_tech_risk(stepped_gen, sim.cap_det, ip.mu_tech, ip.sigma_tech)
+    return [(w[1] - w[0], rho[1] - rho[0]), deadweight, trust, (stepped - base, stepped_i4 - i4)]
 
 
 # -- statistics ---------------------------------------------------------------
 
 
 def safe_corr(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson correlation, or None when either series is constant."""
+    """Pearson correlation, or None when either series is constant.
+
+    Finite series whose squares overflow are correlated after dividing each
+    by its largest magnitude, which leaves the correlation unchanged.
+    """
     if len(x) != len(y) or len(x) < 2:
         return None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _corr(x, y)
+    except FloatingPointError:
+        return _corr(x / (np.max(np.abs(x)) or 1.0), y / (np.max(np.abs(y)) or 1.0))
+
+
+def _corr(x: np.ndarray, y: np.ndarray) -> float | None:
     if float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
@@ -896,12 +899,20 @@ def run_noise(
     Dynamics are independent of measurement noise, so the market runs once.
     Noise 0 draws nothing, so one noise-free proxy index serves every trial;
     each (level, trial) synthesizes one noisy log of the whole series, and
-    the error is the mean absolute gap to the noise-free index.
+    the error is the mean absolute gap to the noise-free index.  The proxy
+    index is weighted with the fixed ``ipi.w_*``; endogenous weights reach
+    the run only through an adaptive levy, so without one the world
+    computes none.
     """
     params = cfg.params()
     levels = list(noise_levels) if noise_levels is not None else [0.0, 0.05, 0.1, 0.2]
     weights = params.ipi.weights
-    sim = Simulation(params, master_seed=cfg.master_seed)
+    # The run's own index feeds only the adaptive levy: its rows are dropped,
+    # and the proxy composite reads ipi.w_*.
+    world = params if params.policy.adaptive_enabled else params.with_overrides(
+        {"ipi.endogenous_weights": False}
+    )
+    sim = Simulation(world, master_seed=cfg.master_seed)
     series = []
     for _ in range(cfg.max_ticks):
         sim.advance()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,33 +71,27 @@ def composite(dims: Sequence, weights: Sequence[float]) -> float | np.ndarray:
     return sum(w * d for w, d in zip(weights, dims))
 
 
-class DimensionContext(Protocol):
-    """Welfare re-evaluation surface for endogenous weighting.
-
-    ``dimension_response(j, eps)`` perturbs the driver of dimension j
-    (low-quality scale, the welfare identity, the trust stock, or the
-    generation capability) and returns (delta_welfare, delta_dimension).
-    """
-
-    def dimension_response(self, dim: int, eps: float) -> tuple[float, float]: ...
+def is_flat(d_w: float, d_i: float) -> bool:
+    """Whether a (welfare, dimension) response is too flat to weight by:
+    sensitivities are undefined on a plateau."""
+    return abs(d_w) < 1e-12 or d_i == 0.0
 
 
 def endogenous_weights(
-    context: DimensionContext, perturbation: float
+    responses: Sequence[tuple[float, float]],
 ) -> tuple[tuple[float, float, float, float], bool]:
     """Welfare-sensitivity weights: |dW/dI_j| normalized to sum one.
 
-    Falls back to the fixed default vector (flagged via the second return
-    value) whenever any dimension's welfare response is numerically flat —
-    sensitivities are undefined on a plateau.
+    ``responses`` holds each dimension's (delta_welfare, delta_dimension)
+    under a small step in its driver.  Falls back to the fixed default
+    vector (flagged via the second return value) whenever any response is
+    flat.
     """
-    sensitivities = []
-    for dim in range(4):
-        d_w, d_i = context.dimension_response(dim, perturbation)
-        if abs(d_w) < 1e-12 or d_i == 0.0:
+    for dim, (d_w, d_i) in enumerate(responses):
+        if is_flat(d_w, d_i):
             logger.debug("flat welfare response on dimension %d; using fixed weights", dim + 1)
             return FIXED_WEIGHTS, True
-        sensitivities.append(abs(d_w / d_i))
+    sensitivities = [abs(d_w / d_i) for d_w, d_i in responses]
     total = sum(sensitivities)
     return tuple(s / total for s in sensitivities), False
 

@@ -1,9 +1,11 @@
 """Harness tests: records, determinism, config plumbing, statistics, CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,16 @@ class TestSummaryStats:
     def test_safe_corr_guards(self):
         assert safe_corr(np.array([1.0]), np.array([2.0])) is None
         assert safe_corr(np.ones(10), np.arange(10.0)) is None
+
+    def test_safe_corr_of_series_whose_squares_overflow(self):
+        x = np.linspace(0.0, 1.0, 30) ** 2
+        y = np.cos(np.arange(30.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = safe_corr(1e300 * x, y)
+            both = safe_corr(1e300 * x, -1e305 * y)
+        assert big == pytest.approx(safe_corr(x, y), rel=1e-12)
+        assert both == pytest.approx(-safe_corr(x, y), rel=1e-12)
 
 
 class TestConfigPlumbing:
@@ -436,6 +448,40 @@ class TestNoise:
         assert calls == {"synthesize_log": 3 * 4 + 1, "proxy_composite": 3 * 4 + 1}
         assert report["errors"][0] == 0.0
 
+    @staticmethod
+    def _outputs(tmp_path, name, overrides, ticks):
+        """run_noise's report and written files, but for config.txt (which
+        records the overrides)."""
+        out = tmp_path / name
+        cfg = ExperimentConfig(experiment="noise_robustness", max_ticks=ticks, out_dir=out,
+                               overrides=overrides)
+        report = run_noise(cfg, trials=2)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file() and p.name != "config.txt"}
+        return hashlib.sha256(json.dumps([report, sorted(files)]).encode()
+                              + b"".join(files.values())).hexdigest()
+
+    def test_fixed_levy_computes_no_endogenous_weights(self, tmp_path, monkeypatch):
+        # The proxy index reads ipi.w_*, and a fixed levy reads no index.
+        fixed = self._outputs(tmp_path, "fixed", dict(SMALL), 30)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("endogenous weights computed in a fixed-levy noise run")
+
+        monkeypatch.setattr(harness, "weight_responses", unread)
+        endogenous = self._outputs(
+            tmp_path, "endogenous", {**SMALL, "ipi.endogenous_weights": True}, 30
+        )
+        assert endogenous == fixed
+
+    def test_adaptive_levy_reads_endogenous_weights(self, tmp_path):
+        adaptive = {"policy.adaptive_enabled": True}
+        fixed = self._outputs(tmp_path, "fixed", adaptive, 80)
+        endogenous = self._outputs(
+            tmp_path, "endogenous", {**adaptive, "ipi.endogenous_weights": True}, 80
+        )
+        assert endogenous != fixed
+
 
 class TestSupplyFloor:
     def test_zero_amplification_with_levy_pins_low_quality_at_floor(self):
@@ -592,6 +638,9 @@ class TestCli:
         ("noise-robustness", {"proxy.impression_scale": "1e308"}, "proxy.impression_scale"),
         # Low-quality exposure as a good: the worst corner is the lattice's best posture.
         ("baseline", {"platform.gamma_init": "0", "welfare.harm_lin": "-100"}, "ipi.anchor_*"),
+        # cap_gen ** kappa_gen at cap_gen 1.01: the endogenous weights' stepped stock.
+        ("baseline", {"ipi.endogenous_weights": "true", "ipi.kappa_gen": "1e5"},
+         "ipi.kappa_gen"),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             config, named):
@@ -606,6 +655,25 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_capability_power_overflow_exits_config_code(self, tmp_path, capsys):
+        # Cheap AI compounds cap_gen 2 % a tick; its power overflows at tick 36.
+        code = main([
+            "baseline", "--ticks", "50", "--out", str(tmp_path / "x"),
+            "--econ.ai_rental", "0.5", "--ipi.kappa_gen", "1000",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "ipi.kappa_gen" in err and "tick 36" in err
+
+    def test_overflowing_welfare_squares_keep_their_correlations(self, tmp_path, capsys):
+        code = main(["baseline", "--ticks", "3", "--out", str(tmp_path / "x"),
+                     "--welfare.value_h", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        corr = json.loads((tmp_path / "x" / "summary.json").read_text())["stats"]["correlations"]
+        assert corr["ipi_welfare"] < -0.99 and corr["pollution_welfare"] > 0.99
 
     def test_weight_sensitivity_rejects_endogenous_weights(self, tmp_path, capsys):
         # Endogenous weights would replace all six weight sets alike.

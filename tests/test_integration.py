@@ -5,20 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from infomarket import harness, market
 from infomarket.config import SimParams
 from infomarket.harness import (
     ExperimentConfig,
     RunRecord,
     Simulation,
-    WeightContext,
+    TickOverlay,
     run,
     run_cross_platform,
     run_event_detection,
     run_weight_sensitivity,
     sweep_cells,
+    weight_responses,
 )
-from infomarket.ipi import endogenous_weights
-from infomarket.market import Postures, exposure
+from infomarket.ipi import FIXED_WEIGHTS, composite, dim_tech_risk, endogenous_weights
+from infomarket.market import Postures, clear_market, exposure, market_step, supply_response
 from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
@@ -57,33 +59,161 @@ class TestGoldenRun:
         assert np.max(np.abs(np.diff(ipi[-21:]))) < 0.02
 
 
+def _tick(sim):
+    """One tick as `Simulation.advance` runs it: its inputs, market result and row."""
+    overlay = TickOverlay()
+    inputs = sim._begin_tick(overlay)
+    (result,) = market_step(
+        [sim.state], sim.populations, [sim.platform], [inputs], sim.params,
+        provenance_boost=sim.policy.provenance_boost, fiduciary=sim.policy.fiduciary,
+    )
+    return inputs, result, sim._end_tick(inputs, result, overlay)
+
+
+class _PerDimensionWeights:
+    """Oracle: the endogenous weights one dimension at a time, each perturbed
+    driver re-cleared in a call of its own, stopping at the first flat one."""
+
+    def __init__(self, sim, inputs, result):
+        self.sim, self.inputs, self.result = sim, inputs, result
+
+    def weights(self, eps):
+        sensitivities = []
+        for dim in range(4):
+            d_w, d_i = self.dimension_response(dim, eps)
+            if abs(d_w) < 1e-12 or d_i == 0.0:
+                return FIXED_WEIGHTS, True
+            sensitivities.append(abs(d_w / d_i))
+        total = sum(sensitivities)
+        return tuple(s / total for s in sensitivities), False
+
+    def dimension_response(self, dim, eps):
+        sim = self.sim
+        p = sim.params
+        state = sim.state
+        if dim == 1:
+            span = sim.w_so - sim.w_min
+            return -span * eps, eps
+        if dim == 2:
+            delta_t = -eps * p.trust.t_max
+            return p.welfare.lambda_trust * delta_t, eps
+        if dim == 0:
+            (w, bumped_w), (rho, bumped_rho) = self._evaluate(
+                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)])
+            )
+            return bumped_w - w, bumped_rho - rho
+        base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
+        new_i4 = dim_tech_risk(
+            sim.cap_gen * (1.0 + eps), sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech
+        )
+        boost = (sim.cap_gen * (1.0 + eps)) ** p.ipi.kappa_gen
+        base, bumped = self._supply_welfare((self.inputs.gen_boost, boost))
+        return bumped - base, new_i4 - base_i4
+
+    def _evaluate(self, q_h, q_l):
+        sim = self.sim
+        cleared = clear_market(
+            q_h, q_l, Postures.of([sim.platform] * q_h.size), sim.populations, sim.params,
+            sim.policy.provenance_boost,
+        )
+        w = cleared.welfare(sim.state.trust, self.result.producer_profit, sim.params)
+        return w.tolist(), cleared.pollution.tolist()
+
+    def _supply_welfare(self, gen_boosts):
+        sim, inputs = self.sim, self.inputs
+        supply = supply_response(
+            sim.populations.producers,
+            Postures.of([sim.platform] * len(gen_boosts)),
+            sim.params.platform,
+            cost_h_base=inputs.cost_h_base,
+            cost_l_base=inputs.cost_l_base,
+            gen_boost=np.array(gen_boosts),
+            tax=inputs.tax,
+            extra_q_l=inputs.extra_q_l,
+        )
+        w, _rho = self._evaluate(supply.q_h, supply.q_l)
+        profit = supply.producer_profit.tolist()
+        return [wi + pi - self.result.producer_profit for wi, pi in zip(w, profit)]
+
+
 class TestEndogenousWeights:
     def test_runs_and_normalizes(self):
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
         sim = Simulation(params, PolicyConfig(), 42)
-        rows = [sim.advance() for _ in range(30)]
-        for row in rows:
-            total = sum(
-                w * d
-                for w, d in zip(
-                    endogenous_weights(WeightContext(sim), params.ipi.weight_perturbation)[0],
-                    (row.i1, row.i2, row.i3, row.i4),
-                )
+        for _ in range(30):
+            inputs, result, row = _tick(sim)
+            weights, _ = endogenous_weights(
+                weight_responses(sim, inputs, result, params.ipi.weight_perturbation)
             )
+            total = sum(w * d for w, d in zip(weights, (row.i1, row.i2, row.i3, row.i4)))
             assert 0.0 <= total <= 1.0
+
+    @pytest.mark.parametrize("seed", [42, 7, 3, 1790146652])
+    @pytest.mark.parametrize("overrides", [{}, {"econ.ai_rental": 0.6}],
+                             ids=["default", "cheap_ai"])
+    def test_batched_weights_equal_per_dimension_oracle(self, seed, overrides):
+        params = SimParams().with_overrides({**overrides, "ipi.endogenous_weights": True})
+        sim = Simulation(params, master_seed=seed)
+        eps = params.ipi.weight_perturbation
+        fallbacks = 0
+        for _ in range(40):
+            inputs, result, row = _tick(sim)
+            oracle = _PerDimensionWeights(sim, inputs, result)
+            responses = weight_responses(sim, inputs, result, eps)
+            assert responses == [oracle.dimension_response(dim, eps) for dim in range(4)]
+            weights, fallback = oracle.weights(eps)
+            assert endogenous_weights(responses) == (weights, fallback)
+            # The tick's own reading used these weights, bit for bit.
+            assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), weights)
+            fallbacks += fallback
+        assert fallbacks < 40
+
+    def test_flat_trust_response_falls_back_without_clearing(self):
+        params = SimParams().with_overrides(
+            {"ipi.endogenous_weights": True, "welfare.lambda_trust": 0.0}
+        )
+        sim = Simulation(params, master_seed=42)
+        for _ in range(5):
+            inputs, result, row = _tick(sim)
+            assert endogenous_weights(
+                weight_responses(sim, inputs, result, params.ipi.weight_perturbation)
+            ) == (FIXED_WEIGHTS, True)
+            assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), FIXED_WEIGHTS)
+
+    @pytest.mark.parametrize("overrides, extra", [
+        ({}, 0),
+        ({"ipi.endogenous_weights": True}, 1),
+        # A flat analytic response settles the fallback before any clearing.
+        ({"ipi.endogenous_weights": True, "welfare.lambda_trust": 0.0}, 0),
+    ])
+    def test_weights_add_one_supply_and_one_clearing_per_tick(self, monkeypatch, overrides,
+                                                                extra):
+        sim = Simulation(SimParams().with_overrides(overrides), master_seed=42)
+        sim.advance()
+        calls = {"supply_response": 0, "clear_market": 0, "welfare": 0}
+        for module, name in [(market, "supply_response"), (market, "clear_market"),
+                             (harness, "supply_response"), (harness, "clear_market"),
+                             (market.Clearing, "welfare")]:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        for _ in range(3):
+            sim.advance()
+        assert calls == {name: 3 * (1 + extra) for name in calls}
 
     def test_half_step_oracle_at_tick_100(self):
         # Independent re-derivation: recompute raw sensitivities straight
-        # from the context at half the step size and normalize by hand.
+        # from the responses at half the step size and normalize by hand.
         sim = Simulation(SimParams(), PolicyConfig(), 42)
-        for _ in range(100):
+        for _ in range(99):
             sim.advance()
-        ctx = WeightContext(sim)
-        weights, fallback = endogenous_weights(ctx, 0.01)
+        inputs, result, _row = _tick(sim)
+        weights, fallback = endogenous_weights(weight_responses(sim, inputs, result, 0.01))
         assert not fallback
         raw = []
-        for dim in range(4):
-            d_w, d_i = ctx.dimension_response(dim, 0.005)
+        for d_w, d_i in weight_responses(sim, inputs, result, 0.005):
             assert abs(d_w) > 1e-12
             raw.append(abs(d_w / d_i))
         oracle = [s / sum(raw) for s in raw]

@@ -107,30 +107,21 @@ class TestComposite:
             assert composite(bumped, FIXED_WEIGHTS) >= base
 
 
-class _StubContext:
-    def __init__(self, responses):
-        self.responses = responses
-
-    def dimension_response(self, dim, eps):
-        return self.responses[dim]
-
-
 class TestEndogenousWeights:
     def test_equal_sensitivities_give_equal_weights(self):
-        ctx = _StubContext([(-2.0, 0.5)] * 4)
-        weights, fallback = endogenous_weights(ctx, 0.01)
+        weights, fallback = endogenous_weights([(-2.0, 0.5)] * 4)
         assert not fallback
         assert weights == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_flat_welfare_falls_back_to_fixed(self):
-        ctx = _StubContext([(-2.0, 0.5), (0.0, 0.5), (-2.0, 0.5), (-2.0, 0.5)])
-        weights, fallback = endogenous_weights(ctx, 0.01)
+        weights, fallback = endogenous_weights(
+            [(-2.0, 0.5), (0.0, 0.5), (-2.0, 0.5), (-2.0, 0.5)]
+        )
         assert fallback
         assert weights == FIXED_WEIGHTS
 
     def test_sensitivity_proportions(self):
-        ctx = _StubContext([(-3.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
-        weights, _ = endogenous_weights(ctx, 0.01)
+        weights, _ = endogenous_weights([(-3.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
         assert weights[0] == pytest.approx(0.5)
         assert weights[1] == pytest.approx(1.0 / 6.0)
         assert sum(weights) == pytest.approx(1.0)
