@@ -7,9 +7,14 @@ streams are derived from the master seed by a fixed splitting rule
 streams keyed by small integer tags), a multi-world experiment is a list of
 (parameters, policy) worlds whose records come back to the parent in world
 order, however many processes ran them, and the parent writes every file,
-with floats in a fixed format.  Worlds that share their populations and
-every parameter the market clearing reads advance in lockstep, one
-`market_step` per tick for the whole batch (`run_worlds`); a world's
+with floats in a fixed format.  A world's exogenous path (rental rate,
+cost bases, capability stocks, generation boost, the index's i4, shocks)
+is computed before its first tick (`build_overlays`); the adaptive levy
+is the only tick input the market moves.  One step (`_step`) makes the
+only `market_step` call: worlds that share their populations and every
+parameter the clearing reads advance through it in lockstep (`run_worlds`,
+which runs every experiment but `noise_robustness`), and a world alone
+advances through it as a batch of one (`Simulation.advance`); a world's
 record does not depend on its batch.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
@@ -50,7 +55,7 @@ from .ipi import (
 from .market import (
     MarketState,
     Populations,
-    TickInputs,
+    TickOverlay,
     TickResult,
     _base_costs,
     clear_market,
@@ -191,7 +196,7 @@ class ShockEvent:
 
 
 class Simulation:
-    """Owns one run: populations, platform, capability stocks, and policy state.
+    """Owns one run: populations, platform, and policy state.
 
     Strictly sequential and deterministic; independent runs get their own
     instances.  Without a ``policy`` the run takes it from ``params.policy``.
@@ -202,192 +207,191 @@ class Simulation:
     ):
         self.params = params
         self.policy = policy if policy is not None else _policy_from_params(params)
-        self.master_seed = master_seed
         prod_ss, cons_ss = np.random.SeedSequence(master_seed).spawn(2)
         ag = params.agents
         self.populations = Populations(
             producers=draw_producers(
-                ag.n_producers,
-                np.random.default_rng(prod_ss),
-                mean_prod_h=ag.mean_prod_h,
-                mean_prod_l=ag.mean_prod_l,
-                log_sd=ag.prod_log_sd,
-                rationality=ag.rationality,
+                ag.n_producers, np.random.default_rng(prod_ss), mean_prod_h=ag.mean_prod_h,
+                mean_prod_l=ag.mean_prod_l, log_sd=ag.prod_log_sd, rationality=ag.rationality,
             ),
-            consumers=draw_consumers(
-                ag.n_consumers, np.random.default_rng(cons_ss), k_max=ag.k_max
-            ),
+            consumers=draw_consumers(ag.n_consumers, np.random.default_rng(cons_ss),
+                                     k_max=ag.k_max),
         )
         pf = params.platform
         self.platform = Postures(pf.gamma_init, pf.gamma_init, pf.moderation_init)
         self.state = MarketState(
-            tick=0,
-            q_h=0.0,
-            q_l=0.0,
-            pollution=0.0,
-            verify_rate=0.0,
-            precision=min(max(params.market.pi_base, 0.5), 1.0),
-            trust=params.trust.initial,
+            tick=0, q_h=0.0, q_l=0.0, pollution=0.0, verify_rate=0.0,
+            precision=min(max(params.market.pi_base, 0.5), 1.0), trust=params.trust.initial,
             welfare=0.0,
         )
-        self.cap_gen = 1.0
-        self.cap_det = 1.0
         self.tax = self.policy.tax_l
         self.prev_ipi: float | None = None
-        self._costs = _base_costs(params, params.econ.ai_rental)
+        self.last_overlay: TickOverlay | None = None  # the exogenous row of the last tick run
         self.w_so, self.w_min = welfare_anchors(self.populations, params)
 
-    def _weights(self, inputs: TickInputs, result: TickResult) -> tuple[float, ...]:
-        ip = self.params.ipi
-        if not ip.endogenous_weights:
-            return ip.weights
-        weights, _fallback = endogenous_weights(
-            weight_responses(self, inputs, result, ip.weight_perturbation)
-        )
-        return weights
+    def advance(self, overlay: TickOverlay | None = None) -> TickRow:
+        """Run one tick under its exogenous row and return its record row.
 
-    def advance(self, overlay: "TickOverlay | None" = None) -> TickRow:
-        """Run one full tick cycle and return its record row."""
-        ov = overlay or TickOverlay()
-        inputs = self._begin_tick(ov)
-        (result,) = market_step(
-            [self.state], self.populations, [self.platform], [inputs], self.params,
-            provenance_boost=self.policy.provenance_boost, fiduciary=self.policy.fiduciary,
-        )
-        return self._end_tick(inputs, result, ov)
+        Without a row the tick is unscheduled: its row follows the last one
+        this world ran, with no shock.
+        """
+        if overlay is None:
+            overlay = _next_overlay(self.last_overlay, self.params, self.state.tick + 1)
+        (row,) = _step([self], [overlay])
+        if isinstance(row, NoConvergence):
+            raise row
+        return row
 
-    def _begin_tick(self, ov: "TickOverlay") -> TickInputs:
-        """This world's part of a tick before the market clears: capability
-        stocks, the adaptive levy and the market inputs."""
-        p = self.params
-        r_eff = ov.ai_rental if ov.ai_rental is not None else p.econ.ai_rental
-
-        # Capability stocks move first; cheap AI compounds generation.
-        if ov.cap_gen_mult != 1.0:
-            self.cap_gen *= ov.cap_gen_mult
-        if r_eff < p.econ.ai_rental_baseline:
-            self.cap_gen *= 1.0 + p.ipi.cap_gen_growth
-        self.cap_det *= 1.0 + p.ipi.cap_det_growth
-
-        # Adaptive levy (stage 7 of the previous tick's cycle).
+    def _levy(self) -> float:
+        """The tick's levy: the adaptive levy moves on the last index reading
+        (stage 7 of the previous tick's cycle)."""
         if self.policy.adaptive and self.prev_ipi is not None:
             self.tax = adaptive_tax(
                 self.tax, self.prev_ipi, self.policy.ipi_target, self.policy.adaptive_eta
             )
+        return self.tax
 
-        # The cost bases change only in a cost-drop window.
-        cost_h_base, cost_l_base = (
-            self._costs if r_eff == p.econ.ai_rental else _base_costs(p, r_eff)
-        )
-        return TickInputs(
-            cost_h_base=cost_h_base,
-            cost_l_base=cost_l_base,
-            gen_boost=_gen_boost(self.cap_gen, p, self.state.tick + 1),
-            tax=self.tax,
-            extra_q_l=ov.extra_q_l,
-            trust_delta=ov.trust_delta,
-        )
-
-    def _end_tick(self, inputs: TickInputs, result: TickResult, ov: "TickOverlay") -> TickRow:
+    def _end_tick(self, ov: TickOverlay, tax: float, result: TickResult) -> TickRow:
         """This world's part of a tick after the market clears: adopt the
         result, read the index, and return the record row."""
-        p = self.params
+        ip = self.params.ipi
         posture = self.platform  # what producers and amplification saw this tick
-        self.state = result.state
+        state = self.state = result.state
         self.platform = result.platform
-
+        self.last_overlay = ov
         dims = (
-            self.state.pollution,
-            dim_deadweight(self.state.welfare, self.w_so, self.w_min),
-            dim_trust_decay(self.state.trust, p.trust.t_max),
-            dim_tech_risk(self.cap_gen, self.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech),
+            state.pollution,
+            dim_deadweight(state.welfare, self.w_so, self.w_min),
+            dim_trust_decay(state.trust, self.params.trust.t_max),
+            ov.i4,
         )
-        ipi = composite(dims, self._weights(inputs, result))
+        weights = ip.weights
+        if ip.endogenous_weights:
+            weights, _fallback = endogenous_weights(
+                weight_responses(self, ov, tax, result, ip.weight_perturbation)
+            )
+        ipi = self.prev_ipi = composite(dims, weights)
         # A NaN welfare fails here rather than write a NaN row.
         if not all(0 <= d <= 1 for d in dims):
             raise ValueError(f"dimensions must lie in [0, 1]: {dims}")
-        self.prev_ipi = ipi
-        i1, i2, i3, i4 = dims
         return TickRow(
-            tick=self.state.tick,
-            q_h=self.state.q_h,
-            q_l=self.state.q_l,
-            pollution=self.state.pollution,
-            verify_rate=self.state.verify_rate,
-            precision=self.state.precision,
-            trust=self.state.trust,
-            welfare=self.state.welfare,
-            i1=i1,
-            i2=i2,
-            i3=i3,
-            i4=i4,
-            ipi=ipi,
-            tau=inputs.tax,
-            gamma_h=posture.gamma_h,
-            gamma_l=posture.gamma_l,
-            m=posture.moderation,
-            event=ov.event,
+            state.tick, state.q_h, state.q_l, state.pollution, state.verify_rate,
+            state.precision, state.trust, state.welfare, *dims, ipi, tax,
+            posture.gamma_h, posture.gamma_l, posture.moderation, ov.event,
         )
 
-    def run(self, ticks: int, shocks: Sequence[ShockEvent] = ()) -> RunRecord:
-        return self._record([self.advance(ov) for ov in build_overlays(ticks, shocks, self.params)])
 
-    def _record(self, rows: list[TickRow]) -> RunRecord:
-        """The run record of this world's rows."""
-        meta = {
-            "experiment": "run",
-            "seed": str(self.master_seed),
-            "config_hash": self.params.config_hash(),
-            "version": __version__,
-        }
-        return RunRecord(rows=rows, metadata=meta)
+def _step(
+    sims: Sequence[Simulation], overlays: Sequence[TickOverlay]
+) -> list[TickRow | NoConvergence]:
+    """Run one tick of worlds that share a batch key, each under its own
+    exogenous row: one `market_step` clears them all.
 
-
-@dataclass
-class TickOverlay:
-    """Exogenous per-tick conditions derived from the shock schedule."""
-
-    ai_rental: float | None = None
-    extra_q_l: float = 0.0
-    trust_delta: float = 0.0
-    cap_gen_mult: float = 1.0
-    event: str = ""
+    A world whose fixed point misses ``market.fp_tol`` gets, in place of
+    its record row, the NoConvergence it raises when run alone; the other
+    worlds clear again without it.
+    """
+    taxes = [sim._levy() for sim in sims]
+    outcomes: list[TickRow | NoConvergence | None] = [None] * len(sims)
+    live = list(range(len(sims)))
+    results: list[TickResult] = []
+    while live and not results:
+        first = sims[live[0]]
+        try:
+            results = market_step(
+                [sims[i].state for i in live], first.populations,
+                [sims[i].platform for i in live], [overlays[i] for i in live],
+                [taxes[i] for i in live], first.params,
+                provenance_boost=first.policy.provenance_boost, fiduciary=first.policy.fiduciary,
+            )
+        except NoConvergence as exc:
+            if not exc.lanes:
+                raise
+            for lane, message in exc.lanes.items():
+                outcomes[live[lane]] = NoConvergence(message)
+            live = [i for i in live if outcomes[i] is None]
+    for i, result in zip(live, results):
+        try:
+            outcomes[i] = sims[i]._end_tick(overlays[i], taxes[i], result)
+        except NoConvergence as exc:
+            outcomes[i] = exc
+    return outcomes
 
 
 def build_overlays(
     ticks: int, shocks: Sequence[ShockEvent], params: SimParams
 ) -> list[TickOverlay]:
-    """Expand a shock schedule into per-tick overlays.
+    """Each tick's exogenous row over the horizon under a shock schedule.
 
     All shocks are transient pulses of the configured duration: a cost drop
     scales the rental rate by (1 - magnitude) across the window, a
     capability jump multiplies the generation stock by (1 + magnitude) at
     entry and reverts at exit, a burst adds magnitude * n_producers of
     extra low-quality supply, and a trust shock subtracts its magnitude
-    once at entry.  Zero magnitudes are valid no-ops.
+    once at entry.  Zero magnitudes are valid no-ops.  Each row follows the
+    one before through `_next_overlay`, so a path that leaves the floats
+    fails here, before any tick runs.
     """
-    overlays = [TickOverlay() for _ in range(ticks)]
+    shocked = [dict(jump=1.0, ai_rental=None, extra_q_l=0.0, trust_delta=0.0, event="")
+               for _ in range(ticks)]
     duration = params.shocks.duration
     for shock in shocks:
         if not 0 <= shock.tick < ticks:
             raise ConfigError(f"shock tick {shock.tick} outside horizon {ticks}")
         window = range(shock.tick, min(shock.tick + duration, ticks))
-        entry = overlays[shock.tick]
-        entry.event = shock.kind if not entry.event else f"{entry.event}+{shock.kind}"
+        entry = shocked[shock.tick]
+        entry["event"] = shock.kind if not entry["event"] else f"{entry['event']}+{shock.kind}"
         if shock.kind == "cost_drop":
             for t in window:
-                overlays[t].ai_rental = params.econ.ai_rental * (1.0 - shock.magnitude)
+                shocked[t]["ai_rental"] = params.econ.ai_rental * (1.0 - shock.magnitude)
         elif shock.kind == "capability_jump":
-            entry.cap_gen_mult *= 1.0 + shock.magnitude
-            exit_tick = shock.tick + duration
-            if exit_tick < ticks:
-                overlays[exit_tick].cap_gen_mult /= 1.0 + shock.magnitude
+            entry["jump"] *= 1.0 + shock.magnitude
+            if shock.tick + duration < ticks:
+                shocked[shock.tick + duration]["jump"] /= 1.0 + shock.magnitude
         elif shock.kind == "fake_news_burst":
             for t in window:
-                overlays[t].extra_q_l += shock.magnitude * params.agents.n_producers
+                shocked[t]["extra_q_l"] += shock.magnitude * params.agents.n_producers
         elif shock.kind == "trust_shock":
-            entry.trust_delta -= shock.magnitude
+            entry["trust_delta"] -= shock.magnitude
+    overlays: list[TickOverlay] = []
+    for t, conditions in enumerate(shocked):
+        overlays.append(_next_overlay(overlays[-1] if overlays else None, params, t + 1,
+                                      **conditions))
     return overlays
+
+
+def _next_overlay(
+    prev: TickOverlay | None, params: SimParams, tick: int, *, jump: float = 1.0,
+    ai_rental: float | None = None, extra_q_l: float = 0.0, trust_delta: float = 0.0,
+    event: str = "",
+) -> TickOverlay:
+    """The exogenous row of ``tick``, which follows ``prev`` (None before
+    tick 1), under the tick's composed capability jump and shocks; stocks
+    that leave the finite positive floats are a configuration error."""
+    e, ip = params.econ, params.ipi
+    rate = e.ai_rental if ai_rental is None else ai_rental
+    cap_gen, cap_det = (1.0, 1.0) if prev is None else (prev.cap_gen, prev.cap_det)
+    # Capability stocks move first; cheap AI compounds generation.
+    cap_gen *= jump
+    if rate < e.ai_rental_baseline:
+        cap_gen *= 1.0 + ip.cap_gen_growth
+    cap_det *= 1.0 + ip.cap_det_growth
+    if not (0.0 < cap_gen < math.inf and 0.0 < cap_det < math.inf and cap_gen / cap_det > 0.0):
+        raise ConfigError(
+            f"ipi.cap_gen_growth = {ip.cap_gen_growth!r} and ipi.cap_det_growth = "
+            f"{ip.cap_det_growth!r} take the capability stocks to cap_gen = {cap_gen!r}, "
+            f"cap_det = {cap_det!r} at tick {tick}; they and their ratio must stay finite "
+            "and positive"
+        )
+    # The cost bases change only with the rental rate.
+    if prev is not None and prev.ai_rental == rate:
+        cost_h, cost_l = prev.cost_h_base, prev.cost_l_base
+    else:
+        cost_h, cost_l = _base_costs(params, rate)
+    return TickOverlay(
+        rate, cost_h, cost_l, cap_gen, cap_det, _gen_boost(cap_gen, params, tick),
+        dim_tech_risk(cap_gen, cap_det, ip.mu_tech, ip.sigma_tech), extra_q_l, trust_delta, event,
+    )
 
 
 def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
@@ -403,10 +407,11 @@ def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
 
 
 def weight_responses(
-    sim: Simulation, inputs: TickInputs, result: TickResult, eps: float
+    sim: Simulation, overlay: TickOverlay, tax: float, result: TickResult, eps: float
 ) -> list[tuple[float, float]]:
     """Each index dimension's (delta_welfare, delta_dimension) under a relative
-    step ``eps`` in its driver, from the tick ``sim`` just adopted.
+    step ``eps`` in its driver, from the tick ``sim`` just adopted under the
+    exogenous row ``overlay`` and levy ``tax``.
 
     The deadweight (i2) and trust (i3) responses are analytic.  The
     pollution driver (i1) is the low-quality output scale; the technology
@@ -424,12 +429,12 @@ def weight_responses(
     if is_flat(*deadweight) or is_flat(*trust):
         return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
     state, profit = result.state, result.producer_profit
-    stepped_gen = sim.cap_gen * (1.0 + eps)
+    stepped_gen = overlay.cap_gen * (1.0 + eps)
     supply = supply_response(
         sim.populations.producers, Postures.of([result.platform] * 2), p.platform,
-        cost_h_base=inputs.cost_h_base, cost_l_base=inputs.cost_l_base,
-        gen_boost=np.array([inputs.gen_boost, _gen_boost(stepped_gen, p, state.tick)]),
-        tax=inputs.tax, extra_q_l=inputs.extra_q_l,
+        cost_h_base=overlay.cost_h_base, cost_l_base=overlay.cost_l_base,
+        gen_boost=np.array([overlay.gen_boost, _gen_boost(stepped_gen, p, state.tick)]),
+        tax=tax, extra_q_l=overlay.extra_q_l,
     )
     cleared = clear_market(
         np.array([state.q_h, state.q_h, *supply.q_h]),
@@ -440,9 +445,9 @@ def weight_responses(
     rho = cleared.pollution.tolist()
     base, stepped = (wi + pi - profit for wi, pi in zip(w[2:], supply.producer_profit.tolist()))
     ip = p.ipi
-    i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, ip.mu_tech, ip.sigma_tech)
-    stepped_i4 = dim_tech_risk(stepped_gen, sim.cap_det, ip.mu_tech, ip.sigma_tech)
-    return [(w[1] - w[0], rho[1] - rho[0]), deadweight, trust, (stepped - base, stepped_i4 - i4)]
+    stepped_i4 = dim_tech_risk(stepped_gen, overlay.cap_det, ip.mu_tech, ip.sigma_tech)
+    return [(w[1] - w[0], rho[1] - rho[0]), deadweight, trust,
+            (stepped - base, stepped_i4 - overlay.i4)]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -629,70 +634,53 @@ def _batch_key(world: World) -> str:
                  policy.provenance_boost, policy.fiduciary))
 
 
-def _run_batch(task: tuple[list[World], int, int]) -> list[RunRecord | str]:
-    """Run worlds of one batch key to the horizon in lockstep: one `market_step`
-    per tick clears every world still running.
+def _run_batch(task: tuple[list[World], list[list[TickOverlay]], int]) -> list[RunRecord | str]:
+    """Run worlds of one batch key along their exogenous paths in lockstep:
+    one `_step` per tick clears every world still running.
 
     A world that fails to converge is retired with the ``NoConvergence``
     message it gives when run alone, and the rest run on.
     """
-    worlds, master_seed, ticks = task
-    outcomes: list[RunRecord | str | None] = [None] * len(worlds)
+    worlds, paths, master_seed = task
+    outcomes: list[list[TickRow] | str] = []  # a live world's rows so far, or its failure
     live: dict[int, Simulation] = {}
     for i, (params, policy) in enumerate(worlds):
         try:
             live[i] = Simulation(params, policy, master_seed)
+            outcomes.append([])
         except NoConvergence as exc:
-            outcomes[i] = f"NoConvergence: {exc}"
-    rows: dict[int, list[TickRow]] = {i: [] for i in live}
-    overlay = TickOverlay()
-    for _ in range(ticks):
-        inputs = {i: sim._begin_tick(overlay) for i, sim in live.items()}
-        results: dict[int, TickResult] = {}
-        while live and not results:
-            order = list(live)
-            first = live[order[0]]
-            try:
-                results = dict(zip(order, market_step(
-                    [live[i].state for i in order], first.populations,
-                    [live[i].platform for i in order], [inputs[i] for i in order], first.params,
-                    provenance_boost=first.policy.provenance_boost,
-                    fiduciary=first.policy.fiduciary,
-                )))
-            except NoConvergence as exc:
-                if not exc.lanes:
-                    raise
-                # The other lanes cleared; the step runs again without the failed ones.
-                for lane, message in exc.lanes.items():
-                    outcomes[order[lane]] = f"NoConvergence: {message}"
-                    del live[order[lane]]
-        for i, result in results.items():
-            try:
-                rows[i].append(live[i]._end_tick(inputs[i], result, overlay))
-            except NoConvergence as exc:
-                outcomes[i] = f"NoConvergence: {exc}"
+            outcomes.append(f"NoConvergence: {exc}")
+    for overlays in zip(*paths):
+        order = list(live)
+        for i, row in zip(order, _step([live[i] for i in order], [overlays[i] for i in order])):
+            if isinstance(row, NoConvergence):
+                outcomes[i] = f"NoConvergence: {row}"
                 del live[i]
-    for i, sim in live.items():
-        outcomes[i] = sim._record(rows[i])
-    return outcomes
+            else:
+                outcomes[i].append(row)
+    return [RunRecord(rows, {}) if i in live else rows for i, rows in enumerate(outcomes)]
 
 
 def run_worlds(
-    worlds: Sequence[World], ticks: int, *, master_seed: int = 42, jobs: int = 1
+    worlds: Sequence[World], ticks: int, *, shocks: Sequence[ShockEvent] = (),
+    master_seed: int = 42, jobs: int = 1,
 ) -> list[RunRecord | str]:
-    """Run every (params, policy) world to the horizon; return outcomes in world order.
+    """Run every (params, policy) world to the horizon under one shock
+    schedule; return outcomes in world order.
 
-    Each world gets the same master seed, so the same population draw.
-    Worlds equal in every section `market_step` reads (agents, market,
-    trust, welfare, platform) and in their policy's provenance boost and
-    fiduciary weight share a batch, which advances in lockstep
-    (`_run_batch`); worlds that differ in econ, ipi, proxy or the levy do
-    not split one.  With ``jobs > 1`` each batch is split into up to
-    ``jobs`` contiguous chunks, and the chunks run in one process pool.  A
-    world's record is the same in any batch and at any ``jobs``.  A world
+    Every world's exogenous path (`build_overlays`) is computed before any
+    world is built.  Each world gets the same master seed, so the same
+    population draw.  Worlds equal in every section `market_step` reads
+    (agents, market, trust, welfare, platform) and in their policy's
+    provenance boost and fiduciary weight share a batch, which advances in
+    lockstep (`_run_batch`); worlds that differ in econ, ipi, proxy or the
+    levy do not split one.  With ``jobs > 1`` each batch is split into up
+    to ``jobs`` contiguous chunks, and the chunks run in one process pool.
+    A world's record is the same in any batch and at any ``jobs``.  A world
     that fails to converge gives its ``NoConvergence`` message instead of a
     record.
     """
+    paths = [build_overlays(ticks, shocks, params) for params, _ in worlds]
     batches: dict[str, list[int]] = {}
     for i, world in enumerate(worlds):
         batches.setdefault(_batch_key(world), []).append(i)
@@ -701,7 +689,8 @@ def run_worlds(
         for members in batches.values()
         for chunk in np.array_split(np.array(members), min(jobs, len(members)))
     ]
-    tasks = [([worlds[i] for i in chunk], master_seed, ticks) for chunk in chunks]
+    tasks = [([worlds[i] for i in chunk], [paths[i] for i in chunk], master_seed)
+             for chunk in chunks]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_batch, tasks))
@@ -711,12 +700,19 @@ def run_worlds(
     return [outcomes[i] for i in range(len(worlds))]
 
 
-def _records(cfg: ExperimentConfig, worlds: Sequence[World]) -> list[RunRecord]:
-    """Run the worlds at cfg's horizon, seed and jobs; every world must converge."""
-    outcomes = run_worlds(worlds, cfg.max_ticks, master_seed=cfg.master_seed, jobs=cfg.jobs)
+def _records(
+    cfg: ExperimentConfig, worlds: Sequence[World], shocks: Sequence[ShockEvent] = ()
+) -> list[RunRecord]:
+    """Run the worlds at cfg's horizon, seed and jobs; every world must
+    converge, and its record gets the run's metadata."""
+    outcomes = run_worlds(worlds, cfg.max_ticks, shocks=shocks, master_seed=cfg.master_seed,
+                          jobs=cfg.jobs)
     failures = [f"world {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, str)]
     if failures:
         raise NoConvergence("; ".join(failures))
+    for (params, _), record in zip(worlds, outcomes):
+        record.metadata = {"experiment": cfg.experiment, "seed": str(cfg.master_seed),
+                           "config_hash": params.config_hash(), "version": __version__}
     return outcomes
 
 
@@ -726,9 +722,7 @@ def _records(cfg: ExperimentConfig, worlds: Sequence[World]) -> list[RunRecord]:
 def run(cfg: ExperimentConfig) -> RunRecord:
     """The baseline procedure: initialize, run the horizon, persist."""
     params = cfg.params()
-    sim = Simulation(params, master_seed=cfg.master_seed)
-    record = sim.run(cfg.max_ticks)
-    record.metadata["experiment"] = cfg.experiment
+    (record,) = _records(cfg, [(params, _policy_from_params(params))])
     stats = summary_stats(record)
     report = {"experiment": cfg.experiment, "stats": stats.to_dict(),
               "metadata": record.metadata}
@@ -809,9 +803,7 @@ def run_shocks(
 ) -> tuple[RunRecord, list[ShockResponse]]:
     params = cfg.params()
     shocks = list(shocks) if shocks is not None else default_shocks(params)
-    sim = Simulation(params, master_seed=cfg.master_seed)
-    record = sim.run(cfg.max_ticks, shocks)
-    record.metadata["experiment"] = cfg.experiment
+    (record,) = _records(cfg, [(params, _policy_from_params(params))], shocks)
     responses = shock_stats(record, shocks)
     mean_rise = float(np.mean([r.rise_pct for r in responses])) if responses else 0.0
     report = {
@@ -912,11 +904,12 @@ def run_noise(
     world = params if params.policy.adaptive_enabled else params.with_overrides(
         {"ipi.endogenous_weights": False}
     )
+    overlays = build_overlays(cfg.max_ticks, (), world)
     sim = Simulation(world, master_seed=cfg.master_seed)
     series = []
-    for _ in range(cfg.max_ticks):
-        sim.advance()
-        series.append((sim.state, sim.platform, sim.cap_gen, sim.cap_det))
+    for ov in overlays:
+        sim.advance(ov)
+        series.append((sim.state, sim.platform, ov.cap_gen, ov.cap_det))
     noise_free = proxy_composite(synthesize_log(series, params), weights) if series else None
 
     rows = []
@@ -961,9 +954,7 @@ def run_event_detection(
     tick = burst_tick if burst_tick is not None else cfg.max_ticks // 2
     mag = magnitude if magnitude is not None else params.shocks.fake_news_burst
     shock = ShockEvent(tick=tick, kind="fake_news_burst", magnitude=mag)
-    sim = Simulation(params, master_seed=cfg.master_seed)
-    record = sim.run(cfg.max_ticks, [shock])
-    record.metadata["experiment"] = cfg.experiment
+    (record,) = _records(cfg, [(params, _policy_from_params(params))], [shock])
     (response,) = shock_stats(record, [shock])
     # Lead-lag around the event only; the run-level transient would swamp it.
     lo = max(0, tick - 10)

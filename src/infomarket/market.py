@@ -496,20 +496,24 @@ def clear_market(
     )
 
 
-@dataclass
-class TickInputs:
-    """One world's exogenous conditions for a tick, assembled by the orchestration layer.
+@dataclass(slots=True)
+class TickOverlay:
+    """One world's exogenous row for a tick, which no market outcome moves:
+    the rental rate and the type-level unit costs at it (`_base_costs`), the
+    capability stocks with the generation boost ``cap_gen ** kappa_gen`` and
+    the index's i4 they give, a burst's extra low-quality supply, a trust
+    shock's hit and the event marker.  `harness.build_overlays` makes them."""
 
-    ``cost_h_base``/``cost_l_base`` are the type-level unit costs at the
-    tick's rental rate (`_base_costs`).
-    """
-
+    ai_rental: float
     cost_h_base: float
     cost_l_base: float
+    cap_gen: float
+    cap_det: float
     gen_boost: float
-    tax: float
-    extra_q_l: float = 0.0
-    trust_delta: float = 0.0
+    i4: float
+    extra_q_l: float
+    trust_delta: float
+    event: str
 
 
 @dataclass(frozen=True)
@@ -535,7 +539,8 @@ def market_step(
     states: Sequence[MarketState],
     populations: Populations,
     platforms: Sequence[Postures],
-    inputs: Sequence[TickInputs],
+    overlays: Sequence[TickOverlay],
+    taxes: Sequence[float],
     params: SimParams,
     *,
     provenance_boost: float,
@@ -552,9 +557,10 @@ def market_step(
     The worlds share the populations, the parameter sections read here
     (agents, market, trust, welfare, platform) and the policy's provenance
     boost and fiduciary weight, passed once; each world has its own
-    posture, state and inputs.  Every stage is elementwise over the worlds,
-    so a world's result does not depend on its batch.  NoConvergence names,
-    in its ``lanes``, every world whose fixed point misses ``market.fp_tol``.
+    posture, state, exogenous row and levy.  Every stage is elementwise
+    over the worlds, so a world's result does not depend on its batch.
+    NoConvergence names, in its ``lanes``, every world whose fixed point
+    misses ``market.fp_tol``.
     """
     pf = params.platform
     # (1) producer choices and aggregate supply, for each world's posted
@@ -562,7 +568,8 @@ def market_step(
     # gradient step: seven lanes per world
     postures = _probes(platforms, pf)
     cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
-        (i.cost_h_base, i.cost_l_base, i.gen_boost, i.tax, i.extra_q_l) for i in inputs
+        (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
+        for o, tax in zip(overlays, taxes)
     ]))
     supply = supply_response(
         populations.producers, postures, pf, cost_h_base=cost_h, cost_l_base=cost_l,
@@ -579,7 +586,7 @@ def market_step(
 
     # (4) trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
-    trust_in = [min(max(s.trust + i.trust_delta, 0.0), t_max) for s, i in zip(states, inputs)]
+    trust_in = [min(max(s.trust + o.trust_delta, 0.0), t_max) for s, o in zip(states, overlays)]
     trust = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
 
     # (5) welfare

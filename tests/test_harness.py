@@ -38,6 +38,7 @@ from infomarket.harness import (
     summary_stats,
     sweep_cells,
 )
+from infomarket.market import _base_costs, market_step, welfare_anchors
 from infomarket.policy import PolicyConfig
 
 SMALL = {
@@ -47,6 +48,11 @@ SMALL = {
     "ipi.anchor_gamma_points": 3,
     "ipi.anchor_tax_points": 2,
 }
+
+
+def advanced(sim, ticks):
+    """The record of `ticks` unscheduled `advance` calls."""
+    return RunRecord(rows=[sim.advance() for _ in range(ticks)], metadata={})
 
 
 def small_cfg(tmp_path=None, **kwargs) -> ExperimentConfig:
@@ -96,8 +102,8 @@ class TestRunRecord:
 
     def test_event_markers_survive_round_trip(self, tmp_path):
         params = SimParams().with_overrides(SMALL)
-        sim = Simulation(params, PolicyConfig(), 42)
-        record = sim.run(20, [ShockEvent(tick=10, kind="trust_shock", magnitude=0.2)])
+        (record,) = run_worlds([(params, PolicyConfig())], 20,
+                               shocks=[ShockEvent(tick=10, kind="trust_shock", magnitude=0.2)])
         path = tmp_path / "run.csv"
         record.write(path)
         reread = RunRecord.from_csv(path)
@@ -120,10 +126,13 @@ class TestOverlays:
         params = SimParams()
         overlays = build_overlays(20, [ShockEvent(tick=5, kind="cost_drop", magnitude=0.5)],
                                   params)
-        assert overlays[4].ai_rental is None
-        for t in range(5, 10):
-            assert overlays[t].ai_rental == pytest.approx(0.5)
-        assert overlays[10].ai_rental is None
+        base = _base_costs(params, params.econ.ai_rental)
+        dropped = _base_costs(params, 0.5)
+        assert base != dropped
+        for t, ov in enumerate(overlays):
+            inside = 5 <= t < 10
+            assert ov.ai_rental == (0.5 if inside else params.econ.ai_rental)
+            assert (ov.cost_h_base, ov.cost_l_base) == (dropped if inside else base)
         assert overlays[5].event == "cost_drop"
 
     def test_capability_jump_reverts(self):
@@ -131,19 +140,24 @@ class TestOverlays:
         overlays = build_overlays(
             20, [ShockEvent(tick=5, kind="capability_jump", magnitude=2.0)], params
         )
-        assert overlays[5].cap_gen_mult == pytest.approx(3.0)
-        assert overlays[10].cap_gen_mult == pytest.approx(1.0 / 3.0)
+        # At the default rental rate generation does not compound.
+        assert [ov.cap_gen for ov in overlays] == [1.0] * 5 + [3.0] * 5 + [1.0] * 10
+        assert overlays[5].gen_boost == 3.0**params.ipi.kappa_gen
 
     @pytest.mark.parametrize("tick", [2, 15])
     @pytest.mark.parametrize("duration", [0, 1, 5, 30])
     def test_capability_jump_reverts_at_tick_plus_duration_or_never(self, tick, duration):
         params = SimParams().with_overrides({"shocks.duration": duration})
         jump = ShockEvent(tick=tick, kind="capability_jump", magnitude=2.0)
-        expected = [1.0] * 20
-        expected[tick] *= 3.0
+        multipliers = [1.0] * 20
+        multipliers[tick] *= 3.0
         if tick + duration < 20:
-            expected[tick + duration] /= 3.0
-        assert [ov.cap_gen_mult for ov in build_overlays(20, [jump], params)] == expected
+            multipliers[tick + duration] /= 3.0
+        expected, stock = [], 1.0
+        for multiplier in multipliers:
+            stock *= multiplier
+            expected.append(stock)
+        assert [ov.cap_gen for ov in build_overlays(20, [jump], params)] == expected
 
     def test_zero_magnitude_is_noop(self):
         params = SimParams()
@@ -153,17 +167,69 @@ class TestOverlays:
              for k in ("cost_drop", "capability_jump", "fake_news_burst", "trust_shock")],
             params,
         )
-        ov = overlays[5]
-        assert ov.ai_rental == pytest.approx(params.econ.ai_rental)
-        assert ov.cap_gen_mult == 1.0
-        assert ov.extra_q_l == 0.0
-        assert ov.trust_delta == 0.0
+        assert overlays[5].event == "cost_drop+capability_jump+fake_news_burst+trust_shock"
+        overlays[5].event = ""
+        # Rental rate, cost bases, stocks, boost, i4, burst and trust hit as if unshocked.
+        assert overlays == build_overlays(20, (), params)
 
     def test_total_cost_drop_rejected(self):
         # The window's rental rate, ai_rental * (1 - magnitude), must stay positive.
         with pytest.raises(ConfigError):
             ShockEvent(tick=5, kind="cost_drop", magnitude=1.0)
         ShockEvent(tick=5, kind="fake_news_burst", magnitude=1.0)
+
+
+class TestExogenousPath:
+    """Every world's exogenous row is known before its first tick."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"econ.ai_rental": 0.6}],
+                             ids=["default", "cheap_ai"])
+    def test_rows_equal_what_unscheduled_ticks_use(self, monkeypatch, overrides):
+        params = SimParams().with_overrides({**SMALL, **overrides})
+        ticks = 30
+        rows = build_overlays(ticks, (), params)
+        boosts = []
+
+        def spied(states, populations, platforms, overlays, *args, **kwargs):
+            boosts.extend(ov.gen_boost for ov in overlays)
+            return market_step(states, populations, platforms, overlays, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "market_step", spied)
+        sim = Simulation(params, PolicyConfig(), 42)
+        used = []
+        for _ in range(ticks):
+            record_row = sim.advance()
+            ov = sim.last_overlay
+            used.append((ov.cap_gen, ov.cap_det, ov.gen_boost, ov.i4, record_row.i4))
+        assert used == [(r.cap_gen, r.cap_det, r.gen_boost, r.i4, r.i4) for r in rows]
+        assert boosts == [r.gen_boost for r in rows]
+        if overrides:  # cheap AI compounds generation
+            assert rows[-1].cap_gen > rows[0].cap_gen > 1.0
+
+    @pytest.mark.parametrize("command, ticks, flags", [
+        ("baseline", 40, ("--ipi.cap_det_growth", "1e10")),
+        ("noise-robustness", 40, ("--ipi.cap_det_growth", "1e10")),
+        ("sweep", 40, ("--ipi.cap_det_growth", "1e10")),
+        ("shocks", 150, ("--ipi.cap_gen_growth", "1e10", "--econ.ai_rental", "0.5")),
+        ("baseline", 50, ("--econ.ai_rental", "0.5", "--ipi.kappa_gen", "1000")),
+    ])
+    def test_rejected_path_solves_no_welfare_anchors(self, tmp_path, capsys, monkeypatch,
+                                                     command, ticks, flags):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return welfare_anchors(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "welfare_anchors", counted)
+        code = main([command, "--ticks", str(ticks), "--out", str(tmp_path / "x"), *flags])
+        assert code == 2 and "config error: " in capsys.readouterr().err
+        assert calls == []
+
+    def test_default_detection_stock_overflows_near_tick_71300(self):
+        with pytest.raises(ConfigError, match=r"ipi.cap_det_growth = 0.01 .* cap_det = inf "
+                                              r"at tick 713\d\d;"):
+            build_overlays(72_000, (), SimParams())
 
 
 class TestSummaryStats:
@@ -260,8 +326,8 @@ class TestConfigPlumbing:
         params = SimParams().with_overrides(
             {**SMALL, "policy.tax_init": 0.5, "policy.fiduciary": 0.3}
         )
-        implied = Simulation(params, None, 42).run(5)
-        explicit = Simulation(params, PolicyConfig(tax_l=0.5, fiduciary=0.3), 42).run(5)
+        implied = advanced(Simulation(params, None, 42), 5)
+        explicit = advanced(Simulation(params, PolicyConfig(tax_l=0.5, fiduciary=0.3), 42), 5)
         assert implied.rows[0].tau == 0.5
         assert implied.to_csv_text() == explicit.to_csv_text()
 
@@ -344,12 +410,15 @@ def robust_worlds():
     return [(p, policy) for policy in policies for p in params]
 
 
-def alone(worlds, ticks):
-    """Each world run by itself: its CSV text, or its failure message."""
+def alone(worlds, ticks, shocks=()):
+    """Each world run by itself, one `advance` per tick: its CSV text, or its
+    failure message."""
     out = []
     for params, policy in worlds:
         try:
-            out.append(Simulation(params, policy, 42).run(ticks).to_csv_text())
+            sim = Simulation(params, policy, 42)
+            rows = [sim.advance(ov) for ov in build_overlays(ticks, shocks, params)]
+            out.append(RunRecord(rows=rows, metadata={}).to_csv_text())
         except NoConvergence as exc:
             out.append(f"NoConvergence: {exc}")
     return out
@@ -364,12 +433,13 @@ def builds(params, policy):
     return True
 
 
-def batched(worlds, ticks, size, jobs):
+def batched(worlds, ticks, size, jobs, shocks=()):
     """The worlds through `run_worlds`, `size` at a time."""
     return [
         outcome if isinstance(outcome, str) else outcome.to_csv_text()
         for start in range(0, len(worlds), size)
-        for outcome in run_worlds(worlds[start:start + size], ticks, master_seed=42, jobs=jobs)
+        for outcome in run_worlds(worlds[start:start + size], ticks, shocks=shocks,
+                                  master_seed=42, jobs=jobs)
     ]
 
 
@@ -378,8 +448,15 @@ BATCH_TICKS = 12
 
 @pytest.fixture(scope="module")
 def world_lists():
-    lists = {"sweep": sweep_worlds(), "robust_select": robust_worlds()}
-    return {name: (worlds, alone(worlds, BATCH_TICKS)) for name, worlds in lists.items()}
+    shocked = sweep_worlds(**{"shocks.ticks": (2, 4, 6, 8), "shocks.duration": 3})
+    lists = {
+        "sweep": (sweep_worlds(), ()),
+        "robust_select": (robust_worlds(), ()),
+        # all four shock kinds, their windows overlapping
+        "shocked": (shocked, harness.default_shocks(shocked[0][0])),
+    }
+    return {name: (worlds, shocks, alone(worlds, BATCH_TICKS, shocks))
+            for name, (worlds, shocks) in lists.items()}
 
 
 class TestLockstepBatches:
@@ -387,12 +464,12 @@ class TestLockstepBatches:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("size", [1, 3, None])
-    @pytest.mark.parametrize("name", ["sweep", "robust_select"])
+    @pytest.mark.parametrize("name", ["sweep", "robust_select", "shocked"])
     def test_batch_equals_alone(self, world_lists, name, size, jobs):
-        worlds, expected = world_lists[name]
+        worlds, shocks, expected = world_lists[name]
         # The whole list is one batch: the worlds differ only in econ or the levy.
         assert len({harness._batch_key(world) for world in worlds}) == 1
-        assert batched(worlds, BATCH_TICKS, size or len(worlds), jobs) == expected
+        assert batched(worlds, BATCH_TICKS, size or len(worlds), jobs, shocks) == expected
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("fp_tol", [0.0, 1e-16])
@@ -633,28 +710,46 @@ class TestCli:
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
 
-    @pytest.mark.parametrize("command, config, named", [
-        ("baseline", {"welfare.value_h": "1e308"}, "welfare section"),  # both anchors inf
-        ("noise-robustness", {"proxy.impression_scale": "1e308"}, "proxy.impression_scale"),
+    @pytest.mark.parametrize("command, ticks, config, named", [
+        ("baseline", 3, {"welfare.value_h": "1e308"}, ("welfare section",)),  # both anchors inf
+        ("noise-robustness", 3, {"proxy.impression_scale": "1e308"},
+         ("proxy.impression_scale",)),
         # Low-quality exposure as a good: the worst corner is the lattice's best posture.
-        ("baseline", {"platform.gamma_init": "0", "welfare.harm_lin": "-100"}, "ipi.anchor_*"),
+        ("baseline", 3, {"platform.gamma_init": "0", "welfare.harm_lin": "-100"},
+         ("ipi.anchor_*",)),
         # cap_gen ** kappa_gen at cap_gen 1.01: the endogenous weights' stepped stock.
-        ("baseline", {"ipi.endogenous_weights": "true", "ipi.kappa_gen": "1e5"},
-         "ipi.kappa_gen"),
+        ("baseline", 3, {"ipi.endogenous_weights": "true", "ipi.kappa_gen": "1e5"},
+         ("ipi.kappa_gen",)),
+        # Capability stocks that leave the finite positive floats, found before tick 1.
+        ("baseline", 40, {"ipi.cap_det_growth": "1e10"}, ("ipi.cap_det_growth", "tick 31")),
+        ("noise-robustness", 40, {"ipi.cap_det_growth": "1e10"},
+         ("ipi.cap_det_growth", "tick 31")),
+        ("sweep", 40, {"ipi.cap_det_growth": "1e10"}, ("ipi.cap_det_growth", "tick 31")),
+        ("baseline", 60, {"ipi.cap_det_growth": "-0.999999"},
+         ("ipi.cap_det_growth", "tick 54")),
+        ("baseline", 60, {"ipi.cap_gen_growth": "-0.999999", "econ.ai_rental": "0.5"},
+         ("ipi.cap_gen_growth", "tick 54")),
+        ("baseline", 60, {"ipi.cap_gen_growth": "1e10", "econ.ai_rental": "0.5"},
+         ("ipi.cap_gen_growth", "tick 31")),
+        # Both stocks finite and positive, their ratio below the smallest float.
+        ("baseline", 200, {"ipi.cap_gen_growth": "-0.99", "ipi.cap_det_growth": "1",
+                           "econ.ai_rental": "0.5"},
+         ("ipi.cap_gen_growth", "ipi.cap_det_growth", "tick 141")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
-                                                            config, named):
+                                                            ticks, config, named):
         # The config is valid; the run finds what it breaks before dividing
         # by it, with no RuntimeWarning on the way.
         path = tmp_path / "run.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
         assert main(["validate-config", "--config", str(path)]) == 0
         capsys.readouterr()
-        code = main([command, "--ticks", "3", "--out", str(tmp_path / "x"), "--config", str(path)])
+        code = main([command, "--ticks", str(ticks), "--out", str(tmp_path / "x"),
+                     "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert named in err
+        assert all(name in err for name in named)
 
     def test_capability_power_overflow_exits_config_code(self, tmp_path, capsys):
         # Cheap AI compounds cap_gen 2 % a tick; its power overflows at tick 36.
@@ -798,6 +893,10 @@ CONFIG_SPACE = {
     "policy.tax_init": NONNEGATIVE,
     "policy.fiduciary": ("0", "0.3", "1", "2", "-1", "nan"),
     "policy.provenance_boost": ("0", "0.05", "0.2", "-0.1", "nan"),
+    # event-detection's burst falls at tick 1 of 3; a window may outlast the horizon.
+    "shocks.duration": ("0", "1", "5", "-1", "1.5"),
+    "shocks.cost_drop": ("0", "0.5", "0.99", "1", "-0.1", "nan"),
+    **{f"shocks.{k}": NONNEGATIVE for k in ("capability_jump", "fake_news_burst", "trust_shock")},
     # Unbounded keys must still be finite.
     **{key: ("0.1", "nan", "inf") for key in (
         "welfare.value_h", "welfare.harm_lin", "welfare.harm_quad", "welfare.lambda_trust",
@@ -825,7 +924,8 @@ class TestConfigSpace:
                     *(f"--{k}={v}" for k, v in SMALL.items() if k not in config),
                 ])
                 # robust-select runs its six worlds as one lockstep batch
-                for experiment in ("baseline", "noise-robustness", "robust-select")
+                for experiment in ("baseline", "noise-robustness", "robust-select",
+                                   "event-detection")
             ]
         assert validated in (0, 2)
         for code in ran:

@@ -10,12 +10,13 @@ from infomarket.config import SimParams
 from infomarket.harness import (
     ExperimentConfig,
     RunRecord,
+    ShockEvent,
     Simulation,
-    TickOverlay,
     run,
     run_cross_platform,
     run_event_detection,
     run_weight_sensitivity,
+    run_worlds,
     sweep_cells,
     weight_responses,
 )
@@ -60,22 +61,23 @@ class TestGoldenRun:
 
 
 def _tick(sim):
-    """One tick as `Simulation.advance` runs it: its inputs, market result and row."""
-    overlay = TickOverlay()
-    inputs = sim._begin_tick(overlay)
+    """One unscheduled tick as `Simulation.advance` runs it: its exogenous
+    row, levy, market result and record row."""
+    overlay = harness._next_overlay(sim.last_overlay, sim.params, sim.state.tick + 1)
+    tax = sim._levy()
     (result,) = market_step(
-        [sim.state], sim.populations, [sim.platform], [inputs], sim.params,
+        [sim.state], sim.populations, [sim.platform], [overlay], [tax], sim.params,
         provenance_boost=sim.policy.provenance_boost, fiduciary=sim.policy.fiduciary,
     )
-    return inputs, result, sim._end_tick(inputs, result, overlay)
+    return overlay, tax, result, sim._end_tick(overlay, tax, result)
 
 
 class _PerDimensionWeights:
     """Oracle: the endogenous weights one dimension at a time, each perturbed
     driver re-cleared in a call of its own, stopping at the first flat one."""
 
-    def __init__(self, sim, inputs, result):
-        self.sim, self.inputs, self.result = sim, inputs, result
+    def __init__(self, sim, overlay, tax, result):
+        self.sim, self.overlay, self.tax, self.result = sim, overlay, tax, result
 
     def weights(self, eps):
         sensitivities = []
@@ -102,12 +104,11 @@ class _PerDimensionWeights:
                 np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)])
             )
             return bumped_w - w, bumped_rho - rho
-        base_i4 = dim_tech_risk(sim.cap_gen, sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
-        new_i4 = dim_tech_risk(
-            sim.cap_gen * (1.0 + eps), sim.cap_det, p.ipi.mu_tech, p.ipi.sigma_tech
-        )
-        boost = (sim.cap_gen * (1.0 + eps)) ** p.ipi.kappa_gen
-        base, bumped = self._supply_welfare((self.inputs.gen_boost, boost))
+        cap_gen, cap_det = self.overlay.cap_gen, self.overlay.cap_det
+        base_i4 = dim_tech_risk(cap_gen, cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
+        new_i4 = dim_tech_risk(cap_gen * (1.0 + eps), cap_det, p.ipi.mu_tech, p.ipi.sigma_tech)
+        boost = (cap_gen * (1.0 + eps)) ** p.ipi.kappa_gen
+        base, bumped = self._supply_welfare((self.overlay.gen_boost, boost))
         return bumped - base, new_i4 - base_i4
 
     def _evaluate(self, q_h, q_l):
@@ -120,16 +121,16 @@ class _PerDimensionWeights:
         return w.tolist(), cleared.pollution.tolist()
 
     def _supply_welfare(self, gen_boosts):
-        sim, inputs = self.sim, self.inputs
+        sim, overlay = self.sim, self.overlay
         supply = supply_response(
             sim.populations.producers,
             Postures.of([sim.platform] * len(gen_boosts)),
             sim.params.platform,
-            cost_h_base=inputs.cost_h_base,
-            cost_l_base=inputs.cost_l_base,
+            cost_h_base=overlay.cost_h_base,
+            cost_l_base=overlay.cost_l_base,
             gen_boost=np.array(gen_boosts),
-            tax=inputs.tax,
-            extra_q_l=inputs.extra_q_l,
+            tax=self.tax,
+            extra_q_l=overlay.extra_q_l,
         )
         w, _rho = self._evaluate(supply.q_h, supply.q_l)
         profit = supply.producer_profit.tolist()
@@ -141,9 +142,9 @@ class TestEndogenousWeights:
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
         sim = Simulation(params, PolicyConfig(), 42)
         for _ in range(30):
-            inputs, result, row = _tick(sim)
+            overlay, tax, result, row = _tick(sim)
             weights, _ = endogenous_weights(
-                weight_responses(sim, inputs, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, tax, result, params.ipi.weight_perturbation)
             )
             total = sum(w * d for w, d in zip(weights, (row.i1, row.i2, row.i3, row.i4)))
             assert 0.0 <= total <= 1.0
@@ -157,9 +158,9 @@ class TestEndogenousWeights:
         eps = params.ipi.weight_perturbation
         fallbacks = 0
         for _ in range(40):
-            inputs, result, row = _tick(sim)
-            oracle = _PerDimensionWeights(sim, inputs, result)
-            responses = weight_responses(sim, inputs, result, eps)
+            overlay, tax, result, row = _tick(sim)
+            oracle = _PerDimensionWeights(sim, overlay, tax, result)
+            responses = weight_responses(sim, overlay, tax, result, eps)
             assert responses == [oracle.dimension_response(dim, eps) for dim in range(4)]
             weights, fallback = oracle.weights(eps)
             assert endogenous_weights(responses) == (weights, fallback)
@@ -174,9 +175,9 @@ class TestEndogenousWeights:
         )
         sim = Simulation(params, master_seed=42)
         for _ in range(5):
-            inputs, result, row = _tick(sim)
+            overlay, tax, result, row = _tick(sim)
             assert endogenous_weights(
-                weight_responses(sim, inputs, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, tax, result, params.ipi.weight_perturbation)
             ) == (FIXED_WEIGHTS, True)
             assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), FIXED_WEIGHTS)
 
@@ -209,11 +210,13 @@ class TestEndogenousWeights:
         sim = Simulation(SimParams(), PolicyConfig(), 42)
         for _ in range(99):
             sim.advance()
-        inputs, result, _row = _tick(sim)
-        weights, fallback = endogenous_weights(weight_responses(sim, inputs, result, 0.01))
+        overlay, tax, result, _row = _tick(sim)
+        weights, fallback = endogenous_weights(
+            weight_responses(sim, overlay, tax, result, 0.01)
+        )
         assert not fallback
         raw = []
-        for d_w, d_i in weight_responses(sim, inputs, result, 0.005):
+        for d_w, d_i in weight_responses(sim, overlay, tax, result, 0.005):
             assert abs(d_w) > 1e-12
             raw.append(abs(d_w / d_i))
         oracle = [s / sum(raw) for s in raw]
@@ -249,12 +252,9 @@ SMALL = {
 class TestEventDetection:
     def test_zero_magnitude_burst_is_a_noop(self):
         params = SimParams().with_overrides(SMALL)
-        from infomarket.harness import ShockEvent
-
-        shocked = Simulation(params, PolicyConfig(), 42).run(
-            60, [ShockEvent(tick=30, kind="fake_news_burst", magnitude=0.0)]
-        )
-        quiet = Simulation(params, PolicyConfig(), 42).run(60)
+        burst = ShockEvent(tick=30, kind="fake_news_burst", magnitude=0.0)
+        (shocked,) = run_worlds([(params, PolicyConfig())], 60, shocks=[burst])
+        (quiet,) = run_worlds([(params, PolicyConfig())], 60)
         assert shocked.column("ipi").tolist() == quiet.column("ipi").tolist()
 
     def test_default_burst_detected_with_finite_window(self):

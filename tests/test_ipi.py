@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from infomarket.agents import Postures
 from infomarket.config import SimParams
 from infomarket.errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from infomarket.harness import Simulation
+from infomarket.harness import Simulation, build_overlays
 from infomarket.ipi import (
     FIXED_WEIGHTS,
     SyntheticEventLog,
@@ -372,9 +372,9 @@ def test_series_log_equals_per_tick_reference(seed, overrides):
     params = SimParams().with_overrides(overrides)
     sim = Simulation(params, PolicyConfig(), seed)
     series = []
-    for _ in range(40):
-        sim.advance()
-        series.append((sim.state, sim.platform, sim.cap_gen, sim.cap_det))
+    for overlay in build_overlays(40, (), params):
+        sim.advance(overlay)
+        series.append((sim.state, sim.platform, overlay.cap_gen, overlay.cap_det))
     weights = (0.1, 0.2, 0.3, 0.4)
     for noise in (0.0, 0.05, 0.1, 0.2, 1.0):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)

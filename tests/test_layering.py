@@ -105,3 +105,16 @@ def test_every_public_definition_is_used_in_src():
                 unused.add((module, node.name))
     assert unused - UNREFERENCED_OK == set()
     assert UNREFERENCED_OK <= unused  # an allowlisted name that gained a caller leaves the list
+
+
+def test_market_step_has_one_call_site():
+    # One tick, written once: every world, alone or in a batch, clears through it.
+    sites = [
+        (module, node.lineno)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "market_step"
+    ]
+    assert len(sites) == 1, sites
