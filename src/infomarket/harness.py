@@ -13,9 +13,9 @@ is computed before its first tick (`build_overlays`); the adaptive levy
 is the only tick input the market moves.  One step (`_step`) makes the
 only `market_step` call: worlds that share their populations and every
 parameter the clearing reads advance through it in lockstep (`run_worlds`,
-which runs every experiment but `noise_robustness`), and a world alone
-advances through it as a batch of one (`Simulation.advance`); a world's
-record does not depend on its batch.  Output layout per experiment::
+which runs every experiment), and a world driven tick by tick advances
+through it as a batch of one (`Simulation.advance`); a world's record does
+not depend on its batch.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -268,7 +268,7 @@ class Simulation:
         weights = ip.weights
         if ip.endogenous_weights:
             weights, _fallback = endogenous_weights(
-                weight_responses(self, ov, tax, result, ip.weight_perturbation)
+                weight_responses(self, ov, posture, result, ip.weight_perturbation)
             )
         ipi = self.prev_ipi = composite(dims, weights)
         # A NaN welfare fails here rather than write a NaN row.
@@ -351,6 +351,9 @@ def build_overlays(
         elif shock.kind == "fake_news_burst":
             for t in window:
                 shocked[t]["extra_q_l"] += shock.magnitude * params.agents.n_producers
+                if not math.isfinite(shocked[t]["extra_q_l"]):
+                    raise ConfigError(f"shocks.fake_news_burst = {shock.magnitude!r} overflows "
+                                      f"the burst's supply magnitude * n_producers at tick {t + 1}")
         elif shock.kind == "trust_shock":
             entry["trust_delta"] -= shock.magnitude
     overlays: list[TickOverlay] = []
@@ -407,47 +410,46 @@ def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
 
 
 def weight_responses(
-    sim: Simulation, overlay: TickOverlay, tax: float, result: TickResult, eps: float
+    sim: Simulation, overlay: TickOverlay, posture: Postures, result: TickResult, eps: float
 ) -> list[tuple[float, float]]:
     """Each index dimension's (delta_welfare, delta_dimension) under a relative
-    step ``eps`` in its driver, from the tick ``sim`` just adopted under the
-    exogenous row ``overlay`` and levy ``tax``.
+    step ``eps`` in its driver, around the tick ``sim`` just cleared under the
+    exogenous row ``overlay``, the levy ``sim.tax`` and the posted ``posture``.
 
     The deadweight (i2) and trust (i3) responses are analytic.  The
     pollution driver (i1) is the low-quality output scale; the technology
     driver (i4) is the generation capability, through the low-quality cost
-    channel and a supply re-solve.  One `supply_response` over two lanes
-    (the tick's ``gen_boost`` and the stepped one) and one `clear_market`
-    over four (the tick's outputs, the scaled ones, then the two supplies)
-    serve both, under the posture after the tick's gradient step.  A flat
-    analytic response makes the weights fall back whatever the others are,
-    so nothing is cleared and i1 and i4 read (0.0, 0.0).
+    channel and a supply re-solve.  Both step from the tick's own welfare
+    and pollution, under its posture: one `supply_response` lane (the
+    stepped ``gen_boost``) and one `clear_market` call of two lanes (the
+    scaled low-quality output, then that supply with its own surplus).  A
+    flat analytic response makes the weights fall back whatever the others
+    are, so nothing is cleared and i1 and i4 read (0.0, 0.0).
     """
     p = sim.params
     deadweight = (-(sim.w_so - sim.w_min) * eps, eps)
     trust = (p.welfare.lambda_trust * (-eps * p.trust.t_max), eps)
     if is_flat(*deadweight) or is_flat(*trust):
         return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
-    state, profit = result.state, result.producer_profit
+    state = result.state
     stepped_gen = overlay.cap_gen * (1.0 + eps)
     supply = supply_response(
-        sim.populations.producers, Postures.of([result.platform] * 2), p.platform,
+        sim.populations.producers, Postures.of([posture]), p.platform,
         cost_h_base=overlay.cost_h_base, cost_l_base=overlay.cost_l_base,
-        gen_boost=np.array([overlay.gen_boost, _gen_boost(stepped_gen, p, state.tick)]),
-        tax=tax, extra_q_l=overlay.extra_q_l,
+        gen_boost=_gen_boost(stepped_gen, p, state.tick), tax=sim.tax,
+        extra_q_l=overlay.extra_q_l,
     )
     cleared = clear_market(
-        np.array([state.q_h, state.q_h, *supply.q_h]),
-        np.array([state.q_l, state.q_l * (1.0 + eps), *supply.q_l]),
-        Postures.of([result.platform] * 4), sim.populations, p, sim.policy.provenance_boost,
+        np.array([state.q_h, *supply.q_h]), np.array([state.q_l * (1.0 + eps), *supply.q_l]),
+        Postures.of([posture] * 2), sim.populations, p, sim.policy.provenance_boost,
     )
-    w = cleared.welfare(state.trust, profit, p).tolist()
-    rho = cleared.pollution.tolist()
-    base, stepped = (wi + pi - profit for wi, pi in zip(w[2:], supply.producer_profit.tolist()))
+    scaled, stepped = cleared.welfare(
+        state.trust, np.array([result.producer_profit, *supply.producer_profit]), p
+    ).tolist()
     ip = p.ipi
     stepped_i4 = dim_tech_risk(stepped_gen, overlay.cap_det, ip.mu_tech, ip.sigma_tech)
-    return [(w[1] - w[0], rho[1] - rho[0]), deadweight, trust,
-            (stepped - base, stepped_i4 - overlay.i4)]
+    return [(scaled - state.welfare, cleared.pollution.tolist()[0] - state.pollution),
+            deadweight, trust, (stepped - state.welfare, stepped_i4 - overlay.i4)]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -584,17 +586,10 @@ def _write_outputs(
     (out / "config.txt").write_text(resolved, encoding="utf-8")
     if record is not None:
         record.write(out / "results" / "run.csv")
-        ticks = record.column("tick")
-        _write_table(
-            out / "figures" / "ipi_vs_time.csv",
-            ("tick", "ipi"),
-            list(zip((int(t) for t in ticks), record.column("ipi"))),
-        )
-        _write_table(
-            out / "figures" / "welfare_vs_time.csv",
-            ("tick", "welfare"),
-            list(zip((int(t) for t in ticks), record.column("welfare"))),
-        )
+        ticks = [r.tick for r in record.rows]
+        for name in ("ipi", "welfare"):
+            _write_table(out / "figures" / f"{name}_vs_time.csv", ("tick", name),
+                         list(zip(ticks, record.column(name))))
     for name, (header, rows) in (tables or {}).items():
         _write_table(out / "results" / f"{name}.csv", header, rows)
     (out / "summary.json").write_text(
@@ -888,36 +883,36 @@ def run_noise(
 ) -> dict[str, Any]:
     """Proxy-index measurement error and volatility under multiplicative noise.
 
-    Dynamics are independent of measurement noise, so the market runs once.
-    Noise 0 draws nothing, so one noise-free proxy index serves every trial;
-    each (level, trial) synthesizes one noisy log of the whole series, and
-    the error is the mean absolute gap to the noise-free index.  The proxy
-    index is weighted with the fixed ``ipi.w_*``; endogenous weights reach
-    the run only through an adaptive levy, so without one the world
-    computes none.
+    Dynamics are independent of measurement noise, so the world runs once
+    through `run_worlds`; the event log reads its record's tick columns
+    (with the posture each tick was cleared under) and its path's
+    capability stocks.  Noise 0 draws nothing, so one noise-free proxy
+    index serves every trial; each (level, trial) synthesizes one noisy log
+    of the whole series, and the error is the mean absolute gap to the
+    noise-free index.  The proxy index is weighted with the fixed
+    ``ipi.w_*``; endogenous weights reach the run only through an adaptive
+    levy, so without one the world computes none.
     """
     params = cfg.params()
     levels = list(noise_levels) if noise_levels is not None else [0.0, 0.05, 0.1, 0.2]
     weights = params.ipi.weights
-    # The run's own index feeds only the adaptive levy: its rows are dropped,
-    # and the proxy composite reads ipi.w_*.
+    # The run's own index feeds only the adaptive levy: the proxy log skips
+    # the record's index columns, and the proxy composite reads ipi.w_*.
     world = params if params.policy.adaptive_enabled else params.with_overrides(
         {"ipi.endogenous_weights": False}
     )
-    overlays = build_overlays(cfg.max_ticks, (), world)
-    sim = Simulation(world, master_seed=cfg.master_seed)
-    series = []
-    for ov in overlays:
-        sim.advance(ov)
-        series.append((sim.state, sim.platform, ov.cap_gen, ov.cap_det))
-    noise_free = proxy_composite(synthesize_log(series, params), weights) if series else None
+    (record,) = _records(cfg, [(world, _policy_from_params(world))])
+    path = build_overlays(cfg.max_ticks, (), world)
+    series = {name: record.column(name) for name in CSV_COLUMNS[1:-1]} | {
+        name: np.array([getattr(ov, name) for ov in path]) for name in ("cap_gen", "cap_det")}
+    noise_free = proxy_composite(synthesize_log(series, params), weights) if record.rows else None
 
     rows = []
     for li, level in enumerate(levels):
         errors = []
         vols = []
         # An empty series has no error or volatility.
-        for trial in range(trials if series else 0):
+        for trial in range(trials if record.rows else 0):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.master_seed, 11, li, trial])
             )

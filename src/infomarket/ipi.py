@@ -19,14 +19,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .agents import Postures
 from .config import WEIGHT_TOL, IpiParams, SimParams
 from .errors import ConfigError, DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from .market import MarketState, _clamp, amplified, harmful_exposure
+from .market import _clamp, amplified, harmful_exposure
 
 logger = logging.getLogger(__name__)
 
@@ -172,14 +172,18 @@ def proxy_detection_gap(log: SyntheticEventLog) -> np.ndarray:
 
 
 def synthesize_log(
-    series: Sequence[tuple[MarketState, Postures, float, float]],
+    series: Mapping[str, np.ndarray],
     params: SimParams,
     noise_level: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> SyntheticEventLog:
-    """Fabricate the event log of a series of ticks, each (state, posture, cap_gen, cap_det).
+    """Fabricate the event log of a series of ticks from its columns.
 
-    Impressions are proportional to amplified exposure per type, harm
+    ``series`` maps each name to one value per tick: the run record's
+    ``q_h``, ``q_l``, ``verify_rate``, ``precision`` and ``trust``, the
+    posture the tick was cleared under (``gamma_h``, ``gamma_l``, ``m``),
+    and the capability stocks ``cap_gen`` and ``cap_det`` of its exogenous
+    path.  Impressions are proportional to amplified exposure per type, harm
     feedback to effective low-quality exposure, churn cohorts follow the
     trust level split by exposure, and detector accuracy follows the
     capability stocks.  Multiplicative U(1-noise, 1+noise) noise is drawn
@@ -189,11 +193,9 @@ def synthesize_log(
     px = params.proxy
     if not 0 <= noise_level <= 1:
         raise ValueError("noise_level must lie in [0, 1]")
-    states, platforms, cap_gen, cap_det = zip(*series)
-    postures = Postures.of(platforms)
-    q_h, q_l, verify_rate, precision, trust = np.array(
-        [(s.q_h, s.q_l, s.verify_rate, s.precision, s.trust) for s in states]
-    ).T
+    q_h, q_l, verify_rate, precision, trust = (
+        series[c] for c in ("q_h", "q_l", "verify_rate", "precision", "trust"))
+    postures = Postures(series["gamma_h"], series["gamma_l"], series["m"])
     high, low = amplified(q_h, q_l, postures)
     t_max = params.trust.t_max
     depletion = (t_max - trust) / t_max
@@ -204,7 +206,7 @@ def synthesize_log(
     # power, which a large exponent would overflow.
     ratio = np.array([
         1.0 if d >= g else min((d / g) ** px.detector_exponent, 1.0)
-        for g, d in zip(cap_gen, cap_det)
+        for g, d in zip(series["cap_gen"].tolist(), series["cap_det"].tolist())
     ])
     k = px.items_per_type
     rates = (px.harm_rate_clickbait, px.harm_rate_misinformation, px.harm_rate_fraud)

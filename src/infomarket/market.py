@@ -16,12 +16,12 @@ share their populations and parameters.  `supply_response` takes a batch:
 a tick makes one call with seven lanes per world, the posted posture plus
 the six finite-difference probes.  `clear_market` clears a batch of
 lanes: the tick clears each world's posted posture as one lane, the
-endogenous index weights re-clear four lanes (the tick's outputs, scaled
-low-quality output, and supply at the tick's and at a stepped generation
-boost), and the welfare anchors put the whole lattice and the worst
-corner through one `static_equilibrium_welfare` call, which solves supply
-once per distinct (gamma_h, gamma_l, tax) and clears one lane per
-distinct pollution.  The verification fixed point is solved exactly per lane
+endogenous index weights clear two lanes under it (scaled low-quality
+output, and supply at a stepped generation boost), and the welfare
+anchors put the whole lattice and the worst corner through one
+`static_equilibrium_welfare` call, which solves supply once per distinct
+(gamma_h, gamma_l, tax) and clears one lane per distinct pollution.  The
+verification fixed point is solved exactly per lane
 (`solve_verification_fixed_point`), and every stage is elementwise over
 lanes, so a lane's result does not depend on the batch it is cleared in.
 

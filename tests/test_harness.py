@@ -38,6 +38,7 @@ from infomarket.harness import (
     summary_stats,
     sweep_cells,
 )
+from infomarket.ipi import proxy_exposure
 from infomarket.market import _base_costs, market_step, welfare_anchors
 from infomarket.policy import PolicyConfig
 
@@ -525,6 +526,28 @@ class TestNoise:
         assert calls == {"synthesize_log": 3 * 4 + 1, "proxy_composite": 3 * 4 + 1}
         assert report["errors"][0] == 0.0
 
+    def test_noise_free_exposure_proxy_reads_the_recorded_pollution(self, monkeypatch):
+        # The log reads the posture each tick was cleared under, so its
+        # exposure share is the record's pollution up to rounding.
+        seen = {}
+
+        def records(*args, _original=harness._records, **kwargs):
+            seen["records"] = _original(*args, **kwargs)
+            return seen["records"]
+
+        def synthesize(*args, _original=harness.synthesize_log, **kwargs):
+            log = _original(*args, **kwargs)
+            seen.setdefault("log", log)  # the first log is the noise-free one
+            return log
+
+        monkeypatch.setattr(harness, "_records", records)
+        monkeypatch.setattr(harness, "synthesize_log", synthesize)
+        cfg = ExperimentConfig(experiment="noise_robustness", master_seed=42, max_ticks=150)
+        run_noise(cfg, noise_levels=[0.0], trials=1)
+        (record,) = seen["records"]
+        gap = np.abs(proxy_exposure(seen["log"]) - record.column("pollution"))
+        assert len(gap) == 150 and gap.max() <= 1e-15
+
     @staticmethod
     def _outputs(tmp_path, name, overrides, ticks):
         """run_noise's report and written files, but for config.txt (which
@@ -735,6 +758,12 @@ class TestCli:
         ("baseline", 200, {"ipi.cap_gen_growth": "-0.99", "ipi.cap_det_growth": "1",
                            "econ.ai_rental": "0.5"},
          ("ipi.cap_gen_growth", "ipi.cap_det_growth", "tick 141")),
+        # A burst whose extra supply magnitude * n_producers overflows, found
+        # before tick 1; event-detection bursts at tick ticks // 2 + 1.
+        ("event-detection", 3, {"shocks.fake_news_burst": "1e308"},
+         ("shocks.fake_news_burst", "tick 2")),
+        ("shocks", 150, {"shocks.fake_news_burst": "1e308"},
+         ("shocks.fake_news_burst", "tick 101")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -829,13 +858,19 @@ class TestCli:
         ])
         assert code == 3
 
-    def test_convergence_failure_exits_code_three(self, tmp_path):
-        code = main([
-            "baseline", "--ticks", "3", "--out", str(tmp_path / "x"),
-            "--agents.n_producers", "30", "--agents.n_consumers", "60",
-            "--market.fp_tol", "0",
-        ])
-        assert code == 3
+    def test_convergence_failure_exits_code_three(self, tmp_path, capsys):
+        # noise-robustness runs its world through the world runner too, so
+        # its message names the world.
+        for command in ("baseline", "noise-robustness"):
+            code = main([
+                command, "--ticks", "3", "--out", str(tmp_path / command),
+                "--agents.n_producers", "30", "--agents.n_consumers", "60",
+                "--market.fp_tol", "0",
+            ])
+            assert code == 3
+            assert capsys.readouterr().err.startswith(
+                "convergence failure: world 0: NoConvergence: "
+            )
 
     def test_report_on_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2

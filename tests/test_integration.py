@@ -62,22 +62,33 @@ class TestGoldenRun:
 
 def _tick(sim):
     """One unscheduled tick as `Simulation.advance` runs it: its exogenous
-    row, levy, market result and record row."""
+    row, the posture it was cleared under, its market result and record row."""
     overlay = harness._next_overlay(sim.last_overlay, sim.params, sim.state.tick + 1)
     tax = sim._levy()
+    posture = sim.platform
     (result,) = market_step(
-        [sim.state], sim.populations, [sim.platform], [overlay], [tax], sim.params,
+        [sim.state], sim.populations, [posture], [overlay], [tax], sim.params,
         provenance_boost=sim.policy.provenance_boost, fiduciary=sim.policy.fiduciary,
     )
-    return overlay, tax, result, sim._end_tick(overlay, tax, result)
+    return overlay, posture, result, sim._end_tick(overlay, tax, result)
 
 
 class _PerDimensionWeights:
     """Oracle: the endogenous weights one dimension at a time, each perturbed
-    driver re-cleared in a call of its own, stopping at the first flat one."""
+    driver re-cleared with its base in a call of its own under the posted
+    posture, stopping at the first flat one."""
 
-    def __init__(self, sim, overlay, tax, result):
-        self.sim, self.overlay, self.tax, self.result = sim, overlay, tax, result
+    def __init__(self, sim, overlay, posture, result):
+        self.sim, self.overlay, self.posture, self.result = sim, overlay, posture, result
+
+    def base(self):
+        """(welfare, pollution) of the tick's outputs re-cleared, and welfare
+        at its supply re-solved at the tick's generation boost."""
+        state = self.result.state
+        (w,), (rho,) = self._evaluate(np.array([state.q_h]), np.array([state.q_l]),
+                                      self.result.producer_profit)
+        (supplied,) = self._supply_welfare((self.overlay.gen_boost,))
+        return w, rho, supplied
 
     def weights(self, eps):
         sensitivities = []
@@ -92,7 +103,7 @@ class _PerDimensionWeights:
     def dimension_response(self, dim, eps):
         sim = self.sim
         p = sim.params
-        state = sim.state
+        state = self.result.state
         if dim == 1:
             span = sim.w_so - sim.w_min
             return -span * eps, eps
@@ -101,7 +112,8 @@ class _PerDimensionWeights:
             return p.welfare.lambda_trust * delta_t, eps
         if dim == 0:
             (w, bumped_w), (rho, bumped_rho) = self._evaluate(
-                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)])
+                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)]),
+                self.result.producer_profit,
             )
             return bumped_w - w, bumped_rho - rho
         cap_gen, cap_det = self.overlay.cap_gen, self.overlay.cap_det
@@ -111,30 +123,29 @@ class _PerDimensionWeights:
         base, bumped = self._supply_welfare((self.overlay.gen_boost, boost))
         return bumped - base, new_i4 - base_i4
 
-    def _evaluate(self, q_h, q_l):
+    def _evaluate(self, q_h, q_l, producer_profit):
         sim = self.sim
         cleared = clear_market(
-            q_h, q_l, Postures.of([sim.platform] * q_h.size), sim.populations, sim.params,
+            q_h, q_l, Postures.of([self.posture] * q_h.size), sim.populations, sim.params,
             sim.policy.provenance_boost,
         )
-        w = cleared.welfare(sim.state.trust, self.result.producer_profit, sim.params)
+        w = cleared.welfare(self.result.state.trust, producer_profit, sim.params)
         return w.tolist(), cleared.pollution.tolist()
 
     def _supply_welfare(self, gen_boosts):
         sim, overlay = self.sim, self.overlay
         supply = supply_response(
             sim.populations.producers,
-            Postures.of([sim.platform] * len(gen_boosts)),
+            Postures.of([self.posture] * len(gen_boosts)),
             sim.params.platform,
             cost_h_base=overlay.cost_h_base,
             cost_l_base=overlay.cost_l_base,
             gen_boost=np.array(gen_boosts),
-            tax=self.tax,
+            tax=sim.tax,
             extra_q_l=overlay.extra_q_l,
         )
-        w, _rho = self._evaluate(supply.q_h, supply.q_l)
-        profit = supply.producer_profit.tolist()
-        return [wi + pi - self.result.producer_profit for wi, pi in zip(w, profit)]
+        w, _rho = self._evaluate(supply.q_h, supply.q_l, supply.producer_profit)
+        return w
 
 
 class TestEndogenousWeights:
@@ -142,9 +153,9 @@ class TestEndogenousWeights:
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
         sim = Simulation(params, PolicyConfig(), 42)
         for _ in range(30):
-            overlay, tax, result, row = _tick(sim)
+            overlay, posture, result, row = _tick(sim)
             weights, _ = endogenous_weights(
-                weight_responses(sim, overlay, tax, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, posture, result, params.ipi.weight_perturbation)
             )
             total = sum(w * d for w, d in zip(weights, (row.i1, row.i2, row.i3, row.i4)))
             assert 0.0 <= total <= 1.0
@@ -158,9 +169,11 @@ class TestEndogenousWeights:
         eps = params.ipi.weight_perturbation
         fallbacks = 0
         for _ in range(40):
-            overlay, tax, result, row = _tick(sim)
-            oracle = _PerDimensionWeights(sim, overlay, tax, result)
-            responses = weight_responses(sim, overlay, tax, result, eps)
+            overlay, posture, result, row = _tick(sim)
+            oracle = _PerDimensionWeights(sim, overlay, posture, result)
+            # Re-cleared under the posted posture, the tick gives back its own row.
+            assert oracle.base() == (row.welfare, row.pollution, row.welfare)
+            responses = weight_responses(sim, overlay, posture, result, eps)
             assert responses == [oracle.dimension_response(dim, eps) for dim in range(4)]
             weights, fallback = oracle.weights(eps)
             assert endogenous_weights(responses) == (weights, fallback)
@@ -175,9 +188,9 @@ class TestEndogenousWeights:
         )
         sim = Simulation(params, master_seed=42)
         for _ in range(5):
-            overlay, tax, result, row = _tick(sim)
+            overlay, posture, result, row = _tick(sim)
             assert endogenous_weights(
-                weight_responses(sim, overlay, tax, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, posture, result, params.ipi.weight_perturbation)
             ) == (FIXED_WEIGHTS, True)
             assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), FIXED_WEIGHTS)
 
@@ -192,17 +205,26 @@ class TestEndogenousWeights:
         sim = Simulation(SimParams().with_overrides(overrides), master_seed=42)
         sim.advance()
         calls = {"supply_response": 0, "clear_market": 0, "welfare": 0}
+        lanes = {"supply_response": 0, "clear_market": 0}
         for module, name in [(market, "supply_response"), (market, "clear_market"),
                              (harness, "supply_response"), (harness, "clear_market"),
                              (market.Clearing, "welfare")]:
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
+                if _name == "supply_response":
+                    lanes[_name] += args[1].gamma_h.size  # one lane per posture
+                elif _name == "clear_market":
+                    lanes[_name] += args[0].size  # one lane per output
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         for _ in range(3):
             sim.advance()
         assert calls == {name: 3 * (1 + extra) for name in calls}
+        # The tick itself: seven supply lanes (the posted posture and six
+        # probes) and one clearing lane.  The weights add the stepped supply,
+        # then clear the scaled outputs and that supply.
+        assert lanes == {"supply_response": 3 * (7 + extra), "clear_market": 3 * (1 + 2 * extra)}
 
     def test_half_step_oracle_at_tick_100(self):
         # Independent re-derivation: recompute raw sensitivities straight
@@ -210,13 +232,13 @@ class TestEndogenousWeights:
         sim = Simulation(SimParams(), PolicyConfig(), 42)
         for _ in range(99):
             sim.advance()
-        overlay, tax, result, _row = _tick(sim)
+        overlay, posture, result, _row = _tick(sim)
         weights, fallback = endogenous_weights(
-            weight_responses(sim, overlay, tax, result, 0.01)
+            weight_responses(sim, overlay, posture, result, 0.01)
         )
         assert not fallback
         raw = []
-        for d_w, d_i in weight_responses(sim, overlay, tax, result, 0.005):
+        for d_w, d_i in weight_responses(sim, overlay, posture, result, 0.005):
             assert abs(d_w) > 1e-12
             raw.append(abs(d_w / d_i))
         oracle = [s / sum(raw) for s in raw]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from infomarket.agents import Postures
 from infomarket.config import SimParams
 from infomarket.errors import DegenerateAnchors, WeightSumViolation, ZeroBaseline
-from infomarket.harness import Simulation, build_overlays
+from infomarket.harness import build_overlays, run_worlds
 from infomarket.ipi import (
     FIXED_WEIGHTS,
     SyntheticEventLog,
@@ -28,7 +28,7 @@ from infomarket.ipi import (
     proxy_harm,
     synthesize_log,
 )
-from infomarket.market import MarketState, exposure, harmful_exposure
+from infomarket.market import exposure, harmful_exposure
 from infomarket.policy import PolicyConfig
 
 mp.mp.dps = 50
@@ -209,15 +209,14 @@ def assert_logs_equal(a, b):
 
 class TestSynthesizeLog:
     def _series(self, populations, params, q_h=10.0, q_l=30.0, trust=0.4):
+        """One tick's columns, with the pollution its posture gives its outputs."""
         platform = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
         (rho,), _, _ = exposure(
             np.array([q_h]), np.array([q_l]), Postures.of([platform]), populations, params
         )
-        state = MarketState(
-            tick=5, q_h=q_h, q_l=q_l, pollution=rho, verify_rate=0.3,
-            precision=0.75, trust=trust, welfare=100.0,
-        )
-        return [(state, platform, 1.0, 1.0)]
+        columns = dict(q_h=q_h, q_l=q_l, pollution=rho, verify_rate=0.3, precision=0.75,
+                       trust=trust, gamma_h=1.0, gamma_l=1.0, m=0.0, cap_gen=1.0, cap_det=1.0)
+        return {name: np.array([value]) for name, value in columns.items()}
 
     def test_zero_noise_is_deterministic_without_consuming_randomness(self, params, populations):
         series = self._series(populations, params)
@@ -238,7 +237,7 @@ class TestSynthesizeLog:
     def test_exposure_proxy_coheres_with_pollution_dimension(self, params, populations):
         series = self._series(populations, params, q_h=7.0, q_l=13.0)
         log = synthesize_log(series, params, 0.0, np.random.default_rng(0))
-        assert abs(proxy_exposure(log)[0] - series[0][0].pollution) < 1e-9
+        assert abs(proxy_exposure(log)[0] - series["pollution"][0]) < 1e-9
 
     def test_zero_pollution_means_zero_exposure(self, params, populations):
         series = self._series(populations, params, q_h=10.0, q_l=0.0)
@@ -370,19 +369,23 @@ def tick_rows(log):
 ])
 def test_series_log_equals_per_tick_reference(seed, overrides):
     params = SimParams().with_overrides(overrides)
-    sim = Simulation(params, PolicyConfig(), seed)
-    series = []
-    for overlay in build_overlays(40, (), params):
-        sim.advance(overlay)
-        series.append((sim.state, sim.platform, overlay.cap_gen, overlay.cap_det))
+    # The series is the record's columns, with the posture each tick was
+    # cleared under, and the capability stocks of the world's path.
+    (record,) = run_worlds([(params, PolicyConfig())], 40, master_seed=seed)
+    path = build_overlays(40, (), params)
+    series = {name: record.column(name) for name in
+              ("q_h", "q_l", "verify_rate", "precision", "trust", "gamma_h", "gamma_l", "m")}
+    series["cap_gen"] = np.array([overlay.cap_gen for overlay in path])
+    series["cap_det"] = np.array([overlay.cap_det for overlay in path])
     weights = (0.1, 0.2, 0.3, 0.4)
     for noise in (0.0, 0.05, 0.1, 0.2, 1.0):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         log = synthesize_log(series, params, noise, rng)
         got = proxy_composite(log, weights)
-        for t, (state, platform, cap_gen, cap_det) in enumerate(series):
-            ref = tick_synthesize_log(state, platform, ref_rng, noise, cap_gen=cap_gen,
-                                      cap_det=cap_det, params=params)
+        for t, (row, overlay) in enumerate(zip(record.rows, path)):
+            ref = tick_synthesize_log(row, Postures(row.gamma_h, row.gamma_l, row.m), ref_rng,
+                                      noise, cap_gen=overlay.cap_gen, cap_det=overlay.cap_det,
+                                      params=params)
             impressions, feedback, churn, acc_new = tick_rows(ref)
             assert log.impressions[t].tolist() == impressions
             assert log.feedback[t].tolist() == feedback

@@ -118,3 +118,15 @@ def test_market_step_has_one_call_site():
              else getattr(node.func, "attr", None)) == "market_step"
     ]
     assert len(sites) == 1, sites
+
+
+def test_no_tick_loop_calls_advance():
+    # Every experiment runs its worlds through `run_worlds`, whose batches
+    # step in `_run_batch`; `Simulation.advance` is for driving one world by hand.
+    sites = [
+        (module, node.lineno)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "advance"
+    ]
+    assert sites == []
