@@ -15,7 +15,10 @@ only `market_step` call: worlds that share their populations and every
 parameter the clearing reads advance through it in lockstep (`run_worlds`,
 which runs every experiment), and a world driven tick by tick advances
 through it as a batch of one (`Simulation.advance`); a world's record does
-not depend on its batch.  Output layout per experiment::
+not depend on its batch.  A tick's outcomes exist once, as its record row
+(`TickRow`): the step builds it from `market_step`'s columns, and the
+world carries it to the next tick as ``Simulation.state``, from which the
+next levy and the trust step read.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -31,7 +34,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -53,10 +56,8 @@ from .ipi import (
     synthesize_log,
 )
 from .market import (
-    MarketState,
     Populations,
     TickOverlay,
-    TickResult,
     _base_costs,
     clear_market,
     market_step,
@@ -113,9 +114,12 @@ class ExperimentConfig:
         return SimParams().with_overrides(self.overrides)
 
 
-# Not frozen: a frozen row costs four times as much to build, once per world and tick.
+# Not frozen: a frozen row costs four times as much to build, once per world
+# and tick, and the step fills in the index reading once its weights are known.
 @dataclass(slots=True)
 class TickRow:
+    """One tick of a world's record, and what the world carries to the next tick."""
+
     tick: int
     q_h: float
     q_l: float
@@ -196,10 +200,16 @@ class ShockEvent:
 
 
 class Simulation:
-    """Owns one run: populations, platform, and policy state.
+    """Owns one run: populations, welfare anchors, policy, and what a world
+    carries between ticks.
 
-    Strictly sequential and deterministic; independent runs get their own
-    instances.  Without a ``policy`` the run takes it from ``params.policy``.
+    Between ticks a world is three things: ``state``, its last record row
+    (before tick 1, a tick-0 row with the initial trust, the policy's levy
+    ``tax_l`` and the initial posture, whose index readings are NaN);
+    ``platform``, the posture it posts next; and ``last_overlay``, its last
+    exogenous row.  Strictly sequential and deterministic; independent runs
+    get their own instances.  Without a ``policy`` the run takes it from
+    ``params.policy``.
     """
 
     def __init__(
@@ -219,18 +229,18 @@ class Simulation:
         )
         pf = params.platform
         self.platform = Postures(pf.gamma_init, pf.gamma_init, pf.moderation_init)
-        self.state = MarketState(
-            tick=0, q_h=0.0, q_l=0.0, pollution=0.0, verify_rate=0.0,
-            precision=min(max(params.market.pi_base, 0.5), 1.0), trust=params.trust.initial,
-            welfare=0.0,
+        nan = math.nan
+        self.state = TickRow(
+            0, 0.0, 0.0, 0.0, 0.0, min(max(params.market.pi_base, 0.5), 1.0),
+            params.trust.initial, 0.0, nan, nan, nan, nan, nan, self.policy.tax_l,
+            pf.gamma_init, pf.gamma_init, pf.moderation_init,
         )
-        self.tax = self.policy.tax_l
-        self.prev_ipi: float | None = None
-        self.last_overlay: TickOverlay | None = None  # the exogenous row of the last tick run
+        self.last_overlay: TickOverlay | None = None
         self.w_so, self.w_min = welfare_anchors(self.populations, params)
 
     def advance(self, overlay: TickOverlay | None = None) -> TickRow:
-        """Run one tick under its exogenous row and return its record row.
+        """Run one tick under its exogenous row and return its record row,
+        which becomes ``state``.
 
         Without a row the tick is unscheduled: its row follows the last one
         this world ran, with no shock.
@@ -243,63 +253,59 @@ class Simulation:
         return row
 
     def _levy(self) -> float:
-        """The tick's levy: the adaptive levy moves on the last index reading
-        (stage 7 of the previous tick's cycle)."""
-        if self.policy.adaptive and self.prev_ipi is not None:
-            self.tax = adaptive_tax(
-                self.tax, self.prev_ipi, self.policy.ipi_target, self.policy.adaptive_eta
-            )
-        return self.tax
+        """The next tick's levy: after tick 0 the adaptive levy moves on the
+        last row's levy and index reading (stage 7 of that tick's cycle)."""
+        s, policy = self.state, self.policy
+        if policy.adaptive and s.tick > 0:
+            return adaptive_tax(s.tau, s.ipi, policy.ipi_target, policy.adaptive_eta)
+        return s.tau
 
-    def _end_tick(self, ov: TickOverlay, tax: float, result: TickResult) -> TickRow:
-        """This world's part of a tick after the market clears: adopt the
-        result, read the index, and return the record row."""
+    def _row(self, ov: TickOverlay, tau: float, outcome: Sequence[float],
+             producer_profit: float) -> TickRow:
+        """The next tick's record row from this world's market outcome (q_h
+        through welfare, in `market_step`'s column order): the index reads
+        the row, with weights from it when they are endogenous."""
         ip = self.params.ipi
-        posture = self.platform  # what producers and amplification saw this tick
-        state = self.state = result.state
-        self.platform = result.platform
-        self.last_overlay = ov
+        posted = self.platform  # what producers and amplification saw this tick
+        _q_h, _q_l, pollution, _v, _pi, trust, welfare = outcome
         dims = (
-            state.pollution,
-            dim_deadweight(state.welfare, self.w_so, self.w_min),
-            dim_trust_decay(state.trust, self.params.trust.t_max),
+            pollution,
+            dim_deadweight(welfare, self.w_so, self.w_min),
+            dim_trust_decay(trust, self.params.trust.t_max),
             ov.i4,
         )
+        row = TickRow(self.state.tick + 1, *outcome, *dims, math.nan, tau, posted.gamma_h,
+                      posted.gamma_l, posted.moderation, ov.event)
         weights = ip.weights
         if ip.endogenous_weights:
             weights, _fallback = endogenous_weights(
-                weight_responses(self, ov, posture, result, ip.weight_perturbation)
+                weight_responses(self, ov, row, producer_profit, ip.weight_perturbation)
             )
-        ipi = self.prev_ipi = composite(dims, weights)
-        # A NaN welfare fails here rather than write a NaN row.
-        if not all(0 <= d <= 1 for d in dims):
-            raise ValueError(f"dimensions must lie in [0, 1]: {dims}")
-        return TickRow(
-            state.tick, state.q_h, state.q_l, state.pollution, state.verify_rate,
-            state.precision, state.trust, state.welfare, *dims, ipi, tax,
-            posture.gamma_h, posture.gamma_l, posture.moderation, ov.event,
-        )
+        row.ipi = composite(dims, weights)
+        return row
 
 
 def _step(
     sims: Sequence[Simulation], overlays: Sequence[TickOverlay]
 ) -> list[TickRow | NoConvergence]:
     """Run one tick of worlds that share a batch key, each under its own
-    exogenous row: one `market_step` clears them all.
+    exogenous row: one `market_step` clears them all, and each world adopts
+    its record row, its stepped posture and its exogenous row.
 
-    A world whose fixed point misses ``market.fp_tol`` gets, in place of
-    its record row, the NoConvergence it raises when run alone; the other
-    worlds clear again without it.
+    A world whose fixed point (or endogenous weights' re-clearing) misses
+    ``market.fp_tol`` gets, in place of its record row, the NoConvergence
+    it raises when run alone, and does not advance; the other worlds clear
+    again without it.  A non-finite welfare is a configuration error.
     """
     taxes = [sim._levy() for sim in sims]
     outcomes: list[TickRow | NoConvergence | None] = [None] * len(sims)
     live = list(range(len(sims)))
-    results: list[TickResult] = []
-    while live and not results:
+    stepped = None
+    while live and stepped is None:
         first = sims[live[0]]
         try:
-            results = market_step(
-                [sims[i].state for i in live], first.populations,
+            columns, stepped = market_step(
+                [sims[i].state.trust for i in live], first.populations,
                 [sims[i].platform for i in live], [overlays[i] for i in live],
                 [taxes[i] for i in live], first.params,
                 provenance_boost=first.policy.provenance_boost, fiduciary=first.policy.fiduciary,
@@ -310,11 +316,23 @@ def _step(
             for lane, message in exc.lanes.items():
                 outcomes[live[lane]] = NoConvergence(message)
             live = [i for i in live if outcomes[i] is None]
-    for i, result in zip(live, results):
+    if not live:
+        return outcomes
+    for welfare in columns[6]:
+        if not math.isfinite(welfare):
+            raise ConfigError(
+                f"welfare is {welfare} at tick {first.state.tick + 1}: the tick's outputs, "
+                "or the welfare section's coefficients that weigh them, overflow"
+            )
+    for i, platform, *outcome, profit in zip(live, stepped, *columns):
+        sim = sims[i]
         try:
-            outcomes[i] = sims[i]._end_tick(overlays[i], taxes[i], result)
+            row = sim._row(overlays[i], taxes[i], outcome, profit)
         except NoConvergence as exc:
             outcomes[i] = exc
+            continue
+        sim.state, sim.platform, sim.last_overlay = row, platform, overlays[i]
+        outcomes[i] = row
     return outcomes
 
 
@@ -410,11 +428,14 @@ def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
 
 
 def weight_responses(
-    sim: Simulation, overlay: TickOverlay, posture: Postures, result: TickResult, eps: float
+    sim: Simulation, overlay: TickOverlay, row: TickRow, producer_profit: float, eps: float
 ) -> list[tuple[float, float]]:
     """Each index dimension's (delta_welfare, delta_dimension) under a relative
-    step ``eps`` in its driver, around the tick ``sim`` just cleared under the
-    exogenous row ``overlay``, the levy ``sim.tax`` and the posted ``posture``.
+    step ``eps`` in its driver, around the tick ``row`` of ``sim``, cleared
+    under the exogenous row ``overlay`` with producer surplus
+    ``producer_profit``.  The row gives the base point, the levy ``tau``
+    and the posted posture (``gamma_h``, ``gamma_l``, ``m``); its index
+    readings are not read.
 
     The deadweight (i2) and trust (i3) responses are analytic.  The
     pollution driver (i1) is the low-quality output scale; the technology
@@ -431,25 +452,25 @@ def weight_responses(
     trust = (p.welfare.lambda_trust * (-eps * p.trust.t_max), eps)
     if is_flat(*deadweight) or is_flat(*trust):
         return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
-    state = result.state
+    posture = Postures(row.gamma_h, row.gamma_l, row.m)
     stepped_gen = overlay.cap_gen * (1.0 + eps)
     supply = supply_response(
         sim.populations.producers, Postures.of([posture]), p.platform,
         cost_h_base=overlay.cost_h_base, cost_l_base=overlay.cost_l_base,
-        gen_boost=_gen_boost(stepped_gen, p, state.tick), tax=sim.tax,
+        gen_boost=_gen_boost(stepped_gen, p, row.tick), tax=row.tau,
         extra_q_l=overlay.extra_q_l,
     )
     cleared = clear_market(
-        np.array([state.q_h, *supply.q_h]), np.array([state.q_l * (1.0 + eps), *supply.q_l]),
+        np.array([row.q_h, *supply.q_h]), np.array([row.q_l * (1.0 + eps), *supply.q_l]),
         Postures.of([posture] * 2), sim.populations, p, sim.policy.provenance_boost,
     )
     scaled, stepped = cleared.welfare(
-        state.trust, np.array([result.producer_profit, *supply.producer_profit]), p
+        row.trust, np.array([producer_profit, *supply.producer_profit]), p
     ).tolist()
     ip = p.ipi
     stepped_i4 = dim_tech_risk(stepped_gen, overlay.cap_det, ip.mu_tech, ip.sigma_tech)
-    return [(scaled - state.welfare, cleared.pollution.tolist()[0] - state.pollution),
-            deadweight, trust, (stepped - state.welfare, stepped_i4 - overlay.i4)]
+    return [(scaled - row.welfare, cleared.pollution.tolist()[0] - row.pollution),
+            deadweight, trust, (stepped - row.welfare, stepped_i4 - overlay.i4)]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -1131,12 +1152,18 @@ def run_sweep(
 
 
 def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Run the six intervention scenarios on a shared seed and compare."""
+    """Run the six intervention scenarios on a shared seed and compare.
+
+    Each scenario's world is the run's parameters under its overrides, and
+    its policy is the world's ``policy`` section under the scenario's label.
+    """
     params = cfg.params()
     specs = [scenario_config(scenario) for scenario in SCENARIOS]
-    records = _records(
-        cfg, [(params.with_overrides(spec.overrides), spec.policy) for spec in specs]
-    )
+    world_params = [params.with_overrides(spec.overrides) for spec in specs]
+    records = _records(cfg, [
+        (p_i, replace(_policy_from_params(p_i), scenario=spec.policy.scenario))
+        for p_i, spec in zip(world_params, specs)
+    ])
     rows = []
     for scenario, spec, record in zip(SCENARIOS, specs, records):
         means = summary_stats(record).final_means

@@ -12,9 +12,12 @@ A posture is the platform's three levers (`agents.Postures`); every other
 platform quantity (revenue share, ad rate, learning rates, bounds) is read
 from ``params.platform``.  Postures clear as lanes of a batch, one lane
 per element of the levers.  `market_step` advances a batch of worlds that
-share their populations and parameters.  `supply_response` takes a batch:
-a tick makes one call with seven lanes per world, the posted posture plus
-the six finite-difference probes.  `clear_market` clears a batch of
+share their populations and parameters: it takes each world's carried
+trust, posted posture, exogenous row and levy, and returns the tick's
+outcomes as columns, one value per world, with the stepped postures; it
+builds no per-world record.  `supply_response` takes a batch: a tick
+makes one call with seven lanes per world, the posted posture plus the
+six finite-difference probes.  `clear_market` clears a batch of
 lanes: the tick clears each world's posted posture as one lane, the
 endogenous index weights clear two lanes under it (scaled low-quality
 output, and supply at a stepped generation boost), and the welfare
@@ -51,32 +54,6 @@ from .agents import (
 from .config import MarketParams, PlatformParams, SimParams, TrustParams, WelfareParams
 from .errors import ConfigError, NoConvergence
 from .policy import fiduciary_objective
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """Snapshot of one tick: outputs, pollution, verification, trust, welfare."""
-
-    tick: int
-    q_h: float
-    q_l: float
-    pollution: float
-    verify_rate: float
-    precision: float
-    trust: float
-    welfare: float
-
-    def __post_init__(self) -> None:
-        if self.q_h < 0 or self.q_l < 0:
-            raise ValueError("outputs must be nonnegative")
-        if not 0 <= self.pollution <= 1:
-            raise ValueError(f"pollution out of [0, 1]: {self.pollution}")
-        if not 0 <= self.verify_rate <= 1:
-            raise ValueError(f"verify_rate out of [0, 1]: {self.verify_rate}")
-        if not 0.5 <= self.precision <= 1:
-            raise ValueError(f"precision out of [0.5, 1]: {self.precision}")
-        if self.trust < 0:
-            raise ValueError("trust must be nonnegative")
 
 
 def _raw_precision(pollution, verify_rate, provenance_boost, params: MarketParams):
@@ -516,13 +493,6 @@ class TickOverlay:
     event: str
 
 
-@dataclass(frozen=True)
-class TickResult:
-    state: MarketState
-    platform: Postures
-    producer_profit: float
-
-
 def _base_costs(params: SimParams, ai_rental: float) -> tuple[float, float]:
     e = params.econ
     prices = econ.FactorPrices(ai_rental=ai_rental, wage=e.wage)
@@ -536,7 +506,7 @@ _LEVERS = ("gamma_l", "gamma_h", "moderation")
 
 
 def market_step(
-    states: Sequence[MarketState],
+    trust: Sequence[float],
     populations: Populations,
     platforms: Sequence[Postures],
     overlays: Sequence[TickOverlay],
@@ -545,7 +515,7 @@ def market_step(
     *,
     provenance_boost: float,
     fiduciary: float,
-) -> list[TickResult]:
+) -> tuple[tuple[list[float], ...], list[Postures]]:
     """Advance a batch of worlds one tick (stages 1-6 of the tick cycle), one lane per world.
 
     Stage order: producer supply from the posted platform posture;
@@ -557,10 +527,13 @@ def market_step(
     The worlds share the populations, the parameter sections read here
     (agents, market, trust, welfare, platform) and the policy's provenance
     boost and fiduciary weight, passed once; each world has its own
-    posture, state, exogenous row and levy.  Every stage is elementwise
-    over the worlds, so a world's result does not depend on its batch.
-    NoConvergence names, in its ``lanes``, every world whose fixed point
-    misses ``market.fp_tol``.
+    posture, carried trust, exogenous row and levy.  Every stage is
+    elementwise over the worlds, so a world's result does not depend on its
+    batch.  Returns the tick's columns, one value per world, in the order
+    (q_h, q_l, pollution, verify_rate, precision, trust, welfare,
+    producer_profit), and each world's stepped posture.  Welfare may
+    overflow; the caller checks it.  NoConvergence names, in its
+    ``lanes``, every world whose fixed point misses ``market.fp_tol``.
     """
     pf = params.platform
     # (1) producer choices and aggregate supply, for each world's posted
@@ -586,36 +559,23 @@ def market_step(
 
     # (4) trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
-    trust_in = [min(max(s.trust + o.trust_delta, 0.0), t_max) for s, o in zip(states, overlays)]
-    trust = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
+    trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
+    trust_out = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
 
-    # (5) welfare
-    welfare = cleared.welfare(trust, profit, params)
+    # (5) welfare; a huge finite output can overflow the harm's square
+    with np.errstate(over="ignore", invalid="ignore"):
+        welfare = cleared.welfare(trust_out, profit, params)
 
     # (6) platform gradient steps from one-tick-ahead finite differences
     probe_postures = postures.take(probes)
     objectives, trust_next = _lookahead(
         probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
-        fiduciary, params, trust_now=trust, cleared=cleared, producers=populations.producers.n,
+        fiduciary, params, trust_now=trust_out, cleared=cleared, producers=populations.producers.n,
     )
-    new_platforms = _platform_gradient_steps(
-        platforms, probe_postures, objectives, trust_next, pf
-    )
-
-    columns = zip(
-        states, new_platforms, q_h.tolist(), q_l.tolist(), cleared.pollution.tolist(),
-        cleared.verify_rate.tolist(), cleared.precision.tolist(), trust.tolist(),
-        welfare.tolist(), profit.tolist(),
-    )
-    return [
-        TickResult(
-            state=MarketState(tick=state.tick + 1, q_h=qh, q_l=ql, pollution=rho,
-                              verify_rate=v, precision=pi, trust=t, welfare=w),
-            platform=platform,
-            producer_profit=pp,
-        )
-        for state, platform, qh, ql, rho, v, pi, t, w, pp in columns
-    ]
+    stepped = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next, pf)
+    columns = (q_h, q_l, cleared.pollution, cleared.verify_rate, cleared.precision, trust_out,
+               welfare, profit)
+    return tuple(column.tolist() for column in columns), stepped
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:

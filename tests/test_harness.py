@@ -1,6 +1,8 @@
 """Harness tests: records, determinism, config plumbing, statistics, CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from infomarket.harness import (
     run,
     run_experiment,
     run_noise,
+    run_policy_comparison,
     run_weight_sensitivity,
     run_worlds,
     safe_corr,
@@ -40,7 +43,7 @@ from infomarket.harness import (
 )
 from infomarket.ipi import proxy_exposure
 from infomarket.market import _base_costs, market_step, welfare_anchors
-from infomarket.policy import PolicyConfig
+from infomarket.policy import SCENARIOS, PolicyConfig, adaptive_tax, scenario_config
 
 SMALL = {
     "agents.n_producers": 30,
@@ -191,9 +194,9 @@ class TestExogenousPath:
         rows = build_overlays(ticks, (), params)
         boosts = []
 
-        def spied(states, populations, platforms, overlays, *args, **kwargs):
+        def spied(trust, populations, platforms, overlays, *args, **kwargs):
             boosts.extend(ov.gen_boost for ov in overlays)
-            return market_step(states, populations, platforms, overlays, *args, **kwargs)
+            return market_step(trust, populations, platforms, overlays, *args, **kwargs)
 
         monkeypatch.setattr(harness, "market_step", spied)
         sim = Simulation(params, PolicyConfig(), 42)
@@ -331,6 +334,38 @@ class TestConfigPlumbing:
         explicit = advanced(Simulation(params, PolicyConfig(tax_l=0.5, fiduciary=0.3), 42), 5)
         assert implied.rows[0].tau == 0.5
         assert implied.to_csv_text() == explicit.to_csv_text()
+
+    def test_adaptive_levy_moves_on_the_last_row(self):
+        params = SimParams().with_overrides(
+            {"econ.ai_rental": 0.8, "policy.adaptive_enabled": True}
+        )
+        sim = Simulation(params, master_seed=42)
+        rows = [sim.advance() for _ in range(40)]
+        pp = params.policy
+        assert rows[0].tau == sim.policy.tax_l
+        for prev, row in zip(rows, rows[1:]):
+            assert row.tau == adaptive_tax(prev.tau, prev.ipi, pp.adaptive_target,
+                                           pp.adaptive_eta)
+        assert len({row.tau for row in rows}) > 1
+
+    def test_policy_comparison_reads_the_policy_section(self, tmp_path):
+        def table(name, overrides):
+            out = tmp_path / name
+            run_policy_comparison(ExperimentConfig(
+                experiment="policy_comparison", master_seed=42, max_ticks=20, out_dir=out,
+                overrides=overrides,
+            ))
+            return (out / "results" / "policy_comparison.csv").read_text(encoding="utf-8")
+
+        default = table("default", {})
+        assert table("fiduciary", {"policy.fiduciary": 0.9}) != default
+        # No preset sets an instrument: by default each scenario runs its preset policy.
+        specs = [scenario_config(scenario) for scenario in SCENARIOS]
+        outcomes = run_worlds(
+            [(SimParams().with_overrides(spec.overrides), spec.policy) for spec in specs], 20
+        )
+        welfare = [float(row["welfare"]) for row in csv.DictReader(io.StringIO(default))]
+        assert welfare == [summary_stats(o).final_means["welfare"] for o in outcomes]
 
 
 class TestOutputs:
@@ -764,6 +799,9 @@ class TestCli:
          ("shocks.fake_news_burst", "tick 2")),
         ("shocks", 150, {"shocks.fake_news_burst": "1e308"},
          ("shocks.fake_news_burst", "tick 101")),
+        # A burst that stays finite overflows the harm's square: welfare is -inf.
+        ("event-detection", 3, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 2")),
+        ("shocks", 150, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 101")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):

@@ -62,15 +62,21 @@ class TestGoldenRun:
 
 def _tick(sim):
     """One unscheduled tick as `Simulation.advance` runs it: its exogenous
-    row, the posture it was cleared under, its market result and record row."""
+    row, its record row and its producer surplus, which the row does not
+    hold.  The market step is run once by hand for the surplus; the tick's
+    row must give back its columns."""
     overlay = harness._next_overlay(sim.last_overlay, sim.params, sim.state.tick + 1)
-    tax = sim._levy()
-    posture = sim.platform
-    (result,) = market_step(
-        [sim.state], sim.populations, [posture], [overlay], [tax], sim.params,
+    tax, posture = sim._levy(), sim.platform
+    columns, _stepped = market_step(
+        [sim.state.trust], sim.populations, [posture], [overlay], [tax], sim.params,
         provenance_boost=sim.policy.provenance_boost, fiduciary=sim.policy.fiduciary,
     )
-    return overlay, posture, result, sim._end_tick(overlay, tax, result)
+    *outcome, (producer_profit,) = columns
+    row = sim.advance(overlay)
+    assert [[getattr(row, name)] for name in harness.CSV_COLUMNS[1:8]] == outcome
+    assert (row.tau, row.gamma_h, row.gamma_l, row.m) == (
+        tax, posture.gamma_h, posture.gamma_l, posture.moderation)
+    return overlay, row, producer_profit
 
 
 class _PerDimensionWeights:
@@ -78,15 +84,17 @@ class _PerDimensionWeights:
     driver re-cleared with its base in a call of its own under the posted
     posture, stopping at the first flat one."""
 
-    def __init__(self, sim, overlay, posture, result):
-        self.sim, self.overlay, self.posture, self.result = sim, overlay, posture, result
+    def __init__(self, sim, overlay, row, producer_profit):
+        self.sim, self.overlay, self.row = sim, overlay, row
+        self.producer_profit = producer_profit
+        self.posture = Postures(row.gamma_h, row.gamma_l, row.m)
 
     def base(self):
         """(welfare, pollution) of the tick's outputs re-cleared, and welfare
         at its supply re-solved at the tick's generation boost."""
-        state = self.result.state
-        (w,), (rho,) = self._evaluate(np.array([state.q_h]), np.array([state.q_l]),
-                                      self.result.producer_profit)
+        row = self.row
+        (w,), (rho,) = self._evaluate(np.array([row.q_h]), np.array([row.q_l]),
+                                      self.producer_profit)
         (supplied,) = self._supply_welfare((self.overlay.gen_boost,))
         return w, rho, supplied
 
@@ -103,7 +111,7 @@ class _PerDimensionWeights:
     def dimension_response(self, dim, eps):
         sim = self.sim
         p = sim.params
-        state = self.result.state
+        row = self.row
         if dim == 1:
             span = sim.w_so - sim.w_min
             return -span * eps, eps
@@ -112,8 +120,8 @@ class _PerDimensionWeights:
             return p.welfare.lambda_trust * delta_t, eps
         if dim == 0:
             (w, bumped_w), (rho, bumped_rho) = self._evaluate(
-                np.array([state.q_h, state.q_h]), np.array([state.q_l, state.q_l * (1.0 + eps)]),
-                self.result.producer_profit,
+                np.array([row.q_h, row.q_h]), np.array([row.q_l, row.q_l * (1.0 + eps)]),
+                self.producer_profit,
             )
             return bumped_w - w, bumped_rho - rho
         cap_gen, cap_det = self.overlay.cap_gen, self.overlay.cap_det
@@ -129,7 +137,7 @@ class _PerDimensionWeights:
             q_h, q_l, Postures.of([self.posture] * q_h.size), sim.populations, sim.params,
             sim.policy.provenance_boost,
         )
-        w = cleared.welfare(self.result.state.trust, producer_profit, sim.params)
+        w = cleared.welfare(self.row.trust, producer_profit, sim.params)
         return w.tolist(), cleared.pollution.tolist()
 
     def _supply_welfare(self, gen_boosts):
@@ -141,7 +149,7 @@ class _PerDimensionWeights:
             cost_h_base=overlay.cost_h_base,
             cost_l_base=overlay.cost_l_base,
             gen_boost=np.array(gen_boosts),
-            tax=sim.tax,
+            tax=self.row.tau,
             extra_q_l=overlay.extra_q_l,
         )
         w, _rho = self._evaluate(supply.q_h, supply.q_l, supply.producer_profit)
@@ -153,9 +161,9 @@ class TestEndogenousWeights:
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
         sim = Simulation(params, PolicyConfig(), 42)
         for _ in range(30):
-            overlay, posture, result, row = _tick(sim)
+            overlay, row, producer_profit = _tick(sim)
             weights, _ = endogenous_weights(
-                weight_responses(sim, overlay, posture, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, row, producer_profit, params.ipi.weight_perturbation)
             )
             total = sum(w * d for w, d in zip(weights, (row.i1, row.i2, row.i3, row.i4)))
             assert 0.0 <= total <= 1.0
@@ -169,11 +177,11 @@ class TestEndogenousWeights:
         eps = params.ipi.weight_perturbation
         fallbacks = 0
         for _ in range(40):
-            overlay, posture, result, row = _tick(sim)
-            oracle = _PerDimensionWeights(sim, overlay, posture, result)
+            overlay, row, producer_profit = _tick(sim)
+            oracle = _PerDimensionWeights(sim, overlay, row, producer_profit)
             # Re-cleared under the posted posture, the tick gives back its own row.
             assert oracle.base() == (row.welfare, row.pollution, row.welfare)
-            responses = weight_responses(sim, overlay, posture, result, eps)
+            responses = weight_responses(sim, overlay, row, producer_profit, eps)
             assert responses == [oracle.dimension_response(dim, eps) for dim in range(4)]
             weights, fallback = oracle.weights(eps)
             assert endogenous_weights(responses) == (weights, fallback)
@@ -188,9 +196,9 @@ class TestEndogenousWeights:
         )
         sim = Simulation(params, master_seed=42)
         for _ in range(5):
-            overlay, posture, result, row = _tick(sim)
+            overlay, row, producer_profit = _tick(sim)
             assert endogenous_weights(
-                weight_responses(sim, overlay, posture, result, params.ipi.weight_perturbation)
+                weight_responses(sim, overlay, row, producer_profit, params.ipi.weight_perturbation)
             ) == (FIXED_WEIGHTS, True)
             assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), FIXED_WEIGHTS)
 
@@ -232,13 +240,13 @@ class TestEndogenousWeights:
         sim = Simulation(SimParams(), PolicyConfig(), 42)
         for _ in range(99):
             sim.advance()
-        overlay, posture, result, _row = _tick(sim)
+        overlay, row, producer_profit = _tick(sim)
         weights, fallback = endogenous_weights(
-            weight_responses(sim, overlay, posture, result, 0.01)
+            weight_responses(sim, overlay, row, producer_profit, 0.01)
         )
         assert not fallback
         raw = []
-        for d_w, d_i in weight_responses(sim, overlay, posture, result, 0.005):
+        for d_w, d_i in weight_responses(sim, overlay, row, producer_profit, 0.005):
             assert abs(d_w) > 1e-12
             raw.append(abs(d_w / d_i))
         oracle = [s / sum(raw) for s in raw]

@@ -3,6 +3,9 @@
 import ast
 from pathlib import Path
 
+from infomarket.config import SimParams
+from infomarket.harness import Simulation, build_overlays
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "infomarket"
 
 # Each module may import, at module level, only from modules before it.  The
@@ -118,6 +121,19 @@ def test_market_step_has_one_call_site():
              else getattr(node.func, "attr", None)) == "market_step"
     ]
     assert len(sites) == 1, sites
+
+
+def test_a_world_carries_only_its_last_row_and_next_posture():
+    # Between ticks a world is its record row, the posture it posts next and
+    # its last exogenous row; nothing else a tick computes is kept.
+    carried = {"params", "policy", "populations", "w_so", "w_min", "state", "platform",
+               "last_overlay"}
+    params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
+    sim = Simulation(params, master_seed=42)
+    assert set(vars(sim)) == carried
+    for ov in build_overlays(3, (), params):
+        assert sim.advance(ov) is sim.state
+    assert set(vars(sim)) == carried
 
 
 def test_no_tick_loop_calls_advance():

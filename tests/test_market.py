@@ -16,7 +16,6 @@ from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import Simulation
 from infomarket.market import (
     ConsumerPool,
-    MarketState,
     TrustParams,
     _base_costs,
     clear_market,
@@ -349,16 +348,6 @@ class TestWelfare:
         platform = make_platform(gamma_l=2.0, moderation=0.25)
         x = harmful_exposure(10.0, platform, verify_rate=0.5, precision=0.8)
         assert x == pytest.approx(2.0 * 0.75 * 10.0 * 0.5 * 0.2, rel=1e-12)
-
-
-class TestMarketStateInvariants:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            MarketState(tick=0, q_h=0, q_l=0, pollution=1.2, verify_rate=0,
-                        precision=0.85, trust=0.5, welfare=0)
-        with pytest.raises(ValueError):
-            MarketState(tick=0, q_h=0, q_l=0, pollution=0, verify_rate=0,
-                        precision=0.4, trust=0.5, welfare=0)
 
 
 class TestAnchors:
