@@ -29,12 +29,12 @@ EXIT_CONVERGENCE = 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42, help="master random seed")
+    parser.add_argument("--seed", type=int, default=None, help="master random seed")
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--ticks", type=int, default=None, help="simulation horizon")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for multi-world experiments"
+        "--jobs", type=int, default=None, help="parallel workers for multi-world experiments"
     )
     for key in sorted(SimParams().flatten()):
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V", help=argparse.SUPPRESS)
@@ -84,21 +84,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if getattr(args, key, None) is not None
     }
     overrides = load_overrides(args.config, cli_pairs)
-    run_overrides = {k: v for k, v in overrides.items() if k.startswith("run.")}
-    sim_overrides = {k: v for k, v in overrides.items() if not k.startswith("run.")}
-    seed = int(run_overrides.get("run.master_seed", args.seed))
-    ticks = args.ticks
-    if ticks is None:
-        _procedure, default_ticks = EXPERIMENTS[args.experiment]
-        ticks = int(run_overrides.get("run.max_ticks", default_ticks))
+    # The subcommand and flags beat the file's run.* keys, which beat the defaults.
+    run = {"max_ticks": EXPERIMENTS[args.experiment][1]}
+    run |= {k.removeprefix("run."): v for k, v in overrides.items() if k.startswith("run.")}
+    flags = {"experiment": args.experiment, "master_seed": args.seed, "max_ticks": args.ticks,
+             "jobs": args.jobs}
+    run |= {k: v for k, v in flags.items() if v is not None}
     out = args.out if args.out is not None else Path("out") / args.experiment
     cfg = ExperimentConfig(
-        experiment=args.experiment,
-        master_seed=seed,
-        max_ticks=ticks,
-        jobs=int(run_overrides.get("run.jobs", args.jobs)),
-        out_dir=out,
-        overrides=sim_overrides,
+        **run, out_dir=out,
+        overrides={k: v for k, v in overrides.items() if not k.startswith("run.")},
     )
     run_experiment(cfg)
     summary = Path(out) / "summary.txt"

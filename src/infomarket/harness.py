@@ -4,13 +4,15 @@ experiment procedures, persistence, and summary statistics.
 Every experiment is deterministic in (configuration, master seed): random
 streams are derived from the master seed by a fixed splitting rule
 (SeedSequence children: producer draws, consumer draws, then per-purpose
-streams keyed by small integer tags), a multi-world experiment is a list of
-(parameters, policy) worlds whose records come back to the parent in world
-order, however many processes ran them, and the parent writes every file,
-with floats in a fixed format.  A world's exogenous path (rental rate,
-cost bases, capability stocks, generation boost, the index's i4, shocks)
-is computed before its first tick (`build_overlays`); the adaptive levy
-is the only tick input the market moves.  One step (`_step`) makes the
+streams keyed by small integer tags), and the parent writes every file,
+with floats in a fixed format.  A world is one `SimParams`, whose
+``policy`` section holds its instruments; a multi-world experiment is a
+list of worlds, each the run's parameters under labeled overrides, whose
+records come back to the parent in world order, however many processes
+ran them.  A world's exogenous path (rental rate, cost bases, capability
+stocks, generation boost, the index's i4, shocks) is computed before its
+first tick (`build_overlays`); the adaptive levy is the only tick input
+the market moves.  One step (`_step`) makes the
 only `market_step` call: worlds that share their populations and every
 parameter the clearing reads advance through it in lockstep (`run_worlds`,
 which runs every experiment), and a world driven tick by tick advances
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .agents import Postures, draw_consumers, draw_producers
-from .config import SimParams, parse_config_file
+from .config import SimParams, _coerce, parse_config_file
 from .errors import ConfigError, NoConvergence
 from .ipi import (
     FIXED_WEIGHTS,
@@ -64,14 +66,7 @@ from .market import (
     supply_response,
     welfare_anchors,
 )
-from .policy import (
-    SCENARIOS,
-    PolicyConfig,
-    RobustSelection,
-    adaptive_tax,
-    max_min_select,
-    scenario_config,
-)
+from .policy import PolicyConfig, RobustSelection, adaptive_tax, max_min_select
 
 CSV_COLUMNS = (
     "tick", "q_h", "q_l", "pollution", "verify_rate", "precision", "trust",
@@ -200,23 +195,33 @@ class ShockEvent:
 
 
 class Simulation:
-    """Owns one run: populations, welfare anchors, policy, and what a world
-    carries between ticks.
+    """Owns one run: populations, welfare anchors, and what a world carries
+    between ticks.
 
     Between ticks a world is three things: ``state``, its last record row
-    (before tick 1, a tick-0 row with the initial trust, the policy's levy
-    ``tax_l`` and the initial posture, whose index readings are NaN);
-    ``platform``, the posture it posts next; and ``last_overlay``, its last
-    exogenous row.  Strictly sequential and deterministic; independent runs
-    get their own instances.  Without a ``policy`` the run takes it from
-    ``params.policy``.
+    (before tick 1, a tick-0 row with the initial trust, the levy
+    ``policy.tax_init`` and the initial posture, whose index readings are
+    NaN); ``platform``, the posture it posts next; and ``last_overlay``,
+    its last exogenous row.  Strictly sequential and deterministic;
+    independent runs get their own instances.  The instruments are
+    ``params.policy``; an explicit ``policy`` replaces that section, so
+    ``params`` describes the world that runs.
     """
 
     def __init__(
         self, params: SimParams, policy: PolicyConfig | None = None, master_seed: int = 42
     ):
+        if policy is not None:
+            # Without both eta and target the rule is off, and the section
+            # keeps its own (unread) ones.
+            rule = ({"adaptive_eta": policy.adaptive_eta, "adaptive_target": policy.ipi_target}
+                    if policy.adaptive else {})
+            params = replace(params, policy=replace(
+                params.policy, tax_init=policy.tax_l, fiduciary=policy.fiduciary,
+                provenance_boost=policy.provenance_boost, adaptive_enabled=policy.adaptive,
+                **rule,
+            ))
         self.params = params
-        self.policy = policy if policy is not None else _policy_from_params(params)
         prod_ss, cons_ss = np.random.SeedSequence(master_seed).spawn(2)
         ag = params.agents
         self.populations = Populations(
@@ -232,7 +237,7 @@ class Simulation:
         nan = math.nan
         self.state = TickRow(
             0, 0.0, 0.0, 0.0, 0.0, min(max(params.market.pi_base, 0.5), 1.0),
-            params.trust.initial, 0.0, nan, nan, nan, nan, nan, self.policy.tax_l,
+            params.trust.initial, 0.0, nan, nan, nan, nan, nan, params.policy.tax_init,
             pf.gamma_init, pf.gamma_init, pf.moderation_init,
         )
         self.last_overlay: TickOverlay | None = None
@@ -255,9 +260,9 @@ class Simulation:
     def _levy(self) -> float:
         """The next tick's levy: after tick 0 the adaptive levy moves on the
         last row's levy and index reading (stage 7 of that tick's cycle)."""
-        s, policy = self.state, self.policy
-        if policy.adaptive and s.tick > 0:
-            return adaptive_tax(s.tau, s.ipi, policy.ipi_target, policy.adaptive_eta)
+        s, pp = self.state, self.params.policy
+        if pp.adaptive_enabled and s.tick > 0:
+            return adaptive_tax(s.tau, s.ipi, pp.adaptive_target, pp.adaptive_eta)
         return s.tau
 
     def _row(self, ov: TickOverlay, tau: float, outcome: Sequence[float],
@@ -303,12 +308,13 @@ def _step(
     stepped = None
     while live and stepped is None:
         first = sims[live[0]]
+        pp = first.params.policy
         try:
             columns, stepped = market_step(
                 [sims[i].state.trust for i in live], first.populations,
                 [sims[i].platform for i in live], [overlays[i] for i in live],
                 [taxes[i] for i in live], first.params,
-                provenance_boost=first.policy.provenance_boost, fiduciary=first.policy.fiduciary,
+                provenance_boost=pp.provenance_boost, fiduciary=pp.fiduciary,
             )
         except NoConvergence as exc:
             if not exc.lanes:
@@ -462,7 +468,7 @@ def weight_responses(
     )
     cleared = clear_market(
         np.array([row.q_h, *supply.q_h]), np.array([row.q_l * (1.0 + eps), *supply.q_l]),
-        Postures.of([posture] * 2), sim.populations, p, sim.policy.provenance_boost,
+        Postures.of([posture] * 2), sim.populations, p, p.policy.provenance_boost,
     )
     scaled, stepped = cleared.welfare(
         row.trust, np.array([producer_profit, *supply.producer_profit]), p
@@ -624,33 +630,20 @@ def _write_outputs(
 # -- worlds -------------------------------------------------------------------
 
 
-def _policy_from_params(params: SimParams) -> PolicyConfig:
-    pp = params.policy
-    return PolicyConfig(
-        tax_l=pp.tax_init,
-        fiduciary=pp.fiduciary,
-        provenance_boost=pp.provenance_boost,
-        adaptive_eta=pp.adaptive_eta if pp.adaptive_enabled else None,
-        ipi_target=pp.adaptive_target if pp.adaptive_enabled else None,
-    )
-
-
-World = tuple[SimParams, PolicyConfig]
-
-
-def _batch_key(world: World) -> str:
+def _batch_key(params: SimParams) -> str:
     """What `market_step` reads of a world besides its per-lane inputs.
 
     Worlds with equal keys share a batch.  The key is a repr, not an ==
     comparison, because 0.0 and -0.0 are equal but need not give the same
     bits.
     """
-    params, policy = world
     return repr((params.agents, params.market, params.trust, params.welfare, params.platform,
-                 policy.provenance_boost, policy.fiduciary))
+                 params.policy.provenance_boost, params.policy.fiduciary))
 
 
-def _run_batch(task: tuple[list[World], list[list[TickOverlay]], int]) -> list[RunRecord | str]:
+def _run_batch(
+    task: tuple[list[SimParams], list[list[TickOverlay]], int]
+) -> list[RunRecord | str]:
     """Run worlds of one batch key along their exogenous paths in lockstep:
     one `_step` per tick clears every world still running.
 
@@ -660,9 +653,9 @@ def _run_batch(task: tuple[list[World], list[list[TickOverlay]], int]) -> list[R
     worlds, paths, master_seed = task
     outcomes: list[list[TickRow] | str] = []  # a live world's rows so far, or its failure
     live: dict[int, Simulation] = {}
-    for i, (params, policy) in enumerate(worlds):
+    for i, params in enumerate(worlds):
         try:
-            live[i] = Simulation(params, policy, master_seed)
+            live[i] = Simulation(params, master_seed=master_seed)
             outcomes.append([])
         except NoConvergence as exc:
             outcomes.append(f"NoConvergence: {exc}")
@@ -678,28 +671,28 @@ def _run_batch(task: tuple[list[World], list[list[TickOverlay]], int]) -> list[R
 
 
 def run_worlds(
-    worlds: Sequence[World], ticks: int, *, shocks: Sequence[ShockEvent] = (),
+    worlds: Sequence[SimParams], ticks: int, *, shocks: Sequence[ShockEvent] = (),
     master_seed: int = 42, jobs: int = 1,
 ) -> list[RunRecord | str]:
-    """Run every (params, policy) world to the horizon under one shock
-    schedule; return outcomes in world order.
+    """Run every world, given by its parameters, to the horizon under one
+    shock schedule; return outcomes in world order.
 
     Every world's exogenous path (`build_overlays`) is computed before any
     world is built.  Each world gets the same master seed, so the same
     population draw.  Worlds equal in every section `market_step` reads
-    (agents, market, trust, welfare, platform) and in their policy's
-    provenance boost and fiduciary weight share a batch, which advances in
-    lockstep (`_run_batch`); worlds that differ in econ, ipi, proxy or the
+    (agents, market, trust, welfare, platform) and in their provenance
+    boost and fiduciary weight share a batch, which advances in lockstep
+    (`_run_batch`); worlds that differ in econ, ipi, proxy, shocks or the
     levy do not split one.  With ``jobs > 1`` each batch is split into up
     to ``jobs`` contiguous chunks, and the chunks run in one process pool.
     A world's record is the same in any batch and at any ``jobs``.  A world
     that fails to converge gives its ``NoConvergence`` message instead of a
     record.
     """
-    paths = [build_overlays(ticks, shocks, params) for params, _ in worlds]
+    paths = [build_overlays(ticks, shocks, params) for params in worlds]
     batches: dict[str, list[int]] = {}
-    for i, world in enumerate(worlds):
-        batches.setdefault(_batch_key(world), []).append(i)
+    for i, params in enumerate(worlds):
+        batches.setdefault(_batch_key(params), []).append(i)
     chunks = [
         chunk.tolist()
         for members in batches.values()
@@ -717,7 +710,7 @@ def run_worlds(
 
 
 def _records(
-    cfg: ExperimentConfig, worlds: Sequence[World], shocks: Sequence[ShockEvent] = ()
+    cfg: ExperimentConfig, worlds: Sequence[SimParams], shocks: Sequence[ShockEvent] = ()
 ) -> list[RunRecord]:
     """Run the worlds at cfg's horizon, seed and jobs; every world must
     converge, and its record gets the run's metadata."""
@@ -726,7 +719,7 @@ def _records(
     failures = [f"world {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, str)]
     if failures:
         raise NoConvergence("; ".join(failures))
-    for (params, _), record in zip(worlds, outcomes):
+    for params, record in zip(worlds, outcomes):
         record.metadata = {"experiment": cfg.experiment, "seed": str(cfg.master_seed),
                            "config_hash": params.config_hash(), "version": __version__}
     return outcomes
@@ -738,7 +731,7 @@ def _records(
 def run(cfg: ExperimentConfig) -> RunRecord:
     """The baseline procedure: initialize, run the horizon, persist."""
     params = cfg.params()
-    (record,) = _records(cfg, [(params, _policy_from_params(params))])
+    (record,) = _records(cfg, [params])
     stats = summary_stats(record)
     report = {"experiment": cfg.experiment, "stats": stats.to_dict(),
               "metadata": record.metadata}
@@ -819,7 +812,7 @@ def run_shocks(
 ) -> tuple[RunRecord, list[ShockResponse]]:
     params = cfg.params()
     shocks = list(shocks) if shocks is not None else default_shocks(params)
-    (record,) = _records(cfg, [(params, _policy_from_params(params))], shocks)
+    (record,) = _records(cfg, [params], shocks)
     responses = shock_stats(record, shocks)
     mean_rise = float(np.mean([r.rise_pct for r in responses])) if responses else 0.0
     report = {
@@ -871,8 +864,7 @@ def run_weight_sensitivity(
         )
     sets = list(weight_sets) if weight_sets is not None else list(DEFAULT_WEIGHT_SETS)
     keys = ("ipi.w_pollution", "ipi.w_deadweight", "ipi.w_trust", "ipi.w_tech")
-    world_params = [params.with_overrides(dict(zip(keys, weights))) for weights in sets]
-    records = _records(cfg, [(p_i, _policy_from_params(p_i)) for p_i in world_params])
+    records = _records(cfg, [params.with_overrides(dict(zip(keys, weights))) for weights in sets])
     rows = []
     sign_flips = []
     for i, (weights, record) in enumerate(zip(sets, records)):
@@ -922,7 +914,7 @@ def run_noise(
     world = params if params.policy.adaptive_enabled else params.with_overrides(
         {"ipi.endogenous_weights": False}
     )
-    (record,) = _records(cfg, [(world, _policy_from_params(world))])
+    (record,) = _records(cfg, [world])
     path = build_overlays(cfg.max_ticks, (), world)
     series = {name: record.column(name) for name in CSV_COLUMNS[1:-1]} | {
         name: np.array([getattr(ov, name) for ov in path]) for name in ("cap_gen", "cap_det")}
@@ -970,7 +962,7 @@ def run_event_detection(
     tick = burst_tick if burst_tick is not None else cfg.max_ticks // 2
     mag = magnitude if magnitude is not None else params.shocks.fake_news_burst
     shock = ShockEvent(tick=tick, kind="fake_news_burst", magnitude=mag)
-    (record,) = _records(cfg, [(params, _policy_from_params(params))], [shock])
+    (record,) = _records(cfg, [params], [shock])
     (response,) = shock_stats(record, [shock])
     # Lead-lag around the event only; the run-level transient would swamp it.
     lo = max(0, tick - 10)
@@ -1019,6 +1011,22 @@ DEFAULT_PLATFORM_PRESETS: tuple[tuple[str, dict[str, Any]], ...] = (
                "platform.gamma_max": 1.5}),
 )
 
+# The six policy-comparison scenarios: (label, overrides, note).  The levy
+# is proxied by a raised revenue share, the subsidy by a lower verification
+# cost ceiling; override magnitudes are artifact defaults.
+DEFAULT_POLICY_SCENARIOS: tuple[tuple[str, dict[str, Any], str], ...] = (
+    ("baseline", {}, "no intervention"),
+    ("pigouvian", {"platform.revenue_share": 0.35},
+     "levy proxied by raised revenue share (theta 0.25 -> 0.35)"),
+    ("subsidy", {"agents.k_max": 2.0}, "verification subsidy (k_max 4.0 -> 2.0)"),
+    ("joint", {"platform.revenue_share": 0.35, "agents.k_max": 2.0},
+     "revenue-share levy plus verification subsidy"),
+    ("tech", {"ipi.cap_det_growth": 0.03},
+     "detection-capability growth boost (1%/tick -> 3%/tick)"),
+    ("efficiency", {"agents.mean_prod_h": 2.6},
+     "high-quality productivity boost (mean 2.0 -> 2.6)"),
+)
+
 
 def run_cross_platform(
     cfg: ExperimentConfig,
@@ -1027,8 +1035,7 @@ def run_cross_platform(
     """Compare final outcomes across platform environments."""
     params = cfg.params()
     chosen = list(presets) if presets is not None else list(DEFAULT_PLATFORM_PRESETS)
-    world_params = [params.with_overrides(overrides) for _, overrides in chosen]
-    records = _records(cfg, [(p_i, _policy_from_params(p_i)) for p_i in world_params])
+    records = _records(cfg, [params.with_overrides(overrides) for _, overrides in chosen])
     rows = []
     for (name, _), record in zip(chosen, records):
         means = summary_stats(record).final_means
@@ -1080,11 +1087,8 @@ def sweep_cells(
     jobs: int = 1,
 ) -> SweepReport:
     """Run every (rental rate, sigma_L) cell and correlate outcomes with r."""
-    policy = _policy_from_params(base_params)
-    worlds = [
-        (base_params.with_overrides({"econ.ai_rental": r, "econ.sigma_l": sigma_l}), policy)
-        for r, sigma_l in grid
-    ]
+    worlds = [base_params.with_overrides({"econ.ai_rental": r, "econ.sigma_l": sigma_l})
+              for r, sigma_l in grid]
     outcomes = run_worlds(worlds, ticks, master_seed=master_seed, jobs=jobs)
     rows = []
     failures = []
@@ -1152,22 +1156,18 @@ def run_sweep(
 
 
 def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Run the six intervention scenarios on a shared seed and compare.
+    """Run the six intervention scenarios (`DEFAULT_POLICY_SCENARIOS`) on a
+    shared seed and compare.
 
-    Each scenario's world is the run's parameters under its overrides, and
-    its policy is the world's ``policy`` section under the scenario's label.
+    Each scenario's world is the run's parameters under its overrides; its
+    instruments are that world's ``policy`` section.
     """
     params = cfg.params()
-    specs = [scenario_config(scenario) for scenario in SCENARIOS]
-    world_params = [params.with_overrides(spec.overrides) for spec in specs]
-    records = _records(cfg, [
-        (p_i, replace(_policy_from_params(p_i), scenario=spec.policy.scenario))
-        for p_i, spec in zip(world_params, specs)
-    ])
+    records = _records(cfg, [params.with_overrides(o) for _, o, _ in DEFAULT_POLICY_SCENARIOS])
     rows = []
-    for scenario, spec, record in zip(SCENARIOS, specs, records):
+    for (scenario, _, note), record in zip(DEFAULT_POLICY_SCENARIOS, records):
         means = summary_stats(record).final_means
-        rows.append({"scenario": scenario, "note": spec.note,
+        rows.append({"scenario": scenario, "note": note,
                      **{k: means[k] for k in ("welfare", "pollution", "ipi", "trust")}})
     base = rows[0]
     for row in rows:
@@ -1196,7 +1196,7 @@ def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def robust_select(
-    policies: Sequence[PolicyConfig],
+    policies: Sequence[tuple[str, dict[str, Any]]],
     worlds: Sequence[dict[str, Any]],
     horizon: int,
     *,
@@ -1206,15 +1206,17 @@ def robust_select(
 ) -> RobustSelection:
     """Run every (policy, world) cell for the horizon and pick by max-min.
 
-    The cells run policy-major through `run_worlds`; `policy.max_min_select`
-    applies the rule to their final-window welfare and index.
+    A policy is a label and its overrides; cell (p, w) is the base
+    parameters under world w's overrides, then policy p's.  The cells run
+    policy-major through `run_worlds`; `policy.max_min_select` applies the
+    rule to their final-window welfare and index.
     """
     if not policies or not worlds:
         raise ValueError("policies and worlds must be nonempty")
     base = base_params or SimParams()
-    params = [base.with_overrides(world) for world in worlds]
     outcomes = run_worlds(
-        [(p, policy) for policy in policies for p in params],
+        [base.with_overrides({**world, **overrides}) for _, overrides in policies
+         for world in worlds],
         horizon, master_seed=master_seed, jobs=jobs,
     )
     n_w = len(worlds)
@@ -1229,8 +1231,16 @@ def robust_select(
             means = summary_stats(outcome).final_means
             welfare[pi][wi] = means["welfare"]
             ipi[pi][wi] = means["ipi"]
-    return max_min_select(policies, welfare, ipi, failures)
+    return max_min_select([label for label, _ in policies], welfare, ipi, failures)
 
+
+# robust-select's candidates: each sets the levy, fixed or adaptive; the
+# run's ``policy`` section supplies the other instruments.
+DEFAULT_ROBUST_POLICIES: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("baseline", {"policy.tax_init": 0.0, "policy.adaptive_enabled": False}),
+    ("levy", {"policy.tax_init": 0.5, "policy.adaptive_enabled": False}),
+    ("adaptive", {"policy.tax_init": 0.0, "policy.adaptive_enabled": True}),
+)
 
 DEFAULT_ROBUST_WORLDS: tuple[dict[str, Any], ...] = (
     {"econ.ai_rental": 0.8},
@@ -1240,38 +1250,24 @@ DEFAULT_ROBUST_WORLDS: tuple[dict[str, Any], ...] = (
 
 def run_robust_select(
     cfg: ExperimentConfig,
-    policies: Sequence[PolicyConfig] | None = None,
-    worlds: Sequence[dict[str, Any]] | None = None,
+    policies: Sequence[tuple[str, dict[str, Any]]] = DEFAULT_ROBUST_POLICIES,
+    worlds: Sequence[dict[str, Any]] = DEFAULT_ROBUST_WORLDS,
 ) -> dict[str, Any]:
     params = cfg.params()
-    chosen_policies = (
-        list(policies)
-        if policies is not None
-        else [
-            PolicyConfig(scenario="baseline"),
-            PolicyConfig(scenario="levy", tax_l=0.5),
-            PolicyConfig(
-                scenario="adaptive", adaptive_eta=params.policy.adaptive_eta,
-                ipi_target=params.policy.adaptive_target,
-            ),
-        ]
-    )
-    chosen_worlds = list(worlds) if worlds is not None else list(DEFAULT_ROBUST_WORLDS)
     selection = robust_select(
-        chosen_policies, chosen_worlds, cfg.max_ticks,
+        policies, worlds, cfg.max_ticks,
         base_params=params, master_seed=cfg.master_seed, jobs=cfg.jobs,
     )
     report = {
         "experiment": "robust_select",
         "selected_index": selection.selected_index,
-        "selected_scenario": selection.selected.scenario,
+        "selected_scenario": selection.selected,
         "welfare_matrix": [list(r) for r in selection.welfare_matrix],
         "ipi_matrix": [list(r) for r in selection.ipi_matrix],
         "failures": [list(f) for f in selection.failures],
     }
     lines = [
-        f"robust selection: policy {selection.selected_index} "
-        f"({selection.selected.scenario})",
+        f"robust selection: policy {selection.selected_index} ({selection.selected})",
         "welfare matrix (policies x worlds):",
     ]
     lines += ["  " + "  ".join(f"{w:9.2f}" for w in row) for row in selection.welfare_matrix]
@@ -1279,9 +1275,9 @@ def run_robust_select(
         cfg, params, None, report, lines,
         tables={
             "robust_select": (
-                ("policy", "scenario") + tuple(f"world_{i}" for i in range(len(chosen_worlds))),
-                [(i, chosen_policies[i].scenario) + tuple(selection.welfare_matrix[i])
-                 for i in range(len(chosen_policies))],
+                ("policy", "scenario") + tuple(f"world_{i}" for i in range(len(worlds))),
+                [(i, label) + tuple(row)
+                 for i, ((label, _), row) in enumerate(zip(policies, selection.welfare_matrix))],
             )
         },
     )
@@ -1309,16 +1305,19 @@ def run_experiment(cfg: ExperimentConfig) -> Any:
 
 
 def load_overrides(config_path: str | Path | None, cli_pairs: dict[str, str]) -> dict[str, Any]:
-    """Merge file and CLI overrides (CLI wins) and validate against the schema."""
+    """Merge file and CLI overrides (CLI wins) and validate them: simulation
+    keys against the schema, ``run.*`` keys parsed to their types (in the
+    mapping returned) and checked as `ExperimentConfig` checks them."""
     overrides: dict[str, Any] = {}
     if config_path is not None:
         overrides.update(parse_config_file(config_path))
     overrides.update(cli_pairs)
-    run_keys = {k: v for k, v in overrides.items() if k.startswith("run.")}
-    sim_keys = {k: v for k, v in overrides.items() if not k.startswith("run.")}
-    SimParams().with_overrides(sim_keys)  # validate early
-    allowed_run = {"run.experiment", "run.master_seed", "run.max_ticks", "run.jobs"}
-    for key in run_keys:
-        if key not in allowed_run:
-            raise ConfigError(f"unknown config key: {key!r}")
-    return overrides
+    run_keys = {}
+    for key, value in overrides.items():
+        if key.startswith("run."):
+            if key not in ("run.experiment", "run.master_seed", "run.max_ticks", "run.jobs"):
+                raise ConfigError(f"unknown config key: {key!r}")
+            run_keys[key] = _coerce(value, ExperimentConfig, key.removeprefix("run."))
+    ExperimentConfig(**{key.removeprefix("run."): value for key, value in run_keys.items()})
+    SimParams().with_overrides({k: v for k, v in overrides.items() if k not in run_keys})
+    return overrides | run_keys

@@ -632,11 +632,13 @@ def _lookahead(
     """
     rho, flow, objective = exposed
     if fiduciary > 0.0:
-        value, harm = value_and_harm(
-            q_h, q_l, cleared.verify_rate[:, None], cleared.precision[:, None], postures,
-            params.welfare,
-        )
-        objective = fiduciary_objective(objective, value, harm, fiduciary)
+        # As in welfare, a huge finite output can overflow the harm's square.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, harm = value_and_harm(
+                q_h, q_l, cleared.verify_rate[:, None], cleared.precision[:, None], postures,
+                params.welfare,
+            )
+            objective = fiduciary_objective(objective, value, harm, fiduciary)
     trust_next = trust_update(trust_now[:, None], rho, flow, params.trust)
     return objective / producers, trust_next
 

@@ -1,34 +1,33 @@
 """Policy instruments: the per-unit levy, fiduciary blending, provenance,
-the adaptive tax controller, robust max-min selection, and scenario presets.
+the adaptive tax controller, and robust max-min selection.
 
 Three instruments target the three failures: a per-unit levy makes
 low-quality output dearer, provenance standards raise public signal
 precision, and a fiduciary duty blends social value into the platform's
-objective.  The levy is set by the policy or retuned each tick from the
-index reading by the adaptive rule; robust selection picks the policy with
-the best worst case across candidate worlds.
+objective.  A world's instruments are its parameters' ``policy`` section
+(`config.PolicyParams`).  The levy is set there or retuned each tick from
+the index reading by the adaptive rule; robust selection picks the policy
+with the best worst case across candidate worlds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import ConfigError, NoConvergence
-
-SCENARIOS = ("baseline", "pigouvian", "subsidy", "joint", "tech", "efficiency")
+from .errors import NoConvergence
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Instrument settings for one run."""
+    """Instrument settings given to a `Simulation` apart from its parameters,
+    which fold them into their ``policy`` section."""
 
     tax_l: float = 0.0
     fiduciary: float = 0.0
     provenance_boost: float = 0.0
     adaptive_eta: float | None = None
     ipi_target: float | None = None
-    scenario: str = "baseline"
 
     def __post_init__(self) -> None:
         if self.tax_l < 0:
@@ -78,61 +77,10 @@ def adaptive_tax(tax_prev: float, ipi_prev: float, target: float, eta: float) ->
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """A policy preset plus the world-parameter overrides it rides on."""
-
-    policy: PolicyConfig
-    overrides: dict[str, Any] = field(default_factory=dict)
-    note: str = ""
-
-
-def scenario_config(scenario: str) -> ScenarioSpec:
-    """Preset for one named intervention scenario.
-
-    The six comparison scenarios implement the levy as a revenue-share
-    increase (theta override), a verification subsidy (lower k_max), their
-    union, a detection-capability growth boost, and a high-quality
-    efficiency boost; override magnitudes are artifact defaults.
-    """
-    presets: dict[str, ScenarioSpec] = {
-        "baseline": ScenarioSpec(PolicyConfig(scenario="baseline"), {}, "no intervention"),
-        "pigouvian": ScenarioSpec(
-            PolicyConfig(scenario="pigouvian"),
-            {"platform.revenue_share": 0.35},
-            "levy proxied by raised revenue share (theta 0.25 -> 0.35)",
-        ),
-        "subsidy": ScenarioSpec(
-            PolicyConfig(scenario="subsidy"),
-            {"agents.k_max": 2.0},
-            "verification subsidy (k_max 4.0 -> 2.0)",
-        ),
-        "joint": ScenarioSpec(
-            PolicyConfig(scenario="joint"),
-            {"platform.revenue_share": 0.35, "agents.k_max": 2.0},
-            "revenue-share levy plus verification subsidy",
-        ),
-        "tech": ScenarioSpec(
-            PolicyConfig(scenario="tech"),
-            {"ipi.cap_det_growth": 0.03},
-            "detection-capability growth boost (1%/tick -> 3%/tick)",
-        ),
-        "efficiency": ScenarioSpec(
-            PolicyConfig(scenario="efficiency"),
-            {"agents.mean_prod_h": 2.6},
-            "high-quality productivity boost (mean 2.0 -> 2.6)",
-        ),
-    }
-    try:
-        return presets[scenario]
-    except KeyError:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}") from None
-
-
-@dataclass(frozen=True)
 class RobustSelection:
     """Outcome of max-min policy selection across candidate worlds."""
 
-    selected: PolicyConfig
+    selected: str  # the winning policy's label
     selected_index: int
     welfare_matrix: tuple[tuple[float, ...], ...]  # [policy][world] final-window welfare
     ipi_matrix: tuple[tuple[float, ...], ...]
@@ -140,23 +88,24 @@ class RobustSelection:
 
 
 def max_min_select(
-    policies: Sequence[PolicyConfig],
+    labels: Sequence[str],
     welfare: Sequence[Sequence[float]],
     ipi: Sequence[Sequence[float]],
     failures: Sequence[tuple[int, int]],
 ) -> RobustSelection:
     """Pick the policy whose worst-case welfare across worlds is largest.
 
-    ``welfare[p][w]`` and ``ipi[p][w]`` are policy p's final-window welfare
-    and index in world w; ``failures`` lists the (policy, world) cells that
-    did not converge.  A policy with any failed cell is disqualified (its
+    ``labels`` names the candidate policies in order; ``welfare[p][w]``
+    and ``ipi[p][w]`` are policy p's final-window welfare and index in
+    world w; ``failures`` lists the (policy, world) cells that did not
+    converge.  A policy with any failed cell is disqualified (its
     worst case is failure).  Ties break toward the lower mean final-window
     index across worlds, then toward list order.
     """
     failed_policies = {p for p, _ in failures}
     best_idx: int | None = None
     best_key: tuple[float, float] | None = None
-    for i in range(len(policies)):
+    for i in range(len(labels)):
         if i in failed_policies:
             continue
         key = (min(welfare[i]), -sum(ipi[i]) / len(ipi[i]))
@@ -167,7 +116,7 @@ def max_min_select(
         cells = ", ".join(f"(policy {p}, world {w})" for p, w in failures)
         raise NoConvergence(f"every candidate policy failed in at least one world: {cells}")
     return RobustSelection(
-        selected=policies[best_idx],
+        selected=labels[best_idx],
         selected_index=best_idx,
         welfare_matrix=tuple(tuple(row) for row in welfare),
         ipi_matrix=tuple(tuple(row) for row in ipi),

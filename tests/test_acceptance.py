@@ -411,8 +411,7 @@ def test_criterion_12_robust_selection():
         "ipi.anchor_m_points": 3, "ipi.anchor_gamma_points": 3,
         "ipi.anchor_tax_points": 2,
     }
-    policies = [PolicyConfig(scenario="baseline"),
-                PolicyConfig(scenario="levy", tax_l=0.8)]
+    policies = [("baseline", {}), ("levy", {"policy.tax_init": 0.8})]
     worlds = [{"econ.ai_rental": 0.8}, {"econ.ai_rental": 1.2}]
     selection = robust_select(policies, worlds, horizon=40,
                               base_params=SimParams().with_overrides(small),

@@ -20,6 +20,8 @@ from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
 from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import (
+    DEFAULT_POLICY_SCENARIOS,
+    DEFAULT_ROBUST_POLICIES,
     DEFAULT_ROBUST_WORLDS,
     DEFAULT_SWEEP_R,
     DEFAULT_SWEEP_SIGMA_L,
@@ -43,7 +45,7 @@ from infomarket.harness import (
 )
 from infomarket.ipi import proxy_exposure
 from infomarket.market import _base_costs, market_step, welfare_anchors
-from infomarket.policy import SCENARIOS, PolicyConfig, adaptive_tax, scenario_config
+from infomarket.policy import PolicyConfig, adaptive_tax
 
 SMALL = {
     "agents.n_producers": 30,
@@ -106,7 +108,7 @@ class TestRunRecord:
 
     def test_event_markers_survive_round_trip(self, tmp_path):
         params = SimParams().with_overrides(SMALL)
-        (record,) = run_worlds([(params, PolicyConfig())], 20,
+        (record,) = run_worlds([params], 20,
                                shocks=[ShockEvent(tick=10, kind="trust_shock", magnitude=0.2)])
         path = tmp_path / "run.csv"
         record.write(path)
@@ -330,10 +332,27 @@ class TestConfigPlumbing:
         params = SimParams().with_overrides(
             {**SMALL, "policy.tax_init": 0.5, "policy.fiduciary": 0.3}
         )
-        implied = advanced(Simulation(params, None, 42), 5)
-        explicit = advanced(Simulation(params, PolicyConfig(tax_l=0.5, fiduciary=0.3), 42), 5)
+        implied = Simulation(params, None, 42)
+        explicit = Simulation(SimParams().with_overrides(SMALL),
+                              PolicyConfig(tax_l=0.5, fiduciary=0.3), 42)
+        # An explicit policy is folded into the parameters, which then
+        # describe the world that runs.
+        assert explicit.params == implied.params
+        implied, explicit = advanced(implied, 5), advanced(explicit, 5)
         assert implied.rows[0].tau == 0.5
         assert implied.to_csv_text() == explicit.to_csv_text()
+        # The adaptive levy given as a `PolicyConfig` is the adaptive policy section.
+        params = SimParams().with_overrides({**SMALL, "econ.ai_rental": 0.8})
+        adaptive = params.with_overrides({"policy.adaptive_enabled": "true"})
+        pp = adaptive.policy
+        explicit = Simulation(
+            params, PolicyConfig(adaptive_eta=pp.adaptive_eta, ipi_target=pp.adaptive_target), 42
+        )
+        implied = Simulation(adaptive, None, 42)
+        assert explicit.params == implied.params
+        implied, explicit = advanced(implied, 30), advanced(explicit, 30)
+        assert implied.to_csv_text() == explicit.to_csv_text()
+        assert len({row.tau for row in implied.rows}) > 1
 
     def test_adaptive_levy_moves_on_the_last_row(self):
         params = SimParams().with_overrides(
@@ -342,7 +361,7 @@ class TestConfigPlumbing:
         sim = Simulation(params, master_seed=42)
         rows = [sim.advance() for _ in range(40)]
         pp = params.policy
-        assert rows[0].tau == sim.policy.tax_l
+        assert rows[0].tau == pp.tax_init
         for prev, row in zip(rows, rows[1:]):
             assert row.tau == adaptive_tax(prev.tau, prev.ipi, pp.adaptive_target,
                                            pp.adaptive_eta)
@@ -359,13 +378,37 @@ class TestConfigPlumbing:
 
         default = table("default", {})
         assert table("fiduciary", {"policy.fiduciary": 0.9}) != default
-        # No preset sets an instrument: by default each scenario runs its preset policy.
-        specs = [scenario_config(scenario) for scenario in SCENARIOS]
+        # No scenario sets an instrument: by default each runs the default policy section.
         outcomes = run_worlds(
-            [(SimParams().with_overrides(spec.overrides), spec.policy) for spec in specs], 20
+            [SimParams().with_overrides(overrides) for _, overrides, _ in DEFAULT_POLICY_SCENARIOS],
+            20,
         )
         welfare = [float(row["welfare"]) for row in csv.DictReader(io.StringIO(default))]
         assert welfare == [summary_stats(o).final_means["welfare"] for o in outcomes]
+
+    def test_robust_select_reads_the_policy_section(self, tmp_path):
+        # Each candidate sets the levy; the run's policy section supplies
+        # the fiduciary duty and provenance.
+        def table(name, overrides):
+            out = tmp_path / name
+            run_experiment(ExperimentConfig(
+                experiment="robust_select", master_seed=42, max_ticks=20, out_dir=out,
+                overrides=overrides,
+            ))
+            text = (out / "results" / "robust_select.csv").read_text(encoding="utf-8")
+            return list(csv.reader(io.StringIO(text)))
+
+        default = table("default", {})
+        assert [row[:2] for row in default] == [
+            ["policy", "scenario"], ["0", "baseline"], ["1", "levy"], ["2", "adaptive"]]
+        assert [float(x) for row in default[1:] for x in row[2:]] == pytest.approx([
+            251.8179325814756, 237.64876418649334,
+            279.3889986456669, 261.33824750576997,
+            261.6580977837275, 246.33165642766676,
+        ], rel=1e-9)
+        assert table("fiduciary", {"policy.fiduciary": 0.5}) != default
+        assert table("provenance", {"policy.provenance_boost": 0.05}) != default
+        assert table("levy", {"policy.tax_init": 0.3, "policy.adaptive_enabled": True}) == default
 
 
 class TestOutputs:
@@ -426,8 +469,8 @@ class TestParallelCells:
 def sweep_worlds(**overrides):
     """The default sweep grid's worlds, as `sweep_cells` builds them."""
     return [
-        (SimParams().with_overrides({**SMALL, **overrides, "econ.ai_rental": r,
-                                     "econ.sigma_l": sigma_l}), PolicyConfig())
+        SimParams().with_overrides({**SMALL, **overrides, "econ.ai_rental": r,
+                                    "econ.sigma_l": sigma_l})
         for r in DEFAULT_SWEEP_R for sigma_l in DEFAULT_SWEEP_SIGMA_L
     ]
 
@@ -435,24 +478,17 @@ def sweep_worlds(**overrides):
 def robust_worlds():
     """`robust-select`'s default policy x world cells, policy-major: no levy,
     a fixed levy and the adaptive levy."""
-    pp = SimParams().policy
-    policies = [
-        PolicyConfig(scenario="baseline"),
-        PolicyConfig(scenario="levy", tax_l=0.5),
-        PolicyConfig(scenario="adaptive", adaptive_eta=pp.adaptive_eta,
-                     ipi_target=pp.adaptive_target),
-    ]
-    params = [SimParams().with_overrides({**SMALL, **w}) for w in DEFAULT_ROBUST_WORLDS]
-    return [(p, policy) for policy in policies for p in params]
+    return [SimParams().with_overrides({**SMALL, **world, **overrides})
+            for _, overrides in DEFAULT_ROBUST_POLICIES for world in DEFAULT_ROBUST_WORLDS]
 
 
 def alone(worlds, ticks, shocks=()):
     """Each world run by itself, one `advance` per tick: its CSV text, or its
     failure message."""
     out = []
-    for params, policy in worlds:
+    for params in worlds:
         try:
-            sim = Simulation(params, policy, 42)
+            sim = Simulation(params, master_seed=42)
             rows = [sim.advance(ov) for ov in build_overlays(ticks, shocks, params)]
             out.append(RunRecord(rows=rows, metadata={}).to_csv_text())
         except NoConvergence as exc:
@@ -460,10 +496,10 @@ def alone(worlds, ticks, shocks=()):
     return out
 
 
-def builds(params, policy):
+def builds(params):
     """Whether the world's welfare anchors converge."""
     try:
-        Simulation(params, policy, 42)
+        Simulation(params, master_seed=42)
     except NoConvergence:
         return False
     return True
@@ -489,7 +525,7 @@ def world_lists():
         "sweep": (sweep_worlds(), ()),
         "robust_select": (robust_worlds(), ()),
         # all four shock kinds, their windows overlapping
-        "shocked": (shocked, harness.default_shocks(shocked[0][0])),
+        "shocked": (shocked, harness.default_shocks(shocked[0])),
     }
     return {name: (worlds, shocks, alone(worlds, BATCH_TICKS, shocks))
             for name, (worlds, shocks) in lists.items()}
@@ -516,19 +552,19 @@ class TestLockstepBatches:
         ticks = 30
         expected = alone(worlds, ticks)
         failed = sum(o.startswith("NoConvergence") for o in expected)
-        built = sum(builds(params, policy) for params, policy in worlds)
+        built = sum(builds(params) for params in worlds)
         assert (built, failed) == ((0, 20) if fp_tol == 0.0 else (17, 18))
         assert batched(worlds, ticks, len(worlds), jobs) == expected
 
     def test_worlds_that_differ_in_what_the_market_reads_do_not_share_a_batch(self):
         base = SimParams().with_overrides(SMALL)
-        keys = {harness._batch_key(world) for world in [
-            (base, PolicyConfig()),
-            (base, PolicyConfig(fiduciary=0.3)),
-            (base, PolicyConfig(provenance_boost=0.05)),
-            (base.with_overrides({"platform.trust_price": 400.0}), PolicyConfig()),
-            (base.with_overrides({"agents.k_max": 3.0}), PolicyConfig()),
-            (base.with_overrides({"welfare.harm_quad": -0.0}), PolicyConfig()),
+        keys = {harness._batch_key(base.with_overrides(overrides)) for overrides in [
+            {},
+            {"policy.fiduciary": 0.3},
+            {"policy.provenance_boost": 0.05},
+            {"platform.trust_price": 400.0},
+            {"agents.k_max": 3.0},
+            {"welfare.harm_quad": -0.0},
         ]}
         assert len(keys) == 6
 
@@ -801,6 +837,9 @@ class TestCli:
          ("shocks.fake_news_burst", "tick 101")),
         # A burst that stays finite overflows the harm's square: welfare is -inf.
         ("event-detection", 3, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 2")),
+        # A fiduciary duty weighs the harm in the platform's lookahead, which overflows too.
+        ("event-detection", 3, {"shocks.fake_news_burst": "1e300", "policy.fiduciary": "0.5"},
+         ("welfare", "tick 2")),
         ("shocks", 150, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 101")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
@@ -817,6 +856,48 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert all(name in err for name in named)
+
+    @pytest.mark.parametrize("key, value", [
+        ("run.max_ticks", "abc"),
+        ("run.master_seed", "1.5"),
+        ("run.experiment", "nonsense"),
+        ("run.master_seed", "-3"),
+        ("run.jobs", "0"),
+        ("run.max_ticks", "-1"),
+    ])
+    def test_bad_run_keys_exit_config_code(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        codes = [main(["validate-config", "--config", str(path)])]
+        errors = [capsys.readouterr().err]
+        codes.append(main(["baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
+                           "--config", str(path), *(f"--{k}={v}" for k, v in SMALL.items())]))
+        errors.append(capsys.readouterr().err)
+        assert codes == [2, 2]
+        for err in errors:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert key.removeprefix("run.") in err
+
+    def test_run_flags_beat_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("run.master_seed = 7\nrun.jobs = 2\nrun.max_ticks = 4\n",
+                        encoding="utf-8")
+
+        def resolved(name, *flags):
+            out = tmp_path / name
+            assert main(["baseline", "--out", str(out), "--config", str(path), *flags,
+                         *(f"--{k}={v}" for k, v in SMALL.items())]) == 0
+            seed = json.loads((out / "summary.json").read_text())["metadata"]["seed"]
+            run_lines = [line for line in (out / "config.txt").read_text().splitlines()
+                         if line.startswith("run.")]
+            return seed, run_lines
+
+        assert resolved("file") == ("7", [
+            "run.experiment = baseline", "run.master_seed = 7", "run.max_ticks = 4",
+            "run.jobs = 2"])
+        assert resolved("flags", "--seed", "9", "--jobs", "1", "--ticks", "3") == ("9", [
+            "run.experiment = baseline", "run.master_seed = 9", "run.max_ticks = 3",
+            "run.jobs = 1"])
 
     def test_capability_power_overflow_exits_config_code(self, tmp_path, capsys):
         # Cheap AI compounds cap_gen 2 % a tick; its power overflows at tick 36.

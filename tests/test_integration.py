@@ -69,7 +69,8 @@ def _tick(sim):
     tax, posture = sim._levy(), sim.platform
     columns, _stepped = market_step(
         [sim.state.trust], sim.populations, [posture], [overlay], [tax], sim.params,
-        provenance_boost=sim.policy.provenance_boost, fiduciary=sim.policy.fiduciary,
+        provenance_boost=sim.params.policy.provenance_boost,
+        fiduciary=sim.params.policy.fiduciary,
     )
     *outcome, (producer_profit,) = columns
     row = sim.advance(overlay)
@@ -135,7 +136,7 @@ class _PerDimensionWeights:
         sim = self.sim
         cleared = clear_market(
             q_h, q_l, Postures.of([self.posture] * q_h.size), sim.populations, sim.params,
-            sim.policy.provenance_boost,
+            sim.params.policy.provenance_boost,
         )
         w = cleared.welfare(self.row.trust, producer_profit, sim.params)
         return w.tolist(), cleared.pollution.tolist()
@@ -283,8 +284,8 @@ class TestEventDetection:
     def test_zero_magnitude_burst_is_a_noop(self):
         params = SimParams().with_overrides(SMALL)
         burst = ShockEvent(tick=30, kind="fake_news_burst", magnitude=0.0)
-        (shocked,) = run_worlds([(params, PolicyConfig())], 60, shocks=[burst])
-        (quiet,) = run_worlds([(params, PolicyConfig())], 60)
+        (shocked,) = run_worlds([params], 60, shocks=[burst])
+        (quiet,) = run_worlds([params], 60)
         assert shocked.column("ipi").tolist() == quiet.column("ipi").tolist()
 
     def test_default_burst_detected_with_finite_window(self):

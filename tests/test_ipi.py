@@ -29,7 +29,6 @@ from infomarket.ipi import (
     synthesize_log,
 )
 from infomarket.market import exposure, harmful_exposure
-from infomarket.policy import PolicyConfig
 
 mp.mp.dps = 50
 
@@ -371,7 +370,7 @@ def test_series_log_equals_per_tick_reference(seed, overrides):
     params = SimParams().with_overrides(overrides)
     # The series is the record's columns, with the posture each tick was
     # cleared under, and the capability stocks of the world's path.
-    (record,) = run_worlds([(params, PolicyConfig())], 40, master_seed=seed)
+    (record,) = run_worlds([params], 40, master_seed=seed)
     path = build_overlays(40, (), params)
     series = {name: record.column(name) for name in
               ("q_h", "q_l", "verify_rate", "precision", "trust", "gamma_h", "gamma_l", "m")}

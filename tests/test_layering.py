@@ -110,30 +110,40 @@ def test_every_public_definition_is_used_in_src():
     assert UNREFERENCED_OK <= unused  # an allowlisted name that gained a caller leaves the list
 
 
-def test_market_step_has_one_call_site():
-    # One tick, written once: every world, alone or in a batch, clears through it.
-    sites = [
+def _call_sites(name: str) -> list[tuple[str, int]]:
+    """(module, line) of every call in `src/` to a function or class of this name."""
+    return [
         (module, node.lineno)
         for module, tree in _trees().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name)
-             else getattr(node.func, "attr", None)) == "market_step"
+             else getattr(node.func, "attr", None)) == name
     ]
+
+
+def test_market_step_has_one_call_site():
+    # One tick, written once: every world, alone or in a batch, clears through it.
+    sites = _call_sites("market_step")
     assert len(sites) == 1, sites
 
 
 def test_a_world_carries_only_its_last_row_and_next_posture():
     # Between ticks a world is its record row, the posture it posts next and
     # its last exogenous row; nothing else a tick computes is kept.
-    carried = {"params", "policy", "populations", "w_so", "w_min", "state", "platform",
-               "last_overlay"}
+    carried = {"params", "populations", "w_so", "w_min", "state", "platform", "last_overlay"}
     params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
     sim = Simulation(params, master_seed=42)
     assert set(vars(sim)) == carried
     for ov in build_overlays(3, (), params):
         assert sim.advance(ov) is sim.state
     assert set(vars(sim)) == carried
+
+
+def test_no_code_builds_a_policy_config():
+    # A world's instruments are its parameters' policy section; a
+    # `PolicyConfig` only comes from outside, and `Simulation` folds it in.
+    assert _call_sites("PolicyConfig") == []
 
 
 def test_no_tick_loop_calls_advance():

@@ -5,16 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket.config import SimParams
-from infomarket.errors import ConfigError, NoConvergence
-from infomarket.harness import robust_select
-from infomarket.policy import (
-    SCENARIOS,
-    PolicyConfig,
-    adaptive_tax,
-    fiduciary_objective,
-    max_min_select,
-    scenario_config,
-)
+from infomarket.errors import NoConvergence
+from infomarket.harness import DEFAULT_POLICY_SCENARIOS, robust_select
+from infomarket.policy import PolicyConfig, adaptive_tax, fiduciary_objective, max_min_select
 
 
 class TestFiduciaryObjective:
@@ -70,29 +63,26 @@ class TestAdaptiveTax:
 
 
 class TestScenarioConfig:
+    SCENARIOS = {label: overrides for label, overrides, _note in DEFAULT_POLICY_SCENARIOS}
+
     def test_baseline_is_zero_instrument(self):
-        spec = scenario_config("baseline")
-        assert spec.policy.tax_l == 0.0
-        assert spec.policy.fiduciary == 0.0
-        assert spec.policy.provenance_boost == 0.0
-        assert not spec.policy.adaptive
-        assert spec.overrides == {}
+        assert self.SCENARIOS["baseline"] == {}
+        pp = SimParams().with_overrides(self.SCENARIOS["baseline"]).policy
+        assert (pp.tax_init, pp.fiduciary, pp.provenance_boost) == (0.0, 0.0, 0.0)
+        assert not pp.adaptive_enabled
 
     def test_joint_contains_both_single_instruments(self):
-        joint = scenario_config("joint").overrides
-        pig = scenario_config("pigouvian").overrides
-        sub = scenario_config("subsidy").overrides
-        for key, value in {**pig, **sub}.items():
+        joint = self.SCENARIOS["joint"]
+        for key, value in {**self.SCENARIOS["pigouvian"], **self.SCENARIOS["subsidy"]}.items():
             assert joint[key] == value
 
     def test_all_six_resolve(self):
-        for scenario in SCENARIOS:
-            spec = scenario_config(scenario)
-            assert spec.policy.scenario == scenario
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigError):
-            scenario_config("laissez_faire")
+        assert list(self.SCENARIOS) == [
+            "baseline", "pigouvian", "subsidy", "joint", "tech", "efficiency"]
+        for overrides in self.SCENARIOS.values():
+            # No scenario sets an instrument: each runs the run's policy section.
+            assert not any(key.startswith("policy.") for key in overrides)
+            SimParams().with_overrides(overrides)
 
 
 class TestPolicyConfigValidation:
@@ -122,17 +112,15 @@ SMALL = {
 
 class TestRobustSelect:
     def test_singleton_case(self):
-        policy = PolicyConfig(scenario="baseline")
         selection = robust_select(
-            [policy], [{"econ.ai_rental": 1.0}], horizon=10,
+            [("baseline", {})], [{"econ.ai_rental": 1.0}], horizon=10,
             base_params=SimParams().with_overrides(SMALL), master_seed=1,
         )
         assert selection.selected_index == 0
-        assert selection.selected is policy
+        assert selection.selected == "baseline"
 
     def test_two_by_two_matches_brute_force(self):
-        policies = [PolicyConfig(scenario="baseline"),
-                    PolicyConfig(scenario="levy", tax_l=0.8)]
+        policies = [("baseline", {}), ("levy", {"policy.tax_init": 0.8})]
         worlds = [{"econ.ai_rental": 0.8}, {"econ.ai_rental": 1.2}]
         selection = robust_select(
             policies, worlds, horizon=30,
@@ -143,8 +131,7 @@ class TestRobustSelect:
         assert selection.selected_index == brute
 
     def test_world_permutation_invariance(self):
-        policies = [PolicyConfig(scenario="baseline"),
-                    PolicyConfig(scenario="levy", tax_l=0.8)]
+        policies = [("baseline", {}), ("levy", {"policy.tax_init": 0.8})]
         worlds = [{"econ.ai_rental": 0.8}, {"econ.ai_rental": 1.2}]
         base = SimParams().with_overrides(SMALL)
         fwd = robust_select(policies, worlds, 20, base_params=base, master_seed=7)
@@ -156,18 +143,17 @@ class TestRobustSelect:
         with pytest.raises(ValueError):
             robust_select([], [{}], 10)
         with pytest.raises(ValueError):
-            robust_select([PolicyConfig()], [], 10)
+            robust_select([("baseline", {})], [], 10)
 
 
 class TestMaxMinSelect:
-    POLICIES = [PolicyConfig(scenario="a"), PolicyConfig(scenario="b"),
-                PolicyConfig(scenario="c")]
+    POLICIES = ["a", "b", "c"]
 
     def test_best_worst_case_wins(self):
         welfare = [[5.0, 1.0], [3.0, 2.0], [9.0, 0.5]]
         ipi = [[0.5, 0.5]] * 3
         selection = max_min_select(self.POLICIES, welfare, ipi, [])
-        assert selection.selected_index == 1
+        assert (selection.selected_index, selection.selected) == (1, "b")
         assert selection.welfare_matrix == ((5.0, 1.0), (3.0, 2.0), (9.0, 0.5))
 
     def test_tie_breaks_on_lower_mean_index_then_order(self):
