@@ -16,6 +16,7 @@ from .config import SimParams, parse_config_file
 from .errors import ConfigError, NoConvergence
 from .harness import (
     EXPERIMENTS,
+    RUN_KEYS,
     ExperimentConfig,
     RunRecord,
     load_overrides,
@@ -29,10 +30,12 @@ EXIT_CONVERGENCE = 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None,
+                        help="master random seed")
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--ticks", type=int, default=None, help="simulation horizon")
+    parser.add_argument("--ticks", dest="max_ticks", metavar="TICKS", type=int, default=None,
+                        help="simulation horizon")
     parser.add_argument(
         "--jobs", type=int, default=None, help="parallel workers for multi-world experiments"
     )
@@ -67,11 +70,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    run_csv = args.directory / "results" / "run.csv"
-    if not run_csv.exists():
-        print(f"no run record at {run_csv}", file=sys.stderr)
-        return EXIT_CONFIG
-    record = RunRecord.from_csv(run_csv)
+    record = RunRecord.from_csv(args.directory / "results" / "run.csv")
     stats = summary_stats(record)
     print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -87,9 +86,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # The subcommand and flags beat the file's run.* keys, which beat the defaults.
     run = {"max_ticks": EXPERIMENTS[args.experiment][1]}
     run |= {k.removeprefix("run."): v for k, v in overrides.items() if k.startswith("run.")}
-    flags = {"experiment": args.experiment, "master_seed": args.seed, "max_ticks": args.ticks,
-             "jobs": args.jobs}
-    run |= {k: v for k, v in flags.items() if v is not None}
+    run |= {k: getattr(args, k) for k in RUN_KEYS if getattr(args, k) is not None}
     out = args.out if args.out is not None else Path("out") / args.experiment
     cfg = ExperimentConfig(
         **run, out_dir=out,

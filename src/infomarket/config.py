@@ -380,9 +380,15 @@ def _render(value: Any) -> str:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key = value config file into an override mapping."""
+    """Read a flat key = value config file into an override mapping; a file
+    that cannot be read as UTF-8 text is a configuration error."""
     overrides: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"{path}: cannot read the config file: {getattr(exc, 'strerror', None) or exc}"
+        ) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

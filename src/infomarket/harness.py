@@ -20,7 +20,10 @@ through it as a batch of one (`Simulation.advance`); a world's record does
 not depend on its batch.  A tick's outcomes exist once, as its record row
 (`TickRow`): the step builds it from `market_step`'s columns, and the
 world carries it to the next tick as ``Simulation.state``, from which the
-next levy and the trust step read.  Output layout per experiment::
+next levy and the trust step read.  A world's record (`RunRecord`) is its
+columns, one array per CSV column, built once when its batch ends; the
+statistics and the writers index the arrays, and one formatter
+(`_csv_text`) writes every CSV file.  Output layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -36,9 +39,10 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,12 +71,6 @@ from .market import (
     welfare_anchors,
 )
 from .policy import PolicyConfig, RobustSelection, adaptive_tax, max_min_select
-
-CSV_COLUMNS = (
-    "tick", "q_h", "q_l", "pollution", "verify_rate", "precision", "trust",
-    "welfare", "i1", "i2", "i3", "i4", "ipi", "tau", "gamma_h", "gamma_l",
-    "m", "event",
-)
 
 SHOCK_KINDS = ("cost_drop", "capability_jump", "fake_news_burst", "trust_shock")
 
@@ -109,6 +107,11 @@ class ExperimentConfig:
         return SimParams().with_overrides(self.overrides)
 
 
+# The ``run.*`` keys: what a config file may set and config.txt records.
+RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                 if f.name not in ("out_dir", "overrides"))
+
+
 # Not frozen: a frozen row costs four times as much to build, once per world
 # and tick, and the step fills in the index reading once its weights are known.
 @dataclass(slots=True)
@@ -135,45 +138,68 @@ class TickRow:
     event: str = ""
 
 
+# A record's columns, in file order: a tick's fields.
+CSV_COLUMNS = tuple(f.name for f in fields(TickRow))
+_ROW_VALUES = attrgetter(*CSV_COLUMNS)
+_KINDS = {"tick": int, "event": str}  # every other column is float
+
+
 @dataclass
 class RunRecord:
-    """Time-indexed series of market states and index readings plus metadata."""
+    """A world's time series, one array per `CSV_COLUMNS` entry (``tick`` as
+    ints, ``event`` as strings, the rest floats), plus metadata."""
 
-    rows: list[TickRow]
+    columns: dict[str, np.ndarray]
     metadata: dict[str, str]
 
+    @classmethod
+    def of(cls, rows: Sequence[TickRow]) -> "RunRecord":
+        """The record of a world's rows: their transpose."""
+        columns = list(zip(*map(_ROW_VALUES, rows))) or [()] * len(CSV_COLUMNS)
+        return cls({c: np.array(v, dtype=_KINDS.get(c, float))
+                    for c, v in zip(CSV_COLUMNS, columns)}, {})
+
+    def __len__(self) -> int:
+        return len(self.columns["tick"])
+
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+        return self.columns[name]
+
+    def _csv_rows(self) -> Iterable[tuple[Any, ...]]:
+        return zip(*(self.columns[c].tolist() for c in CSV_COLUMNS))
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow(
-                [r.tick]
-                + [_fmt(getattr(r, c)) for c in CSV_COLUMNS[1:-1]]
-                + [r.event]
-            )
-        return buf.getvalue()
+        return _csv_text(CSV_COLUMNS, self._csv_rows())
 
     def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_csv_text(), encoding="utf-8")
+        _write_table(path, CSV_COLUMNS, self._csv_rows())
 
     @classmethod
-    def from_csv(cls, path: Path, metadata: dict[str, str] | None = None) -> "RunRecord":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as f:
-            for rec in csv.DictReader(f):
-                rows.append(
-                    TickRow(
-                        tick=int(rec["tick"]),
-                        **{c: float(rec[c]) for c in CSV_COLUMNS[1:-1]},
-                        event=rec["event"],
-                    )
-                )
-        return cls(rows=rows, metadata=metadata or {})
+    def from_csv(cls, path: Path) -> "RunRecord":
+        """Read a written record; a file that is not one is a configuration
+        error naming the file, and the line and column where it fails."""
+        cells: dict[str, list[Any]] = {c: [] for c in CSV_COLUMNS}
+        try:
+            with open(path, newline="", encoding="utf-8") as f:
+                reader = csv.DictReader(f)
+                for name in CSV_COLUMNS:
+                    if name not in (reader.fieldnames or ()):
+                        raise ConfigError(f"{path}, line 1: the header has no column {name!r}")
+                for rec in reader:
+                    for name, values in cells.items():
+                        kind = _KINDS.get(name, float)
+                        try:
+                            values.append(kind(rec[name]))
+                        except (TypeError, ValueError):  # a short row's cells are None
+                            raise ConfigError(
+                                f"{path}, line {reader.line_num}, column {name!r}: "
+                                f"{rec[name]!r} is not {'an int' if kind is int else 'a float'}"
+                            ) from None
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(
+                f"{path}: not a readable run record: {getattr(exc, 'strerror', None) or exc}"
+            ) from None
+        return cls({c: np.array(v, dtype=_KINDS.get(c, float)) for c, v in cells.items()}, {})
 
 
 @dataclass(frozen=True)
@@ -517,14 +543,9 @@ class SummaryStats:
     converged: bool
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_ticks": self.n_ticks,
-            "final_window": self.window,
-            "final_means": self.final_means,
-            "correlations": self.correlations,
-            "flags": self.flags,
-            "converged": self.converged,
-        }
+        out = asdict(self)
+        out["final_window"] = out.pop("window")
+        return out
 
 
 def summary_stats(record: RunRecord) -> SummaryStats:
@@ -534,11 +555,10 @@ def summary_stats(record: RunRecord) -> SummaryStats:
     propagating NaN.  Convergence means the index moved by less than 0.02
     per tick across the last 20 ticks.
     """
-    n = len(record.rows)
+    n = len(record)
     win = min(final_window(n), n)
     flags: list[str] = []
-    ticks = [r.tick for r in record.rows]
-    if any(b <= a for a, b in zip(ticks, ticks[1:])):
+    if (np.diff(record.column("tick")) <= 0).any():
         flags.append("non_monotone_ticks")
     final_means = {}
     for col in ("welfare", "pollution", "ipi", "trust", "verify_rate", "q_h", "q_l"):
@@ -571,14 +591,18 @@ def summary_stats(record: RunRecord) -> SummaryStats:
 # -- persistence --------------------------------------------------------------
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Every CSV file's text: a header, then one line per row, floats exact."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_csv_text(header, rows), encoding="utf-8")
 
 
 def _finite_or_none(value: Any) -> Any:
@@ -598,27 +622,26 @@ def _write_outputs(
     record: RunRecord | None,
     report: dict[str, Any],
     text_lines: list[str],
-    tables: dict[str, tuple[Sequence[str], Sequence[Sequence[Any]]]] | None = None,
+    tables: dict[str, tuple[Sequence[str], Iterable[Sequence[Any]]]] | None = None,
 ) -> None:
+    """Write the run's directory; ``tables`` maps each further CSV file's
+    path under it to its header and rows."""
     if cfg.out_dir is None:
         return
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = params.resolved_text() + (
-        f"run.experiment = {cfg.experiment}\n"
-        f"run.master_seed = {cfg.master_seed}\n"
-        f"run.max_ticks = {cfg.max_ticks}\n"
-        f"run.jobs = {cfg.jobs}\n"
-    )
+    resolved = params.resolved_text() + "".join(
+        f"run.{key} = {getattr(cfg, key)}\n" for key in RUN_KEYS)
     (out / "config.txt").write_text(resolved, encoding="utf-8")
+    files = {}
     if record is not None:
-        record.write(out / "results" / "run.csv")
-        ticks = [r.tick for r in record.rows]
+        ticks = record.column("tick").tolist()
+        files["results/run.csv"] = (CSV_COLUMNS, record._csv_rows())
         for name in ("ipi", "welfare"):
-            _write_table(out / "figures" / f"{name}_vs_time.csv", ("tick", name),
-                         list(zip(ticks, record.column(name))))
-    for name, (header, rows) in (tables or {}).items():
-        _write_table(out / "results" / f"{name}.csv", header, rows)
+            files[f"figures/{name}_vs_time.csv"] = (
+                ("tick", name), zip(ticks, record.column(name).tolist()))
+    for name, (header, rows) in (files | (tables or {})).items():
+        _write_table(out / name, header, rows)
     (out / "summary.json").write_text(
         json.dumps(_finite_or_none(report), indent=2, sort_keys=True, allow_nan=False,
                    default=str) + "\n",
@@ -667,7 +690,7 @@ def _run_batch(
                 del live[i]
             else:
                 outcomes[i].append(row)
-    return [RunRecord(rows, {}) if i in live else rows for i, rows in enumerate(outcomes)]
+    return [RunRecord.of(rows) if i in live else rows for i, rows in enumerate(outcomes)]
 
 
 def run_worlds(
@@ -748,19 +771,11 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 
 def default_shocks(params: SimParams) -> list[ShockEvent]:
     s = params.shocks
-    mags = {
-        "cost_drop": s.cost_drop,
-        "capability_jump": s.capability_jump,
-        "fake_news_burst": s.fake_news_burst,
-        "trust_shock": s.trust_shock,
-    }
     # Late cost shock: the index baseline has settled by then, so the
     # pollution spike reads as a clean rise rather than riding the transient.
     order = ("trust_shock", "capability_jump", "fake_news_burst", "cost_drop")
-    return [
-        ShockEvent(tick=t, kind=kind, magnitude=mags[kind])
-        for t, kind in zip(s.ticks, order)
-    ]
+    return [ShockEvent(tick=t, kind=kind, magnitude=getattr(s, kind))
+            for t, kind in zip(s.ticks, order)]
 
 
 @dataclass(frozen=True)
@@ -829,14 +844,8 @@ def run_shocks(
     ]
     _write_outputs(
         cfg, params, record, report, lines,
-        tables={
-            "shock_responses": (
-                ("kind", "tick", "pre_mean", "peak", "rise_pct", "recovery_per_tick",
-                 "declining_ticks"),
-                [(r.kind, r.tick, r.pre_mean, r.peak, r.rise_pct, r.recovery_per_tick,
-                  r.declining_ticks) for r in responses],
-            )
-        },
+        tables={"results/shock_responses.csv": (
+            [f.name for f in fields(ShockResponse)], [astuple(r) for r in responses])},
     )
     return record, responses
 
@@ -886,7 +895,7 @@ def run_weight_sensitivity(
         lines.append(f"SIGN FLIP in sets {sign_flips}")
     _write_outputs(
         cfg, params, None, report, lines,
-        tables={"weight_sensitivity": (("weights", "corr", "abs_corr"), rows)},
+        tables={"results/weight_sensitivity.csv": (("weights", "corr", "abs_corr"), rows)},
     )
     return report
 
@@ -916,16 +925,16 @@ def run_noise(
     )
     (record,) = _records(cfg, [world])
     path = build_overlays(cfg.max_ticks, (), world)
-    series = {name: record.column(name) for name in CSV_COLUMNS[1:-1]} | {
+    series = record.columns | {
         name: np.array([getattr(ov, name) for ov in path]) for name in ("cap_gen", "cap_det")}
-    noise_free = proxy_composite(synthesize_log(series, params), weights) if record.rows else None
+    noise_free = proxy_composite(synthesize_log(series, params), weights) if len(record) else None
 
     rows = []
     for li, level in enumerate(levels):
         errors = []
         vols = []
         # An empty series has no error or volatility.
-        for trial in range(trials if record.rows else 0):
+        for trial in range(trials if len(record) else 0):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.master_seed, 11, li, trial])
             )
@@ -944,7 +953,7 @@ def run_noise(
     lines += [f"  level {lv:.2f}: error {err:.5f}, volatility {vol:.5f}" for lv, err, vol in rows]
     _write_outputs(
         cfg, params, None, report, lines,
-        tables={"noise_robustness": (("level", "ipi_error", "volatility"), rows)},
+        tables={"results/noise_robustness.csv": (("level", "ipi_error", "volatility"), rows)},
     )
     return report
 
@@ -966,7 +975,7 @@ def run_event_detection(
     (response,) = shock_stats(record, [shock])
     # Lead-lag around the event only; the run-level transient would swamp it.
     lo = max(0, tick - 10)
-    hi = min(len(record.rows), tick + 30)
+    hi = min(len(record), tick + 30)
     ipi = record.column("ipi")[lo:hi]
     drop = -np.diff(record.column("welfare")[lo:hi])  # welfare decline per tick
     lags = {}
@@ -996,8 +1005,7 @@ def run_event_detection(
     _write_outputs(
         cfg, params, record, report, lines,
         tables={
-            "lead_lag": (("window", "corr_ipi_future_welfare"),
-                         [(k, v) for k, v in lags.items()])
+            "results/lead_lag.csv": (("window", "corr_ipi_future_welfare"), list(lags.items()))
         },
     )
     return report
@@ -1036,18 +1044,14 @@ def run_cross_platform(
     params = cfg.params()
     chosen = list(presets) if presets is not None else list(DEFAULT_PLATFORM_PRESETS)
     records = _records(cfg, [params.with_overrides(overrides) for _, overrides in chosen])
-    rows = []
-    for (name, _), record in zip(chosen, records):
-        means = summary_stats(record).final_means
-        rows.append((name, means["ipi"], means["welfare"], means["pollution"], means["trust"]))
+    header = ("preset", "ipi", "welfare", "pollution", "trust")
+    rows = [(name, *map(summary_stats(record).final_means.get, header[1:]))
+            for (name, _), record in zip(chosen, records)]
     ipis = [r[1] for r in rows]
     report = {
         "experiment": "cross_platform",
         "presets": [name for name, _ in chosen],
-        "rows": [
-            {"preset": r[0], "ipi": r[1], "welfare": r[2], "pollution": r[3], "trust": r[4]}
-            for r in rows
-        ],
+        "rows": [dict(zip(header, r)) for r in rows],
         "ipi_min": min(ipis),
         "ipi_max": max(ipis),
         "ipi_spread": max(ipis) - min(ipis),
@@ -1059,9 +1063,7 @@ def run_cross_platform(
     lines.append(f"IPI spread: {report['ipi_spread']:.3f}")
     _write_outputs(
         cfg, params, None, report, lines,
-        tables={
-            "cross_platform": (("preset", "ipi", "welfare", "pollution", "trust"), rows)
-        },
+        tables={"results/cross_platform.csv": (header, rows)},
     )
     return report
 
@@ -1140,18 +1142,11 @@ def run_sweep(
     _write_outputs(
         cfg, params, None, doc, lines,
         tables={
-            "sweep": (
-                ("r", "sigma_l", "welfare", "pollution", "ipi"),
-                [(row["r"], row["sigma_l"], row["welfare"], row["pollution"], row["ipi"])
-                 for row in report.rows],
-            )
+            "results/sweep.csv": (("r", "sigma_l", "welfare", "pollution", "ipi"),
+                                  [list(row.values()) for row in report.rows]),
+            "figures/pollution_vs_r.csv": (("r", "pollution"), pollution_vs_r),
         },
     )
-    if cfg.out_dir is not None:
-        _write_table(
-            Path(cfg.out_dir) / "figures" / "pollution_vs_r.csv",
-            ("r", "pollution"), pollution_vs_r,
-        )
     return report
 
 
@@ -1174,6 +1169,8 @@ def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
         row["welfare_delta"] = row["welfare"] - base["welfare"]
         row["pollution_delta"] = row["pollution"] - base["pollution"]
     report = {"experiment": "policy_comparison", "rows": rows}
+    header = ("scenario", "welfare", "pollution", "ipi", "trust", "welfare_delta",
+              "pollution_delta", "note")
     lines = ["policy comparison (final-window means, deltas vs baseline):"]
     lines += [
         f"  {r['scenario']:<11} W {r['welfare']:8.2f} ({r['welfare_delta']:+.2f})  "
@@ -1183,14 +1180,7 @@ def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
     ]
     _write_outputs(
         cfg, params, None, report, lines,
-        tables={
-            "policy_comparison": (
-                ("scenario", "welfare", "pollution", "ipi", "trust",
-                 "welfare_delta", "pollution_delta", "note"),
-                [(r["scenario"], r["welfare"], r["pollution"], r["ipi"], r["trust"],
-                  r["welfare_delta"], r["pollution_delta"], r["note"]) for r in rows],
-            )
-        },
+        tables={"results/policy_comparison.csv": (header, [[r[k] for k in header] for r in rows])},
     )
     return report
 
@@ -1274,7 +1264,7 @@ def run_robust_select(
     _write_outputs(
         cfg, params, None, report, lines,
         tables={
-            "robust_select": (
+            "results/robust_select.csv": (
                 ("policy", "scenario") + tuple(f"world_{i}" for i in range(len(worlds))),
                 [(i, label) + tuple(row)
                  for i, ((label, _), row) in enumerate(zip(policies, selection.welfare_matrix))],
@@ -1315,7 +1305,7 @@ def load_overrides(config_path: str | Path | None, cli_pairs: dict[str, str]) ->
     run_keys = {}
     for key, value in overrides.items():
         if key.startswith("run."):
-            if key not in ("run.experiment", "run.master_seed", "run.max_ticks", "run.jobs"):
+            if key.removeprefix("run.") not in RUN_KEYS:
                 raise ConfigError(f"unknown config key: {key!r}")
             run_keys[key] = _coerce(value, ExperimentConfig, key.removeprefix("run."))
     ExperimentConfig(**{key.removeprefix("run."): value for key, value in run_keys.items()})

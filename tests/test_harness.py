@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from infomarket.cli import main
 from infomarket.config import SimParams, parse_config_file
 from infomarket.errors import ConfigError, NoConvergence
 from infomarket.harness import (
+    CSV_COLUMNS,
     DEFAULT_POLICY_SCENARIOS,
     DEFAULT_ROBUST_POLICIES,
     DEFAULT_ROBUST_WORLDS,
@@ -58,7 +60,19 @@ SMALL = {
 
 def advanced(sim, ticks):
     """The record of `ticks` unscheduled `advance` calls."""
-    return RunRecord(rows=[sim.advance() for _ in range(ticks)], metadata={})
+    return RunRecord.of([sim.advance() for _ in range(ticks)])
+
+
+def assert_same_columns(got, want):
+    """Every column of two records agrees bit for bit, in type and width too."""
+    assert list(got.columns) == list(want.columns) == list(CSV_COLUMNS)
+    for name in CSV_COLUMNS:
+        assert got.column(name).dtype == want.column(name).dtype, name
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+HEADER = ",".join(CSV_COLUMNS)
+ROW = ",".join(["1"] + ["0.5"] * 16 + [""])  # a well-formed tick
 
 
 def small_cfg(tmp_path=None, **kwargs) -> ExperimentConfig:
@@ -105,6 +119,44 @@ class TestRunRecord:
         record.write(path)
         reread = RunRecord.from_csv(path)
         assert summary_stats(reread) == summary_stats(record)
+        assert_same_columns(reread, record)
+        assert len(reread) == 25 and reread.column("tick").tolist() == list(range(1, 26))
+
+    def test_zero_tick_record_round_trips(self, tmp_path):
+        record = run(small_cfg(max_ticks=0))
+        path = tmp_path / "run.csv"
+        record.write(path)
+        reread = RunRecord.from_csv(path)
+        assert len(record) == len(reread) == 0
+        assert_same_columns(reread, record)
+        assert reread.to_csv_text() == record.to_csv_text() == HEADER + "\n"
+
+    def test_columns_are_a_transpose_of_the_rows(self):
+        sim = Simulation(SimParams().with_overrides(SMALL), master_seed=42)
+        rows = [sim.advance() for _ in range(4)]
+        record = RunRecord.of(rows)
+        assert CSV_COLUMNS == tuple(field.name for field in fields(TickRow))
+        assert [field.name for field in fields(RunRecord)] == ["columns", "metadata"]
+        for name in CSV_COLUMNS:
+            assert record.column(name).tolist() == [getattr(r, name) for r in rows]
+        assert record.column("tick").dtype.kind == "i"
+        assert record.column("event").dtype.kind == "U"
+
+    @pytest.mark.parametrize("lines, where", [
+        ([HEADER, "3,abc"], "line 2, column 'q_h': 'abc' is not a float"),
+        (["tick,ipi", "1,0.5"], "line 1: the header has no column 'q_h'"),
+        ([], "line 1: the header has no column 'tick'"),
+        ([HEADER, "1.5"], "line 2, column 'tick': '1.5' is not an int"),
+        ([HEADER, ROW, ",".join(["2", *["0.5"] * 6, "abc", *["0.5"] * 9, ""])],
+         "line 3, column 'welfare': 'abc' is not a float"),
+        ([HEADER, "1,0.5,0.5"], "line 2, column 'pollution': None is not a float"),
+    ])
+    def test_malformed_record_is_a_config_error(self, tmp_path, lines, where):
+        path = tmp_path / "run.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            RunRecord.from_csv(path)
+        assert str(info.value) == f"{path}, {where}"
 
     def test_event_markers_survive_round_trip(self, tmp_path):
         params = SimParams().with_overrides(SMALL)
@@ -113,8 +165,9 @@ class TestRunRecord:
         path = tmp_path / "run.csv"
         record.write(path)
         reread = RunRecord.from_csv(path)
-        assert reread.rows[10].event == "trust_shock"
-        assert reread.rows[5].event == ""
+        assert reread.column("event")[10] == "trust_shock"
+        assert reread.column("event")[5] == ""
+        assert_same_columns(reread, record)
 
     def test_metadata_fields(self):
         record = run(small_cfg())
@@ -246,7 +299,7 @@ class TestSummaryStats:
                     i4=0.5, ipi=i, tau=0, gamma_h=1, gamma_l=1, m=0)
             for t, (i, w) in enumerate(zip(ipi, welfare))
         ]
-        return RunRecord(rows=rows, metadata={})
+        return RunRecord.of(rows)
 
     def test_constant_series_flagged_not_nan(self):
         record = self._record([0.5] * 30, [1.0] * 30)
@@ -339,7 +392,7 @@ class TestConfigPlumbing:
         # describe the world that runs.
         assert explicit.params == implied.params
         implied, explicit = advanced(implied, 5), advanced(explicit, 5)
-        assert implied.rows[0].tau == 0.5
+        assert implied.column("tau")[0] == 0.5
         assert implied.to_csv_text() == explicit.to_csv_text()
         # The adaptive levy given as a `PolicyConfig` is the adaptive policy section.
         params = SimParams().with_overrides({**SMALL, "econ.ai_rental": 0.8})
@@ -352,7 +405,7 @@ class TestConfigPlumbing:
         assert explicit.params == implied.params
         implied, explicit = advanced(implied, 30), advanced(explicit, 30)
         assert implied.to_csv_text() == explicit.to_csv_text()
-        assert len({row.tau for row in implied.rows}) > 1
+        assert len(set(implied.column("tau").tolist())) > 1
 
     def test_adaptive_levy_moves_on_the_last_row(self):
         params = SimParams().with_overrides(
@@ -490,7 +543,7 @@ def alone(worlds, ticks, shocks=()):
         try:
             sim = Simulation(params, master_seed=42)
             rows = [sim.advance(ov) for ov in build_overlays(ticks, shocks, params)]
-            out.append(RunRecord(rows=rows, metadata={}).to_csv_text())
+            out.append(RunRecord.of(rows).to_csv_text())
         except NoConvergence as exc:
             out.append(f"NoConvergence: {exc}")
     return out
@@ -993,6 +1046,30 @@ class TestCli:
 
     def test_report_on_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("lines", [[HEADER, "3,abc"], ["tick,ipi", "1,0.5"]])
+    def test_report_on_a_malformed_record_exits_config_code(self, tmp_path, capsys, lines):
+        run_csv = tmp_path / "results" / "run.csv"
+        run_csv.parent.mkdir()
+        run_csv.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {run_csv}, line ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_exits_config_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"econ.ai_rental = 0.9 # \xff\xfe\n")
+        codes = [main(["validate-config", "--config", str(path)]),
+                 main(["baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
+                       "--config", str(path)])]
+        assert codes == [2, 2]
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith(f"config error: {path}: cannot read the config file: ")
+        assert not (tmp_path / "x").exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -41,7 +41,7 @@ def baseline_150():
 class TestGoldenRun:
     def test_matches_frozen_record(self, baseline_150):
         golden = RunRecord.from_csv(GOLDEN)
-        assert len(golden.rows) == len(baseline_150.rows) == 150
+        assert len(golden) == len(baseline_150) == 150
         for col in ("q_h", "q_l", "pollution", "verify_rate", "precision",
                     "trust", "welfare", "ipi", "tau", "gamma_h", "gamma_l", "m"):
             np.testing.assert_allclose(
@@ -50,10 +50,10 @@ class TestGoldenRun:
             )
 
     def test_frozen_final_values(self, baseline_150):
-        assert baseline_150.rows[-1].welfare == pytest.approx(
+        assert baseline_150.column("welfare")[-1] == pytest.approx(
             GOLDEN_FINAL_WELFARE, rel=1e-9
         )
-        assert baseline_150.rows[-1].ipi == pytest.approx(GOLDEN_FINAL_IPI, rel=1e-9)
+        assert baseline_150.column("ipi")[-1] == pytest.approx(GOLDEN_FINAL_IPI, rel=1e-9)
 
     def test_reaches_quasi_steady_state(self, baseline_150):
         ipi = baseline_150.column("ipi")
@@ -340,10 +340,10 @@ class TestRecordInvariants:
         col = baseline_150.column
         postures = Postures(col("gamma_h"), col("gamma_l"), col("m"))
         rho, _, _ = exposure(col("q_h"), col("q_l"), postures, populations, params)
-        for row, expected in zip(baseline_150.rows, rho.tolist()):
-            assert row.pollution == pytest.approx(expected, rel=1e-12)
+        for pollution, expected in zip(col("pollution").tolist(), rho.tolist()):
+            assert pollution == pytest.approx(expected, rel=1e-12)
 
     def test_tick_column_monotone(self, baseline_150):
-        ticks = [r.tick for r in baseline_150.rows]
+        ticks = baseline_150.column("tick").tolist()
         assert ticks == sorted(set(ticks))
         assert len(ticks) == 150

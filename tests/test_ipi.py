@@ -2,6 +2,7 @@
 
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -381,7 +382,8 @@ def test_series_log_equals_per_tick_reference(seed, overrides):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         log = synthesize_log(series, params, noise, rng)
         got = proxy_composite(log, weights)
-        for t, (row, overlay) in enumerate(zip(record.rows, path)):
+        for t, overlay in enumerate(path):
+            row = SimpleNamespace(**{name: col[t].item() for name, col in record.columns.items()})
             ref = tick_synthesize_log(row, Postures(row.gamma_h, row.gamma_l, row.m), ref_rng,
                                       noise, cap_gen=overlay.cap_gen, cap_det=overlay.cap_det,
                                       params=params)

@@ -1,6 +1,7 @@
 """Module layering: intra-package imports point only to earlier layers."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from infomarket.config import SimParams
@@ -92,20 +93,17 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 def test_every_public_definition_is_used_in_src():
     # A formula only tests call is a copy the simulator does not run.
-    trees = _trees()
-    unused = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            elsewhere = set().union(*(
-                _referenced_names(other)
-                for owner, other_tree in trees.items()
-                for other in other_tree.body
-                if not (owner == module and other is node)
-            ))
-            if node.name not in elsewhere:
-                unused.add((module, node.name))
+    # Each top-level node's names, read once; a definition is used when some
+    # node other than itself reads its name.
+    nodes = [(module, node, _referenced_names(node))
+             for module, tree in _trees().items() for node in tree.body]
+    readers = Counter(name for _, _, names in nodes for name in names)
+    unused = {
+        (module, node.name)
+        for module, node, names in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and readers[node.name] - (node.name in names) == 0
+    }
     assert unused - UNREFERENCED_OK == set()
     assert UNREFERENCED_OK <= unused  # an allowlisted name that gained a caller leaves the list
 
