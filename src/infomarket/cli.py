@@ -19,6 +19,7 @@ from .harness import (
     RUN_KEYS,
     ExperimentConfig,
     RunRecord,
+    _finite_or_none,
     load_overrides,
     run_experiment,
     summary_stats,
@@ -72,7 +73,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     record = RunRecord.from_csv(args.directory / "results" / "run.csv")
     stats = summary_stats(record)
-    print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+    # Undefined statistics print as null, as summary.json writes them.
+    print(json.dumps(_finite_or_none(stats.to_dict()), indent=2, sort_keys=True,
+                     allow_nan=False))
     return EXIT_OK
 
 

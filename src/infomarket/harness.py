@@ -16,14 +16,16 @@ the market moves.  One step (`_step`) makes the
 only `market_step` call: worlds that share their populations and every
 parameter the clearing reads advance through it in lockstep (`run_worlds`,
 which runs every experiment), and a world driven tick by tick advances
-through it as a batch of one (`Simulation.advance`); a world's record does
-not depend on its batch.  A tick's outcomes exist once, as its record row
-(`TickRow`): the step builds it from `market_step`'s columns, and the
-world carries it to the next tick as ``Simulation.state``, from which the
-next levy and the trust step read.  A world's record (`RunRecord`) is its
-columns, one array per CSV column, built once when its batch ends; the
-statistics and the writers index the arrays, and one formatter
-(`_csv_text`) writes every CSV file.  Output layout per experiment::
+through it as a batch of one (`Simulation.advance`); a world with
+endogenous index weights clears their lanes in that call, and a world's
+record does not depend on its batch.  A tick's outcomes exist once, as
+its record row (`TickRow`): the step builds it from `market_step`'s
+columns, and the world carries it to the next tick as
+``Simulation.state``, from which the next levy and the trust step read.
+A world's record (`RunRecord`) is its columns, one array per CSV column,
+built once when its batch ends; the statistics and the writers index the
+arrays, and one formatter (`_csv_text`) writes every CSV file.  Output
+layout per experiment::
 
     <out>/config.txt        resolved configuration (all defaults expanded)
     <out>/results/*.csv     run record and experiment tables
@@ -65,9 +67,7 @@ from .market import (
     Populations,
     TickOverlay,
     _base_costs,
-    clear_market,
     market_step,
-    supply_response,
     welfare_anchors,
 )
 from .policy import PolicyConfig, RobustSelection, adaptive_tax, max_min_select
@@ -292,10 +292,11 @@ class Simulation:
         return s.tau
 
     def _row(self, ov: TickOverlay, tau: float, outcome: Sequence[float],
-             producer_profit: float) -> TickRow:
+             weighed: Sequence[float | None]) -> TickRow:
         """The next tick's record row from this world's market outcome (q_h
         through welfare, in `market_step`'s column order): the index reads
-        the row, with weights from it when they are endogenous."""
+        the row, with weights from it and from the weight lanes ``weighed``
+        (`weight_responses`) when they are endogenous."""
         ip = self.params.ipi
         posted = self.platform  # what producers and amplification saw this tick
         _q_h, _q_l, pollution, _v, _pi, trust, welfare = outcome
@@ -309,9 +310,7 @@ class Simulation:
                       posted.gamma_l, posted.moderation, ov.event)
         weights = ip.weights
         if ip.endogenous_weights:
-            weights, _fallback = endogenous_weights(
-                weight_responses(self, ov, row, producer_profit, ip.weight_perturbation)
-            )
+            weights, _fallback = endogenous_weights(weight_responses(self, ov, row, weighed))
         row.ipi = composite(dims, weights)
         return row
 
@@ -320,13 +319,16 @@ def _step(
     sims: Sequence[Simulation], overlays: Sequence[TickOverlay]
 ) -> list[TickRow | NoConvergence]:
     """Run one tick of worlds that share a batch key, each under its own
-    exogenous row: one `market_step` clears them all, and each world adopts
-    its record row, its stepped posture and its exogenous row.
+    exogenous row: one `market_step` clears them all, with the weight lanes
+    of every world whose index weights are endogenous (`_weight_step`), and
+    each world adopts its record row, its stepped posture and its exogenous
+    row.
 
-    A world whose fixed point (or endogenous weights' re-clearing) misses
-    ``market.fp_tol`` gets, in place of its record row, the NoConvergence
-    it raises when run alone, and does not advance; the other worlds clear
-    again without it.  A non-finite welfare is a configuration error.
+    A world whose fixed point misses ``market.fp_tol`` on any of its lanes
+    gets, in place of its record row, the NoConvergence it raises when run
+    alone, and does not advance; the other worlds clear again without it.
+    A stepped generation boost that overflows, or a non-finite welfare, is
+    a configuration error.
     """
     taxes = [sim._levy() for sim in sims]
     outcomes: list[TickRow | NoConvergence | None] = [None] * len(sims)
@@ -339,7 +341,8 @@ def _step(
             columns, stepped = market_step(
                 [sims[i].state.trust for i in live], first.populations,
                 [sims[i].platform for i in live], [overlays[i] for i in live],
-                [taxes[i] for i in live], first.params,
+                [taxes[i] for i in live], [_weight_step(sims[i], overlays[i]) for i in live],
+                first.params,
                 provenance_boost=pp.provenance_boost, fiduciary=pp.fiduciary,
             )
         except NoConvergence as exc:
@@ -356,13 +359,9 @@ def _step(
                 f"welfare is {welfare} at tick {first.state.tick + 1}: the tick's outputs, "
                 "or the welfare section's coefficients that weigh them, overflow"
             )
-    for i, platform, *outcome, profit in zip(live, stepped, *columns):
+    for i, platform, *outcome in zip(live, stepped, *columns):
         sim = sims[i]
-        try:
-            row = sim._row(overlays[i], taxes[i], outcome, profit)
-        except NoConvergence as exc:
-            outcomes[i] = exc
-            continue
+        row = sim._row(overlays[i], taxes[i], outcome[:7], outcome[7:])
         sim.state, sim.platform, sim.last_overlay = row, platform, overlays[i]
         outcomes[i] = row
     return outcomes
@@ -459,49 +458,53 @@ def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
         ) from None
 
 
+def _analytic_responses(sim: Simulation) -> list[tuple[float, float]]:
+    """The deadweight (i2) and trust (i3) dimensions' (delta_welfare,
+    delta_dimension) under the relative step ``ipi.weight_perturbation``."""
+    p = sim.params
+    eps = p.ipi.weight_perturbation
+    return [(-(sim.w_so - sim.w_min) * eps, eps),
+            (p.welfare.lambda_trust * (-eps * p.trust.t_max), eps)]
+
+
+def _weight_step(sim: Simulation, overlay: TickOverlay) -> tuple[float, float] | None:
+    """The world's weight step for its next tick under ``overlay``: the
+    relative step ``eps`` and the generation boost at the capability stock
+    stepped by it; None when its index weights are fixed, or when a flat
+    analytic response makes them fall back whatever the others are."""
+    ip = sim.params.ipi
+    if not ip.endogenous_weights or any(is_flat(*r) for r in _analytic_responses(sim)):
+        return None
+    eps = ip.weight_perturbation
+    return eps, _gen_boost(overlay.cap_gen * (1.0 + eps), sim.params, sim.state.tick + 1)
+
+
 def weight_responses(
-    sim: Simulation, overlay: TickOverlay, row: TickRow, producer_profit: float, eps: float
+    sim: Simulation, overlay: TickOverlay, row: TickRow, weighed: Sequence[float | None]
 ) -> list[tuple[float, float]]:
     """Each index dimension's (delta_welfare, delta_dimension) under a relative
-    step ``eps`` in its driver, around the tick ``row`` of ``sim``, cleared
-    under the exogenous row ``overlay`` with producer surplus
-    ``producer_profit``.  The row gives the base point, the levy ``tau``
-    and the posted posture (``gamma_h``, ``gamma_l``, ``m``); its index
-    readings are not read.
+    step ``ipi.weight_perturbation`` in its driver, around the tick ``row``
+    of ``sim`` under the exogenous row ``overlay``; its index readings are
+    not read.
 
     The deadweight (i2) and trust (i3) responses are analytic.  The
     pollution driver (i1) is the low-quality output scale; the technology
     driver (i4) is the generation capability, through the low-quality cost
     channel and a supply re-solve.  Both step from the tick's own welfare
-    and pollution, under its posture: one `supply_response` lane (the
-    stepped ``gen_boost``) and one `clear_market` call of two lanes (the
-    scaled low-quality output, then that supply with its own surplus).  A
-    flat analytic response makes the weights fall back whatever the others
-    are, so nothing is cleared and i1 and i4 read (0.0, 0.0).
+    and pollution: ``weighed`` is what `market_step` cleared for them in
+    the tick's own calls under its posted posture, the scaled lane's
+    welfare and pollution and the stepped-supply lane's welfare.  A flat
+    analytic response makes the weights fall back whatever the others are,
+    so the tick clears no weight lane and i1 and i4 read (0.0, 0.0).
     """
-    p = sim.params
-    deadweight = (-(sim.w_so - sim.w_min) * eps, eps)
-    trust = (p.welfare.lambda_trust * (-eps * p.trust.t_max), eps)
+    deadweight, trust = _analytic_responses(sim)
     if is_flat(*deadweight) or is_flat(*trust):
         return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
-    posture = Postures(row.gamma_h, row.gamma_l, row.m)
-    stepped_gen = overlay.cap_gen * (1.0 + eps)
-    supply = supply_response(
-        sim.populations.producers, Postures.of([posture]), p.platform,
-        cost_h_base=overlay.cost_h_base, cost_l_base=overlay.cost_l_base,
-        gen_boost=_gen_boost(stepped_gen, p, row.tick), tax=row.tau,
-        extra_q_l=overlay.extra_q_l,
-    )
-    cleared = clear_market(
-        np.array([row.q_h, *supply.q_h]), np.array([row.q_l * (1.0 + eps), *supply.q_l]),
-        Postures.of([posture] * 2), sim.populations, p, p.policy.provenance_boost,
-    )
-    scaled, stepped = cleared.welfare(
-        row.trust, np.array([producer_profit, *supply.producer_profit]), p
-    ).tolist()
-    ip = p.ipi
-    stepped_i4 = dim_tech_risk(stepped_gen, overlay.cap_det, ip.mu_tech, ip.sigma_tech)
-    return [(scaled - row.welfare, cleared.pollution.tolist()[0] - row.pollution),
+    scaled, scaled_pollution, stepped = weighed
+    ip = sim.params.ipi
+    stepped_i4 = dim_tech_risk(overlay.cap_gen * (1.0 + ip.weight_perturbation), overlay.cap_det,
+                               ip.mu_tech, ip.sigma_tech)
+    return [(scaled - row.welfare, scaled_pollution - row.pollution),
             deadweight, trust, (stepped - row.welfare, stepped_i4 - overlay.i4)]
 
 

@@ -13,20 +13,22 @@ platform quantity (revenue share, ad rate, learning rates, bounds) is read
 from ``params.platform``.  Postures clear as lanes of a batch, one lane
 per element of the levers.  `market_step` advances a batch of worlds that
 share their populations and parameters: it takes each world's carried
-trust, posted posture, exogenous row and levy, and returns the tick's
-outcomes as columns, one value per world, with the stepped postures; it
-builds no per-world record.  `supply_response` takes a batch: a tick
-makes one call with seven lanes per world, the posted posture plus the
-six finite-difference probes.  `clear_market` clears a batch of
-lanes: the tick clears each world's posted posture as one lane, the
-endogenous index weights clear two lanes under it (scaled low-quality
-output, and supply at a stepped generation boost), and the welfare
-anchors put the whole lattice and the worst corner through one
-`static_equilibrium_welfare` call, which solves supply once per distinct
-(gamma_h, gamma_l, tax) and clears one lane per distinct pollution.  The
-verification fixed point is solved exactly per lane
-(`solve_verification_fixed_point`), and every stage is elementwise over
-lanes, so a lane's result does not depend on the batch it is cleared in.
+trust, posted posture, exogenous row, levy and weight step, and returns
+the tick's outcomes as columns, one value per world, with the stepped
+postures; it builds no per-world record.  `supply_response` takes a
+batch: a tick makes one call with seven lanes per world, the posted
+posture plus the six finite-difference probes, and an eighth when some
+world's index weights are endogenous (supply at its stepped generation
+boost).  `clear_market` clears a batch of lanes: a tick makes one call,
+with each world's posted posture as one lane and two more under it for
+endogenous index weights (scaled low-quality output, and the stepped
+supply), and the welfare anchors put the whole lattice and the worst
+corner through one `static_equilibrium_welfare` call, which solves supply
+once per distinct (gamma_h, gamma_l, tax) and clears one lane per
+distinct pollution.  The verification fixed point is solved exactly per
+lane (`solve_verification_fixed_point`), and every stage is elementwise
+over lanes, so a lane's result does not depend on the batch it is
+cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -37,7 +39,7 @@ series is smooth enough for finite-difference platform gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -414,6 +416,11 @@ class Clearing:
             params=params,
         )
 
+    def take(self, index) -> Clearing:
+        """The lanes at the given index."""
+        return Clearing(**{f.name: getattr(self, f.name)[index] for f in fields(self)
+                           if f.name != "posture"}, posture=self.posture.take(index))
+
 
 def exposure(
     q_h: np.ndarray, q_l: np.ndarray, postures: Postures, populations: Populations, params: SimParams
@@ -511,11 +518,12 @@ def market_step(
     platforms: Sequence[Postures],
     overlays: Sequence[TickOverlay],
     taxes: Sequence[float],
+    weight_steps: Sequence[tuple[float, float] | None],
     params: SimParams,
     *,
     provenance_boost: float,
     fiduciary: float,
-) -> tuple[tuple[list[float], ...], list[Postures]]:
+) -> tuple[tuple[list, ...], list[Postures]]:
     """Advance a batch of worlds one tick (stages 1-6 of the tick cycle), one lane per world.
 
     Stage order: producer supply from the posted platform posture;
@@ -527,44 +535,85 @@ def market_step(
     The worlds share the populations, the parameter sections read here
     (agents, market, trust, welfare, platform) and the policy's provenance
     boost and fiduciary weight, passed once; each world has its own
-    posture, carried trust, exogenous row and levy.  Every stage is
-    elementwise over the worlds, so a world's result does not depend on its
-    batch.  Returns the tick's columns, one value per world, in the order
-    (q_h, q_l, pollution, verify_rate, precision, trust, welfare,
-    producer_profit), and each world's stepped posture.  Welfare may
-    overflow; the caller checks it.  NoConvergence names, in its
-    ``lanes``, every world whose fixed point misses ``market.fp_tol``.
+    posture, carried trust, exogenous row and levy, and a weight step:
+    None, or for endogenous index weights ``(eps, gen_boost)``, the
+    relative step in their drivers and the generation boost at the stepped
+    capability stock.  A world with a step gets two more lanes under its
+    posted posture in the same calls: its low-quality output scaled by
+    ``1 + eps``, and supply at the stepped boost (an eighth supply lane).
+    Their welfare takes the world's trust after this tick's step and their
+    own producer surplus.
+
+    Every stage is elementwise over lanes, so a world's result does not
+    depend on its batch.  Returns the tick's columns, one value per world,
+    (q_h, q_l, pollution, verify_rate, precision, trust, welfare) and the
+    weight lanes' (scaled welfare, scaled pollution, stepped-supply
+    welfare), None without a step; and each world's stepped posture.
+    Welfare may overflow; the caller checks it.  NoConvergence names, in
+    its ``lanes``, every world with a lane whose fixed point misses
+    ``market.fp_tol``, with the message of its first such lane (posted,
+    scaled, stepped supply).
     """
     pf = params.platform
+    weighted = [w for w, step in enumerate(weight_steps) if step is not None]
     # (1) producer choices and aggregate supply, for each world's posted
     # posture (column 0) and, in the same call, for the probes of its
-    # gradient step: seven lanes per world
+    # gradient step: seven lanes per world, and when some world weighs its
+    # index an eighth, the posted posture again, supplied at its stepped boost
     postures = _probes(platforms, pf)
     cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
         (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
         for o, tax in zip(overlays, taxes)
     ]))
+    if weighted:
+        postures = Postures(*(np.column_stack([x, x[:, 0]]) for x in (
+            postures.gamma_h, postures.gamma_l, postures.moderation)))
+        gen_boost = np.full(postures.gamma_h.shape, gen_boost)
+        gen_boost[weighted, -1] = [weight_steps[w][1] for w in weighted]
     supply = supply_response(
         populations.producers, postures, pf, cost_h_base=cost_h, cost_l_base=cost_l,
         gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
-    posted, probes = np.s_[:, 0], np.s_[:, 1:]
+    posted, probes = np.s_[:, 0], np.s_[:, 1:7]
     q_h, q_l, profit = supply.q_h[posted], supply.q_l[posted], supply.producer_profit[posted]
 
-    # (2-3) exposure under every lane's posture in one call; pollution under
-    # the posture producers responded to, and the verification fixed point
+    # (2-3) exposure under every supply lane's posture in one call; pollution
+    # under the posture producers responded to, and the verification fixed
+    # point: each world's posted lane, then each weighing world's scaled
+    # lane (its posted lane with low-quality output times 1 + eps) and its
+    # stepped-supply lane, all in one solve
     exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
-    cleared = clear_market(q_h, q_l, postures.take(posted), populations, params,
-                           provenance_boost, exposed=tuple(x[posted] for x in exposed))
+    n, k = len(platforms), len(weighted)
+    lanes, lane_q_h, lane_q_l, lane_exposure = posted, q_h, q_l, tuple(x[posted] for x in exposed)
+    if weighted:  # (world, supply column) of each lane
+        lanes = (np.array([*range(n), *weighted, *weighted]), np.array([0] * (n + k) + [-1] * k))
+        lane_q_h, lane_q_l, lane_exposure = supply.q_h[lanes], supply.q_l[lanes], None
+        lane_q_l[n:n + k] *= 1.0 + np.array([weight_steps[w][0] for w in weighted])
+    try:
+        cleared = clear_market(lane_q_h, lane_q_l, postures.take(lanes), populations, params,
+                               provenance_boost, exposed=lane_exposure)
+    except NoConvergence as exc:
+        if not weighted:
+            raise
+        worlds: dict[int, str] = {}
+        for lane, message in exc.lanes.items():
+            worlds.setdefault(int(lanes[0][lane]), message)
+        raise NoConvergence(next(iter(worlds.values())), worlds) from None
+    if weighted:
+        cleared, weighing = cleared.take(np.s_[:n]), cleared.take(np.s_[n:])
 
     # (4) trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
     trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
     trust_out = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
 
-    # (5) welfare; a huge finite output can overflow the harm's square
+    # (5) welfare, the weight lanes' at their world's trust with their own
+    # producer surplus; a huge finite output can overflow the harm's square
     with np.errstate(over="ignore", invalid="ignore"):
         welfare = cleared.welfare(trust_out, profit, params)
+        if weighted:
+            lane_welfare = weighing.welfare(trust_out[lanes[0][n:]],
+                                            supply.producer_profit[lanes][n:], params).tolist()
 
     # (6) platform gradient steps from one-tick-ahead finite differences
     probe_postures = postures.take(probes)
@@ -573,9 +622,16 @@ def market_step(
         fiduciary, params, trust_now=trust_out, cleared=cleared, producers=populations.producers.n,
     )
     stepped = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next, pf)
-    columns = (q_h, q_l, cleared.pollution, cleared.verify_rate, cleared.precision, trust_out,
-               welfare, profit)
-    return tuple(column.tolist() for column in columns), stepped
+    columns = [column.tolist() for column in (q_h, q_l, cleared.pollution, cleared.verify_rate,
+                                              cleared.precision, trust_out, welfare)]
+    weighed = [[None] * n] * 3  # read only: a world without a step has no weight lanes
+    if weighted:
+        weighed = [[None] * n for _ in range(3)]
+        values = (lane_welfare[:k], weighing.pollution.tolist(), lane_welfare[k:])
+        for column, lane_values in zip(weighed, values):
+            for w, value in zip(weighted, lane_values):
+                column[w] = value
+    return (*columns, *weighed), stepped
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -585,6 +641,8 @@ def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
     Equal values give equal results: the only equal floats whose bits
     differ are 0.0 and -0.0, and a zero levy or burst adds or subtracts to
     the same result either way (the cost bases and boosts are positive).
+    A lane's result does not depend on whether its value comes as the
+    float or as an element of an array.
     """
     if values.count(values[0]) == len(values):
         return values[0]

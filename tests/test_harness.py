@@ -535,6 +535,16 @@ def robust_worlds():
             for _, overrides in DEFAULT_ROBUST_POLICIES for world in DEFAULT_ROBUST_WORLDS]
 
 
+def endogenous_worlds():
+    """The sweep grid under the adaptive levy, so that the index feeds back,
+    with endogenous index weights on alternate worlds at two weight steps."""
+    return [
+        world.with_overrides({"ipi.endogenous_weights": i % 2 == 0,
+                              "ipi.weight_perturbation": (0.01, 0.02)[i // 2 % 2]})
+        for i, world in enumerate(sweep_worlds(**{"policy.adaptive_enabled": True}))
+    ]
+
+
 def alone(worlds, ticks, shocks=()):
     """Each world run by itself, one `advance` per tick: its CSV text, or its
     failure message."""
@@ -579,6 +589,7 @@ def world_lists():
         "robust_select": (robust_worlds(), ()),
         # all four shock kinds, their windows overlapping
         "shocked": (shocked, harness.default_shocks(shocked[0])),
+        "endogenous": (endogenous_worlds(), ()),
     }
     return {name: (worlds, shocks, alone(worlds, BATCH_TICKS, shocks))
             for name, (worlds, shocks) in lists.items()}
@@ -589,7 +600,7 @@ class TestLockstepBatches:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("size", [1, 3, None])
-    @pytest.mark.parametrize("name", ["sweep", "robust_select", "shocked"])
+    @pytest.mark.parametrize("name", ["sweep", "robust_select", "shocked", "endogenous"])
     def test_batch_equals_alone(self, world_lists, name, size, jobs):
         worlds, shocks, expected = world_lists[name]
         # The whole list is one batch: the worlds differ only in econ or the levy.
@@ -597,16 +608,23 @@ class TestLockstepBatches:
         assert batched(worlds, BATCH_TICKS, size or len(worlds), jobs, shocks) == expected
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    @pytest.mark.parametrize("fp_tol", [0.0, 1e-16])
-    def test_failing_worlds_retire_with_their_own_message(self, fp_tol, jobs):
+    @pytest.mark.parametrize("fp_tol, endogenous", [(0.0, False), (1e-16, False), (1e-16, True)])
+    def test_failing_worlds_retire_with_their_own_message(self, fp_tol, endogenous, jobs):
         # fp_tol 0 fails every world as it builds; at 1e-16, 3 worlds fail to
         # build, 15 fail at ticks 3 to 23, and 2 run through.
-        worlds = sweep_worlds(**{"market.fp_tol": fp_tol})
+        worlds = sweep_worlds(**{"market.fp_tol": fp_tol, "ipi.endogenous_weights": endogenous})
         ticks = 30
         expected = alone(worlds, ticks)
         failed = sum(o.startswith("NoConvergence") for o in expected)
         built = sum(builds(params) for params in worlds)
         assert (built, failed) == ((0, 20) if fp_tol == 0.0 else (17, 18))
+        if endogenous:
+            # A fixed levy reads no index, so each world follows its
+            # fixed-weight path: 7 of the 15 worlds that fail on it fail
+            # first on a weight lane, with a message of their own.
+            fixed = alone(sweep_worlds(**{"market.fp_tol": fp_tol}), ticks)
+            assert sum(e != f for e, f in zip(expected, fixed)
+                       if f.startswith("NoConvergence")) == 7
         assert batched(worlds, ticks, len(worlds), jobs) == expected
 
     def test_worlds_that_differ_in_what_the_market_reads_do_not_share_a_batch(self):
@@ -770,6 +788,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_ticks"] == 12
 
+    def test_report_on_an_empty_record_prints_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main(["baseline", "--ticks", "0", "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+
+        def non_standard(name):
+            raise AssertionError(f"report printed {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=non_standard)
+        assert payload["n_ticks"] == 0
+        assert payload["final_means"] and set(payload["final_means"].values()) == {None}
+
     def test_bad_flag_value_exits_config_code(self, tmp_path):
         code = main([
             "baseline", "--ticks", "2", "--out", str(tmp_path / "x"),
@@ -866,7 +898,7 @@ class TestCli:
          ("ipi.anchor_*",)),
         # cap_gen ** kappa_gen at cap_gen 1.01: the endogenous weights' stepped stock.
         ("baseline", 3, {"ipi.endogenous_weights": "true", "ipi.kappa_gen": "1e5"},
-         ("ipi.kappa_gen",)),
+         ("ipi.kappa_gen", "at tick 1 (cap_gen = 1.01)")),
         # Capability stocks that leave the finite positive floats, found before tick 1.
         ("baseline", 40, {"ipi.cap_det_growth": "1e10"}, ("ipi.cap_det_growth", "tick 31")),
         ("noise-robustness", 40, {"ipi.cap_det_growth": "1e10"},

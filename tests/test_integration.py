@@ -18,10 +18,9 @@ from infomarket.harness import (
     run_weight_sensitivity,
     run_worlds,
     sweep_cells,
-    weight_responses,
 )
 from infomarket.ipi import FIXED_WEIGHTS, composite, dim_tech_risk, endogenous_weights
-from infomarket.market import Postures, clear_market, exposure, market_step, supply_response
+from infomarket.market import Postures, clear_market, exposure, supply_response
 from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
@@ -62,22 +61,27 @@ class TestGoldenRun:
 
 def _tick(sim):
     """One unscheduled tick as `Simulation.advance` runs it: its exogenous
-    row, its record row and its producer surplus, which the row does not
-    hold.  The market step is run once by hand for the surplus; the tick's
-    row must give back its columns."""
+    row and its record row, which holds the levy and the posture posted."""
     overlay = harness._next_overlay(sim.last_overlay, sim.params, sim.state.tick + 1)
     tax, posture = sim._levy(), sim.platform
-    columns, _stepped = market_step(
-        [sim.state.trust], sim.populations, [posture], [overlay], [tax], sim.params,
-        provenance_boost=sim.params.policy.provenance_boost,
-        fiduciary=sim.params.policy.fiduciary,
-    )
-    *outcome, (producer_profit,) = columns
     row = sim.advance(overlay)
-    assert [[getattr(row, name)] for name in harness.CSV_COLUMNS[1:8]] == outcome
     assert (row.tau, row.gamma_h, row.gamma_l, row.m) == (
         tax, posture.gamma_h, posture.gamma_l, posture.moderation)
-    return overlay, row, producer_profit
+    return overlay, row
+
+
+@pytest.fixture
+def passed(monkeypatch):
+    """Each tick's call of `endogenous_weights`, in order: the responses the
+    tick passed it and the (weights, fallback) it got back."""
+    calls = []
+
+    def spied(responses):
+        calls.append((responses, endogenous_weights(responses)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "endogenous_weights", spied)
+    return calls
 
 
 class _PerDimensionWeights:
@@ -85,10 +89,11 @@ class _PerDimensionWeights:
     driver re-cleared with its base in a call of its own under the posted
     posture, stopping at the first flat one."""
 
-    def __init__(self, sim, overlay, row, producer_profit):
+    def __init__(self, sim, overlay, row):
         self.sim, self.overlay, self.row = sim, overlay, row
-        self.producer_profit = producer_profit
         self.posture = Postures(row.gamma_h, row.gamma_l, row.m)
+        # The tick's producer surplus, which its row does not hold.
+        (self.producer_profit,) = self._supply((overlay.gen_boost,)).producer_profit
 
     def base(self):
         """(welfare, pollution) of the tick's outputs re-cleared, and welfare
@@ -141,9 +146,9 @@ class _PerDimensionWeights:
         w = cleared.welfare(self.row.trust, producer_profit, sim.params)
         return w.tolist(), cleared.pollution.tolist()
 
-    def _supply_welfare(self, gen_boosts):
+    def _supply(self, gen_boosts):
         sim, overlay = self.sim, self.overlay
-        supply = supply_response(
+        return supply_response(
             sim.populations.producers,
             Postures.of([self.posture] * len(gen_boosts)),
             sim.params.platform,
@@ -153,54 +158,58 @@ class _PerDimensionWeights:
             tax=self.row.tau,
             extra_q_l=overlay.extra_q_l,
         )
+
+    def _supply_welfare(self, gen_boosts):
+        supply = self._supply(gen_boosts)
         w, _rho = self._evaluate(supply.q_h, supply.q_l, supply.producer_profit)
         return w
 
 
 class TestEndogenousWeights:
-    def test_runs_and_normalizes(self):
+    def test_runs_and_normalizes(self, passed):
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
         sim = Simulation(params, PolicyConfig(), 42)
         for _ in range(30):
-            overlay, row, producer_profit = _tick(sim)
-            weights, _ = endogenous_weights(
-                weight_responses(sim, overlay, row, producer_profit, params.ipi.weight_perturbation)
-            )
+            _overlay, row = _tick(sim)
+            ((_responses, (weights, _)),) = passed
+            passed.clear()
             total = sum(w * d for w, d in zip(weights, (row.i1, row.i2, row.i3, row.i4)))
             assert 0.0 <= total <= 1.0
 
     @pytest.mark.parametrize("seed", [42, 7, 3, 1790146652])
     @pytest.mark.parametrize("overrides", [{}, {"econ.ai_rental": 0.6}],
                              ids=["default", "cheap_ai"])
-    def test_batched_weights_equal_per_dimension_oracle(self, seed, overrides):
+    def test_batched_weights_equal_per_dimension_oracle(self, seed, overrides, passed):
         params = SimParams().with_overrides({**overrides, "ipi.endogenous_weights": True})
         sim = Simulation(params, master_seed=seed)
         eps = params.ipi.weight_perturbation
         fallbacks = 0
         for _ in range(40):
-            overlay, row, producer_profit = _tick(sim)
-            oracle = _PerDimensionWeights(sim, overlay, row, producer_profit)
+            overlay, row = _tick(sim)
+            oracle = _PerDimensionWeights(sim, overlay, row)
             # Re-cleared under the posted posture, the tick gives back its own row.
             assert oracle.base() == (row.welfare, row.pollution, row.welfare)
-            responses = weight_responses(sim, overlay, row, producer_profit, eps)
+            # The responses the tick cleared in its own calls, bit for bit.
+            ((responses, (weights, fallback)),) = passed
+            passed.clear()
             assert responses == [oracle.dimension_response(dim, eps) for dim in range(4)]
-            weights, fallback = oracle.weights(eps)
-            assert endogenous_weights(responses) == (weights, fallback)
+            assert oracle.weights(eps) == (weights, fallback)
             # The tick's own reading used these weights, bit for bit.
             assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), weights)
             fallbacks += fallback
         assert fallbacks < 40
 
-    def test_flat_trust_response_falls_back_without_clearing(self):
+    def test_flat_trust_response_falls_back_without_clearing(self, passed):
         params = SimParams().with_overrides(
             {"ipi.endogenous_weights": True, "welfare.lambda_trust": 0.0}
         )
         sim = Simulation(params, master_seed=42)
         for _ in range(5):
-            overlay, row, producer_profit = _tick(sim)
-            assert endogenous_weights(
-                weight_responses(sim, overlay, row, producer_profit, params.ipi.weight_perturbation)
-            ) == (FIXED_WEIGHTS, True)
+            _overlay, row = _tick(sim)
+            ((responses, weights),) = passed
+            passed.clear()
+            assert responses[0] == responses[3] == (0.0, 0.0)
+            assert weights == (FIXED_WEIGHTS, True)
             assert row.ipi == composite((row.i1, row.i2, row.i3, row.i4), FIXED_WEIGHTS)
 
     @pytest.mark.parametrize("overrides, extra", [
@@ -209,14 +218,12 @@ class TestEndogenousWeights:
         # A flat analytic response settles the fallback before any clearing.
         ({"ipi.endogenous_weights": True, "welfare.lambda_trust": 0.0}, 0),
     ])
-    def test_weights_add_one_supply_and_one_clearing_per_tick(self, monkeypatch, overrides,
-                                                                extra):
+    def test_one_supply_call_and_one_clearing_per_tick(self, monkeypatch, overrides, extra):
         sim = Simulation(SimParams().with_overrides(overrides), master_seed=42)
         sim.advance()
         calls = {"supply_response": 0, "clear_market": 0, "welfare": 0}
         lanes = {"supply_response": 0, "clear_market": 0}
         for module, name in [(market, "supply_response"), (market, "clear_market"),
-                             (harness, "supply_response"), (harness, "clear_market"),
                              (market.Clearing, "welfare")]:
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
@@ -229,25 +236,30 @@ class TestEndogenousWeights:
             monkeypatch.setattr(module, name, counted)
         for _ in range(3):
             sim.advance()
-        assert calls == {name: 3 * (1 + extra) for name in calls}
-        # The tick itself: seven supply lanes (the posted posture and six
-        # probes) and one clearing lane.  The weights add the stepped supply,
-        # then clear the scaled outputs and that supply.
+        # The weight lanes' welfare is a call of its own, as it reads the
+        # trust the posted lanes step to.
+        assert calls == {"supply_response": 3, "clear_market": 3, "welfare": 3 * (1 + extra)}
+        # Seven supply lanes (the posted posture and six probes) and one
+        # clearing lane; endogenous weights add the stepped supply to the
+        # supply call, and the scaled outputs and that supply to the clearing.
         assert lanes == {"supply_response": 3 * (7 + extra), "clear_market": 3 * (1 + 2 * extra)}
 
-    def test_half_step_oracle_at_tick_100(self):
+    def test_half_step_oracle_at_tick_100(self, passed):
         # Independent re-derivation: recompute raw sensitivities straight
         # from the responses at half the step size and normalize by hand.
-        sim = Simulation(SimParams(), PolicyConfig(), 42)
-        for _ in range(99):
-            sim.advance()
-        overlay, row, producer_profit = _tick(sim)
-        weights, fallback = endogenous_weights(
-            weight_responses(sim, overlay, row, producer_profit, 0.01)
-        )
+        # With a fixed levy the weights do not feed back, so both runs
+        # follow the fixed-weight trajectory.
+        for eps in (0.01, 0.005):
+            params = SimParams().with_overrides(
+                {"ipi.endogenous_weights": True, "ipi.weight_perturbation": eps})
+            sim = Simulation(params, PolicyConfig(), 42)
+            for _ in range(100):
+                sim.advance()
+        assert len(passed) == 200
+        (_, (weights, fallback)), (half, _) = passed[99], passed[199]
         assert not fallback
         raw = []
-        for d_w, d_i in weight_responses(sim, overlay, row, producer_profit, 0.005):
+        for d_w, d_i in half:
             assert abs(d_w) > 1e-12
             raw.append(abs(d_w / d_i))
         oracle = [s / sum(raw) for s in raw]

@@ -126,6 +126,13 @@ def test_market_step_has_one_call_site():
     assert len(sites) == 1, sites
 
 
+def test_supply_and_clearing_are_called_only_in_market():
+    # One clearing routine: the tick (its weight lanes included) and the
+    # welfare anchors supply and clear in `market`; `harness` calls neither.
+    for name in ("supply_response", "clear_market"):
+        assert {module for module, _line in _call_sites(name)} == {"market"}, name
+
+
 def test_a_world_carries_only_its_last_row_and_next_posture():
     # Between ticks a world is its record row, the posture it posts next and
     # its last exogenous row; nothing else a tick computes is kept.
