@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import PlatformParams
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,13 @@ class ConsumerPool:
         counts[0] -= 1  # the knot at 0 is not a consumer
         self.knot_k = knots
         self.knot_v = np.cumsum(counts) / self.n
-        # The rise from each knot to the next; flat (by a unit cost) past the last.
-        self._dk = np.diff(knots, append=knots[-1] + 1.0)
+        # The rise from each knot to the next; flat over a unit span past the
+        # last, whatever the largest cost's spacing.
+        self._dk = np.append(np.diff(knots), 1.0)
         self._slope = np.diff(self.knot_v, append=1.0) / self._dk
-        self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
+        # Costs near the largest float may sum past it: the outlay is then inf.
+        with np.errstate(over="ignore"):
+            self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
 
     def cdf(self, k):
         """Fraction of consumers whose cost is covered by threshold k (elementwise).
@@ -201,12 +205,26 @@ def draw_producers(
     """Draw a producer population with lognormal productivities.
 
     Draws are lognormal(0, log_sd) rescaled by exp(-log_sd^2/2) so the
-    population mean of each productivity equals its configured target.
+    population mean of each productivity equals its configured target.  A
+    draw that leaves the positive finite floats (the rescaling underflows
+    to 0, or a large target overflows) is a configuration error naming the
+    keys.
     """
-    correction = math.exp(-0.5 * log_sd**2)
-    a_h = rng.lognormal(0.0, log_sd, size=n) * mean_prod_h * correction
-    a_l = rng.lognormal(0.0, log_sd, size=n) * mean_prod_l * correction
-    return ProducerPool(prod_h=a_h, prod_l=a_l, rationality=rationality)
+    try:
+        correction = math.exp(-0.5 * log_sd**2)
+    except OverflowError:  # log_sd**2 past the largest float
+        correction = 0.0
+    draws = []
+    for key, mean in (("agents.mean_prod_h", mean_prod_h), ("agents.mean_prod_l", mean_prod_l)):
+        with np.errstate(all="ignore"):
+            a = rng.lognormal(0.0, log_sd, size=n) * mean * correction
+        if not np.all((a > 0.0) & (a < math.inf)):
+            raise ConfigError(
+                f"{key} = {mean!r} and agents.prod_log_sd = {log_sd!r} draw productivities "
+                "outside the positive finite floats"
+            )
+        draws.append(a)
+    return ProducerPool(prod_h=draws[0], prod_l=draws[1], rationality=rationality)
 
 
 def draw_consumers(n: int, rng: np.random.Generator, *, k_max: float) -> ConsumerPool:

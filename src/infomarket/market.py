@@ -84,7 +84,7 @@ def _threshold(pollution, precision, params: SimParams):
     return verification_threshold(post, params.agents.du_h, params.agents.du_l)
 
 
-# Lanes per block of the knot scan: memory stays O(block x knots).
+# Lanes per block of the knot scan: memory stays O(block x reachable knots).
 _LANE_BLOCK = 64
 _CLAMPS = np.array([0.5, 1.0])  # precision's bounds
 
@@ -118,7 +118,13 @@ def solve_verification_fixed_point(
 
     1. Scan the CDF knots (k_i, V_i), in blocks of lanes, for the first one
        with k*(pi(V_i)) < k_i; the fixed point's segment ends there (none:
-       everyone verifies, V = 1).
+       everyone verifies, V = 1).  k* = p (du_h - du_l) + du_l with the
+       posterior p in [0, 1], and rounding is monotone in p, so every k*
+       lies between `verification_threshold` at p = 0 and at p = 1, bit for
+       bit.  A knot at or below the lower value never ends a segment and
+       the first knot above the upper one always does (its threshold is
+       still evaluated, not assumed), so the scan reads only the knots
+       between, and that first one above.
     2. On the segment, rate and raw precision are linear in the cost k.
        Where precision is clamped the threshold is a constant; between the
        clamps (k - k*) times the posterior's denominator is a quadratic in
@@ -139,17 +145,26 @@ def solve_verification_fixed_point(
     Lanes are solved independently: a lane's result does not depend on its
     batch.  Scalars in give scalars out.
     """
-    mk = params.market
+    mk, ag = params.market, params.agents
     rho = np.asarray(pollution, dtype=float)
     lanes = rho.reshape(-1)
     if not ((lanes >= 0.0) & (lanes <= 1.0)).all():
         raise ValueError("pollution must lie in [0, 1]")
-    knot_k, knot_v = consumers.knot_k, consumers.knot_v
 
-    # (1) per block of lanes: the thresholds at every knot's rate and at the
-    # two precision clamps; the segment ends at the first knot whose
-    # threshold lies below its cost (never knot 0, so 0 marks "none")
-    end = np.empty(lanes.size, dtype=np.intp)
+    # (1) per block of lanes: the thresholds at the reachable knots' rates
+    # and at the two precision clamps; the segment ends at the first knot
+    # whose threshold lies below its cost (never knot 0, so 0 marks "none").
+    # An infinite du makes the p = 0 bound NaN and the p = 1 bound inf or
+    # NaN; both sort past every knot and empty the window, and such a k*
+    # (inf or NaN) never ends a segment either.
+    lo = verification_threshold(0.0, ag.du_h, ag.du_l)
+    hi = verification_threshold(1.0, ag.du_h, ag.du_l)
+    first, above = consumers.knot_k.searchsorted(
+        (lo, hi) if lo <= hi else (hi, lo), side="right").tolist()
+    knot_k, knot_v = consumers.knot_k[first:above + 1], consumers.knot_v[first:above + 1]
+    # Without a knot above the upper bound a lane may find no end.
+    forced = above < consumers.knot_k.size
+    end = np.zeros(lanes.size, dtype=np.intp)
     k_clamp = np.empty((lanes.size, 2))
     for start in range(0, lanes.size, _LANE_BLOCK):
         block = slice(start, start + _LANE_BLOCK)
@@ -158,8 +173,11 @@ def solve_verification_fixed_point(
         pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, mk)
         pi[:, -2:] = _CLAMPS
         k_star = _threshold(r, pi, params)
-        end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
         k_clamp[block] = k_star[:, -2:]
+        if knot_k.size:
+            below = k_star[:, :-2] < knot_k
+            hit = below.argmax(axis=1)
+            end[block] = first + hit if forced else np.where(below.any(axis=1), first + hit, 0)
     v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
 
     # (3) the residual check

@@ -926,6 +926,12 @@ class TestCli:
         ("event-detection", 3, {"shocks.fake_news_burst": "1e300", "policy.fiduciary": "0.5"},
          ("welfare", "tick 2")),
         ("shocks", 150, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 101")),
+        # Productivity draws that leave the positive finite floats, found
+        # before tick 1: the rescaling underflows to 0, or the draws overflow.
+        ("baseline", 5, {"agents.prod_log_sd": "38"}, ("agents.prod_log_sd",)),
+        ("baseline", 5, {"agents.prod_log_sd": "1e200"}, ("agents.prod_log_sd",)),
+        ("baseline", 5, {"agents.mean_prod_h": "1e308"}, ("agents.mean_prod_h",)),
+        ("baseline", 5, {"agents.mean_prod_l": "1e308"}, ("agents.mean_prod_l",)),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -941,6 +947,18 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert all(name in err for name in named)
+
+    @pytest.mark.parametrize("overrides", [
+        ["--agents.k_max", "1e20", "--agents.du_l", "1e30"],  # everyone verifies: V = 1
+        ["--agents.k_max", "1e20"],
+        ["--agents.k_max", "1e308"],  # the total verification outlay overflows to inf
+    ])
+    def test_costs_past_two_to_the_53_run_without_a_warning(self, tmp_path, capsys, overrides):
+        # The flat CDF segment past the largest cost keeps its unit span.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["baseline", "--ticks", "5", "--out", str(tmp_path / "x"), *overrides])
+        assert code in (0, 2), capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("run.max_ticks", "abc"),

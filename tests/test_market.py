@@ -126,6 +126,15 @@ class TestConsumerPool:
         with pytest.raises(ValueError):
             ConsumerPool([])
 
+    def test_flat_past_the_largest_cost_at_any_magnitude(self):
+        # Past 2**53 a unit step from the largest cost rounds away; the span
+        # past it is 1.0 all the same, so the slope there is 0, not 0/0.
+        pool = ConsumerPool([1e20])
+        assert pool.cdf(2e20) == 1.0
+        assert pool.segments(-1)[2:] == (1.0, 0.0)
+        # Outlays summing past the largest float are inf, without a warning.
+        assert ConsumerPool([1e308, 1.7e308]).spend(math.inf) == math.inf
+
 
 class TestVerificationFixedPoint:
     def test_free_verification_saturates(self, params):
@@ -251,7 +260,7 @@ class TestVerificationFixedPoint:
         params = SimParams().with_overrides({
             "agents.du_h": 4.0, "agents.du_l": 0.0, "market.kappa_verify": 1.0,
         })
-        pool = ConsumerPool([0.5] * 20 + [3.7] + [3.9] * 79)
+        pool = ConsumerPool(THRESHOLD_RISES_POOL)
         gap = mapping(0.5, 0.0, pool, params)
         grid = np.linspace(0.0, 1.0, 100_001)
         sign = np.sign(gap(grid) - grid)
@@ -261,6 +270,135 @@ class TestVerificationFixedPoint:
         first = np.flatnonzero(gap(grid) - grid < 0.0)[0]
         assert grid[first - 1] <= v <= grid[first]
         assert abs(gap(v) - v) <= 1e-12
+
+
+THRESHOLD_RISES_POOL = [0.5] * 20 + [3.7] + [3.9] * 79
+
+
+def random_costs(n, seed, k_max, digits):
+    """n uniform costs on [0, k_max], rounded to ``digits`` decimals (ties) unless None."""
+    costs = np.random.default_rng(seed).uniform(0.0, k_max, n)
+    return (costs if digits is None else np.round(costs, digits)).tolist()
+
+
+class TestReachableKnotScan:
+    """The scan over the knots a threshold can reach equals the full scan, bit for bit."""
+
+    @given(
+        rho=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        costs=st.builds(random_costs, st.integers(1, 250), st.integers(0, 2**32 - 1),
+                        st.floats(0.1, 6.0), st.sampled_from([None, 0, 1])),
+        du=st.tuples(*[st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1e308]))] * 2),
+        market_=st.tuples(st.floats(0.3, 1.2), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+                          st.sampled_from([1e-8, 1e-15, 0.0])),
+        provenance=st.floats(0.0, 0.2),
+    )
+    # du_h > du_l: T rises in V
+    @example(rho=[0.5, 0.2, 0.9], costs=THRESHOLD_RISES_POOL, du=(4.0, 0.0),
+             market_=(0.85, 0.3, 1.0, 1e-8), provenance=0.0)
+    @example(rho=[0.0, 0.6, 1.0], costs=random_costs(200, 1, 4.0, None), du=(1.5, 1.5),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # du_h == du_l
+    @example(rho=[0.0, 0.6, 1.0], costs=[0.0, 0.0, 1.0, 2.0], du=(0.0, 0.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # both 0
+    @example(rho=[0.1, 0.6, 0.99], costs=random_costs(200, 42, 4.0, None), du=(0.5, 1e308),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.1)  # agents.du_l 1e308
+    @example(rho=[0.0, 0.5, 1.0], costs=random_costs(200, 42, 0.4, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # k_max < min(du): no knot
+    @example(rho=[0.0, 0.5, 1.0], costs=random_costs(200, 42, 1.5, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # no knot above max(du)
+    @example(rho=[0.3, 0.6, 0.8], costs=random_costs(200, 7, 4.0, 0), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # tied costs
+    @example(rho=[0.6], costs=[1.0], du=(0.5, 2.0), market_=(0.85, 0.3, 0.1, 1e-8),
+             provenance=0.0)  # n = 1
+    @example(rho=[0.6], costs=[1.0], du=(0.5, 2.0), market_=(0.85, 0.3, 0.1, 0.0),
+             provenance=0.0)  # every lane misses the tolerance
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_scan(self, rho, costs, du, market_, provenance):
+        pi_base, kappa_pollution, kappa_verify, fp_tol = market_
+        params = SimParams().with_overrides({
+            "agents.du_h": du[0], "agents.du_l": du[1], "market.pi_base": pi_base,
+            "market.kappa_pollution": kappa_pollution, "market.kappa_verify": kappa_verify,
+            "market.fp_tol": fp_tol,
+        })
+        pool, lanes = ConsumerPool(costs), np.array(rho)
+        assert solve_or_error(solve_verification_fixed_point, lanes, pool, provenance,
+                              params) == solve_or_error(full_scan_fixed_point, lanes, pool,
+                                                        provenance, params)
+
+    def test_infinite_utility_gaps_end_nowhere_as_the_full_scan(self, populations):
+        # Outside the config's finite floats: the p = 0 bound is NaN, and
+        # thresholds are inf or NaN (0 * inf), which numpy warns about.
+        lanes = np.linspace(0.0, 1.0, 5)
+        for du_h, du_l in ((math.inf, 2.0), (0.5, math.inf), (math.inf, math.inf)):
+            params = replace(SimParams(), agents=replace(SimParams().agents, du_h=du_h,
+                                                         du_l=du_l))
+            with np.errstate(invalid="ignore"):
+                outcomes = [solve_or_error(solve, lanes, populations.consumers, 0.0, params)
+                            for solve in (solve_verification_fixed_point, full_scan_fixed_point)]
+            assert outcomes[0] == outcomes[1]
+
+    def test_a_default_world_scans_only_its_reachable_knots(self, monkeypatch):
+        columns = []
+
+        def spied(pollution, precision, params, _fn=market._threshold):
+            if np.ndim(precision) == 2:  # the scan's block; the residual check is 1-D
+                columns.append(np.shape(precision)[1])
+            return _fn(pollution, precision, params)
+
+        monkeypatch.setattr(market, "_threshold", spied)
+        params = SimParams()
+        sim = Simulation(params, None, 42)
+        sim.advance()
+        knot_k = sim.populations.consumers.knot_k
+        ag = params.agents
+        lo, hi = sorted((ag.du_h, ag.du_l))
+        window = np.count_nonzero((knot_k > lo) & (knot_k <= hi)) + 1  # and the first above
+        assert (knot_k.size, window) == (201, 72)
+        assert columns and set(columns) == {window + 2}  # and the two precision clamps
+
+
+def solve_or_error(solve, lanes, pool, provenance, params):
+    """The solve's (rate, precision, threshold) bytes, or its NoConvergence messages."""
+    try:
+        fp = solve(lanes, pool, provenance, params=params)
+    except NoConvergence as exc:
+        return str(exc), exc.lanes
+    return tuple(np.asarray(x).tobytes() for x in (fp.verify_rate, fp.precision, fp.threshold))
+
+
+def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params):
+    """The solve as it was before the scan read only the reachable knots: the
+    thresholds at every knot, step (1) of `solve_verification_fixed_point`."""
+    mk = params.market
+    rho = np.asarray(pollution, dtype=float)
+    lanes = rho.reshape(-1)
+    knot_k, knot_v = consumers.knot_k, consumers.knot_v
+    end = np.empty(lanes.size, dtype=np.intp)
+    k_clamp = np.empty((lanes.size, 2))
+    for start in range(0, lanes.size, market._LANE_BLOCK):
+        block = slice(start, start + market._LANE_BLOCK)
+        r = lanes[block, None]
+        pi = np.empty((r.size, knot_v.size + 2))
+        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, mk)
+        pi[:, -2:] = market._CLAMPS
+        k_star = market._threshold(r, pi, params)
+        end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
+        k_clamp[block] = k_star[:, -2:]
+    v = market._segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
+    precision = signal_precision(lanes, v, provenance_boost, mk)
+    k_star = market._threshold(lanes, precision, params)
+    resid = np.abs(consumers.cdf(k_star) - v)
+    met = resid < mk.fp_tol
+    if not met.all():
+        messages = {
+            i: f"verification fixed point: residual {resid[i]:.3e} not below "
+            f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})"
+            for i in np.flatnonzero(~met).tolist()
+        }
+        raise NoConvergence(next(iter(messages.values())), messages)
+    shape = rho.shape
+    return market.FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()],
+                             k_star.reshape(shape)[()])
 
 
 def assert_on_grid_crossing(v, gap):
