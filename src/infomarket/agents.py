@@ -207,8 +207,9 @@ def draw_producers(
     Draws are lognormal(0, log_sd) rescaled by exp(-log_sd^2/2) so the
     population mean of each productivity equals its configured target.  A
     draw that leaves the positive finite floats (the rescaling underflows
-    to 0, or a large target overflows) is a configuration error naming the
-    keys.
+    to 0, or a large target overflows), or whose mean overflows, is a
+    configuration error naming the keys: the aggregation weights divide by
+    that mean.
     """
     try:
         correction = math.exp(-0.5 * log_sd**2)
@@ -218,10 +219,11 @@ def draw_producers(
     for key, mean in (("agents.mean_prod_h", mean_prod_h), ("agents.mean_prod_l", mean_prod_l)):
         with np.errstate(all="ignore"):
             a = rng.lognormal(0.0, log_sd, size=n) * mean * correction
-        if not np.all((a > 0.0) & (a < math.inf)):
+            mean_drawn = a.mean()
+        if not (np.all((a > 0.0) & (a < math.inf)) and mean_drawn < math.inf):
             raise ConfigError(
                 f"{key} = {mean!r} and agents.prod_log_sd = {log_sd!r} draw productivities "
-                "outside the positive finite floats"
+                "outside the positive finite floats, or whose mean overflows"
             )
         draws.append(a)
     return ProducerPool(prod_h=draws[0], prod_l=draws[1], rationality=rationality)

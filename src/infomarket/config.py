@@ -173,6 +173,10 @@ class IpiParams:
     cap_det_growth: float = 0.01
     # Exponent linking generation capability to the effective low-quality cost.
     kappa_gen: float = 0.5
+    # The welfare anchors' lattice: moderation, each amplification and the
+    # levy on evenly spaced points from 0.  An axis of one point holds its
+    # lever at 0, so anchor_m_points = 1 searches unmoderated postures only
+    # and anchor_tax_points = 1 untaxed ones.
     anchor_m_points: int = 9
     anchor_gamma_points: int = 5
     anchor_tax_points: int = 5
@@ -263,6 +267,9 @@ class ShockParams:
     trust_shock: float = 0.35
 
     def __post_init__(self) -> None:
+        # Shocks enter at whole ticks; the run checks that each lies inside its horizon.
+        _bound(self, "shocks", "ticks", lambda v: all(isinstance(t, int) and t >= 0 for t in v),
+               "be nonnegative integers")
         _bound(self, "shocks", "cost_drop capability_jump fake_news_burst trust_shock",
                _nonnegative, "be nonnegative")
         # A negative window would revert a capability jump before it enters.
@@ -355,7 +362,8 @@ def _coerce(value: Any, section_obj: Any, name: str) -> Any:
             if isinstance(current, float):
                 return float(text)
             if isinstance(current, tuple):
-                return tuple(int(x) if float(x) == int(float(x)) else float(x)
+                # A non-integral element, inf and NaN included, stays a float.
+                return tuple(int(x) if float(x).is_integer() else float(x)
                              for x in text.replace(",", " ").split())
         except ValueError:
             raise ConfigError(f"cannot parse {value!r} for key {name!r}") from None

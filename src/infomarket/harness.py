@@ -17,10 +17,10 @@ only `market_step` call: worlds that share their populations and every
 parameter the clearing reads advance through it in lockstep (`run_worlds`,
 which runs every experiment), and a world driven tick by tick advances
 through it as a batch of one (`Simulation.advance`); a world with
-endogenous index weights clears their lanes in that call, and a world's
-record does not depend on its batch.  A tick's outcomes exist once, as
-its record row (`TickRow`): the step builds it from `market_step`'s
-columns, and the world carries it to the next tick as
+endogenous index weights clears their lanes in that call's one lane
+table, and a world's record does not depend on its batch.  A tick's
+outcomes exist once, as its record row (`TickRow`): the step builds it
+from `market_step`'s columns, and the world carries it to the next tick as
 ``Simulation.state``, from which the next levy and the trust step read.
 A world's record (`RunRecord`) is its columns, one array per CSV column,
 built once when its batch ends; the statistics and the writers index the
@@ -292,10 +292,10 @@ class Simulation:
         return s.tau
 
     def _row(self, ov: TickOverlay, tau: float, outcome: Sequence[float],
-             weighed: Sequence[float | None]) -> TickRow:
+             weighed: tuple[float, float, float] | None) -> TickRow:
         """The next tick's record row from this world's market outcome (q_h
         through welfare, in `market_step`'s column order): the index reads
-        the row, with weights from it and from the weight lanes ``weighed``
+        the row, with weights from it and from its weight lanes ``weighed``
         (`weight_responses`) when they are endogenous."""
         ip = self.params.ipi
         posted = self.platform  # what producers and amplification saw this tick
@@ -320,9 +320,9 @@ def _step(
 ) -> list[TickRow | NoConvergence]:
     """Run one tick of worlds that share a batch key, each under its own
     exogenous row: one `market_step` clears them all, with the weight lanes
-    of every world whose index weights are endogenous (`_weight_step`), and
-    each world adopts its record row, its stepped posture and its exogenous
-    row.
+    of every world whose index weights are endogenous (`_weight_step`) in
+    its one lane table, and each world adopts its record row, its stepped
+    posture and its exogenous row.
 
     A world whose fixed point misses ``market.fp_tol`` on any of its lanes
     gets, in place of its record row, the NoConvergence it raises when run
@@ -336,14 +336,12 @@ def _step(
     stepped = None
     while live and stepped is None:
         first = sims[live[0]]
-        pp = first.params.policy
         try:
-            columns, stepped = market_step(
+            columns, weighed, stepped = market_step(
                 [sims[i].state.trust for i in live], first.populations,
                 [sims[i].platform for i in live], [overlays[i] for i in live],
                 [taxes[i] for i in live], [_weight_step(sims[i], overlays[i]) for i in live],
                 first.params,
-                provenance_boost=pp.provenance_boost, fiduciary=pp.fiduciary,
             )
         except NoConvergence as exc:
             if not exc.lanes:
@@ -359,9 +357,9 @@ def _step(
                 f"welfare is {welfare} at tick {first.state.tick + 1}: the tick's outputs, "
                 "or the welfare section's coefficients that weigh them, overflow"
             )
-    for i, platform, *outcome in zip(live, stepped, *columns):
+    for lane, (i, platform, *outcome) in enumerate(zip(live, stepped, *columns)):
         sim = sims[i]
-        row = sim._row(overlays[i], taxes[i], outcome[:7], outcome[7:])
+        row = sim._row(overlays[i], taxes[i], outcome, weighed.get(lane))
         sim.state, sim.platform, sim.last_overlay = row, platform, overlays[i]
         outcomes[i] = row
     return outcomes
@@ -480,7 +478,7 @@ def _weight_step(sim: Simulation, overlay: TickOverlay) -> tuple[float, float] |
 
 
 def weight_responses(
-    sim: Simulation, overlay: TickOverlay, row: TickRow, weighed: Sequence[float | None]
+    sim: Simulation, overlay: TickOverlay, row: TickRow, weighed: tuple[float, float, float] | None
 ) -> list[tuple[float, float]]:
     """Each index dimension's (delta_welfare, delta_dimension) under a relative
     step ``ipi.weight_perturbation`` in its driver, around the tick ``row``
@@ -492,13 +490,13 @@ def weight_responses(
     driver (i4) is the generation capability, through the low-quality cost
     channel and a supply re-solve.  Both step from the tick's own welfare
     and pollution: ``weighed`` is what `market_step` cleared for them in
-    the tick's own calls under its posted posture, the scaled lane's
-    welfare and pollution and the stepped-supply lane's welfare.  A flat
-    analytic response makes the weights fall back whatever the others are,
-    so the tick clears no weight lane and i1 and i4 read (0.0, 0.0).
+    the tick's lane table under its posted posture, the scaled lane's
+    welfare and pollution and the stepped-supply lane's welfare.  None is
+    the fallback `_weight_step` settled on a flat analytic response: the
+    tick cleared no weight lane, and i1 and i4 read (0.0, 0.0).
     """
     deadweight, trust = _analytic_responses(sim)
-    if is_flat(*deadweight) or is_flat(*trust):
+    if weighed is None:
         return [(0.0, 0.0), deadweight, trust, (0.0, 0.0)]
     scaled, scaled_pollution, stepped = weighed
     ip = sim.params.ipi

@@ -14,21 +14,22 @@ from ``params.platform``.  Postures clear as lanes of a batch, one lane
 per element of the levers.  `market_step` advances a batch of worlds that
 share their populations and parameters: it takes each world's carried
 trust, posted posture, exogenous row, levy and weight step, and returns
-the tick's outcomes as columns, one value per world, with the stepped
-postures; it builds no per-world record.  `supply_response` takes a
-batch: a tick makes one call with seven lanes per world, the posted
-posture plus the six finite-difference probes, and an eighth when some
-world's index weights are endogenous (supply at its stepped generation
-boost).  `clear_market` clears a batch of lanes: a tick makes one call,
-with each world's posted posture as one lane and two more under it for
+the tick's outcomes as columns, one value per world, the weight lanes'
+results of the worlds that weigh, and the stepped postures; it builds no
+per-world record.  `supply_response` takes a batch: a tick makes one call
+with seven lanes per world, the posted posture plus the six
+finite-difference probes, and an eighth when some world's index weights
+are endogenous (supply at its stepped generation boost).  `clear_market`
+clears a batch of lanes: a tick makes one call over one lane table of
+(world, supply column) pairs, each world's posted lane and two more for
 endogenous index weights (scaled low-quality output, and the stepped
-supply), and the welfare anchors put the whole lattice and the worst
-corner through one `static_equilibrium_welfare` call, which solves supply
-once per distinct (gamma_h, gamma_l, tax) and clears one lane per
-distinct pollution.  The verification fixed point is solved exactly per
-lane (`solve_verification_fixed_point`), and every stage is elementwise
-over lanes, so a lane's result does not depend on the batch it is
-cleared in.
+supply), and one welfare call values them all.  The welfare anchors put
+the whole lattice and the worst corner through one
+`static_equilibrium_welfare` call, which solves supply once per distinct
+(gamma_h, gamma_l, tax) and clears one lane per distinct pollution.  The
+verification fixed point is solved exactly per lane
+(`solve_verification_fixed_point`), and every stage is elementwise over
+lanes, so a lane's result does not depend on the batch it is cleared in.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -39,7 +40,7 @@ series is smooth enough for finite-difference platform gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -434,11 +435,6 @@ class Clearing:
             params=params,
         )
 
-    def take(self, index) -> Clearing:
-        """The lanes at the given index."""
-        return Clearing(**{f.name: getattr(self, f.name)[index] for f in fields(self)
-                           if f.name != "posture"}, posture=self.posture.take(index))
-
 
 def exposure(
     q_h: np.ndarray, q_l: np.ndarray, postures: Postures, populations: Populations, params: SimParams
@@ -538,10 +534,7 @@ def market_step(
     taxes: Sequence[float],
     weight_steps: Sequence[tuple[float, float] | None],
     params: SimParams,
-    *,
-    provenance_boost: float,
-    fiduciary: float,
-) -> tuple[tuple[list, ...], list[Postures]]:
+) -> tuple[list[list], dict[int, tuple[float, float, float]], list[Postures]]:
     """Advance a batch of worlds one tick (stages 1-6 of the tick cycle), one lane per world.
 
     Stage order: producer supply from the posted platform posture;
@@ -550,29 +543,28 @@ def market_step(
     applied by the orchestration loop once the tick's index reading exists.
     Deterministic: no randomness is consumed here.
 
-    The worlds share the populations, the parameter sections read here
-    (agents, market, trust, welfare, platform) and the policy's provenance
-    boost and fiduciary weight, passed once; each world has its own
+    The worlds share the populations and the parameter sections read here
+    (agents, market, trust, welfare, platform, and the policy's provenance
+    boost and fiduciary weight), passed once; each world has its own
     posture, carried trust, exogenous row and levy, and a weight step:
     None, or for endogenous index weights ``(eps, gen_boost)``, the
     relative step in their drivers and the generation boost at the stepped
-    capability stock.  A world with a step gets two more lanes under its
-    posted posture in the same calls: its low-quality output scaled by
-    ``1 + eps``, and supply at the stepped boost (an eighth supply lane).
-    Their welfare takes the world's trust after this tick's step and their
-    own producer surplus.
+    capability stock.  The tick clears one lane table: each world's posted
+    lane, then for each world with a step its low-quality output scaled by
+    ``1 + eps`` and supply at the stepped boost (an eighth supply lane).
+    Every lane's welfare takes its world's trust after this tick's step
+    and its own producer surplus.
 
     Every stage is elementwise over lanes, so a world's result does not
     depend on its batch.  Returns the tick's columns, one value per world,
-    (q_h, q_l, pollution, verify_rate, precision, trust, welfare) and the
-    weight lanes' (scaled welfare, scaled pollution, stepped-supply
-    welfare), None without a step; and each world's stepped posture.
-    Welfare may overflow; the caller checks it.  NoConvergence names, in
-    its ``lanes``, every world with a lane whose fixed point misses
-    ``market.fp_tol``, with the message of its first such lane (posted,
-    scaled, stepped supply).
+    (q_h, q_l, pollution, verify_rate, precision, trust, welfare); the
+    weighing worlds' ``{world: (scaled welfare, scaled pollution,
+    stepped-supply welfare)}``; and each world's stepped posture.  Welfare
+    may overflow; the caller checks it.  NoConvergence names, in its
+    ``lanes``, every world with a lane whose fixed point misses
+    ``market.fp_tol``, with the message of its first such lane.
     """
-    pf = params.platform
+    pf, pp = params.platform, params.policy
     weighted = [w for w, step in enumerate(weight_steps) if step is not None]
     # (1) producer choices and aggregate supply, for each world's posted
     # posture (column 0) and, in the same call, for the probes of its
@@ -592,64 +584,56 @@ def market_step(
         populations.producers, postures, pf, cost_h_base=cost_h, cost_l_base=cost_l,
         gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
-    posted, probes = np.s_[:, 0], np.s_[:, 1:7]
-    q_h, q_l, profit = supply.q_h[posted], supply.q_l[posted], supply.producer_profit[posted]
 
-    # (2-3) exposure under every supply lane's posture in one call; pollution
-    # under the posture producers responded to, and the verification fixed
-    # point: each world's posted lane, then each weighing world's scaled
-    # lane (its posted lane with low-quality output times 1 + eps) and its
-    # stepped-supply lane, all in one solve
+    # (2-3) exposure under every supply lane's posture in one call; then
+    # pollution under the posture producers responded to, and the
+    # verification fixed point, for every lane of the table in one solve.
+    # The table holds each lane's (world, supply column); a stepped-supply
+    # lane reads the last column.  Posted lanes alone are column 0, taken
+    # as views: gathering them made a fixed-weight tick about 5 % slower.
     exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
     n, k = len(platforms), len(weighted)
-    lanes, lane_q_h, lane_q_l, lane_exposure = posted, q_h, q_l, tuple(x[posted] for x in exposed)
-    if weighted:  # (world, supply column) of each lane
-        lanes = (np.array([*range(n), *weighted, *weighted]), np.array([0] * (n + k) + [-1] * k))
-        lane_q_h, lane_q_l, lane_exposure = supply.q_h[lanes], supply.q_l[lanes], None
-        lane_q_l[n:n + k] *= 1.0 + np.array([weight_steps[w][0] for w in weighted])
+    world = np.array([*range(n), *weighted, *weighted])
+    lanes = (world, np.array([0] * (n + k) + [-1] * k)) if k else np.s_[:, 0]
+    q_l = supply.q_l[lanes]
+    for lane, w in enumerate(weighted, start=n):
+        q_l[lane] *= 1.0 + weight_steps[w][0]
     try:
-        cleared = clear_market(lane_q_h, lane_q_l, postures.take(lanes), populations, params,
-                               provenance_boost, exposed=lane_exposure)
+        # A scaled lane's exposure is not its supply column's.
+        cleared = clear_market(
+            supply.q_h[lanes], q_l, postures.take(lanes), populations, params,
+            pp.provenance_boost, exposed=None if k else tuple(x[lanes] for x in exposed),
+        )
     except NoConvergence as exc:
-        if not weighted:
-            raise
         worlds: dict[int, str] = {}
         for lane, message in exc.lanes.items():
-            worlds.setdefault(int(lanes[0][lane]), message)
+            worlds.setdefault(int(world[lane]), message)
         raise NoConvergence(next(iter(worlds.values())), worlds) from None
-    if weighted:
-        cleared, weighing = cleared.take(np.s_[:n]), cleared.take(np.s_[n:])
 
-    # (4) trust step (exogenous shocks land before the Euler update)
+    # (4) the posted lanes' trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
     trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
-    trust_out = trust_update(np.array(trust_in), cleared.pollution, cleared.flow, params.trust)
+    trust_out = trust_update(np.array(trust_in), cleared.pollution[:n], cleared.flow[:n],
+                             params.trust)
 
-    # (5) welfare, the weight lanes' at their world's trust with their own
-    # producer surplus; a huge finite output can overflow the harm's square
+    # (5) welfare of every lane; a huge finite output can overflow the harm's square
     with np.errstate(over="ignore", invalid="ignore"):
-        welfare = cleared.welfare(trust_out, profit, params)
-        if weighted:
-            lane_welfare = weighing.welfare(trust_out[lanes[0][n:]],
-                                            supply.producer_profit[lanes][n:], params).tolist()
+        welfare = cleared.welfare(trust_out[world], supply.producer_profit[lanes], params)
 
     # (6) platform gradient steps from one-tick-ahead finite differences
+    probes = np.s_[:, 1:7]
     probe_postures = postures.take(probes)
     objectives, trust_next = _lookahead(
         probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
-        fiduciary, params, trust_now=trust_out, cleared=cleared, producers=populations.producers.n,
+        pp.fiduciary, params, trust_now=trust_out, verify_rate=cleared.verify_rate[:n],
+        precision=cleared.precision[:n], producers=populations.producers.n,
     )
     stepped = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next, pf)
-    columns = [column.tolist() for column in (q_h, q_l, cleared.pollution, cleared.verify_rate,
-                                              cleared.precision, trust_out, welfare)]
-    weighed = [[None] * n] * 3  # read only: a world without a step has no weight lanes
-    if weighted:
-        weighed = [[None] * n for _ in range(3)]
-        values = (lane_welfare[:k], weighing.pollution.tolist(), lane_welfare[k:])
-        for column, lane_values in zip(weighed, values):
-            for w, value in zip(weighted, lane_values):
-                column[w] = value
-    return (*columns, *weighed), stepped
+    columns = [x.tolist()[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
+                                        cleared.verify_rate, cleared.precision, trust_out, welfare)]
+    welfare, pollution = welfare.tolist(), cleared.pollution.tolist()
+    weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
+    return columns, weighed, stepped
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -693,7 +677,8 @@ def _lookahead(
     params: SimParams,
     *,
     trust_now: np.ndarray,
-    cleared: Clearing,
+    verify_rate: np.ndarray,
+    precision: np.ndarray,
     producers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(objectives, trust levels) one tick ahead if each world's platform
@@ -704,15 +689,15 @@ def _lookahead(
     side is per-producer normalized so learning rates are population-size
     invariant; under a fiduciary duty the objective blends in the consumer
     value/harm fragment.  The verification response is held at this tick's
-    clearing within the lookahead.
+    clearing within the lookahead: ``verify_rate`` and ``precision`` are the
+    posted lanes'.
     """
     rho, flow, objective = exposed
     if fiduciary > 0.0:
         # As in welfare, a huge finite output can overflow the harm's square.
         with np.errstate(over="ignore", invalid="ignore"):
             value, harm = value_and_harm(
-                q_h, q_l, cleared.verify_rate[:, None], cleared.precision[:, None], postures,
-                params.welfare,
+                q_h, q_l, verify_rate[:, None], precision[:, None], postures, params.welfare
             )
             objective = fiduciary_objective(objective, value, harm, fiduciary)
     trust_next = trust_update(trust_now[:, None], rho, flow, params.trust)

@@ -854,6 +854,11 @@ class TestCli:
         ("shocks.cost_drop", "1"),
         ("shocks.trust_shock", "-0.1"),
         ("shocks.duration", "-5"),
+        # Shocks enter at whole ticks: a fraction, a negative tick and one
+        # that overflows every float are rejected before any run.
+        ("shocks.ticks", "1.5"),
+        ("shocks.ticks", "-1"),
+        ("shocks.ticks", "1e400"),
         ("ipi.sigma_tech", "0"),
         ("ipi.w_pollution", "-1"),
         ("ipi.w_tech", "0.2"),
@@ -888,6 +893,14 @@ class TestCli:
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
+
+    @pytest.mark.parametrize("value", ["1.5", "-1", "1e400"])
+    def test_shock_ticks_that_are_not_whole_ticks_name_the_key(self, tmp_path, capsys, value):
+        code = main(["shocks", "--ticks", "20", "--out", str(tmp_path / "x"),
+                     "--shocks.ticks", value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: shocks.ticks must be nonnegative integers")
 
     @pytest.mark.parametrize("command, ticks, config, named", [
         ("baseline", 3, {"welfare.value_h": "1e308"}, ("welfare section",)),  # both anchors inf
@@ -932,6 +945,8 @@ class TestCli:
         ("baseline", 5, {"agents.prod_log_sd": "1e200"}, ("agents.prod_log_sd",)),
         ("baseline", 5, {"agents.mean_prod_h": "1e308"}, ("agents.mean_prod_h",)),
         ("baseline", 5, {"agents.mean_prod_l": "1e308"}, ("agents.mean_prod_l",)),
+        # Every draw finite, their mean not: the aggregation weights would all be 0.
+        ("baseline", 5, {"agents.mean_prod_h": "1e307"}, ("agents.mean_prod_h",)),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -1177,6 +1192,8 @@ CONFIG_SPACE = {
     # event-detection's burst falls at tick 1 of 3; a window may outlast the horizon.
     "shocks.duration": ("0", "1", "5", "-1", "1.5"),
     "shocks.cost_drop": ("0", "0.5", "0.99", "1", "-0.1", "nan"),
+    # Whole ticks inside the 3-tick horizon, and three that no run accepts.
+    "shocks.ticks": ("0", "2", "0 1", "1.5", "-1", "1e400"),
     **{f"shocks.{k}": NONNEGATIVE for k in ("capability_jump", "fake_news_burst", "trust_shock")},
     # Unbounded keys must still be finite.
     **{key: ("0.1", "nan", "inf") for key in (
@@ -1184,6 +1201,10 @@ CONFIG_SPACE = {
         "ipi.mu_tech", "ipi.kappa_gen",
     )},
 }
+
+
+# The small sizes, and the default shock ticks moved inside the 3-tick horizon.
+UNDRAWN = {**SMALL, "shocks.ticks": 1}
 
 
 class TestConfigSpace:
@@ -1202,11 +1223,11 @@ class TestConfigSpace:
                     experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
                     "--config", str(path),
                     # a drawn key keeps its drawn value (flags override the file)
-                    *(f"--{k}={v}" for k, v in SMALL.items() if k not in config),
+                    *(f"--{k}={v}" for k, v in UNDRAWN.items() if k not in config),
                 ])
                 # robust-select runs its six worlds as one lockstep batch
                 for experiment in ("baseline", "noise-robustness", "robust-select",
-                                   "event-detection")
+                                   "event-detection", "shocks")
             ]
         assert validated in (0, 2)
         for code in ran:

@@ -236,9 +236,9 @@ class TestEndogenousWeights:
             monkeypatch.setattr(module, name, counted)
         for _ in range(3):
             sim.advance()
-        # The weight lanes' welfare is a call of its own, as it reads the
-        # trust the posted lanes step to.
-        assert calls == {"supply_response": 3, "clear_market": 3, "welfare": 3 * (1 + extra)}
+        # One welfare call values every lane of the tick's lane table, the
+        # weight lanes at the trust their world's posted lane steps to.
+        assert calls == {"supply_response": 3, "clear_market": 3, "welfare": 3}
         # Seven supply lanes (the posted posture and six probes) and one
         # clearing lane; endogenous weights add the stepped supply to the
         # supply call, and the scaled outputs and that supply to the clearing.

@@ -493,6 +493,26 @@ class TestAnchors:
         w_so, w_min = welfare_anchors(populations, params)
         assert w_so > w_min
 
+    def test_one_moderation_point_holds_moderation_at_zero(self, populations, params,
+                                                            monkeypatch):
+        # Lanes clear independently, so the one-point axis's optimum is the
+        # default lattice's best moderation-0 posture, bit for bit.
+        seen = []
+
+        def spied(populations, postures, params, **kwargs):
+            seen.append((postures.moderation, static_equilibrium_welfare(
+                populations, postures, params, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(market, "static_equilibrium_welfare", spied)
+        _w_so, w_min = welfare_anchors(populations, params)
+        ((moderation, w),) = seen
+        unmoderated = w[1:][moderation[1:] == 0.0]  # lane 0 is the worst corner
+        assert unmoderated.size == 5 * 5 * 5
+        one = params.with_overrides({"ipi.anchor_m_points": 1})
+        assert welfare_anchors(populations, one) == (float(unmoderated.max()), w_min)
+        assert seen[1][0][1:].tolist() == [0.0] * 125
+
     def test_static_corner_is_reproducible(self, populations, params):
         corner = Postures.of([make_platform(gamma_l=2.0, gamma_h=1.0, moderation=0.0)])
         a = static_equilibrium_welfare(populations, corner, params)
