@@ -61,15 +61,13 @@ def consumer_posterior(prior_h, precision):
     ``prior_h`` lies in [0, 1] and ``precision`` in [0.5, 1], the
     probability that the signal reads high when the content is high
     quality and low when it is low.  Where the posterior is undefined (a
-    certain-low prior contradicted by a perfect signal) it is 0.  Scalars
-    in give a scalar out.
+    certain-low prior contradicted by a perfect signal) it is 0.  Operators
+    only, so floats in give a float out and arrays an array.
     """
-    prior_h = np.asarray(prior_h, dtype=float)
-    precision = np.asarray(precision, dtype=float)
     num = prior_h * precision
     den = num + (1.0 - prior_h) * (1.0 - precision)
     # den is 0 only where prior_h, and so num, is 0: the posterior is then 0 / 1.
-    return (num / (den + (den == 0.0)))[()]
+    return num / (den + (den == 0.0))
 
 
 def verification_threshold(posterior_h, du_h: float, du_l: float):
@@ -182,6 +180,13 @@ class ConsumerPool:
         k = np.maximum(np.asarray(k, dtype=float), 0.0)
         i = np.searchsorted(self.knot_k, k, side="right") - 1
         return (self.knot_v[i] + self._slope[i] * (k - self.knot_k[i]))[()]
+
+    def cdf_float(self, k: float) -> float:
+        """`cdf` of one float threshold in Python floats, bit for bit: a
+        numpy call on one element costs more than the arithmetic."""
+        k = k if k > 0.0 or k != k else 0.0  # as np.maximum(k, 0.0): NaN stays, -0.0 is 0.0
+        i = int(self.knot_k.searchsorted(k, side="right")) - 1
+        return self.knot_v.item(i) + self._slope.item(i) * (k - self.knot_k.item(i))
 
     def segments(self, i: np.ndarray) -> tuple[np.ndarray, ...]:
         """(cost, CDF value) at knot i, the cost span to the next knot and the

@@ -327,7 +327,7 @@ class SimParams:
                 (fld,) = [f for f in fields(cls) if f.name == name]
             except ValueError:
                 raise ConfigError(f"unknown config key: {key!r}") from None
-            coerced = _coerce(value, getattr(self, section), fld.name)
+            coerced = _coerce(value, getattr(getattr(self, section), fld.name), key)
             # No parameter is meaningful at NaN or infinity, bounded or not.
             if isinstance(coerced, float) and not math.isfinite(coerced):
                 raise ConfigError(f"{key} must be finite, got {coerced!r}")
@@ -346,8 +346,9 @@ class SimParams:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:16]
 
 
-def _coerce(value: Any, section_obj: Any, name: str) -> Any:
-    current = getattr(section_obj, name)
+def _coerce(value: Any, current: Any, key: str) -> Any:
+    """``value`` as the type of ``current``, the dotted key's present value;
+    an error names the key."""
     if isinstance(value, str):
         text = value.strip()
         if isinstance(current, bool):
@@ -355,7 +356,7 @@ def _coerce(value: Any, section_obj: Any, name: str) -> Any:
                 return True
             if text.lower() in ("false", "0", "no", "off"):
                 return False
-            raise ConfigError(f"expected a boolean for {name!r}, got {value!r}")
+            raise ConfigError(f"expected a boolean for {key!r}, got {value!r}")
         try:
             if isinstance(current, int):
                 return int(text)
@@ -366,10 +367,10 @@ def _coerce(value: Any, section_obj: Any, name: str) -> Any:
                 return tuple(int(x) if float(x).is_integer() else float(x)
                              for x in text.replace(",", " ").split())
         except ValueError:
-            raise ConfigError(f"cannot parse {value!r} for key {name!r}") from None
+            raise ConfigError(f"cannot parse {value!r} for key {key!r}") from None
         return text
     if isinstance(current, bool) and not isinstance(value, bool):
-        raise ConfigError(f"expected a boolean for {name!r}, got {value!r}")
+        raise ConfigError(f"expected a boolean for {key!r}, got {value!r}")
     if isinstance(current, float) and isinstance(value, (int, float)):
         return float(value)
     if isinstance(current, int) and isinstance(value, int):
@@ -378,7 +379,7 @@ def _coerce(value: Any, section_obj: Any, name: str) -> Any:
         return tuple(value)
     if type(value) is type(current):
         return value
-    raise ConfigError(f"cannot coerce {value!r} for key {name!r}")
+    raise ConfigError(f"cannot coerce {value!r} for key {key!r}")
 
 
 def _render(value: Any) -> str:

@@ -1306,9 +1306,10 @@ def load_overrides(config_path: str | Path | None, cli_pairs: dict[str, str]) ->
     run_keys = {}
     for key, value in overrides.items():
         if key.startswith("run."):
-            if key.removeprefix("run.") not in RUN_KEYS:
+            name = key.removeprefix("run.")
+            if name not in RUN_KEYS:
                 raise ConfigError(f"unknown config key: {key!r}")
-            run_keys[key] = _coerce(value, ExperimentConfig, key.removeprefix("run."))
+            run_keys[key] = _coerce(value, getattr(ExperimentConfig, name), key)
     ExperimentConfig(**{key.removeprefix("run."): value for key, value in run_keys.items()})
     SimParams().with_overrides({k: v for k, v in overrides.items() if k not in run_keys})
     return overrides | run_keys

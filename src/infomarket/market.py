@@ -30,6 +30,9 @@ the whole lattice and the worst corner through one
 verification fixed point is solved exactly per lane
 (`solve_verification_fixed_point`), and every stage is elementwise over
 lanes, so a lane's result does not depend on the batch it is cleared in.
+A world cleared alone is a one-lane solve, whose root and residual check
+run in Python floats, bit for bit as the array forms: on one element,
+numpy's per-call overhead costs more than the arithmetic.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -144,7 +147,11 @@ def solve_verification_fixed_point(
     meets the tolerance.
 
     Lanes are solved independently: a lane's result does not depend on its
-    batch.  Scalars in give scalars out.
+    batch.  Scalars in give scalars out.  Step 1 scans a block of lanes for
+    any lane count; with one lane, steps 2-3 run in Python floats
+    (`_lane_root`, `ConsumerPool.cdf_float`), because numpy's per-call
+    overhead on one-element arrays is most of their cost.  They give the
+    array forms' bits, inf and NaN included, and the same errors.
     """
     mk, ag = params.market, params.agents
     rho = np.asarray(pollution, dtype=float)
@@ -179,22 +186,39 @@ def solve_verification_fixed_point(
             below = k_star[:, :-2] < knot_k
             hit = below.argmax(axis=1)
             end[block] = first + hit if forced else np.where(below.any(axis=1), first + hit, 0)
-    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
 
+    if lanes.size == 1:
+        # (2-3) in Python floats, bit for bit as the array forms below.
+        r = lanes.item()
+        v = _lane_root(r, end.item(), k_clamp[0].tolist(), consumers, provenance_boost, params)
+        # signal_precision's clamp; min/max resolve NaN as np.minimum/np.maximum do here
+        precision = min(max(_raw_precision(r, v, provenance_boost, mk), 0.5), 1.0)
+        k_star = _threshold(r, precision, params)
+        resid = abs(consumers.cdf_float(k_star) - v)
+        if not resid < mk.fp_tol:
+            raise _missed_tolerance([0], [resid], [r], mk.fp_tol)
+        return FixedPoint(*np.array([v, precision, k_star]).reshape(3, *rho.shape))
+
+    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
     # (3) the residual check
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = _threshold(lanes, precision, params)
     resid = np.abs(consumers.cdf(k_star) - v)
     met = resid < mk.fp_tol
     if not met.all():
-        messages = {
-            i: f"verification fixed point: residual {resid[i]:.3e} not below "
-            f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})"
-            for i in np.flatnonzero(~met).tolist()
-        }
-        raise NoConvergence(next(iter(messages.values())), messages)
+        raise _missed_tolerance(np.flatnonzero(~met).tolist(), resid, lanes, mk.fp_tol)
     shape = rho.shape
     return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
+
+
+def _missed_tolerance(missed: list[int], resid, pollution, fp_tol: float) -> NoConvergence:
+    """NoConvergence naming the first of the ``missed`` lanes, with every such lane's message."""
+    messages = {
+        i: f"verification fixed point: residual {resid[i]:.3e} not below "
+        f"market.fp_tol = {fp_tol:.3e} (pollution={pollution[i]:.4f})"
+        for i in missed
+    }
+    return NoConvergence(next(iter(messages.values())), messages)
 
 
 def _segment_root(
@@ -243,6 +267,58 @@ def _segment_root(
     )
     x = np.where((x_lo > 0.0) & (x_flat_lo <= x_lo), x_flat_lo, x)
     return v0 + s * x
+
+
+def _lane_root(
+    rho: float,
+    end: int,
+    k_clamp: list[float],
+    consumers: ConsumerPool,
+    provenance_boost: float,
+    params: SimParams,
+) -> float:
+    """`_segment_root` of one lane in Python floats, bit for bit; the array
+    form is its oracle.
+
+    Quotients are taken on np.float64 operands, so a zero or subnormal
+    divisor gives numpy's inf or NaN, as in the array form, not an error.
+    """
+    mk, ag = params.market, params.agents
+    k0, v0, dk, s = (float(x) for x in consumers.segments(end - 1))
+    pi0 = _raw_precision(rho, v0, provenance_boost, mk)
+    sigma = s * mk.kappa_verify
+    prior = 1.0 - rho
+    skew = prior - rho
+    d0 = rho + skew * pi0
+    u = k0 - ag.du_l
+    du_prior = prior * (ag.du_h - ag.du_l)
+    x_flat_lo, x_flat_hi = k_clamp[0] - k0, k_clamp[1] - k0
+    with np.errstate(all="ignore"):
+        x_lo, x_hi = (_fmin(_fmax((clamp - pi0) / np.float64(sigma), 0.0), dk)
+                      for clamp in _CLAMPS.tolist())
+        # The pieces in `_segment_root`'s order of precedence.
+        if x_lo > 0.0 and x_flat_lo <= x_lo:
+            x = x_flat_lo
+        elif x_hi < dk and x_flat_hi > x_hi:
+            x = _fmin(x_flat_hi, dk)
+        else:
+            a = skew * sigma
+            b = sigma * (u * skew - du_prior) + d0
+            c = u * d0 - du_prior * pi0
+            q = (b + math.copysign(math.sqrt(max(b * b - a * 4.0 * c, 0.0)), b)) * -0.5
+            x_mid = q / np.float64(a) if b < 0.0 else c / np.float64(q)
+            x = _fmin(_fmax(x_mid, x_lo), x_hi)
+        return float(v0 + s * x)
+
+
+def _fmax(x, y):
+    """np.fmax of two floats: a NaN loses, and a tie returns x."""
+    return x if x >= y or y != y else y
+
+
+def _fmin(x, y):
+    """np.fmin of two floats: a NaN loses, and a tie returns x."""
+    return x if x <= y or y != y else y
 
 
 def trust_update(trust, i1, flow, params: TrustParams):

@@ -802,6 +802,24 @@ class TestCli:
         assert payload["n_ticks"] == 0
         assert payload["final_means"] and set(payload["final_means"].values()) == {None}
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--econ.ai_rental", "abc"], None, "cannot parse 'abc' for key 'econ.ai_rental'"),
+        (["--ipi.endogenous_weights", "maybe"], None,
+         "expected a boolean for 'ipi.endogenous_weights', got 'maybe'"),
+        (["--agents.n_producers", "1e3"], None, "cannot parse '1e3' for key 'agents.n_producers'"),
+        (["--shocks.ticks", "4.0"], None, "cannot parse '4.0' for key 'shocks.ticks'"),
+        ([], "run.max_ticks = abc", "cannot parse 'abc' for key 'run.max_ticks'"),
+    ])
+    def test_unparsable_values_name_the_dotted_key(self, tmp_path, capsys, flags, config,
+                                                   message):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config + "\n", encoding="utf-8")
+            flags = ["--config", str(path)]
+        code = main(["baseline", "--ticks", "3", "--out", str(tmp_path / "x"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bad_flag_value_exits_config_code(self, tmp_path):
         code = main([
             "baseline", "--ticks", "2", "--out", str(tmp_path / "x"),
@@ -1232,3 +1250,14 @@ class TestConfigSpace:
         assert validated in (0, 2)
         for code in ran:
             assert code == 2 if validated == 2 else code in (0, 3)
+
+    @pytest.mark.parametrize("key, value", [(k, v) for k in CONFIG_SPACE for v in CONFIG_SPACE[k]])
+    def test_every_single_value_follows_the_exit_rule(self, tmp_path, key, value):
+        """Each pair of the space alone, so that no bad value goes undrawn."""
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        validated = main(["validate-config", "--config", str(path)])
+        ran = main(["baseline", "--ticks", "3", "--out", str(tmp_path / "x"), "--config", str(path),
+                    *(f"--{k}={v}" for k, v in UNDRAWN.items() if k != key)])
+        assert validated in (0, 2)
+        assert ran == 2 if validated == 2 else ran in (0, 3)

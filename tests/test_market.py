@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infomarket import market
+from infomarket import harness, market
 from infomarket.agents import Postures, consumer_posterior, verification_threshold
 from infomarket.config import SimParams
 from infomarket.errors import ConfigError, NoConvergence
-from infomarket.harness import Simulation
+from infomarket.harness import Simulation, build_overlays
 from infomarket.market import (
     ConsumerPool,
     TrustParams,
@@ -357,13 +357,100 @@ class TestReachableKnotScan:
         assert columns and set(columns) == {window + 2}  # and the two precision clamps
 
 
+class TestOneLaneSolve:
+    """A one-lane solve runs steps 2-3 in Python floats; the array forms,
+    which `full_scan_fixed_point` calls, are its oracle bit for bit."""
+
+    NEAR_JUMP = dict(costs=[0.6], du=(0.0, 1.0), market_=(1.0, 0.3, 1.0, 1e-8), provenance=0.0)
+
+    @given(
+        rho=st.floats(0.0, 1.0),
+        costs=st.builds(random_costs, st.integers(1, 250), st.integers(0, 2**32 - 1),
+                        st.floats(0.1, 6.0), st.sampled_from([None, 0, 1])),
+        du=st.tuples(*[st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1e308]))] * 2),
+        market_=st.tuples(st.floats(0.3, 1.2), st.floats(0.0, 1.0),
+                          st.one_of(st.floats(0.0, 2.0), st.just(0.0)),
+                          st.sampled_from([1e-8, 1e-15, 0.0])),
+        provenance=st.floats(0.0, 0.2),
+    )
+    @example(rho=0.5, costs=random_costs(200, 1, 4.0, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.0, 1e-8), provenance=0.0)  # kappa_verify 0: a flat precision
+    @example(rho=0.1, costs=random_costs(10, 714, 2.0, None), du=(0.5, 1.0),
+             market_=(1.0, 0.0, 0.0, 1e-8), provenance=0.0)  # and on a clamp: 0 / 0 is NaN
+    @example(rho=0.5, costs=random_costs(200, 42, 0.4, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # k_max < min(du): V = 1
+    @example(rho=0.5, costs=random_costs(200, 42, 1.5, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # no knot above max(du)
+    @example(rho=0.5, costs=THRESHOLD_RISES_POOL, du=(4.0, 0.0),
+             market_=(0.85, 0.3, 1.0, 1e-8), provenance=0.0)  # du_h > du_l: T rises in V
+    @example(rho=0.6, costs=random_costs(200, 42, 4.0, None), du=(0.5, 1e308),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.1)  # agents.du_l 1e308
+    @example(rho=0.6, costs=random_costs(200, 42, 4.0, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 0.0), provenance=0.0)  # fp_tol 0: every lane misses
+    @example(rho=0.0, **NEAR_JUMP)
+    @example(rho=1.0, **NEAR_JUMP)
+    @example(rho=1.0 - 2.0**-53, **NEAR_JUMP)  # no float meets the tolerance
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_the_array_form(self, rho, costs, du, market_, provenance):
+        pi_base, kappa_pollution, kappa_verify, fp_tol = market_
+        params = SimParams().with_overrides({
+            "agents.du_h": du[0], "agents.du_l": du[1], "market.pi_base": pi_base,
+            "market.kappa_pollution": kappa_pollution, "market.kappa_verify": kappa_verify,
+            "market.fp_tol": fp_tol,
+        })
+        pool = ConsumerPool(costs)
+        for lane in (np.array(rho), np.array([rho])):
+            assert solve_or_error(solve_verification_fixed_point, lane, pool, provenance,
+                                  params) == solve_or_error(full_scan_fixed_point, lane, pool,
+                                                            provenance, params)
+
+    def test_infinite_utility_gaps_on_one_lane(self, populations):
+        # As `TestReachableKnotScan`'s batch, lane by lane: NaN and inf
+        # thresholds never end a segment, and no float operation raises.
+        for du_h, du_l in ((math.inf, 2.0), (0.5, math.inf), (math.inf, math.inf)):
+            params = replace(SimParams(), agents=replace(SimParams().agents, du_h=du_h,
+                                                         du_l=du_l))
+            for rho in np.linspace(0.0, 1.0, 5).tolist():
+                for lane in (np.array(rho), np.array([rho])):
+                    with np.errstate(invalid="ignore"):
+                        outcomes = [solve_or_error(solve, lane, populations.consumers, 0.0, params)
+                                    for solve in (solve_verification_fixed_point,
+                                                  full_scan_fixed_point)]
+                    assert outcomes[0] == outcomes[1]
+
+    def test_only_a_batch_calls_the_array_root(self, monkeypatch):
+        sizes = []
+
+        def spied(rho, *args, _fn=market._segment_root):
+            sizes.append(rho.size)
+            return _fn(rho, *args)
+
+        default = Simulation(SimParams(), None, 42)
+        params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
+        worlds = [params.with_overrides({"econ.ai_rental": r})
+                  for r in np.linspace(0.5, 1.5, 20).tolist()]
+        sims = [Simulation(world, None, 42) for world in worlds]
+        monkeypatch.setattr(market, "_segment_root", spied)
+        default.advance()
+        assert sizes == []  # a world cleared alone solves its one lane in floats
+        paths = [build_overlays(3, (), world) for world in worlds]
+        for overlays in zip(*paths):
+            harness._step(sims, overlays)
+        assert sizes == [20] * 3  # one 20-lane batch per tick
+        sizes.clear()
+        welfare_anchors(sims[0].populations, params)
+        assert len(sizes) == 1 and sizes[0] > 1  # the anchors: one batch of distinct pollutions
+
+
 def solve_or_error(solve, lanes, pool, provenance, params):
-    """The solve's (rate, precision, threshold) bytes, or its NoConvergence messages."""
+    """The solve's (rate, precision, threshold) types, shapes, dtypes and
+    bytes, or its NoConvergence messages."""
     try:
         fp = solve(lanes, pool, provenance, params=params)
     except NoConvergence as exc:
         return str(exc), exc.lanes
-    return tuple(np.asarray(x).tobytes() for x in (fp.verify_rate, fp.precision, fp.threshold))
+    return tuple((type(x), np.shape(x), np.asarray(x).dtype, np.asarray(x).tobytes())
+                 for x in (fp.verify_rate, fp.precision, fp.threshold))
 
 
 def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params):
