@@ -194,8 +194,10 @@ class ConsumerPool:
         return self.knot_k[i], self.knot_v[i], self._dk[i], self._slope[i]
 
     def spend(self, k: float | np.ndarray) -> float | np.ndarray:
-        """Total verification outlay of everyone with cost <= k (elementwise over an array)."""
-        return self._cumcost[np.searchsorted(self.costs, k, side="right")]
+        """Total verification outlay of everyone with cost <= k (elementwise
+        over an array; a float gives a float)."""
+        i = self.costs.searchsorted(k, side="right")
+        return self._cumcost[i] if isinstance(i, np.ndarray) else self._cumcost.item(i)
 
 
 def draw_producers(

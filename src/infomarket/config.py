@@ -363,9 +363,7 @@ def _coerce(value: Any, current: Any, key: str) -> Any:
             if isinstance(current, float):
                 return float(text)
             if isinstance(current, tuple):
-                # A non-integral element, inf and NaN included, stays a float.
-                return tuple(int(x) if float(x).is_integer() else float(x)
-                             for x in text.replace(",", " ").split())
+                return tuple(_number(x) for x in text.replace(",", " ").split())
         except ValueError:
             raise ConfigError(f"cannot parse {value!r} for key {key!r}") from None
         return text
@@ -380,6 +378,16 @@ def _coerce(value: Any, current: Any, key: str) -> Any:
     if type(value) is type(current):
         return value
     raise ConfigError(f"cannot coerce {value!r} for key {key!r}")
+
+
+def _number(text: str) -> int | float:
+    """A tuple element: an int if integral (``4``, ``4.0``, ``1e1``), else a
+    float, inf and NaN included.  Integer text parses exactly, past 2**53."""
+    try:
+        return int(text)
+    except ValueError:
+        x = float(text)
+        return int(x) if x.is_integer() else x
 
 
 def _render(value: Any) -> str:

@@ -30,9 +30,12 @@ the whole lattice and the worst corner through one
 verification fixed point is solved exactly per lane
 (`solve_verification_fixed_point`), and every stage is elementwise over
 lanes, so a lane's result does not depend on the batch it is cleared in.
-A world cleared alone is a one-lane solve, whose root and residual check
-run in Python floats, bit for bit as the array forms: on one element,
-numpy's per-call overhead costs more than the arithmetic.
+A world cleared alone is a one-lane table, and its lane runs in Python
+floats through the same stage functions: `clear_market` (the solve
+bisects the reachable knots when du_h <= du_l, then takes its root and
+residual check), the trust step and the welfare call, bit for bit as the
+array forms: on one element, numpy's per-call overhead costs more than
+the arithmetic.  Its supply, probes and lookahead stay arrays.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -73,12 +76,14 @@ def _raw_precision(pollution, verify_rate, provenance_boost, params: MarketParam
 
 
 def signal_precision(pollution, verify_rate, provenance_boost: float, params: MarketParams):
-    """Affine signal precision, clamped to [0.5, 1] (elementwise).
+    """Affine signal precision, clamped to [0.5, 1] (elementwise; floats give a float).
 
     Pollution dilutes the public signal, aggregate verification and
     provenance standards sharpen it.
     """
     raw = _raw_precision(pollution, verify_rate, provenance_boost, params)
+    if isinstance(raw, float):
+        return _clamp(raw, 0.5, 1.0)
     return np.minimum(np.maximum(raw, 0.5), 1.0)[()]
 
 
@@ -120,15 +125,19 @@ def solve_verification_fixed_point(
     k*, and the consumer-cost CDF F, linear between its knots, turns k*
     back into a rate.  Per lane of ``pollution``:
 
-    1. Scan the CDF knots (k_i, V_i), in blocks of lanes, for the first one
-       with k*(pi(V_i)) < k_i; the fixed point's segment ends there (none:
-       everyone verifies, V = 1).  k* = p (du_h - du_l) + du_l with the
-       posterior p in [0, 1], and rounding is monotone in p, so every k*
-       lies between `verification_threshold` at p = 0 and at p = 1, bit for
-       bit.  A knot at or below the lower value never ends a segment and
-       the first knot above the upper one always does (its threshold is
-       still evaluated, not assumed), so the scan reads only the knots
-       between, and that first one above.
+    1. Find the first CDF knot (k_i, V_i) with k*(pi(V_i)) < k_i; the fixed
+       point's segment ends there (none: everyone verifies, V = 1).
+       k* = p (du_h - du_l) + du_l with the posterior p in [0, 1], and
+       rounding is monotone in p, so every k* lies between
+       `verification_threshold` at p = 0 and at p = 1, bit for bit.  A knot
+       at or below the lower value never ends a segment and the first knot
+       above the upper one always does (its threshold is still evaluated,
+       not assumed), so only the knots between, and that first one above,
+       are read (`_knot_window`).  A batch scans them in blocks of lanes
+       (`_scan_ends`).  One lane with du_h <= du_l bisects them in Python
+       floats (`_bisect_end`): k* then does not rise along the knots while
+       k_i does, so the test goes false and then true along the window.
+       When du_h > du_l k* rises too, and one lane is scanned as well.
     2. On the segment, rate and raw precision are linear in the cost k.
        Where precision is clamped the threshold is a constant; between the
        clamps (k - k*) times the posterior's denominator is a quadratic in
@@ -147,28 +156,84 @@ def solve_verification_fixed_point(
     meets the tolerance.
 
     Lanes are solved independently: a lane's result does not depend on its
-    batch.  Scalars in give scalars out.  Step 1 scans a block of lanes for
-    any lane count; with one lane, steps 2-3 run in Python floats
-    (`_lane_root`, `ConsumerPool.cdf_float`), because numpy's per-call
-    overhead on one-element arrays is most of their cost.  They give the
-    array forms' bits, inf and NaN included, and the same errors.
+    batch.  A float in gives floats out, and an array arrays of its shape
+    (0-d: numpy scalars).  One lane is solved in Python floats
+    (`_lane_fixed_point`), because numpy's per-call overhead on one-element
+    arrays is most of its cost; it gives the array forms' bits, inf and NaN
+    included, and the same errors.
     """
-    mk, ag = params.market, params.agents
+    if isinstance(pollution, float):
+        return FixedPoint(*_lane_fixed_point(pollution, consumers, provenance_boost, params))
     rho = np.asarray(pollution, dtype=float)
+    if rho.size == 1:
+        solved = _lane_fixed_point(rho.item(), consumers, provenance_boost, params)
+        return FixedPoint(*np.array(solved).reshape(3, *rho.shape))
     lanes = rho.reshape(-1)
     if not ((lanes >= 0.0) & (lanes <= 1.0)).all():
         raise ValueError("pollution must lie in [0, 1]")
+    end, k_clamp = _scan_ends(lanes, consumers, provenance_boost, params)
+    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
+    # (3) the residual check
+    mk = params.market
+    precision = signal_precision(lanes, v, provenance_boost, mk)
+    k_star = _threshold(lanes, precision, params)
+    resid = np.abs(consumers.cdf(k_star) - v)
+    met = resid < mk.fp_tol
+    if not met.all():
+        raise _missed_tolerance(np.flatnonzero(~met).tolist(), resid, lanes, mk.fp_tol)
+    shape = rho.shape
+    return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
 
-    # (1) per block of lanes: the thresholds at the reachable knots' rates
-    # and at the two precision clamps; the segment ends at the first knot
-    # whose threshold lies below its cost (never knot 0, so 0 marks "none").
-    # An infinite du makes the p = 0 bound NaN and the p = 1 bound inf or
-    # NaN; both sort past every knot and empty the window, and such a k*
-    # (inf or NaN) never ends a segment either.
+
+def _lane_fixed_point(
+    rho: float, consumers: ConsumerPool, provenance_boost: float, params: SimParams
+) -> tuple[float, float, float]:
+    """Steps 1-3 of the solve for one lane, in Python floats: (rate, precision, threshold)."""
+    mk, ag = params.market, params.agents
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("pollution must lie in [0, 1]")
+    if ag.du_h <= ag.du_l:
+        end = _bisect_end(rho, consumers, provenance_boost, params)
+        k_clamp = [_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist()]
+    else:
+        ends, k_clamps = _scan_ends(np.array([rho]), consumers, provenance_boost, params)
+        end, k_clamp = ends.item(), k_clamps[0].tolist()
+    v = _lane_root(rho, end, k_clamp, consumers, provenance_boost, params)
+    precision = signal_precision(rho, v, provenance_boost, mk)
+    k_star = _threshold(rho, precision, params)
+    resid = abs(consumers.cdf_float(k_star) - v)
+    if not resid < mk.fp_tol:
+        raise _missed_tolerance([0], [resid], [rho], mk.fp_tol)
+    return v, precision, k_star
+
+
+def _knot_window(consumers: ConsumerPool, params: SimParams) -> tuple[int, int]:
+    """(first, above) of step 1: the first knot above the lower threshold
+    bound, and the first above the upper one (the knot count if none is).
+
+    An infinite du makes the p = 0 bound NaN and the p = 1 bound inf or
+    NaN; both sort past every knot and empty the window, and such a k*
+    (inf or NaN) never ends a segment either.
+    """
+    ag = params.agents
     lo = verification_threshold(0.0, ag.du_h, ag.du_l)
     hi = verification_threshold(1.0, ag.du_h, ag.du_l)
     first, above = consumers.knot_k.searchsorted(
         (lo, hi) if lo <= hi else (hi, lo), side="right").tolist()
+    return first, above
+
+
+def _scan_ends(
+    lanes: np.ndarray, consumers: ConsumerPool, provenance_boost: float, params: SimParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 1 over blocks of lanes: each lane's `end` knot, and its
+    thresholds at the two precision clamps.
+
+    The thresholds at the window's knots' rates and at the clamps form one
+    (lanes, window + 2) block; the segment ends at the first knot whose
+    threshold lies below its cost (never knot 0, so 0 marks "none").
+    """
+    first, above = _knot_window(consumers, params)
     knot_k, knot_v = consumers.knot_k[first:above + 1], consumers.knot_v[first:above + 1]
     # Without a knot above the upper bound a lane may find no end.
     forced = above < consumers.knot_k.size
@@ -178,7 +243,7 @@ def solve_verification_fixed_point(
         block = slice(start, start + _LANE_BLOCK)
         r = lanes[block, None]
         pi = np.empty((r.size, knot_v.size + 2))
-        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, mk)
+        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, params.market)
         pi[:, -2:] = _CLAMPS
         k_star = _threshold(r, pi, params)
         k_clamp[block] = k_star[:, -2:]
@@ -186,29 +251,38 @@ def solve_verification_fixed_point(
             below = k_star[:, :-2] < knot_k
             hit = below.argmax(axis=1)
             end[block] = first + hit if forced else np.where(below.any(axis=1), first + hit, 0)
+    return end, k_clamp
 
-    if lanes.size == 1:
-        # (2-3) in Python floats, bit for bit as the array forms below.
-        r = lanes.item()
-        v = _lane_root(r, end.item(), k_clamp[0].tolist(), consumers, provenance_boost, params)
-        # signal_precision's clamp; min/max resolve NaN as np.minimum/np.maximum do here
-        precision = min(max(_raw_precision(r, v, provenance_boost, mk), 0.5), 1.0)
-        k_star = _threshold(r, precision, params)
-        resid = abs(consumers.cdf_float(k_star) - v)
-        if not resid < mk.fp_tol:
-            raise _missed_tolerance([0], [resid], [r], mk.fp_tol)
-        return FixedPoint(*np.array([v, precision, k_star]).reshape(3, *rho.shape))
 
-    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
-    # (3) the residual check
-    precision = signal_precision(lanes, v, provenance_boost, mk)
-    k_star = _threshold(lanes, precision, params)
-    resid = np.abs(consumers.cdf(k_star) - v)
-    met = resid < mk.fp_tol
-    if not met.all():
-        raise _missed_tolerance(np.flatnonzero(~met).tolist(), resid, lanes, mk.fp_tol)
-    shape = rho.shape
-    return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
+def _bisect_end(
+    rho: float, consumers: ConsumerPool, provenance_boost: float, params: SimParams
+) -> int:
+    """`_scan_ends`' end knot of one lane when du_h <= du_l, by bisection
+    in Python floats: about log2(window) thresholds instead of the window's.
+
+    The knots' rates V_i rise, so raw precision, its clamp and the
+    posterior do not fall, and with du_h - du_l <= 0 neither does k* rise,
+    while k_i does: the test k*(pi(V_i)) < k_i is false and then true along
+    the window.  Each operation rounds monotonically, but the posterior is
+    a quotient of two rising terms, not proved to; the full scan is the
+    oracle of a property test.  Without a true test the end is the
+    window's first knot if a knot lies above the upper bound (the scan's
+    argmax of none), else 0.
+    """
+    first, above = _knot_window(consumers, params)
+    knot_k, knot_v = consumers.knot_k, consumers.knot_v
+    stop = min(above + 1, knot_k.size)  # the window is [first, stop)
+    lo, hi = first, stop
+    while lo < hi:
+        mid = (lo + hi) // 2
+        precision = signal_precision(rho, knot_v.item(mid), provenance_boost, params.market)
+        if _threshold(rho, precision, params) < knot_k.item(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < stop:
+        return lo
+    return first if above < knot_k.size else 0
 
 
 def _missed_tolerance(missed: list[int], resid, pollution, fp_tol: float) -> NoConvergence:
@@ -322,18 +396,18 @@ def _fmin(x, y):
 
 
 def trust_update(trust, i1, flow, params: TrustParams):
-    """One Euler step of the trust stock, clamped into [0, t_max] (elementwise).
+    """One Euler step of the trust stock, clamped into [0, t_max]
+    (elementwise; floats give a float).
 
     T' = T - hit * I1 * flow + repair_gain * repair_flow - decay * T.
     """
-    trust, i1, flow = np.asarray(trust), np.asarray(i1), np.asarray(flow)
     # Element by element, as for a scalar (NaN fails a range but not a sign):
     # for the few lanes of a tick, cheaper than array reductions.
-    if not all(0 <= x <= params.t_max for x in trust.ravel().tolist()):
+    if not all(0 <= x <= params.t_max for x in _elements(trust)):
         raise ValueError(f"trust out of [0, {params.t_max}]: {trust}")
-    if not all(0 <= x <= 1 for x in i1.ravel().tolist()):
+    if not all(0 <= x <= 1 for x in _elements(i1)):
         raise ValueError("i1 must lie in [0, 1]")
-    if any(x < 0 for x in flow.ravel().tolist()):
+    if any(x < 0 for x in _elements(flow)):
         raise ValueError("flow must be nonnegative")
     t = (
         trust
@@ -341,7 +415,12 @@ def trust_update(trust, i1, flow, params: TrustParams):
         + params.repair_gain * params.repair_flow
         - params.decay * trust
     )
-    return _clamp(t, 0.0, params.t_max)[()]
+    return _clamp(t, 0.0, params.t_max)
+
+
+def _elements(x) -> list[float]:
+    """The values of a float or an array, as a list."""
+    return x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
 
 
 def steady_state_trust(i1: np.ndarray, flow: np.ndarray, params: TrustParams) -> np.ndarray:
@@ -350,10 +429,13 @@ def steady_state_trust(i1: np.ndarray, flow: np.ndarray, params: TrustParams) ->
     return _clamp(t, 0.0, params.t_max)
 
 
-def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """min(max(x, lo), hi) elementwise, resolving ties and NaN as Python's min/max do."""
+def _clamp(x, lo: float, hi: float):
+    """min(max(x, lo), hi): Python's for a float, and elementwise the same
+    for an array, ties and NaN resolving as Python's min/max do."""
+    if isinstance(x, float):
+        return min(max(x, lo), hi)
     x = np.where(lo > x, lo, x)
-    return np.where(hi < x, hi, x)
+    return np.where(hi < x, hi, x)[()]
 
 
 def amplified(q_h, q_l, platform: Postures):
@@ -476,28 +558,29 @@ def supply_response(
 
 @dataclass(frozen=True)
 class Clearing:
-    """The market's response to given outputs under posted postures, per lane.
+    """The market's response to given outputs under posted postures, per
+    lane: arrays, or floats for one lane cleared as floats.
 
     ``flow`` is amplified exposure per agent, the flow that erodes trust.
     Welfare follows once a trust level and producer surplus are supplied.
     """
 
-    q_h: np.ndarray
-    q_l: np.ndarray
+    q_h: float | np.ndarray
+    q_l: float | np.ndarray
     posture: Postures
-    pollution: np.ndarray
-    verify_rate: np.ndarray
-    precision: np.ndarray
-    verification_spend: np.ndarray
-    flow: np.ndarray
-    platform_profit: np.ndarray
+    pollution: float | np.ndarray
+    verify_rate: float | np.ndarray
+    precision: float | np.ndarray
+    verification_spend: float | np.ndarray
+    flow: float | np.ndarray
+    platform_profit: float | np.ndarray
 
     def welfare(
         self,
         trust: float | np.ndarray,
         producer_profit: float | np.ndarray,
         params: SimParams,
-    ) -> np.ndarray:
+    ) -> float | np.ndarray:
         return welfare_value(
             q_h=self.q_h,
             q_l=self.q_l,
@@ -529,19 +612,19 @@ def exposure(
     # An empty market (total 0, so low 0) has pollution 0 / 1.
     rho = low / (total + (total == 0.0))
     profit = (high + low * pf.engagement_bias) * (pf.revenue_share * pf.ad_rate) - (
-        postures.moderation**2 * pf.moderation_cost * q_l
+        postures.moderation * postures.moderation * pf.moderation_cost * q_l
     )
     return rho, total / populations.total, profit
 
 
 def clear_market(
-    q_h: np.ndarray,
-    q_l: np.ndarray,
+    q_h: float | np.ndarray,
+    q_l: float | np.ndarray,
     postures: Postures,
     populations: Populations,
     params: SimParams,
     provenance_boost: float = 0.0,
-    exposed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    exposed: tuple | None = None,
 ) -> Clearing:
     """Clear given outputs under posted postures, one lane per posture.
 
@@ -549,9 +632,14 @@ def clear_market(
     cost the resulting threshold covers, exposure flow, and platform
     profit.  Each lane is cleared independently of the others.
     ``exposed`` is the lanes' `exposure`, for a caller that already has it.
+    One lane given as floats (outputs, levers and ``exposed``) clears in
+    Python floats, to the same bits.
     """
-    # The min is NaN if any output is, which fails the comparison.
-    if not np.minimum(q_h, q_l).min() >= 0:
+    if isinstance(q_h, float):
+        nonnegative = q_h >= 0.0 and q_l >= 0.0  # NaN fails either comparison
+    else:
+        nonnegative = np.minimum(q_h, q_l).min() >= 0  # NaN if any output is, which fails
+    if not nonnegative:
         raise ValueError("outputs must be nonnegative")
     rho, flow, plat_profit = exposed or exposure(q_h, q_l, postures, populations, params)
     fixed = solve_verification_fixed_point(
@@ -667,18 +755,27 @@ def market_step(
     # The table holds each lane's (world, supply column); a stepped-supply
     # lane reads the last column.  Posted lanes alone are column 0, taken
     # as views: gathering them made a fixed-weight tick about 5 % slower.
+    # A lone world's one lane (``lanes`` None) is taken as Python floats,
+    # and the stages through welfare run in them: on one element, numpy's
+    # per-call overhead outweighs the arithmetic.
     exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
     n, k = len(platforms), len(weighted)
     world = np.array([*range(n), *weighted, *weighted])
-    lanes = (world, np.array([0] * (n + k) + [-1] * k)) if k else np.s_[:, 0]
-    q_l = supply.q_l[lanes]
+    if k:
+        lanes = world, np.array([0] * (n + k) + [-1] * k)
+    else:
+        lanes = None if n == 1 else np.s_[:, 0]
+    q_l = _take(supply.q_l, lanes)
     for lane, w in enumerate(weighted, start=n):
         q_l[lane] *= 1.0 + weight_steps[w][0]
     try:
         # A scaled lane's exposure is not its supply column's.
         cleared = clear_market(
-            supply.q_h[lanes], q_l, postures.take(lanes), populations, params,
-            pp.provenance_boost, exposed=None if k else tuple(x[lanes] for x in exposed),
+            _take(supply.q_h, lanes), q_l,
+            Postures(*(_take(x, lanes) for x in (postures.gamma_h, postures.gamma_l,
+                                                postures.moderation))),
+            populations, params, pp.provenance_boost,
+            exposed=None if k else tuple(_take(x, lanes) for x in exposed),
         )
     except NoConvergence as exc:
         worlds: dict[int, str] = {}
@@ -689,27 +786,39 @@ def market_step(
     # (4) the posted lanes' trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max
     trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
-    trust_out = trust_update(np.array(trust_in), cleared.pollution[:n], cleared.flow[:n],
-                             params.trust)
+    if lanes is None:  # the lone lane is its world's posted lane
+        trust_in, i1, flow = trust_in[0], cleared.pollution, cleared.flow
+    else:
+        trust_in, i1, flow = np.array(trust_in), cleared.pollution[:n], cleared.flow[:n]
+    trust_out = trust_update(trust_in, i1, flow, params.trust)
 
     # (5) welfare of every lane; a huge finite output can overflow the harm's square
     with np.errstate(over="ignore", invalid="ignore"):
-        welfare = cleared.welfare(trust_out[world], supply.producer_profit[lanes], params)
+        welfare = cleared.welfare(trust_out if lanes is None else trust_out[world],
+                                  _take(supply.producer_profit, lanes), params)
+    columns = [_elements(x)[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
+                                          cleared.verify_rate, cleared.precision, trust_out,
+                                          welfare)]
 
     # (6) platform gradient steps from one-tick-ahead finite differences
     probes = np.s_[:, 1:7]
     probe_postures = postures.take(probes)
+    verify_rate, precision, trust_now = columns[3:6]
     objectives, trust_next = _lookahead(
         probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
-        pp.fiduciary, params, trust_now=trust_out, verify_rate=cleared.verify_rate[:n],
-        precision=cleared.precision[:n], producers=populations.producers.n,
+        pp.fiduciary, params, trust_now=trust_now, verify_rate=verify_rate,
+        precision=precision, producers=populations.producers.n,
     )
     stepped = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next, pf)
-    columns = [x.tolist()[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
-                                        cleared.verify_rate, cleared.precision, trust_out, welfare)]
-    welfare, pollution = welfare.tolist(), cleared.pollution.tolist()
+    welfare, pollution = _elements(welfare), _elements(cleared.pollution)
     weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
     return columns, weighed, stepped
+
+
+def _take(x: np.ndarray, lanes) -> float | np.ndarray:
+    """The lane table's values of a (world, supply column) array: ``x[lanes]``,
+    or with ``lanes`` None a lone world's one lane as a Python float."""
+    return x.item(0) if lanes is None else x[lanes]
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -752,9 +861,9 @@ def _lookahead(
     fiduciary: float,
     params: SimParams,
     *,
-    trust_now: np.ndarray,
-    verify_rate: np.ndarray,
-    precision: np.ndarray,
+    trust_now: Sequence[float],
+    verify_rate: Sequence[float],
+    precision: Sequence[float],
     producers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(objectives, trust levels) one tick ahead if each world's platform
@@ -766,17 +875,18 @@ def _lookahead(
     invariant; under a fiduciary duty the objective blends in the consumer
     value/harm fragment.  The verification response is held at this tick's
     clearing within the lookahead: ``verify_rate`` and ``precision`` are the
-    posted lanes'.
+    posted lanes', one value per world, as ``trust_now`` is.
     """
     rho, flow, objective = exposed
     if fiduciary > 0.0:
         # As in welfare, a huge finite output can overflow the harm's square.
         with np.errstate(over="ignore", invalid="ignore"):
             value, harm = value_and_harm(
-                q_h, q_l, verify_rate[:, None], precision[:, None], postures, params.welfare
+                q_h, q_l, np.array(verify_rate)[:, None], np.array(precision)[:, None], postures,
+                params.welfare,
             )
             objective = fiduciary_objective(objective, value, harm, fiduciary)
-    trust_next = trust_update(trust_now[:, None], rho, flow, params.trust)
+    trust_next = trust_update(np.array(trust_now)[:, None], rho, flow, params.trust)
     return objective / producers, trust_next
 
 

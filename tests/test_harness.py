@@ -584,12 +584,19 @@ BATCH_TICKS = 12
 @pytest.fixture(scope="module")
 def world_lists():
     shocked = sweep_worlds(**{"shocks.ticks": (2, 4, 6, 8), "shocks.duration": 3})
+    # every instrument at once: a fiduciary duty, provenance standards, the
+    # adaptive levy and the shocks, the worlds differing in econ only
+    instruments = sweep_worlds(**{
+        "policy.fiduciary": 0.3, "policy.provenance_boost": 0.05,
+        "policy.adaptive_enabled": True, "shocks.ticks": (2, 4, 6, 8), "shocks.duration": 3,
+    })
     lists = {
         "sweep": (sweep_worlds(), ()),
         "robust_select": (robust_worlds(), ()),
         # all four shock kinds, their windows overlapping
         "shocked": (shocked, harness.default_shocks(shocked[0])),
         "endogenous": (endogenous_worlds(), ()),
+        "instruments": (instruments, harness.default_shocks(instruments[0])),
     }
     return {name: (worlds, shocks, alone(worlds, BATCH_TICKS, shocks))
             for name, (worlds, shocks) in lists.items()}
@@ -600,7 +607,8 @@ class TestLockstepBatches:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("size", [1, 3, None])
-    @pytest.mark.parametrize("name", ["sweep", "robust_select", "shocked", "endogenous"])
+    @pytest.mark.parametrize("name", ["sweep", "robust_select", "shocked", "endogenous",
+                                      "instruments"])
     def test_batch_equals_alone(self, world_lists, name, size, jobs):
         worlds, shocks, expected = world_lists[name]
         # The whole list is one batch: the worlds differ only in econ or the levy.
@@ -807,7 +815,7 @@ class TestCli:
         (["--ipi.endogenous_weights", "maybe"], None,
          "expected a boolean for 'ipi.endogenous_weights', got 'maybe'"),
         (["--agents.n_producers", "1e3"], None, "cannot parse '1e3' for key 'agents.n_producers'"),
-        (["--shocks.ticks", "4.0"], None, "cannot parse '4.0' for key 'shocks.ticks'"),
+        (["--shocks.ticks", "4 x"], None, "cannot parse '4 x' for key 'shocks.ticks'"),
         ([], "run.max_ticks = abc", "cannot parse 'abc' for key 'run.max_ticks'"),
     ])
     def test_unparsable_values_name_the_dotted_key(self, tmp_path, capsys, flags, config,
@@ -911,6 +919,23 @@ class TestCli:
     ])
     def test_section_bounds_exit_config_code(self, tmp_path, key, value):
         assert_config_exit_code(tmp_path, key, value)
+
+    @pytest.mark.parametrize("whole, ticks", [("4.0", "4"), ("1e1", "10"), ("2.0 4e0", "2 4")])
+    def test_whole_shock_ticks_written_as_floats_run_as_integers(self, tmp_path, whole, ticks):
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        outputs = []
+        for name, value in (("whole", whole), ("ticks", ticks)):
+            out = tmp_path / name
+            assert main(["shocks", "--ticks", "20", "--out", str(out), *flags,
+                         "--shocks.ticks", value]) == 0
+            outputs.append({path.relative_to(out): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_integer_shock_ticks_parse_exactly(self):
+        # 2**53 + 1 has no float: parsed through float it would lose its last bit.
+        params = SimParams().with_overrides({"shocks.ticks": "9007199254740993 1e1 4.0"})
+        assert params.shocks.ticks == (2**53 + 1, 10, 4)
 
     @pytest.mark.parametrize("value", ["1.5", "-1", "1e400"])
     def test_shock_ticks_that_are_not_whole_ticks_name_the_key(self, tmp_path, capsys, value):
@@ -1211,7 +1236,7 @@ CONFIG_SPACE = {
     "shocks.duration": ("0", "1", "5", "-1", "1.5"),
     "shocks.cost_drop": ("0", "0.5", "0.99", "1", "-0.1", "nan"),
     # Whole ticks inside the 3-tick horizon, and three that no run accepts.
-    "shocks.ticks": ("0", "2", "0 1", "1.5", "-1", "1e400"),
+    "shocks.ticks": ("0", "2", "0 1", "2.0", "1.5", "-1", "1e400"),
     **{f"shocks.{k}": NONNEGATIVE for k in ("capability_jump", "fake_news_burst", "trust_shock")},
     # Unbounded keys must still be finite.
     **{key: ("0.1", "nan", "inf") for key in (

@@ -230,7 +230,7 @@ class TestEndogenousWeights:
                 if _name == "supply_response":
                     lanes[_name] += args[1].gamma_h.size  # one lane per posture
                 elif _name == "clear_market":
-                    lanes[_name] += args[0].size  # one lane per output
+                    lanes[_name] += np.size(args[0])  # one lane per output; a lone one is a float
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)

@@ -441,6 +441,125 @@ class TestOneLaneSolve:
         welfare_anchors(sims[0].populations, params)
         assert len(sizes) == 1 and sizes[0] > 1  # the anchors: one batch of distinct pollutions
 
+    def test_a_lone_world_clears_its_lane_as_floats(self, monkeypatch):
+        seen = []
+
+        def spied(q_h, *args, _fn=market.clear_market, **kwargs):
+            seen.append(type(q_h))
+            return _fn(q_h, *args, **kwargs)
+
+        lone = Simulation(SimParams(), None, 42)
+        weighing = Simulation(SimParams().with_overrides({"ipi.endogenous_weights": True}),
+                              None, 42)
+        monkeypatch.setattr(market, "clear_market", spied)
+        lone.advance()
+        weighing.advance()  # three lanes: the posted one and the two weight lanes
+        assert seen == [float, np.ndarray]
+
+
+class TestBisectedKnotScan:
+    """With du_h <= du_l a one-lane solve finds its end knot by bisecting the
+    reachable knots in Python floats; the full scan of every knot
+    (`full_scan_fixed_point`) is its oracle, bit for bit."""
+
+    @given(
+        rho=st.floats(0.0, 1.0),
+        costs=st.builds(random_costs, st.integers(1, 250), st.integers(0, 2**32 - 1),
+                        st.floats(0.1, 6.0), st.sampled_from([None, 0, 1])),
+        du=st.tuples(st.floats(0.0, 5.0),
+                     st.one_of(st.floats(0.0, 5.0), st.just(1e308))).map(sorted).map(tuple),
+        market_=st.tuples(st.floats(0.3, 1.2), st.floats(0.0, 1.0),
+                          st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e-300, 1e-16])),
+                          st.sampled_from([1e-8, 1e-15, 0.0])),
+        provenance=st.floats(0.0, 0.2),
+    )
+    # precision steps below an ulp: the window's thresholds tie
+    @example(rho=0.5, costs=random_costs(200, 1, 4.0, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 1e-300, 1e-8), provenance=0.0)
+    @example(rho=0.5, costs=random_costs(200, 1, 4.0, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 1e-16, 1e-8), provenance=0.0)
+    @example(rho=0.3, costs=random_costs(200, 7, 4.0, 0), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # tied costs
+    @example(rho=0.6, costs=random_costs(200, 1, 4.0, None), du=(1.5, 1.5),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # du_h == du_l
+    @example(rho=0.5, costs=random_costs(200, 42, 0.4, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # k_max < min(du): no window
+    @example(rho=0.5, costs=random_costs(200, 42, 1.5, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # no knot above max(du)
+    @example(rho=0.6, costs=[1.0], du=(0.5, 2.0), market_=(0.85, 0.3, 0.1, 1e-8),
+             provenance=0.0)  # one consumer
+    @example(rho=1.0, costs=random_costs(200, 1, 4.0, 0), du=(0.0, 1.0),
+             market_=(0.85, 0.3, 1.0, 1e-8), provenance=0.0)  # k* = du_l, a knot's cost
+    @example(rho=0.0, **TestOneLaneSolve.NEAR_JUMP)
+    @example(rho=2.0**-53, **TestOneLaneSolve.NEAR_JUMP)
+    @example(rho=1.0 - 2.0**-53, **TestOneLaneSolve.NEAR_JUMP)  # no float meets the tolerance
+    @example(rho=1.0, **TestOneLaneSolve.NEAR_JUMP)
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_the_full_scan(self, rho, costs, du, market_, provenance):
+        pi_base, kappa_pollution, kappa_verify, fp_tol = market_
+        params = SimParams().with_overrides({
+            "agents.du_h": du[0], "agents.du_l": du[1], "market.pi_base": pi_base,
+            "market.kappa_pollution": kappa_pollution, "market.kappa_verify": kappa_verify,
+            "market.fp_tol": fp_tol,
+        })
+        pool = ConsumerPool(costs)
+        outcomes = [solve_or_error(solve, lane, pool, provenance, params)
+                    for lane in (np.array(rho), np.array([rho]))
+                    for solve in (solve_verification_fixed_point, full_scan_fixed_point)]
+        assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+        # A float in gives floats out, with the 0-d solve's bits and errors.
+        alone = solve_or_error(solve_verification_fixed_point, rho, pool, provenance, params)
+        if isinstance(alone[0], str):
+            assert alone == outcomes[0]
+        else:
+            assert all(x[0] is float for x in alone)
+            assert [x[1:] for x in alone] == [x[1:] for x in outcomes[0]]
+
+    def test_only_a_lone_lane_bisects(self, monkeypatch):
+        calls = []
+
+        def spied(pollution, precision, params, _fn=market._threshold):
+            calls.append(None if isinstance(precision, float) else np.shape(precision))
+            return _fn(pollution, precision, params)
+
+        def blocks():  # the scan's; the residual check's are 1-D
+            return [shape for shape in calls if shape is not None and len(shape) == 2]
+
+        monkeypatch.setattr(market, "_threshold", spied)
+        default = Simulation(SimParams(), None, 42)
+        window = reachable_knots(default.populations.consumers, default.params)
+        calls.clear()
+        default.advance()
+        # The bisection's thresholds, the two clamps' and the residual
+        # check's, all floats
+        assert calls and set(calls) == {None}
+        assert len(calls) <= math.ceil(math.log2(window + 1)) + 3
+        # A batch of 20 worlds, the three lanes of a world that weighs its
+        # index, and a lone world whose threshold rises in V scan a block.
+        small = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
+        worlds = [small.with_overrides({"econ.ai_rental": r})
+                  for r in np.linspace(0.5, 1.5, 20).tolist()]
+        sims = [Simulation(world, None, 42) for world in worlds]
+        calls.clear()
+        harness._step(sims, [build_overlays(1, (), world)[0] for world in worlds])
+        assert blocks() == [(20, reachable_knots(sims[0].populations.consumers, small) + 2)]
+        for overrides, lanes in (({"ipi.endogenous_weights": True}, 3),
+                                 ({"agents.du_h": 3.0, "agents.du_l": 0.5}, 1)):
+            sim = Simulation(SimParams().with_overrides(overrides), None, 42)
+            sim.advance()
+            calls.clear()
+            sim.advance()
+            window = reachable_knots(sim.populations.consumers, sim.params)
+            assert blocks() == [(lanes, window + 2)]
+
+
+def reachable_knots(consumers, params):
+    """How many knots step 1 reads: those between the threshold's bounds,
+    and the first above them if there is one."""
+    lo, hi = sorted((params.agents.du_h, params.agents.du_l))
+    knot_k = consumers.knot_k
+    return min(np.count_nonzero(knot_k > lo), np.count_nonzero((knot_k > lo) & (knot_k <= hi)) + 1)
+
 
 def solve_or_error(solve, lanes, pool, provenance, params):
     """The solve's (rate, precision, threshold) types, shapes, dtypes and
@@ -535,7 +654,27 @@ class TestTrustUpdate:
     def test_confinement(self, trust, i1, flow, decay, hit, gain, flow_r):
         cfg = TrustParams(decay=decay, pollution_hit=hit, repair_gain=gain,
                           repair_flow=flow_r, t_max=1.0)
-        assert 0.0 <= trust_update(trust, i1, flow, cfg) <= 1.0
+        got = trust_update(trust, i1, flow, cfg)
+        assert type(got) is float and 0.0 <= got <= 1.0
+        # floats step as a one-lane array does, bit for bit
+        lane = trust_update(*(np.array([x]) for x in (trust, i1, flow)), cfg)
+        assert np.array([got]).tobytes() == lane.tobytes()
+
+    @pytest.mark.parametrize("trust, i1, flow, message", [
+        (1.5, 0.5, 1.0, r"trust out of \[0, 1.0\]: "),
+        (math.nan, 0.5, 1.0, r"trust out of \[0, 1.0\]: "),
+        (0.5, 1.5, 1.0, "i1 must lie in"),
+        (0.5, math.nan, 1.0, "i1 must lie in"),
+        (0.5, 0.5, -1.0, "flow must be nonnegative"),
+        (0.5, 0.5, math.nan, None),  # NaN fails a range but not a sign
+    ])
+    def test_floats_check_as_one_lane_arrays(self, trust, i1, flow, message):
+        for args in ((trust, i1, flow), tuple(np.array([x]) for x in (trust, i1, flow))):
+            if message is None:
+                assert np.isnan(trust_update(*args, self.CFG))
+            else:
+                with pytest.raises(ValueError, match=message):
+                    trust_update(*args, self.CFG)
 
 
 class TestWelfare:
@@ -665,6 +804,15 @@ class TestBatchedClearing:
                                  params, provenance)
             for name in ("pollution", "verify_rate", "precision", "verification_spend"):
                 assert getattr(alone, name)[0] == getattr(together, name)[i]
+            # One lane as floats clears to the one-lane array's bits.
+            floats = clear_market(q_h.item(i), q_l.item(i), p, populations, params, provenance)
+            for name in ("pollution", "verify_rate", "precision", "verification_spend", "flow",
+                         "platform_profit"):
+                value = getattr(floats, name)
+                assert type(value) is float
+                assert np.array([value]).tobytes() == getattr(alone, name).tobytes()
+            welfare = floats.welfare(0.5, 3.0, params)
+            assert np.array([welfare]).tobytes() == alone.welfare(0.5, 3.0, params).tobytes()
 
     def test_the_anchor_lanes_solve_alone_as_in_the_batch(self, populations, params):
         rho = np.linspace(0.0, 1.0, 1126)
@@ -750,6 +898,13 @@ class TestBatchedClearing:
                                            params=params)
         with pytest.raises(ConfigError, match="market.pi_base must be finite"):
             params.with_overrides({"market.pi_base": float("nan")})
+
+    def test_one_lane_input_checks_as_floats_and_arrays(self, populations, params):
+        for q_h, q_l in ((1.0, -1.0), (1.0, math.nan), (math.nan, 1.0), (-0.5, 1.0)):
+            for lane in ((q_h, q_l, make_platform()),
+                         (np.array([q_h]), np.array([q_l]), Postures.of([make_platform()]))):
+                with pytest.raises(ValueError, match="^outputs must be nonnegative$"):
+                    clear_market(*lane, populations, params)
 
     def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
         calls, seen = Counter(), {}
