@@ -19,6 +19,7 @@ from .harness import (
     RUN_KEYS,
     ExperimentConfig,
     RunRecord,
+    Simulation,
     _finite_or_none,
     load_overrides,
     run_experiment,
@@ -69,10 +70,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_run_keys(overrides: dict) -> tuple[dict, dict]:
+    """(the ``run.*`` keys without their prefix, the simulation keys)."""
+    run = {k.removeprefix("run."): v for k, v in overrides.items() if k.startswith("run.")}
+    return run, {k: v for k, v in overrides.items() if not k.startswith("run.")}
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    overrides = parse_config_file(args.config)
-    load_overrides(None, overrides)
-    print(f"{args.config}: OK ({len(overrides)} keys)")
+    run, overrides = _split_run_keys(load_overrides(None, parse_config_file(args.config)))
+    cfg = ExperimentConfig(**run, overrides=overrides)
+    # Build the world a run builds before tick 1 (populations and welfare
+    # anchors), so that a config the run rejects there exits 2 here too.  A
+    # world whose anchors fail to converge validates: that run exits 3.
+    try:
+        Simulation(cfg.params(), master_seed=cfg.master_seed)
+    except NoConvergence:
+        pass
+    print(f"{args.config}: OK ({len(run) + len(overrides)} keys)")
     return EXIT_OK
 
 
@@ -91,16 +105,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for key in SimParams().flatten()
         if getattr(args, key, None) is not None
     }
-    overrides = load_overrides(args.config, cli_pairs)
+    file_run, overrides = _split_run_keys(load_overrides(args.config, cli_pairs))
     # The subcommand and flags beat the file's run.* keys, which beat the defaults.
-    run = {"max_ticks": EXPERIMENTS[args.experiment][1]}
-    run |= {k.removeprefix("run."): v for k, v in overrides.items() if k.startswith("run.")}
+    run = {"max_ticks": EXPERIMENTS[args.experiment][1]} | file_run
     run |= {k: getattr(args, k) for k in RUN_KEYS if getattr(args, k) is not None}
     out = args.out if args.out is not None else Path("out") / args.experiment
-    cfg = ExperimentConfig(
-        **run, out_dir=out,
-        overrides={k: v for k, v in overrides.items() if not k.startswith("run.")},
-    )
+    cfg = ExperimentConfig(**run, out_dir=out, overrides=overrides)
     run_experiment(cfg)
     summary = Path(out) / "summary.txt"
     if summary.exists():

@@ -30,12 +30,16 @@ the whole lattice and the worst corner through one
 verification fixed point is solved exactly per lane
 (`solve_verification_fixed_point`), and every stage is elementwise over
 lanes, so a lane's result does not depend on the batch it is cleared in.
-A world cleared alone is a one-lane table, and its lane runs in Python
-floats through the same stage functions: `clear_market` (the solve
-bisects the reachable knots when du_h <= du_l, then takes its root and
-residual check), the trust step and the welfare call, bit for bit as the
-array forms: on one element, numpy's per-call overhead costs more than
-the arithmetic.  Its supply, probes and lookahead stay arrays.
+A world cleared alone is a one-lane table.  After its one supply call
+(seven lanes) it takes every lane as Python floats and runs the same
+stage functions on them, one call per lane, bit for bit as the array
+forms: `exposure` of each lane; `clear_market` of the posted lane (the
+solve bisects the reachable knots when du_h <= du_l, then takes its root
+and residual check), its trust step and welfare; and each probe lane's
+`_lookahead` (`value_and_harm`, `fiduciary_objective`, `trust_update`),
+whose results `_platform_gradient_steps` reads as lists.  On a handful of
+elements numpy's per-call overhead costs more than the arithmetic.  Its
+supply and probe postures stay (1, 7) arrays.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -46,6 +50,7 @@ series is smooth enough for finite-difference platform gradients.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -400,14 +405,25 @@ def trust_update(trust, i1, flow, params: TrustParams):
     (elementwise; floats give a float).
 
     T' = T - hit * I1 * flow + repair_gain * repair_flow - decay * T.
+    Raises ValueError for trust outside [0, t_max], then for i1 outside
+    [0, 1], then for a negative flow (NaN fails a range but not the sign),
+    as one lane or as arrays.
     """
     # Element by element, as for a scalar (NaN fails a range but not a sign):
-    # for the few lanes of a tick, cheaper than array reductions.
-    if not all(0 <= x <= params.t_max for x in _elements(trust)):
-        raise ValueError(f"trust out of [0, {params.t_max}]: {trust}")
-    if not all(0 <= x <= 1 for x in _elements(i1)):
+    # for the few lanes of a tick, cheaper than array reductions, and for
+    # floats three comparisons.
+    t_max = params.t_max
+    if isinstance(trust, float) and isinstance(i1, float) and isinstance(flow, float):
+        faults = not 0 <= trust <= t_max, not 0 <= i1 <= 1, flow < 0
+    else:
+        faults = (not all(0 <= x <= t_max for x in _elements(trust)),
+                  not all(0 <= x <= 1 for x in _elements(i1)),
+                  any(x < 0 for x in _elements(flow)))
+    if faults[0]:
+        raise ValueError(f"trust out of [0, {t_max}]: {trust}")
+    if faults[1]:
         raise ValueError("i1 must lie in [0, 1]")
-    if any(x < 0 for x in _elements(flow)):
+    if faults[2]:
         raise ValueError("flow must be nonnegative")
     t = (
         trust
@@ -415,7 +431,14 @@ def trust_update(trust, i1, flow, params: TrustParams):
         + params.repair_gain * params.repair_flow
         - params.decay * trust
     )
-    return _clamp(t, 0.0, params.t_max)
+    return _clamp(t, 0.0, t_max)
+
+
+def _quiet(x):
+    """A context that silences numpy's overflow and invalid warnings for
+    arithmetic on ``x``'s lanes: none for a Python float, whose arithmetic
+    overflows to inf and NaN without one."""
+    return nullcontext() if isinstance(x, float) else np.errstate(over="ignore", invalid="ignore")
 
 
 def _elements(x) -> list[float]:
@@ -540,20 +563,28 @@ def supply_response(
     share = (1.0 - platform.revenue_share) * platform.ad_rate
     margin_h = (share * postures.gamma_h)[..., None]
     margin_l = (share * postures.gamma_l)[..., None]
-    tax = np.asarray(tax, dtype=float)[..., None]
-    cost_h = np.asarray(cost_h_base, dtype=float)[..., None] / pool.prod_h
-    cost_l = np.asarray(cost_l_base, dtype=float)[..., None] / (
-        pool.prod_l * np.asarray(gen_boost, dtype=float)[..., None]
-    )
+    tax = _per_lane(tax)
+    cost_h = _per_lane(cost_h_base) / pool.prod_h
+    cost_l = _per_lane(cost_l_base) / (pool.prod_l * _per_lane(gen_boost))
     pi_h = margin_h - cost_h
     pi_l = margin_l - cost_l - tax
-    gap = np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)
+    gap = pi_h - pi_l
+    gap *= pool.rationality
+    # np.clip's bits (NaN stays, -0.0 stays), in place
+    np.maximum(gap, -700.0, out=gap)
+    np.minimum(gap, 700.0, out=gap)
     prob_h = 1.0 / (1.0 + np.exp(-gap))
     prob_l = 1.0 - prob_h
     q_h = np.vecdot(prob_h, pool.weight_h)
     q_l = np.vecdot(prob_l, pool.weight_l) + extra_q_l
     profit = np.vecdot(prob_h, pool.weight_h * pi_h) + np.vecdot(prob_l, pool.weight_l * (pi_l + tax))
     return SupplyResult(q_h=q_h, q_l=q_l, producer_profit=profit)
+
+
+def _per_lane(x: float | np.ndarray) -> float | np.ndarray:
+    """A supply argument against the (lanes, producers) axes: a float
+    broadcasts as it is, an array gains the producers' axis."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)[..., None]
 
 
 @dataclass(frozen=True)
@@ -595,10 +626,9 @@ class Clearing:
         )
 
 
-def exposure(
-    q_h: np.ndarray, q_l: np.ndarray, postures: Postures, populations: Populations, params: SimParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pollution, amplified exposure per agent, platform profit) of outputs, per lane.
+def exposure(q_h, q_l, postures: Postures, populations: Populations, params: SimParams) -> tuple:
+    """(pollution, amplified exposure per agent, platform profit) of outputs,
+    per lane (elementwise; floats give floats).
 
     Pollution is the share of amplified, unmoderated low-quality content in
     total amplified exposure, 0 for an empty market.
@@ -720,7 +750,10 @@ def market_step(
     and its own producer surplus.
 
     Every stage is elementwise over lanes, so a world's result does not
-    depend on its batch.  Returns the tick's columns, one value per world,
+    depend on its batch.  The lane count alone picks the form: a lone world
+    without weight lanes runs every stage after supply in Python floats,
+    one call per lane (the posted lane, then its six probes); every other
+    batch runs them on arrays.  Returns the tick's columns, one value per world,
     (q_h, q_l, pollution, verify_rate, precision, trust, welfare); the
     weighing worlds' ``{world: (scaled welfare, scaled pollution,
     stepped-supply welfare)}``; and each world's stepped posture.  Welfare
@@ -749,38 +782,47 @@ def market_step(
         gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
 
-    # (2-3) exposure under every supply lane's posture in one call; then
-    # pollution under the posture producers responded to, and the
-    # verification fixed point, for every lane of the table in one solve.
-    # The table holds each lane's (world, supply column); a stepped-supply
-    # lane reads the last column.  Posted lanes alone are column 0, taken
-    # as views: gathering them made a fixed-weight tick about 5 % slower.
-    # A lone world's one lane (``lanes`` None) is taken as Python floats,
-    # and the stages through welfare run in them: on one element, numpy's
-    # per-call overhead outweighs the arithmetic.
-    exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
+    # (2-3) exposure under every supply lane's posture; then pollution under
+    # the posture producers responded to, and the verification fixed point,
+    # for every lane of the table in one solve.  The table holds each
+    # lane's (world, supply column); a stepped-supply lane reads the last
+    # column.  Posted lanes alone are column 0, taken as views: gathering
+    # them made a fixed-weight tick about 5 % slower.  A lone world's one
+    # lane (``lanes`` None) takes its seven supply lanes as Python floats,
+    # and every stage after supply runs in them, one call per lane: on
+    # (1, 7) arrays numpy's per-call overhead outweighs the arithmetic.
     n, k = len(platforms), len(weighted)
-    world = np.array([*range(n), *weighted, *weighted])
+    world = [*range(n), *weighted, *weighted]
     if k:
-        lanes = world, np.array([0] * (n + k) + [-1] * k)
+        lanes = np.array(world), np.array([0] * (n + k) + [-1] * k)
     else:
         lanes = None if n == 1 else np.s_[:, 0]
-    q_l = _take(supply.q_l, lanes)
-    for lane, w in enumerate(weighted, start=n):
-        q_l[lane] *= 1.0 + weight_steps[w][0]
-    try:
+    if lanes is None:
+        q_h, q_l, profit, *levers = (x.ravel().tolist() for x in (
+            supply.q_h, supply.q_l, supply.producer_profit,
+            postures.gamma_h, postures.gamma_l, postures.moderation))
+        # Unpacked, not splatted: a call through ``*`` costs more than the arithmetic.
+        lane_postures = [Postures(gh, gl, m) for gh, gl, m in zip(*levers)]
+        exposed = [exposure(h, l, p, populations, params)
+                   for h, l, p in zip(q_h, q_l, lane_postures)]
+        table_q_h, table_q_l, table_postures, table_exposed, table_profit = (
+            q_h[0], q_l[0], lane_postures[0], exposed[0], profit[0])
+    else:
+        exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
+        scaled = supply.q_l[lanes]
+        for lane, w in enumerate(weighted, start=n):
+            scaled[lane] *= 1.0 + weight_steps[w][0]
         # A scaled lane's exposure is not its supply column's.
-        cleared = clear_market(
-            _take(supply.q_h, lanes), q_l,
-            Postures(*(_take(x, lanes) for x in (postures.gamma_h, postures.gamma_l,
-                                                postures.moderation))),
-            populations, params, pp.provenance_boost,
-            exposed=None if k else tuple(_take(x, lanes) for x in exposed),
-        )
+        table_q_h, table_q_l, table_postures, table_exposed, table_profit = (
+            supply.q_h[lanes], scaled, postures.take(lanes),
+            None if k else tuple(x[lanes] for x in exposed), supply.producer_profit[lanes])
+    try:
+        cleared = clear_market(table_q_h, table_q_l, table_postures, populations, params,
+                               pp.provenance_boost, exposed=table_exposed)
     except NoConvergence as exc:
         worlds: dict[int, str] = {}
         for lane, message in exc.lanes.items():
-            worlds.setdefault(int(world[lane]), message)
+            worlds.setdefault(world[lane], message)
         raise NoConvergence(next(iter(worlds.values())), worlds) from None
 
     # (4) the posted lanes' trust step (exogenous shocks land before the Euler update)
@@ -793,32 +835,39 @@ def market_step(
     trust_out = trust_update(trust_in, i1, flow, params.trust)
 
     # (5) welfare of every lane; a huge finite output can overflow the harm's square
-    with np.errstate(over="ignore", invalid="ignore"):
-        welfare = cleared.welfare(trust_out if lanes is None else trust_out[world],
-                                  _take(supply.producer_profit, lanes), params)
+    with _quiet(trust_out):
+        welfare = cleared.welfare(trust_out if lanes is None else trust_out[world], table_profit,
+                                  params)
     columns = [_elements(x)[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
                                           cleared.verify_rate, cleared.precision, trust_out,
                                           welfare)]
 
-    # (6) platform gradient steps from one-tick-ahead finite differences
-    probes = np.s_[:, 1:7]
-    probe_postures = postures.take(probes)
+    # (6) platform gradient steps from one-tick-ahead finite differences,
+    # holding each world's verification at its posted lane's
     verify_rate, precision, trust_now = columns[3:6]
-    objectives, trust_next = _lookahead(
-        probe_postures, supply.q_h[probes], supply.q_l[probes], [x[probes] for x in exposed],
-        pp.fiduciary, params, trust_now=trust_now, verify_rate=verify_rate,
-        precision=precision, producers=populations.producers.n,
-    )
-    stepped = _platform_gradient_steps(platforms, probe_postures, objectives, trust_next, pf)
+    fiduciary, producers = pp.fiduciary, populations.producers.n
+    if lanes is None:  # the six probe lanes one by one, a row of one world
+        t, v, pi = trust_now[0], verify_rate[0], precision[0]
+        outlook = [_lookahead(p, h, l, e, fiduciary, params, trust_now=t, verify_rate=v,
+                              precision=pi, producers=producers)
+                   for p, h, l, e in zip(lane_postures[1:], q_h[1:], q_l[1:], exposed[1:])]
+        probes = Postures(*([lever[1:]] for lever in levers))
+        objectives, trust_next = ([list(x)] for x in zip(*outlook))
+    else:
+        probe = np.s_[:, 1:7]
+        probe_postures = postures.take(probe)
+        objectives, trust_next = (x.tolist() for x in _lookahead(
+            probe_postures, supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
+            fiduciary, params,
+            trust_now=np.array(trust_now)[:, None], verify_rate=np.array(verify_rate)[:, None],
+            precision=np.array(precision)[:, None], producers=producers,
+        ))
+        probes = Postures(*(x.tolist() for x in (
+            probe_postures.gamma_h, probe_postures.gamma_l, probe_postures.moderation)))
+    stepped = _platform_gradient_steps(platforms, probes, objectives, trust_next, pf)
     welfare, pollution = _elements(welfare), _elements(cleared.pollution)
     weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
     return columns, weighed, stepped
-
-
-def _take(x: np.ndarray, lanes) -> float | np.ndarray:
-    """The lane table's values of a (world, supply column) array: ``x[lanes]``,
-    or with ``lanes`` None a lone world's one lane as a Python float."""
-    return x.item(0) if lanes is None else x[lanes]
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -855,52 +904,51 @@ def _probes(platforms: Sequence[Postures], pf: PlatformParams) -> Postures:
 
 def _lookahead(
     postures: Postures,
-    q_h: np.ndarray,
-    q_l: np.ndarray,
-    exposed: Sequence[np.ndarray],
+    q_h,
+    q_l,
+    exposed: Sequence,
     fiduciary: float,
     params: SimParams,
     *,
-    trust_now: Sequence[float],
-    verify_rate: Sequence[float],
-    precision: Sequence[float],
+    trust_now,
+    verify_rate,
+    precision,
     producers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(objectives, trust levels) one tick ahead if each world's platform
-    posts each of its probes, as (world, probe).
+) -> tuple:
+    """(objective, trust level) one tick ahead if a platform posts a probe
+    posture, elementwise: floats for one probe, or arrays of a row of
+    probes per world.
 
-    ``postures`` holds one row of probes per world, ``q_h``/``q_l``
-    supply's response to each and ``exposed`` their `exposure`.  The profit
-    side is per-producer normalized so learning rates are population-size
-    invariant; under a fiduciary duty the objective blends in the consumer
-    value/harm fragment.  The verification response is held at this tick's
-    clearing within the lookahead: ``verify_rate`` and ``precision`` are the
-    posted lanes', one value per world, as ``trust_now`` is.
+    ``q_h``/``q_l`` are supply's response to the probe and ``exposed`` its
+    `exposure`.  The profit side is per-producer normalized so learning
+    rates are population-size invariant; under a fiduciary duty the
+    objective blends in the consumer value/harm fragment.  The verification
+    response is held at this tick's clearing within the lookahead:
+    ``verify_rate`` and ``precision`` are the posted lane's, as
+    ``trust_now`` is (floats, or one value per world as a column).
     """
     rho, flow, objective = exposed
     if fiduciary > 0.0:
         # As in welfare, a huge finite output can overflow the harm's square.
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, harm = value_and_harm(
-                q_h, q_l, np.array(verify_rate)[:, None], np.array(precision)[:, None], postures,
-                params.welfare,
-            )
+        with _quiet(q_h):
+            value, harm = value_and_harm(q_h, q_l, verify_rate, precision, postures,
+                                         params.welfare)
             objective = fiduciary_objective(objective, value, harm, fiduciary)
-    trust_next = trust_update(np.array(trust_now)[:, None], rho, flow, params.trust)
-    return objective / producers, trust_next
+    return objective / producers, trust_update(trust_now, rho, flow, params.trust)
 
 
 def _platform_gradient_steps(
-    platforms: Sequence[Postures], probes: Postures, objectives: np.ndarray,
-    trust_next: np.ndarray, pf: PlatformParams,
+    platforms: Sequence[Postures], probes: Postures, objectives: list[list[float]],
+    trust_next: list[list[float]], pf: PlatformParams,
 ) -> list[Postures]:
     """One `platform_update` per world from central differences over its probes.
 
-    ``probes`` holds one row of probes per world in `_probes` order, and
-    ``objectives``/``trust_next`` are `_lookahead`'s for them.
+    Every argument after ``platforms`` holds lists of Python floats, one
+    row per world: ``probes``' levers hold the probes in `_probes` order,
+    and ``objectives``/``trust_next`` are `_lookahead`'s for them.
     """
-    f, t = objectives.tolist(), trust_next.tolist()
-    levers = [getattr(probes, field).tolist() for field in _LEVERS]
+    f, t = objectives, trust_next
+    levers = [getattr(probes, field) for field in _LEVERS]
     stepped = []
     for w, platform in enumerate(platforms):
         grads = []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket import harness
@@ -946,12 +946,8 @@ class TestCli:
             "config error: shocks.ticks must be nonnegative integers")
 
     @pytest.mark.parametrize("command, ticks, config, named", [
-        ("baseline", 3, {"welfare.value_h": "1e308"}, ("welfare section",)),  # both anchors inf
         ("noise-robustness", 3, {"proxy.impression_scale": "1e308"},
          ("proxy.impression_scale",)),
-        # Low-quality exposure as a good: the worst corner is the lattice's best posture.
-        ("baseline", 3, {"platform.gamma_init": "0", "welfare.harm_lin": "-100"},
-         ("ipi.anchor_*",)),
         # cap_gen ** kappa_gen at cap_gen 1.01: the endogenous weights' stepped stock.
         ("baseline", 3, {"ipi.endogenous_weights": "true", "ipi.kappa_gen": "1e5"},
          ("ipi.kappa_gen", "at tick 1 (cap_gen = 1.01)")),
@@ -982,14 +978,6 @@ class TestCli:
         ("event-detection", 3, {"shocks.fake_news_burst": "1e300", "policy.fiduciary": "0.5"},
          ("welfare", "tick 2")),
         ("shocks", 150, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 101")),
-        # Productivity draws that leave the positive finite floats, found
-        # before tick 1: the rescaling underflows to 0, or the draws overflow.
-        ("baseline", 5, {"agents.prod_log_sd": "38"}, ("agents.prod_log_sd",)),
-        ("baseline", 5, {"agents.prod_log_sd": "1e200"}, ("agents.prod_log_sd",)),
-        ("baseline", 5, {"agents.mean_prod_h": "1e308"}, ("agents.mean_prod_h",)),
-        ("baseline", 5, {"agents.mean_prod_l": "1e308"}, ("agents.mean_prod_l",)),
-        # Every draw finite, their mean not: the aggregation weights would all be 0.
-        ("baseline", 5, {"agents.mean_prod_h": "1e307"}, ("agents.mean_prod_h",)),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -1005,6 +993,45 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert all(name in err for name in named)
+
+    @pytest.mark.parametrize("config, named", [
+        ({"welfare.value_h": "1e308"}, ("welfare section",)),  # both anchors inf
+        # Low-quality exposure as a good: the worst corner is the lattice's best posture.
+        ({"platform.gamma_init": "0", "welfare.harm_lin": "-100"}, ("ipi.anchor_*",)),
+        # Productivity draws that leave the positive finite floats: the
+        # rescaling underflows to 0, or the draws overflow.
+        ({"agents.prod_log_sd": "38"}, ("agents.prod_log_sd",)),
+        ({"agents.prod_log_sd": "1e200"}, ("agents.prod_log_sd",)),
+        ({"agents.mean_prod_h": "1e308"}, ("agents.mean_prod_h",)),
+        ({"agents.mean_prod_l": "1e308"}, ("agents.mean_prod_l",)),
+        # Every draw finite, their mean not: the aggregation weights would all be 0.
+        ({"agents.mean_prod_h": "1e307"}, ("agents.mean_prod_h",)),
+        # Every cost 0 and gamma_max 1 on the small lattice: the worst corner is its best.
+        ({"agents.k_max": "0", "platform.gamma_max": "1", **SMALL}, ("ipi.anchor_*",)),
+    ])
+    def test_configs_whose_world_does_not_build_exit_config_code(self, tmp_path, capsys,
+                                                               config, named):
+        # `validate-config` builds the world a run builds before tick 1
+        # (populations and welfare anchors) and rejects it as the run does.
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+        codes = [main(["validate-config", "--config", str(path)])]
+        errors = [capsys.readouterr().err]
+        codes.append(main(["baseline", "--ticks", "5", "--out", str(tmp_path / "x"),
+                           "--config", str(path)]))
+        errors.append(capsys.readouterr().err)
+        assert codes == [2, 2]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("config error: ") and errors[0].count("\n") == 1
+        assert all(name in errors[0] for name in named)
+
+    def test_a_world_whose_anchors_miss_the_tolerance_validates(self, tmp_path):
+        # The run exits 3, which the exit-code contract allows for a valid config.
+        path = tmp_path / "run.cfg"
+        path.write_text("market.fp_tol = 0\n", encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["baseline", "--ticks", "1", "--out", str(tmp_path / "x"),
+                     "--config", str(path)]) == 3
 
     @pytest.mark.parametrize("overrides", [
         ["--agents.k_max", "1e20", "--agents.du_l", "1e30"],  # everyone verifies: V = 1
@@ -1250,24 +1277,29 @@ CONFIG_SPACE = {
 UNDRAWN = {**SMALL, "shocks.ticks": 1}
 
 
+def write_small_world(path: Path, config: dict) -> Path:
+    """Write ``config`` over `UNDRAWN` (a drawn key keeps its drawn value), so
+    that `validate-config` and a run read one world."""
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**UNDRAWN, **config}.items()),
+                    encoding="utf-8")
+    return path
+
+
 class TestConfigSpace:
     @given(config=st.lists(st.sampled_from(sorted(CONFIG_SPACE)), min_size=1, max_size=3,
                            unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                                {key: st.sampled_from(CONFIG_SPACE[key]) for key in keys})))
+    # Every cost 0 and gamma_max 1 collapse the small world's anchors.
+    @example(config={"agents.k_max": "0", "platform.gamma_max": "1"})
     @settings(max_examples=40, deadline=None)
     def test_no_config_exits_one(self, config):
         """Accepted configs run or fail to converge; rejected ones exit 2 from every command."""
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "space.cfg"
-            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+            path = write_small_world(Path(tmp) / "space.cfg", config)
             validated = main(["validate-config", "--config", str(path)])
             ran = [
-                main([
-                    experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
-                    "--config", str(path),
-                    # a drawn key keeps its drawn value (flags override the file)
-                    *(f"--{k}={v}" for k, v in UNDRAWN.items() if k not in config),
-                ])
+                main([experiment, "--ticks", "3", "--out", str(Path(tmp) / "x"),
+                      "--config", str(path)])
                 # robust-select runs its six worlds as one lockstep batch
                 for experiment in ("baseline", "noise-robustness", "robust-select",
                                    "event-detection", "shocks")
@@ -1279,10 +1311,9 @@ class TestConfigSpace:
     @pytest.mark.parametrize("key, value", [(k, v) for k in CONFIG_SPACE for v in CONFIG_SPACE[k]])
     def test_every_single_value_follows_the_exit_rule(self, tmp_path, key, value):
         """Each pair of the space alone, so that no bad value goes undrawn."""
-        path = tmp_path / "one.cfg"
-        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        path = write_small_world(tmp_path / "one.cfg", {key: value})
         validated = main(["validate-config", "--config", str(path)])
-        ran = main(["baseline", "--ticks", "3", "--out", str(tmp_path / "x"), "--config", str(path),
-                    *(f"--{k}={v}" for k, v in UNDRAWN.items() if k != key)])
+        ran = main(["baseline", "--ticks", "3", "--out", str(tmp_path / "x"),
+                    "--config", str(path)])
         assert validated in (0, 2)
         assert ran == 2 if validated == 2 else ran in (0, 3)

@@ -21,6 +21,7 @@ from infomarket.market import (
     clear_market,
     exposure,
     harmful_exposure,
+    market_step,
     signal_precision,
     solve_verification_fixed_point,
     static_equilibrium_welfare,
@@ -30,6 +31,10 @@ from infomarket.market import (
     welfare_anchors,
     welfare_value,
 )
+
+
+T_MAX = SimParams().trust.t_max
+GAMMA_MAX = SimParams().platform.gamma_max
 
 
 def make_platform(gamma_h=1.0, gamma_l=1.0, moderation=0.0) -> Postures:
@@ -553,6 +558,142 @@ class TestBisectedKnotScan:
             assert blocks() == [(lanes, window + 2)]
 
 
+class TestFloatProbeLanes:
+    """A lone world takes its seven supply lanes as Python floats and runs
+    every stage after supply in them: the posted lane's clearing, and each
+    probe lane's `exposure`, `_lookahead` and the gradient step.  The (1, 6)
+    array forms, which every batch runs, are their oracle bit for bit."""
+
+    SPIED = ("exposure", "trust_update", "value_and_harm")
+
+    def test_a_lone_world_runs_its_probe_lanes_as_floats(self, monkeypatch):
+        seen = {name: set() for name in self.SPIED}
+        for name in self.SPIED:
+            def spied(*args, _name=name, _fn=getattr(market, name), **kwargs):
+                for x in args:  # the lanes' values, and a posture's levers
+                    xs = (x.gamma_h, x.gamma_l, x.moderation) if isinstance(x, Postures) else (x,)
+                    seen[_name].update(type(v) for v in xs if isinstance(v, (float, np.ndarray)))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(market, name, spied)
+        # Every world is built before the spies see a call: the anchors are arrays.
+        small = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60,
+                                            "policy.fiduciary": 0.5})
+        worlds = [small.with_overrides({"econ.ai_rental": r})
+                  for r in np.linspace(0.5, 1.5, 20).tolist()]
+        lone = Simulation(SimParams().with_overrides({"policy.fiduciary": 0.5}), None, 42)
+        batch = [Simulation(world, None, 42) for world in worlds]
+        weighing = Simulation(SimParams().with_overrides({"ipi.endogenous_weights": True,
+                                                          "policy.fiduciary": 0.5}), None, 42)
+        for kind, tick in ((float, lone.advance),
+                           (np.ndarray, lambda: harness._step(
+                               batch, [build_overlays(1, (), world)[0] for world in worlds])),
+                           (np.ndarray, weighing.advance)):
+            for calls in seen.values():
+                calls.clear()
+            tick()
+            assert seen == {name: {kind} for name in self.SPIED}
+
+    @given(
+        posture=st.tuples(*[st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top))
+                            for top in (GAMMA_MAX, GAMMA_MAX, 1.0)]),
+        # 1e-300 is below an ulp of a lever near 1: both probes equal it, span 0.
+        fd_step=st.sampled_from([1e-3, 0.1, 3.0, 1e-300]),
+        fiduciary=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        trust=st.one_of(st.sampled_from([0.0, T_MAX]), st.floats(0.0, T_MAX)),
+        # Outputs past 1e154 overflow the harm's square, and past 1e308 / 2
+        # the value too: objectives of -inf and NaN.
+        outputs=st.lists(st.tuples(*[st.one_of(
+            st.floats(0.0, 1e3), st.sampled_from([0.0, 1e160, 1e300, 1.7e308]))] * 2),
+            min_size=6, max_size=6),
+        verify_rate=st.floats(0.0, 1.0),
+        precision=st.floats(0.5, 1.0),
+    )
+    @example(posture=(0.0, GAMMA_MAX, 1.0), fd_step=1e-3, fiduciary=1.0, trust=T_MAX,
+             outputs=[(1.7e308, 1e300)] * 6, verify_rate=0.0, precision=0.5)
+    @example(posture=(1.0, 1.0, 0.0), fd_step=1e-300, fiduciary=0.5, trust=0.0,
+             outputs=[(10.0, 30.0)] * 6, verify_rate=0.4, precision=0.8)
+    @settings(max_examples=500, deadline=None)
+    def test_float_lookahead_and_step_equal_the_array_forms(
+        self, populations, posture, fd_step, fiduciary, trust, outputs, verify_rate, precision,
+    ):
+        params = SimParams().with_overrides({"platform.fd_step": fd_step})
+        pf, producers = params.platform, populations.producers.n
+        platform = Postures(*posture)
+        probes = market._probes([platform], pf).take(np.s_[:, 1:7])
+        q_h, q_l = (np.array([column]) for column in zip(*outputs))
+
+        def arrays():
+            exposed = exposure(q_h, q_l, probes, populations, params)
+            objectives, trust_next = market._lookahead(
+                probes, q_h, q_l, exposed, fiduciary, params, trust_now=np.array([[trust]]),
+                verify_rate=np.array([[verify_rate]]), precision=np.array([[precision]]),
+                producers=producers)
+            return objectives.tolist(), trust_next.tolist()
+
+        levers = [x.ravel().tolist() for x in (probes.gamma_h, probes.gamma_l, probes.moderation)]
+
+        def floats():
+            outlook = []
+            for p, h, l in zip((Postures(*lane) for lane in zip(*levers)), *zip(*outputs)):
+                outlook.append(market._lookahead(
+                    p, h, l, exposure(h, l, p, populations, params), fiduciary, params,
+                    trust_now=trust, verify_rate=verify_rate, precision=precision,
+                    producers=producers))
+            assert all(type(x) is float for lane in outlook for x in lane)
+            return tuple([list(x)] for x in zip(*outlook))
+
+        def step(lookahead):
+            # `_lookahead`'s rows, then the gradient step they give
+            objectives, trust_next = lookahead()
+            s, = market._platform_gradient_steps(
+                [platform], Postures(*([lever] for lever in levers)), objectives, trust_next, pf)
+            return bits(*objectives[0], *trust_next[0]), bits(s.gamma_h, s.gamma_l, s.moderation)
+
+        with np.errstate(all="ignore"):
+            assert outcome_or_error(lambda: step(arrays)) == outcome_or_error(lambda: step(floats))
+
+    @given(
+        posture=st.tuples(*[st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top))
+                            for top in (GAMMA_MAX, GAMMA_MAX, 1.0)]),
+        fiduciary=st.sampled_from([0.0, 0.5, 1.0]),
+        trust=st.one_of(st.sampled_from([0.0, T_MAX]), st.floats(0.0, T_MAX)),
+        tax=st.sampled_from([0.0, 0.3]),
+        # A burst past 1e154 overflows the harm's square.
+        burst=st.sampled_from([0.0, 50.0, 1e160, 1e300]),
+    )
+    @example(posture=(GAMMA_MAX, GAMMA_MAX, 0.0), fiduciary=1.0, trust=T_MAX, tax=0.0, burst=1e300)
+    @settings(max_examples=150, deadline=None)
+    def test_a_lone_tick_equals_its_world_in_a_batch(self, populations, posture, fiduciary,
+                                                     trust, tax, burst):
+        params = SimParams().with_overrides({"policy.fiduciary": fiduciary})
+        overlay = replace(build_overlays(1, (), params)[0], extra_q_l=burst)
+        platform = Postures(*posture)
+
+        def tick(worlds):
+            columns, weighed, stepped = market_step(
+                [trust] * worlds, populations, [platform] * worlds,
+                [overlay] * worlds, [tax] * worlds, [None] * worlds, params)
+            world = [column[0] for column in columns]
+            return bits(*world), weighed, bits(stepped[0].gamma_h, stepped[0].gamma_l,
+                                               stepped[0].moderation)
+
+        with np.errstate(all="ignore"):
+            assert outcome_or_error(lambda: tick(1)) == outcome_or_error(lambda: tick(2))
+
+
+def bits(*values) -> bytes:
+    """The float64 bits of ``values``, NaN and -0.0 included."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def outcome_or_error(run):
+    """What ``run`` returns, or the type and message of the error it raises."""
+    try:
+        return run()
+    except (ValueError, NoConvergence) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def reachable_knots(consumers, params):
     """How many knots step 1 reads: those between the threshold's bounds,
     and the first above them if there is one."""
@@ -660,13 +801,25 @@ class TestTrustUpdate:
         lane = trust_update(*(np.array([x]) for x in (trust, i1, flow)), cfg)
         assert np.array([got]).tobytes() == lane.tobytes()
 
+    TRUST, I1, FLOW = r"trust out of \[0, 1.0\]: ", "i1 must lie in", "flow must be nonnegative"
+
     @pytest.mark.parametrize("trust, i1, flow, message", [
-        (1.5, 0.5, 1.0, r"trust out of \[0, 1.0\]: "),
-        (math.nan, 0.5, 1.0, r"trust out of \[0, 1.0\]: "),
-        (0.5, 1.5, 1.0, "i1 must lie in"),
-        (0.5, math.nan, 1.0, "i1 must lie in"),
-        (0.5, 0.5, -1.0, "flow must be nonnegative"),
+        (1.5, 0.5, 1.0, TRUST),
+        (-0.5, 0.5, 1.0, TRUST),
+        (math.inf, 0.5, 1.0, TRUST),
+        (math.nan, 0.5, 1.0, TRUST),
+        (0.5, 1.5, 1.0, I1),
+        (0.5, -0.5, 1.0, I1),
+        (0.5, math.nan, 1.0, I1),
+        (0.5, 0.5, -1.0, FLOW),
+        (0.5, 0.5, -math.inf, FLOW),
         (0.5, 0.5, math.nan, None),  # NaN fails a range but not a sign
+        # Two faults and three: trust is checked first, then i1, then flow.
+        (1.5, math.nan, 1.0, TRUST),
+        (math.nan, 0.5, -1.0, TRUST),
+        (0.5, 1.5, -1.0, I1),
+        (0.5, math.nan, -1.0, I1),
+        (-1.0, 2.0, -1.0, TRUST),
     ])
     def test_floats_check_as_one_lane_arrays(self, trust, i1, flow, message):
         for args in ((trust, i1, flow), tuple(np.array([x]) for x in (trust, i1, flow))):
@@ -776,7 +929,6 @@ def scalar_anchor_loop(populations, params):
     return best, w_min
 
 
-GAMMA_MAX = SimParams().platform.gamma_max
 TAX_MAX = SimParams().ipi.anchor_tax_max
 LANE = st.tuples(  # (gamma_h, gamma_l, moderation, tax)
     st.floats(0.0, GAMMA_MAX), st.floats(0.0, GAMMA_MAX), st.floats(0.0, 1.0), st.floats(0.0, TAX_MAX)
@@ -823,26 +975,36 @@ class TestBatchedClearing:
             assert (alone.verify_rate[0], alone.precision[0]) == (
                 together.verify_rate[i], together.precision[i])
 
-    @given(lanes=st.lists(LANE, min_size=1, max_size=8))
+    @given(lanes=st.lists(LANE, min_size=1, max_size=8), one_tax=st.booleans(),
+           cost_h=st.sampled_from([None, math.nan, math.inf]),
+           rationality=st.sampled_from([1.0, 0.0, 1e300]))
     @settings(max_examples=100, deadline=None)
-    def test_supply_rows_equal_one_dimensional_dots(self, populations, params, lanes):
-        pool = populations.producers
+    def test_supply_rows_equal_one_dimensional_dots(self, populations, params, lanes, one_tax,
+                                                    cost_h, rationality):
+        # A float argument broadcasts unwrapped and a per-lane one as a
+        # column; the clipped logit gap keeps its bits, NaN and -0.0 included.
+        pool = replace(populations.producers, rationality=rationality)
         platforms = [make_platform(gamma_h=gh, gamma_l=gl, moderation=m) for gh, gl, m, _ in lanes]
-        tax = [lane[3] for lane in lanes]
-        cost_h, cost_l = _base_costs(params, 0.8)
-        supply = supply_response(pool, Postures.of(platforms), params.platform, cost_h_base=cost_h,
-                                 cost_l_base=cost_l, gen_boost=1.3, tax=np.array(tax), extra_q_l=2.5)
-        for i, (p, t) in enumerate(zip(platforms, tax)):
-            # The one-posture supply with 1-D `np.dot` reductions, as before batching.
-            margin = (1.0 - params.platform.revenue_share) * params.platform.ad_rate
-            pi_h = margin * p.gamma_h - cost_h / pool.prod_h
-            pi_l = margin * p.gamma_l - cost_l / (pool.prod_l * 1.3) - t
-            prob_h = 1.0 / (1.0 + np.exp(-np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)))
-            q_h = float(np.dot(prob_h, pool.weight_h))
-            q_l = float(np.dot(1.0 - prob_h, pool.weight_l)) + 2.5
-            profit = float(np.dot(prob_h, pool.weight_h * pi_h)
-                           + np.dot(1.0 - prob_h, pool.weight_l * (pi_l + t)))
-            assert (supply.q_h[i], supply.q_l[i], supply.producer_profit[i]) == (q_h, q_l, profit)
+        tax = [-0.0 if one_tax else lane[3] for lane in lanes]
+        cost_l = _base_costs(params, 0.8)[1]
+        cost_h = _base_costs(params, 0.8)[0] if cost_h is None else cost_h
+        with np.errstate(all="ignore"):
+            supply = supply_response(pool, Postures.of(platforms), params.platform,
+                                     cost_h_base=cost_h, cost_l_base=cost_l, gen_boost=1.3,
+                                     tax=tax[0] if one_tax else np.array(tax), extra_q_l=2.5)
+            for i, (p, t) in enumerate(zip(platforms, tax)):
+                # The one-posture supply with 1-D `np.dot` reductions, as before batching.
+                margin = (1.0 - params.platform.revenue_share) * params.platform.ad_rate
+                pi_h = margin * p.gamma_h - cost_h / pool.prod_h
+                pi_l = margin * p.gamma_l - cost_l / (pool.prod_l * 1.3) - t
+                gap = np.clip(pool.rationality * (pi_h - pi_l), -700.0, 700.0)
+                prob_h = 1.0 / (1.0 + np.exp(-gap))
+                q_h = float(np.dot(prob_h, pool.weight_h))
+                q_l = float(np.dot(1.0 - prob_h, pool.weight_l)) + 2.5
+                profit = float(np.dot(prob_h, pool.weight_h * pi_h)
+                               + np.dot(1.0 - prob_h, pool.weight_l * (pi_l + t)))
+                assert bits(supply.q_h[i], supply.q_l[i], supply.producer_profit[i]) == bits(
+                    q_h, q_l, profit)
 
     @pytest.mark.parametrize("seed", [42, 1, 7, 1790146652])
     def test_anchors_equal_the_per_posture_loop(self, seed):
