@@ -70,14 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_run_keys(overrides: dict) -> tuple[dict, dict]:
-    """(the ``run.*`` keys without their prefix, the simulation keys)."""
-    run = {k.removeprefix("run."): v for k, v in overrides.items() if k.startswith("run.")}
-    return run, {k: v for k, v in overrides.items() if not k.startswith("run.")}
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    run, overrides = _split_run_keys(load_overrides(None, parse_config_file(args.config)))
+    run, overrides = load_overrides(None, parse_config_file(args.config))
     cfg = ExperimentConfig(**run, overrides=overrides)
     # Build the world a run builds before tick 1 (populations and welfare
     # anchors), so that a config the run rejects there exits 2 here too.  A
@@ -105,7 +99,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for key in SimParams().flatten()
         if getattr(args, key, None) is not None
     }
-    file_run, overrides = _split_run_keys(load_overrides(args.config, cli_pairs))
+    file_run, overrides = load_overrides(args.config, cli_pairs)
     # The subcommand and flags beat the file's run.* keys, which beat the defaults.
     run = {"max_ticks": EXPERIMENTS[args.experiment][1]} | file_run
     run |= {k: getattr(args, k) for k in RUN_KEYS if getattr(args, k) is not None}

@@ -110,6 +110,11 @@ class PlatformParams:
                f"lie in [0, platform.gamma_max = {self.gamma_max!r}]")
         _bound(self, "platform", "moderation_init", lambda v: 0 <= v <= 1, "lie in [0, 1]")
         _bound(self, "platform", "ad_rate", _positive, "be positive")
+        # The producers' margin at the top amplification, as `supply_response` computes it.
+        _bound(self, "platform", "gamma_max",
+               lambda v: math.isfinite((1.0 - self.revenue_share) * self.ad_rate * v),
+               "keep the margin (1 - platform.revenue_share) * platform.ad_rate * gamma_max "
+               "finite")
         _bound(self, "platform", "lr_gamma lr_mod trust_price moderation_cost engagement_bias",
                _nonnegative, "be nonnegative")
         # At 0 every finite-difference probe is the posted posture, and the platform freezes.

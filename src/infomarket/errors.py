@@ -10,16 +10,8 @@ class AssumptionViolated(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The verification fixed point missed its tolerance.
-
-    ``lanes`` maps each lane of the solve that missed it to the message that
-    lane gives when solved alone; the exception's own message is the first
-    lane's.
-    """
-
-    def __init__(self, message: str, lanes: dict[int, str] | None = None):
-        super().__init__(message)
-        self.lanes = lanes or {}
+    """The verification fixed point missed its tolerance; the message names
+    the first lane of the solve that missed it."""
 
 
 class DegenerateAnchors(ValueError):

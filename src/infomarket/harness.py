@@ -324,45 +324,37 @@ def _step(
     its one lane table, and each world adopts its record row, its stepped
     posture and its exogenous row.
 
-    A world whose fixed point misses ``market.fp_tol`` on any of its lanes
-    gets, in place of its record row, the NoConvergence it raises when run
-    alone, and does not advance; the other worlds clear again without it.
-    A stepped generation boost that overflows, or a non-finite welfare, is
-    a configuration error.
+    When some lane's fixed point misses ``market.fp_tol``, each world steps
+    alone: it gets its record row, or in its place the NoConvergence it
+    raises alone, and then does not advance.  A world's row does not depend
+    on its batch.  A stepped generation boost that overflows, or a
+    non-finite welfare, is a configuration error.
     """
     taxes = [sim._levy() for sim in sims]
-    outcomes: list[TickRow | NoConvergence | None] = [None] * len(sims)
-    live = list(range(len(sims)))
-    stepped = None
-    while live and stepped is None:
-        first = sims[live[0]]
-        try:
-            columns, weighed, stepped = market_step(
-                [sims[i].state.trust for i in live], first.populations,
-                [sims[i].platform for i in live], [overlays[i] for i in live],
-                [taxes[i] for i in live], [_weight_step(sims[i], overlays[i]) for i in live],
-                first.params,
-            )
-        except NoConvergence as exc:
-            if not exc.lanes:
-                raise
-            for lane, message in exc.lanes.items():
-                outcomes[live[lane]] = NoConvergence(message)
-            live = [i for i in live if outcomes[i] is None]
-    if not live:
-        return outcomes
+    first = sims[0]
+    try:
+        columns, weighed, stepped = market_step(
+            [sim.state.trust for sim in sims], first.populations,
+            [sim.platform for sim in sims], overlays, taxes,
+            [_weight_step(sim, overlay) for sim, overlay in zip(sims, overlays)], first.params,
+        )
+    except NoConvergence as exc:
+        if len(sims) == 1:
+            return [exc]
+        return [row for sim, overlay in zip(sims, overlays) for row in _step([sim], [overlay])]
     for welfare in columns[6]:
         if not math.isfinite(welfare):
             raise ConfigError(
                 f"welfare is {welfare} at tick {first.state.tick + 1}: the tick's outputs, "
                 "or the welfare section's coefficients that weigh them, overflow"
             )
-    for lane, (i, platform, *outcome) in enumerate(zip(live, stepped, *columns)):
-        sim = sims[i]
-        row = sim._row(overlays[i], taxes[i], outcome, weighed.get(lane))
-        sim.state, sim.platform, sim.last_overlay = row, platform, overlays[i]
-        outcomes[i] = row
-    return outcomes
+    rows = []
+    for world, (sim, overlay, tax, platform, *outcome) in enumerate(
+            zip(sims, overlays, taxes, stepped, *columns)):
+        row = sim._row(overlay, tax, outcome, weighed.get(world))
+        sim.state, sim.platform, sim.last_overlay = row, platform, overlay
+        rows.append(row)
+    return rows
 
 
 def build_overlays(
@@ -684,6 +676,8 @@ def _run_batch(
         except NoConvergence as exc:
             outcomes.append(f"NoConvergence: {exc}")
     for overlays in zip(*paths):
+        if not live:
+            break
         order = list(live)
         for i, row in zip(order, _step([live[i] for i in order], [overlays[i] for i in order])):
             if isinstance(row, NoConvergence):
@@ -823,11 +817,9 @@ def shock_stats(record: RunRecord, shocks: Sequence[ShockEvent]) -> list[ShockRe
     return out
 
 
-def run_shocks(
-    cfg: ExperimentConfig, shocks: Sequence[ShockEvent] | None = None
-) -> tuple[RunRecord, list[ShockResponse]]:
+def run_shocks(cfg: ExperimentConfig) -> tuple[RunRecord, list[ShockResponse]]:
     params = cfg.params()
-    shocks = list(shocks) if shocks is not None else default_shocks(params)
+    shocks = default_shocks(params)
     (record,) = _records(cfg, [params], shocks)
     responses = shock_stats(record, shocks)
     mean_rise = float(np.mean([r.rise_pct for r in responses])) if responses else 0.0
@@ -964,13 +956,10 @@ def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else math.nan
 
 
-def run_event_detection(
-    cfg: ExperimentConfig, burst_tick: int | None = None, magnitude: float | None = None
-) -> dict[str, Any]:
-    """Inject a fake-news burst and measure the index's early-warning value."""
+def run_event_detection(cfg: ExperimentConfig) -> dict[str, Any]:
+    """Inject a fake-news burst at mid-horizon and measure the index's early-warning value."""
     params = cfg.params()
-    tick = burst_tick if burst_tick is not None else cfg.max_ticks // 2
-    mag = magnitude if magnitude is not None else params.shocks.fake_news_burst
+    tick, mag = cfg.max_ticks // 2, params.shocks.fake_news_burst
     shock = ShockEvent(tick=tick, kind="fake_news_burst", magnitude=mag)
     (record,) = _records(cfg, [params], [shock])
     (response,) = shock_stats(record, [shock])
@@ -1111,13 +1100,9 @@ def sweep_cells(
     )
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    r_values: Sequence[float] = DEFAULT_SWEEP_R,
-    sigma_values: Sequence[float] = DEFAULT_SWEEP_SIGMA_L,
-) -> SweepReport:
+def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     params = cfg.params()
-    grid = [(r, s) for r in r_values for s in sigma_values]
+    grid = [(r, s) for r in DEFAULT_SWEEP_R for s in DEFAULT_SWEEP_SIGMA_L]
     report = sweep_cells(
         grid, params, master_seed=cfg.master_seed, ticks=cfg.max_ticks, jobs=cfg.jobs
     )
@@ -1239,12 +1224,9 @@ DEFAULT_ROBUST_WORLDS: tuple[dict[str, Any], ...] = (
 )
 
 
-def run_robust_select(
-    cfg: ExperimentConfig,
-    policies: Sequence[tuple[str, dict[str, Any]]] = DEFAULT_ROBUST_POLICIES,
-    worlds: Sequence[dict[str, Any]] = DEFAULT_ROBUST_WORLDS,
-) -> dict[str, Any]:
+def run_robust_select(cfg: ExperimentConfig) -> dict[str, Any]:
     params = cfg.params()
+    policies, worlds = DEFAULT_ROBUST_POLICIES, DEFAULT_ROBUST_WORLDS
     selection = robust_select(
         policies, worlds, cfg.max_ticks,
         base_params=params, master_seed=cfg.master_seed, jobs=cfg.jobs,
@@ -1295,21 +1277,27 @@ def run_experiment(cfg: ExperimentConfig) -> Any:
     return procedure(cfg)
 
 
-def load_overrides(config_path: str | Path | None, cli_pairs: dict[str, str]) -> dict[str, Any]:
-    """Merge file and CLI overrides (CLI wins) and validate them: simulation
-    keys against the schema, ``run.*`` keys parsed to their types (in the
-    mapping returned) and checked as `ExperimentConfig` checks them."""
-    overrides: dict[str, Any] = {}
+def load_overrides(
+    config_path: str | Path | None, cli_pairs: dict[str, str]
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Merge file and CLI overrides (CLI wins), validate them and split them
+    into ``(run, overrides)``: the ``run.*`` keys without their prefix,
+    parsed to their types and checked as `ExperimentConfig` checks them,
+    and the simulation keys, checked against the schema."""
+    merged: dict[str, Any] = {}
     if config_path is not None:
-        overrides.update(parse_config_file(config_path))
-    overrides.update(cli_pairs)
-    run_keys = {}
-    for key, value in overrides.items():
+        merged.update(parse_config_file(config_path))
+    merged.update(cli_pairs)
+    run: dict[str, Any] = {}
+    overrides: dict[str, Any] = {}
+    for key, value in merged.items():
         if key.startswith("run."):
             name = key.removeprefix("run.")
             if name not in RUN_KEYS:
                 raise ConfigError(f"unknown config key: {key!r}")
-            run_keys[key] = _coerce(value, getattr(ExperimentConfig, name), key)
-    ExperimentConfig(**{key.removeprefix("run."): value for key, value in run_keys.items()})
-    SimParams().with_overrides({k: v for k, v in overrides.items() if k not in run_keys})
-    return overrides | run_keys
+            run[name] = _coerce(value, getattr(ExperimentConfig, name), key)
+        else:
+            overrides[key] = value
+    ExperimentConfig(**run)
+    SimParams().with_overrides(overrides)
+    return run, overrides

@@ -147,8 +147,10 @@ def proxy_exposure(log: SyntheticEventLog) -> np.ndarray:
 
 
 def proxy_harm(log: SyntheticEventLog) -> np.ndarray:
-    """Severity-weighted harm feedback per impression, per tick."""
-    return _per_impression(log, log.feedback * np.array(log.severities))
+    """Severity-weighted harm feedback per impression, per tick; a weighted
+    count that overflows gives inf, which the composite clamps to 1."""
+    with np.errstate(over="ignore"):
+        return _per_impression(log, log.feedback * np.array(log.severities))
 
 
 def proxy_churn_gap(log: SyntheticEventLog) -> np.ndarray:
@@ -224,8 +226,9 @@ def synthesize_log(
             rows = rows * rng.uniform(1.0 - noise_level, 1.0 + noise_level, size=rows.shape)
     if not np.isfinite(rows).all():
         raise ConfigError(
-            f"proxy.impression_scale = {px.impression_scale!r} overflows the event log: "
-            "the proxy section's counts must stay finite"
+            f"proxy.impression_scale = {px.impression_scale!r} with proxy.harm_rate_clickbait, "
+            f"_misinformation and _fraud = {rates!r} overflows the event log: the proxy "
+            "section's counts must stay finite"
         )
     impressions, feedback, churn, acc_new = np.split(rows, [2 * k, 2 * k + 3, 2 * k + 6], axis=1)
     return SyntheticEventLog(

@@ -149,8 +149,7 @@ def solve_verification_fixed_point(
        k, solved in closed form.  The sign of k - k* at the clamp edges
        picks the piece.
     3. Check the residual |T(V) - V| of every lane against ``market.fp_tol``;
-       raise NoConvergence naming the first lane that misses it, with every
-       such lane's own message in its ``lanes``.
+       raise NoConvergence naming the first lane that misses it.
 
     When du_h <= du_l (the default) T falls in V and the fixed point is
     unique.  When du_h > du_l T rises in V and may have several; the solve
@@ -161,18 +160,15 @@ def solve_verification_fixed_point(
     meets the tolerance.
 
     Lanes are solved independently: a lane's result does not depend on its
-    batch.  A float in gives floats out, and an array arrays of its shape
-    (0-d: numpy scalars).  One lane is solved in Python floats
-    (`_lane_fixed_point`), because numpy's per-call overhead on one-element
-    arrays is most of its cost; it gives the array forms' bits, inf and NaN
-    included, and the same errors.
+    batch.  An array in gives arrays of its shape out (0-d: numpy
+    scalars).  A float is solved in Python floats (`_lane_fixed_point`),
+    because numpy's per-call overhead on one-element arrays is most of its
+    cost; it gives the array form's bits, inf and NaN included, and the
+    same errors.
     """
     if isinstance(pollution, float):
         return FixedPoint(*_lane_fixed_point(pollution, consumers, provenance_boost, params))
     rho = np.asarray(pollution, dtype=float)
-    if rho.size == 1:
-        solved = _lane_fixed_point(rho.item(), consumers, provenance_boost, params)
-        return FixedPoint(*np.array(solved).reshape(3, *rho.shape))
     lanes = rho.reshape(-1)
     if not ((lanes >= 0.0) & (lanes <= 1.0)).all():
         raise ValueError("pollution must lie in [0, 1]")
@@ -185,7 +181,8 @@ def solve_verification_fixed_point(
     resid = np.abs(consumers.cdf(k_star) - v)
     met = resid < mk.fp_tol
     if not met.all():
-        raise _missed_tolerance(np.flatnonzero(~met).tolist(), resid, lanes, mk.fp_tol)
+        first = met.argmin()
+        raise _missed_tolerance(resid[first], lanes[first], mk.fp_tol)
     shape = rho.shape
     return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
 
@@ -208,7 +205,7 @@ def _lane_fixed_point(
     k_star = _threshold(rho, precision, params)
     resid = abs(consumers.cdf_float(k_star) - v)
     if not resid < mk.fp_tol:
-        raise _missed_tolerance([0], [resid], [rho], mk.fp_tol)
+        raise _missed_tolerance(resid, rho, mk.fp_tol)
     return v, precision, k_star
 
 
@@ -290,14 +287,10 @@ def _bisect_end(
     return first if above < knot_k.size else 0
 
 
-def _missed_tolerance(missed: list[int], resid, pollution, fp_tol: float) -> NoConvergence:
-    """NoConvergence naming the first of the ``missed`` lanes, with every such lane's message."""
-    messages = {
-        i: f"verification fixed point: residual {resid[i]:.3e} not below "
-        f"market.fp_tol = {fp_tol:.3e} (pollution={pollution[i]:.4f})"
-        for i in missed
-    }
-    return NoConvergence(next(iter(messages.values())), messages)
+def _missed_tolerance(resid: float, pollution: float, fp_tol: float) -> NoConvergence:
+    """NoConvergence naming a lane whose residual misses ``fp_tol``."""
+    return NoConvergence(f"verification fixed point: residual {resid:.3e} not below "
+                         f"market.fp_tol = {fp_tol:.3e} (pollution={pollution:.4f})")
 
 
 def _segment_root(
@@ -569,7 +562,8 @@ def supply_response(
     pi_h = margin_h - cost_h
     pi_l = margin_l - cost_l - tax
     gap = pi_h - pi_l
-    gap *= pool.rationality
+    with np.errstate(over="ignore"):  # the clip below takes an overflow's inf to 700
+        gap *= pool.rationality
     # np.clip's bits (NaN stays, -0.0 stays), in place
     np.maximum(gap, -700.0, out=gap)
     np.minimum(gap, 700.0, out=gap)
@@ -709,11 +703,21 @@ class TickOverlay:
 
 
 def _base_costs(params: SimParams, ai_rental: float) -> tuple[float, float]:
+    """The type-level unit costs (high, low) at the rental rate; a CES cost
+    bracket that leaves the floats (0 or an overflow) is a configuration error."""
     e = params.econ
     prices = econ.FactorPrices(ai_rental=ai_rental, wage=e.wage)
-    tech_h = econ.CesTechnology(tfp=e.tfp_h, share=e.delta_h, elasticity=e.sigma_h)
-    tech_l = econ.CesTechnology(tfp=e.tfp_l, share=e.delta_l, elasticity=e.sigma_l)
-    return econ.unit_cost(tech_h, prices), econ.unit_cost(tech_l, prices)
+    costs = []
+    for kind, tfp, share, sigma in (("h", e.tfp_h, e.delta_h, e.sigma_h),
+                                    ("l", e.tfp_l, e.delta_l, e.sigma_l)):
+        try:
+            costs.append(econ.unit_cost(econ.CesTechnology(tfp, share, sigma), prices))
+        except (ZeroDivisionError, OverflowError):
+            raise ConfigError(
+                f"econ.sigma_{kind} = {sigma!r} takes the CES unit cost out of the floats at "
+                f"AI rental {ai_rental!r} (with econ.delta_{kind} and econ.wage)"
+            ) from None
+    return costs[0], costs[1]
 
 
 # The levers of the platform's gradient step, in the order it probes them.
@@ -757,9 +761,9 @@ def market_step(
     (q_h, q_l, pollution, verify_rate, precision, trust, welfare); the
     weighing worlds' ``{world: (scaled welfare, scaled pollution,
     stepped-supply welfare)}``; and each world's stepped posture.  Welfare
-    may overflow; the caller checks it.  NoConvergence names, in its
-    ``lanes``, every world with a lane whose fixed point misses
-    ``market.fp_tol``, with the message of its first such lane.
+    may overflow; the caller checks it.  A lane whose fixed point misses
+    ``market.fp_tol`` raises NoConvergence for the whole batch, naming the
+    first such lane of the table.
     """
     pf, pp = params.platform, params.policy
     weighted = [w for w, step in enumerate(weight_steps) if step is not None]
@@ -816,14 +820,8 @@ def market_step(
         table_q_h, table_q_l, table_postures, table_exposed, table_profit = (
             supply.q_h[lanes], scaled, postures.take(lanes),
             None if k else tuple(x[lanes] for x in exposed), supply.producer_profit[lanes])
-    try:
-        cleared = clear_market(table_q_h, table_q_l, table_postures, populations, params,
-                               pp.provenance_boost, exposed=table_exposed)
-    except NoConvergence as exc:
-        worlds: dict[int, str] = {}
-        for lane, message in exc.lanes.items():
-            worlds.setdefault(world[lane], message)
-        raise NoConvergence(next(iter(worlds.values())), worlds) from None
+    cleared = clear_market(table_q_h, table_q_l, table_postures, populations, params,
+                           pp.provenance_boost, exposed=table_exposed)
 
     # (4) the posted lanes' trust step (exogenous shocks land before the Euler update)
     t_max = params.trust.t_max

@@ -170,6 +170,13 @@ class TestProxies:
         # (8 + 6 + 5) / 200
         assert proxy_harm(log) == pytest.approx(0.095)
 
+    def test_harm_that_overflows_is_inf_and_clamps_to_one(self):
+        # `proxy.sev_fraud 1e308`: the weighted count overflows, with no RuntimeWarning.
+        log = _log(high=[150.0], low=[50.0], feedback=(8.0, 2.0, 2.0),
+                   severities=(1.0, 3.0, 1e308))
+        assert proxy_harm(log).tolist() == [np.inf]
+        assert proxy_composite(log, (0.0, 1.0, 0.0, 0.0)).tolist() == [1.0]
+
     def test_churn_gap(self):
         assert proxy_churn_gap(_log(churn=(0.12, 0.08, 0.10))) == pytest.approx(0.4)
         assert proxy_churn_gap(_log(churn=(0.1, 0.1, 0.2))) == 0.0

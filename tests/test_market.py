@@ -363,8 +363,8 @@ class TestReachableKnotScan:
 
 
 class TestOneLaneSolve:
-    """A one-lane solve runs steps 2-3 in Python floats; the array forms,
-    which `full_scan_fixed_point` calls, are its oracle bit for bit."""
+    """A float lane is solved in Python floats; the 0-d array form, which
+    `full_scan_fixed_point` also computes, is its oracle bit for bit."""
 
     NEAR_JUMP = dict(costs=[0.6], du=(0.0, 1.0), market_=(1.0, 0.3, 1.0, 1e-8), provenance=0.0)
 
@@ -408,6 +408,8 @@ class TestOneLaneSolve:
             assert solve_or_error(solve_verification_fixed_point, lane, pool, provenance,
                                   params) == solve_or_error(full_scan_fixed_point, lane, pool,
                                                             provenance, params)
+        oracle = solve_or_error(full_scan_fixed_point, np.array(rho), pool, provenance, params)
+        assert_float_solve_matches(rho, pool, provenance, params, oracle)
 
     def test_infinite_utility_gaps_on_one_lane(self, populations):
         # As `TestReachableKnotScan`'s batch, lane by lane: NaN and inf
@@ -416,12 +418,10 @@ class TestOneLaneSolve:
             params = replace(SimParams(), agents=replace(SimParams().agents, du_h=du_h,
                                                          du_l=du_l))
             for rho in np.linspace(0.0, 1.0, 5).tolist():
-                for lane in (np.array(rho), np.array([rho])):
-                    with np.errstate(invalid="ignore"):
-                        outcomes = [solve_or_error(solve, lane, populations.consumers, 0.0, params)
-                                    for solve in (solve_verification_fixed_point,
-                                                  full_scan_fixed_point)]
-                    assert outcomes[0] == outcomes[1]
+                with np.errstate(invalid="ignore"):  # du_h > du_l scans its knots as arrays
+                    oracle = solve_or_error(full_scan_fixed_point, np.array(rho),
+                                            populations.consumers, 0.0, params)
+                    assert_float_solve_matches(rho, populations.consumers, 0.0, params, oracle)
 
     def test_only_a_batch_calls_the_array_root(self, monkeypatch):
         sizes = []
@@ -513,12 +513,7 @@ class TestBisectedKnotScan:
                     for solve in (solve_verification_fixed_point, full_scan_fixed_point)]
         assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
         # A float in gives floats out, with the 0-d solve's bits and errors.
-        alone = solve_or_error(solve_verification_fixed_point, rho, pool, provenance, params)
-        if isinstance(alone[0], str):
-            assert alone == outcomes[0]
-        else:
-            assert all(x[0] is float for x in alone)
-            assert [x[1:] for x in alone] == [x[1:] for x in outcomes[0]]
+        assert_float_solve_matches(rho, pool, provenance, params, outcomes[0])
 
     def test_only_a_lone_lane_bisects(self, monkeypatch):
         calls = []
@@ -704,13 +699,24 @@ def reachable_knots(consumers, params):
 
 def solve_or_error(solve, lanes, pool, provenance, params):
     """The solve's (rate, precision, threshold) types, shapes, dtypes and
-    bytes, or its NoConvergence messages."""
+    bytes, or its NoConvergence message."""
     try:
         fp = solve(lanes, pool, provenance, params=params)
     except NoConvergence as exc:
-        return str(exc), exc.lanes
+        return str(exc)
     return tuple((type(x), np.shape(x), np.asarray(x).dtype, np.asarray(x).tobytes())
                  for x in (fp.verify_rate, fp.precision, fp.threshold))
+
+
+def assert_float_solve_matches(rho, pool, provenance, params, oracle):
+    """The solve of the float ``rho`` gives floats with the bits of
+    ``oracle``, a 0-d array's `solve_or_error`, or the same error."""
+    alone = solve_or_error(solve_verification_fixed_point, rho, pool, provenance, params)
+    if isinstance(alone, str):
+        assert alone == oracle
+    else:
+        assert all(x[0] is float for x in alone)
+        assert [x[1:] for x in alone] == [x[1:] for x in oracle]
 
 
 def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params):
@@ -737,12 +743,9 @@ def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params)
     resid = np.abs(consumers.cdf(k_star) - v)
     met = resid < mk.fp_tol
     if not met.all():
-        messages = {
-            i: f"verification fixed point: residual {resid[i]:.3e} not below "
-            f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})"
-            for i in np.flatnonzero(~met).tolist()
-        }
-        raise NoConvergence(next(iter(messages.values())), messages)
+        i = np.flatnonzero(~met)[0]
+        raise NoConvergence(f"verification fixed point: residual {resid[i]:.3e} not below "
+                            f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})")
     shape = rho.shape
     return market.FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()],
                              k_star.reshape(shape)[()])
