@@ -19,27 +19,30 @@ results of the worlds that weigh, and the stepped postures; it builds no
 per-world record.  `supply_response` takes a batch: a tick makes one call
 with seven lanes per world, the posted posture plus the six
 finite-difference probes, and an eighth when some world's index weights
-are endogenous (supply at its stepped generation boost).  `clear_market`
-clears a batch of lanes: a tick makes one call over one lane table of
-(world, supply column) pairs, each world's posted lane and two more for
-endogenous index weights (scaled low-quality output, and the stepped
-supply), and one welfare call values them all.  The welfare anchors put
-the whole lattice and the worst corner through one
-`static_equilibrium_welfare` call, which solves supply once per distinct
-(gamma_h, gamma_l, tax) and clears one lane per distinct pollution.  The
-verification fixed point is solved exactly per lane
-(`solve_verification_fixed_point`), and every stage is elementwise over
-lanes, so a lane's result does not depend on the batch it is cleared in.
-A world cleared alone is a one-lane table.  After its one supply call
-(seven lanes) it takes every lane as Python floats and runs the same
-stage functions on them, one call per lane, bit for bit as the array
-forms: `exposure` of each lane; `clear_market` of the posted lane (the
-solve bisects the reachable knots when du_h <= du_l, then takes its root
-and residual check), its trust step and welfare; and each probe lane's
-`_lookahead` (`value_and_harm`, `fiduciary_objective`, `trust_update`),
-whose results `_platform_gradient_steps` reads as lists.  On a handful of
-elements numpy's per-call overhead costs more than the arithmetic.  Its
-supply and probe postures stay (1, 7) arrays.
+are endogenous (the posted posture again, supplied at its stepped
+generation boost).  A tick clears one lane table: each world's posted
+lane and, for endogenous index weights, two more (scaled low-quality
+output, and the stepped supply).  The welfare anchors put the whole
+lattice and the worst corner through one `static_equilibrium_welfare`
+call, which solves supply once per distinct (gamma_h, gamma_l, tax) and
+clears one lane per distinct pollution.  The verification fixed point is
+solved exactly per lane (`solve_verification_fixed_point`), and every
+stage is elementwise over lanes, so a lane's result does not depend on
+the batch it is cleared in.
+
+The world count alone picks the form of a tick.  A batch clears its
+whole table with one `clear_market` call and values it with one welfare
+call.  A world cleared alone has a table of one to three lanes.  After
+its one supply call (seven lanes, or eight) it takes every lane as Python
+floats and runs the same stage functions on them, one call per lane, bit
+for bit as the array forms: `exposure` of each lane; `clear_market` of
+each table lane (the solve bisects the reachable knots when du_h <=
+du_l, then takes its root and residual check), the posted lane's trust
+step and each table lane's welfare; and each probe lane's `_lookahead`
+(`value_and_harm`, `fiduciary_objective`, `trust_update`), whose results
+`_platform_gradient_steps` reads as lists.  On a handful of elements
+numpy's per-call overhead costs more than the arithmetic.  Its supply
+and probe postures stay (1, 7) or (1, 8) arrays.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -170,8 +173,7 @@ def solve_verification_fixed_point(
         return FixedPoint(*_lane_fixed_point(pollution, consumers, provenance_boost, params))
     rho = np.asarray(pollution, dtype=float)
     lanes = rho.reshape(-1)
-    if not ((lanes >= 0.0) & (lanes <= 1.0)).all():
-        raise ValueError("pollution must lie in [0, 1]")
+    _check_pollution(lanes)
     end, k_clamp = _scan_ends(lanes, consumers, provenance_boost, params)
     v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
     # (3) the residual check
@@ -192,8 +194,7 @@ def _lane_fixed_point(
 ) -> tuple[float, float, float]:
     """Steps 1-3 of the solve for one lane, in Python floats: (rate, precision, threshold)."""
     mk, ag = params.market, params.agents
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("pollution must lie in [0, 1]")
+    _check_pollution(rho)
     if ag.du_h <= ag.du_l:
         end = _bisect_end(rho, consumers, provenance_boost, params)
         k_clamp = [_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist()]
@@ -207,6 +208,13 @@ def _lane_fixed_point(
     if not resid < mk.fp_tol:
         raise _missed_tolerance(resid, rho, mk.fp_tol)
     return v, precision, k_star
+
+
+def _check_pollution(rho) -> None:
+    """Raise ValueError unless every lane's pollution lies in [0, 1] (NaN does not)."""
+    inside = 0.0 <= rho <= 1.0 if isinstance(rho, float) else ((rho >= 0.0) & (rho <= 1.0)).all()
+    if not inside:
+        raise ValueError("pollution must lie in [0, 1]")
 
 
 def _knot_window(consumers: ConsumerPool, params: SimParams) -> tuple[int, int]:
@@ -659,12 +667,7 @@ def clear_market(
     One lane given as floats (outputs, levers and ``exposed``) clears in
     Python floats, to the same bits.
     """
-    if isinstance(q_h, float):
-        nonnegative = q_h >= 0.0 and q_l >= 0.0  # NaN fails either comparison
-    else:
-        nonnegative = np.minimum(q_h, q_l).min() >= 0  # NaN if any output is, which fails
-    if not nonnegative:
-        raise ValueError("outputs must be nonnegative")
+    _check_outputs(q_h, q_l)
     rho, flow, plat_profit = exposed or exposure(q_h, q_l, postures, populations, params)
     fixed = solve_verification_fixed_point(
         rho, populations.consumers, provenance_boost, params=params
@@ -680,6 +683,16 @@ def clear_market(
         flow=flow,
         platform_profit=plat_profit,
     )
+
+
+def _check_outputs(q_h, q_l) -> None:
+    """Raise ValueError unless every lane's outputs are nonnegative."""
+    if isinstance(q_h, float):
+        nonnegative = q_h >= 0.0 and q_l >= 0.0  # NaN fails either comparison
+    else:
+        nonnegative = np.minimum(q_h, q_l).min() >= 0  # NaN if any output is, which fails
+    if not nonnegative:
+        raise ValueError("outputs must be nonnegative")
 
 
 @dataclass(slots=True)
@@ -754,118 +767,168 @@ def market_step(
     and its own producer surplus.
 
     Every stage is elementwise over lanes, so a world's result does not
-    depend on its batch.  The lane count alone picks the form: a lone world
-    without weight lanes runs every stage after supply in Python floats,
-    one call per lane (the posted lane, then its six probes); every other
-    batch runs them on arrays.  Returns the tick's columns, one value per world,
-    (q_h, q_l, pollution, verify_rate, precision, trust, welfare); the
-    weighing worlds' ``{world: (scaled welfare, scaled pollution,
-    stepped-supply welfare)}``; and each world's stepped posture.  Welfare
-    may overflow; the caller checks it.  A lane whose fixed point misses
-    ``market.fp_tol`` raises NoConvergence for the whole batch, naming the
-    first such lane of the table.
+    depend on its batch.  The world count alone picks the form: a lone
+    world runs every stage after supply in Python floats, one call per lane
+    (`_tick_alone`: its one to three table lanes, then its six probes);
+    every batch runs them on arrays (`_tick_batch`).  Returns the tick's
+    columns, one value per world, (q_h, q_l, pollution, verify_rate,
+    precision, trust, welfare); the weighing worlds' ``{world: (scaled
+    welfare, scaled pollution, stepped-supply welfare)}``; and each world's
+    stepped posture.  Welfare may overflow; the caller checks it.  Every
+    lane's outputs, then every lane's pollution, are checked before any
+    lane is solved; a lane whose fixed point misses ``market.fp_tol`` then
+    raises NoConvergence for the whole batch, naming the first such lane
+    of the table.
     """
-    pf, pp = params.platform, params.policy
+    pf = params.platform
     weighted = [w for w, step in enumerate(weight_steps) if step is not None]
     # (1) producer choices and aggregate supply, for each world's posted
     # posture (column 0) and, in the same call, for the probes of its
     # gradient step: seven lanes per world, and when some world weighs its
     # index an eighth, the posted posture again, supplied at its stepped boost
-    postures = _probes(platforms, pf)
+    postures = _probes(platforms, pf, eighth=bool(weighted))
     cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
         (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
         for o, tax in zip(overlays, taxes)
     ]))
-    if weighted:
-        postures = Postures(*(np.column_stack([x, x[:, 0]]) for x in (
-            postures.gamma_h, postures.gamma_l, postures.moderation)))
+    alone = len(platforms) == 1
+    # The boosts of the supply lanes: for one world a row of floats costs
+    # about 1.7 us against np.full's 5.9; for 20 worlds np.full's 8.6 us
+    # beats rows' 19.6 (timeit, 2 vCPU x86_64, numpy 2.4).
+    if weighted and alone:
+        gen_boost = np.array([[gen_boost] * 7 + [weight_steps[0][1]]])
+    elif weighted:
         gen_boost = np.full(postures.gamma_h.shape, gen_boost)
         gen_boost[weighted, -1] = [weight_steps[w][1] for w in weighted]
     supply = supply_response(
         populations.producers, postures, pf, cost_h_base=cost_h, cost_l_base=cost_l,
         gen_boost=gen_boost, tax=tax, extra_q_l=extra_q_l,
     )
+    # Exogenous trust shocks land before the Euler update of stage (4).
+    t_max = params.trust.t_max
+    trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
+    if alone:
+        columns, weighed, probes, objectives, trust_next = _tick_alone(
+            supply, postures, trust_in[0], weight_steps[0], populations, params)
+    else:
+        columns, weighed, probes, objectives, trust_next = _tick_batch(
+            supply, postures, trust_in, weight_steps, weighted, populations, params)
+    stepped = _platform_gradient_steps(platforms, probes, objectives, trust_next, pf)
+    return columns, weighed, stepped
 
+
+def _tick_alone(
+    supply: SupplyResult, postures: Postures, trust_in: float, step: tuple[float, float] | None,
+    populations: Populations, params: SimParams,
+) -> tuple:
+    """Stages (2)-(5) of one world's tick and its lookahead, in Python floats,
+    one call per lane: `market_step`'s columns, its ``weighed``, and the
+    probes, objectives and trust levels `_platform_gradient_steps` reads.
+
+    The world takes its seven or eight supply lanes as floats: on (1, 8)
+    arrays numpy's per-call overhead outweighs the arithmetic.  The array
+    forms of `_tick_batch` are its oracle, bit for bit and error for error.
+    """
+    pp = params.policy
+    q_h, q_l, profit, *levers = (x.ravel().tolist() for x in (
+        supply.q_h, supply.q_l, supply.producer_profit,
+        postures.gamma_h, postures.gamma_l, postures.moderation))
+    # Unpacked, not splatted: a call through ``*`` costs more than the arithmetic.
+    lane_postures = [Postures(gh, gl, m) for gh, gl, m in zip(*levers)]
+    exposed = [exposure(h, l, p, populations, params)
+               for h, l, p in zip(q_h, q_l, lane_postures)]
+
+    # (2-3) the lane table, each lane (q_h, q_l, producer profit, exposure)
+    # under the posted posture: the posted lane (supply lane 0), and for a
+    # weight step its low-quality output scaled and supply lane 7, each
+    # cleared by its own `clear_market` call.  As in a batch, every lane's
+    # outputs and then every lane's pollution are checked before one solves.
+    posted = lane_postures[0]
+    table = [(q_h[0], q_l[0], profit[0], exposed[0])]
+    if step is not None:
+        scaled = q_l[0] * (1.0 + step[0])
+        table += [
+            (q_h[0], scaled, profit[0], exposure(q_h[0], scaled, posted, populations, params)),
+            (q_h[7], q_l[7], profit[7], exposed[7]),
+        ]
+        for h, l, _, _ in table:
+            _check_outputs(h, l)
+        for *_, (rho, _, _) in table:
+            _check_pollution(rho)
+    cleared = [clear_market(h, l, posted, populations, params, pp.provenance_boost, exposed=e)
+               for h, l, _, e in table]
+
+    # (4) the posted lane's trust step; (5) every lane's welfare at that trust
+    lane = cleared[0]
+    trust_out = trust_update(trust_in, lane.pollution, lane.flow, params.trust)
+    welfare = [c.welfare(trust_out, p, params) for c, (_, _, p, _) in zip(cleared, table)]
+    columns = [[x] for x in (lane.q_h, lane.q_l, lane.pollution, lane.verify_rate,
+                             lane.precision, trust_out, welfare[0])]
+    weighed = {} if step is None else {0: (welfare[1], cleared[1].pollution, welfare[2])}
+
+    # (6) the six probe lanes (1-6) one by one, a row of one world
+    outlook = [_lookahead(p, h, l, e, pp.fiduciary, params, trust_now=trust_out,
+                          verify_rate=lane.verify_rate, precision=lane.precision,
+                          producers=populations.producers.n)
+               for p, h, l, e in zip(lane_postures[1:7], q_h[1:7], q_l[1:7], exposed[1:7])]
+    probes = Postures(*([lever[1:7]] for lever in levers))
+    objectives, trust_next = ([list(x)] for x in zip(*outlook))
+    return columns, weighed, probes, objectives, trust_next
+
+
+def _tick_batch(
+    supply: SupplyResult, postures: Postures, trust_in: list[float],
+    weight_steps: Sequence[tuple[float, float] | None], weighted: list[int],
+    populations: Populations, params: SimParams,
+) -> tuple:
+    """`_tick_alone` for a batch of worlds, on arrays: one call per stage
+    over the whole lane table, and one over every world's six probes."""
+    pp = params.policy
     # (2-3) exposure under every supply lane's posture; then pollution under
     # the posture producers responded to, and the verification fixed point,
     # for every lane of the table in one solve.  The table holds each
     # lane's (world, supply column); a stepped-supply lane reads the last
     # column.  Posted lanes alone are column 0, taken as views: gathering
-    # them made a fixed-weight tick about 5 % slower.  A lone world's one
-    # lane (``lanes`` None) takes its seven supply lanes as Python floats,
-    # and every stage after supply runs in them, one call per lane: on
-    # (1, 7) arrays numpy's per-call overhead outweighs the arithmetic.
-    n, k = len(platforms), len(weighted)
+    # them made a fixed-weight tick about 5 % slower.
+    n, k = len(trust_in), len(weighted)
     world = [*range(n), *weighted, *weighted]
-    if k:
-        lanes = np.array(world), np.array([0] * (n + k) + [-1] * k)
-    else:
-        lanes = None if n == 1 else np.s_[:, 0]
-    if lanes is None:
-        q_h, q_l, profit, *levers = (x.ravel().tolist() for x in (
-            supply.q_h, supply.q_l, supply.producer_profit,
-            postures.gamma_h, postures.gamma_l, postures.moderation))
-        # Unpacked, not splatted: a call through ``*`` costs more than the arithmetic.
-        lane_postures = [Postures(gh, gl, m) for gh, gl, m in zip(*levers)]
-        exposed = [exposure(h, l, p, populations, params)
-                   for h, l, p in zip(q_h, q_l, lane_postures)]
-        table_q_h, table_q_l, table_postures, table_exposed, table_profit = (
-            q_h[0], q_l[0], lane_postures[0], exposed[0], profit[0])
-    else:
-        exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
-        scaled = supply.q_l[lanes]
-        for lane, w in enumerate(weighted, start=n):
-            scaled[lane] *= 1.0 + weight_steps[w][0]
-        # A scaled lane's exposure is not its supply column's.
-        table_q_h, table_q_l, table_postures, table_exposed, table_profit = (
-            supply.q_h[lanes], scaled, postures.take(lanes),
-            None if k else tuple(x[lanes] for x in exposed), supply.producer_profit[lanes])
-    cleared = clear_market(table_q_h, table_q_l, table_postures, populations, params,
-                           pp.provenance_boost, exposed=table_exposed)
+    lanes = (np.array(world), np.array([0] * (n + k) + [-1] * k)) if k else np.s_[:, 0]
+    exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
+    scaled = supply.q_l[lanes]
+    for lane, w in enumerate(weighted, start=n):
+        scaled[lane] *= 1.0 + weight_steps[w][0]
+    # A scaled lane's exposure is not its supply column's.
+    cleared = clear_market(supply.q_h[lanes], scaled, postures.take(lanes), populations, params,
+                           pp.provenance_boost,
+                           exposed=None if k else tuple(x[lanes] for x in exposed))
 
-    # (4) the posted lanes' trust step (exogenous shocks land before the Euler update)
-    t_max = params.trust.t_max
-    trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
-    if lanes is None:  # the lone lane is its world's posted lane
-        trust_in, i1, flow = trust_in[0], cleared.pollution, cleared.flow
-    else:
-        trust_in, i1, flow = np.array(trust_in), cleared.pollution[:n], cleared.flow[:n]
-    trust_out = trust_update(trust_in, i1, flow, params.trust)
+    # (4) the posted lanes' trust step
+    trust_out = trust_update(np.array(trust_in), cleared.pollution[:n], cleared.flow[:n],
+                             params.trust)
 
     # (5) welfare of every lane; a huge finite output can overflow the harm's square
     with _quiet(trust_out):
-        welfare = cleared.welfare(trust_out if lanes is None else trust_out[world], table_profit,
-                                  params)
+        welfare = cleared.welfare(trust_out[world], supply.producer_profit[lanes], params)
     columns = [_elements(x)[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
                                           cleared.verify_rate, cleared.precision, trust_out,
                                           welfare)]
-
-    # (6) platform gradient steps from one-tick-ahead finite differences,
-    # holding each world's verification at its posted lane's
-    verify_rate, precision, trust_now = columns[3:6]
-    fiduciary, producers = pp.fiduciary, populations.producers.n
-    if lanes is None:  # the six probe lanes one by one, a row of one world
-        t, v, pi = trust_now[0], verify_rate[0], precision[0]
-        outlook = [_lookahead(p, h, l, e, fiduciary, params, trust_now=t, verify_rate=v,
-                              precision=pi, producers=producers)
-                   for p, h, l, e in zip(lane_postures[1:], q_h[1:], q_l[1:], exposed[1:])]
-        probes = Postures(*([lever[1:]] for lever in levers))
-        objectives, trust_next = ([list(x)] for x in zip(*outlook))
-    else:
-        probe = np.s_[:, 1:7]
-        probe_postures = postures.take(probe)
-        objectives, trust_next = (x.tolist() for x in _lookahead(
-            probe_postures, supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
-            fiduciary, params,
-            trust_now=np.array(trust_now)[:, None], verify_rate=np.array(verify_rate)[:, None],
-            precision=np.array(precision)[:, None], producers=producers,
-        ))
-        probes = Postures(*(x.tolist() for x in (
-            probe_postures.gamma_h, probe_postures.gamma_l, probe_postures.moderation)))
-    stepped = _platform_gradient_steps(platforms, probes, objectives, trust_next, pf)
     welfare, pollution = _elements(welfare), _elements(cleared.pollution)
     weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
-    return columns, weighed, stepped
+
+    # (6) one-tick-ahead finite differences, holding each world's
+    # verification at its posted lane's
+    verify_rate, precision, trust_now = columns[3:6]
+    probe = np.s_[:, 1:7]
+    probe_postures = postures.take(probe)
+    objectives, trust_next = (x.tolist() for x in _lookahead(
+        probe_postures, supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
+        pp.fiduciary, params,
+        trust_now=np.array(trust_now)[:, None], verify_rate=np.array(verify_rate)[:, None],
+        precision=np.array(precision)[:, None], producers=populations.producers.n,
+    ))
+    probes = Postures(*(x.tolist() for x in (
+        probe_postures.gamma_h, probe_postures.gamma_l, probe_postures.moderation)))
+    return columns, weighed, probes, objectives, trust_next
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -883,20 +946,22 @@ def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _probes(platforms: Sequence[Postures], pf: PlatformParams) -> Postures:
+def _probes(platforms: Sequence[Postures], pf: PlatformParams, eighth: bool = False) -> Postures:
     """Each world's posted posture, then its central-difference probes: one
-    row of seven lanes per world.
+    row of seven lanes per world, and with ``eighth`` an eighth, the
+    posted posture again (the stepped-supply lane of endogenous weights).
 
     Each lever in `_LEVERS` order moves one step of ``fd_step`` up, then one
     down, within its bounds.
     """
     h, top = pf.fd_step, pf.gamma_max
+    width = 8 if eighth else 7
     gamma_h, gamma_l, moderation = [], [], []
     for p in platforms:
         gl, gh, m = p.gamma_l, p.gamma_h, p.moderation
-        gamma_h.append((gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh))
-        gamma_l.append((gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl))
-        moderation.append((m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0)))
+        gamma_h.append((gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh, gh)[:width])
+        gamma_l.append((gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl, gl)[:width])
+        moderation.append((m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0), m)[:width])
     return Postures(np.array(gamma_h), np.array(gamma_l), np.array(moderation))
 
 

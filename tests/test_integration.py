@@ -236,13 +236,15 @@ class TestEndogenousWeights:
             monkeypatch.setattr(module, name, counted)
         for _ in range(3):
             sim.advance()
-        # One welfare call values every lane of the tick's lane table, the
-        # weight lanes at the trust their world's posted lane steps to.
-        assert calls == {"supply_response": 3, "clear_market": 3, "welfare": 3}
+        # A lone world clears each lane of its lane table with its own
+        # `clear_market` call and values it with its own welfare call, the
+        # weight lanes at the trust the posted lane steps to.
+        table = 1 + 2 * extra
+        assert calls == {"supply_response": 3, "clear_market": 3 * table, "welfare": 3 * table}
         # Seven supply lanes (the posted posture and six probes) and one
         # clearing lane; endogenous weights add the stepped supply to the
         # supply call, and the scaled outputs and that supply to the clearing.
-        assert lanes == {"supply_response": 3 * (7 + extra), "clear_market": 3 * (1 + 2 * extra)}
+        assert lanes == {"supply_response": 3 * (7 + extra), "clear_market": 3 * table}
 
     def test_half_step_oracle_at_tick_100(self, passed):
         # Independent re-derivation: recompute raw sensitivities straight

@@ -459,7 +459,7 @@ class TestOneLaneSolve:
         monkeypatch.setattr(market, "clear_market", spied)
         lone.advance()
         weighing.advance()  # three lanes: the posted one and the two weight lanes
-        assert seen == [float, np.ndarray]
+        assert seen == [float, float, float, float]
 
 
 class TestBisectedKnotScan:
@@ -534,8 +534,17 @@ class TestBisectedKnotScan:
         # check's, all floats
         assert calls and set(calls) == {None}
         assert len(calls) <= math.ceil(math.log2(window + 1)) + 3
-        # A batch of 20 worlds, the three lanes of a world that weighs its
-        # index, and a lone world whose threshold rises in V scan a block.
+        # A lone world that weighs its index bisects each of its three lanes.
+        weighing = Simulation(SimParams().with_overrides({"ipi.endogenous_weights": True}),
+                              None, 42)
+        weighing.advance()
+        window = reachable_knots(weighing.populations.consumers, weighing.params)
+        calls.clear()
+        weighing.advance()
+        assert calls and set(calls) == {None}
+        assert len(calls) <= 3 * (math.ceil(math.log2(window + 1)) + 3)
+        # A batch of 20 worlds and a lone world whose threshold rises in V
+        # scan a block.
         small = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
         worlds = [small.with_overrides({"econ.ai_rental": r})
                   for r in np.linspace(0.5, 1.5, 20).tolist()]
@@ -543,21 +552,20 @@ class TestBisectedKnotScan:
         calls.clear()
         harness._step(sims, [build_overlays(1, (), world)[0] for world in worlds])
         assert blocks() == [(20, reachable_knots(sims[0].populations.consumers, small) + 2)]
-        for overrides, lanes in (({"ipi.endogenous_weights": True}, 3),
-                                 ({"agents.du_h": 3.0, "agents.du_l": 0.5}, 1)):
-            sim = Simulation(SimParams().with_overrides(overrides), None, 42)
-            sim.advance()
-            calls.clear()
-            sim.advance()
-            window = reachable_knots(sim.populations.consumers, sim.params)
-            assert blocks() == [(lanes, window + 2)]
+        rising = Simulation(SimParams().with_overrides({"agents.du_h": 3.0, "agents.du_l": 0.5}),
+                            None, 42)
+        rising.advance()
+        calls.clear()
+        rising.advance()
+        assert blocks() == [(1, reachable_knots(rising.populations.consumers, rising.params) + 2)]
 
 
 class TestFloatProbeLanes:
-    """A lone world takes its seven supply lanes as Python floats and runs
-    every stage after supply in them: the posted lane's clearing, and each
-    probe lane's `exposure`, `_lookahead` and the gradient step.  The (1, 6)
-    array forms, which every batch runs, are their oracle bit for bit."""
+    """A lone world takes its seven supply lanes (eight when it weighs its
+    index) as Python floats and runs every stage after supply in them: its
+    table lanes' clearing, and each probe lane's `exposure`, `_lookahead`
+    and the gradient step.  The array forms, which every batch runs, are
+    their oracle bit for bit."""
 
     SPIED = ("exposure", "trust_update", "value_and_harm")
 
@@ -582,7 +590,7 @@ class TestFloatProbeLanes:
         for kind, tick in ((float, lone.advance),
                            (np.ndarray, lambda: harness._step(
                                batch, [build_overlays(1, (), world)[0] for world in worlds])),
-                           (np.ndarray, weighing.advance)):
+                           (float, weighing.advance)):
             for calls in seen.values():
                 calls.clear()
             tick()
@@ -674,6 +682,89 @@ class TestFloatProbeLanes:
 
         with np.errstate(all="ignore"):
             assert outcome_or_error(lambda: tick(1)) == outcome_or_error(lambda: tick(2))
+
+    @given(
+        posture=st.tuples(*[st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top))
+                            for top in (GAMMA_MAX, GAMMA_MAX, 1.0)]),
+        fiduciary=st.sampled_from([0.0, 0.5]),
+        trust=st.one_of(st.sampled_from([0.0, T_MAX]), st.floats(0.0, T_MAX)),
+        # Past about 1.78e308 the scaled output overflows to inf.
+        burst=st.sampled_from([0.0, 50.0, 1e160, 1e300, 1.79e308]),
+        eps=st.sampled_from([0.01, 0.5]),
+        # The stepped boost: 0 makes low-quality templates infinitely dear.
+        stepped_boost=st.sampled_from([1.0, 1.3, 0.0, 1e300]),
+        fp_tol=st.sampled_from([1e-8, 0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_lone_weighing_tick_equals_its_world_in_a_batch(
+        self, populations, posture, fiduciary, trust, burst, eps, stepped_boost, fp_tol,
+    ):
+        params = SimParams().with_overrides({"policy.fiduciary": fiduciary,
+                                             "market.fp_tol": fp_tol})
+        overlay = replace(build_overlays(1, (), params)[0], extra_q_l=burst)
+        platform, step = Postures(*posture), (eps, stepped_boost)
+
+        def tick(worlds):
+            columns, weighed, stepped = market_step(
+                [trust] * worlds, populations, [platform] * worlds,
+                [overlay] * worlds, [0.0] * worlds, [step] * worlds, params)
+            return (bits(*(column[0] for column in columns)), bits(*weighed[0]),
+                    bits(stepped[0].gamma_h, stepped[0].gamma_l, stepped[0].moderation))
+
+        with np.errstate(all="ignore"):
+            assert outcome_or_error(lambda: tick(1)) == outcome_or_error(lambda: tick(2))
+
+    def test_an_overflowing_scaled_lane_fails_first_alone_as_in_a_batch(self, populations):
+        # At fp_tol 0 the posted lane misses the tolerance; its scaled lane's
+        # output overflows to inf and its pollution to NaN.  A batch checks
+        # every lane's pollution before it solves any, and so does one world.
+        params = SimParams().with_overrides({"market.fp_tol": 0.0})
+        overlay = replace(build_overlays(1, (), params)[0], extra_q_l=1.79e308)
+        platform = Postures(1.0, 0.5, 0.0)
+
+        def tick(worlds, step):
+            return outcome_or_error(lambda: market_step(
+                [1.0] * worlds, populations, [platform] * worlds, [overlay] * worlds,
+                [0.0] * worlds, [step] * worlds, params))
+
+        with np.errstate(all="ignore"):
+            assert tick(1, None).startswith("NoConvergence")
+            step = (0.01, overlay.gen_boost)
+            assert tick(1, step) == tick(2, step) == "ValueError: pollution must lie in [0, 1]"
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"agents.du_h": 3.0, "agents.du_l": 0.5},  # the threshold rises: the scan path
+        {"policy.fiduciary": 0.5, "policy.provenance_boost": 0.05},
+    ], ids=["default", "rising", "fiduciary"])
+    def test_a_lone_weighing_world_runs_as_beside_a_twin(self, monkeypatch, overrides):
+        params = SimParams().with_overrides({**overrides, "ipi.endogenous_weights": True})
+        lone, *pair = (Simulation(params, None, 42) for _ in range(3))
+        weighed, ends = [], []
+
+        def spied(*args, _fn=harness.market_step):
+            result = _fn(*args)
+            weighed.append(bits(*result[1][0]))
+            return result
+
+        def bisected(*args, _fn=market._bisect_end):
+            ends.append(_fn(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(harness, "market_step", spied)
+        monkeypatch.setattr(market, "_bisect_end", bisected)
+        crossings = []
+        for tick, overlay in enumerate(build_overlays(150, (), params), start=1):
+            ends.clear()
+            (row,) = harness._step([lone], [overlay])
+            rows = harness._step(pair, [overlay] * 2)
+            assert repr(row) == repr(rows[0]) == repr(rows[1])
+            assert weighed[0] == weighed[1]
+            weighed.clear()
+            if len(set(ends)) > 1:  # a weight lane's segment ends at another knot
+                crossings.append(tick)
+        if not overrides:
+            assert crossings[:7] == [4, 6, 16, 21, 27, 28, 34]
 
 
 def bits(*values) -> bytes:
