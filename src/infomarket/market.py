@@ -791,13 +791,7 @@ def market_step(
         (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
         for o, tax in zip(overlays, taxes)
     ]))
-    alone = len(platforms) == 1
-    # The boosts of the supply lanes: for one world a row of floats costs
-    # about 1.7 us against np.full's 5.9; for 20 worlds np.full's 8.6 us
-    # beats rows' 19.6 (timeit, 2 vCPU x86_64, numpy 2.4).
-    if weighted and alone:
-        gen_boost = np.array([[gen_boost] * 7 + [weight_steps[0][1]]])
-    elif weighted:
+    if weighted:
         gen_boost = np.full(postures.gamma_h.shape, gen_boost)
         gen_boost[weighted, -1] = [weight_steps[w][1] for w in weighted]
     supply = supply_response(
@@ -807,7 +801,7 @@ def market_step(
     # Exogenous trust shocks land before the Euler update of stage (4).
     t_max = params.trust.t_max
     trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
-    if alone:
+    if len(platforms) == 1:
         columns, weighed, probes, objectives, trust_next = _tick_alone(
             supply, postures, trust_in[0], weight_steps[0], populations, params)
     else:
