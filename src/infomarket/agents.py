@@ -31,10 +31,10 @@ class Postures:
 
     ``gamma_h`` / ``gamma_l`` amplify high- and low-quality content within
     [0, platform.gamma_max]; ``moderation`` removes that fraction of
-    amplified low-quality exposure.  One world's posture holds floats; a
-    batch of lanes holds arrays of one shape (one lane per row, or in the
-    tick, a row of lanes per world).  Every other platform quantity is a
-    fixed parameter of `PlatformParams`.
+    amplified low-quality exposure.  One world's posture holds floats, and
+    its row of lanes in the tick tuples; a batch of lanes holds arrays of
+    one shape (one lane per row, or in the tick, a row of lanes per world).
+    Every other platform quantity is a fixed parameter of `PlatformParams`.
     """
 
     gamma_h: float | np.ndarray
@@ -43,7 +43,8 @@ class Postures:
 
     @classmethod
     def of(cls, postures: Sequence[Postures]) -> Postures:
-        """Stack one-world postures into a batch, one lane each."""
+        """Stack one-world postures into a batch, one lane each (or one row
+        each, for postures whose levers are rows of lanes)."""
         return cls(
             gamma_h=np.array([p.gamma_h for p in postures]),
             gamma_l=np.array([p.gamma_l for p in postures]),
@@ -80,14 +81,12 @@ def verification_threshold(posterior_h, du_h: float, du_l: float):
 def platform_update(
     posture: Postures,
     params: PlatformParams,
-    grad_profit_gamma: float,
-    grad_trust_gamma: float,
-    grad_profit_mod: float,
-    grad_trust_mod: float,
-    grad_profit_gamma_h: float = 0.0,
-    grad_trust_gamma_h: float = 0.0,
+    gamma_l: tuple[float, float],
+    gamma_h: tuple[float, float],
+    moderation: tuple[float, float],
 ) -> Postures:
-    """One projected gradient-ascent step on one world's levers.
+    """One projected gradient-ascent step on one world's levers, given one
+    (profit, trust erosion) gradient pair per lever.
 
     gamma_L <- clamp(gamma_L + eta*(dPi/dgamma_L - lambda*dErosion/dgamma_L)),
     and symmetrically for gamma_H with its own gradients; moderation moves by
@@ -96,15 +95,11 @@ def platform_update(
     lever destroys trust), so the lambda term brakes pollution-amplifying
     moves and rewards trust-protecting ones.
     """
-    gl = posture.gamma_l + params.lr_gamma * (
-        grad_profit_gamma - params.trust_price * grad_trust_gamma
-    )
-    gh = posture.gamma_h + params.lr_gamma * (
-        grad_profit_gamma_h - params.trust_price * grad_trust_gamma_h
-    )
-    m = posture.moderation + params.lr_mod * (
-        grad_profit_mod - params.trust_price * grad_trust_mod
-    )
+    (profit_gl, erosion_gl), (profit_gh, erosion_gh), (profit_m, erosion_m) = (
+        gamma_l, gamma_h, moderation)
+    gl = posture.gamma_l + params.lr_gamma * (profit_gl - params.trust_price * erosion_gl)
+    gh = posture.gamma_h + params.lr_gamma * (profit_gh - params.trust_price * erosion_gh)
+    m = posture.moderation + params.lr_mod * (profit_m - params.trust_price * erosion_m)
     return Postures(
         gamma_h=min(max(gh, 0.0), params.gamma_max),
         gamma_l=min(max(gl, 0.0), params.gamma_max),

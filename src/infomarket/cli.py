@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import SimParams, parse_config_file
@@ -88,7 +89,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     record = RunRecord.from_csv(args.directory / "results" / "run.csv")
     stats = summary_stats(record)
     # Undefined statistics print as null, as summary.json writes them.
-    print(json.dumps(_finite_or_none(stats.to_dict()), indent=2, sort_keys=True,
+    print(json.dumps(_finite_or_none(asdict(stats)), indent=2, sort_keys=True,
                      allow_nan=False))
     return EXIT_OK
 

@@ -68,6 +68,7 @@ from .market import (
     TickOverlay,
     _base_costs,
     market_step,
+    signal_precision,
     welfare_anchors,
 )
 from .policy import PolicyConfig, RobustSelection, adaptive_tax, max_min_select
@@ -262,7 +263,7 @@ class Simulation:
         self.platform = Postures(pf.gamma_init, pf.gamma_init, pf.moderation_init)
         nan = math.nan
         self.state = TickRow(
-            0, 0.0, 0.0, 0.0, 0.0, min(max(params.market.pi_base, 0.5), 1.0),
+            0, 0.0, 0.0, 0.0, 0.0, signal_precision(0.0, 0.0, 0.0, params.market),
             params.trust.initial, 0.0, nan, nan, nan, nan, nan, params.policy.tax_init,
             pf.gamma_init, pf.gamma_init, pf.moderation_init,
         )
@@ -529,16 +530,11 @@ def final_window(n_ticks: int) -> int:
 @dataclass(frozen=True)
 class SummaryStats:
     n_ticks: int
-    window: int
+    final_window: int
     final_means: dict[str, float]
     correlations: dict[str, float | None]
     flags: list[str]
     converged: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        out["final_window"] = out.pop("window")
-        return out
 
 
 def summary_stats(record: RunRecord) -> SummaryStats:
@@ -573,7 +569,7 @@ def summary_stats(record: RunRecord) -> SummaryStats:
         converged = bool(np.max(np.abs(np.diff(ipi[-21:]))) < 0.02)
     return SummaryStats(
         n_ticks=n,
-        window=win,
+        final_window=win,
         final_means=final_means,
         correlations=correlations,
         flags=flags,
@@ -751,7 +747,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     params = cfg.params()
     (record,) = _records(cfg, [params])
     stats = summary_stats(record)
-    report = {"experiment": cfg.experiment, "stats": stats.to_dict(),
+    report = {"experiment": cfg.experiment, "stats": asdict(stats),
               "metadata": record.metadata}
     lines = [f"experiment: {cfg.experiment}", f"ticks: {stats.n_ticks}"]
     lines += [f"final {k}: {_fmt(v)}" for k, v in stats.final_means.items()]
@@ -827,7 +823,7 @@ def run_shocks(cfg: ExperimentConfig) -> tuple[RunRecord, list[ShockResponse]]:
         "experiment": "shocks",
         "mean_rise_pct": mean_rise,
         "responses": [asdict(r) for r in responses],
-        "stats": summary_stats(record).to_dict(),
+        "stats": asdict(summary_stats(record)),
     }
     lines = [f"shock response: mean IPI rise {mean_rise:.1f}%"]
     lines += [

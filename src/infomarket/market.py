@@ -16,33 +16,34 @@ share their populations and parameters: it takes each world's carried
 trust, posted posture, exogenous row, levy and weight step, and returns
 the tick's outcomes as columns, one value per world, the weight lanes'
 results of the worlds that weigh, and the stepped postures; it builds no
-per-world record.  `supply_response` takes a batch: a tick makes one call
-with seven lanes per world, the posted posture plus the six
-finite-difference probes, and an eighth when some world's index weights
-are endogenous (the posted posture again, supplied at its stepped
-generation boost).  A tick clears one lane table: each world's posted
-lane and, for endogenous index weights, two more (scaled low-quality
-output, and the stepped supply).  The welfare anchors put the whole
-lattice and the worst corner through one `static_equilibrium_welfare`
-call, which solves supply once per distinct (gamma_h, gamma_l, tax) and
-clears one lane per distinct pollution.  The verification fixed point is
+per-world record.  Each world's row of lanes (`_probes`) holds its posted
+posture, the six finite-difference probes, and an eighth lane when some
+world's index weights are endogenous (the posted posture again, supplied
+at its stepped generation boost); `supply_response` takes every row in
+one call, and the gradient step reads its probes' levers from the rows.
+A tick clears one lane table: each world's posted lane and, for
+endogenous index weights, two more (scaled low-quality output, and the
+stepped supply).  The welfare anchors put the whole lattice and the
+worst corner through one `static_equilibrium_welfare` call, which solves
+supply once per distinct (gamma_h, gamma_l, tax) and clears one lane per
+distinct pollution.  The verification fixed point is
 solved exactly per lane (`solve_verification_fixed_point`), and every
 stage is elementwise over lanes, so a lane's result does not depend on
 the batch it is cleared in.
 
 The world count alone picks the form of a tick.  A batch clears its
-whole table with one `clear_market` call and values it with one welfare
-call.  A world cleared alone has a table of one to three lanes.  After
-its one supply call (seven lanes, or eight) it takes every lane as Python
-floats and runs the same stage functions on them, one call per lane, bit
-for bit as the array forms: `exposure` of each lane; `clear_market` of
-each table lane (the solve bisects the reachable knots when du_h <=
-du_l, then takes its root and residual check), the posted lane's trust
-step and each table lane's welfare; and each probe lane's `_lookahead`
-(`value_and_harm`, `fiduciary_objective`, `trust_update`), whose results
-`_platform_gradient_steps` reads as lists.  On a handful of elements
-numpy's per-call overhead costs more than the arithmetic.  Its supply
-and probe postures stay (1, 7) or (1, 8) arrays.
+whole table with one `clear_market` call, values it with one welfare
+call, and looks ahead over every world's probes with one `_lookahead`
+call that reads the cleared arrays.  A world cleared alone has a table
+of one to three lanes.  It takes its supply lanes as Python floats and
+their levers from its row, and runs the same stage functions on them,
+one call per lane, bit for bit as the array forms: `exposure` of each
+lane; `clear_market` of each table lane (the solve bisects the reachable
+knots when du_h <= du_l, then takes its root and residual check), the
+posted lane's trust step and each table lane's welfare; and each probe
+lane's `_lookahead` (`value_and_harm`, `fiduciary_objective`,
+`trust_update`).  On a handful of elements numpy's per-call overhead
+costs more than the arithmetic.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -106,26 +107,15 @@ _LANE_BLOCK = 64
 _CLAMPS = np.array([0.5, 1.0])  # precision's bounds
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """Rate, precision and cost threshold at the fixed point; unpacks as (rate, precision)."""
-
-    verify_rate: float | np.ndarray
-    precision: float | np.ndarray
-    threshold: float | np.ndarray
-
-    def __iter__(self):
-        return iter((self.verify_rate, self.precision))
-
-
 def solve_verification_fixed_point(
     pollution,
     consumers: ConsumerPool,
     provenance_boost: float = 0.0,
     *,
     params: SimParams,
-) -> FixedPoint:
-    """Find the verification rate consistent with the precision it induces, exactly.
+) -> tuple:
+    """(rate, precision, cost threshold) at the verification fixed point,
+    found exactly: the rate consistent with the precision it induces.
 
     The mapping is T(V) = F(k*(pi(pollution, V))): precision is affine in
     the rate and clamped to [0.5, 1], the posterior after a favorable signal
@@ -170,7 +160,7 @@ def solve_verification_fixed_point(
     same errors.
     """
     if isinstance(pollution, float):
-        return FixedPoint(*_lane_fixed_point(pollution, consumers, provenance_boost, params))
+        return _lane_fixed_point(pollution, consumers, provenance_boost, params)
     rho = np.asarray(pollution, dtype=float)
     lanes = rho.reshape(-1)
     _check_pollution(lanes)
@@ -186,7 +176,7 @@ def solve_verification_fixed_point(
         first = met.argmin()
         raise _missed_tolerance(resid[first], lanes[first], mk.fp_tol)
     shape = rho.shape
-    return FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()])
+    return v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()]
 
 
 def _lane_fixed_point(
@@ -669,7 +659,7 @@ def clear_market(
     """
     _check_outputs(q_h, q_l)
     rho, flow, plat_profit = exposed or exposure(q_h, q_l, postures, populations, params)
-    fixed = solve_verification_fixed_point(
+    rate, precision, threshold = solve_verification_fixed_point(
         rho, populations.consumers, provenance_boost, params=params
     )
     return Clearing(
@@ -677,9 +667,9 @@ def clear_market(
         q_l=q_l,
         posture=postures,
         pollution=rho,
-        verify_rate=fixed.verify_rate,
-        precision=fixed.precision,
-        verification_spend=populations.consumers.spend(fixed.threshold),
+        verify_rate=rate,
+        precision=precision,
+        verification_spend=populations.consumers.spend(threshold),
         flow=flow,
         platform_profit=plat_profit,
     )
@@ -766,8 +756,10 @@ def market_step(
     Every lane's welfare takes its world's trust after this tick's step
     and its own producer surplus.
 
-    Every stage is elementwise over lanes, so a world's result does not
-    depend on its batch.  The world count alone picks the form: a lone
+    Each world's `_probes` row gives its supply lanes' postures, stacked
+    into arrays once for the supply call, and the levers of its gradient
+    step.  Every stage is elementwise over lanes, so a world's result does
+    not depend on its batch.  The world count alone picks the form: a lone
     world runs every stage after supply in Python floats, one call per lane
     (`_tick_alone`: its one to three table lanes, then its six probes);
     every batch runs them on arrays (`_tick_batch`).  Returns the tick's
@@ -782,11 +774,11 @@ def market_step(
     """
     pf = params.platform
     weighted = [w for w, step in enumerate(weight_steps) if step is not None]
-    # (1) producer choices and aggregate supply, for each world's posted
-    # posture (column 0) and, in the same call, for the probes of its
-    # gradient step: seven lanes per world, and when some world weighs its
-    # index an eighth, the posted posture again, supplied at its stepped boost
-    postures = _probes(platforms, pf, eighth=bool(weighted))
+    # (1) producer choices and aggregate supply over each world's row of
+    # lanes (`_probes`): its posted posture and the probes of its gradient
+    # step, and when some world weighs its index an eighth lane
+    rows = _probes(platforms, pf, eighth=bool(weighted))
+    postures = Postures.of(rows)
     cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
         (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
         for o, tax in zip(overlays, taxes)
@@ -800,35 +792,36 @@ def market_step(
     )
     # Exogenous trust shocks land before the Euler update of stage (4).
     t_max = params.trust.t_max
-    trust_in = [min(max(t + o.trust_delta, 0.0), t_max) for t, o in zip(trust, overlays)]
+    trust_in = [_clamp(t + o.trust_delta, 0.0, t_max) for t, o in zip(trust, overlays)]
     if len(platforms) == 1:
-        columns, weighed, probes, objectives, trust_next = _tick_alone(
-            supply, postures, trust_in[0], weight_steps[0], populations, params)
+        columns, weighed, objectives, trust_next = _tick_alone(
+            supply, rows[0], trust_in[0], weight_steps[0], populations, params)
     else:
-        columns, weighed, probes, objectives, trust_next = _tick_batch(
+        columns, weighed, objectives, trust_next = _tick_batch(
             supply, postures, trust_in, weight_steps, weighted, populations, params)
-    stepped = _platform_gradient_steps(platforms, probes, objectives, trust_next, pf)
+    stepped = _platform_gradient_steps(platforms, rows, objectives, trust_next, pf)
     return columns, weighed, stepped
 
 
 def _tick_alone(
-    supply: SupplyResult, postures: Postures, trust_in: float, step: tuple[float, float] | None,
+    supply: SupplyResult, row: Postures, trust_in: float, step: tuple[float, float] | None,
     populations: Populations, params: SimParams,
 ) -> tuple:
     """Stages (2)-(5) of one world's tick and its lookahead, in Python floats,
     one call per lane: `market_step`'s columns, its ``weighed``, and the
-    probes, objectives and trust levels `_platform_gradient_steps` reads.
+    objectives and trust levels `_platform_gradient_steps` reads.
 
-    The world takes its seven or eight supply lanes as floats: on (1, 8)
-    arrays numpy's per-call overhead outweighs the arithmetic.  The array
-    forms of `_tick_batch` are its oracle, bit for bit and error for error.
+    The world takes its seven or eight supply lanes as floats, and their
+    levers from its `_probes` row: on (1, 8) arrays numpy's per-call
+    overhead outweighs the arithmetic.  The array forms of `_tick_batch`
+    are its oracle, bit for bit and error for error.
     """
     pp = params.policy
-    q_h, q_l, profit, *levers = (x.ravel().tolist() for x in (
-        supply.q_h, supply.q_l, supply.producer_profit,
-        postures.gamma_h, postures.gamma_l, postures.moderation))
+    q_h, q_l, profit = (x.ravel().tolist() for x in (
+        supply.q_h, supply.q_l, supply.producer_profit))
     # Unpacked, not splatted: a call through ``*`` costs more than the arithmetic.
-    lane_postures = [Postures(gh, gl, m) for gh, gl, m in zip(*levers)]
+    lane_postures = [Postures(gh, gl, m)
+                     for gh, gl, m in zip(row.gamma_h, row.gamma_l, row.moderation)]
     exposed = [exposure(h, l, p, populations, params)
                for h, l, p in zip(q_h, q_l, lane_postures)]
 
@@ -865,9 +858,8 @@ def _tick_alone(
                           verify_rate=lane.verify_rate, precision=lane.precision,
                           producers=populations.producers.n)
                for p, h, l, e in zip(lane_postures[1:7], q_h[1:7], q_l[1:7], exposed[1:7])]
-    probes = Postures(*([lever[1:7]] for lever in levers))
     objectives, trust_next = ([list(x)] for x in zip(*outlook))
-    return columns, weighed, probes, objectives, trust_next
+    return columns, weighed, objectives, trust_next
 
 
 def _tick_batch(
@@ -911,18 +903,14 @@ def _tick_batch(
 
     # (6) one-tick-ahead finite differences, holding each world's
     # verification at its posted lane's
-    verify_rate, precision, trust_now = columns[3:6]
     probe = np.s_[:, 1:7]
-    probe_postures = postures.take(probe)
     objectives, trust_next = (x.tolist() for x in _lookahead(
-        probe_postures, supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
-        pp.fiduciary, params,
-        trust_now=np.array(trust_now)[:, None], verify_rate=np.array(verify_rate)[:, None],
-        precision=np.array(precision)[:, None], producers=populations.producers.n,
+        postures.take(probe), supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
+        pp.fiduciary, params, trust_now=trust_out[:, None],
+        verify_rate=cleared.verify_rate[:n, None], precision=cleared.precision[:n, None],
+        producers=populations.producers.n,
     ))
-    probes = Postures(*(x.tolist() for x in (
-        probe_postures.gamma_h, probe_postures.gamma_l, probe_postures.moderation)))
-    return columns, weighed, probes, objectives, trust_next
+    return columns, weighed, objectives, trust_next
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
@@ -940,23 +928,28 @@ def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _probes(platforms: Sequence[Postures], pf: PlatformParams, eighth: bool = False) -> Postures:
-    """Each world's posted posture, then its central-difference probes: one
-    row of seven lanes per world, and with ``eighth`` an eighth, the
-    posted posture again (the stepped-supply lane of endogenous weights).
+def _probes(
+    platforms: Sequence[Postures], pf: PlatformParams, eighth: bool = False
+) -> list[Postures]:
+    """Each world's row of lanes, its levers as tuples: lane 0 the posted
+    posture, then the six central-difference probes, and with ``eighth``
+    an eighth, the posted posture again (the stepped-supply lane of
+    endogenous weights).
 
     Each lever in `_LEVERS` order moves one step of ``fd_step`` up, then one
-    down, within its bounds.
+    down, within its bounds: lever i's probes are lanes 2i + 1 and 2i + 2.
     """
     h, top = pf.fd_step, pf.gamma_max
     width = 8 if eighth else 7
-    gamma_h, gamma_l, moderation = [], [], []
+    rows = []
     for p in platforms:
         gl, gh, m = p.gamma_l, p.gamma_h, p.moderation
-        gamma_h.append((gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh, gh)[:width])
-        gamma_l.append((gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl, gl)[:width])
-        moderation.append((m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0), m)[:width])
-    return Postures(np.array(gamma_h), np.array(gamma_l), np.array(moderation))
+        rows.append(Postures(
+            (gh, gh, gh, min(gh + h, top), max(gh - h, 0.0), gh, gh, gh)[:width],
+            (gl, min(gl + h, top), max(gl - h, 0.0), gl, gl, gl, gl, gl)[:width],
+            (m, m, m, m, m, min(m + h, 1.0), max(m - h, 0.0), m)[:width],
+        ))
+    return rows
 
 
 def _lookahead(
@@ -995,30 +988,28 @@ def _lookahead(
 
 
 def _platform_gradient_steps(
-    platforms: Sequence[Postures], probes: Postures, objectives: list[list[float]],
+    platforms: Sequence[Postures], rows: Sequence[Postures], objectives: list[list[float]],
     trust_next: list[list[float]], pf: PlatformParams,
 ) -> list[Postures]:
     """One `platform_update` per world from central differences over its probes.
 
-    Every argument after ``platforms`` holds lists of Python floats, one
-    row per world: ``probes``' levers hold the probes in `_probes` order,
-    and ``objectives``/``trust_next`` are `_lookahead`'s for them.
+    ``rows`` are the worlds' `_probes` rows, lane 0 the posted posture;
+    ``objectives`` and ``trust_next`` hold `_lookahead`'s Python floats for
+    each world's six probe lanes (lanes 1-6), one list per world.
     """
-    f, t = objectives, trust_next
-    levers = [getattr(probes, field) for field in _LEVERS]
     stepped = []
-    for w, platform in enumerate(platforms):
+    for platform, row, f, t in zip(platforms, rows, objectives, trust_next):
         grads = []
-        for i, lever in enumerate(levers):
-            up, dn = 2 * i, 2 * i + 1
-            span = lever[w][up] - lever[w][dn]
+        for i, name in enumerate(_LEVERS):
+            lever = getattr(row, name)
+            up, dn = 2 * i, 2 * i + 1  # the probes' indices in f and t, lanes 1 + up and 1 + dn
+            span = lever[1 + up] - lever[1 + dn]
             if span == 0.0:  # no room either way
                 grads.append((0.0, 0.0))
                 continue
             # Trust gradient enters the update rule as erosion per unit increase.
-            grads.append(((f[w][up] - f[w][dn]) / span, -(t[w][up] - t[w][dn]) / span))
-        (gp_gl, gt_gl), (gp_gh, gt_gh), (gp_m, gt_m) = grads
-        stepped.append(platform_update(platform, pf, gp_gl, gt_gl, gp_m, gt_m, gp_gh, gt_gh))
+            grads.append(((f[up] - f[dn]) / span, -(t[up] - t[dn]) / span))
+        stepped.append(platform_update(platform, pf, *grads))
     return stepped
 
 

@@ -155,7 +155,7 @@ def test_criterion_3_fixed_point(populations, params):
         post = consumer_posterior(1.0 - rho, pi)
         return pool.cdf(verification_threshold(post, 0.5, 2.0)) - v
 
-    v_star, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
+    v_star, _, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
     base_ok = abs(residual(0.6, v_star)) < 1e-8
 
     grid = np.linspace(0.0, 1.0, 100_001)
@@ -169,7 +169,7 @@ def test_criterion_3_fixed_point(populations, params):
     rng = np.random.default_rng(303)
     worst = 0.0
     for rho in rng.uniform(0.0, 1.0, 100):
-        v, _ = solve_verification_fixed_point(float(rho), pool, 0.0, params=params)
+        v, _, _ = solve_verification_fixed_point(float(rho), pool, 0.0, params=params)
         worst = max(worst, abs(residual(float(rho), v)))
     elapsed = time.perf_counter() - start
     report(3, base_ok and oracle_ok and worst < 1e-8 and elapsed < 5.0,

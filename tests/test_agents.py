@@ -148,17 +148,17 @@ class TestVerificationThreshold:
 
 class TestPlatformUpdate:
     def test_stationary_point(self):
-        assert platform_update(PLATFORM, PARAMS, 0.0, 0.0, 0.0, 0.0) == PLATFORM
+        assert platform_update(PLATFORM, PARAMS, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)) == PLATFORM
 
     def test_frozen_learner(self):
         frozen = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.3)
         still = PlatformParams(lr_gamma=0.0, lr_mod=0.0, trust_price=50.0)
-        assert platform_update(frozen, still, 5.0, -2.0, 3.0, 1.0) == frozen
+        assert platform_update(frozen, still, (5.0, -2.0), (0.0, 0.0), (3.0, 1.0)) == frozen
 
     def test_single_euler_step(self):
         state = Postures(gamma_h=1.0, gamma_l=0.5, moderation=0.0)
         params = PlatformParams(lr_gamma=0.1, lr_mod=0.05, trust_price=0.0)
-        updated = platform_update(state, params, 1.0, 0.0, 0.0, 0.0)
+        updated = platform_update(state, params, (1.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert updated.gamma_l == pytest.approx(0.6, rel=1e-12)
         assert updated.gamma_h == pytest.approx(1.0)
         assert updated.moderation == pytest.approx(0.0)
@@ -166,7 +166,7 @@ class TestPlatformUpdate:
     def test_trust_erosion_brakes(self):
         state = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
         params = PlatformParams(lr_gamma=0.1, lr_mod=0.1, trust_price=10.0)
-        updated = platform_update(state, params, 1.0, 0.5, 0.0, 0.0)
+        updated = platform_update(state, params, (1.0, 0.5), (0.0, 0.0), (0.0, 0.0))
         # profit pull +1 against erosion 10 * 0.5 nets to a downward step
         assert updated.gamma_l == pytest.approx(1.0 + 0.1 * (1.0 - 5.0))
         assert updated.gamma_l == 0.6
@@ -178,7 +178,7 @@ class TestPlatformUpdate:
     )
     @settings(max_examples=300, deadline=None)
     def test_projection_keeps_invariants(self, gpl, gtl, gpm, gtm, gph, gth):
-        updated = platform_update(PLATFORM, PARAMS, gpl, gtl, gpm, gtm, gph, gth)
+        updated = platform_update(PLATFORM, PARAMS, (gpl, gtl), (gph, gth), (gpm, gtm))
         assert 0 <= updated.gamma_l <= PARAMS.gamma_max
         assert 0 <= updated.gamma_h <= PARAMS.gamma_max
         assert 0 <= updated.moderation <= 1

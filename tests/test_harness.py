@@ -315,9 +315,9 @@ class TestSummaryStats:
 
     def test_final_window_rule(self):
         stats = summary_stats(self._record([0.5] * 30, list(range(30))))
-        assert stats.window == 20
+        assert stats.final_window == 20
         stats = summary_stats(self._record([0.5] * 300, list(range(300))))
-        assert stats.window == 30
+        assert stats.final_window == 30
 
     def test_safe_corr_guards(self):
         assert safe_corr(np.array([1.0]), np.array([2.0])) is None
@@ -666,6 +666,43 @@ class TestLockstepBatches:
             live = [i for i in live if i not in lost]
         assert trace[2:] == [(3, 17, [0, 4]), (4, 15, [9]), (5, 14, [11, 13]), (6, 12, []),
                              (7, 12, []), (8, 12, []), (9, 12, [7]), (10, 11, [])]
+
+    def test_the_batch_key_names_every_parameter_the_tick_reads(self, monkeypatch):
+        # `market_step` reads its parameters through a proxy that records
+        # each read as "section.field"; worlds share a batch by `_batch_key`.
+        reads, calls = set(), []
+
+        class Section:
+            def __init__(self, name, section):
+                self._name, self._section = name, section
+
+            def __getattr__(self, field):
+                reads.add(f"{self._name}.{field}")
+                return getattr(self._section, field)
+
+        class Recorded:
+            def __init__(self, params):
+                self._params = params
+
+            def __getattr__(self, name):
+                return Section(name, getattr(self._params, name))
+
+        def recorded(trust, populations, platforms, overlays, taxes, steps, params,
+                     _fn=harness.market_step):
+            calls.append((len(trust), any(step is not None for step in steps)))
+            return _fn(trust, populations, platforms, overlays, taxes, steps, Recorded(params))
+
+        monkeypatch.setattr(harness, "market_step", recorded)
+        worlds = sweep_worlds(**{"policy.fiduciary": 0.5, "policy.provenance_boost": 0.05})[:3]
+        worlds[1] = worlds[1].with_overrides({"ipi.endogenous_weights": True})
+        run_worlds(worlds[1:2], 3)  # a lone weighing world
+        run_worlds(worlds, 3)  # a batch that holds it
+        assert calls == [(1, True)] * 3 + [(3, True)] * 3
+        instruments = {"policy.fiduciary", "policy.provenance_boost"}
+        assert instruments <= reads
+        sections = {"agents", "market", "trust", "welfare", "platform"}
+        assert sorted(read for read in reads
+                      if read.split(".")[0] not in sections and read not in instruments) == []
 
     def test_worlds_that_differ_in_what_the_market_reads_do_not_share_a_batch(self):
         base = SimParams().with_overrides(SMALL)

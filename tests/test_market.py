@@ -144,18 +144,18 @@ class TestConsumerPool:
 class TestVerificationFixedPoint:
     def test_free_verification_saturates(self, params):
         pool = ConsumerPool([0.0] * 10)
-        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params)
+        v, _, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params)
         assert v == pytest.approx(1.0)
 
     def test_no_benefit_means_zero_cost_verifiers_only(self, params):
         pool = ConsumerPool([0.0, 0.0, 1.0, 2.0])
         no_benefit = params.with_overrides({"agents.du_h": 0.0, "agents.du_l": 0.0})
-        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=no_benefit)
+        v, _, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=no_benefit)
         assert v == pytest.approx(0.5)  # the two zero-cost consumers
 
     def test_residual_meets_tolerance(self, params, populations):
         pool = populations.consumers
-        v, precision = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
+        v, precision, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
         pi = signal_precision(0.6, v, 0.0, params.market)
         post = consumer_posterior(1.0 - 0.6, pi)
         mapped = pool.cdf(verification_threshold(post, 0.5, 2.0))
@@ -177,13 +177,13 @@ class TestVerificationFixedPoint:
         x0, x1 = grid[idx - 1], grid[idx]
         y0, y1 = residual[idx - 1], residual[idx]
         crossing = x0 + (x1 - x0) * y0 / (y0 - y1)
-        v, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
+        v, _, _ = solve_verification_fixed_point(0.6, pool, 0.0, params=params)
         assert v == pytest.approx(crossing, abs=1e-4)
 
     def test_damped_iterates_stay_bounded(self, params, populations):
         for rho in np.linspace(0.0, 1.0, 21):
-            v, _ = solve_verification_fixed_point(float(rho), populations.consumers,
-                                                  0.0, params=params)
+            v, _, _ = solve_verification_fixed_point(float(rho), populations.consumers,
+                                                     0.0, params=params)
             assert 0.0 <= v <= 1.0
 
     def test_exhausted_budget_raises(self, populations):
@@ -210,7 +210,7 @@ class TestVerificationFixedPoint:
         # du_h <= du_l: T falls in V, so T(V) - V crosses zero once.
         params = SimParams().with_overrides({"agents.du_h": du_l * du_share, "agents.du_l": du_l})
         pool = ConsumerPool(np.random.default_rng(seed).uniform(0.0, k_max, n))
-        v, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
+        v, _, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
         gap = mapping(rho, provenance, pool, params)
         assert abs(gap(v) - v) <= 1e-12
         assert_on_grid_crossing(v, gap)
@@ -236,7 +236,7 @@ class TestVerificationFixedPoint:
             "market.pi_base": pi_base, "market.kappa_verify": kappa_verify, "market.fp_tol": 1.0,
         })
         pool = ConsumerPool(np.random.default_rng(seed).uniform(0.0, 4.0, n))
-        v, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
+        v, _, _ = solve_verification_fixed_point(rho, pool, provenance, params=params)
         gap = mapping(rho, provenance, pool, params)
         near = v + np.arange(-64, 65) * np.spacing(v)
         assert abs(gap(v) - v) <= max(1e-12, 128 * np.abs(gap(near) - near).min())
@@ -271,7 +271,7 @@ class TestVerificationFixedPoint:
         sign = np.sign(gap(grid) - grid)
         assert np.count_nonzero(np.diff(sign[sign != 0])) >= 2
         assert gap(1.0) == 1.0
-        v, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params)
+        v, _, _ = solve_verification_fixed_point(0.5, pool, 0.0, params=params)
         first = np.flatnonzero(gap(grid) - grid < 0.0)[0]
         assert grid[first - 1] <= v <= grid[first]
         assert abs(gap(v) - v) <= 1e-12
@@ -622,7 +622,8 @@ class TestFloatProbeLanes:
         params = SimParams().with_overrides({"platform.fd_step": fd_step})
         pf, producers = params.platform, populations.producers.n
         platform = Postures(*posture)
-        probes = market._probes([platform], pf).take(np.s_[:, 1:7])
+        row, = market._probes([platform], pf)
+        probes = Postures.of([row]).take(np.s_[:, 1:7])
         q_h, q_l = (np.array([column]) for column in zip(*outputs))
 
         def arrays():
@@ -633,7 +634,7 @@ class TestFloatProbeLanes:
                 producers=producers)
             return objectives.tolist(), trust_next.tolist()
 
-        levers = [x.ravel().tolist() for x in (probes.gamma_h, probes.gamma_l, probes.moderation)]
+        levers = [lever[1:7] for lever in (row.gamma_h, row.gamma_l, row.moderation)]
 
         def floats():
             outlook = []
@@ -648,8 +649,7 @@ class TestFloatProbeLanes:
         def step(lookahead):
             # `_lookahead`'s rows, then the gradient step they give
             objectives, trust_next = lookahead()
-            s, = market._platform_gradient_steps(
-                [platform], Postures(*([lever] for lever in levers)), objectives, trust_next, pf)
+            s, = market._platform_gradient_steps([platform], [row], objectives, trust_next, pf)
             return bits(*objectives[0], *trust_next[0]), bits(s.gamma_h, s.gamma_l, s.moderation)
 
         with np.errstate(all="ignore"):
@@ -792,11 +792,11 @@ def solve_or_error(solve, lanes, pool, provenance, params):
     """The solve's (rate, precision, threshold) types, shapes, dtypes and
     bytes, or its NoConvergence message."""
     try:
-        fp = solve(lanes, pool, provenance, params=params)
+        solved = solve(lanes, pool, provenance, params=params)
     except NoConvergence as exc:
         return str(exc)
     return tuple((type(x), np.shape(x), np.asarray(x).dtype, np.asarray(x).tobytes())
-                 for x in (fp.verify_rate, fp.precision, fp.threshold))
+                 for x in solved)
 
 
 def assert_float_solve_matches(rho, pool, provenance, params, oracle):
@@ -838,8 +838,7 @@ def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params)
         raise NoConvergence(f"verification fixed point: residual {resid[i]:.3e} not below "
                             f"market.fp_tol = {mk.fp_tol:.3e} (pollution={lanes[i]:.4f})")
     shape = rho.shape
-    return market.FixedPoint(v.reshape(shape)[()], precision.reshape(shape)[()],
-                             k_star.reshape(shape)[()])
+    return v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()]
 
 
 def assert_on_grid_crossing(v, gap):
@@ -1062,12 +1061,12 @@ class TestBatchedClearing:
 
     def test_the_anchor_lanes_solve_alone_as_in_the_batch(self, populations, params):
         rho = np.linspace(0.0, 1.0, 1126)
-        together = solve_verification_fixed_point(rho, populations.consumers, params=params)
+        v, precision, _ = solve_verification_fixed_point(rho, populations.consumers,
+                                                         params=params)
         for i in range(rho.size):
-            alone = solve_verification_fixed_point(rho[i:i + 1], populations.consumers,
-                                                   params=params)
-            assert (alone.verify_rate[0], alone.precision[0]) == (
-                together.verify_rate[i], together.precision[i])
+            v_alone, precision_alone, _ = solve_verification_fixed_point(
+                rho[i:i + 1], populations.consumers, params=params)
+            assert (v_alone[0], precision_alone[0]) == (v[i], precision[i])
 
     @given(lanes=st.lists(LANE, min_size=1, max_size=8), one_tax=st.booleans(),
            cost_h=st.sampled_from([None, math.nan, math.inf]),
