@@ -283,20 +283,6 @@ class ShockParams:
         _bound(self, "shocks", "cost_drop", lambda v: v < 1, "be below 1")
 
 
-_SECTIONS = {
-    "econ": EconParams,
-    "agents": AgentParams,
-    "platform": PlatformParams,
-    "market": MarketParams,
-    "trust": TrustParams,
-    "welfare": WelfareParams,
-    "ipi": IpiParams,
-    "proxy": ProxyParams,
-    "policy": PolicyParams,
-    "shocks": ShockParams,
-}
-
-
 @dataclass(frozen=True)
 class SimParams:
     """The full parameter set for one simulated world."""
@@ -314,28 +300,23 @@ class SimParams:
 
     def flatten(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        for section, cls in _SECTIONS.items():
-            sub = getattr(self, section)
-            for f in fields(cls):
-                out[f"{section}.{f.name}"] = getattr(sub, f.name)
+        for section in fields(self):
+            sub = getattr(self, section.name)
+            out |= {f"{section.name}.{f.name}": getattr(sub, f.name) for f in fields(sub)}
         return out
 
     def with_overrides(self, overrides: dict[str, Any]) -> "SimParams":
         """Apply dotted-key overrides, coercing values to the field's type."""
+        current = self.flatten()
         staged: dict[str, dict[str, Any]] = {}
         for key, value in overrides.items():
-            section, _, name = key.partition(".")
-            if section not in _SECTIONS or not name:
+            if key not in current:
                 raise ConfigError(f"unknown config key: {key!r}")
-            cls = _SECTIONS[section]
-            try:
-                (fld,) = [f for f in fields(cls) if f.name == name]
-            except ValueError:
-                raise ConfigError(f"unknown config key: {key!r}") from None
-            coerced = _coerce(value, getattr(getattr(self, section), fld.name), key)
+            coerced = _coerce(value, current[key], key)
             # No parameter is meaningful at NaN or infinity, bounded or not.
             if isinstance(coerced, float) and not math.isfinite(coerced):
                 raise ConfigError(f"{key} must be finite, got {coerced!r}")
+            section, _, name = key.partition(".")
             staged.setdefault(section, {})[name] = coerced
         updated = {
             section: replace(getattr(self, section), **kwargs)

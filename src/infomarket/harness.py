@@ -148,17 +148,16 @@ _KINDS = {"tick": int, "event": str}  # every other column is float
 @dataclass
 class RunRecord:
     """A world's time series, one array per `CSV_COLUMNS` entry (``tick`` as
-    ints, ``event`` as strings, the rest floats), plus metadata."""
+    ints, ``event`` as strings, the rest floats)."""
 
     columns: dict[str, np.ndarray]
-    metadata: dict[str, str]
 
     @classmethod
     def of(cls, rows: Sequence[TickRow]) -> "RunRecord":
         """The record of a world's rows: their transpose."""
         columns = list(zip(*map(_ROW_VALUES, rows))) or [()] * len(CSV_COLUMNS)
         return cls({c: np.array(v, dtype=_KINDS.get(c, float))
-                    for c, v in zip(CSV_COLUMNS, columns)}, {})
+                    for c, v in zip(CSV_COLUMNS, columns)})
 
     def __len__(self) -> int:
         return len(self.columns["tick"])
@@ -171,9 +170,6 @@ class RunRecord:
 
     def to_csv_text(self) -> str:
         return _csv_text(CSV_COLUMNS, self._csv_rows())
-
-    def write(self, path: Path) -> None:
-        _write_table(path, CSV_COLUMNS, self._csv_rows())
 
     @classmethod
     def from_csv(cls, path: Path) -> "RunRecord":
@@ -200,7 +196,7 @@ class RunRecord:
             raise ConfigError(
                 f"{path}: not a readable run record: {getattr(exc, 'strerror', None) or exc}"
             ) from None
-        return cls({c: np.array(v, dtype=_KINDS.get(c, float)) for c, v in cells.items()}, {})
+        return cls({c: np.array(v, dtype=_KINDS.get(c, float)) for c, v in cells.items()})
 
 
 @dataclass(frozen=True)
@@ -727,15 +723,12 @@ def _records(
     cfg: ExperimentConfig, worlds: Sequence[SimParams], shocks: Sequence[ShockEvent] = ()
 ) -> list[RunRecord]:
     """Run the worlds at cfg's horizon, seed and jobs; every world must
-    converge, and its record gets the run's metadata."""
+    converge."""
     outcomes = run_worlds(worlds, cfg.max_ticks, shocks=shocks, master_seed=cfg.master_seed,
                           jobs=cfg.jobs)
     failures = [f"world {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, str)]
     if failures:
         raise NoConvergence("; ".join(failures))
-    for params, record in zip(worlds, outcomes):
-        record.metadata = {"experiment": cfg.experiment, "seed": str(cfg.master_seed),
-                           "config_hash": params.config_hash(), "version": __version__}
     return outcomes
 
 
@@ -747,8 +740,9 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     params = cfg.params()
     (record,) = _records(cfg, [params])
     stats = summary_stats(record)
-    report = {"experiment": cfg.experiment, "stats": asdict(stats),
-              "metadata": record.metadata}
+    metadata = {"experiment": cfg.experiment, "seed": str(cfg.master_seed),
+                "config_hash": params.config_hash(), "version": __version__}
+    report = {"experiment": cfg.experiment, "stats": asdict(stats), "metadata": metadata}
     lines = [f"experiment: {cfg.experiment}", f"ticks: {stats.n_ticks}"]
     lines += [f"final {k}: {_fmt(v)}" for k, v in stats.final_means.items()]
     lines += [
@@ -1115,11 +1109,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         "rows": report.rows,
         "pollution_by_r": pollution_vs_r,
     }
-    lines = [
-        "parameter sweep (final-window means):",
-        f"corr(r, welfare) = {report.corr_r_welfare:.3f}",
-        f"corr(r, pollution) = {report.corr_r_pollution:.3f}",
-    ]
+    lines = ["parameter sweep (final-window means):"]
+    lines += [f"corr(r, {name}) = {'undefined' if c is None else format(c, '.3f')}"
+              for name, c in (("welfare", report.corr_r_welfare),
+                              ("pollution", report.corr_r_pollution))]
     lines += [f"  r={r:.1f}: mean pollution {p:.3f}" for r, p in pollution_vs_r]
     _write_outputs(
         cfg, params, None, doc, lines,

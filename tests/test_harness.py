@@ -116,7 +116,7 @@ class TestRunRecord:
     def test_csv_round_trip_preserves_summary(self, tmp_path):
         record = run(small_cfg())
         path = tmp_path / "run.csv"
-        record.write(path)
+        path.write_text(record.to_csv_text(), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert summary_stats(reread) == summary_stats(record)
         assert_same_columns(reread, record)
@@ -125,7 +125,7 @@ class TestRunRecord:
     def test_zero_tick_record_round_trips(self, tmp_path):
         record = run(small_cfg(max_ticks=0))
         path = tmp_path / "run.csv"
-        record.write(path)
+        path.write_text(record.to_csv_text(), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert len(record) == len(reread) == 0
         assert_same_columns(reread, record)
@@ -136,7 +136,7 @@ class TestRunRecord:
         rows = [sim.advance() for _ in range(4)]
         record = RunRecord.of(rows)
         assert CSV_COLUMNS == tuple(field.name for field in fields(TickRow))
-        assert [field.name for field in fields(RunRecord)] == ["columns", "metadata"]
+        assert [field.name for field in fields(RunRecord)] == ["columns"]
         for name in CSV_COLUMNS:
             assert record.column(name).tolist() == [getattr(r, name) for r in rows]
         assert record.column("tick").dtype.kind == "i"
@@ -163,16 +163,19 @@ class TestRunRecord:
         (record,) = run_worlds([params], 20,
                                shocks=[ShockEvent(tick=10, kind="trust_shock", magnitude=0.2)])
         path = tmp_path / "run.csv"
-        record.write(path)
+        path.write_text(record.to_csv_text(), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert reread.column("event")[10] == "trust_shock"
         assert reread.column("event")[5] == ""
         assert_same_columns(reread, record)
 
-    def test_metadata_fields(self):
-        record = run(small_cfg())
-        assert record.metadata["seed"] == "42"
-        assert len(record.metadata["config_hash"]) == 16
+    def test_metadata_fields(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        run(cfg)
+        metadata = json.loads((tmp_path / "summary.json").read_text())["metadata"]
+        assert metadata["seed"] == "42"
+        assert metadata["config_hash"] == cfg.params().config_hash()
+        assert len(metadata["config_hash"]) == 16
 
 
 class TestOverlays:
@@ -357,6 +360,20 @@ class TestConfigPlumbing:
         path.write_text("market.unknown_knob = 3\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_overrides(path, {})
+
+    # Keys that name a method, a dunder or an empty section are no parameter.
+    @pytest.mark.parametrize("key", ["flatten.x", "with_overrides.x", "__class__.x",
+                                     "econ.__init__", "econ.__dataclass_fields__", ".x",
+                                     "foo.bar"])
+    def test_attribute_names_are_unknown_keys(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match=r"^unknown config key: "):
+            SimParams().with_overrides({key: "1"})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert main(["baseline", "--ticks", "3", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key: {key!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -844,6 +861,18 @@ class TestCli:
         path = tmp_path / "ok.cfg"
         path.write_text("econ.ai_rental = 0.9\n", encoding="utf-8")
         assert main(["validate-config", "--config", str(path)]) == 0
+
+    def test_sweep_with_a_constant_outcome_prints_undefined(self, tmp_path, capsys):
+        # Under a strong duty every cell's final pollution is 0, so its
+        # correlation with r is undefined.
+        out = tmp_path / "out"
+        assert main(["sweep", "--policy.fiduciary", "0.9", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "corr(r, pollution) = undefined" in lines
+        assert "corr(r, welfare) = -0.993" in lines
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["corr_r_pollution"] is None
+        assert summary["corr_r_welfare"] == pytest.approx(-0.9925797121206016, rel=1e-9)
 
     def test_validate_config_bad_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
