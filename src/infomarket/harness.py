@@ -499,7 +499,8 @@ def weight_responses(
 
 
 def safe_corr(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson correlation, or None when either series is constant.
+    """Pearson correlation, or None when it is undefined: series of
+    different lengths or shorter than two, or either constant or holding NaN.
 
     Finite series whose squares overflow are correlated after dividing each
     by its largest magnitude, which leaves the correlation unchanged.
@@ -514,7 +515,8 @@ def safe_corr(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def _corr(x: np.ndarray, y: np.ndarray) -> float | None:
-    if float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0:
+    # A constant series, or one that holds NaN, has no positive spread.
+    if not (np.std(x) > 0.0 and np.std(y) > 0.0):
         return None
     return float(np.corrcoef(x, y)[0, 1])
 
@@ -873,7 +875,7 @@ def run_weight_sensitivity(
         "sign_flips": sign_flips,
     }
     lines = ["weight sensitivity: corr(IPI, W) per weight set"]
-    lines += [f"  {w}: {c:.4f}" for w, c, _ in rows]
+    lines += [f"  {w}: {'undefined' if math.isnan(c) else format(c, '.4f')}" for w, c, _ in rows]
     if sign_flips:
         lines.append(f"SIGN FLIP in sets {sign_flips}")
     _write_outputs(
@@ -1214,6 +1216,9 @@ DEFAULT_ROBUST_WORLDS: tuple[dict[str, Any], ...] = (
 
 
 def run_robust_select(cfg: ExperimentConfig) -> dict[str, Any]:
+    if cfg.max_ticks == 0:
+        raise ConfigError("robust-select compares final-window welfare, and run.max_ticks = 0 "
+                          "measures none; run it for at least one tick")
     params = cfg.params()
     policies, worlds = DEFAULT_ROBUST_POLICIES, DEFAULT_ROBUST_WORLDS
     selection = robust_select(

@@ -90,10 +90,7 @@ def signal_precision(pollution, verify_rate, provenance_boost: float, params: Ma
     Pollution dilutes the public signal, aggregate verification and
     provenance standards sharpen it.
     """
-    raw = _raw_precision(pollution, verify_rate, provenance_boost, params)
-    if isinstance(raw, float):
-        return _clamp(raw, 0.5, 1.0)
-    return np.minimum(np.maximum(raw, 0.5), 1.0)[()]
+    return _clamp(_raw_precision(pollution, verify_rate, provenance_boost, params), 0.5, 1.0)
 
 
 def _threshold(pollution, precision, params: SimParams):
@@ -140,7 +137,8 @@ def solve_verification_fixed_point(
        Where precision is clamped the threshold is a constant; between the
        clamps (k - k*) times the posterior's denominator is a quadratic in
        k, solved in closed form.  The sign of k - k* at the clamp edges
-       picks the piece.
+       picks the piece.  One routine (`_segment_root`) solves a batch's
+       arrays and a lone float lane alike.
     3. Check the residual |T(V) - V| of every lane against ``market.fp_tol``;
        raise NoConvergence naming the first lane that misses it.
 
@@ -154,10 +152,10 @@ def solve_verification_fixed_point(
 
     Lanes are solved independently: a lane's result does not depend on its
     batch.  An array in gives arrays of its shape out (0-d: numpy
-    scalars).  A float is solved in Python floats (`_lane_fixed_point`),
-    because numpy's per-call overhead on one-element arrays is most of its
-    cost; it gives the array form's bits, inf and NaN included, and the
-    same errors.
+    scalars).  A float gives floats (`_lane_fixed_point`), without
+    one-element arrays, because numpy's per-call overhead on them is most
+    of its cost; it gives the array form's bits, inf and NaN included, and
+    the same errors.
     """
     if isinstance(pollution, float):
         return _lane_fixed_point(pollution, consumers, provenance_boost, params)
@@ -165,7 +163,7 @@ def solve_verification_fixed_point(
     lanes = rho.reshape(-1)
     _check_pollution(lanes)
     end, k_clamp = _scan_ends(lanes, consumers, provenance_boost, params)
-    v = _segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
+    v = _segment_root(lanes, end, *k_clamp.T, consumers, provenance_boost, params)
     # (3) the residual check
     mk = params.market
     precision = signal_precision(lanes, v, provenance_boost, mk)
@@ -182,16 +180,17 @@ def solve_verification_fixed_point(
 def _lane_fixed_point(
     rho: float, consumers: ConsumerPool, provenance_boost: float, params: SimParams
 ) -> tuple[float, float, float]:
-    """Steps 1-3 of the solve for one lane, in Python floats: (rate, precision, threshold)."""
+    """The solve of one lane, (rate, precision, threshold) as floats: step 1
+    bisects in floats when du_h <= du_l, step 3 reads `cdf_float`."""
     mk, ag = params.market, params.agents
     _check_pollution(rho)
     if ag.du_h <= ag.du_l:
         end = _bisect_end(rho, consumers, provenance_boost, params)
-        k_clamp = [_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist()]
+        k_lo, k_hi = (_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist())
     else:
         ends, k_clamps = _scan_ends(np.array([rho]), consumers, provenance_boost, params)
-        end, k_clamp = ends.item(), k_clamps[0].tolist()
-    v = _lane_root(rho, end, k_clamp, consumers, provenance_boost, params)
+        end, (k_lo, k_hi) = ends.item(), k_clamps[0].tolist()
+    v = float(_segment_root(rho, end, k_lo, k_hi, consumers, provenance_boost, params))
     precision = signal_precision(rho, v, provenance_boost, mk)
     k_star = _threshold(rho, precision, params)
     resid = abs(consumers.cdf_float(k_star) - v)
@@ -291,20 +290,17 @@ def _missed_tolerance(resid: float, pollution: float, fp_tol: float) -> NoConver
                          f"market.fp_tol = {fp_tol:.3e} (pollution={pollution:.4f})")
 
 
-def _segment_root(
-    rho: np.ndarray,
-    end: np.ndarray,
-    k_clamp: np.ndarray,
-    consumers: ConsumerPool,
-    provenance_boost: float,
-    params: SimParams,
-) -> np.ndarray:
-    """Step 2 of the solve: each lane's root on the CDF segment ending at knot `end`.
+def _segment_root(rho, end, k_lo, k_hi, consumers: ConsumerPool, provenance_boost: float,
+                  params: SimParams):
+    """Step 2 of the solve: each lane's root on the CDF segment ending at
+    knot `end` (elementwise; one lane's float and int give a numpy scalar).
 
     At cost k = k0 + x (x in [0, dk]) the rate is v0 + s x and raw precision
     pi0 + sigma x, which reaches the clamps at x_lo and x_hi.  Beyond them
-    the threshold is k_clamp, the root x_flat; between them the root is
-    the quadratic's a x^2 + b x + c.
+    the threshold is the clamp's, k_lo or k_hi, the root x_flat; between
+    them the root is the quadratic's a x^2 + b x + c.  One lane keeps
+    `ConsumerPool.segments`' numpy scalars, so its quotients are numpy's
+    and a zero divisor gives inf or NaN as an array's does.
     """
     mk, ag = params.market, params.agents
     # Lanes with no segment (end 0) read the flat one past the last knot: V = 1.
@@ -325,70 +321,43 @@ def _segment_root(
         b = sigma * (u * skew - du_prior) + d0
         c = u * d0 - du_prior * pi0
         # The upward crossing (-b + root) / 2a, as q / a or c / q to avoid cancellation.
-        q = (b + np.copysign(np.sqrt(np.maximum(b * b - a * 4.0 * c, 0.0)), b)) * -0.5
-        x_lo, x_hi = np.fmin(np.fmax((_CLAMPS - pi0[:, None]) / sigma[:, None], 0.0), dk[:, None]).T
-        x_mid = np.where(b < 0.0, q / a, c / q)
-    x_flat_lo, x_flat_hi = (k_clamp - k0[:, None]).T
+        q = (b + _signed_sqrt(b * b - a * 4.0 * c, b)) * -0.5
+        x_lo, x_hi = (_fmin(_fmax((clamp - pi0) / sigma, 0.0), dk) for clamp in _CLAMPS.tolist())
+        x_mid = _where(b < 0.0, q / a, c / q)
+    x_flat_lo, x_flat_hi = k_lo - k0, k_hi - k0
     # The lower clamp's root if k - k* turns nonnegative on it (at x = 0 the
     # threshold there is k_lo, so x_flat_lo >= 0), else the upper clamp's if
     # k - k* is still negative where it starts, else the quadratic's.
-    x = np.where(
-        (x_hi < dk) & (x_flat_hi > x_hi), np.fmin(x_flat_hi, dk), np.fmin(np.fmax(x_mid, x_lo), x_hi)
-    )
-    x = np.where((x_lo > 0.0) & (x_flat_lo <= x_lo), x_flat_lo, x)
+    x = _where((x_hi < dk) & (x_flat_hi > x_hi), _fmin(x_flat_hi, dk),
+               _fmin(_fmax(x_mid, x_lo), x_hi))
+    x = _where((x_lo > 0.0) & (x_flat_lo <= x_lo), x_flat_lo, x)
     return v0 + s * x
 
 
-def _lane_root(
-    rho: float,
-    end: int,
-    k_clamp: list[float],
-    consumers: ConsumerPool,
-    provenance_boost: float,
-    params: SimParams,
-) -> float:
-    """`_segment_root` of one lane in Python floats, bit for bit; the array
-    form is its oracle.
-
-    Quotients are taken on np.float64 operands, so a zero or subnormal
-    divisor gives numpy's inf or NaN, as in the array form, not an error.
-    """
-    mk, ag = params.market, params.agents
-    k0, v0, dk, s = (float(x) for x in consumers.segments(end - 1))
-    pi0 = _raw_precision(rho, v0, provenance_boost, mk)
-    sigma = s * mk.kappa_verify
-    prior = 1.0 - rho
-    skew = prior - rho
-    d0 = rho + skew * pi0
-    u = k0 - ag.du_l
-    du_prior = prior * (ag.du_h - ag.du_l)
-    x_flat_lo, x_flat_hi = k_clamp[0] - k0, k_clamp[1] - k0
-    with np.errstate(all="ignore"):
-        x_lo, x_hi = (_fmin(_fmax((clamp - pi0) / np.float64(sigma), 0.0), dk)
-                      for clamp in _CLAMPS.tolist())
-        # The pieces in `_segment_root`'s order of precedence.
-        if x_lo > 0.0 and x_flat_lo <= x_lo:
-            x = x_flat_lo
-        elif x_hi < dk and x_flat_hi > x_hi:
-            x = _fmin(x_flat_hi, dk)
-        else:
-            a = skew * sigma
-            b = sigma * (u * skew - du_prior) + d0
-            c = u * d0 - du_prior * pi0
-            q = (b + math.copysign(math.sqrt(max(b * b - a * 4.0 * c, 0.0)), b)) * -0.5
-            x_mid = q / np.float64(a) if b < 0.0 else c / np.float64(q)
-            x = _fmin(_fmax(x_mid, x_lo), x_hi)
-        return float(v0 + s * x)
-
-
 def _fmax(x, y):
-    """np.fmax of two floats: a NaN loses, and a tie returns x."""
-    return x if x >= y or y != y else y
+    """np.fmax (a NaN loses, a tie returns x); in Python for a float x."""
+    if isinstance(x, float):
+        return x if x >= y or y != y else y
+    return np.fmax(x, y)
 
 
 def _fmin(x, y):
-    """np.fmin of two floats: a NaN loses, and a tie returns x."""
-    return x if x <= y or y != y else y
+    """np.fmin (a NaN loses, a tie returns x); in Python for a float x."""
+    if isinstance(x, float):
+        return x if x <= y or y != y else y
+    return np.fmin(x, y)
+
+
+def _where(cond, x, y):
+    """np.where; a Python conditional for one lane's condition."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else x if cond else y
+
+
+def _signed_sqrt(x, sign):
+    """copysign(sqrt(max(x, 0)), sign), NaN staying NaN; math's for a float x."""
+    if isinstance(x, float):
+        return math.copysign(math.sqrt(max(x, 0.0)), sign)
+    return np.copysign(np.sqrt(np.maximum(x, 0.0)), sign)
 
 
 def trust_update(trust, i1, flow, params: TrustParams):

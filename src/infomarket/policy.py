@@ -12,6 +12,7 @@ with the best worst case across candidate worlds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,19 +100,24 @@ def max_min_select(
     and ``ipi[p][w]`` are policy p's final-window welfare and index in
     world w; ``failures`` lists the (policy, world) cells that did not
     converge.  A policy with any failed cell is disqualified (its
-    worst case is failure).  Ties break toward the lower mean final-window
-    index across worlds, then toward list order.
+    worst case is failure), and so is one with a NaN cell (its worst case
+    is unmeasured).  Ties break toward the lower mean final-window
+    index across worlds, then toward list order.  With no policy left it
+    raises NoConvergence naming the failed cells, or ValueError if none
+    failed.
     """
     failed_policies = {p for p, _ in failures}
     best_idx: int | None = None
     best_key: tuple[float, float] | None = None
     for i in range(len(labels)):
-        if i in failed_policies:
+        if i in failed_policies or any(math.isnan(x) for x in (*welfare[i], *ipi[i])):
             continue
         key = (min(welfare[i]), -sum(ipi[i]) / len(ipi[i]))
         if best_key is None or key > best_key:
             best_key = key
             best_idx = i
+    if best_idx is None and not failures:
+        raise ValueError("no candidate policy has a measured welfare and index in every world")
     if best_idx is None:
         cells = ", ".join(f"(policy {p}, world {w})" for p, w in failures)
         raise NoConvergence(f"every candidate policy failed in at least one world: {cells}")

@@ -874,6 +874,32 @@ class TestCli:
         assert summary["corr_r_pollution"] is None
         assert summary["corr_r_welfare"] == pytest.approx(-0.9925797121206016, rel=1e-9)
 
+    @pytest.mark.parametrize("command,ticks", [("sweep", 0), ("weight-sensitivity", 0),
+                                               ("weight-sensitivity", 1)])
+    def test_correlations_without_a_series_print_undefined(self, tmp_path, capsys, command,
+                                                           ticks):
+        # Final means of no ticks are NaN, and a series shorter than two has no spread.
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main([command, "--ticks", str(ticks), "--out", str(out), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        if command == "sweep":
+            assert {"corr(r, welfare) = undefined", "corr(r, pollution) = undefined"} <= set(lines)
+            assert summary["corr_r_welfare"] is None and summary["corr_r_pollution"] is None
+        else:
+            assert sum(line.endswith(": undefined") for line in lines) == 6
+            assert summary["correlations"] == [None] * 6
+            table = (out / "results" / "weight_sensitivity.csv").read_text(encoding="utf-8")
+            assert [row.split(",")[-2:] for row in table.splitlines()[1:]] == [["nan", "nan"]] * 6
+
+    def test_robust_select_without_ticks_exits_config_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["robust-select", "--ticks", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "run.max_ticks" in err and not out.exists()
+
     def test_validate_config_bad_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus.key = 1\n", encoding="utf-8")
@@ -1241,7 +1267,9 @@ class TestCli:
         ])
         # The default shock ticks (40...) and a burst at tick ticks // 2 = 0 lie
         # outside such horizons: a config error, never a crash.
-        outside = experiment == "shocks" or (experiment == "event_detection" and ticks == 0)
+        # robust-select has no final window to select from at 0 ticks.
+        outside = experiment == "shocks" or (
+            experiment in ("event_detection", "robust_select") and ticks == 0)
         assert code == (2 if outside else 0)
         if code == 0:
             # Undefined statistics are written as null, never as NaN.

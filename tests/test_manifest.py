@@ -38,8 +38,10 @@ STORED = GOLDEN / "outputs"
 
 # The nine experiments at their defaults, then edge commands: endogenous
 # weights, several fixed points (du_h > du_l), instruments, a process pool,
-# two convergence failures (exit 3) and a sweep whose pollution
-# correlation is undefined.
+# two convergence failures (exit 3), a sweep whose pollution
+# correlation is undefined, and two empty horizons: a sweep whose
+# correlations are undefined, and a robust selection with nothing to
+# select from (exit 2).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -57,6 +59,8 @@ COMMANDS = (
     "baseline --ticks 3 --market.fp_tol 0",
     "sweep --market.fp_tol 1e-16 --ipi.endogenous_weights true",
     "sweep --policy.fiduciary 0.9",
+    "sweep --ticks 0",
+    "robust-select --ticks 0",
 )
 
 

@@ -382,6 +382,8 @@ class TestOneLaneSolve:
              market_=(0.85, 0.3, 0.0, 1e-8), provenance=0.0)  # kappa_verify 0: a flat precision
     @example(rho=0.1, costs=random_costs(10, 714, 2.0, None), du=(0.5, 1.0),
              market_=(1.0, 0.0, 0.0, 1e-8), provenance=0.0)  # and on a clamp: 0 / 0 is NaN
+    @example(rho=5e-324, costs=random_costs(200, 1, 4.0, None), du=(0.5, 2.0),
+             market_=(0.85, 0.3, 0.0, 1e-8), provenance=0.0)  # the eager quotients divide by 0
     @example(rho=0.5, costs=random_costs(200, 42, 0.4, None), du=(0.5, 2.0),
              market_=(0.85, 0.3, 0.1, 1e-8), provenance=0.0)  # k_max < min(du): V = 1
     @example(rho=0.5, costs=random_costs(200, 42, 1.5, None), du=(0.5, 2.0),
@@ -427,7 +429,7 @@ class TestOneLaneSolve:
         sizes = []
 
         def spied(rho, *args, _fn=market._segment_root):
-            sizes.append(rho.size)
+            sizes.append(rho.size if isinstance(rho, np.ndarray) else type(rho))
             return _fn(rho, *args)
 
         default = Simulation(SimParams(), None, 42)
@@ -437,7 +439,8 @@ class TestOneLaneSolve:
         sims = [Simulation(world, None, 42) for world in worlds]
         monkeypatch.setattr(market, "_segment_root", spied)
         default.advance()
-        assert sizes == []  # a world cleared alone solves its one lane in floats
+        assert sizes == [float]  # a world cleared alone solves its one lane as a float
+        sizes.clear()
         paths = [build_overlays(3, (), world) for world in worlds]
         for overlays in zip(*paths):
             harness._step(sims, overlays)
@@ -828,7 +831,7 @@ def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params)
         k_star = market._threshold(r, pi, params)
         end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
         k_clamp[block] = k_star[:, -2:]
-    v = market._segment_root(lanes, end, k_clamp, consumers, provenance_boost, params)
+    v = market._segment_root(lanes, end, *k_clamp.T, consumers, provenance_boost, params)
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = market._threshold(lanes, precision, params)
     resid = np.abs(consumers.cdf(k_star) - v)

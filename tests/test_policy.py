@@ -1,5 +1,7 @@
 """Policy instrument tests: levy, fiduciary blend, adaptive rule, robust choice."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,18 @@ class TestMaxMinSelect:
         selection = max_min_select(self.POLICIES, welfare, ipi, [(0, 1)])
         assert selection.selected_index == 1
         assert selection.failures == ((0, 1),)
+
+    def test_a_nan_cell_disqualifies_its_policy(self):
+        # min([nan, 1.0]) is nan, which compares false against any key.
+        welfare = [[math.nan, 1.0], [0.5, 0.6], [0.2, 0.3]]
+        ipi = [[0.5, 0.5]] * 3
+        assert max_min_select(self.POLICIES, welfare, ipi, []).selected_index == 1
+        ipi = [[0.5, math.nan], [0.5, 0.5], [0.5, 0.5]]
+        assert max_min_select(self.POLICIES, [[9.0, 9.0]] * 3, ipi, []).selected_index == 1
+
+    def test_no_measured_policy_is_not_a_convergence_failure(self):
+        with pytest.raises(ValueError, match="no candidate policy has a measured"):
+            max_min_select(self.POLICIES, [[math.nan] * 2] * 3, [[math.nan] * 2] * 3, [])
 
     def test_every_policy_failing_is_a_convergence_failure(self):
         failures = [(0, 0), (1, 1), (2, 0)]
