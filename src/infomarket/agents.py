@@ -168,19 +168,18 @@ class ConsumerPool:
             self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
 
     def cdf(self, k):
-        """Fraction of consumers whose cost is covered by threshold k (elementwise).
+        """Fraction of consumers whose cost is covered by threshold k
+        (elementwise; a float gives a float with the array form's bits).
 
         Thresholds are nonnegative; a negative k is read as 0.
         """
-        k = np.maximum(np.asarray(k, dtype=float), 0.0)
-        i = np.searchsorted(self.knot_k, k, side="right") - 1
-        return (self.knot_v[i] + self._slope[i] * (k - self.knot_k[i]))[()]
-
-    def cdf_float(self, k: float) -> float:
-        """`cdf` of one float threshold in Python floats, bit for bit: a
-        numpy call on one element costs more than the arithmetic."""
-        k = k if k > 0.0 or k != k else 0.0  # as np.maximum(k, 0.0): NaN stays, -0.0 is 0.0
-        i = int(self.knot_k.searchsorted(k, side="right")) - 1
+        if isinstance(k, float):  # as np.maximum(k, 0.0): NaN stays, -0.0 is 0.0
+            k = k if k > 0.0 or k != k else 0.0
+        else:
+            k = np.maximum(np.asarray(k, dtype=float), 0.0)
+        i = self.knot_k.searchsorted(k, side="right") - 1
+        if isinstance(i, np.ndarray):
+            return self.knot_v[i] + self._slope[i] * (k - self.knot_k[i])
         return self.knot_v.item(i) + self._slope.item(i) * (k - self.knot_k.item(i))
 
     def segments(self, i: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -777,18 +777,20 @@ class ShockResponse:
 
 
 def shock_stats(record: RunRecord, shocks: Sequence[ShockEvent]) -> list[ShockResponse]:
-    """Peak index rise over the pre-shock mean and the post-peak decay rate."""
+    """Peak index rise over the pre-shock mean and the post-peak decay rate;
+    NaN (written as null) over an empty window: the pre-shock mean and rise
+    of a shock at tick 0, and the recovery of a peak on the record's last tick."""
     ipi = record.column("ipi")
     out = []
     for shock in shocks:
         t = shock.tick
-        pre = float(ipi[max(0, t - 5): t].mean()) if t else float(ipi[0])
+        pre = float(ipi[max(0, t - 5): t].mean()) if t else math.nan
         horizon = min(t + 10, len(ipi) - 1)
         peak_off = int(np.argmax(ipi[t: horizon + 1]))
         peak_t = t + peak_off
         peak = float(ipi[peak_t])
         post = ipi[peak_t: min(peak_t + 11, len(ipi))]
-        rec_rate = float(-(np.diff(post)).mean()) if len(post) > 1 else 0.0
+        rec_rate = float(-(np.diff(post)).mean()) if len(post) > 1 else math.nan
         declining = 0
         for d in np.diff(post):
             if d < 0:
@@ -814,17 +816,18 @@ def run_shocks(cfg: ExperimentConfig) -> tuple[RunRecord, list[ShockResponse]]:
     shocks = default_shocks(params)
     (record,) = _records(cfg, [params], shocks)
     responses = shock_stats(record, shocks)
-    mean_rise = float(np.mean([r.rise_pct for r in responses])) if responses else 0.0
+    mean_rise = _mean_or_nan([r.rise_pct for r in responses])
     report = {
         "experiment": "shocks",
         "mean_rise_pct": mean_rise,
         "responses": [asdict(r) for r in responses],
         "stats": asdict(summary_stats(record)),
     }
-    lines = [f"shock response: mean IPI rise {mean_rise:.1f}%"]
+    lines = [f"shock response: mean IPI rise {_or_undefined('{:.1f}%', mean_rise)}"]
     lines += [
-        f"  {r.kind}@{r.tick}: +{r.rise_pct:.1f}% peak {r.peak:.3f} "
-        f"recovery {r.recovery_per_tick:.4f}/tick ({r.declining_ticks} declining)"
+        f"  {r.kind}@{r.tick}: {_or_undefined('+{:.1f}%', r.rise_pct)} peak {r.peak:.3f} "
+        f"recovery {_or_undefined('{:.4f}/tick', r.recovery_per_tick)} "
+        f"({r.declining_ticks} declining)"
         for r in responses
     ]
     _write_outputs(
@@ -875,7 +878,7 @@ def run_weight_sensitivity(
         "sign_flips": sign_flips,
     }
     lines = ["weight sensitivity: corr(IPI, W) per weight set"]
-    lines += [f"  {w}: {'undefined' if math.isnan(c) else format(c, '.4f')}" for w, c, _ in rows]
+    lines += [f"  {w}: {_or_undefined('{:.4f}', c)}" for w, c, _ in rows]
     if sign_flips:
         lines.append(f"SIGN FLIP in sets {sign_flips}")
     _write_outputs(
@@ -918,14 +921,14 @@ def run_noise(
     for li, level in enumerate(levels):
         errors = []
         vols = []
-        # An empty series has no error or volatility.
+        # An empty series has no error or volatility, and one tick no volatility.
         for trial in range(trials if len(record) else 0):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.master_seed, 11, li, trial])
             )
             noisy = proxy_composite(synthesize_log(series, params, level, rng), weights)
             errors.append(float(np.mean(np.abs(noisy - noise_free))))
-            vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else 0.0)
+            vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else math.nan)
         rows.append((level, _mean_or_nan(errors), _mean_or_nan(vols)))
     report = {
         "experiment": "noise_robustness",
@@ -946,6 +949,11 @@ def run_noise(
 def _mean_or_nan(values: list[float]) -> float:
     """Mean of the values; NaN (written as null) when there are none."""
     return float(np.mean(values)) if values else math.nan
+
+
+def _or_undefined(template: str, x: float) -> str:
+    """``template`` filled with ``x``, or "undefined" where ``x`` is NaN."""
+    return "undefined" if math.isnan(x) else template.format(x)
 
 
 def run_event_detection(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -978,8 +986,9 @@ def run_event_detection(cfg: ExperimentConfig) -> dict[str, Any]:
         "best_window": best_window,
     }
     lines = [
-        f"event detection: burst at tick {tick}, peak IPI rise {response.rise_pct:.1f}%",
-        f"recovery {response.recovery_per_tick:.4f}/tick",
+        f"event detection: burst at tick {tick}, "
+        f"peak IPI rise {_or_undefined('{:.1f}%', response.rise_pct)}",
+        f"recovery {_or_undefined('{:.4f}/tick', response.recovery_per_tick)}",
         f"best prediction window: {best_window} ticks "
         f"(corr {finite.get(best_window, math.nan):.3f})" if best_window else
         "best prediction window: undefined",

@@ -128,19 +128,20 @@ def solve_verification_fixed_point(
        at or below the lower value never ends a segment and the first knot
        above the upper one always does (its threshold is still evaluated,
        not assumed), so only the knots between, and that first one above,
-       are read (`_knot_window`).  A batch scans them in blocks of lanes
-       (`_scan_ends`).  One lane with du_h <= du_l bisects them in Python
-       floats (`_bisect_end`): k* then does not rise along the knots while
-       k_i does, so the test goes false and then true along the window.
-       When du_h > du_l k* rises too, and one lane is scanned as well.
+       are read (`_knot_window`).  Arrays scan them in blocks of lanes
+       (`_scan_ends`).  A float lane with du_h <= du_l bisects them in
+       Python floats (`_bisect_end`): k* then does not rise along the knots
+       while k_i does, so the test goes false and then true along the
+       window.  When du_h > du_l k* rises too, and a float lane is scanned
+       as well.  This choice is the only step that differs for a float.
     2. On the segment, rate and raw precision are linear in the cost k.
        Where precision is clamped the threshold is a constant; between the
        clamps (k - k*) times the posterior's denominator is a quadratic in
        k, solved in closed form.  The sign of k - k* at the clamp edges
-       picks the piece.  One routine (`_segment_root`) solves a batch's
-       arrays and a lone float lane alike.
-    3. Check the residual |T(V) - V| of every lane against ``market.fp_tol``;
-       raise NoConvergence naming the first lane that misses it.
+       picks the piece (`_segment_root`).
+    3. Check the residual |T(V) - V| of every lane against ``market.fp_tol``
+       (`ConsumerPool.cdf` of the thresholds, one call per solve); raise
+       NoConvergence naming the first lane that misses it.
 
     When du_h <= du_l (the default) T falls in V and the fixed point is
     unique.  When du_h > du_l T rises in V and may have several; the solve
@@ -152,51 +153,34 @@ def solve_verification_fixed_point(
 
     Lanes are solved independently: a lane's result does not depend on its
     batch.  An array in gives arrays of its shape out (0-d: numpy
-    scalars).  A float gives floats (`_lane_fixed_point`), without
-    one-element arrays, because numpy's per-call overhead on them is most
-    of its cost; it gives the array form's bits, inf and NaN included, and
-    the same errors.
+    scalars).  A float gives floats.  Its steps 2 and 3 run on Python
+    floats and the numpy scalars of its one lane, without one-element
+    arrays, because numpy's per-call overhead on them is most of their
+    cost; it gives the array form's bits, inf and NaN included, and the
+    same errors.
     """
-    if isinstance(pollution, float):
-        return _lane_fixed_point(pollution, consumers, provenance_boost, params)
-    rho = np.asarray(pollution, dtype=float)
-    lanes = rho.reshape(-1)
+    lane = isinstance(pollution, float)
+    lanes = pollution if lane else np.asarray(pollution, dtype=float).reshape(-1)
     _check_pollution(lanes)
-    end, k_clamp = _scan_ends(lanes, consumers, provenance_boost, params)
-    v = _segment_root(lanes, end, *k_clamp.T, consumers, provenance_boost, params)
+    mk, ag = params.market, params.agents
+    if lane and ag.du_h <= ag.du_l:
+        end = _bisect_end(lanes, consumers, provenance_boost, params)
+        k_lo, k_hi = (_threshold(lanes, clamp, params) for clamp in _CLAMPS.tolist())
+    else:
+        end, k_lo, k_hi = _scan_ends(lanes, consumers, provenance_boost, params)
+    v = _segment_root(lanes, end, k_lo, k_hi, consumers, provenance_boost, params)
     # (3) the residual check
-    mk = params.market
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = _threshold(lanes, precision, params)
-    resid = np.abs(consumers.cdf(k_star) - v)
-    met = resid < mk.fp_tol
-    if not met.all():
-        first = met.argmin()
-        raise _missed_tolerance(resid[first], lanes[first], mk.fp_tol)
-    shape = rho.shape
+    resid = abs(consumers.cdf(k_star) - v)
+    met = _elements(resid < mk.fp_tol)
+    if not all(met):
+        first = met.index(False)
+        raise _missed_tolerance(_elements(resid)[first], _elements(lanes)[first], mk.fp_tol)
+    if lane:
+        return float(v), float(precision), float(k_star)
+    shape = np.shape(pollution)
     return v.reshape(shape)[()], precision.reshape(shape)[()], k_star.reshape(shape)[()]
-
-
-def _lane_fixed_point(
-    rho: float, consumers: ConsumerPool, provenance_boost: float, params: SimParams
-) -> tuple[float, float, float]:
-    """The solve of one lane, (rate, precision, threshold) as floats: step 1
-    bisects in floats when du_h <= du_l, step 3 reads `cdf_float`."""
-    mk, ag = params.market, params.agents
-    _check_pollution(rho)
-    if ag.du_h <= ag.du_l:
-        end = _bisect_end(rho, consumers, provenance_boost, params)
-        k_lo, k_hi = (_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist())
-    else:
-        ends, k_clamps = _scan_ends(np.array([rho]), consumers, provenance_boost, params)
-        end, (k_lo, k_hi) = ends.item(), k_clamps[0].tolist()
-    v = float(_segment_root(rho, end, k_lo, k_hi, consumers, provenance_boost, params))
-    precision = signal_precision(rho, v, provenance_boost, mk)
-    k_star = _threshold(rho, precision, params)
-    resid = abs(consumers.cdf_float(k_star) - v)
-    if not resid < mk.fp_tol:
-        raise _missed_tolerance(resid, rho, mk.fp_tol)
-    return v, precision, k_star
 
 
 def _check_pollution(rho) -> None:
@@ -222,16 +206,17 @@ def _knot_window(consumers: ConsumerPool, params: SimParams) -> tuple[int, int]:
     return first, above
 
 
-def _scan_ends(
-    lanes: np.ndarray, consumers: ConsumerPool, provenance_boost: float, params: SimParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _scan_ends(rho, consumers: ConsumerPool, provenance_boost: float,
+               params: SimParams) -> tuple:
     """Step 1 over blocks of lanes: each lane's `end` knot, and its
-    thresholds at the two precision clamps.
+    thresholds at the two precision clamps, k_lo and k_hi (for a float
+    lane, a Python int and floats).
 
     The thresholds at the window's knots' rates and at the clamps form one
     (lanes, window + 2) block; the segment ends at the first knot whose
     threshold lies below its cost (never knot 0, so 0 marks "none").
     """
+    lanes = np.array(rho, ndmin=1, copy=None)
     first, above = _knot_window(consumers, params)
     knot_k, knot_v = consumers.knot_k[first:above + 1], consumers.knot_v[first:above + 1]
     # Without a knot above the upper bound a lane may find no end.
@@ -250,7 +235,9 @@ def _scan_ends(
             below = k_star[:, :-2] < knot_k
             hit = below.argmax(axis=1)
             end[block] = first + hit if forced else np.where(below.any(axis=1), first + hit, 0)
-    return end, k_clamp
+    if isinstance(rho, float):
+        return end.item(), *k_clamp[0].tolist()
+    return end, *k_clamp.T
 
 
 def _bisect_end(
@@ -293,14 +280,15 @@ def _missed_tolerance(resid: float, pollution: float, fp_tol: float) -> NoConver
 def _segment_root(rho, end, k_lo, k_hi, consumers: ConsumerPool, provenance_boost: float,
                   params: SimParams):
     """Step 2 of the solve: each lane's root on the CDF segment ending at
-    knot `end` (elementwise; one lane's float and int give a numpy scalar).
+    knot `end` (elementwise; one lane's float and int give a float).
 
     At cost k = k0 + x (x in [0, dk]) the rate is v0 + s x and raw precision
     pi0 + sigma x, which reaches the clamps at x_lo and x_hi.  Beyond them
     the threshold is the clamp's, k_lo or k_hi, the root x_flat; between
     them the root is the quadratic's a x^2 + b x + c.  One lane keeps
     `ConsumerPool.segments`' numpy scalars, so its quotients are numpy's
-    and a zero divisor gives inf or NaN as an array's does.
+    and a zero divisor gives inf or NaN as an array's does; its root is
+    handed on as a Python float, for the residual check's arithmetic.
     """
     mk, ag = params.market, params.agents
     # Lanes with no segment (end 0) read the flat one past the last knot: V = 1.
@@ -331,7 +319,8 @@ def _segment_root(rho, end, k_lo, k_hi, consumers: ConsumerPool, provenance_boos
     x = _where((x_hi < dk) & (x_flat_hi > x_hi), _fmin(x_flat_hi, dk),
                _fmin(_fmax(x_mid, x_lo), x_hi))
     x = _where((x_lo > 0.0) & (x_flat_lo <= x_lo), x_flat_lo, x)
-    return v0 + s * x
+    v = v0 + s * x
+    return float(v) if isinstance(rho, float) else v
 
 
 def _fmax(x, y):

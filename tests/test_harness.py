@@ -762,6 +762,17 @@ class TestNoise:
         assert calls == {"synthesize_log": 3 * 4 + 1, "proxy_composite": 3 * 4 + 1}
         assert report["errors"][0] == 0.0
 
+    def test_one_tick_has_no_volatility(self, tmp_path):
+        # Volatility is the spread of tick-to-tick changes, and one tick has none.
+        report = run_noise(small_cfg(tmp_path, max_ticks=1, experiment="noise_robustness"),
+                           noise_levels=[0.0, 0.1], trials=2)
+        assert np.isnan(report["volatility"]).all()
+        assert report["errors"][0] == 0.0 and report["errors"][1] > 0.0
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert summary["volatility"] == [None, None]
+        text = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+        assert text.count("volatility nan") == 2
+
     def test_noise_free_exposure_proxy_reads_the_recorded_pollution(self, monkeypatch):
         # The log reads the posture each tick was cleared under, so its
         # exposure share is the record's pollution up to rounding.
@@ -892,6 +903,41 @@ class TestCli:
             assert summary["correlations"] == [None] * 6
             table = (out / "results" / "weight_sensitivity.csv").read_text(encoding="utf-8")
             assert [row.split(",")[-2:] for row in table.splitlines()[1:]] == [["nan", "nan"]] * 6
+
+    def test_shock_measurements_without_a_window_are_undefined(self, tmp_path, capsys):
+        # A shock at tick 0 has no pre-shock tick, and one on the last tick
+        # peaks there, with no post-peak tick.
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main(["shocks", "--shocks.ticks", "0,29", "--ticks", "30", "--out", str(out),
+                     *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "shock response: mean IPI rise undefined"
+        assert lines[1].startswith("  trust_shock@0: undefined peak ")
+        assert lines[1].endswith("/tick (10 declining)")
+        assert lines[2].startswith("  capability_jump@29: +")
+        assert lines[2].endswith(" recovery undefined (0 declining)")
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        first, last = summary["responses"]
+        assert summary["mean_rise_pct"] is None
+        assert first["pre_mean"] is None and first["rise_pct"] is None
+        assert first["recovery_per_tick"] > 0.0
+        assert last["rise_pct"] > 0.0 and last["recovery_per_tick"] is None
+        table = (out / "results" / "shock_responses.csv").read_text(encoding="utf-8")
+        # pre_mean, rise_pct and recovery_per_tick
+        undefined = [[row.split(",")[i] == "nan" for i in (2, 4, 5)]
+                     for row in table.splitlines()[1:]]
+        assert undefined == [[True, True, False], [False, False, True]]
+
+    def test_a_burst_on_the_only_tick_has_no_rise_or_recovery(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main(["event-detection", "--ticks", "1", "--out", str(out), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["event detection: burst at tick 0, peak IPI rise undefined",
+                             "recovery undefined"]
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["peak_rise_pct"] is None and summary["recovery_per_tick"] is None
 
     def test_robust_select_without_ticks_exits_config_code(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -39,9 +39,10 @@ STORED = GOLDEN / "outputs"
 # The nine experiments at their defaults, then edge commands: endogenous
 # weights, several fixed points (du_h > du_l), instruments, a process pool,
 # two convergence failures (exit 3), a sweep whose pollution
-# correlation is undefined, and two empty horizons: a sweep whose
+# correlation is undefined, two empty horizons: a sweep whose
 # correlations are undefined, and a robust selection with nothing to
-# select from (exit 2).
+# select from (exit 2), and two measurements with an empty window: shocks
+# on the first and last ticks, and noise volatility over one tick.
 COMMANDS = (
     "baseline",
     "shocks",
@@ -61,6 +62,8 @@ COMMANDS = (
     "sweep --policy.fiduciary 0.9",
     "sweep --ticks 0",
     "robust-select --ticks 0",
+    "shocks --shocks.ticks 0,149",
+    "noise-robustness --ticks 1",
 )
 
 

@@ -121,6 +121,25 @@ class TestConsumerPool:
         assert pool.cdf(0.0) == 0.4  # the zero-cost consumers
         assert ConsumerPool([0.0, 0.0]).cdf(0.0) == 1.0
 
+    @pytest.mark.parametrize("costs", [
+        [1.0, 2.0, 2.0, 4.0],
+        [0.0, 0.0, 1.0, 2.0, 2.0],
+        [1.0],
+        np.random.default_rng(42).uniform(0.0, 4.0, 200),
+    ], ids=["ties", "zero costs", "one consumer", "uniform draw"])
+    def test_a_float_gives_a_float_with_the_array_bits(self, costs):
+        pool = ConsumerPool(costs)
+        knots = pool.knot_k.tolist()
+        thresholds = [x for k in knots
+                      for x in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
+        thresholds += [-1.0, -0.0, math.nan, math.inf, knots[-1] + 1.0]
+        for k in thresholds:
+            alone = pool.cdf(k)
+            with np.errstate(invalid="ignore"):  # 0 * inf in numpy's arithmetic
+                oracle = pool.cdf(np.array(k))
+            assert type(alone) is float
+            assert bits(alone) == bits(oracle), k
+
     def test_spend_accumulates_covered_costs(self):
         pool = ConsumerPool([0.5, 1.0, 2.0])
         assert pool.spend(1.0) == pytest.approx(1.5)
@@ -424,6 +443,25 @@ class TestOneLaneSolve:
                     oracle = solve_or_error(full_scan_fixed_point, np.array(rho),
                                             populations.consumers, 0.0, params)
                     assert_float_solve_matches(rho, populations.consumers, 0.0, params, oracle)
+
+    def test_a_lone_solve_reads_the_cdf_once_with_a_float(self, monkeypatch, populations):
+        # The bench's market.fp.iters_per_solve counts these calls.
+        seen = []
+
+        def spied(pool, k, _fn=ConsumerPool.cdf):
+            seen.append(type(k))
+            return _fn(pool, k)
+
+        monkeypatch.setattr(ConsumerPool, "cdf", spied)
+        for overrides in ({}, {"agents.du_h": 3.0, "agents.du_l": 0.5}):  # bisected, scanned
+            params = SimParams().with_overrides(overrides)
+            seen.clear()
+            solve_verification_fixed_point(0.3, populations.consumers, params=params)
+            assert seen == [float]
+            seen.clear()
+            solve_verification_fixed_point(np.array([0.1, 0.3]), populations.consumers,
+                                           params=params)
+            assert seen == [np.ndarray]
 
     def test_only_a_batch_calls_the_array_root(self, monkeypatch):
         sizes = []
