@@ -162,7 +162,12 @@ class ConsumerPool:
         # The rise from each knot to the next; flat over a unit span past the
         # last, whatever the largest cost's spacing.
         self._dk = np.append(np.diff(knots), 1.0)
-        self._slope = np.diff(self.knot_v, append=1.0) / self._dk
+        with np.errstate(over="ignore"):
+            self._slope = np.diff(self.knot_v, append=1.0) / self._dk
+        # Knots a subnormal span apart: the CDF would read inf * 0 at a knot.
+        if not np.isfinite(self._slope).all():
+            raise ValueError("verification costs lie so close together that the CDF's slope "
+                             "between neighbouring knots overflows")
         # Costs near the largest float may sum past it: the outlay is then inf.
         with np.errstate(over="ignore"):
             self._cumcost = np.concatenate([[0.0], np.cumsum(ks)])
@@ -231,5 +236,11 @@ def draw_producers(
 
 
 def draw_consumers(n: int, rng: np.random.Generator, *, k_max: float) -> ConsumerPool:
-    """Draw consumers with uniform verification costs on [0, k_max]."""
-    return ConsumerPool(rng.uniform(0.0, k_max, size=n))
+    """Draw consumers with uniform verification costs on [0, k_max]; costs
+    that make no pool (none, negative, or so close together that the CDF's
+    slope overflows) are a configuration error naming the keys."""
+    try:
+        return ConsumerPool(rng.uniform(0.0, k_max, size=n))
+    except ValueError as exc:
+        raise ConfigError(
+            f"agents.k_max = {k_max!r} and agents.n_consumers = {n}: {exc}") from None

@@ -345,6 +345,13 @@ def _step(
                 f"welfare is {welfare} at tick {first.state.tick + 1}: the tick's outputs, "
                 "or the welfare section's coefficients that weigh them, overflow"
             )
+    for welfare in (w for scaled, _, shifted in weighed.values() for w in (scaled, shifted)):
+        if not math.isfinite(welfare):
+            raise ConfigError(
+                f"a weight lane's welfare is {welfare} at tick {first.state.tick + 1}: "
+                "ipi.weight_perturbation steps the index drivers (ipi.endogenous_weights) "
+                "past what the welfare section's coefficients can weigh"
+            )
     rows = []
     for world, (sim, overlay, tax, platform, *outcome) in enumerate(
             zip(sims, overlays, taxes, stepped, *columns)):
@@ -521,6 +528,17 @@ def _corr(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _mean(x: np.ndarray) -> float:
+    """The mean of a nonempty series; finite values whose sum overflows are
+    averaged after dividing by their largest magnitude, as `safe_corr` does."""
+    try:
+        with np.errstate(over="raise"):
+            return float(x.mean())
+    except FloatingPointError:
+        scale = np.max(np.abs(x))
+        return float((x / scale).mean() * scale)
+
+
 def final_window(n_ticks: int) -> int:
     return max(20, n_ticks // 10) if n_ticks else 0
 
@@ -549,8 +567,7 @@ def summary_stats(record: RunRecord) -> SummaryStats:
         flags.append("non_monotone_ticks")
     final_means = {}
     for col in ("welfare", "pollution", "ipi", "trust", "verify_rate", "q_h", "q_l"):
-        series = record.column(col)
-        final_means[col] = float(series[-win:].mean()) if n else math.nan
+        final_means[col] = _mean(record.column(col)[-win:]) if n else math.nan
     correlations: dict[str, float | None] = {}
     for name, (a, b) in {
         "ipi_welfare": ("ipi", "welfare"),

@@ -31,19 +31,16 @@ solved exactly per lane (`solve_verification_fixed_point`), and every
 stage is elementwise over lanes, so a lane's result does not depend on
 the batch it is cleared in.
 
-The world count alone picks the form of a tick.  A batch clears its
-whole table with one `clear_market` call, values it with one welfare
-call, and looks ahead over every world's probes with one `_lookahead`
-call that reads the cleared arrays.  A world cleared alone has a table
-of one to three lanes.  It takes its supply lanes as Python floats and
-their levers from its row, and runs the same stage functions on them,
-one call per lane, bit for bit as the array forms: `exposure` of each
-lane; `clear_market` of each table lane (the solve bisects the reachable
-knots when du_h <= du_l, then takes its root and residual check), the
-posted lane's trust step and each table lane's welfare; and each probe
-lane's `_lookahead` (`value_and_harm`, `fiduciary_objective`,
-`trust_update`).  On a handful of elements numpy's per-call overhead
-costs more than the arithmetic.
+`market_step` is one body that calls each stage once per block of lanes;
+the world count picks only how lanes are gathered into blocks and the
+shape of what leaves.  A lone world's blocks are its lanes, as Python
+floats: on a handful of elements numpy's per-call overhead costs more than
+the arithmetic, and the stage functions give a float lane the array
+form's bits (the solve bisects the reachable knots when du_h <= du_l,
+then takes its root and residual check).  A batch gathers its whole lane
+table into one block, cleared with one `clear_market` call and valued
+with one welfare call, and every world's probes into one (worlds, 6)
+block for one `_lookahead` call.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -387,7 +384,10 @@ def _quiet(x):
     """A context that silences numpy's overflow and invalid warnings for
     arithmetic on ``x``'s lanes: none for a Python float, whose arithmetic
     overflows to inf and NaN without one."""
-    return nullcontext() if isinstance(x, float) else np.errstate(over="ignore", invalid="ignore")
+    return _NO_CONTEXT if isinstance(x, float) else np.errstate(over="ignore", invalid="ignore")
+
+
+_NO_CONTEXT = nullcontext()  # stateless, so shared: a float lane builds none per call
 
 
 def _elements(x) -> list[float]:
@@ -717,21 +717,26 @@ def market_step(
     Each world's `_probes` row gives its supply lanes' postures, stacked
     into arrays once for the supply call, and the levers of its gradient
     step.  Every stage is elementwise over lanes, so a world's result does
-    not depend on its batch.  The world count alone picks the form: a lone
-    world runs every stage after supply in Python floats, one call per lane
-    (`_tick_alone`: its one to three table lanes, then its six probes);
-    every batch runs them on arrays (`_tick_batch`).  Returns the tick's
-    columns, one value per world, (q_h, q_l, pollution, verify_rate,
+    not depend on its batch.  One body calls each stage after supply once
+    per block of lanes, and the world count picks only the blocks and the
+    shape of what leaves: a lone world's blocks are its lanes as Python
+    floats (one to three table lanes, then six probes), a batch's are its
+    gathered lane table and its (worlds, 6) probes as arrays.  Returns the
+    tick's columns, one value per world, (q_h, q_l, pollution, verify_rate,
     precision, trust, welfare); the weighing worlds' ``{world: (scaled
     welfare, scaled pollution, stepped-supply welfare)}``; and each world's
-    stepped posture.  Welfare may overflow; the caller checks it.  Every
-    lane's outputs, then every lane's pollution, are checked before any
-    lane is solved; a lane whose fixed point misses ``market.fp_tol`` then
-    raises NoConvergence for the whole batch, naming the first such lane
-    of the table.
+    stepped posture.  Welfare may overflow; the caller checks it.
+    Amplified exposure that leaves the floats, in a supply lane or a scaled
+    lane, is a ConfigError, the same alone and in a batch.  Every lane's
+    outputs, then every lane's pollution, are checked before any lane is
+    solved; a lane whose fixed point misses ``market.fp_tol`` then raises
+    NoConvergence for the whole batch, naming the first such lane of the
+    table.
     """
-    pf = params.platform
+    pf, pp = params.platform, params.policy
+    n = len(platforms)
     weighted = [w for w, step in enumerate(weight_steps) if step is not None]
+    k = len(weighted)
     # (1) producer choices and aggregate supply over each world's row of
     # lanes (`_probes`): its posted posture and the probes of its gradient
     # step, and when some world weighs its index an eighth lane
@@ -751,124 +756,113 @@ def market_step(
     # Exogenous trust shocks land before the Euler update of stage (4).
     t_max = params.trust.t_max
     trust_in = [_clamp(t + o.trust_delta, 0.0, t_max) for t, o in zip(trust, overlays)]
-    if len(platforms) == 1:
-        columns, weighed, objectives, trust_next = _tick_alone(
-            supply, rows[0], trust_in[0], weight_steps[0], populations, params)
+
+    # (2) exposure under every supply lane's posture, block by block: a lone
+    # world's lanes as Python floats, levers from its row, or a batch's
+    # (worlds, lanes) arrays as one block
+    if n == 1:
+        q_h, q_l, profit = (x.ravel().tolist() for x in (
+            supply.q_h, supply.q_l, supply.producer_profit))
+        lanes = list(map(Postures, rows[0].gamma_h, rows[0].gamma_l, rows[0].moderation))
     else:
-        columns, weighed, objectives, trust_next = _tick_batch(
-            supply, postures, trust_in, weight_steps, weighted, populations, params)
+        q_h, q_l, profit, lanes = [supply.q_h], [supply.q_l], [supply.producer_profit], [postures]
+    with _quiet(q_h[0]):  # an overflow shows in the check below
+        exposed = [exposure(h, l, p, populations, params) for h, l, p in zip(q_h, q_l, lanes)]
+    _check_exposure(exposed, "shocks.fake_news_burst (times agents.n_producers), amplified by "
+                             "up to platform.gamma_max, overflows it")
+
+    # The lane table, each lane (q_h, q_l, producer profit, posted posture,
+    # exposure): each world's posted lane (supply lane 0) and, for a weight
+    # step, its low-quality output scaled by ``1 + eps`` (exposure None: it
+    # is its own) and its stepped supply (the last lane); and the probe
+    # lanes (1-6).  A lone world's blocks are its lanes.  A batch gathers its
+    # table into one block of (world, supply lane) pairs, its posted lanes
+    # alone taken as views of column 0 (gathering them made a fixed-weight
+    # tick about 5 % slower), and its probes into one block.
+    if n == 1:
+        table = [(q_h[0], q_l[0], profit[0], lanes[0], exposed[0])]
+        if k:
+            table += [(q_h[0], q_l[0] * (1.0 + weight_steps[0][0]), profit[0], lanes[0], None),
+                      (q_h[7], q_l[7], profit[7], lanes[7], exposed[7])]
+        probes = zip(q_h[1:7], q_l[1:7], lanes[1:7], exposed[1:7])
+        trust_in = trust_in[0]
+    else:
+        world = np.array([*range(n), *weighted, *weighted])
+        gather = (world, np.array([0] * (n + k) + [-1] * k)) if k else np.s_[:, 0]
+        scaled = supply.q_l[gather]
+        if k:
+            with _quiet(scaled):
+                scaled[n:n + k] *= [1.0 + weight_steps[w][0] for w in weighted]
+        table = [(supply.q_h[gather], scaled, supply.producer_profit[gather],
+                  postures.take(gather), None if k else tuple(x[gather] for x in exposed[0]))]
+        probe = np.s_[:, 1:7]
+        probes = [(supply.q_h[probe], supply.q_l[probe], postures.take(probe),
+                   tuple(x[probe] for x in exposed[0]))]
+        trust_in = np.array(trust_in)
+
+    # (3) pollution under the posture producers responded to, and the
+    # verification fixed point of every table lane.  Every lane's outputs,
+    # then every lane's pollution, are checked before any lane solves (one
+    # block's `clear_market` checks its own).
+    if k:  # the weight lanes' own exposure: a lone world's second lane, or a batch's table
+        at = 1 if n == 1 else 0
+        h, l, f, p, _ = table[at]
+        with _quiet(l):
+            e = exposure(h, l, p, populations, params)
+        _check_exposure([e], "ipi.weight_perturbation scales the low-quality output of a weight "
+                        "lane (ipi.endogenous_weights) past it")
+        table[at] = (h, l, f, p, e)
+    if len(table) > 1:
+        for h, l, *_ in table:
+            _check_outputs(h, l)
+        for *_, (rho, _, _) in table:
+            _check_pollution(rho)
+    cleared = [clear_market(h, l, p, populations, params, pp.provenance_boost, exposed=e)
+               for h, l, _, p, e in table]
+
+    # (4) the posted lanes' trust step
+    posted = cleared[0]
+    rho, flow = (posted.pollution, posted.flow) if n == 1 else (
+        posted.pollution[:n], posted.flow[:n])
+    trust_out = trust_update(trust_in, rho, flow, params.trust)
+
+    # (5) every table lane's welfare at its world's trust; a huge finite
+    # output can overflow the harm's square
+    spread = trust_out if n == 1 else trust_out[world]
+    with _quiet(trust_out):
+        welfare = [c.welfare(spread, f, params) for c, (_, _, f, _, _) in zip(cleared, table)]
+
+    # (6) one-tick-ahead finite differences over the probe lanes, holding
+    # each world's verification at its posted lane's
+    trust_now, rate, precision = (trust_out, posted.verify_rate, posted.precision) if n == 1 else (
+        trust_out[:, None], posted.verify_rate[:n, None], posted.precision[:n, None])
+    outlook = [_lookahead(p, h, l, e, pp.fiduciary, params, trust_now=trust_now,
+                          verify_rate=rate, precision=precision,
+                          producers=populations.producers.n)
+               for h, l, p, e in probes]
+
+    outcome = (posted.q_h, posted.q_l, posted.pollution, posted.verify_rate, posted.precision,
+               trust_out, welfare[0])
+    if n == 1:
+        columns = [[x] for x in outcome]
+        weighed = {0: (welfare[1], cleared[1].pollution, welfare[2])} if k else {}
+        objectives, trust_next = ([list(x)] for x in zip(*outlook))
+    else:
+        columns = [x[:n].tolist() for x in outcome]
+        welfare, pollution = welfare[0].tolist(), posted.pollution.tolist()
+        weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
+        objectives, trust_next = (x.tolist() for x in outlook[0])
     stepped = _platform_gradient_steps(platforms, rows, objectives, trust_next, pf)
     return columns, weighed, stepped
 
 
-def _tick_alone(
-    supply: SupplyResult, row: Postures, trust_in: float, step: tuple[float, float] | None,
-    populations: Populations, params: SimParams,
-) -> tuple:
-    """Stages (2)-(5) of one world's tick and its lookahead, in Python floats,
-    one call per lane: `market_step`'s columns, its ``weighed``, and the
-    objectives and trust levels `_platform_gradient_steps` reads.
-
-    The world takes its seven or eight supply lanes as floats, and their
-    levers from its `_probes` row: on (1, 8) arrays numpy's per-call
-    overhead outweighs the arithmetic.  The array forms of `_tick_batch`
-    are its oracle, bit for bit and error for error.
-    """
-    pp = params.policy
-    q_h, q_l, profit = (x.ravel().tolist() for x in (
-        supply.q_h, supply.q_l, supply.producer_profit))
-    # Unpacked, not splatted: a call through ``*`` costs more than the arithmetic.
-    lane_postures = [Postures(gh, gl, m)
-                     for gh, gl, m in zip(row.gamma_h, row.gamma_l, row.moderation)]
-    exposed = [exposure(h, l, p, populations, params)
-               for h, l, p in zip(q_h, q_l, lane_postures)]
-
-    # (2-3) the lane table, each lane (q_h, q_l, producer profit, exposure)
-    # under the posted posture: the posted lane (supply lane 0), and for a
-    # weight step its low-quality output scaled and supply lane 7, each
-    # cleared by its own `clear_market` call.  As in a batch, every lane's
-    # outputs and then every lane's pollution are checked before one solves.
-    posted = lane_postures[0]
-    table = [(q_h[0], q_l[0], profit[0], exposed[0])]
-    if step is not None:
-        scaled = q_l[0] * (1.0 + step[0])
-        table += [
-            (q_h[0], scaled, profit[0], exposure(q_h[0], scaled, posted, populations, params)),
-            (q_h[7], q_l[7], profit[7], exposed[7]),
-        ]
-        for h, l, _, _ in table:
-            _check_outputs(h, l)
-        for *_, (rho, _, _) in table:
-            _check_pollution(rho)
-    cleared = [clear_market(h, l, posted, populations, params, pp.provenance_boost, exposed=e)
-               for h, l, _, e in table]
-
-    # (4) the posted lane's trust step; (5) every lane's welfare at that trust
-    lane = cleared[0]
-    trust_out = trust_update(trust_in, lane.pollution, lane.flow, params.trust)
-    welfare = [c.welfare(trust_out, p, params) for c, (_, _, p, _) in zip(cleared, table)]
-    columns = [[x] for x in (lane.q_h, lane.q_l, lane.pollution, lane.verify_rate,
-                             lane.precision, trust_out, welfare[0])]
-    weighed = {} if step is None else {0: (welfare[1], cleared[1].pollution, welfare[2])}
-
-    # (6) the six probe lanes (1-6) one by one, a row of one world
-    outlook = [_lookahead(p, h, l, e, pp.fiduciary, params, trust_now=trust_out,
-                          verify_rate=lane.verify_rate, precision=lane.precision,
-                          producers=populations.producers.n)
-               for p, h, l, e in zip(lane_postures[1:7], q_h[1:7], q_l[1:7], exposed[1:7])]
-    objectives, trust_next = ([list(x)] for x in zip(*outlook))
-    return columns, weighed, objectives, trust_next
-
-
-def _tick_batch(
-    supply: SupplyResult, postures: Postures, trust_in: list[float],
-    weight_steps: Sequence[tuple[float, float] | None], weighted: list[int],
-    populations: Populations, params: SimParams,
-) -> tuple:
-    """`_tick_alone` for a batch of worlds, on arrays: one call per stage
-    over the whole lane table, and one over every world's six probes."""
-    pp = params.policy
-    # (2-3) exposure under every supply lane's posture; then pollution under
-    # the posture producers responded to, and the verification fixed point,
-    # for every lane of the table in one solve.  The table holds each
-    # lane's (world, supply column); a stepped-supply lane reads the last
-    # column.  Posted lanes alone are column 0, taken as views: gathering
-    # them made a fixed-weight tick about 5 % slower.
-    n, k = len(trust_in), len(weighted)
-    world = [*range(n), *weighted, *weighted]
-    lanes = (np.array(world), np.array([0] * (n + k) + [-1] * k)) if k else np.s_[:, 0]
-    exposed = exposure(supply.q_h, supply.q_l, postures, populations, params)
-    scaled = supply.q_l[lanes]
-    for lane, w in enumerate(weighted, start=n):
-        scaled[lane] *= 1.0 + weight_steps[w][0]
-    # A scaled lane's exposure is not its supply column's.
-    cleared = clear_market(supply.q_h[lanes], scaled, postures.take(lanes), populations, params,
-                           pp.provenance_boost,
-                           exposed=None if k else tuple(x[lanes] for x in exposed))
-
-    # (4) the posted lanes' trust step
-    trust_out = trust_update(np.array(trust_in), cleared.pollution[:n], cleared.flow[:n],
-                             params.trust)
-
-    # (5) welfare of every lane; a huge finite output can overflow the harm's square
-    with _quiet(trust_out):
-        welfare = cleared.welfare(trust_out[world], supply.producer_profit[lanes], params)
-    columns = [_elements(x)[:n] for x in (cleared.q_h, cleared.q_l, cleared.pollution,
-                                          cleared.verify_rate, cleared.precision, trust_out,
-                                          welfare)]
-    welfare, pollution = _elements(welfare), _elements(cleared.pollution)
-    weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
-
-    # (6) one-tick-ahead finite differences, holding each world's
-    # verification at its posted lane's
-    probe = np.s_[:, 1:7]
-    objectives, trust_next = (x.tolist() for x in _lookahead(
-        postures.take(probe), supply.q_h[probe], supply.q_l[probe], [x[probe] for x in exposed],
-        pp.fiduciary, params, trust_now=trust_out[:, None],
-        verify_rate=cleared.verify_rate[:n, None], precision=cleared.precision[:n, None],
-        producers=populations.producers.n,
-    ))
-    return columns, weighed, objectives, trust_next
+def _check_exposure(exposed: list[tuple], cause: str) -> None:
+    """Raise ConfigError naming ``cause`` if some lane's amplified exposure
+    per agent (`exposure`'s flow) overflows to inf.  A NaN flow comes from
+    NaN outputs, which `_check_outputs` names as before."""
+    for _, flow, _ in exposed:
+        if flow == math.inf if isinstance(flow, float) else (flow == math.inf).any():
+            raise ConfigError(f"amplified exposure leaves the floats: {cause}")
 
 
 def _per_world(values: tuple[float, ...]) -> float | np.ndarray:

@@ -18,6 +18,7 @@ from infomarket.agents import (
     verification_threshold,
 )
 from infomarket.config import PlatformParams, SimParams
+from infomarket.errors import ConfigError
 from infomarket.market import _base_costs, supply_response
 
 E_OVER_1PE = 0.73105857863000487925  # e/(1+e), 50-digit evaluation
@@ -228,3 +229,10 @@ class TestAgentValidation:
             ConsumerPool([1.0, -0.5, 2.0])
         with pytest.raises(ValueError):
             draw_consumers(10, np.random.default_rng(3), k_max=-1.0)
+
+    def test_costs_whose_cdf_slope_overflows(self):
+        # Knots a subnormal span apart: the CDF would read inf * 0 at a knot.
+        with pytest.raises(ValueError, match="slope"):
+            ConsumerPool([0.0, 1e-320, 2e-320])
+        with pytest.raises(ConfigError, match="agents.k_max = 1e-310 and agents.n_consumers"):
+            draw_consumers(200, np.random.default_rng(3), k_max=1e-310)

@@ -336,6 +336,19 @@ class TestSummaryStats:
         assert big == pytest.approx(safe_corr(x, y), rel=1e-12)
         assert both == pytest.approx(-safe_corr(x, y), rel=1e-12)
 
+    def test_a_final_mean_whose_sum_overflows_stays_finite(self, tmp_path, capsys):
+        # Welfare near 5e307 on every tick: the window's plain sum overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["baseline", "--ticks", "5", "--out", str(tmp_path),
+                         "--welfare.lambda_trust", "1e308"])
+        assert code == 0
+        welfare = RunRecord.from_csv(tmp_path / "results" / "run.csv").column("welfare")
+        assert welfare.min() > 4e307
+        stats = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["stats"]
+        assert stats["final_means"]["welfare"] == pytest.approx((welfare / 1e307).mean() * 1e307)
+        assert "final welfare: inf" not in capsys.readouterr().out
+
 
 class TestConfigPlumbing:
     def test_parse_config_file(self, tmp_path):
@@ -1151,6 +1164,15 @@ class TestCli:
         ("event-detection", 3, {"shocks.fake_news_burst": "1e300", "policy.fiduciary": "0.5"},
          ("welfare", "tick 2")),
         ("shocks", 150, {"shocks.fake_news_burst": "1e300"}, ("welfare", "tick 101")),
+        # A finite burst whose amplified exposure gamma_L * q_l overflows.
+        ("event-detection", 3, {"shocks.fake_news_burst": "2.24e306"},
+         ("shocks.fake_news_burst", "platform.gamma_max")),
+        # A weight lane's scaled output whose exposure overflows, and one
+        # whose welfare overflows to -inf.
+        ("baseline", 5, {"ipi.endogenous_weights": "true", "ipi.weight_perturbation": "1e308"},
+         ("ipi.weight_perturbation", "exposure")),
+        ("baseline", 3, {"ipi.endogenous_weights": "true", "ipi.weight_perturbation": "1e300"},
+         ("ipi.weight_perturbation", "welfare", "tick 1")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -1181,6 +1203,10 @@ class TestCli:
         ({"agents.mean_prod_h": "1e307"}, ("agents.mean_prod_h",)),
         # Every cost 0 and gamma_max 1 on the small lattice: the worst corner is its best.
         ({"agents.k_max": "0", "platform.gamma_max": "1", **SMALL}, ("ipi.anchor_*",)),
+        # Costs a subnormal span apart: the CDF's slope between knots overflows.
+        ({"agents.k_max": "1e-310"}, ("agents.k_max", "agents.n_consumers")),
+        ({"agents.k_max": "1e-320", "agents.du_h": "0", "agents.du_l": "0"},
+         ("agents.k_max", "agents.n_consumers")),
     ])
     def test_configs_whose_world_does_not_build_exit_config_code(self, tmp_path, capsys,
                                                                config, named):
@@ -1197,6 +1223,17 @@ class TestCli:
         assert errors[0] == errors[1]
         assert errors[0].startswith("config error: ") and errors[0].count("\n") == 1
         assert all(name in errors[0] for name in named)
+
+    @pytest.mark.parametrize("perturbation", ["1e308", "1e300"])
+    def test_an_overflowing_weight_lane_fails_alone_as_in_a_batch(self, tmp_path, capsys,
+                                                                  perturbation):
+        errors = []
+        for command in ("baseline", "sweep"):  # one world, then a batch of 20
+            assert main([command, "--ticks", "3", "--out", str(tmp_path / command),
+                         "--ipi.endogenous_weights", "true",
+                         "--ipi.weight_perturbation", perturbation]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("config error: ")
 
     def test_a_world_whose_anchors_miss_the_tolerance_validates(self, tmp_path):
         # The run exits 3, which the exit-code contract allows for a valid config.

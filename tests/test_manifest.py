@@ -41,8 +41,11 @@ STORED = GOLDEN / "outputs"
 # two convergence failures (exit 3), a sweep whose pollution
 # correlation is undefined, two empty horizons: a sweep whose
 # correlations are undefined, and a robust selection with nothing to
-# select from (exit 2), and two measurements with an empty window: shocks
-# on the first and last ticks, and noise volatility over one tick.
+# select from (exit 2), two measurements with an empty window (shocks
+# on the first and last ticks, and noise volatility over one tick), a
+# sweep of weighing worlds, and inputs that leave the floats: amplified
+# exposure of a burst and of a weight lane, a weight lane's welfare, a
+# final mean's sum and CDF slopes (exit 2 but for the final mean).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -64,6 +67,13 @@ COMMANDS = (
     "robust-select --ticks 0",
     "shocks --shocks.ticks 0,149",
     "noise-robustness --ticks 1",
+    "sweep --ticks 40 --ipi.endogenous_weights true",
+    "event-detection --ticks 3 --shocks.fake_news_burst 2.24e306",
+    "baseline --ticks 5 --ipi.weight_perturbation 1e308 --ipi.endogenous_weights true",
+    "baseline --ticks 3 --ipi.weight_perturbation 1e300 --ipi.endogenous_weights true",
+    "baseline --ticks 5 --welfare.lambda_trust 1e308",
+    "baseline --ticks 2 --agents.k_max 1e-310",
+    "baseline --ticks 5 --agents.k_max 1e-320 --agents.du_h 0 --agents.du_l 0",
 )
 
 

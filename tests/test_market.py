@@ -487,6 +487,24 @@ class TestOneLaneSolve:
         welfare_anchors(sims[0].populations, params)
         assert len(sizes) == 1 and sizes[0] > 1  # the anchors: one batch of distinct pollutions
 
+    def test_a_weighing_batch_clears_its_table_in_one_solve(self, monkeypatch):
+        # Every world's posted lane and each weighing world's two weight lanes.
+        sizes = []
+
+        def spied(rho, *args, _fn=market._segment_root):
+            sizes.append(rho.size if isinstance(rho, np.ndarray) else type(rho))
+            return _fn(rho, *args)
+
+        params = SimParams().with_overrides({"agents.n_producers": 30, "agents.n_consumers": 60})
+        worlds = [params.with_overrides({"econ.ai_rental": r,
+                                         "ipi.endogenous_weights": w % 2 == 0})
+                  for w, r in enumerate(np.linspace(0.5, 1.5, 20).tolist())]
+        sims = [Simulation(world, None, 42) for world in worlds]
+        monkeypatch.setattr(market, "_segment_root", spied)
+        for overlays in zip(*[build_overlays(3, (), world) for world in worlds]):
+            harness._step(sims, overlays)
+        assert sizes == [20 + 2 * 10] * 3  # n + 2k lanes, one solve per tick
+
     def test_a_lone_world_clears_its_lane_as_floats(self, monkeypatch):
         seen = []
 
@@ -757,8 +775,8 @@ class TestFloatProbeLanes:
 
     def test_an_overflowing_scaled_lane_fails_first_alone_as_in_a_batch(self, populations):
         # At fp_tol 0 the posted lane misses the tolerance; its scaled lane's
-        # output overflows to inf and its pollution to NaN.  A batch checks
-        # every lane's pollution before it solves any, and so does one world.
+        # output overflows to inf, and its exposure with it.  A batch checks
+        # every lane's exposure before it solves any, and so does one world.
         params = SimParams().with_overrides({"market.fp_tol": 0.0})
         overlay = replace(build_overlays(1, (), params)[0], extra_q_l=1.79e308)
         platform = Postures(1.0, 0.5, 0.0)
@@ -771,7 +789,9 @@ class TestFloatProbeLanes:
         with np.errstate(all="ignore"):
             assert tick(1, None).startswith("NoConvergence")
             step = (0.01, overlay.gen_boost)
-            assert tick(1, step) == tick(2, step) == "ValueError: pollution must lie in [0, 1]"
+            assert tick(1, step) == tick(2, step)
+            assert tick(1, step).startswith(
+                "ConfigError: amplified exposure leaves the floats: ipi.weight_perturbation")
 
     @pytest.mark.parametrize("overrides", [
         {},
