@@ -174,7 +174,10 @@ class RunRecord:
     @classmethod
     def from_csv(cls, path: Path) -> "RunRecord":
         """Read a written record; a file that is not one is a configuration
-        error naming the file, and the line and column where it fails."""
+        error naming the file, and the line and column where it fails.  A
+        written record holds finite floats only (`_step` rejects a non-finite
+        welfare, and every other column is bounded), so an inf or NaN cell
+        fails too."""
         cells: dict[str, list[Any]] = {c: [] for c in CSV_COLUMNS}
         try:
             with open(path, newline="", encoding="utf-8") as f:
@@ -186,12 +189,15 @@ class RunRecord:
                     for name, values in cells.items():
                         kind = _KINDS.get(name, float)
                         try:
-                            values.append(kind(rec[name]))
+                            value = kind(rec[name])
                         except (TypeError, ValueError):  # a short row's cells are None
+                            value = None
+                        if value is None or kind is float and not math.isfinite(value):
                             raise ConfigError(
-                                f"{path}, line {reader.line_num}, column {name!r}: "
-                                f"{rec[name]!r} is not {'an int' if kind is int else 'a float'}"
-                            ) from None
+                                f"{path}, line {reader.line_num}, column {name!r}: {rec[name]!r} "
+                                f"is not {'an int' if kind is int else 'a finite float'}"
+                            )
+                        values.append(value)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(
                 f"{path}: not a readable run record: {getattr(exc, 'strerror', None) or exc}"
@@ -282,11 +288,19 @@ class Simulation:
 
     def _levy(self) -> float:
         """The next tick's levy: after tick 0 the adaptive levy moves on the
-        last row's levy and index reading (stage 7 of that tick's cycle)."""
+        last row's levy and index reading (stage 7 of that tick's cycle).
+        A levy that overflows is a configuration error naming the rule's keys."""
         s, pp = self.state, self.params.policy
-        if pp.adaptive_enabled and s.tick > 0:
-            return adaptive_tax(s.tau, s.ipi, pp.adaptive_target, pp.adaptive_eta)
-        return s.tau
+        if not (pp.adaptive_enabled and s.tick > 0):
+            return s.tau
+        tax = adaptive_tax(s.tau, s.ipi, pp.adaptive_target, pp.adaptive_eta)
+        if tax == math.inf:
+            raise ConfigError(
+                f"the adaptive levy overflows at tick {s.tick + 1}: policy.adaptive_eta = "
+                f"{pp.adaptive_eta!r} over policy.adaptive_target = {pp.adaptive_target!r} "
+                "scales the index's distance from its target past the floats"
+            )
+        return tax
 
     def _row(self, ov: TickOverlay, tau: float, outcome: Sequence[float],
              weighed: tuple[float, float, float] | None) -> TickRow:
@@ -442,14 +456,19 @@ def _next_overlay(
 
 def _gen_boost(cap_gen: float, params: SimParams, tick: int) -> float:
     """The factor ``cap_gen ** kappa_gen`` by which generation capability
-    cheapens low-quality templates; an overflow is a configuration error."""
+    cheapens low-quality templates; an overflow, or an underflow to 0 (which
+    would make the low-quality unit cost inf), is a configuration error."""
     try:
-        return cap_gen**params.ipi.kappa_gen
+        boost = cap_gen**params.ipi.kappa_gen
     except OverflowError:
-        raise ConfigError(
-            f"ipi.kappa_gen = {params.ipi.kappa_gen!r} overflows the generation boost "
-            f"cap_gen ** kappa_gen at tick {tick} (cap_gen = {cap_gen!r})"
-        ) from None
+        boost = math.inf
+    if 0.0 < boost < math.inf:
+        return boost
+    raise ConfigError(
+        f"ipi.kappa_gen = {params.ipi.kappa_gen!r} "
+        f"{'overflows' if boost else 'underflows to 0'} the generation boost "
+        f"cap_gen ** kappa_gen at tick {tick} (cap_gen = {cap_gen!r})"
+    )
 
 
 def _analytic_responses(sim: Simulation) -> list[tuple[float, float]]:

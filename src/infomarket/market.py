@@ -38,9 +38,9 @@ floats: on a handful of elements numpy's per-call overhead costs more than
 the arithmetic, and the stage functions give a float lane the array
 form's bits (the solve bisects the reachable knots when du_h <= du_l,
 then takes its root and residual check).  A batch gathers its whole lane
-table into one block, cleared with one `clear_market` call and valued
-with one welfare call, and every world's probes into one (worlds, 6)
-block for one `_lookahead` call.
+table into one block, solved with one `solve_verification_fixed_point`
+call and valued with one `welfare_value` call, and every world's probes
+into one (worlds, 6) block for one `_lookahead` call.
 
 Supply is aggregated in expectation: each producer contributes its
 productivity-scaled unit mass split between the two types by its choice
@@ -537,45 +537,6 @@ def _per_lane(x: float | np.ndarray) -> float | np.ndarray:
     return x if isinstance(x, float) else np.asarray(x, dtype=float)[..., None]
 
 
-@dataclass(frozen=True)
-class Clearing:
-    """The market's response to given outputs under posted postures, per
-    lane: arrays, or floats for one lane cleared as floats.
-
-    ``flow`` is amplified exposure per agent, the flow that erodes trust.
-    Welfare follows once a trust level and producer surplus are supplied.
-    """
-
-    q_h: float | np.ndarray
-    q_l: float | np.ndarray
-    posture: Postures
-    pollution: float | np.ndarray
-    verify_rate: float | np.ndarray
-    precision: float | np.ndarray
-    verification_spend: float | np.ndarray
-    flow: float | np.ndarray
-    platform_profit: float | np.ndarray
-
-    def welfare(
-        self,
-        trust: float | np.ndarray,
-        producer_profit: float | np.ndarray,
-        params: SimParams,
-    ) -> float | np.ndarray:
-        return welfare_value(
-            q_h=self.q_h,
-            q_l=self.q_l,
-            verify_rate=self.verify_rate,
-            precision=self.precision,
-            trust=trust,
-            platform=self.posture,
-            producer_profit=producer_profit,
-            platform_profit=self.platform_profit,
-            verification_spend=self.verification_spend,
-            params=params,
-        )
-
-
 def exposure(q_h, q_l, postures: Postures, populations: Populations, params: SimParams) -> tuple:
     """(pollution, amplified exposure per agent, platform profit) of outputs,
     per lane (elementwise; floats give floats).
@@ -597,50 +558,24 @@ def exposure(q_h, q_l, postures: Postures, populations: Populations, params: Sim
     return rho, total / populations.total, profit
 
 
-def clear_market(
-    q_h: float | np.ndarray,
-    q_l: float | np.ndarray,
-    postures: Postures,
-    populations: Populations,
-    params: SimParams,
-    provenance_boost: float = 0.0,
-    exposed: tuple | None = None,
-) -> Clearing:
-    """Clear given outputs under posted postures, one lane per posture.
-
-    Pollution, the verification fixed point, the outlay of everyone whose
-    cost the resulting threshold covers, exposure flow, and platform
-    profit.  Each lane is cleared independently of the others.
-    ``exposed`` is the lanes' `exposure`, for a caller that already has it.
-    One lane given as floats (outputs, levers and ``exposed``) clears in
-    Python floats, to the same bits.
-    """
-    _check_outputs(q_h, q_l)
-    rho, flow, plat_profit = exposed or exposure(q_h, q_l, postures, populations, params)
-    rate, precision, threshold = solve_verification_fixed_point(
-        rho, populations.consumers, provenance_boost, params=params
-    )
-    return Clearing(
-        q_h=q_h,
-        q_l=q_l,
-        posture=postures,
-        pollution=rho,
-        verify_rate=rate,
-        precision=precision,
-        verification_spend=populations.consumers.spend(threshold),
-        flow=flow,
-        platform_profit=plat_profit,
-    )
-
-
 def _check_outputs(q_h, q_l) -> None:
-    """Raise ValueError unless every lane's outputs are nonnegative."""
+    """Raise ConfigError unless every lane's supply outputs are nonnegative.
+
+    Supply is a sum of nonnegative terms, so only NaN fails: a per-producer
+    unit cost that overflows makes the logit gap inf - inf, or 0 * inf
+    under zero rationality.
+    """
     if isinstance(q_h, float):
         nonnegative = q_h >= 0.0 and q_l >= 0.0  # NaN fails either comparison
     else:
         nonnegative = np.minimum(q_h, q_l).min() >= 0  # NaN if any output is, which fails
     if not nonnegative:
-        raise ValueError("outputs must be nonnegative")
+        raise ConfigError(
+            "supply leaves the nonnegative floats: per-producer unit costs overflow (the econ "
+            "section's CES unit costs, such as econ.tfp_h and econ.tfp_l, over the productivity "
+            "draws of agents.mean_prod_h and agents.mean_prod_l), and the logit gap between "
+            "the types' unit profits (times agents.rationality) is NaN"
+        )
 
 
 @dataclass(slots=True)
@@ -727,11 +662,11 @@ def market_step(
     welfare, scaled pollution, stepped-supply welfare)}``; and each world's
     stepped posture.  Welfare may overflow; the caller checks it.
     Amplified exposure that leaves the floats, in a supply lane or a scaled
-    lane, is a ConfigError, the same alone and in a batch.  Every lane's
-    outputs, then every lane's pollution, are checked before any lane is
-    solved; a lane whose fixed point misses ``market.fp_tol`` then raises
-    NoConvergence for the whole batch, naming the first such lane of the
-    table.
+    lane, and NaN supply are ConfigErrors, the same alone and in a batch.
+    Every lane's outputs, then every lane's pollution, are checked before
+    any lane is solved; a lane whose fixed point misses ``market.fp_tol``
+    then raises NoConvergence for the whole batch, naming the first such
+    lane of the table.
     """
     pf, pp = params.platform, params.policy
     n = len(platforms)
@@ -801,9 +736,10 @@ def market_step(
         trust_in = np.array(trust_in)
 
     # (3) pollution under the posture producers responded to, and the
-    # verification fixed point of every table lane.  Every lane's outputs,
-    # then every lane's pollution, are checked before any lane solves (one
-    # block's `clear_market` checks its own).
+    # verification fixed point of every table lane: its rate, precision and
+    # the outlay of everyone whose cost its threshold covers.  Every lane's
+    # outputs, then every lane's pollution, are checked before any lane
+    # solves.
     if k:  # the weight lanes' own exposure: a lone world's second lane, or a batch's table
         at = 1 if n == 1 else 0
         h, l, f, p, _ = table[at]
@@ -812,44 +748,49 @@ def market_step(
         _check_exposure([e], "ipi.weight_perturbation scales the low-quality output of a weight "
                         "lane (ipi.endogenous_weights) past it")
         table[at] = (h, l, f, p, e)
-    if len(table) > 1:
-        for h, l, *_ in table:
-            _check_outputs(h, l)
-        for *_, (rho, _, _) in table:
-            _check_pollution(rho)
-    cleared = [clear_market(h, l, p, populations, params, pp.provenance_boost, exposed=e)
-               for h, l, _, p, e in table]
+    for h, l, *_ in table:
+        _check_outputs(h, l)
+    for *_, (rho, _, _) in table:
+        _check_pollution(rho)
+    consumers = populations.consumers
+    solved = []
+    for *_, (rho, _, _) in table:
+        rate, precision, threshold = solve_verification_fixed_point(
+            rho, consumers, pp.provenance_boost, params=params)
+        solved.append((rate, precision, consumers.spend(threshold)))
 
     # (4) the posted lanes' trust step
-    posted = cleared[0]
-    rho, flow = (posted.pollution, posted.flow) if n == 1 else (
-        posted.pollution[:n], posted.flow[:n])
-    trust_out = trust_update(trust_in, rho, flow, params.trust)
+    rho, flow, _ = table[0][4]
+    rate, precision, _ = solved[0]
+    i1, flow = (rho, flow) if n == 1 else (rho[:n], flow[:n])
+    trust_out = trust_update(trust_in, i1, flow, params.trust)
 
     # (5) every table lane's welfare at its world's trust; a huge finite
     # output can overflow the harm's square
     spread = trust_out if n == 1 else trust_out[world]
     with _quiet(trust_out):
-        welfare = [c.welfare(spread, f, params) for c, (_, _, f, _, _) in zip(cleared, table)]
+        welfare = [welfare_value(q_h=h, q_l=l, verify_rate=v, precision=pi, trust=spread,
+                                 platform=p, producer_profit=f, platform_profit=e[2],
+                                 verification_spend=s, params=params)
+                   for (h, l, f, p, e), (v, pi, s) in zip(table, solved)]
 
     # (6) one-tick-ahead finite differences over the probe lanes, holding
     # each world's verification at its posted lane's
-    trust_now, rate, precision = (trust_out, posted.verify_rate, posted.precision) if n == 1 else (
-        trust_out[:, None], posted.verify_rate[:n, None], posted.precision[:n, None])
+    trust_now, rate_now, precision_now = (trust_out, rate, precision) if n == 1 else (
+        trust_out[:, None], rate[:n, None], precision[:n, None])
     outlook = [_lookahead(p, h, l, e, pp.fiduciary, params, trust_now=trust_now,
-                          verify_rate=rate, precision=precision,
+                          verify_rate=rate_now, precision=precision_now,
                           producers=populations.producers.n)
                for h, l, p, e in probes]
 
-    outcome = (posted.q_h, posted.q_l, posted.pollution, posted.verify_rate, posted.precision,
-               trust_out, welfare[0])
+    outcome = (*table[0][:2], rho, rate, precision, trust_out, welfare[0])
     if n == 1:
         columns = [[x] for x in outcome]
-        weighed = {0: (welfare[1], cleared[1].pollution, welfare[2])} if k else {}
+        weighed = {0: (welfare[1], table[1][4][0], welfare[2])} if k else {}
         objectives, trust_next = ([list(x)] for x in zip(*outlook))
     else:
         columns = [x[:n].tolist() for x in outcome]
-        welfare, pollution = welfare[0].tolist(), posted.pollution.tolist()
+        welfare, pollution = welfare[0].tolist(), rho.tolist()
         weighed = dict(zip(weighted, zip(welfare[n:n + k], pollution[n:n + k], welfare[n + k:])))
         objectives, trust_next = (x.tolist() for x in outlook[0])
     stepped = _platform_gradient_steps(platforms, rows, objectives, trust_next, pf)
@@ -1000,9 +941,9 @@ def static_equilibrium_welfare(
     at its steady state.  Every lane equals the same chain run on that lane
     alone bit for bit, so lanes with equal inputs share one solve.  Supply
     does not read moderation: it is solved once per distinct (gamma_h,
-    gamma_l, tax).  The fixed point reads only pollution: `clear_market`
-    clears the first lane of each distinct pollution, and the lanes that
-    share it take its verification rate, precision and spend.  Used for the
+    gamma_l, tax).  The fixed point reads only pollution: it is solved for
+    the first lane of each distinct pollution, and the lanes that share it
+    take its verification rate, precision and spend.  Used for the
     planner-optimum and worst-corner anchors of the deadweight dimension.
     """
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
@@ -1017,17 +958,17 @@ def static_equilibrium_welfare(
         gen_boost=1.0,
         tax=tax[first],
     )
+    _check_outputs(supply.q_h, supply.q_l)
     q_h, q_l = supply.q_h[row], supply.q_l[row]
-    exposed = exposure(q_h, q_l, postures, populations, params)
-    lead, same = _distinct_rows(exposed[0][:, None])
-    solved = clear_market(q_h[lead], q_l[lead], postures.take(lead), populations, params,
-                          exposed=tuple(x[lead] for x in exposed))
-    rho, flow, platform_profit = exposed
+    rho, flow, platform_profit = exposure(q_h, q_l, postures, populations, params)
+    lead, same = _distinct_rows(rho[:, None])
+    rate, precision, threshold = solve_verification_fixed_point(
+        rho[lead], populations.consumers, params=params)
     return welfare_value(
-        q_h=q_h, q_l=q_l, verify_rate=solved.verify_rate[same], precision=solved.precision[same],
+        q_h=q_h, q_l=q_l, verify_rate=rate[same], precision=precision[same],
         trust=steady_state_trust(rho, flow, params.trust), platform=postures,
         producer_profit=supply.producer_profit[row], platform_profit=platform_profit,
-        verification_spend=solved.verification_spend[same], params=params,
+        verification_spend=populations.consumers.spend(threshold)[same], params=params,
     )
 
 

@@ -143,13 +143,20 @@ class TestRunRecord:
         assert record.column("event").dtype.kind == "U"
 
     @pytest.mark.parametrize("lines, where", [
-        ([HEADER, "3,abc"], "line 2, column 'q_h': 'abc' is not a float"),
+        ([HEADER, "3,abc"], "line 2, column 'q_h': 'abc' is not a finite float"),
         (["tick,ipi", "1,0.5"], "line 1: the header has no column 'q_h'"),
         ([], "line 1: the header has no column 'tick'"),
         ([HEADER, "1.5"], "line 2, column 'tick': '1.5' is not an int"),
         ([HEADER, ROW, ",".join(["2", *["0.5"] * 6, "abc", *["0.5"] * 9, ""])],
-         "line 3, column 'welfare': 'abc' is not a float"),
-        ([HEADER, "1,0.5,0.5"], "line 2, column 'pollution': None is not a float"),
+         "line 3, column 'welfare': 'abc' is not a finite float"),
+        ([HEADER, "1,0.5,0.5"], "line 2, column 'pollution': None is not a finite float"),
+        # A written record holds finite floats only.
+        ([HEADER, ROW, ",".join(["2", *["0.5"] * 6, "inf", *["0.5"] * 9, ""])],
+         "line 3, column 'welfare': 'inf' is not a finite float"),
+        ([HEADER, ",".join(["1", *["0.5"] * 11, "-inf", *["0.5"] * 4, ""])],
+         "line 2, column 'ipi': '-inf' is not a finite float"),
+        ([HEADER, ",".join(["1", "nan", *["0.5"] * 15, ""])],
+         "line 2, column 'q_h': 'nan' is not a finite float"),
     ])
     def test_malformed_record_is_a_config_error(self, tmp_path, lines, where):
         path = tmp_path / "run.csv"
@@ -1173,6 +1180,20 @@ class TestCli:
          ("ipi.weight_perturbation", "exposure")),
         ("baseline", 3, {"ipi.endogenous_weights": "true", "ipi.weight_perturbation": "1e300"},
          ("ipi.weight_perturbation", "welfare", "tick 1")),
+        # A generation boost that underflows to 0 would take the low-quality
+        # unit cost to inf (its surplus, and under zero rationality its
+        # supply, NaN), found before tick 1, in a lone world and in a batch.
+        ("baseline", 5, {"econ.ai_rental": "0.8", "ipi.kappa_gen": "-1e308"},
+         ("ipi.kappa_gen", "underflows", "tick 1")),
+        ("baseline", 5, {"econ.ai_rental": "0.8", "agents.rationality": "0",
+                         "ipi.kappa_gen": "-1e308"}, ("ipi.kappa_gen", "underflows", "tick 1")),
+        ("sweep", 5, {"agents.rationality": "0", "ipi.kappa_gen": "-1e308"},
+         ("ipi.kappa_gen", "underflows", "tick 1")),
+        # An adaptive levy that overflows, named before the tick's supply.
+        *((command, 10, {"policy.adaptive_enabled": "true", "policy.adaptive_eta": "1e300",
+                         "policy.adaptive_target": "1e-300"},
+           ("policy.adaptive_eta", "policy.adaptive_target", "tick 2"))
+          for command in ("baseline", "sweep", "robust-select")),
     ])
     def test_valid_configs_the_run_rejects_exit_config_code(self, tmp_path, capsys, command,
                                                             ticks, config, named):
@@ -1207,6 +1228,11 @@ class TestCli:
         ({"agents.k_max": "1e-310"}, ("agents.k_max", "agents.n_consumers")),
         ({"agents.k_max": "1e-320", "agents.du_h": "0", "agents.du_l": "0"},
          ("agents.k_max", "agents.n_consumers")),
+        # Per-producer unit costs that overflow on both types: the logit gap
+        # is inf - inf, so the anchors' supply is NaN.
+        ({"agents.mean_prod_h": "1e-310", "agents.mean_prod_l": "1e-310"},
+         ("agents.mean_prod_h", "agents.mean_prod_l")),
+        ({"econ.tfp_h": "1e-310", "econ.tfp_l": "1e-310"}, ("econ.tfp_h", "econ.tfp_l")),
     ])
     def test_configs_whose_world_does_not_build_exit_config_code(self, tmp_path, capsys,
                                                                config, named):
@@ -1394,7 +1420,10 @@ class TestCli:
     def test_report_on_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
 
-    @pytest.mark.parametrize("lines", [[HEADER, "3,abc"], ["tick,ipi", "1,0.5"]])
+    @pytest.mark.parametrize("lines", [
+        [HEADER, "3,abc"], ["tick,ipi", "1,0.5"],
+        [HEADER, ROW, ",".join(["2", *["0.5"] * 6, "inf", *["0.5"] * 9, ""])],
+    ])
     def test_report_on_a_malformed_record_exits_config_code(self, tmp_path, capsys, lines):
         run_csv = tmp_path / "results" / "run.csv"
         run_csv.parent.mkdir()

@@ -20,7 +20,13 @@ from infomarket.harness import (
     sweep_cells,
 )
 from infomarket.ipi import FIXED_WEIGHTS, composite, dim_tech_risk, endogenous_weights
-from infomarket.market import Postures, clear_market, exposure, supply_response
+from infomarket.market import (
+    Postures,
+    exposure,
+    solve_verification_fixed_point,
+    supply_response,
+    welfare_value,
+)
 from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
@@ -139,12 +145,17 @@ class _PerDimensionWeights:
 
     def _evaluate(self, q_h, q_l, producer_profit):
         sim = self.sim
-        cleared = clear_market(
-            q_h, q_l, Postures.of([self.posture] * q_h.size), sim.populations, sim.params,
-            sim.params.policy.provenance_boost,
+        postures = Postures.of([self.posture] * q_h.size)
+        consumers = sim.populations.consumers
+        rho, _flow, platform_profit = exposure(q_h, q_l, postures, sim.populations, sim.params)
+        rate, precision, threshold = solve_verification_fixed_point(
+            rho, consumers, sim.params.policy.provenance_boost, params=sim.params)
+        w = welfare_value(
+            q_h=q_h, q_l=q_l, verify_rate=rate, precision=precision, trust=self.row.trust,
+            platform=postures, producer_profit=producer_profit, platform_profit=platform_profit,
+            verification_spend=consumers.spend(threshold), params=sim.params,
         )
-        w = cleared.welfare(self.row.trust, producer_profit, sim.params)
-        return w.tolist(), cleared.pollution.tolist()
+        return w.tolist(), rho.tolist()
 
     def _supply(self, gen_boosts):
         sim, overlay = self.sim, self.overlay
@@ -221,30 +232,32 @@ class TestEndogenousWeights:
     def test_one_supply_call_and_one_clearing_per_tick(self, monkeypatch, overrides, extra):
         sim = Simulation(SimParams().with_overrides(overrides), master_seed=42)
         sim.advance()
-        calls = {"supply_response": 0, "clear_market": 0, "welfare": 0}
-        lanes = {"supply_response": 0, "clear_market": 0}
-        for module, name in [(market, "supply_response"), (market, "clear_market"),
-                             (market.Clearing, "welfare")]:
-            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+        names = ("supply_response", "solve_verification_fixed_point", "welfare_value")
+        calls = dict.fromkeys(names, 0)
+        lanes = dict.fromkeys(names[:2], 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(market, name), **kwargs):
                 calls[_name] += 1
                 if _name == "supply_response":
                     lanes[_name] += args[1].gamma_h.size  # one lane per posture
-                elif _name == "clear_market":
-                    lanes[_name] += np.size(args[0])  # one lane per output; a lone one is a float
+                elif _name == "solve_verification_fixed_point":
+                    lanes[_name] += np.size(args[0])  # one lane per pollution; a lone one is a float
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(market, name, counted)
         for _ in range(3):
             sim.advance()
-        # A lone world clears each lane of its lane table with its own
-        # `clear_market` call and values it with its own welfare call, the
-        # weight lanes at the trust the posted lane steps to.
+        # A lone world solves each lane of its lane table with its own
+        # solve and values it with its own welfare call, the weight lanes at
+        # the trust the posted lane steps to.
         table = 1 + 2 * extra
-        assert calls == {"supply_response": 3, "clear_market": 3 * table, "welfare": 3 * table}
+        assert calls == {"supply_response": 3, "solve_verification_fixed_point": 3 * table,
+                         "welfare_value": 3 * table}
         # Seven supply lanes (the posted posture and six probes) and one
         # clearing lane; endogenous weights add the stepped supply to the
         # supply call, and the scaled outputs and that supply to the clearing.
-        assert lanes == {"supply_response": 3 * (7 + extra), "clear_market": 3 * table}
+        assert lanes == {"supply_response": 3 * (7 + extra),
+                         "solve_verification_fixed_point": 3 * table}
 
     def test_half_step_oracle_at_tick_100(self, passed):
         # Independent re-derivation: recompute raw sensitivities straight

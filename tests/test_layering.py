@@ -128,8 +128,9 @@ def test_market_step_has_one_call_site():
 
 def test_supply_and_clearing_are_called_only_in_market():
     # One clearing routine: the tick (its weight lanes included) and the
-    # welfare anchors supply and clear in `market`; `harness` calls neither.
-    for name in ("supply_response", "clear_market"):
+    # welfare anchors supply and solve the verification fixed point in
+    # `market`; `harness` calls neither.
+    for name in ("supply_response", "solve_verification_fixed_point"):
         assert {module for module, _line in _call_sites(name)} == {"market"}, name
 
 

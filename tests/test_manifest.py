@@ -45,7 +45,11 @@ STORED = GOLDEN / "outputs"
 # on the first and last ticks, and noise volatility over one tick), a
 # sweep of weighing worlds, and inputs that leave the floats: amplified
 # exposure of a burst and of a weight lane, a weight lane's welfare, a
-# final mean's sum and CDF slopes (exit 2 but for the final mean).
+# final mean's sum and CDF slopes (exit 2 but for the final mean), and
+# exit 2 for per-producer unit costs that make the anchors' supply NaN, a
+# generation boost that underflows to 0 (alone and in a batch), and an
+# adaptive levy that overflows (alone, in a batch and in a robust
+# selection).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -74,6 +78,17 @@ COMMANDS = (
     "baseline --ticks 5 --welfare.lambda_trust 1e308",
     "baseline --ticks 2 --agents.k_max 1e-310",
     "baseline --ticks 5 --agents.k_max 1e-320 --agents.du_h 0 --agents.du_l 0",
+    "baseline --ticks 2 --agents.mean_prod_h 1e-310 --agents.mean_prod_l 1e-310",
+    "baseline --ticks 2 --econ.tfp_h 1e-310 --econ.tfp_l 1e-310",
+    "baseline --ticks 5 --econ.ai_rental 0.8 --ipi.kappa_gen=-1e308",
+    "baseline --ticks 5 --econ.ai_rental 0.8 --agents.rationality 0 --ipi.kappa_gen=-1e308",
+    "sweep --ticks 5 --agents.rationality 0 --ipi.kappa_gen=-1e308",
+    "baseline --ticks 10 --policy.adaptive_enabled true --policy.adaptive_eta 1e300 "
+    "--policy.adaptive_target 1e-300",
+    "sweep --ticks 10 --policy.adaptive_enabled true --policy.adaptive_eta 1e300 "
+    "--policy.adaptive_target 1e-300",
+    "robust-select --ticks 10 --policy.adaptive_enabled true --policy.adaptive_eta 1e300 "
+    "--policy.adaptive_target 1e-300",
 )
 
 

@@ -18,7 +18,6 @@ from infomarket.market import (
     ConsumerPool,
     TrustParams,
     _base_costs,
-    clear_market,
     exposure,
     harmful_exposure,
     market_step,
@@ -508,14 +507,14 @@ class TestOneLaneSolve:
     def test_a_lone_world_clears_its_lane_as_floats(self, monkeypatch):
         seen = []
 
-        def spied(q_h, *args, _fn=market.clear_market, **kwargs):
-            seen.append(type(q_h))
-            return _fn(q_h, *args, **kwargs)
+        def spied(rho, *args, _fn=market.solve_verification_fixed_point, **kwargs):
+            seen.append(type(rho))
+            return _fn(rho, *args, **kwargs)
 
         lone = Simulation(SimParams(), None, 42)
         weighing = Simulation(SimParams().with_overrides({"ipi.endogenous_weights": True}),
                               None, 42)
-        monkeypatch.setattr(market, "clear_market", spied)
+        monkeypatch.setattr(market, "solve_verification_fixed_point", spied)
         lone.advance()
         weighing.advance()  # three lanes: the posted one and the two weight lanes
         assert seen == [float, float, float, float]
@@ -1057,13 +1056,38 @@ class TestAnchors:
 def scalar_welfare(populations, posture, params, tax):
     """Long-run welfare of one pinned posture through the single-posture chain."""
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
+    lane = Postures.of([posture])
     supply = supply_response(
-        populations.producers, Postures.of([posture]), params.platform,
+        populations.producers, lane, params.platform,
         cost_h_base=cost_h_base, cost_l_base=cost_l_base, gen_boost=1.0, tax=tax,
     )
-    cleared = clear_market(supply.q_h, supply.q_l, Postures.of([posture]), populations, params)
-    trust = steady_state_trust(cleared.pollution, cleared.flow, params.trust)
-    return float(cleared.welfare(trust, supply.producer_profit, params)[0])
+    rho, flow, platform_profit = exposure(supply.q_h, supply.q_l, lane, populations, params)
+    rate, precision, threshold = solve_verification_fixed_point(
+        rho, populations.consumers, params=params)
+    return float(welfare_value(
+        q_h=supply.q_h, q_l=supply.q_l, verify_rate=rate, precision=precision,
+        trust=steady_state_trust(rho, flow, params.trust), platform=lane,
+        producer_profit=supply.producer_profit, platform_profit=platform_profit,
+        verification_spend=populations.consumers.spend(threshold), params=params,
+    )[0])
+
+
+def clear(q_h, q_l, postures, populations, params, provenance):
+    """A clearing's quantities by name, chained from `exposure`, the
+    verification solve, `ConsumerPool.spend` and `welfare_value` (at trust
+    0.5 and producer surplus 3) as the tick chains them."""
+    rho, flow, platform_profit = exposure(q_h, q_l, postures, populations, params)
+    rate, precision, threshold = solve_verification_fixed_point(
+        rho, populations.consumers, provenance, params=params)
+    spend = populations.consumers.spend(threshold)
+    welfare = welfare_value(
+        q_h=q_h, q_l=q_l, verify_rate=rate, precision=precision, trust=0.5, platform=postures,
+        producer_profit=3.0, platform_profit=platform_profit, verification_spend=spend,
+        params=params,
+    )
+    return {"pollution": rho, "verify_rate": rate, "precision": precision,
+            "verification_spend": spend, "flow": flow, "platform_profit": platform_profit,
+            "welfare": welfare}
 
 
 def scalar_anchor_loop(populations, params):
@@ -1104,21 +1128,21 @@ class TestBatchedClearing:
         expected = [scalar_welfare(populations, p, params, t) for p, t in zip(platforms, tax.tolist())]
         assert batched.tolist() == expected
         q_h, q_l = np.linspace(1.0, 40.0, len(lanes)), np.linspace(60.0, 2.0, len(lanes))
-        together = clear_market(q_h, q_l, Postures.of(platforms), populations, params, provenance)
+        together = clear(q_h, q_l, Postures.of(platforms), populations, params, provenance)
         for i, p in enumerate(platforms):
-            alone = clear_market(q_h[i:i + 1], q_l[i:i + 1], Postures.of([p]), populations,
-                                 params, provenance)
+            alone = clear(q_h[i:i + 1], q_l[i:i + 1], Postures.of([p]), populations, params,
+                          provenance)
             for name in ("pollution", "verify_rate", "precision", "verification_spend"):
-                assert getattr(alone, name)[0] == getattr(together, name)[i]
+                assert alone[name][0] == together[name][i]
             # One lane as floats clears to the one-lane array's bits.
-            floats = clear_market(q_h.item(i), q_l.item(i), p, populations, params, provenance)
+            floats = clear(q_h.item(i), q_l.item(i), p, populations, params, provenance)
             for name in ("pollution", "verify_rate", "precision", "verification_spend", "flow",
                          "platform_profit"):
-                value = getattr(floats, name)
+                value = floats[name]
                 assert type(value) is float
-                assert np.array([value]).tobytes() == getattr(alone, name).tobytes()
-            welfare = floats.welfare(0.5, 3.0, params)
-            assert np.array([welfare]).tobytes() == alone.welfare(0.5, 3.0, params).tobytes()
+                assert np.array([value]).tobytes() == alone[name].tobytes()
+            welfare = floats["welfare"]
+            assert np.array([welfare]).tobytes() == alone["welfare"].tobytes()
 
     def test_the_anchor_lanes_solve_alone_as_in_the_batch(self, populations, params):
         rho = np.linspace(0.0, 1.0, 1126)
@@ -1205,22 +1229,21 @@ class TestBatchedClearing:
         assert str(batched.value) == str(loop.value)
 
     def test_lane_input_checks(self, populations, params):
-        lanes = Postures.of([make_platform(), make_platform()])
         for bad in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="outputs must be nonnegative"):
-                clear_market(np.ones(2), np.array([1.0, bad]), lanes, populations, params)
+            with pytest.raises(ConfigError, match="^supply leaves the nonnegative floats: "):
+                market._check_outputs(np.ones(2), np.array([1.0, bad]))
         with pytest.raises(ValueError, match="pollution must lie"):
             solve_verification_fixed_point(np.array([0.5, 1.5]), populations.consumers,
                                            params=params)
         with pytest.raises(ConfigError, match="market.pi_base must be finite"):
             params.with_overrides({"market.pi_base": float("nan")})
 
-    def test_one_lane_input_checks_as_floats_and_arrays(self, populations, params):
+    def test_one_lane_input_checks_as_floats_and_arrays(self):
         for q_h, q_l in ((1.0, -1.0), (1.0, math.nan), (math.nan, 1.0), (-0.5, 1.0)):
-            for lane in ((q_h, q_l, make_platform()),
-                         (np.array([q_h]), np.array([q_l]), Postures.of([make_platform()]))):
-                with pytest.raises(ValueError, match="^outputs must be nonnegative$"):
-                    clear_market(*lane, populations, params)
+            for lane in ((q_h, q_l), (np.array([q_h]), np.array([q_l]))):
+                with pytest.raises(ConfigError, match="^supply leaves the nonnegative floats: "
+                                                      ".* is NaN$"):
+                    market._check_outputs(*lane)
 
     def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
         calls, seen = Counter(), {}
