@@ -121,16 +121,10 @@ def solve_verification_fixed_point(
        point's segment ends there (none: everyone verifies, V = 1).
        k* = p (du_h - du_l) + du_l with the posterior p in [0, 1], and
        rounding is monotone in p, so every k* lies between
-       `verification_threshold` at p = 0 and at p = 1, bit for bit.  A knot
-       at or below the lower value never ends a segment and the first knot
-       above the upper one always does (its threshold is still evaluated,
-       not assumed), so only the knots between, and that first one above,
-       are read (`_knot_window`).  Arrays scan them in blocks of lanes
-       (`_scan_ends`).  A float lane with du_h <= du_l bisects them in
-       Python floats (`_bisect_end`): k* then does not rise along the knots
-       while k_i does, so the test goes false and then true along the
-       window.  When du_h > du_l k* rises too, and a float lane is scanned
-       as well.  This choice is the only step that differs for a float.
+       `verification_threshold` at p = 0 and at p = 1, bit for bit: only
+       the knots between them, and the first knot above, are read
+       (`_segment_ends`).  A float lane with du_h <= du_l bisects them, and
+       every other lane scans them: the only step that differs for a float.
     2. On the segment, rate and raw precision are linear in the cost k.
        Where precision is clamped the threshold is a constant; between the
        clamps (k - k*) times the posterior's denominator is a quadratic in
@@ -159,12 +153,8 @@ def solve_verification_fixed_point(
     lane = isinstance(pollution, float)
     lanes = pollution if lane else np.asarray(pollution, dtype=float).reshape(-1)
     _check_pollution(lanes)
-    mk, ag = params.market, params.agents
-    if lane and ag.du_h <= ag.du_l:
-        end = _bisect_end(lanes, consumers, provenance_boost, params)
-        k_lo, k_hi = (_threshold(lanes, clamp, params) for clamp in _CLAMPS.tolist())
-    else:
-        end, k_lo, k_hi = _scan_ends(lanes, consumers, provenance_boost, params)
+    mk = params.market
+    end, k_lo, k_hi = _segment_ends(lanes, consumers, provenance_boost, params)
     v = _segment_root(lanes, end, k_lo, k_hi, consumers, provenance_boost, params)
     # (3) the residual check
     precision = signal_precision(lanes, v, provenance_boost, mk)
@@ -187,37 +177,50 @@ def _check_pollution(rho) -> None:
         raise ValueError("pollution must lie in [0, 1]")
 
 
-def _knot_window(consumers: ConsumerPool, params: SimParams) -> tuple[int, int]:
-    """(first, above) of step 1: the first knot above the lower threshold
-    bound, and the first above the upper one (the knot count if none is).
+def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float,
+                  params: SimParams) -> tuple:
+    """Step 1 of the solve: each lane's `end` knot, and its thresholds at
+    the two precision clamps, k_lo and k_hi (for a float lane, a Python int
+    and floats).
 
-    An infinite du makes the p = 0 bound NaN and the p = 1 bound inf or
-    NaN; both sort past every knot and empty the window, and such a k*
-    (inf or NaN) never ends a segment either.
+    The segment ends at the window's first knot whose test k*(pi(V_i)) <
+    k_i is true, and at 0 if none is (knot 0 costs 0, which no k* lies
+    below), which step 2 reads as V = 1.  The window is the knots above the
+    lower threshold bound up to and including the first above the upper
+    one: that knot's test is always true, because every k* lies at or below
+    the upper bound bit for bit.  An infinite du makes the p = 0 bound NaN
+    and the p = 1 bound inf or NaN; both sort past every knot and empty the
+    window, and such a k* (inf or NaN) never ends a segment either.
+
+    A float lane with du_h <= du_l bisects the window in Python floats,
+    about log2(window) thresholds instead of the window's.  The knots'
+    rates V_i rise, so raw precision, its clamp and the posterior do not
+    fall, and with du_h - du_l <= 0 neither does k* rise, while k_i does:
+    the test is false and then true along the window.  Each operation
+    rounds monotonically, but the posterior is a quotient of two rising
+    terms, not proved to; the full scan is the oracle of a property test.
+    Arrays, and every lane when du_h > du_l (k* then rises too), scan the
+    window: the thresholds at its knots' rates and at the clamps form one
+    (lanes, window + 2) block per `_LANE_BLOCK` lanes.
     """
     ag = params.agents
-    lo = verification_threshold(0.0, ag.du_h, ag.du_l)
-    hi = verification_threshold(1.0, ag.du_h, ag.du_l)
-    first, above = consumers.knot_k.searchsorted(
-        (lo, hi) if lo <= hi else (hi, lo), side="right").tolist()
-    return first, above
-
-
-def _scan_ends(rho, consumers: ConsumerPool, provenance_boost: float,
-               params: SimParams) -> tuple:
-    """Step 1 over blocks of lanes: each lane's `end` knot, and its
-    thresholds at the two precision clamps, k_lo and k_hi (for a float
-    lane, a Python int and floats).
-
-    The thresholds at the window's knots' rates and at the clamps form one
-    (lanes, window + 2) block; the segment ends at the first knot whose
-    threshold lies below its cost (never knot 0, so 0 marks "none").
-    """
+    knot_k, knot_v = consumers.knot_k, consumers.knot_v
+    b0, b1 = (verification_threshold(p, ag.du_h, ag.du_l) for p in (0.0, 1.0))
+    first, above = knot_k.searchsorted((b0, b1) if b0 <= b1 else (b1, b0), side="right").tolist()
+    stop = min(above + 1, knot_k.size)  # the window is [first, stop)
+    if isinstance(rho, float) and ag.du_h <= ag.du_l:
+        lo, hi = first, stop
+        while lo < hi:
+            mid = (lo + hi) // 2
+            precision = signal_precision(rho, knot_v.item(mid), provenance_boost, params.market)
+            if _threshold(rho, precision, params) < knot_k.item(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        k_lo, k_hi = (_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist())
+        return lo if lo < stop else 0, k_lo, k_hi
     lanes = np.array(rho, ndmin=1, copy=None)
-    first, above = _knot_window(consumers, params)
-    knot_k, knot_v = consumers.knot_k[first:above + 1], consumers.knot_v[first:above + 1]
-    # Without a knot above the upper bound a lane may find no end.
-    forced = above < consumers.knot_k.size
+    knot_k, knot_v = knot_k[first:stop], knot_v[first:stop]
     end = np.zeros(lanes.size, dtype=np.intp)
     k_clamp = np.empty((lanes.size, 2))
     for start in range(0, lanes.size, _LANE_BLOCK):
@@ -230,42 +233,12 @@ def _scan_ends(rho, consumers: ConsumerPool, provenance_boost: float,
         k_clamp[block] = k_star[:, -2:]
         if knot_k.size:
             below = k_star[:, :-2] < knot_k
-            hit = below.argmax(axis=1)
-            end[block] = first + hit if forced else np.where(below.any(axis=1), first + hit, 0)
+            hit = first + below.argmax(axis=1)
+            # A window that reaches past the upper bound ends on a true test.
+            end[block] = hit if above < stop else np.where(below.any(axis=1), hit, 0)
     if isinstance(rho, float):
         return end.item(), *k_clamp[0].tolist()
     return end, *k_clamp.T
-
-
-def _bisect_end(
-    rho: float, consumers: ConsumerPool, provenance_boost: float, params: SimParams
-) -> int:
-    """`_scan_ends`' end knot of one lane when du_h <= du_l, by bisection
-    in Python floats: about log2(window) thresholds instead of the window's.
-
-    The knots' rates V_i rise, so raw precision, its clamp and the
-    posterior do not fall, and with du_h - du_l <= 0 neither does k* rise,
-    while k_i does: the test k*(pi(V_i)) < k_i is false and then true along
-    the window.  Each operation rounds monotonically, but the posterior is
-    a quotient of two rising terms, not proved to; the full scan is the
-    oracle of a property test.  Without a true test the end is the
-    window's first knot if a knot lies above the upper bound (the scan's
-    argmax of none), else 0.
-    """
-    first, above = _knot_window(consumers, params)
-    knot_k, knot_v = consumers.knot_k, consumers.knot_v
-    stop = min(above + 1, knot_k.size)  # the window is [first, stop)
-    lo, hi = first, stop
-    while lo < hi:
-        mid = (lo + hi) // 2
-        precision = signal_precision(rho, knot_v.item(mid), provenance_boost, params.market)
-        if _threshold(rho, precision, params) < knot_k.item(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo < stop:
-        return lo
-    return first if above < knot_k.size else 0
 
 
 def _missed_tolerance(resid: float, pollution: float, fp_tol: float) -> NoConvergence:
@@ -558,24 +531,30 @@ def exposure(q_h, q_l, postures: Postures, populations: Populations, params: Sim
     return rho, total / populations.total, profit
 
 
-def _check_outputs(q_h, q_l) -> None:
-    """Raise ConfigError unless every lane's supply outputs are nonnegative.
+def _check_outputs(q_h, q_l, surplus) -> None:
+    """Raise ConfigError unless every lane's supply outputs are nonnegative,
+    then unless its producer surplus lies above -inf (NaN does not).
 
-    Supply is a sum of nonnegative terms, so only NaN fails: a per-producer
-    unit cost that overflows makes the logit gap inf - inf, or 0 * inf
-    under zero rationality.
+    Both fail when a per-producer unit cost overflows, making a unit profit
+    -inf.  Supply is a sum of nonnegative terms, so only NaN fails it: the
+    logit gap is inf - inf, or 0 * inf under zero rationality.  A cost that
+    overflows on one type only leaves supply finite, and surplus takes a
+    tiny share of -inf, or 0 * -inf.  A surplus of +inf (margins times
+    productivity overflow) is the welfare anchors' to name.
     """
     if isinstance(q_h, float):
         nonnegative = q_h >= 0.0 and q_l >= 0.0  # NaN fails either comparison
     else:
         nonnegative = np.minimum(q_h, q_l).min() >= 0  # NaN if any output is, which fails
+    costs = ("per-producer unit costs overflow (the econ section's CES unit costs, such as "
+             "econ.tfp_h and econ.tfp_l, over the productivity draws of agents.mean_prod_h and "
+             "agents.mean_prod_l)")
     if not nonnegative:
-        raise ConfigError(
-            "supply leaves the nonnegative floats: per-producer unit costs overflow (the econ "
-            "section's CES unit costs, such as econ.tfp_h and econ.tfp_l, over the productivity "
-            "draws of agents.mean_prod_h and agents.mean_prod_l), and the logit gap between "
-            "the types' unit profits (times agents.rationality) is NaN"
-        )
+        raise ConfigError(f"supply leaves the nonnegative floats: {costs}, and the logit gap "
+                          "between the types' unit profits (times agents.rationality) is NaN")
+    if not (surplus if isinstance(surplus, float) else surplus.min()) > -math.inf:
+        raise ConfigError(f"producer surplus leaves the floats: {costs} on one type, whose "
+                          "unit profit is -inf")
 
 
 @dataclass(slots=True)
@@ -662,8 +641,9 @@ def market_step(
     welfare, scaled pollution, stepped-supply welfare)}``; and each world's
     stepped posture.  Welfare may overflow; the caller checks it.
     Amplified exposure that leaves the floats, in a supply lane or a scaled
-    lane, and NaN supply are ConfigErrors, the same alone and in a batch.
-    Every lane's outputs, then every lane's pollution, are checked before
+    lane, a scaled output that does, NaN supply and a non-finite producer
+    surplus are ConfigErrors, the same alone and in a batch.  Every lane's
+    outputs and surplus, then every lane's pollution, are checked before
     any lane is solved; a lane whose fixed point misses ``market.fp_tol``
     then raises NoConvergence for the whole batch, naming the first such
     lane of the table.
@@ -703,8 +683,9 @@ def market_step(
         q_h, q_l, profit, lanes = [supply.q_h], [supply.q_l], [supply.producer_profit], [postures]
     with _quiet(q_h[0]):  # an overflow shows in the check below
         exposed = [exposure(h, l, p, populations, params) for h, l, p in zip(q_h, q_l, lanes)]
-    _check_exposure(exposed, "shocks.fake_news_burst (times agents.n_producers), amplified by "
-                             "up to platform.gamma_max, overflows it")
+    _check_exposure([flow for _, flow, _ in exposed],
+                    "shocks.fake_news_burst (times agents.n_producers), amplified by up to "
+                    "platform.gamma_max, overflows it")
 
     # The lane table, each lane (q_h, q_l, producer profit, posted posture,
     # exposure): each world's posted lane (supply lane 0) and, for a weight
@@ -738,18 +719,20 @@ def market_step(
     # (3) pollution under the posture producers responded to, and the
     # verification fixed point of every table lane: its rate, precision and
     # the outlay of everyone whose cost its threshold covers.  Every lane's
-    # outputs, then every lane's pollution, are checked before any lane
-    # solves.
+    # outputs and surplus, then every lane's pollution, are checked before
+    # any lane solves.
     if k:  # the weight lanes' own exposure: a lone world's second lane, or a batch's table
         at = 1 if n == 1 else 0
         h, l, f, p, _ = table[at]
         with _quiet(l):
             e = exposure(h, l, p, populations, params)
-        _check_exposure([e], "ipi.weight_perturbation scales the low-quality output of a weight "
-                        "lane (ipi.endogenous_weights) past it")
+        # Their scaled outputs first: an inf one under zero amplification
+        # gives NaN exposure (0 * inf), not an inf flow.
+        _check_exposure([l if n == 1 else l[n:n + k], e[1]], "ipi.weight_perturbation scales "
+                        "the low-quality output of a weight lane (ipi.endogenous_weights) past it")
         table[at] = (h, l, f, p, e)
-    for h, l, *_ in table:
-        _check_outputs(h, l)
+    for h, l, f, *_ in table:
+        _check_outputs(h, l, f)
     for *_, (rho, _, _) in table:
         _check_pollution(rho)
     consumers = populations.consumers
@@ -797,12 +780,13 @@ def market_step(
     return columns, weighed, stepped
 
 
-def _check_exposure(exposed: list[tuple], cause: str) -> None:
-    """Raise ConfigError naming ``cause`` if some lane's amplified exposure
-    per agent (`exposure`'s flow) overflows to inf.  A NaN flow comes from
-    NaN outputs, which `_check_outputs` names as before."""
-    for _, flow, _ in exposed:
-        if flow == math.inf if isinstance(flow, float) else (flow == math.inf).any():
+def _check_exposure(values: list, cause: str) -> None:
+    """Raise ConfigError naming ``cause`` if some lane of ``values``
+    (amplified exposure per agent, `exposure`'s flow, or a weight lane's
+    scaled output) overflows to inf.  A NaN comes from NaN outputs, which
+    `_check_outputs` names as before."""
+    for x in values:
+        if x == math.inf if isinstance(x, float) else (x == math.inf).any():
             raise ConfigError(f"amplified exposure leaves the floats: {cause}")
 
 
@@ -958,7 +942,7 @@ def static_equilibrium_welfare(
         gen_boost=1.0,
         tax=tax[first],
     )
-    _check_outputs(supply.q_h, supply.q_l)
+    _check_outputs(supply.q_h, supply.q_l, supply.producer_profit)
     q_h, q_l = supply.q_h[row], supply.q_l[row]
     rho, flow, platform_profit = exposure(q_h, q_l, postures, populations, params)
     lead, same = _distinct_rows(rho[:, None])

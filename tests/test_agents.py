@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket.agents import (
@@ -23,6 +23,10 @@ from infomarket.market import _base_costs, supply_response
 
 E_OVER_1PE = 0.73105857863000487925  # e/(1+e), 50-digit evaluation
 UNIT_COST_L = 2.803374574213722369  # sigma=1.5, delta=0.65, A=1, r=1, w=8
+
+# Utility gaps: ordinary, zero, subnormal, and large up to 1e308.
+DU = st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e308),
+               st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300]))
 
 PLATFORM = Postures(gamma_h=1.0, gamma_l=1.0, moderation=0.0)
 PARAMS = PlatformParams(revenue_share=0.25, ad_rate=4.0, lr_gamma=0.05, lr_mod=0.05,
@@ -145,6 +149,26 @@ class TestVerificationThreshold:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             verification_threshold(0.5, -0.1, 1.0)
+
+    @given(
+        lanes=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1.0)), min_size=1,
+                       max_size=8),
+        du=st.one_of(st.tuples(DU, DU), DU.map(lambda x: (x, x))),
+    )
+    @example(lanes=[(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)], du=(0.5, 2.0))
+    @example(lanes=[(0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0)], du=(2.0, 0.5))
+    @settings(max_examples=500, deadline=None)
+    def test_every_threshold_lies_between_the_corner_posteriors(self, lanes, du):
+        # The fixed point's knot window rests on this, bit for bit.
+        bounds = [verification_threshold(p, *du) for p in (0.0, 1.0)]
+        lo, hi = min(bounds), max(bounds)
+        prior, precision = (list(x) for x in zip(*lanes))
+        floats = [verification_threshold(consumer_posterior(p, pi), *du)
+                  for p, pi in zip(prior, precision)]
+        array = verification_threshold(consumer_posterior(np.array(prior), np.array(precision)),
+                                       *du)
+        assert all(lo <= k <= hi for k in floats)
+        assert ((lo <= array) & (array <= hi)).all()
 
 
 class TestPlatformUpdate:

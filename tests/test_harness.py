@@ -56,6 +56,8 @@ SMALL = {
     "ipi.anchor_gamma_points": 3,
     "ipi.anchor_tax_points": 2,
 }
+# The keys of a per-producer unit cost: the CES cost over a productivity draw.
+PRODUCER_COSTS = ("econ.tfp_h", "econ.tfp_l", "agents.mean_prod_h", "agents.mean_prod_l")
 
 
 def advanced(sim, ticks):
@@ -1233,6 +1235,9 @@ class TestCli:
         ({"agents.mean_prod_h": "1e-310", "agents.mean_prod_l": "1e-310"},
          ("agents.mean_prod_h", "agents.mean_prod_l")),
         ({"econ.tfp_h": "1e-310", "econ.tfp_l": "1e-310"}, ("econ.tfp_h", "econ.tfp_l")),
+        # On one type only: supply stays finite, and the anchors' producer
+        # surplus is -inf or NaN.
+        *[({key: "1e-310"}, PRODUCER_COSTS) for key in PRODUCER_COSTS],
     ])
     def test_configs_whose_world_does_not_build_exit_config_code(self, tmp_path, capsys,
                                                                config, named):
@@ -1260,6 +1265,24 @@ class TestCli:
                          "--ipi.weight_perturbation", perturbation]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and errors[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("unamplified", [["--platform.moderation_init", "1"],
+                                             ["--platform.gamma_init", "0"]],
+                             ids=["moderated", "gamma_l_zero"])
+    def test_an_inf_weight_lane_output_fails_under_zero_amplification(self, tmp_path, capsys,
+                                                                     unamplified):
+        # Its exposure is 0 * inf, NaN: the scaled output itself is checked.
+        errors = []
+        for command in ("baseline", "sweep"):  # one world, then a batch of 20
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--ticks", "5", "--out", str(tmp_path / command),
+                             "--ipi.endogenous_weights", "true",
+                             "--ipi.weight_perturbation", "1e308", *unamplified]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "config error: amplified exposure leaves the floats: ipi.weight_perturbation scales "
+            "the low-quality output of a weight lane (ipi.endogenous_weights) past it\n")
 
     def test_a_world_whose_anchors_miss_the_tolerance_validates(self, tmp_path):
         # The run exits 3, which the exit-code contract allows for a valid config.

@@ -47,9 +47,12 @@ STORED = GOLDEN / "outputs"
 # exposure of a burst and of a weight lane, a weight lane's welfare, a
 # final mean's sum and CDF slopes (exit 2 but for the final mean), and
 # exit 2 for per-producer unit costs that make the anchors' supply NaN, a
-# generation boost that underflows to 0 (alone and in a batch), and an
+# generation boost that underflows to 0 (alone and in a batch), an
 # adaptive levy that overflows (alone, in a batch and in a robust
-# selection).
+# selection), a weight lane's output that overflows where nothing amplifies
+# it (alone and in a batch), and per-producer unit costs that overflow on
+# one type only, making the anchors' producer surplus -inf or NaN (alone and
+# in a batch).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -89,6 +92,17 @@ COMMANDS = (
     "--policy.adaptive_target 1e-300",
     "robust-select --ticks 10 --policy.adaptive_enabled true --policy.adaptive_eta 1e300 "
     "--policy.adaptive_target 1e-300",
+    "baseline --ticks 5 --ipi.weight_perturbation 1e308 --ipi.endogenous_weights true "
+    "--platform.moderation_init 1",
+    "baseline --ticks 5 --ipi.weight_perturbation 1e308 --ipi.endogenous_weights true "
+    "--platform.gamma_init 0",
+    "sweep --ticks 5 --ipi.weight_perturbation 1e308 --ipi.endogenous_weights true "
+    "--platform.moderation_init 1",
+    "baseline --ticks 2 --econ.tfp_h 1e-310",
+    "baseline --ticks 2 --econ.tfp_l 1e-310",
+    "baseline --ticks 2 --agents.mean_prod_h 1e-310",
+    "baseline --ticks 2 --agents.mean_prod_l 1e-310",
+    "sweep --ticks 2 --agents.mean_prod_l 1e-310",
 )
 
 

@@ -807,12 +807,14 @@ class TestFloatProbeLanes:
             weighed.append(bits(*result[1][0]))
             return result
 
-        def bisected(*args, _fn=market._bisect_end):
-            ends.append(_fn(*args))
-            return ends[-1]
+        def step_one(rho, *args, _fn=market._segment_ends):
+            result = _fn(rho, *args)
+            if isinstance(rho, float):  # the lone world's lanes; the pair's are an array
+                ends.append(result[0])
+            return result
 
         monkeypatch.setattr(harness, "market_step", spied)
-        monkeypatch.setattr(market, "_bisect_end", bisected)
+        monkeypatch.setattr(market, "_segment_ends", step_one)
         crossings = []
         for tick, overlay in enumerate(build_overlays(150, (), params), start=1):
             ends.clear()
@@ -1231,7 +1233,7 @@ class TestBatchedClearing:
     def test_lane_input_checks(self, populations, params):
         for bad in (-1.0, float("nan")):
             with pytest.raises(ConfigError, match="^supply leaves the nonnegative floats: "):
-                market._check_outputs(np.ones(2), np.array([1.0, bad]))
+                market._check_outputs(np.ones(2), np.array([1.0, bad]), np.zeros(2))
         with pytest.raises(ValueError, match="pollution must lie"):
             solve_verification_fixed_point(np.array([0.5, 1.5]), populations.consumers,
                                            params=params)
@@ -1239,11 +1241,22 @@ class TestBatchedClearing:
             params.with_overrides({"market.pi_base": float("nan")})
 
     def test_one_lane_input_checks_as_floats_and_arrays(self):
-        for q_h, q_l in ((1.0, -1.0), (1.0, math.nan), (math.nan, 1.0), (-0.5, 1.0)):
-            for lane in ((q_h, q_l), (np.array([q_h]), np.array([q_l]))):
+        # NaN outputs are named first, whatever the surplus.
+        for q_h, q_l, f in ((1.0, -1.0, 0.0), (1.0, math.nan, math.nan), (math.nan, 1.0, 0.0),
+                            (-0.5, 1.0, -math.inf)):
+            for lane in ((q_h, q_l, f), (np.array([q_h]), np.array([q_l]), np.array([f]))):
                 with pytest.raises(ConfigError, match="^supply leaves the nonnegative floats: "
                                                       ".* is NaN$"):
                     market._check_outputs(*lane)
+        # A cost that overflows on one type: finite outputs, surplus -inf or NaN.
+        for f in (-math.inf, math.nan):
+            for lane in ((1.0, 2.0, f), (np.ones(2), np.ones(2), np.array([0.0, f]))):
+                with pytest.raises(ConfigError, match="^producer surplus leaves the floats: .*"
+                                                      "agents.mean_prod_l.* is -inf$"):
+                    market._check_outputs(*lane)
+        # +inf (margins that overflow) is left to the welfare anchors.
+        for lane in ((1.0, 2.0, math.inf), (np.ones(2), np.ones(2), np.array([0.0, math.inf]))):
+            market._check_outputs(*lane)
 
     def test_one_supply_call_per_tick_and_one_batch_per_anchor_search(self, monkeypatch):
         calls, seen = Counter(), {}
