@@ -205,7 +205,8 @@ def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float,
     """
     ag = params.agents
     knot_k, knot_v = consumers.knot_k, consumers.knot_v
-    b0, b1 = (verification_threshold(p, ag.du_h, ag.du_l) for p in (0.0, 1.0))
+    b0 = verification_threshold(0.0, ag.du_h, ag.du_l)
+    b1 = verification_threshold(1.0, ag.du_h, ag.du_l)
     first, above = knot_k.searchsorted((b0, b1) if b0 <= b1 else (b1, b0), side="right").tolist()
     stop = min(above + 1, knot_k.size)  # the window is [first, stop)
     if isinstance(rho, float) and ag.du_h <= ag.du_l:
