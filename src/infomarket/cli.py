@@ -8,7 +8,6 @@ precedence is CLI > --config file > defaults.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +20,7 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     Simulation,
-    _finite_or_none,
+    _json_text,
     load_overrides,
     run_experiment,
     summary_stats,
@@ -88,9 +87,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     record = RunRecord.from_csv(args.directory / "results" / "run.csv")
     stats = summary_stats(record)
-    # Undefined statistics print as null, as summary.json writes them.
-    print(json.dumps(_finite_or_none(asdict(stats)), indent=2, sort_keys=True,
-                     allow_nan=False))
+    # As summary.json writes its stats block: undefined statistics as null.
+    print(_json_text(asdict(stats)), end="")
     return EXIT_OK
 
 

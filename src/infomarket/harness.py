@@ -524,15 +524,15 @@ def weight_responses(
 # -- statistics ---------------------------------------------------------------
 
 
-def safe_corr(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson correlation, or None when it is undefined: series of
+def safe_corr(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation, or NaN when it is undefined: series of
     different lengths or shorter than two, or either constant or holding NaN.
 
     Finite series whose squares overflow are correlated after dividing each
     by its largest magnitude, which leaves the correlation unchanged.
     """
     if len(x) != len(y) or len(x) < 2:
-        return None
+        return math.nan
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _corr(x, y)
@@ -540,16 +540,20 @@ def safe_corr(x: np.ndarray, y: np.ndarray) -> float | None:
         return _corr(x / (np.max(np.abs(x)) or 1.0), y / (np.max(np.abs(y)) or 1.0))
 
 
-def _corr(x: np.ndarray, y: np.ndarray) -> float | None:
+def _corr(x: np.ndarray, y: np.ndarray) -> float:
     # A constant series, or one that holds NaN, has no positive spread.
     if not (np.std(x) > 0.0 and np.std(y) > 0.0):
-        return None
+        return math.nan
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _mean(x: np.ndarray) -> float:
-    """The mean of a nonempty series; finite values whose sum overflows are
-    averaged after dividing by their largest magnitude, as `safe_corr` does."""
+def _mean(x: Sequence[float] | np.ndarray) -> float:
+    """The mean of a series, NaN (written as null) over an empty one; finite
+    values whose sum overflows are averaged after dividing by their largest
+    magnitude, as `safe_corr` does."""
+    x = np.asarray(x, dtype=float)
+    if not len(x):
+        return math.nan
     try:
         with np.errstate(over="raise"):
             return float(x.mean())
@@ -567,7 +571,7 @@ class SummaryStats:
     n_ticks: int
     final_window: int
     final_means: dict[str, float]
-    correlations: dict[str, float | None]
+    correlations: dict[str, float]
     flags: list[str]
     converged: bool
 
@@ -575,9 +579,9 @@ class SummaryStats:
 def summary_stats(record: RunRecord) -> SummaryStats:
     """Correlations over the full series plus final-window means.
 
-    Undefined correlations (constant series) are flagged by name instead of
-    propagating NaN.  Convergence means the index moved by less than 0.02
-    per tick across the last 20 ticks.
+    Undefined correlations (NaN: constant series) are also flagged by name.
+    Convergence means the index moved by less than 0.02 per tick across the
+    last 20 ticks.
     """
     n = len(record)
     win = min(final_window(n), n)
@@ -586,15 +590,15 @@ def summary_stats(record: RunRecord) -> SummaryStats:
         flags.append("non_monotone_ticks")
     final_means = {}
     for col in ("welfare", "pollution", "ipi", "trust", "verify_rate", "q_h", "q_l"):
-        final_means[col] = _mean(record.column(col)[-win:]) if n else math.nan
-    correlations: dict[str, float | None] = {}
+        final_means[col] = _mean(record.column(col)[-win:])
+    correlations = {}
     for name, (a, b) in {
         "ipi_welfare": ("ipi", "welfare"),
         "pollution_welfare": ("pollution", "welfare"),
         "ipi_trust": ("ipi", "trust"),
     }.items():
-        c = safe_corr(record.column(a), record.column(b)) if n else None
-        if c is None:
+        c = safe_corr(record.column(a), record.column(b))
+        if math.isnan(c):
             flags.append(f"correlation_undefined:{name}")
         correlations[name] = c
     converged = False
@@ -623,11 +627,6 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_csv_text(header, rows), encoding="utf-8")
-
-
 def _finite_or_none(value: Any) -> Any:
     """`value` with every non-finite float (an undefined statistic) replaced by None."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -639,6 +638,13 @@ def _finite_or_none(value: Any) -> Any:
     return value
 
 
+def _json_text(value: Any) -> str:
+    """The text of summary.json and of `report`: keys sorted, every
+    undefined statistic (a non-finite float) null."""
+    return json.dumps(_finite_or_none(value), indent=2, sort_keys=True, allow_nan=False,
+                      default=str) + "\n"
+
+
 def _write_outputs(
     cfg: ExperimentConfig,
     params: SimParams,
@@ -648,7 +654,8 @@ def _write_outputs(
     tables: dict[str, tuple[Sequence[str], Iterable[Sequence[Any]]]] | None = None,
 ) -> None:
     """Write the run's directory; ``tables`` maps each further CSV file's
-    path under it to its header and rows."""
+    path under it to its header and rows.  summary.json names the run's
+    experiment, as config.txt does."""
     if cfg.out_dir is None:
         return
     out = Path(cfg.out_dir)
@@ -664,12 +671,10 @@ def _write_outputs(
             files[f"figures/{name}_vs_time.csv"] = (
                 ("tick", name), zip(ticks, record.column(name).tolist()))
     for name, (header, rows) in (files | (tables or {})).items():
-        _write_table(out / name, header, rows)
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(_csv_text(header, rows), encoding="utf-8")
     (out / "summary.json").write_text(
-        json.dumps(_finite_or_none(report), indent=2, sort_keys=True, allow_nan=False,
-                   default=str) + "\n",
-        encoding="utf-8",
-    )
+        _json_text({"experiment": cfg.experiment} | report), encoding="utf-8")
     (out / "summary.txt").write_text("\n".join(text_lines) + "\n", encoding="utf-8")
 
 
@@ -780,13 +785,10 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     stats = summary_stats(record)
     metadata = {"experiment": cfg.experiment, "seed": str(cfg.master_seed),
                 "config_hash": params.config_hash(), "version": __version__}
-    report = {"experiment": cfg.experiment, "stats": asdict(stats), "metadata": metadata}
+    report = {"stats": asdict(stats), "metadata": metadata}
     lines = [f"experiment: {cfg.experiment}", f"ticks: {stats.n_ticks}"]
     lines += [f"final {k}: {_fmt(v)}" for k, v in stats.final_means.items()]
-    lines += [
-        f"corr {k}: {'undefined' if v is None else _fmt(v)}"
-        for k, v in stats.correlations.items()
-    ]
+    lines += [f"corr {k}: {_or_undefined('{!r}', v)}" for k, v in stats.correlations.items()]
     lines.append(f"converged: {stats.converged}")
     _write_outputs(cfg, params, record, report, lines)
     return record
@@ -820,13 +822,13 @@ def shock_stats(record: RunRecord, shocks: Sequence[ShockEvent]) -> list[ShockRe
     out = []
     for shock in shocks:
         t = shock.tick
-        pre = float(ipi[max(0, t - 5): t].mean()) if t else math.nan
+        pre = _mean(ipi[max(0, t - 5): t])
         horizon = min(t + 10, len(ipi) - 1)
         peak_off = int(np.argmax(ipi[t: horizon + 1]))
         peak_t = t + peak_off
         peak = float(ipi[peak_t])
         post = ipi[peak_t: min(peak_t + 11, len(ipi))]
-        rec_rate = float(-(np.diff(post)).mean()) if len(post) > 1 else math.nan
+        rec_rate = _mean(-(np.diff(post)))
         declining = 0
         for d in np.diff(post):
             if d < 0:
@@ -852,9 +854,8 @@ def run_shocks(cfg: ExperimentConfig) -> tuple[RunRecord, list[ShockResponse]]:
     shocks = default_shocks(params)
     (record,) = _records(cfg, [params], shocks)
     responses = shock_stats(record, shocks)
-    mean_rise = _mean_or_nan([r.rise_pct for r in responses])
+    mean_rise = _mean([r.rise_pct for r in responses])
     report = {
-        "experiment": "shocks",
         "mean_rise_pct": mean_rise,
         "responses": [asdict(r) for r in responses],
         "stats": asdict(summary_stats(record)),
@@ -902,12 +903,10 @@ def run_weight_sensitivity(
     sign_flips = []
     for i, (weights, record) in enumerate(zip(sets, records)):
         corr = safe_corr(record.column("ipi"), record.column("welfare"))
-        if corr is not None and corr > 0:
+        if corr > 0:
             sign_flips.append(i)
-        rows.append((str(weights), corr if corr is not None else math.nan,
-                     abs(corr) if corr is not None else math.nan))
+        rows.append((str(weights), corr, abs(corr)))
     report = {
-        "experiment": "weight_sensitivity",
         "weight_sets": [list(w) for w in sets],
         "correlations": [r[1] for r in rows],
         "abs_range": [min(r[2] for r in rows), max(r[2] for r in rows)],
@@ -963,11 +962,10 @@ def run_noise(
                 np.random.SeedSequence([cfg.master_seed, 11, li, trial])
             )
             noisy = proxy_composite(synthesize_log(series, params, level, rng), weights)
-            errors.append(float(np.mean(np.abs(noisy - noise_free))))
+            errors.append(_mean(np.abs(noisy - noise_free)))
             vols.append(float(np.std(np.diff(noisy))) if len(noisy) > 1 else math.nan)
-        rows.append((level, _mean_or_nan(errors), _mean_or_nan(vols)))
+        rows.append((level, _mean(errors), _mean(vols)))
     report = {
-        "experiment": "noise_robustness",
         "levels": levels,
         "errors": [r[1] for r in rows],
         "volatility": [r[2] for r in rows],
@@ -980,11 +978,6 @@ def run_noise(
         tables={"results/noise_robustness.csv": (("level", "ipi_error", "volatility"), rows)},
     )
     return report
-
-
-def _mean_or_nan(values: list[float]) -> float:
-    """Mean of the values; NaN (written as null) when there are none."""
-    return float(np.mean(values)) if values else math.nan
 
 
 def _or_undefined(template: str, x: float) -> str:
@@ -1004,16 +997,12 @@ def run_event_detection(cfg: ExperimentConfig) -> dict[str, Any]:
     hi = min(len(record), tick + 30)
     ipi = record.column("ipi")[lo:hi]
     drop = -np.diff(record.column("welfare")[lo:hi])  # welfare decline per tick
-    lags = {}
-    for k in range(1, 11):
-        c = safe_corr(ipi[: len(drop) - k + 1], drop[k - 1:])
-        lags[k] = c if c is not None else math.nan
+    lags = {k: safe_corr(ipi[: len(drop) - k + 1], drop[k - 1:]) for k in range(1, 11)}
     finite = {k: v for k, v in lags.items() if not math.isnan(v)}
     # The index leads welfare damage by the window with the strongest
     # positive correlation between today's reading and the future drop.
     best_window = max(finite, key=lambda k: finite[k]) if finite else None
     report = {
-        "experiment": "event_detection",
         "burst_tick": tick,
         "magnitude": mag,
         "peak_rise_pct": response.rise_pct,
@@ -1076,7 +1065,6 @@ def run_cross_platform(
             for (name, _), record in zip(chosen, records)]
     ipis = [r[1] for r in rows]
     report = {
-        "experiment": "cross_platform",
         "presets": [name for name, _ in chosen],
         "rows": [dict(zip(header, r)) for r in rows],
         "ipi_min": min(ipis),
@@ -1102,8 +1090,8 @@ DEFAULT_SWEEP_SIGMA_L = (1.2, 1.4, 1.6, 1.8)
 @dataclass(frozen=True)
 class SweepReport:
     rows: list[dict[str, float]]  # r, sigma_l, welfare, pollution, ipi
-    corr_r_welfare: float | None
-    corr_r_pollution: float | None
+    corr_r_welfare: float
+    corr_r_pollution: float
     failures: list[str]
 
 
@@ -1148,16 +1136,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     by_r: dict[float, list[float]] = {}
     for row in report.rows:
         by_r.setdefault(row["r"], []).append(row["pollution"])
-    pollution_vs_r = [(r, float(np.mean(v))) for r, v in sorted(by_r.items())]
+    pollution_vs_r = [(r, _mean(v)) for r, v in sorted(by_r.items())]
     doc = {
-        "experiment": "sweep",
         "corr_r_welfare": report.corr_r_welfare,
         "corr_r_pollution": report.corr_r_pollution,
         "rows": report.rows,
         "pollution_by_r": pollution_vs_r,
     }
     lines = ["parameter sweep (final-window means):"]
-    lines += [f"corr(r, {name}) = {'undefined' if c is None else format(c, '.3f')}"
+    lines += [f"corr(r, {name}) = {_or_undefined('{:.3f}', c)}"
               for name, c in (("welfare", report.corr_r_welfare),
                               ("pollution", report.corr_r_pollution))]
     lines += [f"  r={r:.1f}: mean pollution {p:.3f}" for r, p in pollution_vs_r]
@@ -1190,7 +1177,7 @@ def run_policy_comparison(cfg: ExperimentConfig) -> dict[str, Any]:
     for row in rows:
         row["welfare_delta"] = row["welfare"] - base["welfare"]
         row["pollution_delta"] = row["pollution"] - base["pollution"]
-    report = {"experiment": "policy_comparison", "rows": rows}
+    report = {"rows": rows}
     header = ("scenario", "welfare", "pollution", "ipi", "trust", "welfare_delta",
               "pollution_delta", "note")
     lines = ["policy comparison (final-window means, deltas vs baseline):"]
@@ -1271,7 +1258,6 @@ def run_robust_select(cfg: ExperimentConfig) -> dict[str, Any]:
         base_params=params, master_seed=cfg.master_seed, jobs=cfg.jobs,
     )
     report = {
-        "experiment": "robust_select",
         "selected_index": selection.selected_index,
         "selected_scenario": selection.selected,
         "welfare_matrix": [list(r) for r in selection.welfare_matrix],

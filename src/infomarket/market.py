@@ -930,6 +930,8 @@ def static_equilibrium_welfare(
     the first lane of each distinct pollution, and the lanes that share it
     take its verification rate, precision and spend.  Used for the
     planner-optimum and worst-corner anchors of the deadweight dimension.
+    Ad revenue that overflows producer surplus or platform profit is a
+    configuration error naming the platform keys.
     """
     cost_h_base, cost_l_base = _base_costs(params, params.econ.ai_rental)
     tax = np.broadcast_to(np.asarray(tax, dtype=float), postures.gamma_h.shape)
@@ -946,6 +948,15 @@ def static_equilibrium_welfare(
     _check_outputs(supply.q_h, supply.q_l, supply.producer_profit)
     q_h, q_l = supply.q_h[row], supply.q_l[row]
     rho, flow, platform_profit = exposure(q_h, q_l, postures, populations, params)
+    # `PlatformParams` bounds the margin per unit; these sum it over the output.
+    if (supply.producer_profit == math.inf).any() or (platform_profit == math.inf).any():
+        pf = params.platform
+        raise ConfigError(
+            f"ad revenue leaves the floats: platform.ad_rate = {pf.ad_rate!r}, split by "
+            f"platform.revenue_share = {pf.revenue_share!r} and amplified up to "
+            f"platform.gamma_max = {pf.gamma_max!r}, overflows producer surplus or platform "
+            f"profit over the output of agents.n_producers = {params.agents.n_producers!r}"
+        )
     lead, same = _distinct_rows(rho[:, None])
     rate, precision, threshold = solve_verification_fixed_point(
         rho[lead], populations.consumers, params=params)

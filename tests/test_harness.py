@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -58,6 +59,9 @@ SMALL = {
 }
 # The keys of a per-producer unit cost: the CES cost over a productivity draw.
 PRODUCER_COSTS = ("econ.tfp_h", "econ.tfp_l", "agents.mean_prod_h", "agents.mean_prod_l")
+# The keys of the ad revenue summed over the producers' amplified output.
+AD_REVENUE = ("platform.ad_rate", "platform.revenue_share", "platform.gamma_max",
+              "agents.n_producers")
 
 
 def advanced(sim, ticks):
@@ -316,7 +320,7 @@ class TestSummaryStats:
     def test_constant_series_flagged_not_nan(self):
         record = self._record([0.5] * 30, [1.0] * 30)
         stats = summary_stats(record)
-        assert stats.correlations["ipi_welfare"] is None
+        assert math.isnan(stats.correlations["ipi_welfare"])
         assert "correlation_undefined:ipi_welfare" in stats.flags
 
     def test_perfect_anticorrelation(self):
@@ -332,8 +336,8 @@ class TestSummaryStats:
         assert stats.final_window == 30
 
     def test_safe_corr_guards(self):
-        assert safe_corr(np.array([1.0]), np.array([2.0])) is None
-        assert safe_corr(np.ones(10), np.arange(10.0)) is None
+        assert math.isnan(safe_corr(np.array([1.0]), np.array([2.0])))
+        assert math.isnan(safe_corr(np.ones(10), np.arange(10.0)))
 
     def test_safe_corr_of_series_whose_squares_overflow(self):
         x = np.linspace(0.0, 1.0, 30) ** 2
@@ -515,6 +519,13 @@ class TestOutputs:
         resolved = (tmp_path / "config.txt").read_text()
         assert "agents.n_producers = 30" in resolved
         assert "run.master_seed = 42" in resolved
+
+    def test_summary_names_the_experiment_config_txt_names(self, tmp_path):
+        # A procedure run under another experiment's id writes that id.
+        run_noise(small_cfg(tmp_path=tmp_path, max_ticks=5), trials=1)
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert summary["experiment"] == "baseline"
+        assert "run.experiment = baseline\n" in (tmp_path / "config.txt").read_text()
 
     def test_written_files_are_deterministic(self, tmp_path):
         a_dir = tmp_path / "a"
@@ -742,6 +753,29 @@ class TestLockstepBatches:
         sections = {"agents", "market", "trust", "welfare", "platform"}
         assert sorted(read for read in reads
                       if read.split(".")[0] not in sections and read not in instruments) == []
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_a_negative_zero_levy_clears_as_a_zero_levy(self, adaptive):
+        # 0.0 and -0.0 share a batch, which clears both at the first world's
+        # levy (`market._per_world`): the -0.0 world's record differs from
+        # the 0.0 world's only in the levy it records, alone and in a batch.
+        worlds = [SimParams().with_overrides({**SMALL, "policy.tax_init": tax,
+                                              "policy.adaptive_enabled": adaptive})
+                  for tax in (0.0, -0.0)]
+        ticks = 40
+        zero, negative = (run_worlds([world], ticks)[0] for world in worlds)
+        for order in ([0, 1], [1, 0]):
+            batch = run_worlds([worlds[i] for i in order], ticks)
+            for i, record in zip(order, batch):
+                assert_same_columns(record, (zero, negative)[i])
+        for name in CSV_COLUMNS:
+            if name != "tau":
+                assert zero.column(name).tobytes() == negative.column(name).tobytes(), name
+        tau = negative.column("tau")
+        assert (tau == zero.column("tau")).all() and not np.signbit(zero.column("tau")).any()
+        # A fixed levy records -0.0 on every tick; the adaptive one moves off it after tick 1.
+        signs = np.signbit(tau).tolist()
+        assert signs == ([True] + [False] * (ticks - 1) if adaptive else [True] * ticks)
 
     def test_worlds_that_differ_in_what_the_market_reads_do_not_share_a_batch(self):
         base = SimParams().with_overrides(SMALL)
@@ -987,6 +1021,23 @@ class TestCli:
         assert main(["report", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_ticks"] == 12
+
+    @pytest.mark.parametrize("command", [
+        ["baseline", "--ticks", "12"],
+        ["baseline", "--ticks", "1"],  # every correlation undefined
+        ["shocks", "--ticks", "30", "--shocks.ticks", "5,10,15,20"],
+    ], ids=["baseline", "one_tick", "shocks"])
+    def test_report_reprints_the_runs_stats(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main([*command, "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        stats = json.loads((out / "summary.json").read_text(encoding="utf-8"))["stats"]
+        assert json.loads(capsys.readouterr().out) == stats
+        if command[2] == "1":
+            assert list(stats["correlations"].values()) == [None] * 3
+            assert len(stats["flags"]) == 3
 
     def test_report_on_an_empty_record_prints_strict_json(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1238,6 +1289,11 @@ class TestCli:
         # On one type only: supply stays finite, and the anchors' producer
         # surplus is -inf or NaN.
         *[({key: "1e-310"}, PRODUCER_COSTS) for key in PRODUCER_COSTS],
+        # A finite margin per unit whose sum over the output overflows: the
+        # anchors' producer surplus and platform profit are +inf, or (with
+        # the platform taking 99 %) platform profit alone.
+        ({"platform.ad_rate": "1e307"}, AD_REVENUE),
+        ({"platform.revenue_share": "0.99", "platform.ad_rate": "1e307"}, AD_REVENUE),
     ])
     def test_configs_whose_world_does_not_build_exit_config_code(self, tmp_path, capsys,
                                                                config, named):
@@ -1254,6 +1310,12 @@ class TestCli:
         assert errors[0] == errors[1]
         assert errors[0].startswith("config error: ") and errors[0].count("\n") == 1
         assert all(name in errors[0] for name in named)
+
+    def test_a_platform_profit_of_minus_inf_runs(self, tmp_path, capsys):
+        # A moderation cost that overflows makes moderated lattice lanes'
+        # platform profit -inf; they never win the anchors, and the run goes on.
+        assert main(["baseline", "--ticks", "3", "--platform.moderation_cost", "1e308",
+                     "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("perturbation", ["1e308", "1e300"])
     def test_an_overflowing_weight_lane_fails_alone_as_in_a_batch(self, tmp_path, capsys,

@@ -1,5 +1,6 @@
 """Cross-module runs: golden regression, weight oracles, experiment behaviors."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +296,7 @@ class TestComparativeStatics:
             ticks=10,
         )
         assert len(report.rows) == 1
-        assert report.corr_r_pollution is None  # constant r column, flagged
+        assert math.isnan(report.corr_r_pollution)  # constant r column, flagged
 
 
 SMALL = {

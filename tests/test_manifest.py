@@ -52,7 +52,8 @@ STORED = GOLDEN / "outputs"
 # selection), a weight lane's output that overflows where nothing amplifies
 # it (alone and in a batch), and per-producer unit costs that overflow on
 # one type only, making the anchors' producer surplus -inf or NaN (alone and
-# in a batch).
+# in a batch), and ad revenue that overflows the anchors' producer surplus and
+# platform profit (alone and in a batch), or platform profit alone.
 COMMANDS = (
     "baseline",
     "shocks",
@@ -103,6 +104,9 @@ COMMANDS = (
     "baseline --ticks 2 --agents.mean_prod_h 1e-310",
     "baseline --ticks 2 --agents.mean_prod_l 1e-310",
     "sweep --ticks 2 --agents.mean_prod_l 1e-310",
+    "baseline --ticks 2 --platform.ad_rate 1e307",
+    "sweep --ticks 2 --platform.ad_rate 1e307",
+    "baseline --ticks 2 --platform.revenue_share 0.99 --platform.ad_rate 1e307",
 )
 
 
