@@ -16,6 +16,7 @@ from .config import SimParams, parse_config_file
 from .errors import ConfigError, NoConvergence
 from .harness import (
     EXPERIMENTS,
+    RECORDED_EXPERIMENTS,
     RUN_KEYS,
     ExperimentConfig,
     RunRecord,
@@ -85,6 +86,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # An experiment that writes no record leaves any run.csv here stale.
+    config = args.directory / "config.txt"
+    if config.exists():
+        experiment = parse_config_file(config).get("run.experiment", ExperimentConfig.experiment)
+        if experiment not in RECORDED_EXPERIMENTS:
+            raise ConfigError(f"{config}: run.experiment = {experiment} writes no run record "
+                              f"(only {', '.join(RECORDED_EXPERIMENTS)} do)")
     record = RunRecord.from_csv(args.directory / "results" / "run.csv")
     stats = summary_stats(record)
     # As summary.json writes its stats block: undefined statistics as null.

@@ -262,6 +262,10 @@ class PolicyParams:
             _bound(self, "policy", "adaptive_target", lambda v: 0 < v < 1, "lie in (0, 1)")
 
 
+# The shocks `shocks.ticks` schedules, in order: its i-th tick is the i-th kind's.
+SCHEDULED_SHOCKS = ("trust_shock", "capability_jump", "fake_news_burst", "cost_drop")
+
+
 @dataclass(frozen=True)
 class ShockParams:
     ticks: tuple[int, ...] = (40, 70, 100, 130)
@@ -275,6 +279,9 @@ class ShockParams:
         # Shocks enter at whole ticks; the run checks that each lies inside its horizon.
         _bound(self, "shocks", "ticks", lambda v: all(isinstance(t, int) and t >= 0 for t in v),
                "be nonnegative integers")
+        _bound(self, "shocks", "ticks", lambda v: len(v) <= len(SCHEDULED_SHOCKS),
+               f"hold at most {len(SCHEDULED_SHOCKS)} ticks (for {', '.join(SCHEDULED_SHOCKS)}, "
+               "in that order)")
         _bound(self, "shocks", "cost_drop capability_jump fake_news_burst trust_shock",
                _nonnegative, "be nonnegative")
         # A negative window would revert a capability jump before it enters.

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .agents import Postures, draw_consumers, draw_producers
-from .config import SimParams, _coerce, parse_config_file
+from .config import SCHEDULED_SHOCKS, SimParams, _coerce, parse_config_file
 from .errors import ConfigError, NoConvergence
 from .ipi import (
     FIXED_WEIGHTS,
@@ -174,7 +174,8 @@ class RunRecord:
     @classmethod
     def from_csv(cls, path: Path) -> "RunRecord":
         """Read a written record; a file that is not one is a configuration
-        error naming the file, and the line and column where it fails.  A
+        error naming the file, and the line and column where it fails (a
+        row with a missing or an extra cell, the line).  A
         written record holds finite floats only (`_step` rejects a non-finite
         welfare, and every other column is bounded), so an inf or NaN cell
         fails too."""
@@ -198,6 +199,11 @@ class RunRecord:
                                 f"is not {'an int' if kind is int else 'a finite float'}"
                             )
                         values.append(value)
+                    # A row short of its event cell alone reads str(None) there.
+                    if None in rec or None in rec.values():
+                        raise ConfigError(f"{path}, line {reader.line_num}: the row has "
+                                          f"{'more' if None in rec else 'fewer'} cells than "
+                                          "the header")
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(
                 f"{path}: not a readable run record: {getattr(exc, 'strerror', None) or exc}"
@@ -798,9 +804,8 @@ def default_shocks(params: SimParams) -> list[ShockEvent]:
     s = params.shocks
     # Late cost shock: the index baseline has settled by then, so the
     # pollution spike reads as a clean rise rather than riding the transient.
-    order = ("trust_shock", "capability_jump", "fake_news_burst", "cost_drop")
     return [ShockEvent(tick=t, kind=kind, magnitude=getattr(s, kind))
-            for t, kind in zip(s.ticks, order)]
+            for t, kind in zip(s.ticks, SCHEDULED_SHOCKS)]
 
 
 @dataclass(frozen=True)
@@ -1294,6 +1299,10 @@ EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig], Any], int]] = {
     "policy_comparison": (run_policy_comparison, 150),
     "robust_select": (run_robust_select, 100),
 }
+
+
+# The experiments that write a run record (results/run.csv), which `report` reads.
+RECORDED_EXPERIMENTS = ("baseline", "shocks", "event_detection")
 
 
 def run_experiment(cfg: ExperimentConfig) -> Any:

@@ -154,8 +154,8 @@ def solve_verification_fixed_point(
     lanes = pollution if lane else np.asarray(pollution, dtype=float).reshape(-1)
     _check_pollution(lanes)
     mk = params.market
-    end, k_lo, k_hi = _segment_ends(lanes, consumers, provenance_boost, params)
-    v = _segment_root(lanes, end, k_lo, k_hi, consumers, provenance_boost, params)
+    end = _segment_ends(lanes, consumers, provenance_boost, params)
+    v = _segment_root(lanes, end, consumers, provenance_boost, params)
     # (3) the residual check
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = _threshold(lanes, precision, params)
@@ -163,7 +163,9 @@ def solve_verification_fixed_point(
     met = _elements(resid < mk.fp_tol)
     if not all(met):
         first = met.index(False)
-        raise _missed_tolerance(_elements(resid)[first], _elements(lanes)[first], mk.fp_tol)
+        raise NoConvergence(f"verification fixed point: residual {_elements(resid)[first]:.3e} "
+                            f"not below market.fp_tol = {mk.fp_tol:.3e} "
+                            f"(pollution={_elements(lanes)[first]:.4f})")
     if lane:
         return float(v), float(precision), float(k_star)
     shape = np.shape(pollution)
@@ -177,11 +179,9 @@ def _check_pollution(rho) -> None:
         raise ValueError("pollution must lie in [0, 1]")
 
 
-def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float,
-                  params: SimParams) -> tuple:
-    """Step 1 of the solve: each lane's `end` knot, and its thresholds at
-    the two precision clamps, k_lo and k_hi (for a float lane, a Python int
-    and floats).
+def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float, params: SimParams):
+    """Step 1 of the solve: each lane's `end` knot (a Python int for a
+    float lane, an intp array otherwise).
 
     The segment ends at the window's first knot whose test k*(pi(V_i)) <
     k_i is true, and at 0 if none is (knot 0 costs 0, which no k* lies
@@ -200,8 +200,8 @@ def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float,
     rounds monotonically, but the posterior is a quotient of two rising
     terms, not proved to; the full scan is the oracle of a property test.
     Arrays, and every lane when du_h > du_l (k* then rises too), scan the
-    window: the thresholds at its knots' rates and at the clamps form one
-    (lanes, window + 2) block per `_LANE_BLOCK` lanes.
+    window: the thresholds at its knots' rates form one (lanes, window)
+    block per `_LANE_BLOCK` lanes.
     """
     ag = params.agents
     knot_k, knot_v = consumers.knot_k, consumers.knot_v
@@ -218,44 +218,29 @@ def _segment_ends(rho, consumers: ConsumerPool, provenance_boost: float,
                 hi = mid
             else:
                 lo = mid + 1
-        k_lo, k_hi = (_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist())
-        return lo if lo < stop else 0, k_lo, k_hi
+        return lo if lo < stop else 0
     lanes = np.array(rho, ndmin=1, copy=None)
     knot_k, knot_v = knot_k[first:stop], knot_v[first:stop]
     end = np.zeros(lanes.size, dtype=np.intp)
-    k_clamp = np.empty((lanes.size, 2))
-    for start in range(0, lanes.size, _LANE_BLOCK):
+    for start in range(0, lanes.size if knot_k.size else 0, _LANE_BLOCK):  # empty window: ends 0
         block = slice(start, start + _LANE_BLOCK)
         r = lanes[block, None]
-        pi = np.empty((r.size, knot_v.size + 2))
-        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, params.market)
-        pi[:, -2:] = _CLAMPS
-        k_star = _threshold(r, pi, params)
-        k_clamp[block] = k_star[:, -2:]
-        if knot_k.size:
-            below = k_star[:, :-2] < knot_k
-            hit = first + below.argmax(axis=1)
-            # A window that reaches past the upper bound ends on a true test.
-            end[block] = hit if above < stop else np.where(below.any(axis=1), hit, 0)
-    if isinstance(rho, float):
-        return end.item(), *k_clamp[0].tolist()
-    return end, *k_clamp.T
+        below = _threshold(r, signal_precision(r, knot_v, provenance_boost, params.market),
+                           params) < knot_k
+        hit = first + below.argmax(axis=1)
+        # A window that reaches past the upper bound ends on a true test.
+        end[block] = hit if above < stop else np.where(below.any(axis=1), hit, 0)
+    return end.item() if isinstance(rho, float) else end
 
 
-def _missed_tolerance(resid: float, pollution: float, fp_tol: float) -> NoConvergence:
-    """NoConvergence naming a lane whose residual misses ``fp_tol``."""
-    return NoConvergence(f"verification fixed point: residual {resid:.3e} not below "
-                         f"market.fp_tol = {fp_tol:.3e} (pollution={pollution:.4f})")
-
-
-def _segment_root(rho, end, k_lo, k_hi, consumers: ConsumerPool, provenance_boost: float,
-                  params: SimParams):
+def _segment_root(rho, end, consumers: ConsumerPool, provenance_boost: float, params: SimParams):
     """Step 2 of the solve: each lane's root on the CDF segment ending at
     knot `end` (elementwise; one lane's float and int give a float).
 
     At cost k = k0 + x (x in [0, dk]) the rate is v0 + s x and raw precision
     pi0 + sigma x, which reaches the clamps at x_lo and x_hi.  Beyond them
-    the threshold is the clamp's, k_lo or k_hi, the root x_flat; between
+    the threshold is the clamp's, k_lo or k_hi (two float thresholds for
+    one lane, one (lanes, 2) block for arrays), the root x_flat; between
     them the root is the quadratic's a x^2 + b x + c.  One lane keeps
     `ConsumerPool.segments`' numpy scalars, so its quotients are numpy's
     and a zero divisor gives inf or NaN as an array's does; its root is
@@ -283,6 +268,8 @@ def _segment_root(rho, end, k_lo, k_hi, consumers: ConsumerPool, provenance_boos
         q = (b + _signed_sqrt(b * b - a * 4.0 * c, b)) * -0.5
         x_lo, x_hi = (_fmin(_fmax((clamp - pi0) / sigma, 0.0), dk) for clamp in _CLAMPS.tolist())
         x_mid = _where(b < 0.0, q / a, c / q)
+    k_lo, k_hi = ((_threshold(rho, clamp, params) for clamp in _CLAMPS.tolist())
+                  if isinstance(rho, float) else _threshold(rho[:, None], _CLAMPS, params).T)
     x_flat_lo, x_flat_hi = k_lo - k0, k_hi - k0
     # The lower clamp's root if k - k* turns nonnegative on it (at x = 0 the
     # threshold there is k_lo, so x_flat_lo >= 0), else the upper clamp's if
@@ -658,10 +645,12 @@ def market_step(
     # step, and when some world weighs its index an eighth lane
     rows = _probes(platforms, pf, eighth=bool(weighted))
     postures = Postures.of(rows)
-    cost_h, cost_l, gen_boost, tax, extra_q_l = (_per_world(column) for column in zip(*[
-        (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
-        for o, tax in zip(overlays, taxes)
-    ]))
+    # Each world's cost bases, boost, levy and burst: a lone world's floats,
+    # or a batch's columns, one value per world
+    cost_h, cost_l, gen_boost, tax, extra_q_l = (
+        column[0] if n == 1 else np.array(column, dtype=float)[:, None] for column in zip(*[
+            (o.cost_h_base, o.cost_l_base, o.gen_boost, tax, o.extra_q_l)
+            for o, tax in zip(overlays, taxes)]))
     if weighted:
         gen_boost = np.full(postures.gamma_h.shape, gen_boost)
         gen_boost[weighted, -1] = [weight_steps[w][1] for w in weighted]
@@ -789,21 +778,6 @@ def _check_exposure(values: list, cause: str) -> None:
     for x in values:
         if x == math.inf if isinstance(x, float) else (x == math.inf).any():
             raise ConfigError(f"amplified exposure leaves the floats: {cause}")
-
-
-def _per_world(values: tuple[float, ...]) -> float | np.ndarray:
-    """One float if every world has the same value, else a column of them: a
-    float broadcasts at less cost per call.
-
-    Equal values give equal results: the only equal floats whose bits
-    differ are 0.0 and -0.0, and a zero levy or burst adds or subtracts to
-    the same result either way (the cost bases and boosts are positive).
-    A lane's result does not depend on whether its value comes as the
-    float or as an element of an array.
-    """
-    if values.count(values[0]) == len(values):
-        return values[0]
-    return np.array(values, dtype=float)[:, None]
 
 
 def _probes(

@@ -29,6 +29,7 @@ from infomarket.harness import (
     DEFAULT_SWEEP_R,
     DEFAULT_SWEEP_SIGMA_L,
     EXPERIMENTS,
+    RECORDED_EXPERIMENTS,
     ExperimentConfig,
     RunRecord,
     ShockEvent,
@@ -163,6 +164,10 @@ class TestRunRecord:
          "line 2, column 'ipi': '-inf' is not a finite float"),
         ([HEADER, ",".join(["1", "nan", *["0.5"] * 15, ""])],
          "line 2, column 'q_h': 'nan' is not a finite float"),
+        # A row short of its event cell alone (read as the event 'None'), and
+        # a row with an extra cell.
+        ([HEADER, ROW[:-1], ROW], "line 2: the row has fewer cells than the header"),
+        ([HEADER, ROW, ROW + ",extra"], "line 3: the row has more cells than the header"),
     ])
     def test_malformed_record_is_a_config_error(self, tmp_path, lines, where):
         path = tmp_path / "run.csv"
@@ -756,9 +761,9 @@ class TestLockstepBatches:
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
     def test_a_negative_zero_levy_clears_as_a_zero_levy(self, adaptive):
-        # 0.0 and -0.0 share a batch, which clears both at the first world's
-        # levy (`market._per_world`): the -0.0 world's record differs from
-        # the 0.0 world's only in the levy it records, alone and in a batch.
+        # 0.0 and -0.0 share a batch, which clears each world at its own
+        # levy: the -0.0 world's record differs from the 0.0 world's only in
+        # the levy it records, alone and in a batch.
         worlds = [SimParams().with_overrides({**SMALL, "policy.tax_init": tax,
                                               "policy.adaptive_enabled": adaptive})
                   for tax in (0.0, -0.0)]
@@ -1128,6 +1133,7 @@ class TestCli:
         ("shocks.ticks", "1.5"),
         ("shocks.ticks", "-1"),
         ("shocks.ticks", "1e400"),
+        ("shocks.ticks", "10,20,30,40,50"),  # one tick more than the four kinds
         ("ipi.sigma_tech", "0"),
         ("ipi.w_pollution", "-1"),
         ("ipi.w_tech", "0.2"),
@@ -1471,6 +1477,9 @@ class TestCli:
                 raise AssertionError(f"summary.json holds {token}")
 
             json.loads((out / "summary.json").read_text(), parse_constant=reject)
+            recorded = experiment in RECORDED_EXPERIMENTS
+            assert (out / "results" / "run.csv").exists() == recorded
+            assert main(["report", str(out)]) == (0 if recorded else 2)
 
     def test_large_detector_exponent_runs(self, tmp_path):
         # Detection ahead of generation caps the detector ratio at 1 before any power.
@@ -1502,12 +1511,26 @@ class TestCli:
                 "convergence failure: world 0: NoConvergence: "
             )
 
+    def test_report_refuses_a_record_left_by_an_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        for command in ("baseline", "sweep"):
+            assert main([command, "--ticks", "5", "--out", str(out), *flags]) == 0
+        assert (out / "results" / "run.csv").exists()  # the baseline's
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"config error: {out / 'config.txt'}: run.experiment = sweep writes no run record "
+            "(only baseline, shocks, event_detection do)\n")
+
     def test_report_on_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
 
     @pytest.mark.parametrize("lines", [
         [HEADER, "3,abc"], ["tick,ipi", "1,0.5"],
         [HEADER, ROW, ",".join(["2", *["0.5"] * 6, "inf", *["0.5"] * 9, ""])],
+        [HEADER, ROW[:-1]], [HEADER, ROW, ROW + ",extra"],
     ])
     def test_report_on_a_malformed_record_exits_config_code(self, tmp_path, capsys, lines):
         run_csv = tmp_path / "results" / "run.csv"

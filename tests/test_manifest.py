@@ -53,7 +53,8 @@ STORED = GOLDEN / "outputs"
 # it (alone and in a batch), and per-producer unit costs that overflow on
 # one type only, making the anchors' producer surplus -inf or NaN (alone and
 # in a batch), and ad revenue that overflows the anchors' producer surplus and
-# platform profit (alone and in a batch), or platform profit alone.
+# platform profit (alone and in a batch), or platform profit alone, and a
+# shock schedule with more ticks than shock kinds (exit 2).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -107,6 +108,7 @@ COMMANDS = (
     "baseline --ticks 2 --platform.ad_rate 1e307",
     "sweep --ticks 2 --platform.ad_rate 1e307",
     "baseline --ticks 2 --platform.revenue_share 0.99 --platform.ad_rate 1e307",
+    "shocks --shocks.ticks 10,20,30,40,50",
 )
 
 

@@ -377,7 +377,7 @@ class TestReachableKnotScan:
         lo, hi = sorted((ag.du_h, ag.du_l))
         window = np.count_nonzero((knot_k > lo) & (knot_k <= hi)) + 1  # and the first above
         assert (knot_k.size, window) == (201, 72)
-        assert columns and set(columns) == {window + 2}  # and the two precision clamps
+        assert columns and set(columns) == {window}
 
 
 class TestOneLaneSolve:
@@ -572,6 +572,12 @@ class TestBisectedKnotScan:
         assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
         # A float in gives floats out, with the 0-d solve's bits and errors.
         assert_float_solve_matches(rho, pool, provenance, params, outcomes[0])
+        # Step 1 itself, since two end knots can give the same root: the
+        # bisection's and the one-lane scan's end knot is the full scan's.
+        (end,) = full_scan_ends(np.array([rho]), pool, provenance, params).tolist()
+        bisected = market._segment_ends(rho, pool, provenance, params)
+        scanned = market._segment_ends(np.array([rho]), pool, provenance, params)
+        assert type(bisected) is int and (bisected, scanned.tolist()) == (end, [end])
 
     def test_only_a_lone_lane_bisects(self, monkeypatch):
         calls = []
@@ -609,13 +615,13 @@ class TestBisectedKnotScan:
         sims = [Simulation(world, None, 42) for world in worlds]
         calls.clear()
         harness._step(sims, [build_overlays(1, (), world)[0] for world in worlds])
-        assert blocks() == [(20, reachable_knots(sims[0].populations.consumers, small) + 2)]
+        assert blocks() == [(20, reachable_knots(sims[0].populations.consumers, small))]
         rising = Simulation(SimParams().with_overrides({"agents.du_h": 3.0, "agents.du_l": 0.5}),
                             None, 42)
         rising.advance()
         calls.clear()
         rising.advance()
-        assert blocks() == [(1, reachable_knots(rising.populations.consumers, rising.params) + 2)]
+        assert blocks() == [(1, reachable_knots(rising.populations.consumers, rising.params))]
 
 
 class TestFloatProbeLanes:
@@ -810,7 +816,7 @@ class TestFloatProbeLanes:
         def step_one(rho, *args, _fn=market._segment_ends):
             result = _fn(rho, *args)
             if isinstance(rho, float):  # the lone world's lanes; the pair's are an array
-                ends.append(result[0])
+                ends.append(result)
             return result
 
         monkeypatch.setattr(harness, "market_step", spied)
@@ -872,25 +878,26 @@ def assert_float_solve_matches(rho, pool, provenance, params, oracle):
         assert [x[1:] for x in alone] == [x[1:] for x in oracle]
 
 
+def full_scan_ends(lanes, consumers, provenance_boost, params):
+    """Step 1 over every knot: each lane's first knot whose test k*(pi(V_i))
+    < k_i is true, the test's argmax (0 if none is)."""
+    end = np.empty(lanes.size, dtype=np.intp)
+    for start in range(0, lanes.size, market._LANE_BLOCK):
+        block = slice(start, start + market._LANE_BLOCK)
+        r = lanes[block, None]
+        pi = signal_precision(r, consumers.knot_v, provenance_boost, params.market)
+        end[block] = np.argmax(market._threshold(r, pi, params) < consumers.knot_k, axis=1)
+    return end
+
+
 def full_scan_fixed_point(pollution, consumers, provenance_boost=0.0, *, params):
     """The solve as it was before the scan read only the reachable knots: the
     thresholds at every knot, step (1) of `solve_verification_fixed_point`."""
     mk = params.market
     rho = np.asarray(pollution, dtype=float)
     lanes = rho.reshape(-1)
-    knot_k, knot_v = consumers.knot_k, consumers.knot_v
-    end = np.empty(lanes.size, dtype=np.intp)
-    k_clamp = np.empty((lanes.size, 2))
-    for start in range(0, lanes.size, market._LANE_BLOCK):
-        block = slice(start, start + market._LANE_BLOCK)
-        r = lanes[block, None]
-        pi = np.empty((r.size, knot_v.size + 2))
-        pi[:, :-2] = signal_precision(r, knot_v, provenance_boost, mk)
-        pi[:, -2:] = market._CLAMPS
-        k_star = market._threshold(r, pi, params)
-        end[block] = np.argmax(k_star[:, :-2] < knot_k, axis=1)
-        k_clamp[block] = k_star[:, -2:]
-    v = market._segment_root(lanes, end, *k_clamp.T, consumers, provenance_boost, params)
+    end = full_scan_ends(lanes, consumers, provenance_boost, params)
+    v = market._segment_root(lanes, end, consumers, provenance_boost, params)
     precision = signal_precision(lanes, v, provenance_boost, mk)
     k_star = market._threshold(lanes, precision, params)
     resid = np.abs(consumers.cdf(k_star) - v)
