@@ -168,14 +168,12 @@ class RunRecord:
     def _csv_rows(self) -> Iterable[tuple[Any, ...]]:
         return zip(*(self.columns[c].tolist() for c in CSV_COLUMNS))
 
-    def to_csv_text(self) -> str:
-        return _csv_text(CSV_COLUMNS, self._csv_rows())
-
     @classmethod
     def from_csv(cls, path: Path) -> "RunRecord":
         """Read a written record; a file that is not one is a configuration
         error naming the file, and the line and column where it fails (a
-        row with a missing or an extra cell, the line).  A
+        header other than `CSV_COLUMNS` in order, or a row with a missing or
+        an extra cell, the line).  A
         written record holds finite floats only (`_step` rejects a non-finite
         welfare, and every other column is bounded), so an inf or NaN cell
         fails too."""
@@ -186,6 +184,8 @@ class RunRecord:
                 for name in CSV_COLUMNS:
                     if name not in (reader.fieldnames or ()):
                         raise ConfigError(f"{path}, line 1: the header has no column {name!r}")
+                if tuple(reader.fieldnames) != CSV_COLUMNS:
+                    raise ConfigError(f"{path}, line 1: the header is not {','.join(CSV_COLUMNS)}")
                 for rec in reader:
                     for name, values in cells.items():
                         kind = _KINDS.get(name, float)
@@ -248,13 +248,13 @@ class Simulation:
     ):
         if policy is not None:
             # Without both eta and target the rule is off, and the section
-            # keeps its own (unread) ones.
+            # keeps its own (unread) ones.  The section checks every value.
+            adaptive = policy.adaptive_eta is not None and policy.ipi_target is not None
             rule = ({"adaptive_eta": policy.adaptive_eta, "adaptive_target": policy.ipi_target}
-                    if policy.adaptive else {})
+                    if adaptive else {})
             params = replace(params, policy=replace(
                 params.policy, tax_init=policy.tax_l, fiduciary=policy.fiduciary,
-                provenance_boost=policy.provenance_boost, adaptive_enabled=policy.adaptive,
-                **rule,
+                provenance_boost=policy.provenance_boost, adaptive_enabled=adaptive, **rule,
             ))
         self.params = params
         prod_ss, cons_ss = np.random.SeedSequence(master_seed).spawn(2)
@@ -661,27 +661,32 @@ def _write_outputs(
 ) -> None:
     """Write the run's directory; ``tables`` maps each further CSV file's
     path under it to its header and rows.  summary.json names the run's
-    experiment, as config.txt does."""
+    experiment, as config.txt does.  A directory that cannot be written is
+    a configuration error naming the path."""
     if cfg.out_dir is None:
         return
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = params.resolved_text() + "".join(
-        f"run.{key} = {getattr(cfg, key)}\n" for key in RUN_KEYS)
-    (out / "config.txt").write_text(resolved, encoding="utf-8")
-    files = {}
+    texts = {"config.txt": params.resolved_text() + "".join(
+        f"run.{key} = {getattr(cfg, key)}\n" for key in RUN_KEYS)}
     if record is not None:
         ticks = record.column("tick").tolist()
-        files["results/run.csv"] = (CSV_COLUMNS, record._csv_rows())
+        texts["results/run.csv"] = _csv_text(CSV_COLUMNS, record._csv_rows())
         for name in ("ipi", "welfare"):
-            files[f"figures/{name}_vs_time.csv"] = (
+            texts[f"figures/{name}_vs_time.csv"] = _csv_text(
                 ("tick", name), zip(ticks, record.column(name).tolist()))
-    for name, (header, rows) in (files | (tables or {})).items():
-        (out / name).parent.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(_csv_text(header, rows), encoding="utf-8")
-    (out / "summary.json").write_text(
-        _json_text({"experiment": cfg.experiment} | report), encoding="utf-8")
-    (out / "summary.txt").write_text("\n".join(text_lines) + "\n", encoding="utf-8")
+    for name, (header, rows) in (tables or {}).items():
+        texts[name] = _csv_text(header, rows)
+    texts["summary.json"] = _json_text({"experiment": cfg.experiment} | report)
+    texts["summary.txt"] = "\n".join(text_lines) + "\n"
+    try:
+        for folder in dict.fromkeys((out / name).parent for name in texts):
+            folder.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            f"{exc.filename or out}: cannot write the run's outputs: {exc.strerror or exc}"
+        ) from None
 
 
 # -- worlds -------------------------------------------------------------------
@@ -992,6 +997,9 @@ def _or_undefined(template: str, x: float) -> str:
 
 def run_event_detection(cfg: ExperimentConfig) -> dict[str, Any]:
     """Inject a fake-news burst at mid-horizon and measure the index's early-warning value."""
+    if cfg.max_ticks == 0:
+        raise ConfigError("event-detection injects its burst at mid-horizon, and "
+                          "run.max_ticks = 0 has no tick; run it for at least one tick")
     params = cfg.params()
     tick, mag = cfg.max_ticks // 2, params.shocks.fake_news_burst
     shock = ShockEvent(tick=tick, kind="fake_news_burst", magnitude=mag)

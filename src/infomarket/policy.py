@@ -22,29 +22,13 @@ from .errors import NoConvergence
 @dataclass(frozen=True)
 class PolicyConfig:
     """Instrument settings given to a `Simulation` apart from its parameters,
-    which fold them into their ``policy`` section."""
+    which fold them into their ``policy`` section and check them there."""
 
     tax_l: float = 0.0
     fiduciary: float = 0.0
     provenance_boost: float = 0.0
     adaptive_eta: float | None = None
     ipi_target: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.tax_l < 0:
-            raise ValueError("tax_l must be nonnegative")
-        if not 0 <= self.fiduciary <= 1:
-            raise ValueError("fiduciary must lie in [0, 1]")
-        if self.provenance_boost < 0:
-            raise ValueError("provenance_boost must be nonnegative")
-        if self.adaptive_eta is not None and self.adaptive_eta <= 0:
-            raise ValueError("adaptive_eta must be positive")
-        if self.ipi_target is not None and not 0 < self.ipi_target < 1:
-            raise ValueError("ipi_target must lie in (0, 1)")
-
-    @property
-    def adaptive(self) -> bool:
-        return self.adaptive_eta is not None and self.ipi_target is not None
 
 
 def fiduciary_objective(

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from infomarket import harness
 from infomarket.agents import draw_consumers, draw_producers
 from infomarket.config import SimParams
 from infomarket.market import Populations
+
+
+def record_text(record: harness.RunRecord) -> str:
+    """A record's CSV text in memory, formatted as its ``results/run.csv``:
+    byte-identity tests compare it, and round-trip tests write it."""
+    return harness._csv_text(harness.CSV_COLUMNS, record._csv_rows())
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,9 @@ from infomarket.market import (
     TrustParams,
     welfare_value,
 )
-from infomarket.policy import PolicyConfig, adaptive_tax, fiduciary_objective
+from infomarket.policy import adaptive_tax, fiduciary_objective
+
+from conftest import record_text
 
 pytestmark = pytest.mark.acceptance
 
@@ -255,8 +257,9 @@ def test_criterion_9_adaptive_controller():
     start = time.perf_counter()
     overrides = {"econ.ai_rental": 0.8}
     params = SimParams().with_overrides(overrides)
-    closed = Simulation(params, PolicyConfig(adaptive_eta=0.05, ipi_target=0.5), 42)
-    frozen = Simulation(params, PolicyConfig(), 42)
+    # The policy section's default rule: eta 0.05, target 0.5.
+    closed = Simulation(params.with_overrides({"policy.adaptive_enabled": True}), None, 42)
+    frozen = Simulation(params, None, 42)
     ipi_closed = np.array([closed.advance().ipi for _ in range(150)][-30:])
     ipi_frozen = np.array([frozen.advance().ipi for _ in range(150)][-30:])
     err_closed = float(np.abs(ipi_closed - 0.5).mean())
@@ -276,7 +279,7 @@ def test_criterion_10_determinism():
     }
     cfg = ExperimentConfig(experiment="baseline", master_seed=42, max_ticks=40,
                            overrides=small)
-    byte_identical = run(cfg).to_csv_text() == run(cfg).to_csv_text()
+    byte_identical = record_text(run(cfg)) == record_text(run(cfg))
     grid = [(0.8, 1.4), (1.0, 1.5), (1.2, 1.6), (1.4, 1.8)]
     base = SimParams().with_overrides(small)
     serial = sweep_cells(grid, base, master_seed=42, ticks=20, jobs=1)

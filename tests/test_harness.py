@@ -51,6 +51,8 @@ from infomarket.ipi import proxy_exposure
 from infomarket.market import _base_costs, market_step, welfare_anchors
 from infomarket.policy import PolicyConfig, adaptive_tax
 
+from conftest import record_text
+
 SMALL = {
     "agents.n_producers": 30,
     "agents.n_consumers": 60,
@@ -80,6 +82,7 @@ def assert_same_columns(got, want):
 
 HEADER = ",".join(CSV_COLUMNS)
 ROW = ",".join(["1"] + ["0.5"] * 16 + [""])  # a well-formed tick
+SWAPPED_HEADER = ",".join([CSV_COLUMNS[1], CSV_COLUMNS[0], *CSV_COLUMNS[2:]])
 
 
 def small_cfg(tmp_path=None, **kwargs) -> ExperimentConfig:
@@ -112,18 +115,18 @@ class TestRunRecord:
     def test_same_config_twice_is_byte_identical(self):
         a = run(small_cfg())
         b = run(small_cfg())
-        assert a.to_csv_text() == b.to_csv_text()
+        assert record_text(a) == record_text(b)
 
     def test_zero_ticks_gives_header_only(self):
         record = run(small_cfg(max_ticks=0))
-        text = record.to_csv_text()
+        text = record_text(record)
         assert text.count("\n") == 1
         assert text.startswith("tick,")
 
     def test_csv_round_trip_preserves_summary(self, tmp_path):
         record = run(small_cfg())
         path = tmp_path / "run.csv"
-        path.write_text(record.to_csv_text(), encoding="utf-8")
+        path.write_text(record_text(record), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert summary_stats(reread) == summary_stats(record)
         assert_same_columns(reread, record)
@@ -132,11 +135,11 @@ class TestRunRecord:
     def test_zero_tick_record_round_trips(self, tmp_path):
         record = run(small_cfg(max_ticks=0))
         path = tmp_path / "run.csv"
-        path.write_text(record.to_csv_text(), encoding="utf-8")
+        path.write_text(record_text(record), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert len(record) == len(reread) == 0
         assert_same_columns(reread, record)
-        assert reread.to_csv_text() == record.to_csv_text() == HEADER + "\n"
+        assert record_text(reread) == record_text(record) == HEADER + "\n"
 
     def test_columns_are_a_transpose_of_the_rows(self):
         sim = Simulation(SimParams().with_overrides(SMALL), master_seed=42)
@@ -168,6 +171,12 @@ class TestRunRecord:
         # a row with an extra cell.
         ([HEADER, ROW[:-1], ROW], "line 2: the row has fewer cells than the header"),
         ([HEADER, ROW, ROW + ",extra"], "line 3: the row has more cells than the header"),
+        # A header holding every column, but not `CSV_COLUMNS` in order: an
+        # extra column, a second tick (whose cell would be read as the
+        # tick), and two columns swapped.
+        ([HEADER + ",x", ROW + ",junk"], f"line 1: the header is not {HEADER}"),
+        ([HEADER + ",tick", ROW + ",999"], f"line 1: the header is not {HEADER}"),
+        ([SWAPPED_HEADER, ROW], f"line 1: the header is not {HEADER}"),
     ])
     def test_malformed_record_is_a_config_error(self, tmp_path, lines, where):
         path = tmp_path / "run.csv"
@@ -181,7 +190,7 @@ class TestRunRecord:
         (record,) = run_worlds([params], 20,
                                shocks=[ShockEvent(tick=10, kind="trust_shock", magnitude=0.2)])
         path = tmp_path / "run.csv"
-        path.write_text(record.to_csv_text(), encoding="utf-8")
+        path.write_text(record_text(record), encoding="utf-8")
         reread = RunRecord.from_csv(path)
         assert reread.column("event")[10] == "trust_shock"
         assert reread.column("event")[5] == ""
@@ -275,7 +284,7 @@ class TestExogenousPath:
             return market_step(trust, populations, platforms, overlays, *args, **kwargs)
 
         monkeypatch.setattr(harness, "market_step", spied)
-        sim = Simulation(params, PolicyConfig(), 42)
+        sim = Simulation(params, None, 42)
         used = []
         for _ in range(ticks):
             record_row = sim.advance()
@@ -441,7 +450,7 @@ class TestConfigPlumbing:
         assert explicit.params == implied.params
         implied, explicit = advanced(implied, 5), advanced(explicit, 5)
         assert implied.column("tau")[0] == 0.5
-        assert implied.to_csv_text() == explicit.to_csv_text()
+        assert record_text(implied) == record_text(explicit)
         # The adaptive levy given as a `PolicyConfig` is the adaptive policy section.
         params = SimParams().with_overrides({**SMALL, "econ.ai_rental": 0.8})
         adaptive = params.with_overrides({"policy.adaptive_enabled": "true"})
@@ -452,7 +461,7 @@ class TestConfigPlumbing:
         implied = Simulation(adaptive, None, 42)
         assert explicit.params == implied.params
         implied, explicit = advanced(implied, 30), advanced(explicit, 30)
-        assert implied.to_csv_text() == explicit.to_csv_text()
+        assert record_text(implied) == record_text(explicit)
         assert len(set(implied.column("tau").tolist())) > 1
 
     def test_adaptive_levy_moves_on_the_last_row(self):
@@ -608,7 +617,7 @@ def alone(worlds, ticks, shocks=()):
         try:
             sim = Simulation(params, master_seed=42)
             rows = [sim.advance(ov) for ov in build_overlays(ticks, shocks, params)]
-            out.append(RunRecord.of(rows).to_csv_text())
+            out.append(record_text(RunRecord.of(rows)))
         except NoConvergence as exc:
             out.append(f"NoConvergence: {exc}")
     return out
@@ -626,7 +635,7 @@ def builds(params):
 def batched(worlds, ticks, size, jobs, shocks=()):
     """The worlds through `run_worlds`, `size` at a time."""
     return [
-        outcome if isinstance(outcome, str) else outcome.to_csv_text()
+        outcome if isinstance(outcome, str) else record_text(outcome)
         for start in range(0, len(worlds), size)
         for outcome in run_worlds(worlds[start:start + size], ticks, shocks=shocks,
                                   master_seed=42, jobs=jobs)
@@ -905,13 +914,13 @@ class TestSupplyFloor:
         params = SimParams().with_overrides(overrides)
         from dataclasses import replace
 
-        sim = Simulation(params, PolicyConfig(tax_l=2.0), 42)
+        sim = Simulation(params, None, 42)
         sim.platform = replace(sim.platform, gamma_l=0.0, gamma_h=2.0)
         rows = [sim.advance() for _ in range(50)]
         q_l = [r.q_l for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(q_l, q_l[1:]))  # never grows
         assert q_l[-1] < 0.15 * params.agents.n_producers  # at the floor
-        baseline = Simulation(SimParams().with_overrides(SMALL), PolicyConfig(), 42)
+        baseline = Simulation(SimParams().with_overrides(SMALL), None, 42)
         baseline_rows = [baseline.advance() for _ in range(50)]
         assert q_l[-1] < baseline_rows[-1].q_l
 
@@ -1006,6 +1015,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "run.max_ticks" in err and not out.exists()
+
+    def test_event_detection_without_ticks_exits_config_code(self, tmp_path, capsys):
+        # The burst would sit at tick 0 of an empty horizon: the message
+        # names the key the user set, not that tick.
+        out = tmp_path / "out"
+        assert main(["event-detection", "--ticks", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "run.max_ticks = 0" in err and "shock tick" not in err and not out.exists()
 
     def test_validate_config_bad_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -1524,6 +1542,23 @@ class TestCli:
             f"config error: {out / 'config.txt'}: run.experiment = sweep writes no run record "
             "(only baseline, shocks, event_detection do)\n")
 
+    @pytest.mark.parametrize("command, file, out, named", [
+        # --out a regular file, under a regular file, and a directory whose
+        # results/ is a regular file; the message names the path that failed.
+        ("baseline", "F", "F", "F"),
+        ("sweep", "F", "F/x", "F/x"),
+        ("baseline", "D/results", "D", "D/results"),
+    ])
+    def test_unwritable_out_exits_config_code(self, tmp_path, capsys, command, file, out, named):
+        (tmp_path / file).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / file).write_text("", encoding="utf-8")
+        flags = [x for key, value in SMALL.items() for x in (f"--{key}", str(value))]
+        assert main([command, "--ticks", "2", "--out", str(tmp_path / out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {tmp_path / named}: cannot write the run's outputs: ")
+        assert err.count("\n") == 1
+
     def test_report_on_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 2
 
@@ -1531,6 +1566,7 @@ class TestCli:
         [HEADER, "3,abc"], ["tick,ipi", "1,0.5"],
         [HEADER, ROW, ",".join(["2", *["0.5"] * 6, "inf", *["0.5"] * 9, ""])],
         [HEADER, ROW[:-1]], [HEADER, ROW, ROW + ",extra"],
+        [HEADER + ",x", ROW + ",junk"], [HEADER + ",tick", ROW + ",999"], [SWAPPED_HEADER, ROW],
     ])
     def test_report_on_a_malformed_record_exits_config_code(self, tmp_path, capsys, lines):
         run_csv = tmp_path / "results" / "run.csv"

@@ -28,7 +28,6 @@ from infomarket.market import (
     supply_response,
     welfare_value,
 )
-from infomarket.policy import PolicyConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "baseline_seed42.csv"
 
@@ -180,7 +179,7 @@ class _PerDimensionWeights:
 class TestEndogenousWeights:
     def test_runs_and_normalizes(self, passed):
         params = SimParams().with_overrides({"ipi.endogenous_weights": True})
-        sim = Simulation(params, PolicyConfig(), 42)
+        sim = Simulation(params, None, 42)
         for _ in range(30):
             _overlay, row = _tick(sim)
             ((_responses, (weights, _)),) = passed
@@ -268,7 +267,7 @@ class TestEndogenousWeights:
         for eps in (0.01, 0.005):
             params = SimParams().with_overrides(
                 {"ipi.endogenous_weights": True, "ipi.weight_perturbation": eps})
-            sim = Simulation(params, PolicyConfig(), 42)
+            sim = Simulation(params, None, 42)
             for _ in range(100):
                 sim.advance()
         assert len(passed) == 200

@@ -80,44 +80,46 @@ UNREFERENCED_OK = {
     # Drives one world tick by hand, as the benchmark and the tests do; every
     # experiment steps its worlds in batches.
     ("harness", "Simulation.advance"),
-    # A record's CSV text in memory: acceptance criterion 10 and the
-    # byte-identity tests compare it; the writer formats the same rows.
-    ("harness", "RunRecord.to_csv_text"),
+    # The CES exponent: `tests/test_acceptance.py` (criterion 2's brute-force
+    # cost) and `tests/test_econ.py` read it; the dual cost forms in `src/`
+    # work in the elasticity instead.
+    ("econ", "CesTechnology.rho"),
 }
+
+
+def _attributes_read(node: ast.AST) -> set[str]:
+    """Every attribute (``x.name``) the node's subtree reads."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
     """Every name and attribute the node's subtree reads."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+    return _attributes_read(node) | {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
 
 
 def test_every_public_definition_is_used_in_src():
     # A formula only tests call is a copy the simulator does not run.
-    # Each top-level node's names, read once; a definition is used when some
-    # node other than itself reads its name, and a class's method when some
-    # other node, or another statement of its class, does.
-    nodes = [(module, node, _referenced_names(node))
+    # Each top-level node's names and attributes, read once; a definition is
+    # used when some node other than itself reads its name, and a class's
+    # method when some other node, or another statement of its class, reads
+    # it as an attribute (a local variable of the same name does not count).
+    nodes = [(module, node, _referenced_names(node), _attributes_read(node))
              for module, tree in _trees().items() for node in tree.body]
-    readers = Counter(name for _, _, names in nodes for name in names)
+    readers = Counter(name for _, _, names, _ in nodes for name in names)
+    attribute_readers = Counter(name for _, _, _, attributes in nodes for name in attributes)
     unused = {
         (module, node.name)
-        for module, node, names in nodes
+        for module, node, names, _ in nodes
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and readers[node.name] - (node.name in names) == 0
     }
     unused |= {
         (module, f"{node.name}.{method.name}")
-        for module, node, names in nodes if isinstance(node, ast.ClassDef)
+        for module, node, _, attributes in nodes if isinstance(node, ast.ClassDef)
         for method in node.body
         if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
-        and readers[method.name] - (method.name in names) == 0
-        and not any(method.name in _referenced_names(s) for s in node.body if s is not method)
+        and attribute_readers[method.name] - (method.name in attributes) == 0
+        and not any(method.name in _attributes_read(s) for s in node.body if s is not method)
     }
     assert unused - UNREFERENCED_OK == set()
     assert UNREFERENCED_OK <= unused  # an allowlisted name that gained a caller leaves the list

@@ -54,7 +54,10 @@ STORED = GOLDEN / "outputs"
 # one type only, making the anchors' producer surplus -inf or NaN (alone and
 # in a batch), and ad revenue that overflows the anchors' producer surplus and
 # platform profit (alone and in a batch), or platform profit alone, and a
-# shock schedule with more ticks than shock kinds (exit 2).
+# shock schedule with more ticks than shock kinds (exit 2); default shock
+# ticks past a short horizon, and a burst with no horizon to sit in (exit
+# 2); and a sweep whose batch loses worlds mid-run, each re-stepped alone
+# and retired with its own message (exit 3).
 COMMANDS = (
     "baseline",
     "shocks",
@@ -109,6 +112,10 @@ COMMANDS = (
     "sweep --ticks 2 --platform.ad_rate 1e307",
     "baseline --ticks 2 --platform.revenue_share 0.99 --platform.ad_rate 1e307",
     "shocks --shocks.ticks 10,20,30,40,50",
+    "shocks --ticks 30",
+    "event-detection --ticks 0",
+    "sweep --ticks 12 --agents.n_producers 30 --agents.n_consumers 60 --ipi.anchor_m_points 3 "
+    "--ipi.anchor_gamma_points 3 --ipi.anchor_tax_points 2 --market.fp_tol 1e-16",
 )
 
 

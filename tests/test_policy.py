@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket.config import SimParams
-from infomarket.errors import NoConvergence
-from infomarket.harness import DEFAULT_POLICY_SCENARIOS, robust_select
+from infomarket.errors import ConfigError, NoConvergence
+from infomarket.harness import DEFAULT_POLICY_SCENARIOS, Simulation, robust_select
 from infomarket.policy import PolicyConfig, adaptive_tax, fiduciary_objective, max_min_select
 
 
@@ -88,19 +88,33 @@ class TestScenarioConfig:
 
 
 class TestPolicyConfigValidation:
+    """`Simulation` folds a `PolicyConfig` into the parameters' policy
+    section, whose checks reject a bad value under its ``policy.*`` key."""
+
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(tax_l=-0.1)
-        with pytest.raises(ValueError):
-            PolicyConfig(fiduciary=1.5)
-        with pytest.raises(ValueError):
-            PolicyConfig(adaptive_eta=0.0, ipi_target=0.5)
-        with pytest.raises(ValueError):
-            PolicyConfig(adaptive_eta=0.1, ipi_target=1.0)
+        params = SimParams().with_overrides(SMALL)
+        for policy, message in [
+            (PolicyConfig(tax_l=-0.1), "policy.tax_init must be nonnegative, got -0.1"),
+            (PolicyConfig(fiduciary=1.5), "policy.fiduciary must lie in [0, 1], got 1.5"),
+            (PolicyConfig(provenance_boost=-0.1),
+             "policy.provenance_boost must be nonnegative, got -0.1"),
+            (PolicyConfig(adaptive_eta=0.0, ipi_target=0.5),
+             "policy.adaptive_eta must be positive, got 0.0"),
+            (PolicyConfig(adaptive_eta=0.1, ipi_target=1.0),
+             "policy.adaptive_target must lie in (0, 1), got 1.0"),
+        ]:
+            with pytest.raises(ConfigError) as info:
+                Simulation(params, policy, 42)
+            assert str(info.value) == message
 
     def test_adaptive_requires_both_fields(self):
-        assert not PolicyConfig(adaptive_eta=0.1).adaptive
-        assert PolicyConfig(adaptive_eta=0.1, ipi_target=0.5).adaptive
+        # Alone, an eta or a target leaves the rule off and goes unchecked,
+        # as the section leaves its own rule keys while the rule is off.
+        params = SimParams().with_overrides(SMALL)
+        for policy in (PolicyConfig(adaptive_eta=0.0), PolicyConfig(ipi_target=1.0)):
+            assert not Simulation(params, policy, 42).params.policy.adaptive_enabled
+        pp = Simulation(params, PolicyConfig(adaptive_eta=0.1, ipi_target=0.4), 42).params.policy
+        assert (pp.adaptive_enabled, pp.adaptive_eta, pp.adaptive_target) == (True, 0.1, 0.4)
 
 
 SMALL = {
